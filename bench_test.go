@@ -7,30 +7,29 @@
 // Each Benchmark prints the paper-style rows once (on the first
 // iteration) and then times the underlying experiment; EXPERIMENTS.md
 // records the paper-vs-measured comparison.
+//
+// The system's own performance — kernel, encode, store, wire and gateway
+// throughput, repair traffic — is measured by the repo benchmark in
+// bench/ (see bench/README.md), not here. The three datapath benchmarks
+// at the bottom of this file are the ones with no rung or workload
+// there yet.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/gateway"
-	"repro/internal/gf"
 	"repro/internal/lrc"
 	"repro/internal/markov"
 	"repro/internal/meta"
-	"repro/internal/netblock"
 	"repro/internal/pattern"
 	"repro/internal/store"
 )
@@ -469,124 +468,7 @@ func BenchmarkAblationReliabilitySweep(b *testing.B) {
 	}
 }
 
-// --- Kernel benchmarks (repro/internal/gf) ---
-
-// BenchmarkGFMulAdd measures the GF(2^8) fused multiply-accumulate — the
-// inner loop of every matrix-vector encode — on 1 MiB payloads with the
-// cached coefficient tables. Must report 0 allocs/op: the table is built
-// once per Field, never per call.
-func BenchmarkGFMulAdd(b *testing.B) {
-	f := gf.MustNew(8)
-	src := make([]byte, 1<<20)
-	dst := make([]byte, 1<<20)
-	rand.New(rand.NewSource(41)).Read(src)
-	f.MulAddSlice(0x1d, dst, src) // warm the cached table outside the timer
-	b.SetBytes(1 << 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.MulAddSlice(0x1d, dst, src)
-	}
-	b.ReportMetric(float64(b.N)*float64(1<<20)/1e6/b.Elapsed().Seconds(), "MB/s")
-}
-
-// BenchmarkGFXOR measures the word-wise XOR kernel — the entire
-// arithmetic of the Xorbas local parities — on 1 MiB payloads.
-func BenchmarkGFXOR(b *testing.B) {
-	src := make([]byte, 1<<20)
-	dst := make([]byte, 1<<20)
-	rand.New(rand.NewSource(42)).Read(src)
-	b.SetBytes(1 << 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gf.XORSlice(dst, src)
-	}
-	b.ReportMetric(float64(b.N)*float64(1<<20)/1e6/b.Elapsed().Seconds(), "MB/s")
-}
-
-// BenchmarkEncodeStripe measures full-stripe parity encoding through the
-// store codecs' zero-allocation EncodeInto path (lane-packed wide tables:
-// one lookup per data byte) at the streaming datapath's 10×1 MiB stripe
-// geometry. MB/s counts data bytes in, matching the put path's view.
-func BenchmarkEncodeStripe(b *testing.B) {
-	rng := rand.New(rand.NewSource(43))
-	for _, sc := range storeCodecs {
-		b.Run(sc.name, func(b *testing.B) {
-			codec := sc.codec()
-			k, n := codec.K(), codec.NStored()
-			data := make([][]byte, k)
-			for i := range data {
-				data[i] = make([]byte, 1<<20)
-				rng.Read(data[i])
-			}
-			parity := make([][]byte, n-k)
-			for j := range parity {
-				parity[j] = make([]byte, 1<<20)
-			}
-			if err := codec.EncodeInto(data, parity, 1); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(k) << 20)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := codec.EncodeInto(data, parity, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)*float64(k<<20)/1e6/b.Elapsed().Seconds(), "MB/s")
-		})
-	}
-}
-
 // --- The metadata plane (repro/internal/meta) ---
-
-// BenchmarkMetaCommit measures the plane's durable write path — encode,
-// sharded apply, WAL append, fsync. The serial variant pays one fsync
-// per commit; the group variant drives it from parallel committers, so
-// concurrent records share fsyncs (group commit) and per-commit cost
-// drops with parallelism.
-func BenchmarkMetaCommit(b *testing.B) {
-	val := make([]byte, 256)
-	rand.New(rand.NewSource(5)).Read(val)
-	open := func(b *testing.B) *meta.DB {
-		db, err := meta.Open(meta.Options{Dir: b.TempDir(), CheckpointEvery: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return db
-	}
-	b.Run("serial", func(b *testing.B) {
-		db := open(b)
-		defer db.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := db.Put(fmt.Sprintf("o/%08d", i&4095), val); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("group", func(b *testing.B) {
-		db := open(b)
-		defer db.Close()
-		var seq atomic.Int64
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				i := seq.Add(1)
-				if err := db.Put(fmt.Sprintf("o/%08d", i&4095), val); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.StopTimer()
-		m := db.Metrics()
-		if m.CommitBatches > 0 {
-			b.ReportMetric(float64(m.CommitRecords)/float64(m.CommitBatches), "records/fsync")
-		}
-	})
-}
 
 // BenchmarkMetaScan measures a snapshot-consistent prefix scan draining
 // 16k entries — the scrubber's manifest walk, minus the block reads.
@@ -630,289 +512,6 @@ var storeCodecs = []struct {
 }{
 	{"rs10_4", func() store.Codec { return store.NewRS104Codec() }},
 	{"xorbas10_6_5", func() store.Codec { return store.NewXorbasCodec() }},
-}
-
-// BenchmarkStorePut measures ingest throughput end to end: chunk, encode
-// (parallel above 1 MiB stripes), CRC-frame, place rack-aware, write.
-func BenchmarkStorePut(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	payload := make([]byte, 8<<20)
-	rng.Read(payload)
-	for _, sc := range storeCodecs {
-		b.Run(sc.name, func(b *testing.B) {
-			s, err := store.New(store.Config{Codec: sc.codec()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Put("bench", payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStoreStreamPut measures streaming ingest throughput at 64 MiB
-// — chunk, encode, CRC-frame, place, write, one stripe at a time with
-// memory bounded by the 10 MiB stripe rather than the object.
-func BenchmarkStoreStreamPut(b *testing.B) {
-	const size = 64 << 20
-	for _, sc := range storeCodecs {
-		b.Run(sc.name, func(b *testing.B) {
-			s, err := store.New(store.Config{Codec: sc.codec(), BlockSize: 1 << 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.PutReader("bench", pattern.NewReader(size)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(size)*float64(b.N)/1e6/b.Elapsed().Seconds(), "MB/s")
-		})
-	}
-}
-
-// BenchmarkStoreStreamGet measures streaming read throughput at 64 MiB,
-// with the read amplification (backend bytes fetched per object byte
-// served) reported alongside.
-func BenchmarkStoreStreamGet(b *testing.B) {
-	const size = 64 << 20
-	for _, sc := range storeCodecs {
-		b.Run(sc.name, func(b *testing.B) {
-			s, err := store.New(store.Config{Codec: sc.codec(), BlockSize: 1 << 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := s.PutReader("bench", pattern.NewReader(size)); err != nil {
-				b.Fatal(err)
-			}
-			var blocksRead, bytesRead int64
-			b.SetBytes(size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				info, err := s.GetWriter("bench", io.Discard)
-				if err != nil {
-					b.Fatal(err)
-				}
-				blocksRead += info.BlocksRead
-				bytesRead += info.BytesRead
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(size)*float64(b.N)/1e6/b.Elapsed().Seconds(), "MB/s")
-			b.ReportMetric(float64(blocksRead)/float64(b.N), "blocks-read/op")
-			b.ReportMetric(float64(bytesRead)/float64(b.N), "bytes-read/op")
-		})
-	}
-}
-
-// BenchmarkCachedGetRange measures ranged reads of one hot window with
-// the block cache on (warm) versus off (cold). The warm case is the
-// cache's whole value proposition: bytes-read/op collapses to ~0
-// because every covering block is served from memory, no backend I/O.
-func BenchmarkCachedGetRange(b *testing.B) {
-	const (
-		size   = 16 << 20
-		rngOff = 3 << 20
-		rngLen = 1 << 20
-	)
-	for _, bc := range []struct {
-		name       string
-		cacheBytes int64
-	}{
-		{"cold", 0},
-		{"warm", 256 << 20},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			s, err := store.New(store.Config{BlockSize: 1 << 20, CacheBytes: bc.cacheBytes})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := s.PutReader("hot", pattern.NewReader(size)); err != nil {
-				b.Fatal(err)
-			}
-			// One untimed pass warms the cache (a no-op when it's off).
-			if _, err := s.GetRange("hot", rngOff, rngLen, io.Discard); err != nil {
-				b.Fatal(err)
-			}
-			var blocksRead, bytesRead int64
-			b.SetBytes(rngLen)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				info, err := s.GetRange("hot", rngOff, rngLen, io.Discard)
-				if err != nil {
-					b.Fatal(err)
-				}
-				blocksRead += info.BlocksRead
-				bytesRead += info.BytesRead
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(rngLen)*float64(b.N)/1e6/b.Elapsed().Seconds(), "MB/s")
-			b.ReportMetric(float64(blocksRead)/float64(b.N), "blocks-read/op")
-			b.ReportMetric(float64(bytesRead)/float64(b.N), "bytes-read/op")
-		})
-	}
-}
-
-// BenchmarkStoreRepair measures the full BlockFixer cycle for one lost
-// block — scrub walk, prioritized queue, reconstruct, rewrite — on real
-// bytes. bytes/op is the repair traffic (blocks read for reconstruction):
-// the LRC's light decoder reads half of what RS does, the Figs 4–6 claim
-// on the real datapath.
-func BenchmarkStoreRepair(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	payload := make([]byte, 10*(64<<10)) // one full stripe
-	rng.Read(payload)
-	for _, sc := range storeCodecs {
-		b.Run(sc.name, func(b *testing.B) {
-			s, err := store.New(store.Config{Codec: sc.codec()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := s.Put("bench", payload); err != nil {
-				b.Fatal(err)
-			}
-			mb := s.Backend().(*store.MemBackend)
-			rm := store.NewRepairManager(s, 2)
-			rm.Start()
-			defer rm.Stop()
-			scr := store.NewScrubber(s, rm, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				node, key, err := s.BlockLocation("bench", 0, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := mb.Delete(node, key); err != nil {
-					b.Fatal(err)
-				}
-				scr.ScrubOnce()
-				rm.Drain()
-			}
-			b.StopTimer()
-			m := s.Metrics()
-			if m.RepairedBlocks != int64(b.N) {
-				b.Fatalf("repaired %d blocks over %d iterations", m.RepairedBlocks, b.N)
-			}
-			b.SetBytes(m.RepairBytesRead / int64(b.N))
-			b.ReportMetric(float64(m.RepairBlocksRead)/float64(b.N), "blocks-read/op")
-			b.ReportMetric(float64(m.RepairBytesRead)/float64(b.N), "repair-bytes/op")
-		})
-	}
-}
-
-// BenchmarkStoreRepairNode measures node-failure repair throughput: kill
-// one node, enqueue its blocks via the manifest-only presence walk, and
-// drain the repair queue. MB/s is payload rebuilt and rewritten per
-// second — the fixer throughput the paper bounds — and bytes-read/op is
-// the repair traffic, where the LRC's light decoder reads ~half of what
-// RS does for the same losses.
-func BenchmarkStoreRepairNode(b *testing.B) {
-	const size = 16 << 20
-	for _, sc := range storeCodecs {
-		b.Run(sc.name, func(b *testing.B) {
-			s, err := store.New(store.Config{Codec: sc.codec(), BlockSize: 1 << 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := s.PutReader("bench", pattern.NewReader(size)); err != nil {
-				b.Fatal(err)
-			}
-			rm := store.NewRepairManager(s, 2)
-			rm.Start()
-			defer rm.Stop()
-			scr := store.NewScrubber(s, rm, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				victim := i % s.Nodes()
-				s.KillNode(victim)
-				scr.ScrubPresence()
-				rm.Drain()
-				s.ReviveNode(victim)
-			}
-			b.StopTimer()
-			m := s.Metrics()
-			if m.RepairedBlocks == 0 {
-				b.Fatal("node kills repaired no blocks")
-			}
-			b.SetBytes(m.RepairedBytes / int64(b.N))
-			b.ReportMetric(float64(m.RepairedBytes)/1e6/b.Elapsed().Seconds(), "MB/s")
-			b.ReportMetric(float64(m.RepairBytesRead)/float64(b.N), "bytes-read/op")
-			b.ReportMetric(float64(m.RepairBlocksRead)/float64(b.N), "blocks-read/op")
-		})
-	}
-}
-
-// BenchmarkStoreNetRepair is BenchmarkStoreRepairNode with every block
-// behind a real TCP socket: one loopback netblock server per node, the
-// store reaching them through the pooled client. MB/s is payload rebuilt
-// per second through the wire path, and wire-bytes/op is what actually
-// crossed the network per node kill — where the LRC moves ~half of what
-// RS does.
-func BenchmarkStoreNetRepair(b *testing.B) {
-	const size = 16 << 20
-	for _, sc := range storeCodecs {
-		b.Run(sc.name, func(b *testing.B) {
-			codec := sc.codec()
-			n := codec.NStored()
-			servers := make([]*netblock.Server, n)
-			addrs := make([]string, n)
-			for i := 0; i < n; i++ {
-				srv, addr, err := netblock.StartLocal(store.NewMemBackend())
-				if err != nil {
-					b.Fatal(err)
-				}
-				servers[i] = srv
-				addrs[i] = addr
-			}
-			defer func() {
-				for _, srv := range servers {
-					srv.Close()
-				}
-			}()
-			client, err := netblock.Dial(addrs, netblock.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer client.Close()
-			s, err := store.New(store.Config{Codec: codec, Backend: client, Nodes: n, Racks: 8, BlockSize: 1 << 20})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := s.PutReader("bench", pattern.NewReader(size)); err != nil {
-				b.Fatal(err)
-			}
-			rm := store.NewRepairManager(s, 2)
-			rm.Start()
-			defer rm.Stop()
-			scr := store.NewScrubber(s, rm, 0)
-			wireBase := s.Metrics()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				victim := i % s.Nodes()
-				s.KillNode(victim)
-				scr.ScrubPresence()
-				rm.Drain()
-				s.ReviveNode(victim)
-			}
-			b.StopTimer()
-			m := s.Metrics()
-			if m.RepairedBlocks == 0 {
-				b.Fatal("node kills repaired no blocks")
-			}
-			b.SetBytes(m.RepairedBytes / int64(b.N))
-			b.ReportMetric(float64(m.RepairedBytes)/1e6/b.Elapsed().Seconds(), "MB/s")
-			wire := (m.WireSentBytes + m.WireRecvBytes) - (wireBase.WireSentBytes + wireBase.WireRecvBytes)
-			b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/op")
-			b.ReportMetric(float64(m.RepairBlocksRead)/float64(b.N), "blocks-read/op")
-		})
-	}
 }
 
 // BenchmarkRebalance measures elastic membership's worst-case topology
@@ -979,36 +578,6 @@ func BenchmarkRebalance(b *testing.B) {
 			b.ReportMetric(float64(moved)/float64(b.N), "blocks-moved/op")
 		})
 	}
-}
-
-// BenchmarkEncodeThroughput measures payload encode rates of the three
-// schemes' codecs on 64 MB-per-block-scale stripes (scaled down to keep
-// the bench quick; rates are size-independent beyond cache effects).
-func BenchmarkEncodeThroughput(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	data := make([][]byte, 10)
-	for i := range data {
-		data[i] = make([]byte, 1<<20)
-		rng.Read(data[i])
-	}
-	b.Run("rs10_4", func(b *testing.B) {
-		c := core.NewRS104().Code()
-		b.SetBytes(10 << 20)
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Encode(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("xorbas10_6_5", func(b *testing.B) {
-		c := core.NewXorbas().Code()
-		b.SetBytes(10 << 20)
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Encode(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkHedgedGet measures the tail-latency story of hedged reads:
@@ -1079,76 +648,4 @@ func BenchmarkHedgedGet(b *testing.B) {
 			b.ReportMetric(float64(m.HedgeWins)/float64(b.N), "hedge-wins/op")
 		})
 	}
-}
-
-// BenchmarkGatewayMixed drives the HTTP serving tier end to end: a pool
-// of concurrent clients alternating 4 MiB PUTs and GETs over real TCP
-// against the xorbasd gateway handler, with aggregate MB/s and the
-// gateway's own p99 per verb reported. This is the serving-path
-// companion to BenchmarkStoreStream*: the same datapath plus HTTP
-// framing, admission, and metrics.
-func BenchmarkGatewayMixed(b *testing.B) {
-	const objSize = 4 << 20
-	s, err := store.New(store.Config{BlockSize: 1 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := gateway.New(gateway.Config{Store: s})
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := httptest.NewServer(g)
-	defer srv.Close()
-	payload := make([]byte, objSize)
-	rand.New(rand.NewSource(17)).Read(payload)
-	for i := 0; i < 4; i++ {
-		req, _ := http.NewRequest("PUT", fmt.Sprintf("%s/t/bench/seed-%d", srv.URL, i), bytes.NewReader(payload))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			b.Fatalf("seed put: status %d", resp.StatusCode)
-		}
-	}
-	var moved atomic.Int64
-	var workers atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := workers.Add(1)
-		client := &http.Client{}
-		for i := 0; pb.Next(); i++ {
-			if i%2 == 0 {
-				url := fmt.Sprintf("%s/t/bench/w-%d", srv.URL, id)
-				req, _ := http.NewRequest("PUT", url, bytes.NewReader(payload))
-				resp, err := client.Do(req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != 200 {
-					b.Fatalf("put: status %d", resp.StatusCode)
-				}
-				moved.Add(objSize)
-			} else {
-				resp, err := client.Get(fmt.Sprintf("%s/t/bench/seed-%d", srv.URL, i%4))
-				if err != nil {
-					b.Fatal(err)
-				}
-				n, _ := io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != 200 {
-					b.Fatalf("get: status %d", resp.StatusCode)
-				}
-				moved.Add(n)
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(moved.Load())/1e6/b.Elapsed().Seconds(), "MB/s")
-	m := g.Metrics()
-	b.ReportMetric(m.Verbs["GET"].P99Ms, "get-p99-ms")
-	b.ReportMetric(m.Verbs["PUT"].P99Ms, "put-p99-ms")
 }

@@ -125,7 +125,7 @@ func nodeAdd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-	s, err := sf.Open()
+	s, err := sf.Open(cliutil.Rates{})
 	if err != nil {
 		return err
 	}
@@ -135,7 +135,7 @@ func nodeAdd(args []string) error {
 		return err
 	}
 	fmt.Printf("node %d added (joining, epoch %d); run `node rebalance` or let xorbasd's -rebalance-interval fill it\n", id, s.Epoch())
-	return cliutil.SaveStore(*sf.Dir, s)
+	return s.Close()
 }
 
 // nodeDecommission marks a node draining; its retirement to dead is the
@@ -150,7 +150,7 @@ func nodeDecommission(args []string) error {
 	if *node < 0 {
 		return fmt.Errorf("node decommission needs -node")
 	}
-	s, err := sf.Open()
+	s, err := sf.Open(cliutil.Rates{})
 	if err != nil {
 		return err
 	}
@@ -161,7 +161,7 @@ func nodeDecommission(args []string) error {
 	ms := s.MembershipStatus()
 	fmt.Printf("node %d draining (epoch %d): %d blocks to move; run `node rebalance` to drain now\n",
 		*node, s.Epoch(), ms.DrainingBlocks)
-	return cliutil.SaveStore(*sf.Dir, s)
+	return s.Close()
 }
 
 // nodeStatus prints the membership table and drain/fill progress.
@@ -171,7 +171,7 @@ func nodeStatus(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-	s, err := sf.Open()
+	s, err := sf.Open(cliutil.Rates{})
 	if err != nil {
 		return err
 	}
@@ -218,7 +218,7 @@ func nodeRebalance(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-	s, err := sf.OpenRates(cliutil.Rates{Repair: *repairRate, Rebalance: *rebalRate})
+	s, err := sf.Open(cliutil.Rates{Repair: *repairRate, Rebalance: *rebalRate})
 	if err != nil {
 		return err
 	}
@@ -254,7 +254,7 @@ func nodeRebalance(args []string) error {
 	if !converged {
 		fmt.Println("warning: topology not converged; rerun (dead drainers need live survivors to rebuild from)")
 	}
-	return cliutil.SaveStore(*sf.Dir, s)
+	return s.Close()
 }
 
 func nodeMain(args []string) error {

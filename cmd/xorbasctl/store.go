@@ -2,12 +2,13 @@ package main
 
 // The `store` subcommands drive repro/internal/store: a persistent
 // multi-node object store living in one directory, with each simulated
-// DataNode as a subdirectory of <dir>/blocks and the manifests in
-// <dir>/store.json. Node deaths survive across invocations, so a
-// kill-node / get / scrub sequence shows degraded reads and the
-// BlockFixer's light repairs on real bytes.
+// DataNode as a subdirectory of <dir>/blocks and everything else — the
+// manifests, the membership table, node deaths, the geometry the store
+// was created with — in the metadata plane at <dir>/meta. Node deaths
+// survive across invocations, so a kill-node / get / scrub sequence
+// shows degraded reads and the BlockFixer's light repairs on real bytes.
 //
-//	xorbasctl store put        -dir DIR -in FILE [-stream] [-name NAME] [-rs] [-nodes N] [-racks R] [-block BYTES]
+//	xorbasctl store put        -dir DIR -in FILE [-stream] [-name NAME] [-code rs] [-nodes N] [-racks R] [-block BYTES]
 //	xorbasctl store get        -dir DIR -name NAME [-out FILE] [-stream] [-cache-bytes B]
 //
 // With -stream, put pipes the input through the store one stripe at a
@@ -18,17 +19,17 @@ package main
 // Every data command also takes `-backend net -nodes a:7001,b:7002,...`:
 // blocks then live on real node processes (`xorbasctl node serve`)
 // reached over TCP instead of subdirectories, with one address per store
-// node, and the summaries include the wire traffic. The manifest
-// (store.json) stays in -dir either way. With the default `-backend
-// dir`, -nodes is the simulated node count as before.
+// node, and the summaries include the wire traffic. The metadata plane
+// stays under -dir either way. With the default `-backend dir`, -nodes
+// is the simulated node count of a new store.
 //
-// Every data command also takes `-meta DIR`: the store's manifests then
-// live in a write-ahead-logged metadata plane at DIR (internal/meta), so
-// an acked put survives kill -9 and a reopen recovers from checkpoint +
-// WAL replay instead of the store.json snapshot. Once a store has a
-// plane it is remembered (and auto-detected on later invocations); the
-// plane is authoritative and store.json becomes an export. `-meta none`
-// forces the legacy snapshot-only mode.
+// The plane (internal/meta) is write-ahead logged: an acked put survives
+// kill -9 and a reopen recovers from checkpoint + WAL replay. `-meta DIR`
+// puts it somewhere other than <dir>/meta; the store directory remembers
+// the choice, so later invocations need not repeat it. The first put
+// creates the store and records its geometry (-code, -nodes, -racks,
+// -block) in the plane; every later open reads it back from there.
+//
 //	xorbasctl store kill-node  -dir DIR -node N
 //	xorbasctl store revive-node -dir DIR -node N
 //	xorbasctl store corrupt    -dir DIR -name NAME [-stripe I] [-block-idx J] [-silent]
@@ -45,8 +46,8 @@ package main
 // bytes/sec (0 = unlimited), the paper's bounded fixer load.
 //
 // The shared flag plumbing (-dir/-backend/-nodes/-meta/-code and the
-// open/create/save paths) lives in repro/internal/cliutil, where the
-// xorbasd gateway uses the very same definitions.
+// open/create paths) lives in repro/internal/cliutil, where the xorbasd
+// gateway uses the very same definitions.
 
 import (
 	"flag"
@@ -130,16 +131,12 @@ func storePut(sf *cliutil.StoreFlags, in, name string, racks, blockSize int, str
 		}
 		name = filepath.Base(in)
 	}
-	existed := false
-	if _, err := os.Stat(cliutil.StoreStatePath(*sf.Dir)); err == nil {
-		existed = true
-	}
-	s, err := sf.OpenOrCreate(racks, blockSize)
+	s, err := sf.OpenOrCreate(racks, blockSize, cliutil.Rates{})
 	if err != nil {
 		return err
 	}
-	if existed && *sf.Code == "rs" && !strings.HasPrefix(s.Codec().Name(), "RS") {
-		fmt.Fprintf(os.Stderr, "note: store already exists with codec %s; -rs is only honored on first use\n", s.Codec().Name())
+	if *sf.Code == "rs" && !strings.HasPrefix(s.Codec().Name(), "RS") {
+		fmt.Fprintf(os.Stderr, "note: store already exists with codec %s; -code rs is only honored on first use\n", s.Codec().Name())
 	}
 	var size int64
 	start := time.Now()
@@ -170,7 +167,7 @@ func storePut(sf *cliutil.StoreFlags, in, name string, racks, blockSize int, str
 		size = int64(len(data))
 	}
 	elapsed := time.Since(start)
-	if err := cliutil.SaveStore(*sf.Dir, s); err != nil {
+	if err := s.Close(); err != nil {
 		return err
 	}
 	m := s.Metrics()
@@ -185,7 +182,7 @@ func storeGet(sf *cliutil.StoreFlags, name, out string, stream bool, cacheBytes 
 	if name == "" {
 		return fmt.Errorf("store get needs -name")
 	}
-	s, err := sf.OpenRates(cliutil.Rates{CacheBytes: cacheBytes})
+	s, err := sf.Open(cliutil.Rates{CacheBytes: cacheBytes})
 	if err != nil {
 		return err
 	}
@@ -267,7 +264,7 @@ func storeSetNode(sf *cliutil.StoreFlags, node int, up bool) error {
 	if node < 0 {
 		return fmt.Errorf("need -node")
 	}
-	s, err := sf.Open()
+	s, err := sf.Open(cliutil.Rates{})
 	if err != nil {
 		return err
 	}
@@ -281,7 +278,7 @@ func storeSetNode(sf *cliutil.StoreFlags, node int, up bool) error {
 		s.KillNode(node)
 		fmt.Printf("node %d killed: its blocks are unreadable until scrub repairs them elsewhere\n", node)
 	}
-	return cliutil.SaveStore(*sf.Dir, s)
+	return s.Close()
 }
 
 func storeCorrupt(sf *cliutil.StoreFlags, name string, stripe, pos int, silent bool) error {
@@ -291,7 +288,7 @@ func storeCorrupt(sf *cliutil.StoreFlags, name string, stripe, pos int, silent b
 	if *sf.Backend != "dir" {
 		return fmt.Errorf("store corrupt edits block files directly and needs -backend dir (corrupt a net node's files on its own machine instead)")
 	}
-	s, err := sf.Open()
+	s, err := sf.Open(cliutil.Rates{})
 	if err != nil {
 		return err
 	}
@@ -328,7 +325,7 @@ func storeCorrupt(sf *cliutil.StoreFlags, name string, stripe, pos int, silent b
 }
 
 func storeScrub(sf *cliutil.StoreFlags, workers int, scrubRate, repairRate int64) error {
-	s, err := sf.OpenRates(cliutil.Rates{Repair: repairRate, Scrub: scrubRate})
+	s, err := sf.Open(cliutil.Rates{Repair: repairRate, Scrub: scrubRate})
 	if err != nil {
 		return err
 	}
@@ -348,7 +345,7 @@ func storeScrub(sf *cliutil.StoreFlags, workers int, scrubRate, repairRate int64
 		m.RepairBlocksRead, m.RepairBytesRead,
 		elapsed.Round(time.Millisecond), cliutil.Mbps(m.RepairedBytes, elapsed))
 	fmt.Print(cliutil.WireLine(m))
-	return cliutil.SaveStore(*sf.Dir, s)
+	return s.Close()
 }
 
 // storeRepairDrain repairs node-loss damage from the manifests alone: a
@@ -356,7 +353,7 @@ func storeScrub(sf *cliutil.StoreFlags, workers int, scrubRate, repairRate int64
 // pool drains it. The per-invocation barrier a kill-node workflow needs,
 // without paying for a full integrity walk.
 func storeRepairDrain(sf *cliutil.StoreFlags, workers int, repairRate int64) error {
-	s, err := sf.OpenRates(cliutil.Rates{Repair: repairRate})
+	s, err := sf.Open(cliutil.Rates{Repair: repairRate})
 	if err != nil {
 		return err
 	}
@@ -376,22 +373,20 @@ func storeRepairDrain(sf *cliutil.StoreFlags, workers int, repairRate int64) err
 		m.RepairBlocksRead, m.RepairBytesRead,
 		elapsed.Round(time.Millisecond), cliutil.Mbps(m.RepairedBytes, elapsed))
 	fmt.Print(cliutil.WireLine(m))
-	return cliutil.SaveStore(*sf.Dir, s)
+	return s.Close()
 }
 
 func storeStats(sf *cliutil.StoreFlags, cacheBytes int64) error {
-	s, err := sf.OpenRates(cliutil.Rates{CacheBytes: cacheBytes})
+	s, err := sf.Open(cliutil.Rates{CacheBytes: cacheBytes})
 	if err != nil {
 		return err
 	}
 	defer s.Close()
 	fmt.Printf("store %s: codec %s, %d nodes / %d racks\n", *sf.Dir, s.Codec().Name(), s.Nodes(), s.Racks())
 	fmt.Print(cacheLine(cacheBytes, s.Metrics()))
-	if metaDir := sf.MetaDir(); metaDir != "" {
-		objects, replayed := s.MetaRecovered()
-		fmt.Printf("meta plane %s: %d manifests recovered, %d WAL records replayed at open\n",
-			metaDir, objects, replayed)
-	}
+	objects, replayed := s.MetaRecovered()
+	fmt.Printf("meta plane %s: %d manifests recovered, %d WAL records replayed at open\n",
+		sf.MetaDir(), objects, replayed)
 	var dead []string
 	for n := 0; n < s.Nodes(); n++ {
 		if !s.Alive(n) {

@@ -70,7 +70,7 @@ func run(argv []string) error {
 	}
 
 	rates := cliutil.Rates{Repair: *repairRate, Scrub: *scrubRate, Rebalance: *rebalRate, CacheBytes: *cacheBytes}
-	s, err := sf.OpenOrCreateRates(*racks, *blockSize, rates)
+	s, err := sf.OpenOrCreate(*racks, *blockSize, rates)
 	if err != nil {
 		return err
 	}
@@ -156,10 +156,9 @@ func run(argv []string) error {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("xorbasd: shutdown: %v", err)
 	}
-	// Stop the background planes before the final save: SaveStore closes
-	// the store and checkpoints the metadata plane, and a repair, scrub
-	// or migration still in flight would race that close. The deferred
-	// Stops become no-ops.
+	// Stop the background planes before the close: it checkpoints the
+	// metadata plane, and a repair, scrub or migration still in flight
+	// would race it. The deferred Stops become no-ops.
 	if mon != nil {
 		mon.Stop()
 	}
@@ -167,5 +166,5 @@ func run(argv []string) error {
 	sc.Stop()
 	rm.Stop()
 	log.Printf("xorbasd: checkpointing store")
-	return cliutil.SaveStore(*sf.Dir, s)
+	return s.Close()
 }

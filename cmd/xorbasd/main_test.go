@@ -3,13 +3,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -17,10 +17,12 @@ import (
 	"repro/internal/cliutil"
 )
 
-// The daemon's graceful-shutdown test re-execs the test binary as a real
-// xorbasd process (TestMain routes on the env marker), so the SIGTERM
-// path under test is the production one: signal.NotifyContext, the
-// drain gate, srv.Shutdown, and the final checkpointing save.
+// The daemon's shutdown and crash tests re-exec the test binary as a real
+// xorbasd process (TestMain routes on the env marker), so the paths under
+// test are the production ones: signal.NotifyContext, the drain gate,
+// srv.Shutdown and the final checkpoint for SIGTERM; nothing at all for
+// SIGKILL. The child gets -dir and no -meta: the plane at <dir>/meta is
+// what makes its acks durable.
 
 const (
 	sigtermChildDirEnv  = "XORBASD_SIGTERM_CHILD_DIR"
@@ -33,7 +35,6 @@ func TestMain(m *testing.M) {
 			"-dir", dir,
 			"-listen", os.Getenv(sigtermChildAddrEnv),
 			"-nodes", "20", "-racks", "8", "-block", "4096",
-			"-meta", filepath.Join(dir, "meta"),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xorbasd child:", err)
@@ -94,28 +95,9 @@ func TestGracefulSigterm(t *testing.T) {
 		t.Skip("subprocess test")
 	}
 	dir := t.TempDir()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	cmd := exec.Command(os.Args[0], "-test.run=^$")
-	cmd.Env = append(os.Environ(),
-		sigtermChildDirEnv+"="+dir,
-		sigtermChildAddrEnv+"="+addr,
-	)
 	var childLog bytes.Buffer
-	cmd.Stderr = &childLog
-	cmd.Stdout = &childLog
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
+	cmd, addr := startChild(t, dir, &childLog)
 	base := "http://" + addr
-	waitUp(t, base, &childLog)
 
 	// A fully acked object before the signal: it must survive.
 	warm := testPayload(8192)
@@ -221,8 +203,12 @@ func TestGracefulSigterm(t *testing.T) {
 	}
 
 	// The checkpointed store reopens with both objects byte-exact.
-	spec := cliutil.BackendSpec{Kind: "dir", Count: 20}
-	s, err := cliutil.OpenStore(dir, spec, cliutil.ResolveMetaDir(dir, ""))
+	fs := flag.NewFlagSet("reopen", flag.ContinueOnError)
+	sf := cliutil.RegisterStoreFlags(fs)
+	if err := fs.Parse([]string{"-dir", dir}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := sf.Open(cliutil.Rates{})
 	if err != nil {
 		t.Fatalf("reopening store after shutdown: %v", err)
 	}
@@ -236,6 +222,67 @@ func TestGracefulSigterm(t *testing.T) {
 			t.Fatalf("%s corrupted across shutdown", name)
 		}
 	}
+}
+
+// TestSigkillKeepsAckedPut: a daemon started with -dir alone acks a PUT,
+// is SIGKILLed — no drain, no checkpoint, no Close — and a second daemon
+// over the same directory serves the object byte-exact: the ack was on
+// the default plane's WAL, not in process memory.
+func TestSigkillKeepsAckedPut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir := t.TempDir()
+	var childLog bytes.Buffer
+	cmd, addr := startChild(t, dir, &childLog)
+	want := testPayload(3*10*4096 + 77)
+	putObject(t, "http://"+addr+"/t/acme/acked.bin", bytes.NewReader(want))
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+
+	_, addr = startChild(t, dir, &childLog)
+	resp, err := http.Get("http://" + addr + "/t/acme/acked.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET after SIGKILL + restart: status %d, err %v\nchild log:\n%s", resp.StatusCode, err, childLog.String())
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("acked object corrupted across SIGKILL")
+	}
+}
+
+// startChild re-execs the test binary as an xorbasd over dir on a free
+// loopback port and waits until it serves.
+func startChild(t *testing.T, dir string, childLog *bytes.Buffer) (*exec.Cmd, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(),
+		sigtermChildDirEnv+"="+dir,
+		sigtermChildAddrEnv+"="+addr,
+	)
+	cmd.Stderr = childLog
+	cmd.Stdout = childLog
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait() // an error here only means the test already reaped it
+	})
+	waitUp(t, "http://"+addr, childLog)
+	return cmd, addr
 }
 
 func waitUp(t *testing.T, base string, childLog *bytes.Buffer) {

@@ -126,12 +126,13 @@ func streaming() {
 		info.BlocksRead, info.BytesRead>>20, ms.HeapInuse>>20, ms.HeapSys>>20)
 
 	// Act three: restart. Close checkpoints the metadata plane, so the
-	// reopened store recovers every manifest — and the node death — from
-	// it directly: no WAL replay, no walk over 256 MiB of blocks.
+	// reopened store recovers every manifest — and the node death, and
+	// the geometry it was created with — from it directly: no WAL
+	// replay, no walk over 256 MiB of blocks.
 	if err := s.Close(); err != nil {
 		log.Fatal(err)
 	}
-	s2, err := store.New(store.Config{Nodes: nodes, Racks: racks, Backend: be, BlockSize: 1 << 20, MetaDir: metaDir})
+	s2, err := store.New(store.Config{Backend: be, MetaDir: metaDir})
 	if err != nil {
 		log.Fatal(err)
 	}

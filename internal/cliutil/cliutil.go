@@ -8,7 +8,7 @@
 package cliutil
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,30 +36,37 @@ type StoreFlags struct {
 //	-dir      store directory (required)
 //	-backend  dir | net
 //	-nodes    node count (dir) or host:port list (net)
-//	-meta     metadata plane directory; "" reuses the recorded one, "none" disables
+//	-meta     where a new store puts its metadata plane; "" = <dir>/meta
 //	-code     lrc | rs (first use only)
 func RegisterStoreFlags(fs *flag.FlagSet) *StoreFlags {
 	return &StoreFlags{
 		Dir:     fs.String("dir", "", "store directory"),
 		Backend: fs.String("backend", "dir", "block backend: dir (subdirectories under -dir) or net (TCP block servers)"),
 		Nodes:   fs.String("nodes", "20", "dir backend: simulated node count (first use only); net backend: comma-separated host:port list, one address per node"),
-		Meta:    fs.String("meta", "", "metadata plane directory (WAL + checkpoint; durable acked puts); default: reuse the store's recorded plane; 'none' = snapshot-only"),
+		Meta:    fs.String("meta", "", "where a new store keeps its metadata plane (WAL + checkpoint: the only durable state besides the blocks), default <dir>/meta; an existing store remembers its own and never moves it"),
 		Code:    fs.String("code", "lrc", "erasure code on first use: lrc = LRC(10,6,5), rs = RS(10,4)"),
 	}
 }
 
-// Spec resolves -backend and -nodes into a BackendSpec.
-func (f *StoreFlags) Spec() (BackendSpec, error) {
-	return ParseBackendSpec(*f.Backend, *f.Nodes)
-}
-
-// MetaDir resolves -meta against the store directory's recorded plane.
+// MetaDir resolves -meta: an explicit directory wins, then the plane
+// the store directory remembers (the marker a relocated store was
+// created with), then the default <dir>/meta.
 func (f *StoreFlags) MetaDir() string {
-	return ResolveMetaDir(*f.Dir, *f.Meta)
+	if *f.Meta != "" {
+		return *f.Meta
+	}
+	return f.recordedMetaDir()
 }
 
-// Codec resolves -code into a constructor.
-func (f *StoreFlags) Codec() (store.Codec, error) {
+func (f *StoreFlags) recordedMetaDir() string {
+	if b, err := os.ReadFile(metaMarkerPath(*f.Dir)); err == nil {
+		return strings.TrimSpace(string(b))
+	}
+	return filepath.Join(*f.Dir, "meta")
+}
+
+// codec resolves -code into a constructor.
+func (f *StoreFlags) codec() (store.Codec, error) {
 	switch *f.Code {
 	case "", "lrc":
 		return store.NewXorbasCodec(), nil
@@ -68,12 +75,6 @@ func (f *StoreFlags) Codec() (store.Codec, error) {
 	default:
 		return nil, fmt.Errorf("unknown -code %q (want lrc or rs)", *f.Code)
 	}
-}
-
-// Open opens the existing store the parsed flags describe — the shared
-// open-store-from-flags path.
-func (f *StoreFlags) Open() (*store.Store, error) {
-	return f.OpenRates(Rates{})
 }
 
 // Rates bundles the resource budgets an open threads into the store:
@@ -90,47 +91,150 @@ type Rates struct {
 	CacheBytes int64
 }
 
-// OpenRates is Open with background rate budgets.
-func (f *StoreFlags) OpenRates(r Rates) (*store.Store, error) {
-	if *f.Dir == "" {
-		return nil, fmt.Errorf("need -dir")
-	}
-	spec, err := f.Spec()
+// LegacyStateFile is the JSON blob that store directories kept their
+// manifests in before the metadata plane existed. It is never written
+// any more; a directory that has one and no plane is rejected.
+const LegacyStateFile = "store.json"
+
+// ErrLegacyFormat reports a store directory in the pre-plane format.
+var ErrLegacyFormat = errors.New("pre-plane format, not supported")
+
+// Open opens the existing store the parsed flags describe. Codec, node
+// count, racks and block size come back from the plane's geometry
+// record, so -code and a dir backend's -nodes are not consulted. Save
+// with s.Close(): everything acked is already in the plane's WAL, Close
+// only checkpoints it.
+func (f *StoreFlags) Open(r Rates) (*store.Store, error) {
+	spec, metaDir, err := f.resolve()
 	if err != nil {
 		return nil, err
 	}
-	return OpenStoreRates(*f.Dir, spec, f.MetaDir(), r)
+	kind := f.createdWith()
+	if kind == "" {
+		return nil, fmt.Errorf("no store at %s (run `store put` first)", *f.Dir)
+	}
+	return f.reopen(kind, spec, metaDir, r)
 }
 
 // OpenOrCreate opens the store at -dir, creating an empty one with the
-// -code codec and the given geometry when none exists yet. On creation
-// the backend kind and metadata plane are recorded and a snapshot is
-// written immediately, so the directory reopens even if the process is
-// later killed without a clean save.
-func (f *StoreFlags) OpenOrCreate(racks, blockSize int) (*store.Store, error) {
-	return f.OpenOrCreateRates(racks, blockSize, Rates{})
+// -code codec, the -nodes count and the given racks and block size when
+// the directory holds no store yet. Those are recorded in the new plane
+// and ignored on every later open; -meta places a new store's plane and
+// is remembered in the directory, it never moves an existing one.
+func (f *StoreFlags) OpenOrCreate(racks, blockSize int, r Rates) (*store.Store, error) {
+	spec, metaDir, err := f.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if kind := f.createdWith(); kind != "" {
+		return f.reopen(kind, spec, metaDir, r)
+	}
+	codec, err := f.codec()
+	if err != nil {
+		return nil, err
+	}
+	if err := os.MkdirAll(*f.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	s, err := f.build(spec, metaDir, store.Config{Codec: codec, Nodes: spec.Count, Racks: racks, BlockSize: blockSize}, r)
+	if err != nil {
+		return nil, err
+	}
+	// The markers go last, the backend kind last of all: it is what
+	// createdWith looks for, so a create that failed or died before this
+	// point is retried as a create — with the flags' geometry — rather
+	// than reopened as a store whose plane never got its record.
+	if *f.Meta != "" {
+		err = os.WriteFile(metaMarkerPath(*f.Dir), []byte(metaDir+"\n"), 0o644)
+	}
+	if err == nil {
+		err = os.WriteFile(backendMarkerPath(*f.Dir), []byte(spec.Kind+"\n"), 0o644)
+	}
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
-// OpenOrCreateRates is OpenOrCreate with resource budgets, applied on
-// both the open and the create path — a daemon gets its paced repair
-// and its read cache on first boot, not only after a restart.
-func (f *StoreFlags) OpenOrCreateRates(racks, blockSize int, r Rates) (*store.Store, error) {
+// resolve checks -dir, resolves -backend/-nodes and -meta, and rejects a
+// plane-less directory that still holds the old state blob: creating a
+// fresh plane next to it would present the directory as an empty store
+// and orphan every block in it.
+func (f *StoreFlags) resolve() (spec BackendSpec, metaDir string, err error) {
 	if *f.Dir == "" {
-		return nil, fmt.Errorf("need -dir")
+		return spec, "", fmt.Errorf("need -dir")
 	}
-	spec, err := f.Spec()
+	if spec, err = ParseBackendSpec(*f.Backend, *f.Nodes); err != nil {
+		return spec, "", err
+	}
+	metaDir = f.MetaDir()
+	if _, err := os.Stat(filepath.Join(*f.Dir, LegacyStateFile)); err == nil && !hasPlane(metaDir) {
+		return spec, "", fmt.Errorf("store at %s is a %s without a metadata plane: %w", *f.Dir, LegacyStateFile, ErrLegacyFormat)
+	}
+	return spec, metaDir, nil
+}
+
+// createdWith returns the backend kind the store at -dir was created
+// with, "" when the directory holds no store: the backend marker is the
+// last thing a successful create writes. It is kept so a net-backed
+// store opened without its flags fails fast instead of presenting as a
+// dir store with every block missing (and vice versa).
+func (f *StoreFlags) createdWith() string {
+	b, _ := os.ReadFile(backendMarkerPath(*f.Dir))
+	return strings.TrimSpace(string(b))
+}
+
+// reopen opens an existing store, with zero geometry so the plane's
+// record decides. The plane must be there: a fresh one would present the
+// store as empty and orphan its blocks, which is also why -meta pointing
+// anywhere but at the store's plane is an error, not a relocation.
+func (f *StoreFlags) reopen(kind string, spec BackendSpec, metaDir string, r Rates) (*store.Store, error) {
+	if !hasPlane(metaDir) {
+		return nil, fmt.Errorf("store at %s exists but there is no metadata plane at %s (it was created with its plane at %s)", *f.Dir, metaDir, f.recordedMetaDir())
+	}
+	if kind != spec.Kind {
+		return nil, fmt.Errorf("store at %s was created with -backend %s; re-run with -backend %s (and -nodes for net)", *f.Dir, kind, kind)
+	}
+	return f.build(spec, metaDir, store.Config{}, r)
+}
+
+// build opens the backend and the store over the plane at metaDir;
+// geometry carries the creation-time fields, zero on a reopen.
+func (f *StoreFlags) build(spec BackendSpec, metaDir string, geometry store.Config, r Rates) (*store.Store, error) {
+	be, err := spec.backend(*f.Dir)
 	if err != nil {
 		return nil, err
 	}
-	metaDir := f.MetaDir()
-	if _, err := os.Stat(StoreStatePath(*f.Dir)); err == nil {
-		return OpenStoreRates(*f.Dir, spec, metaDir, r)
-	}
-	codec, err := f.Codec()
+	cfg := geometry
+	cfg.Backend = be
+	cfg.MetaDir = metaDir
+	cfg.RepairRateBytes = r.Repair
+	cfg.ScrubRateBytes = r.Scrub
+	cfg.RebalanceRateBytes = r.Rebalance
+	cfg.CacheBytes = r.CacheBytes
+	s, err := store.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return CreateStoreRates(*f.Dir, spec, metaDir, codec, racks, blockSize, r)
+	// A grown cluster may legitimately list fewer addresses than the
+	// store has nodes: nodes added with `xorbasctl node add` recorded
+	// their addresses in the membership plane, and recovery re-registers
+	// the tail from those records. More addresses than members is always
+	// a misconfiguration.
+	if spec.Kind == "net" && len(spec.Addrs) > s.Nodes() {
+		s.Close()
+		return nil, fmt.Errorf("store has %d nodes but -nodes lists %d addresses", s.Nodes(), len(spec.Addrs))
+	}
+	return s, nil
+}
+
+// hasPlane reports whether metaDir holds a metadata plane. Opening a
+// plane creates its WAL segment, so one that ever existed is a
+// non-empty directory.
+func hasPlane(metaDir string) bool {
+	ents, err := os.ReadDir(metaDir)
+	return err == nil && len(ents) > 0
 }
 
 // BackendSpec is how the CLI reaches block bytes: subdirectories of the
@@ -166,200 +270,20 @@ func ParseBackendSpec(kind, nodes string) (BackendSpec, error) {
 	}
 }
 
-// Open builds the block backend for a store rooted at dir.
-func (bs BackendSpec) Open(dir string) (store.Backend, error) {
+// backend builds the block backend for a store rooted at dir.
+func (bs BackendSpec) backend(dir string) (store.Backend, error) {
 	if bs.Kind == "net" {
 		return netblock.Dial(bs.Addrs, netblock.Options{})
 	}
 	return store.NewDirBackend(filepath.Join(dir, "blocks"))
 }
 
-// StoreStatePath is where a store directory keeps its metadata snapshot.
-func StoreStatePath(dir string) string { return filepath.Join(dir, "store.json") }
-
-// metaMarkerPath records where a store's metadata plane lives, so later
-// invocations find it without repeating -meta.
+// metaMarkerPath records where a store's metadata plane lives when it
+// was created with -meta, so later invocations find it without repeating
+// the flag.
 func metaMarkerPath(dir string) string { return filepath.Join(dir, "metadir") }
 
-// ResolveMetaDir interprets -meta: an explicit directory wins, "none"
-// forces the legacy snapshot-only mode, and "" falls back to the plane
-// the store was created with (the marker file), if any.
-func ResolveMetaDir(dir, flagVal string) string {
-	switch flagVal {
-	case "none":
-		return ""
-	case "":
-		if b, err := os.ReadFile(metaMarkerPath(dir)); err == nil {
-			return strings.TrimSpace(string(b))
-		}
-		return ""
-	default:
-		return flagVal
-	}
-}
-
-// RememberMetaDir persists the marker (best-effort: losing it only costs
-// a -meta flag on the next invocation).
-func RememberMetaDir(dir, metaDir string) {
-	if metaDir == "" {
-		return
-	}
-	_ = os.WriteFile(metaMarkerPath(dir), []byte(metaDir+"\n"), 0o644)
-}
-
-// backendMarkerPath records which backend kind a store was created with,
-// so a net-backed store opened without its flags fails fast instead of
-// presenting as an empty dir store (and vice versa). Stores predating
-// the marker were always dir-backed.
 func backendMarkerPath(dir string) string { return filepath.Join(dir, "backend") }
-
-// CheckBackendKind validates spec against the store's recorded backend
-// kind.
-func CheckBackendKind(dir string, spec BackendSpec) error {
-	b, err := os.ReadFile(backendMarkerPath(dir))
-	recorded := "dir"
-	if err == nil {
-		recorded = strings.TrimSpace(string(b))
-	}
-	if recorded != spec.Kind {
-		return fmt.Errorf("store at %s was created with -backend %s; re-run with -backend %s (and -nodes for net)", dir, recorded, recorded)
-	}
-	return nil
-}
-
-// RecordBackendKind persists the backend-kind marker at store creation.
-func RecordBackendKind(dir, kind string) error {
-	return os.WriteFile(backendMarkerPath(dir), []byte(kind+"\n"), 0o644)
-}
-
-// CodecByName maps a snapshot's codec string back to a constructor.
-func CodecByName(n string) (store.Codec, error) {
-	switch n {
-	case "LRC(10,6,5)":
-		return store.NewXorbasCodec(), nil
-	case "RS(10,4)":
-		return store.NewRS104Codec(), nil
-	default:
-		return nil, fmt.Errorf("unknown codec %q in store state", n)
-	}
-}
-
-// OpenStore loads an existing on-disk store, inferring the codec from
-// the saved state.
-func OpenStore(dir string, spec BackendSpec, metaDir string) (*store.Store, error) {
-	return OpenStoreRates(dir, spec, metaDir, Rates{})
-}
-
-// OpenStoreRates is OpenStore with rate budgets for the background
-// datapaths. With a metaDir, the plane is
-// authoritative for manifests (store.json imports only into an empty
-// plane — the migration path) and this invocation's commits hit its WAL.
-func OpenStoreRates(dir string, spec BackendSpec, metaDir string, rates Rates) (*store.Store, error) {
-	blob, err := os.ReadFile(StoreStatePath(dir))
-	if err != nil {
-		return nil, fmt.Errorf("no store at %s (run `store put` first): %w", dir, err)
-	}
-	if err := CheckBackendKind(dir, spec); err != nil {
-		return nil, err
-	}
-	var peek struct {
-		Codec string `json:"codec"`
-		Nodes int    `json:"nodes"`
-	}
-	if err := json.Unmarshal(blob, &peek); err != nil {
-		return nil, err
-	}
-	codec, err := CodecByName(peek.Codec)
-	if err != nil {
-		return nil, err
-	}
-	// A grown cluster may legitimately list fewer addresses than the
-	// store has nodes: nodes added with `xorbasctl node add` recorded
-	// their addresses in the membership plane, and recovery re-registers
-	// the tail from those records. More addresses than nodes is always a
-	// misconfiguration.
-	if spec.Kind == "net" && len(spec.Addrs) > peek.Nodes {
-		return nil, fmt.Errorf("store has %d nodes but -nodes lists %d addresses", peek.Nodes, len(spec.Addrs))
-	}
-	be, err := spec.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	s, err := store.Restore(store.Config{
-		Codec:              codec,
-		Backend:            be,
-		MetaDir:            metaDir,
-		RepairRateBytes:    rates.Repair,
-		ScrubRateBytes:     rates.Scrub,
-		RebalanceRateBytes: rates.Rebalance,
-		CacheBytes:         rates.CacheBytes,
-	}, blob)
-	if err != nil {
-		return nil, err
-	}
-	RememberMetaDir(dir, metaDir)
-	return s, nil
-}
-
-// CreateStore makes a fresh store at dir with the given backend spec,
-// metadata plane, codec and geometry, recording the markers and an
-// initial snapshot so the directory reopens even after an unclean exit.
-func CreateStore(dir string, spec BackendSpec, metaDir string, codec store.Codec, racks, blockSize int) (*store.Store, error) {
-	return CreateStoreRates(dir, spec, metaDir, codec, racks, blockSize, Rates{})
-}
-
-// CreateStoreRates is CreateStore with resource budgets.
-func CreateStoreRates(dir string, spec BackendSpec, metaDir string, codec store.Codec, racks, blockSize int, rates Rates) (*store.Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	be, err := spec.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	s, err := store.New(store.Config{
-		Codec:              codec,
-		Backend:            be,
-		Nodes:              spec.Count,
-		Racks:              racks,
-		BlockSize:          blockSize,
-		MetaDir:            metaDir,
-		RepairRateBytes:    rates.Repair,
-		ScrubRateBytes:     rates.Scrub,
-		RebalanceRateBytes: rates.Rebalance,
-		CacheBytes:         rates.CacheBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := RecordBackendKind(dir, spec.Kind); err != nil {
-		return nil, err
-	}
-	RememberMetaDir(dir, metaDir)
-	blob, err := s.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(StoreStatePath(dir), blob, 0o644); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// SaveStore writes the store's metadata snapshot back to disk (with a
-// metadata plane this is an export for inspection and migration — the
-// plane itself is already durable) and closes the store, checkpointing
-// the plane so the next open replays nothing.
-func SaveStore(dir string, s *store.Store) error {
-	blob, err := s.Snapshot()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(StoreStatePath(dir), blob, 0o644); err != nil {
-		return err
-	}
-	return s.Close()
-}
 
 // Mbps formats a transfer rate; the CLIs double as quick perf probes.
 func Mbps(bytes int64, d time.Duration) string {

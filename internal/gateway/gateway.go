@@ -130,7 +130,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	vs := g.m.verb(verb)
 	start := time.Now()
-	defer func() { vs.observe(time.Since(start)) }()
+	defer func() { vs.Observe(time.Since(start)) }()
 
 	// Validate tenant and key before anything touches a backend: the
 	// store's charset, plus "no leading dot" for tenants so the

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/meta"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -678,5 +679,44 @@ func TestMetricsCacheHitRate(t *testing.T) {
 	}
 	if snap.CacheHitRate <= 0 || snap.CacheHitRate > 1 {
 		t.Fatalf("cache_hit_rate = %v, want in (0, 1]", snap.CacheHitRate)
+	}
+}
+
+// TestMetricsQuantileRounding pins /metrics' p50/p99 to what the
+// per-verb histogram reported before it moved to stats.LatencyHist:
+// every want below is the old verbStats.quantile output for the same
+// observations (one-based rank round(q·n), bucket edge in ms).
+func TestMetricsQuantileRounding(t *testing.T) {
+	us, ms := time.Microsecond, time.Millisecond
+	rep := func(n int, fast time.Duration, slow ...time.Duration) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = fast
+		}
+		return append(out, slow...)
+	}
+	for _, c := range []struct {
+		name     string
+		obs      []time.Duration
+		p50, p99 float64
+	}{
+		{"one 3ms request", []time.Duration{3 * ms}, 4.096, 4.096},
+		{"p50 of two is the faster", []time.Duration{10 * us, 900 * us}, 0.016, 1.024},
+		{"three", []time.Duration{10 * us, 900 * us, 70 * ms}, 1.024, 131.072},
+		{"p99 of ten is the slowest", rep(9, 100*us, 50*ms), 0.128, 65.536},
+		{"p99 of a hundred is the 99th", rep(99, 100*us, 50*ms), 0.128, 0.128},
+		{"two slow in a hundred show", rep(98, 100*us, 50*ms, 50*ms), 0.128, 65.536},
+		{"59.4 rounds down to the 59th", rep(59, 100*us, 50*ms), 0.128, 0.128},
+		{"zero latency", []time.Duration{0}, 0.001, 0.001},
+		{"exact power of two", []time.Duration{1024 * us}, 2.048, 2.048},
+	} {
+		var h stats.LatencyHist
+		for _, d := range c.obs {
+			h.Observe(d)
+		}
+		n := h.Count()
+		if p50, p99 := quantileMs(&h, n, 0.50), quantileMs(&h, n, 0.99); p50 != c.p50 || p99 != c.p99 {
+			t.Fatalf("%s: p50 %v p99 %v ms, want %v %v", c.name, p50, p99, c.p50, c.p99)
+		}
 	}
 }

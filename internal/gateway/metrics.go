@@ -1,66 +1,17 @@
 package gateway
 
 import (
-	"math/bits"
 	"sync/atomic"
-	"time"
 
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
 // The gateway's observability is a handful of lock-free counters plus a
-// log-scale latency histogram per verb: enough to read request mix,
-// throughput and tail latency off /metrics without a metrics dependency
-// the container doesn't have.
-
-// latBuckets is the histogram's bucket count. A request lands in the
-// bucket indexed by the bit length of its latency in microseconds —
-// bucket i covers [2^(i-1), 2^i) µs — so 40 buckets span sub-microsecond
-// to around nine minutes at factor-of-two resolution.
-const latBuckets = 40
-
-// verbStats is one verb's request count and latency histogram.
-type verbStats struct {
-	count atomic.Int64
-	lat   [latBuckets]atomic.Int64
-}
-
-func (v *verbStats) observe(d time.Duration) {
-	v.count.Add(1)
-	b := bits.Len64(uint64(d.Microseconds()))
-	if b >= latBuckets {
-		b = latBuckets - 1
-	}
-	v.lat[b].Add(1)
-}
-
-// quantile estimates the q-quantile (0..1) latency in milliseconds: the
-// upper edge of the bucket where the cumulative count crosses the
-// target. Factor-of-two coarse, but stable, lock-free, and honest about
-// tails (it rounds up, never down).
-func (v *verbStats) quantile(q float64) float64 {
-	var counts [latBuckets]int64
-	var total int64
-	for i := range counts {
-		counts[i] = v.lat[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	target := int64(q*float64(total) + 0.5)
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if cum >= target {
-			return float64(uint64(1)<<uint(i)) / 1e3
-		}
-	}
-	return float64(uint64(1)<<latBuckets) / 1e3
-}
+// log-scale latency histogram per verb (its count doubles as the verb's
+// request count): enough to read request mix, throughput and tail
+// latency off /metrics without a metrics dependency the container
+// doesn't have.
 
 // verbNames are the fixed verb buckets; OTHER absorbs methods the
 // gateway rejects.
@@ -68,24 +19,31 @@ var verbNames = []string{"PUT", "GET", "HEAD", "DELETE", "POST", "LIST", "OTHER"
 
 // metricsState is the gateway-wide counter set.
 type metricsState struct {
-	verbs    map[string]*verbStats // fixed at init; read-only map, atomic values
-	bytesIn  atomic.Int64          // object bytes received (PUT bodies, parts)
-	bytesOut atomic.Int64          // object bytes served (GET bodies)
-	rejected atomic.Int64          // admission-control 429s
+	verbs    map[string]*stats.LatencyHist // fixed at init; read-only map, atomic values
+	bytesIn  atomic.Int64                  // object bytes received (PUT bodies, parts)
+	bytesOut atomic.Int64                  // object bytes served (GET bodies)
+	rejected atomic.Int64                  // admission-control 429s
 }
 
 func (m *metricsState) init() {
-	m.verbs = make(map[string]*verbStats, len(verbNames))
+	m.verbs = make(map[string]*stats.LatencyHist, len(verbNames))
 	for _, v := range verbNames {
-		m.verbs[v] = &verbStats{}
+		m.verbs[v] = &stats.LatencyHist{}
 	}
 }
 
-func (m *metricsState) verb(name string) *verbStats {
+func (m *metricsState) verb(name string) *stats.LatencyHist {
 	if v, ok := m.verbs[name]; ok {
 		return v
 	}
 	return m.verbs["OTHER"]
+}
+
+// quantileMs is the q-quantile latency /metrics reports, in
+// milliseconds: the bucket edge at one-based rank round(q·n), so p99 of
+// a hundred requests is the 99th, not the slowest.
+func quantileMs(h *stats.LatencyHist, n int64, q float64) float64 {
+	return float64(h.AtRank(int64(q*float64(n)+0.5)).Microseconds()) / 1e3
 }
 
 // VerbSnapshot is one verb's point-in-time stats in a /metrics reply.
@@ -115,11 +73,11 @@ func (g *Gateway) Metrics() Snapshot {
 	verbs := make(map[string]VerbSnapshot, len(verbNames))
 	for _, name := range verbNames {
 		v := g.m.verbs[name]
-		n := v.count.Load()
+		n := v.Count()
 		if n == 0 {
 			continue
 		}
-		verbs[name] = VerbSnapshot{Requests: n, P50Ms: v.quantile(0.50), P99Ms: v.quantile(0.99)}
+		verbs[name] = VerbSnapshot{Requests: n, P50Ms: quantileMs(v, n, 0.50), P99Ms: quantileMs(v, n, 0.99)}
 	}
 	sm := g.st.Metrics()
 	hitRate := 0.0

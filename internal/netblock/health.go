@@ -45,7 +45,9 @@ func breakerStateName(s int) string {
 	}
 }
 
-// healthWindow is a fixed-size ring of recent operation outcomes.
+// healthWindow is a fixed-size ring of recent operation outcomes. It is
+// not a stats.LatencyHist: that is cumulative, and the breaker needs
+// "over the last 128 operations", not "since the process started".
 const healthWindow = 128
 
 // nodeHealth is one node's failure-plane state: outcome/latency window,

@@ -397,3 +397,15 @@ func (r *RSCodec) LocateCorruption(stripe [][]byte) ([]int, error) {
 	}
 	return corrupted, nil
 }
+
+// codecByName maps a geometry record's codec name back to a built-in
+// codec — how New reopens a plane when Config.Codec is left nil.
+func codecByName(name string) (Codec, error) {
+	switch name {
+	case "LRC(10,6,5)":
+		return NewXorbasCodec(), nil
+	case "RS(10,4)":
+		return NewRS104Codec(), nil
+	}
+	return nil, fmt.Errorf("%w: plane was created with codec %s, which is not built in; pass it as Config.Codec", ErrGeometryMismatch, name)
+}

@@ -50,6 +50,11 @@ var ErrUnrecoverable = errors.New("store: unrecoverable stripe")
 // ErrCorrupt reports a block whose payload does not match its checksum.
 var ErrCorrupt = errors.New("store: block checksum mismatch")
 
+// ErrGeometryMismatch reports a New whose Config geometry (codec, nodes,
+// racks, block size) disagrees with what the metadata plane was created
+// with, or a plane that carries no geometry record to check against.
+var ErrGeometryMismatch = errors.New("store: geometry disagrees with the metadata plane")
+
 // maxNameLen bounds an object name; manifests and block keys embed it.
 const maxNameLen = 1024
 

@@ -13,26 +13,15 @@ import (
 // not the object. The serving tier's Range: requests ride on this.
 //
 // off outside [0, size] returns ErrBadRange; length past the end is
-// clamped. Like GetWriter, a failed attempt retries with a fresh
-// manifest snapshot while nothing has been written to w; once bytes are
-// out a failure is final.
+// clamped. A failed attempt retries with a fresh manifest snapshot while
+// nothing has been written to w (see readRetrying) — the manifest can
+// change under a read; once bytes are out a failure is final, since the
+// writer cannot be rewound.
 func (s *Store) GetRange(name string, off, length int64, w io.Writer) (ReadInfo, error) {
 	cw := &countingWriter{w: w}
-	for attempt := 0; ; attempt++ {
-		gen0, muts0, _ := s.versionState(name)
-		info, gen, err := s.streamRangeVersion(name, off, length, cw)
-		info.BytesWritten = cw.n
-		if err == nil || attempt >= 8 || cw.n > 0 {
-			return info, err
-		}
-		curGen, curMuts, found := s.versionState(name)
-		if !found {
-			return info, fmt.Errorf("%w: %q", ErrObjectNotFound, name)
-		}
-		if curGen == gen && curGen == gen0 && curMuts == muts0 {
-			return info, err
-		}
-	}
+	info, err := s.readRetrying(name, off, length, cw, func() bool { return cw.n == 0 })
+	info.BytesWritten = cw.n
+	return info, err
 }
 
 // rangeSeg is one stripe's overlap with a requested range: the stripe
@@ -46,15 +35,20 @@ type rangeSeg struct {
 
 // streamRangeVersion performs one ranged read attempt against the
 // object version current at entry, returning that version's generation.
-// Same pipeline shape as streamVersion — while segment i drains to w,
-// segment i+1 is already fetching into the other scratch slice — but
+// The stripe pipeline is one deep: while segment i drains to w, segment
+// i+1 is already being fetched into the other of two scratch slices
+// that ping-pong for the whole read (the only per-stripe state), and
 // each fetch covers only the blocks its byte window needs.
 func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) (ReadInfo, int64, error) {
 	stripes, gen, ok := s.manifestSnapshot(name)
 	if !ok {
 		return ReadInfo{}, 0, fmt.Errorf("%w: %q", ErrObjectNotFound, name)
 	}
+	// The snapshot pinned this version (see manifestSnapshot); hold the
+	// pin for the whole read so an overwrite cannot reclaim the blocks
+	// under us, and release it whichever way the read ends.
 	defer s.unpin(name, gen)
+	k := s.cfg.Codec.K()
 	var size int64
 	for i := range stripes {
 		size += int64(stripes[i].DataLen)
@@ -62,6 +56,12 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 	if off < 0 || off > size {
 		return ReadInfo{}, gen, fmt.Errorf("%w: offset %d of %d-byte object %q", ErrBadRange, off, size, name)
 	}
+	// A whole-object read (Get, GetWriter) fetches all k data positions
+	// of every stripe, as it always has — including the padding-only tail
+	// positions of a final stripe too short to reach block k-1, so a Get
+	// costs k reads per stripe whatever the object's length. Any other
+	// window reads only its covering blocks.
+	whole := off == 0 && length < 0
 	if length < 0 || off+length > size {
 		length = size - off
 	}
@@ -95,11 +95,15 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 		}
 		if hi > lo {
 			bl := int64(stripes[i].BlockLen)
-			segs = append(segs, rangeSeg{
+			seg := rangeSeg{
 				idx: i,
 				lo:  int(lo), hi: int(hi),
 				pLo: int(lo / bl), pHi: int((hi - 1) / bl),
-			})
+			}
+			if whole {
+				seg.pHi = k - 1
+			}
+			segs = append(segs, seg)
 		}
 		base += dl
 	}

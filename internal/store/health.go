@@ -144,10 +144,7 @@ type HealthMonitor struct {
 	// goroutine.
 	fails, oks []int
 
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
+	loop periodic
 }
 
 // NewHealthMonitor builds a monitor over the store. rm and sc may be
@@ -169,7 +166,6 @@ func NewHealthMonitor(s *Store, rm *RepairManager, sc *Scrubber, cfg MonitorConf
 		probe: probe,
 		fails: make([]int, s.cfg.Nodes),
 		oks:   make([]int, s.cfg.Nodes),
-		stop:  make(chan struct{}),
 	}
 }
 
@@ -179,32 +175,12 @@ func (m *HealthMonitor) Start() {
 	if m.probe == nil {
 		return
 	}
-	m.startOnce.Do(func() {
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			t := time.NewTicker(m.cfg.Interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-m.stop:
-					return
-				case <-t.C:
-					m.tick()
-				}
-			}
-		}()
-	})
+	m.loop.start(m.cfg.Interval, m.tick)
 }
 
 // Stop halts the probe loop and waits for any in-flight round (and the
 // scrubs it triggered) to finish. Idempotent.
-func (m *HealthMonitor) Stop() {
-	m.stopOnce.Do(func() {
-		close(m.stop)
-		m.wg.Wait()
-	})
-}
+func (m *HealthMonitor) Stop() { m.loop.halt() }
 
 // tick probes every node in parallel, then applies confirmed
 // transitions. A death enqueues a presence scrub (manifest-only walk —

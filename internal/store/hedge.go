@@ -1,10 +1,6 @@
 package store
 
-import (
-	"math/bits"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Hedged stripe reads: the tail-tolerance move from Dean & Barroso's
 // "The Tail at Scale", with erasure reconstruction as the backup
@@ -15,49 +11,6 @@ import (
 // plus parity — against the stragglers. Whichever completes the stripe
 // first wins; the loser's bytes are still accounted, never double-used.
 
-// blockLatHist is a log2-bucketed histogram of block-read latencies in
-// microseconds, lock-free for the hot path (same shape as the gateway's
-// verb histograms). Bucket i holds latencies in [2^(i-1), 2^i) µs.
-type blockLatHist struct {
-	buckets [40]atomic.Int64
-	count   atomic.Int64
-}
-
-func (h *blockLatHist) observe(d time.Duration) {
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	b := bits.Len64(uint64(us))
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
-	}
-	h.buckets[b].Add(1)
-	h.count.Add(1)
-}
-
-// quantile returns the upper edge of the bucket holding the q-quantile
-// observation — an overestimate by at most 2×, which is the right bias
-// for a hedge trigger (fire late rather than storm the backend).
-func (h *blockLatHist) quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var seen int64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen > rank {
-			return time.Duration(uint64(1)<<uint(i)) * time.Microsecond
-		}
-	}
-	return time.Duration(uint64(1)<<uint(len(h.buckets)-1)) * time.Microsecond
-}
-
 // hedgeDelay returns how long a stripe fetch waits on stragglers before
 // firing the reconstruction race, or 0 when hedging is disabled.
 func (s *Store) hedgeDelay() time.Duration {
@@ -65,7 +18,7 @@ func (s *Store) hedgeDelay() time.Duration {
 	if q <= 0 || q >= 1 {
 		return 0
 	}
-	d := s.readLat.quantile(q)
+	d := s.readLat.Quantile(q)
 	if d < s.cfg.HedgeMinDelay {
 		d = s.cfg.HedgeMinDelay
 	}
@@ -103,6 +56,18 @@ func (s *Store) fetchPositionsHedged(si *stripeInfo, scratch [][]byte, want []in
 
 	var missing []int
 	outstanding := len(want)
+	// land folds one position's answer into the stripe, wherever in the
+	// race it arrives.
+	land := func(r hedgeRead) {
+		outstanding--
+		res.acct.add(&r.acct)
+		if r.err != nil {
+			avail[r.pos] = false
+			missing = append(missing, r.pos)
+			return
+		}
+		scratch[r.pos] = r.payload
+	}
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	fired := false
@@ -110,14 +75,7 @@ collect:
 	for outstanding > 0 {
 		select {
 		case r := <-results:
-			outstanding--
-			res.acct.add(&r.acct)
-			if r.err != nil {
-				avail[r.pos] = false
-				missing = append(missing, r.pos)
-				continue
-			}
-			scratch[r.pos] = r.payload
+			land(r)
 		case <-timer.C:
 			fired = true
 			break collect
@@ -127,7 +85,7 @@ collect:
 		// Everyone answered (or failed) in time: the plain degraded path.
 		if len(missing) > 0 {
 			res.acct.degraded = true
-			if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil); err != nil {
+			if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil, nil); err != nil {
 				res.err = err
 			}
 		}
@@ -165,7 +123,7 @@ collect:
 	go func() {
 		var r reconResult
 		r.stripe = reconStripe
-		r.err = s.reconstructPositions(si, reconStripe, targets, reconAvail, &r.acct, nil)
+		r.err = s.reconstructPositions(si, reconStripe, targets, reconAvail, &r.acct, nil, nil)
 		reconCh <- r
 	}()
 
@@ -176,16 +134,7 @@ collect:
 	for {
 		select {
 		case r := <-results:
-			outstanding--
-			res.acct.add(&r.acct)
-			if r.err != nil {
-				avail[r.pos] = false
-				missing = append(missing, r.pos)
-				delete(straggling, r.pos)
-			} else {
-				scratch[r.pos] = r.payload
-				delete(straggling, r.pos)
-			}
+			land(r)
 			if outstanding > 0 {
 				continue
 			}
@@ -197,7 +146,7 @@ collect:
 				s.m.mergeRead(&r.acct)
 			}()
 			if len(missing) > 0 {
-				if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil); err != nil {
+				if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil, nil); err != nil {
 					res.err = err
 				}
 			}
@@ -208,20 +157,10 @@ collect:
 				// the only hope, so go back to waiting on them.
 				res.acct.add(&r.acct)
 				for outstanding > 0 {
-					sr := <-results
-					outstanding--
-					res.acct.add(&sr.acct)
-					if sr.err != nil {
-						avail[sr.pos] = false
-						missing = append(missing, sr.pos)
-						delete(straggling, sr.pos)
-						continue
-					}
-					scratch[sr.pos] = sr.payload
-					delete(straggling, sr.pos)
+					land(<-results)
 				}
 				if len(missing) > 0 {
-					if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil); err != nil {
+					if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil, nil); err != nil {
 						res.err = err
 					}
 				}

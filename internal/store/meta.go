@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -16,6 +17,7 @@ import (
 //	s/state               liveness + generation watermark (*stateRecord)
 //	u/<id>                a serving-tier upload record (opaque []byte)
 //	n/<node>              a cluster membership record (*memberRecord)
+//	c/config              the geometry the plane was created with (*geometryRecord)
 //
 // Manifests are the hot records: committed durably before a Put acks,
 // relocated copy-on-write by repair workers, and walked by scrub
@@ -30,6 +32,7 @@ const (
 	stateKey     = "s/state"
 	uploadPrefix = "u/"
 	nodePrefix   = "n/"
+	configKey    = "c/config"
 )
 
 func objKey(name string) string { return objPrefix + name }
@@ -41,7 +44,7 @@ func qKey(ref stripeRef) string {
 }
 
 // stateRecord is the non-manifest durable state: which nodes are dead,
-// and the gen/seq watermark at the last liveness change or import (the
+// and the gen/seq watermark at the last liveness change (the
 // watermark otherwise recovers as the max over live manifests, which
 // can dip after a delete — harmless for block keys, but the record
 // keeps it monotonic).
@@ -49,6 +52,57 @@ type stateRecord struct {
 	Gen  int64 `json:"gen"`
 	Seq  int64 `json:"seq"`
 	Dead []int `json:"dead,omitempty"`
+}
+
+// geometryRecord is what every stored block and manifest already
+// depends on: the codec decides what a parity block means, Nodes (the
+// seed count — later joins are n/ records) and Racks what the placement
+// rotation produced, BlockSize the stripe layout of the next put. New
+// writes it once, into an empty plane, and checks every later open
+// against it.
+type geometryRecord struct {
+	Codec     string `json:"codec"`
+	Nodes     int    `json:"nodes"`
+	Racks     int    `json:"racks"`
+	BlockSize int    `json:"block_size"`
+}
+
+// reconcileGeometry makes cfg and the plane agree on the store's
+// geometry and fills the remaining defaults. A plane with a record
+// supplies cfg's zero geometry fields, and a non-zero field that
+// disagrees with it is an ErrGeometryMismatch. A plane without one takes
+// cfg's geometry as its record: defaulted when the plane is empty, but
+// spelled out in full when it already holds records (a plane written
+// before geometry was recorded) — those records were laid out under some
+// geometry, and guessing the defaults would misread them for good.
+func reconcileGeometry(cfg *Config, db *meta.DB) error {
+	v, recorded := db.Get(configKey)
+	if recorded {
+		g := *v.(*geometryRecord)
+		if cfg.Codec == nil {
+			c, err := codecByName(g.Codec)
+			if err != nil {
+				return err
+			}
+			cfg.Codec = c
+		}
+		cfg.Nodes, cfg.Racks, cfg.BlockSize = cmp.Or(cfg.Nodes, g.Nodes), cmp.Or(cfg.Racks, g.Racks), cmp.Or(cfg.BlockSize, g.BlockSize)
+		if asked := (geometryRecord{cfg.Codec.Name(), cfg.Nodes, cfg.Racks, cfg.BlockSize}); asked != g {
+			return fmt.Errorf("%w: asked for %+v, plane was created with %+v", ErrGeometryMismatch, asked, g)
+		}
+	} else if n := db.Len(""); n > 0 && (cfg.Codec == nil || cfg.Nodes == 0 || cfg.Racks == 0 || cfg.BlockSize == 0) {
+		return fmt.Errorf("%w: plane %q holds %d records but no %s; open it once with Codec, Nodes, Racks and BlockSize all set to record them", ErrGeometryMismatch, cfg.MetaDir, n, configKey)
+	}
+	cfg.fillDefaults()
+	if recorded {
+		return nil
+	}
+	return db.Put(configKey, &geometryRecord{
+		Codec:     cfg.Codec.Name(),
+		Nodes:     cfg.Nodes,
+		Racks:     cfg.Racks,
+		BlockSize: cfg.BlockSize,
+	})
 }
 
 // repairRecord is a queued repair item in durable form: enough to
@@ -127,24 +181,23 @@ func (metaCodec) Decode(key string, b []byte) (any, error) {
 			return nil, err
 		}
 		return m, nil
+	case key == configKey:
+		g := &geometryRecord{}
+		if err := json.Unmarshal(b, g); err != nil {
+			return nil, err
+		}
+		return g, nil
 	default:
 		return nil, fmt.Errorf("store: unknown meta key %q", key)
 	}
 }
 
-// openMeta opens the store's metadata plane and recovers durable state
-// into s: manifests are already in the index after replay; this walks
-// them for the gen/seq watermark and applies the liveness record.
-func (s *Store) openMeta() error {
-	db, err := meta.Open(meta.Options{
-		Dir:    s.cfg.MetaDir,
-		Shards: s.cfg.MetaShards,
-		Codec:  metaCodec{},
-	})
-	if err != nil {
-		return err
-	}
-	s.db = db
+// recoverMeta recovers the plane's durable state into s: manifests are
+// already in the index after replay; this walks them for the gen/seq
+// watermark and applies the membership and liveness records — no
+// presence walk of the backend.
+func (s *Store) recoverMeta() error {
+	db := s.db
 	var maxGen, maxSeq int64
 	it := db.Scan(objPrefix)
 	for {

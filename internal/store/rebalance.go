@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -48,11 +47,7 @@ type Rebalancer struct {
 	rm *RepairManager
 	// interval is the background pass period.
 	interval time.Duration
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
+	loop     periodic
 }
 
 // NewRebalancer builds a rebalancer feeding the repair manager's queue
@@ -61,37 +56,15 @@ func NewRebalancer(s *Store, rm *RepairManager, interval time.Duration) *Rebalan
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
-	return &Rebalancer{s: s, rm: rm, interval: interval, stop: make(chan struct{})}
+	return &Rebalancer{s: s, rm: rm, interval: interval}
 }
 
 // Start launches the periodic background pass. Idempotent.
-func (rb *Rebalancer) Start() {
-	rb.startOnce.Do(func() {
-		rb.wg.Add(1)
-		go func() {
-			defer rb.wg.Done()
-			t := time.NewTicker(rb.interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-rb.stop:
-					return
-				case <-t.C:
-					rb.RebalanceOnce()
-				}
-			}
-		}()
-	})
-}
+func (rb *Rebalancer) Start() { rb.loop.start(rb.interval, func() { rb.RebalanceOnce() }) }
 
 // Stop halts the background pass. Idempotent; blocks until an in-flight
 // pass finishes.
-func (rb *Rebalancer) Stop() {
-	rb.stopOnce.Do(func() {
-		close(rb.stop)
-		rb.wg.Wait()
-	})
-}
+func (rb *Rebalancer) Stop() { rb.loop.halt() }
 
 // drainMove is one candidate migration off a draining node, with the
 // risk priority it sorts under.

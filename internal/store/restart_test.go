@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -229,22 +230,21 @@ func TestRepairQueueSurvivesRestart(t *testing.T) {
 
 // TestDirBackendSurvivesRestart runs the full lifecycle the CLI promises
 // — kill → scrub → repair → revive — across a simulated process restart:
-// the store's metadata round-trips through Snapshot/Restore while the
-// block bytes sit in a DirBackend on disk. Until now only MemBackend
-// exercised this end to end.
+// the store's metadata lives in the plane while the block bytes sit in
+// a DirBackend on disk, and no process is ever closed cleanly.
 func TestDirBackendSurvivesRestart(t *testing.T) {
 	root := t.TempDir()
 	blocks := filepath.Join(root, "blocks")
-	state := filepath.Join(root, "store.json")
+	metaDir := filepath.Join(root, "meta")
 	rng := rand.New(rand.NewSource(31))
 	want := randBytes(rng, 256*10*3+17) // 4 stripes, last one partial
 
-	// Process one: create, put, kill a node, save state, "exit".
+	// Process one: create, put, kill a node, "crash".
 	be1, err := NewDirBackend(blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := newTestStore(t, Config{Backend: be1, BlockSize: 256})
+	s1 := newTestStore(t, Config{Backend: be1, BlockSize: 256, MetaDir: metaDir})
 	if err := s1.Put("obj", want); err != nil {
 		t.Fatal(err)
 	}
@@ -253,27 +253,14 @@ func TestDirBackendSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.KillNode(victim)
-	snap, err := s1.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(state, snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// No Close, here or below: every restart is a crash restart.
 
-	// Process two: restore against a fresh backend over the same files.
-	blob, err := os.ReadFile(state)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Process two: reopen against a fresh backend over the same files.
 	be2, err := NewDirBackend(blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Restore(Config{Backend: be2}, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := newTestStore(t, Config{Backend: be2, MetaDir: metaDir})
 	if s2.Alive(victim) {
 		t.Fatalf("restart lost the dead node %d", victim)
 	}
@@ -312,21 +299,143 @@ func TestDirBackendSurvivesRestart(t *testing.T) {
 		t.Fatalf("post-revival Get: err %v, degraded %v", err, info.Degraded)
 	}
 
-	// Process three: the repaired manifest round-trips too.
-	snap2, err := s2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Process three: the repaired manifest survives a second crash too.
 	be3, err := NewDirBackend(blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := Restore(Config{Backend: be3}, snap2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3 := newTestStore(t, Config{Backend: be3, MetaDir: metaDir})
+	defer s3.Close()
 	got, info, err = s3.Get("obj")
 	if err != nil || !bytes.Equal(got, want) || info.Degraded {
 		t.Fatalf("Get after second restart: err %v, degraded %v", err, info.Degraded)
+	}
+}
+
+// TestGeometryRecoveredFromPlane: the plane records the geometry it was
+// created with, so a reopen may leave every geometry field zero — and
+// must, rather than guess — and gets the codec, node count, racks and
+// block size back, after a crash (no Close) as well as a clean stop.
+func TestGeometryRecoveredFromPlane(t *testing.T) {
+	root := t.TempDir()
+	metaDir := filepath.Join(root, "meta")
+	be := NewMemBackend()
+	s1 := newTestStore(t, Config{Backend: be, Codec: NewRS104Codec(), Nodes: 17, Racks: 5, BlockSize: 128, MetaDir: metaDir})
+	want := randBytes(rand.New(rand.NewSource(41)), 128*10+7)
+	if err := s1.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Config{Backend: be, MetaDir: metaDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.Codec().Name(); got != s1.Codec().Name() {
+		t.Fatalf("recovered codec %s, want %s", got, s1.Codec().Name())
+	}
+	if s2.Nodes() != 17 || s2.Racks() != 5 || s2.cfg.BlockSize != 128 {
+		t.Fatalf("recovered %d nodes / %d racks / %d-byte blocks, want 17 / 5 / 128", s2.Nodes(), s2.Racks(), s2.cfg.BlockSize)
+	}
+	got, _, err := s2.Get("obj")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get after zero-geometry reopen: err %v", err)
+	}
+	// The next put is laid out with the recovered block size.
+	if err := s2.Put("obj2", want); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s2.Stat("obj2"); err != nil || st.Stripes != 2 {
+		t.Fatalf("put after reopen: %d stripes (err %v), want 2 at 128-byte blocks", st.Stripes, err)
+	}
+}
+
+// TestGeometryMismatchRejected: a non-zero geometry field that disagrees
+// with the plane's record fails the open with ErrGeometryMismatch — the
+// store is not opened, and the plane is left usable.
+func TestGeometryMismatchRejected(t *testing.T) {
+	metaDir := filepath.Join(t.TempDir(), "meta")
+	be := NewMemBackend()
+	s1 := newTestStore(t, Config{Backend: be, BlockSize: 128, MetaDir: metaDir})
+	if err := s1.Put("obj", []byte("laid out as LRC(10,6,5) over 20 nodes")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]Config{
+		"codec":      {Codec: NewRS104Codec()},
+		"nodes":      {Nodes: 21},
+		"racks":      {Racks: 9},
+		"block size": {BlockSize: 256},
+	} {
+		cfg.Backend, cfg.MetaDir = be, metaDir
+		if s, err := New(cfg); !errors.Is(err, ErrGeometryMismatch) {
+			t.Fatalf("reopen with a different %s: store %v, err %v, want ErrGeometryMismatch", name, s != nil, err)
+		}
+	}
+	// Matching non-zero fields are accepted.
+	s2, err := New(Config{Backend: be, Codec: NewXorbasCodec(), Nodes: 20, Racks: 8, BlockSize: 128, MetaDir: metaDir})
+	if err != nil {
+		t.Fatalf("reopen with the recorded geometry: %v", err)
+	}
+	defer s2.Close()
+	if _, _, err := s2.Get("obj"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPlaneWithoutGeometryRecord: a plane that holds records but no
+// geometry record (written before it existed) is refused until a Config
+// spells the whole geometry out, which records it; and a Config no plane
+// could accept is refused before a plane is created for it.
+func TestPlaneWithoutGeometryRecord(t *testing.T) {
+	metaDir := filepath.Join(t.TempDir(), "meta")
+	be := NewMemBackend()
+	want := []byte("laid out as RS(10,4) over 16 nodes in 4 racks")
+	s1 := newTestStore(t, Config{Backend: be, Codec: NewRS104Codec(), Nodes: 16, Racks: 4, BlockSize: 128, MetaDir: metaDir})
+	if err := s1.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.db.Delete(configKey); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]Config{
+		"zero":    {},
+		"partial": {Codec: NewRS104Codec(), Nodes: 16, Racks: 4},
+	} {
+		cfg.Backend, cfg.MetaDir = be, metaDir
+		if s, err := New(cfg); !errors.Is(err, ErrGeometryMismatch) {
+			t.Fatalf("%s geometry over a record-less plane: store %v, err %v, want ErrGeometryMismatch", name, s != nil, err)
+		}
+	}
+	s2, err := New(Config{Backend: be, Codec: NewRS104Codec(), Nodes: 16, Racks: 4, BlockSize: 128, MetaDir: metaDir})
+	if err != nil {
+		t.Fatalf("full geometry over a record-less plane: %v", err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := New(Config{Backend: be, MetaDir: metaDir})
+	if err != nil {
+		t.Fatalf("zero-geometry reopen after adoption: %v", err)
+	}
+	defer s3.Close()
+	if s3.Codec().Name() != "RS(10,4)" || s3.Nodes() != 16 || s3.Racks() != 4 {
+		t.Fatalf("adopted %s / %d nodes / %d racks", s3.Codec().Name(), s3.Nodes(), s3.Racks())
+	}
+	if got, _, err := s3.Get("obj"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get after adoption: err %v", err)
+	}
+
+	fresh := filepath.Join(t.TempDir(), "meta")
+	if _, err := New(Config{BlockSize: -1, MetaDir: fresh}); err == nil {
+		t.Fatal("negative block size accepted")
+	}
+	if _, err := os.Stat(fresh); err == nil {
+		t.Fatal("a refused Config left a plane behind")
 	}
 }

@@ -217,7 +217,7 @@ func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func(
 	// it can before failing; persist that partial progress — every block
 	// written back moves the stripe away from the data-loss edge. Scrub
 	// re-reports whatever is still missing.
-	_ = s.reconstructInto(&si, stripe, damaged, avail, acct, s.repairLim,
+	_ = s.reconstructPositions(&si, stripe, damaged, avail, acct, s.repairLim,
 		func(pos int) []byte { return bufs4(bufs[slotOf(pos)], bs) })
 	s.m.mergeRepair(acct)
 	var rebuilt []int
@@ -307,11 +307,7 @@ type Scrubber struct {
 	rm *RepairManager
 	// Interval is the background walk period.
 	interval time.Duration
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	wg        sync.WaitGroup
+	loop     periodic
 }
 
 // NewScrubber builds a scrubber feeding the manager's queue.
@@ -319,36 +315,15 @@ func NewScrubber(s *Store, rm *RepairManager, interval time.Duration) *Scrubber 
 	if interval <= 0 {
 		interval = time.Second
 	}
-	return &Scrubber{s: s, rm: rm, interval: interval, stop: make(chan struct{})}
+	return &Scrubber{s: s, rm: rm, interval: interval}
 }
 
 // Start launches the periodic background walk. Idempotent.
-func (sc *Scrubber) Start() {
-	sc.startOnce.Do(func() {
-		sc.wg.Add(1)
-		go func() {
-			defer sc.wg.Done()
-			t := time.NewTicker(sc.interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-sc.stop:
-					return
-				case <-t.C:
-					sc.ScrubOnce()
-				}
-			}
-		}()
-	})
-}
+func (sc *Scrubber) Start() { sc.loop.start(sc.interval, func() { sc.ScrubOnce() }) }
 
-// Stop halts the background walk. Idempotent.
-func (sc *Scrubber) Stop() {
-	sc.stopOnce.Do(func() {
-		close(sc.stop)
-		sc.wg.Wait()
-	})
-}
+// Stop halts the background walk. Idempotent; blocks until an in-flight
+// walk finishes.
+func (sc *Scrubber) Stop() { sc.loop.halt() }
 
 // ScrubOnce walks every stripe synchronously and returns what it found.
 // The walk streams through the metadata plane's prefix iterator — one

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -10,15 +9,19 @@ import (
 	"time"
 
 	"repro/internal/meta"
+	"repro/internal/stats"
 )
 
 // Config sizes a Store. Zero fields take defaults.
 type Config struct {
 	// Codec is the stripe code; default NewXorbasCodec() (LRC(10,6,5)).
+	// Reopening a plane with Codec nil works for the two built-in codecs
+	// (the record holds only the name).
 	Codec Codec
 	// Backend holds the block bytes; default NewMemBackend().
 	Backend Backend
-	// Nodes is the number of simulated DataNodes (default 20).
+	// Nodes is the number of seed DataNodes (default 20); nodes joined
+	// later live in the membership table, not here.
 	Nodes int
 	// Racks spreads nodes round-robin, rack = node mod Racks (default 8 —
 	// enough racks for the strict one-block-per-rack-per-group rule of the
@@ -68,8 +71,10 @@ type Config struct {
 	// acked Put is then on the log before PutReader returns, and a
 	// restart recovers every manifest by checkpoint load + WAL replay.
 	// "" keeps metadata in memory only (tests, throwaway stores). The
-	// geometry (codec, nodes, racks, block size) is the caller's to keep
-	// consistent across opens — the plane stores manifests, not config.
+	// plane also records the geometry it was created with (Codec by
+	// name, Nodes, Racks, BlockSize): reopening it, those fields may be
+	// left zero to take the recorded values, and a non-zero one that
+	// disagrees fails New with ErrGeometryMismatch.
 	MetaDir string
 	// MetaShards is the metadata plane's index shard count (default 16).
 	MetaShards int
@@ -112,20 +117,21 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// validate rejects what no plane could make valid. It runs before the
+// plane is opened, so a refused Config leaves nothing on disk; zero
+// geometry fields pass, reconcileGeometry fills them.
 func (c *Config) validate() error {
-	if c.Nodes < 1 {
+	if c.Nodes < 0 {
 		return fmt.Errorf("store: need at least 1 node, got %d", c.Nodes)
 	}
-	if c.Racks < 1 {
+	if c.Racks < 0 {
 		return fmt.Errorf("store: need at least 1 rack, got %d", c.Racks)
 	}
-	if c.BlockSize < 1 {
+	if c.BlockSize < 0 {
 		return fmt.Errorf("store: block size must be positive, got %d", c.BlockSize)
 	}
-	if c.HedgeQuantile < 0 || c.HedgeQuantile >= 1 {
-		if c.HedgeQuantile != 0 {
-			return fmt.Errorf("store: hedge quantile must be in (0,1), got %g", c.HedgeQuantile)
-		}
+	if c.HedgeQuantile != 0 && (c.HedgeQuantile < 0 || c.HedgeQuantile >= 1) {
+		return fmt.Errorf("store: hedge quantile must be in (0,1), got %g", c.HedgeQuantile)
 	}
 	return nil
 }
@@ -213,7 +219,7 @@ type Store struct {
 
 	// readLat is the block-read latency histogram feeding the hedge
 	// trigger's quantile.
-	readLat blockLatHist
+	readLat stats.LatencyHist
 
 	// cache is the hot-block read cache, nil unless Config.CacheBytes
 	// is set. Invalidation rides the same paths that make blocks stale:
@@ -224,14 +230,37 @@ type Store struct {
 	m counters
 }
 
-// New builds a Store.
+// New builds a Store over cfg.MetaDir's metadata plane, creating the
+// plane (and recording cfg's geometry in it) when it is empty and
+// recovering manifests, membership, liveness and the gen/seq watermark
+// from it otherwise — the plane is the store's only durable state.
 func New(cfg Config) (*Store, error) {
-	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	db, err := meta.Open(meta.Options{
+		Dir:    cfg.MetaDir,
+		Shards: cfg.MetaShards,
+		Codec:  metaCodec{},
+	})
+	if err != nil {
+		return nil, err
+	}
+	s, err := open(cfg, db)
+	if err != nil {
+		_ = db.Close() // release the WAL; the open error is the one to report
+		return nil, err
+	}
+	return s, nil
+}
+
+func open(cfg Config, db *meta.DB) (*Store, error) {
+	if err := reconcileGeometry(&cfg, db); err != nil {
 		return nil, err
 	}
 	s := &Store{
 		cfg:       cfg,
+		db:        db,
 		placer:    newPlacer(cfg.Codec, cfg.Racks),
 		alive:     make([]bool, cfg.Nodes),
 		pins:      make(map[verKey]int),
@@ -255,10 +284,7 @@ func New(cfg Config) (*Store, error) {
 	for i := range s.members {
 		s.members[i] = memberRecord{Node: i, State: NodeActive}
 	}
-	// Recovery happens here: with a MetaDir, openMeta loads the
-	// checkpoint, replays the WAL and restores manifests, liveness and
-	// the gen/seq watermark — no presence walk, no snapshot blob.
-	if err := s.openMeta(); err != nil {
+	if err := s.recoverMeta(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -395,7 +421,7 @@ func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *b
 	if err != nil {
 		return nil, err
 	}
-	s.readLat.observe(time.Since(start))
+	s.readLat.Observe(time.Since(start))
 	acct.blocks++
 	acct.bytes += int64(len(raw))
 	lim.take(int64(len(raw)))
@@ -419,16 +445,10 @@ func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *b
 // downgraded as fetches fail, re-planning until every target is rebuilt
 // or provably unrecoverable. On an unrecoverable stripe the targets that
 // can be rebuilt still are (partial progress) and the first failure is
-// returned.
-func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int, avail []bool, acct *readAcct, lim *byteRate) error {
-	return s.reconstructInto(si, stripe, need, avail, acct, lim, nil)
-}
-
-// reconstructInto is reconstructPositions with an optional destination
-// map: when dstFor is non-nil it supplies the decode buffer for each
-// target position (the repair engine's reusable framed slabs) and the
-// codec's zero-allocation ReconstructManyInto path is used.
-func (s *Store) reconstructInto(si *stripeInfo, stripe [][]byte, need []int, avail []bool, acct *readAcct, lim *byteRate, dstFor func(pos int) []byte) error {
+// returned. A non-nil dstFor supplies the decode buffer for each target
+// position (the repair engine's reusable framed slabs) and selects the
+// codec's zero-allocation ReconstructManyInto path.
+func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int, avail []bool, acct *readAcct, lim *byteRate, dstFor func(pos int) []byte) error {
 	var firstErr error
 	n := len(stripe)
 	wanted := make([]int, 0, n)
@@ -823,137 +843,4 @@ func (s *Store) relocateBlock(ref stripeRef, pos, node int, key string) bool {
 		}
 	}
 	return err == nil && relocated
-}
-
-// --- snapshot / restore (the CLI's on-disk state) ---
-
-type snapshot struct {
-	Codec     string         `json:"codec"`
-	Nodes     int            `json:"nodes"`
-	Racks     int            `json:"racks"`
-	BlockSize int            `json:"block_size"`
-	Gen       int64          `json:"gen"`
-	Seq       int64          `json:"seq"`
-	Epoch     int64          `json:"epoch,omitempty"`
-	Dead      []int          `json:"dead,omitempty"`
-	Members   []memberRecord `json:"members,omitempty"`
-	Objects   []*objectInfo  `json:"objects"`
-}
-
-// Snapshot serializes the store's metadata (manifests, liveness,
-// geometry) as JSON — an export of the metadata plane for the CLI's
-// state file and for migrating into a MetaDir-backed store. Block bytes
-// live in the backend; metrics are not persisted.
-func (s *Store) Snapshot() ([]byte, error) {
-	snap := snapshot{
-		Codec:     s.cfg.Codec.Name(),
-		Racks:     s.cfg.Racks,
-		BlockSize: s.cfg.BlockSize,
-		Gen:       s.gen.Load(),
-		Seq:       s.seq.Load(),
-		Epoch:     s.epoch.Load(),
-	}
-	s.mu.RLock()
-	snap.Nodes = len(s.alive)
-	for n, a := range s.alive {
-		if !a {
-			snap.Dead = append(snap.Dead, n)
-		}
-	}
-	// Only non-seed-state members need recording; a snapshot of a store
-	// that never changed membership stays byte-compatible with old ones.
-	for _, m := range s.members {
-		if m.State != NodeActive || m.Addr != "" || m.Epoch != 0 {
-			snap.Members = append(snap.Members, m)
-		}
-	}
-	s.mu.RUnlock()
-	it := s.db.Scan(objPrefix)
-	for {
-		_, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		snap.Objects = append(snap.Objects, v.(*objectInfo))
-	}
-	return json.MarshalIndent(snap, "", "  ")
-}
-
-// Restore rebuilds a store from Snapshot output. cfg supplies the codec
-// and backend (which must match the snapshot's codec by name); geometry
-// comes from the snapshot. When cfg.MetaDir names a plane that already
-// holds manifests, the plane is authoritative and the snapshot's object
-// list is ignored — the WAL saw every commit, the snapshot only the last
-// explicit save. An empty plane imports the snapshot (the migration
-// path, and how memory-only stores load a state file).
-func Restore(cfg Config, data []byte) (*Store, error) {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("store: bad snapshot: %w", err)
-	}
-	cfg.fillDefaults()
-	if cfg.Codec.Name() != snap.Codec {
-		return nil, fmt.Errorf("store: snapshot was written with codec %s, store opened with %s", snap.Codec, cfg.Codec.Name())
-	}
-	cfg.Nodes, cfg.Racks, cfg.BlockSize = snap.Nodes, snap.Racks, snap.BlockSize
-	s, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if s.db.Len(objPrefix) > 0 {
-		// Plane wins; only ratchet the watermarks so snapshot-era keys and
-		// epochs are never reissued.
-		if snap.Gen > s.gen.Load() {
-			s.gen.Store(snap.Gen)
-		}
-		if snap.Seq > s.seq.Load() {
-			s.seq.Store(snap.Seq)
-		}
-		if snap.Epoch > s.epoch.Load() {
-			s.epoch.Store(snap.Epoch)
-		}
-		return s, nil
-	}
-	if snap.Gen > s.gen.Load() {
-		s.gen.Store(snap.Gen)
-	}
-	if snap.Seq > s.seq.Load() {
-		s.seq.Store(snap.Seq)
-	}
-	if snap.Epoch > s.epoch.Load() {
-		s.epoch.Store(snap.Epoch)
-	}
-	s.mu.Lock()
-	for _, m := range snap.Members {
-		if m.Node >= 0 && m.Node < len(s.members) {
-			s.members[m.Node] = m
-			if m.State == NodeDead {
-				s.alive[m.Node] = false
-			}
-		}
-	}
-	for _, n := range snap.Dead {
-		if n >= 0 && n < len(s.alive) {
-			s.alive[n] = false
-		}
-	}
-	s.mu.Unlock()
-	err = s.db.Commit(func(tx *meta.Tx) {
-		for _, o := range snap.Objects {
-			tx.Put(objKey(o.Name), o)
-		}
-		for _, m := range snap.Members {
-			if m.Node >= 0 && m.Node < snap.Nodes {
-				m := m
-				tx.Put(nodeKey(m.Node), &m)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.logState(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -282,35 +282,6 @@ func TestPlacementRackAware(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	be := NewMemBackend()
-	s := newTestStore(t, Config{Backend: be, BlockSize: 64})
-	rng := rand.New(rand.NewSource(8))
-	want := randBytes(rng, 64*10+11)
-	if err := s.Put("snap", want); err != nil {
-		t.Fatal(err)
-	}
-	s.KillNode(3)
-	blob, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Restore(Config{Backend: be}, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Alive(3) {
-		t.Fatal("restored store lost the dead node")
-	}
-	got, _, err := s2.Get("snap")
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("restored Get: err %v", err)
-	}
-	if _, err := Restore(Config{Backend: be, Codec: NewRS104Codec()}, blob); err == nil {
-		t.Fatal("Restore accepted a codec mismatch")
-	}
-}
-
 func TestDirBackend(t *testing.T) {
 	dir := t.TempDir()
 	be, err := NewDirBackend(dir)

@@ -368,21 +368,45 @@ func (s *Store) commit(obj *objectInfo) error {
 }
 
 // GetWriter streams an object to w stripe by stripe, reconstructing
-// missing or corrupt blocks inline exactly like Get (light local decode
-// first, so a single-loss stripe still costs the r=5 read set), with
-// memory bounded by the two pipelined stripes. The ReadInfo reports what
-// the read actually cost. A failed attempt retries with a fresh manifest
-// snapshot while nothing has been written to w — the manifest can change
-// under a read without a generation bump when repair workers relocate
-// blocks, and with one when an overwrite lands. Once bytes are out, a
-// failure is final (the writer cannot be rewound).
+// missing or corrupt blocks inline (light local decode first, so a
+// single-loss stripe still costs the r=5 read set), with memory bounded
+// by the two pipelined stripes. The ReadInfo reports what the read
+// actually cost. It is the whole-object case of GetRange, with the same
+// retry contract: once bytes are out, a failure is final.
 func (s *Store) GetWriter(name string, w io.Writer) (ReadInfo, error) {
-	cw := &countingWriter{w: w}
+	return s.GetRange(name, 0, -1, w)
+}
+
+// Get reads an object back, reconstructing missing or corrupt blocks
+// inline (the degraded read path: rebuilt blocks are served, not written
+// back — §1.1). The ReadInfo reports what the read actually cost. It is
+// the streaming path over a buffer, which — unlike an external writer —
+// rewinds, so a stale-manifest retry stays possible mid-object.
+func (s *Store) Get(name string) ([]byte, ReadInfo, error) {
+	var buf bytes.Buffer
+	info, err := s.readRetrying(name, 0, -1, &buf, func() bool { buf.Reset(); return true })
+	if err != nil {
+		return nil, info, err
+	}
+	info.BytesWritten = int64(buf.Len())
+	return buf.Bytes(), info, nil
+}
+
+// readRetrying runs read attempts of [off, off+length) against fresh
+// manifest snapshots until one succeeds or fails for good. A failed
+// attempt can mean the snapshot went stale under the read: repair
+// workers relocate blocks without a generation bump, and an overwrite
+// replaces the version with one. A fresh snapshot sees the current
+// block locations, so retry — but only while w can still be rewound
+// (rewind reports whether it was) and the manifest is actually moving
+// (the muts counter): a failure with an unchanged manifest is genuinely
+// lost data, and retrying would just re-read every stripe to fail
+// again.
+func (s *Store) readRetrying(name string, off, length int64, w io.Writer, rewind func() bool) (ReadInfo, error) {
 	for attempt := 0; ; attempt++ {
 		gen0, muts0, _ := s.versionState(name)
-		info, gen, err := s.streamVersion(name, cw)
-		info.BytesWritten = cw.n
-		if err == nil || attempt >= 8 || cw.n > 0 {
+		info, gen, err := s.streamRangeVersion(name, off, length, w)
+		if err == nil || attempt >= 8 || !rewind() {
 			return info, err
 		}
 		curGen, curMuts, found := s.versionState(name)
@@ -394,41 +418,6 @@ func (s *Store) GetWriter(name string, w io.Writer) (ReadInfo, error) {
 			// This object's manifest never moved around the attempt:
 			// the snapshot was current and the failure is genuine.
 			return info, err
-		}
-	}
-}
-
-// Get reads an object back, reconstructing missing or corrupt blocks
-// inline (the degraded read path: rebuilt blocks are served, not written
-// back — §1.1). The ReadInfo reports what the read actually cost. It is
-// a buffered wrapper over the streaming path, with the full retry loop
-// (the buffer rewinds where an external writer cannot).
-func (s *Store) Get(name string) ([]byte, ReadInfo, error) {
-	// A failed attempt can mean the manifest snapshot went stale under
-	// the read: repair workers relocate blocks without a generation
-	// bump, and an overwrite replaces the version with one. A fresh
-	// snapshot sees the current block locations, so retry — but only
-	// while manifests are actually moving (the muts counter): a failure
-	// with an unchanged manifest is genuinely lost data and retrying
-	// would just re-read every stripe to fail again.
-	var buf bytes.Buffer
-	for attempt := 0; ; attempt++ {
-		gen0, muts0, _ := s.versionState(name)
-		buf.Reset()
-		info, gen, err := s.streamVersion(name, &buf)
-		if err == nil {
-			info.BytesWritten = int64(buf.Len())
-			return buf.Bytes(), info, nil
-		}
-		if attempt >= 8 {
-			return nil, info, err
-		}
-		curGen, curMuts, found := s.versionState(name)
-		if !found {
-			return nil, info, fmt.Errorf("%w: %q", ErrObjectNotFound, name)
-		}
-		if curGen == gen && curGen == gen0 && curMuts == muts0 {
-			return nil, info, err
 		}
 	}
 }
@@ -522,121 +511,19 @@ func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetc
 // missing or corrupt. avail marks positions believed readable and is
 // downgraded as fetches fail; accounting and errors land in res.
 func (s *Store) fetchPositions(si *stripeInfo, scratch [][]byte, want []int, avail []bool, res *fetchResult) {
+	if !s.fetchBlocks(si, scratch, want, avail, &res.acct, nil) {
+		return
+	}
 	var missing []int
-	workers := s.readWorkers(len(want))
-	if workers <= 1 {
-		for _, pos := range want {
-			p, err := s.readBlockPayload(si, pos, &res.acct, nil)
-			if err != nil {
-				avail[pos] = false
-				missing = append(missing, pos)
-				continue
-			}
-			scratch[pos] = p
-		}
-	} else {
-		errs := make([]error, len(scratch))
-		accts := make([]readAcct, workers)
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for pos := range jobs {
-					scratch[pos], errs[pos] = s.readBlockPayload(si, pos, &accts[w], nil)
-				}
-			}(w)
-		}
-		for _, pos := range want {
-			jobs <- pos
-		}
-		close(jobs)
-		wg.Wait()
-		for w := range accts {
-			res.acct.add(&accts[w])
-		}
-		for _, pos := range want {
-			if errs[pos] != nil {
-				scratch[pos] = nil
-				avail[pos] = false
-				missing = append(missing, pos)
-			}
+	for _, pos := range want {
+		if scratch[pos] == nil {
+			missing = append(missing, pos)
 		}
 	}
-	if len(missing) > 0 {
-		res.acct.degraded = true
-		if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil); err != nil {
-			res.err = err
-		}
+	res.acct.degraded = true
+	if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil, nil); err != nil {
+		res.err = err
 	}
-}
-
-// streamVersion performs one streaming read attempt against the object
-// version current at entry, returning that version's generation. The
-// stripe pipeline is one deep: while stripe i drains to w, stripe i+1 is
-// already being fetched into the other of two scratch slices that
-// ping-pong for the whole read (the only per-stripe state).
-func (s *Store) streamVersion(name string, w io.Writer) (ReadInfo, int64, error) {
-	stripes, gen, ok := s.manifestSnapshot(name)
-	if !ok {
-		return ReadInfo{}, 0, fmt.Errorf("%w: %q", ErrObjectNotFound, name)
-	}
-	// The snapshot pinned this version (see manifestSnapshot); hold the
-	// pin for the whole read so an overwrite cannot reclaim the blocks
-	// under us, and release it whichever way the read ends.
-	defer s.unpin(name, gen)
-	k := s.cfg.Codec.K()
-	n := s.cfg.Codec.NStored()
-	acct := &readAcct{}
-	scratch := [2][][]byte{make([][]byte, n), make([][]byte, n)}
-	startFetch := func(i int) chan fetchResult {
-		ch := make(chan fetchResult, 1)
-		go func() {
-			ch <- s.fetchStripe(&stripes[i], scratch[i%2], 0, k-1)
-		}()
-		return ch
-	}
-	var pending chan fetchResult
-	if len(stripes) > 0 {
-		pending = startFetch(0)
-	}
-	for i := range stripes {
-		res := <-pending
-		pending = nil
-		acct.add(&res.acct)
-		if res.err != nil {
-			res.release(s.cache)
-			s.m.mergeRead(acct)
-			return acct.info(), gen, fmt.Errorf("store: degraded read of %q stripe %d: %w", name, i, res.err)
-		}
-		if i+1 < len(stripes) {
-			pending = startFetch(i + 1)
-		}
-		si := &stripes[i]
-		remaining := si.DataLen
-		for pos := 0; pos < k && remaining > 0; pos++ {
-			part := res.stripe[pos]
-			if len(part) > remaining {
-				part = part[:remaining]
-			}
-			if _, err := w.Write(part); err != nil {
-				res.release(s.cache)
-				if pending != nil {
-					// Join the prefetch; its reads are uncharged on this
-					// failure path, but its cache pins still release.
-					p := <-pending
-					p.release(s.cache)
-				}
-				s.m.mergeRead(acct)
-				return acct.info(), gen, fmt.Errorf("store: write object %q: %w", name, err)
-			}
-			remaining -= len(part)
-		}
-		res.release(s.cache)
-	}
-	s.m.mergeRead(acct)
-	return acct.info(), gen, nil
 }
 
 // manifestSnapshot captures an object's stripe manifest and pins the
@@ -677,7 +564,7 @@ func (s *Store) versionState(name string) (gen, muts int64, found bool) {
 }
 
 // countingWriter tracks how many bytes reached the underlying writer, so
-// GetWriter knows whether a retry is still possible.
+// GetRange knows whether a retry is still possible.
 type countingWriter struct {
 	w io.Writer
 	n int64

@@ -47,6 +47,75 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWholeObjectReadCost pins what a whole-object read fetches, through
+// every entry point, against a backend that counts for itself: k data
+// blocks per stripe — the padding-only tail positions of a final stripe
+// too short to reach block k-1 included — and nothing else. The numbers
+// are the ones the read path produced before Get, GetWriter and GetRange
+// shared one implementation.
+func TestWholeObjectReadCost(t *testing.T) {
+	const bs = 128
+	cb := &countingBackend{Backend: NewMemBackend()}
+	s := newTestStore(t, Config{Backend: cb, BlockSize: bs})
+	defer s.Close()
+	k := s.Codec().K()
+	rng := rand.New(rand.NewSource(23))
+	for _, c := range []struct {
+		size           int
+		blocks, frames int64 // backend reads, and their total framed bytes
+	}{
+		{2 * bs * k, 20, 20 * (4 + bs)},              // full stripes only
+		{bs*k + 5*bs + 3, 20, 10*(4+bs) + 10*(4+65)}, // short final stripe, every block has data
+		{bs*k + 13, 20, 10*(4+bs) + 10*(4+2)},        // tiny final stripe: 7 data blocks, 3 padding-only
+		{5, 10, 10 * (4 + 1)},                        // sub-k object: 5 data blocks, 5 padding-only
+		{0, 0, 0},
+	} {
+		name := fmt.Sprintf("cost-%d", c.size)
+		want := randBytes(rng, c.size)
+		if err := s.Put(name, want); err != nil {
+			t.Fatal(err)
+		}
+		reads := map[string]func() (ReadInfo, []byte, error){
+			"Get": func() (ReadInfo, []byte, error) {
+				got, info, err := s.Get(name)
+				return info, got, err
+			},
+			"GetWriter": func() (ReadInfo, []byte, error) {
+				var buf bytes.Buffer
+				info, err := s.GetWriter(name, &buf)
+				return info, buf.Bytes(), err
+			},
+			"GetRange(0,-1)": func() (ReadInfo, []byte, error) {
+				var buf bytes.Buffer
+				info, err := s.GetRange(name, 0, -1, &buf)
+				return info, buf.Bytes(), err
+			},
+		}
+		for via, read := range reads {
+			before := cb.reads.Load()
+			info, got, err := read()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s of %d bytes: err %v", via, c.size, err)
+			}
+			wantInfo := ReadInfo{BlocksRead: c.blocks, BytesRead: c.frames, BytesWritten: int64(c.size)}
+			if info != wantInfo {
+				t.Fatalf("%s of %d bytes: %+v, want %+v", via, c.size, info, wantInfo)
+			}
+			if n := cb.reads.Load() - before; n != c.blocks {
+				t.Fatalf("%s of %d bytes: backend saw %d reads, ReadInfo says %d", via, c.size, n, c.blocks)
+			}
+		}
+	}
+	// A window that is not the whole object reads covering blocks only,
+	// even when it takes a stripe in full: the 13-byte final stripe is 7
+	// two-byte blocks, and its 3 padding-only positions stay unread.
+	var buf bytes.Buffer
+	info, err := s.GetRange(fmt.Sprintf("cost-%d", bs*k+13), int64(bs*k), -1, &buf)
+	if want := (ReadInfo{BlocksRead: 7, BytesRead: 7 * (4 + 2), BytesWritten: 13}); err != nil || info != want {
+		t.Fatalf("tail-stripe GetRange: %+v, err %v, want %+v", info, err, want)
+	}
+}
+
 // TestStreamingDegradedLightReads pins the acceptance criterion: a
 // streaming Get over a single-loss stripe still takes the light local
 // decode, whose 5-block read set shares 4 members with the data blocks
