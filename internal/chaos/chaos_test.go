@@ -248,13 +248,14 @@ func TestSelfHealingUnderTraffic(t *testing.T) {
 	}).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 15*time.Second, "auto-death", func() bool { return !s.Alive(victim) })
+	// Wait on AutoDeaths, not !Alive: the monitor counts a death only
+	// after its presence scrub has enqueued the victim's stripes, so the
+	// Drain below cannot slip in between the kill and the enqueue.
+	waitFor(t, 15*time.Second, "auto-death", func() bool {
+		return s.Metrics().AutoDeaths >= 1 && !s.Alive(victim)
+	})
 	rm.Drain()
-	m := s.Metrics()
-	if m.AutoDeaths < 1 {
-		t.Fatalf("AutoDeaths = %d, want >= 1", m.AutoDeaths)
-	}
-	if m.RepairedBlocks == 0 {
+	if s.Metrics().RepairedBlocks == 0 {
 		t.Fatal("no blocks repaired after auto-death")
 	}
 

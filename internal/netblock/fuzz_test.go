@@ -1,0 +1,97 @@
+package netblock
+
+import (
+	"bytes"
+	"testing"
+)
+
+// checkPinned fails the fuzz run when parsing in allocated more than
+// readBody's pinned-memory contract allows for the bytes supplied.
+func checkPinned(t *testing.T, in []byte, alloc int) {
+	t.Helper()
+	if !raceEnabled && alloc > pinBound(len(in)) {
+		t.Fatalf("%d input bytes made the parser allocate %d, want <= %d", len(in), alloc, pinBound(len(in)))
+	}
+}
+
+// FuzzReadRequest throws arbitrary bytes at the server's request parser:
+// it must not panic, must not allocate past the pinned-memory contract
+// however large a payload the header claims, and a frame that parses is
+// exactly sized (cap == len), no longer than the input, and re-encodes
+// to the bytes it was parsed from.
+func FuzzReadRequest(f *testing.F) {
+	payload := bytes.Repeat([]byte{0xA5}, 300)
+	for _, op := range []byte{opWrite, opRead, opDelete, opPing, opReadChunk, opWriteBegin, opWriteChunk, opWriteCommit} {
+		key, data := "obj.g000001.s00000.b00", []byte(nil)
+		switch op {
+		case opWrite, opWriteChunk:
+			data = payload
+		case opReadChunk:
+			data = appendChunkReq(nil, 1<<20, 1<<20)
+		case opPing:
+			key = ""
+		}
+		f.Add(appendRequest(nil, op, 3, key, data))
+	}
+	f.Add(appendHeader(nil, opWrite, 0, "k", maxDataLen)) // hostile: claims 1 GiB, sends nothing
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r := bytes.NewReader(in)
+		var req request
+		var err error
+		checkPinned(t, in, allocBytes(func() { req, err = readRequest(r) }))
+		if err != nil {
+			return
+		}
+		used := len(in) - r.Len()
+		if want := int(requestWireLen(req.key, req.data)); used != want {
+			t.Fatalf("parser consumed %d bytes for a %d-byte frame", used, want)
+		}
+		if cap(req.data) != len(req.data) {
+			t.Fatalf("payload len %d cap %d", len(req.data), cap(req.data))
+		}
+		if again := appendRequest(nil, req.op, req.node, req.key, req.data); !bytes.Equal(again, in[:used]) {
+			t.Fatalf("frame re-encodes to different bytes:\n in  %x\n out %x", in[:used], again)
+		}
+	})
+}
+
+// FuzzReadResponse is the same contract for the client's response
+// parser, which faces a hostile or corrupted server.
+func FuzzReadResponse(f *testing.F) {
+	for _, status := range []byte{statusOK, statusNotFound, statusError, statusBadKey} {
+		var frame bytes.Buffer
+		writeResponse(&frame, status, []byte("block bytes, or an error message"))
+		f.Add(frame.Bytes())
+	}
+	f.Add([]byte{statusOK, 0, 0, 0, 0})    // empty OK
+	f.Add([]byte{statusOK, 0, 0, 0, 0x40}) // hostile: claims 1 GiB, sends nothing
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r := bytes.NewReader(in)
+		var status byte
+		var data []byte
+		var wire int64
+		var err error
+		announced := -1
+		checkPinned(t, in, allocBytes(func() {
+			status, data, wire, err = readResponse(r, func(size int) { announced = size })
+		}))
+		if err != nil {
+			return
+		}
+		used := len(in) - r.Len()
+		if used != respHeaderLen+len(data) || wire != int64(used) {
+			t.Fatalf("parser consumed %d bytes, reported %d, for a %d-byte payload", used, wire, len(data))
+		}
+		if announced != len(data) {
+			t.Fatalf("onSize announced %d bytes, payload has %d", announced, len(data))
+		}
+		if cap(data) != len(data) {
+			t.Fatalf("payload len %d cap %d", len(data), cap(data))
+		}
+		var again bytes.Buffer
+		writeResponse(&again, status, data)
+		if !bytes.Equal(again.Bytes(), in[:used]) {
+			t.Fatalf("frame re-encodes to different bytes:\n in  %x\n out %x", in[:used], again.Bytes())
+		}
+	})
+}

@@ -24,7 +24,6 @@
 package netblock
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -133,35 +132,42 @@ func requestWireLen(key string, data []byte) int64 {
 	return int64(reqHeaderLen + len(key) + len(data))
 }
 
-// readBodyEager is the largest payload readBody allocates up front;
-// anything bigger grows only as bytes actually arrive.
-const readBodyEager = 1 << 20
+// readBodyEager is the largest buffer readBody allocates on a header's
+// word alone: a 1 MiB block (the largest size shipped or benchmarked)
+// plus its CRC frame header or chunk-window prefix, with a page to spare.
+const readBodyEager = 1<<20 + 4<<10
 
-// readBody reads exactly n bytes from r without trusting n for the
-// up-front allocation: a header's length field is attacker-controlled on
+// readBody reads exactly n bytes from r into a slice of exactly n bytes:
+// cap == len, so whoever retains a block (MemBackend, the block cache, a
+// stripe scratch) pins nothing but the block.
+//
+// The pinned-memory contract. A length field is attacker-controlled on
 // both sides (a hostile client against the server, a hostile server
-// against the client), so a handful of 11-byte headers claiming
-// dataLen=1<<30 must not pin gigabytes before a single payload byte is
-// sent. Small payloads (every real block today) take the one-allocation
-// fast path; larger ones grow a bytes.Buffer geometrically as data
-// lands, so memory tracks bytes genuinely received.
+// against the client), so the buffer a frame is read into is never
+// larger than max(readBodyEager, 4 × the bytes actually received),
+// whatever the header claims: a handful of 11-byte headers claiming
+// 1 GiB pin a MiB each, not gigabytes. Within that bound every frame
+// up to readBodyEager costs one allocation and no copy. A larger frame
+// first receives its leading quarter (by the same rule, recursively) and
+// only then allocates its full length, so what it allocates on the way
+// sums to under 4⁄3·n and it copies under n/3 — where a doubling buffer
+// allocates and zeroes 3·n, copies n and leaves cap ≈ 2·n behind.
 func readBody(r io.Reader, n int) ([]byte, error) {
-	if n <= readBodyEager {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+	var head []byte
+	if n > readBodyEager {
+		var err error
+		if head, err = readBody(r, (n+3)/4); err != nil {
 			return nil, err
 		}
-		return buf, nil
 	}
-	var b bytes.Buffer
-	b.Grow(readBodyEager)
-	if _, err := io.CopyN(&b, r, int64(n)); err != nil {
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf[copy(buf, head):]); err != nil {
 		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+			err = io.ErrUnexpectedEOF // the header promised these bytes
 		}
 		return nil, err
 	}
-	return b.Bytes(), nil
+	return buf, nil
 }
 
 // readRequest decodes one request from r (the server side).
@@ -204,12 +210,16 @@ func readRequest(r io.Reader) (request, error) {
 			return request{}, fmt.Errorf("netblock: op %q carries %d payload bytes", req.op, dataLen)
 		}
 	}
-	buf, err := readBody(r, keyLen+dataLen)
+	// The key is read on its own so that the payload's buffer holds the
+	// payload and nothing else (the backend may keep it; see readBody).
+	key, err := readBody(r, keyLen)
 	if err != nil {
 		return request{}, err
 	}
-	req.key = string(buf[:keyLen])
-	req.data = buf[keyLen:]
+	req.key = string(key)
+	if req.data, err = readBody(r, dataLen); err != nil {
+		return request{}, err
+	}
 	return req, nil
 }
 

@@ -21,8 +21,9 @@ import (
 type Server struct {
 	be store.Backend
 	// ow is be's owned-write fast path when it has one: a request's
-	// decode buffer is uniquely owned per request, so it can be handed
-	// to the backend without the defensive copy Write implies.
+	// payload buffer is uniquely owned per request and exactly the
+	// block's length, so it can be handed to the backend without the
+	// defensive copy Write implies.
 	ow store.OwnedWriter
 	// Logf, when non-nil, receives per-connection errors (protocol
 	// violations, IO failures). The zero value drops them: a killed
@@ -249,9 +250,10 @@ func (s *Server) execute(req *request, stage map[string][]byte) (status byte, da
 	}
 	switch req.op {
 	case opWrite:
-		// req.data is this request's decode buffer and nothing reads it
-		// after execute (req.key was copied out as a string), so an
-		// owned-write backend takes it copy-free.
+		// req.data is this request's own buffer, holding exactly the block
+		// (readRequest reads the key apart from it) and read by nothing
+		// after execute, so an owned-write backend keeps it copy-free and
+		// pins no byte beyond the block.
 		var err error
 		if s.ow != nil {
 			err = s.ow.WriteOwned(req.node, req.key, req.data)

@@ -41,6 +41,12 @@ type cacheEntry struct {
 	prev, next *cacheEntry
 }
 
+// cost is what an entry is charged against the byte budget: the
+// payload's capacity, not its length. Holding the slice pins its whole
+// backing array, so a backend that returns over-capacity slices fills
+// the budget sooner instead of overrunning it unseen.
+func (e *cacheEntry) cost() int64 { return int64(cap(e.payload)) }
+
 // cacheShard is one lock's worth of the cache: a key table, an LRU list
 // threaded through the entries (root is the sentinel), and this shard's
 // slice of the byte budget.
@@ -60,7 +66,7 @@ type blockCache struct {
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
-	bytes         atomic.Int64 // resident payload bytes across all shards
+	bytes         atomic.Int64 // bytes pinned by resident payloads, all shards
 }
 
 func newBlockCache(budget int64) *blockCache {
@@ -109,8 +115,8 @@ func (sh *cacheShard) unlink(e *cacheEntry) {
 func (sh *cacheShard) drop(c *blockCache, e *cacheEntry) {
 	sh.unlink(e)
 	delete(sh.table, e.key)
-	sh.bytes -= int64(len(e.payload))
-	c.bytes.Add(-int64(len(e.payload)))
+	sh.bytes -= e.cost()
+	c.bytes.Add(-e.cost())
 }
 
 // get returns the cached payload for key with the entry pinned, or
@@ -149,18 +155,18 @@ func (c *blockCache) unpin(e *cacheEntry) {
 // shard for a single entry that can never stay).
 func (c *blockCache) add(key string, payload []byte) {
 	sh := c.shardFor(key)
-	if int64(len(payload)) > sh.budget {
+	e := &cacheEntry{key: key, payload: payload, shard: sh}
+	if e.cost() > sh.budget {
 		return
 	}
 	sh.mu.Lock()
 	if old := sh.table[key]; old != nil {
 		sh.drop(c, old)
 	}
-	e := &cacheEntry{key: key, payload: payload, shard: sh}
 	sh.table[key] = e
 	sh.pushFront(e)
-	sh.bytes += int64(len(payload))
-	c.bytes.Add(int64(len(payload)))
+	sh.bytes += e.cost()
+	c.bytes.Add(e.cost())
 	for sh.bytes > sh.budget {
 		victim := sh.root.prev
 		for victim != &sh.root && victim.pins > 0 {

@@ -47,6 +47,37 @@ func TestBlockCacheEviction(t *testing.T) {
 	}
 }
 
+// TestBlockCacheChargesCapacity: an entry costs what it pins. A 1 KiB
+// slice of a 1 MiB array holds the whole MiB live, so the budget, the
+// whale check and the resident-bytes gauge all count cap, not len —
+// a backend handing out over-capacity slices fills the cache early, it
+// does not overrun it.
+func TestBlockCacheChargesCapacity(t *testing.T) {
+	const budget = cacheShards * (2 << 20) // 2 MiB per shard
+	c := newBlockCache(budget)
+	for i := 0; i < 96; i++ {
+		c.add(fmt.Sprintf("key-%04d", i), make([]byte, 1<<20)[:1<<10])
+	}
+	if got := c.bytes.Load(); got > budget {
+		t.Fatalf("resident payloads pin %d bytes, budget %d", got, budget)
+	}
+	if c.evictions.Load() == 0 {
+		t.Fatal("96 payloads pinning 1 MiB each fit a 32 MiB cache with no eviction: charged by len")
+	}
+	// Residency drains to exactly zero: add and drop charge the same size.
+	for i := 0; i < 96; i++ {
+		c.invalidate(fmt.Sprintf("key-%04d", i))
+	}
+	if got := c.bytes.Load(); got != 0 {
+		t.Fatalf("empty cache reports %d resident bytes", got)
+	}
+	// A short slice of an array bigger than a shard is a whale.
+	c.add("whale", make([]byte, 4<<20)[:1<<10])
+	if _, e := c.get("whale"); e != nil {
+		t.Fatal("payload pinning more than a shard budget was admitted")
+	}
+}
+
 // TestBlockCachePinBlocksEviction: a pinned entry survives budget
 // pressure in its shard — the evictor walks past it and takes an
 // unpinned victim instead.

@@ -207,7 +207,7 @@ func (m *HealthMonitor) tick() {
 	}
 	wg.Wait()
 
-	died, revived := false, false
+	deaths, revived := 0, false
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			m.fails[i]++
@@ -221,8 +221,7 @@ func (m *HealthMonitor) tick() {
 			}
 			if m.fails[i] >= m.cfg.FailThreshold && m.s.Alive(i) {
 				m.s.KillNode(i)
-				m.s.m.autoDeaths.Add(1)
-				died = true
+				deaths++
 			}
 			continue
 		}
@@ -240,13 +239,17 @@ func (m *HealthMonitor) tick() {
 			revived = true
 		}
 	}
-	if m.sc == nil {
-		return
+	if deaths > 0 {
+		if m.sc != nil {
+			m.sc.ScrubPresence()
+		}
+		// Counted only now: whoever sees AutoDeaths move (a test, an
+		// operator script about to Drain) finds the death's stripes
+		// already in the repair queue. Liveness flips earlier, so
+		// !Alive(node) promises nothing about the queue.
+		m.s.m.autoDeaths.Add(int64(deaths))
 	}
-	if died {
-		m.sc.ScrubPresence()
-	}
-	if revived {
+	if revived && m.sc != nil {
 		m.sc.ScrubOnce()
 	}
 }

@@ -106,12 +106,12 @@ func TestHealthMonitorAutoDeathRepairRevival(t *testing.T) {
 	const victim = 2
 	fb.SetFault(victim, Fault{ErrRate: 1})
 
-	waitFor(t, 10*time.Second, "auto-death", func() bool { return !s.Alive(victim) })
-	if got := s.Metrics().AutoDeaths; got < 1 {
-		t.Fatalf("AutoDeaths = %d, want >= 1", got)
-	}
-	// The monitor's presence scrub enqueued the dead node's stripes;
-	// repair drains them to live nodes.
+	// AutoDeaths, not !Alive: the count moves once the death's presence
+	// scrub has enqueued the dead node's stripes, so the Drain below
+	// cannot run ahead of them.
+	waitFor(t, 10*time.Second, "auto-death", func() bool {
+		return s.Metrics().AutoDeaths >= 1 && !s.Alive(victim)
+	})
 	rm.Drain()
 	waitFor(t, 10*time.Second, "repair to land", func() bool {
 		return s.Metrics().RepairedBlocks > 0

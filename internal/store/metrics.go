@@ -149,8 +149,9 @@ type Metrics struct {
 	// Hot-block cache (Config.CacheBytes; all zero when disabled): hits
 	// and misses on the foreground read path, entries evicted by the
 	// byte budget, entries dropped by staleness invalidation (version
-	// retire/delete and repair/rebalance relocation), and the resident
-	// payload bytes right now. A hot object's steady state is all hits —
+	// retire/delete and repair/rebalance relocation), and the bytes the
+	// resident payloads pin right now (their capacity, which is what the
+	// budget is charged). A hot object's steady state is all hits —
 	// ReadBlocks/ReadBytes stop growing while CacheHits climbs.
 	CacheHits, CacheMisses             int64
 	CacheEvictions, CacheInvalidations int64
