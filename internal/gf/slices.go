@@ -9,9 +9,52 @@ import "encoding/binary"
 // code (all c_i = 1) reduce to plain XOR, which XORSlice provides without
 // any table lookups.
 //
-// The GF(2^8) multiply kernels index a per-Field cached 256×256 table
-// (see Field.mulRow) instead of rebuilding a 256-byte row per call, so
-// none of them allocate; the XOR kernel moves 8 bytes per iteration.
+// The GF(2^8) multiply primitives have two bodies (package doc). Where
+// useVector is set, every region's longest 32-byte multiple goes through
+// the shuffle kernel and only the tail through the pure-Go loops below;
+// everywhere else those loops are the whole body. They index a per-Field
+// cached 256×256 table (see Field.mulRow) instead of rebuilding a
+// 256-byte row per call. Neither body allocates.
+
+// nibTab is one coefficient in the vector kernels' form: c·x =
+// t[x&15] ^ t[16+x>>4], two 16-entry tables a byte shuffle can index.
+type nibTab [32]byte
+
+func (f *Field) nibbles(c Elem) (t nibTab) {
+	row := f.mulRow(c)
+	for i := 0; i < 16; i++ {
+		t[i], t[16+i] = row[i], row[i<<4]
+	}
+	return t
+}
+
+// allLen reports whether every slice is n bytes long. The region
+// primitives check it before they write: the vector kernels trust it.
+func allLen(slices [][]byte, n int) bool {
+	for _, s := range slices {
+		if len(s) != n {
+			return false
+		}
+	}
+	return true
+}
+
+// dotVector runs the vector body of dst (^)= Σ coeffs[j]·srcs[j] over the
+// longest prefix it covers and returns that prefix's length, 0 on the
+// portable path; the caller finishes the rest. Lengths are already
+// checked.
+func (f *Field) dotVector(coeffs []Elem, dst []byte, srcs [][]byte, acc bool) int {
+	n := len(dst) &^ 31
+	if !useVector || n == 0 {
+		return 0
+	}
+	tabs := make([]nibTab, 0, 16)
+	for _, c := range coeffs {
+		tabs = append(tabs, f.nibbles(c))
+	}
+	dotRowAVX2(&tabs[0], srcs, dst, 0, n, acc)
+	return n
+}
 
 // XORSlice sets dst[i] ^= src[i] for all i. dst and src must have equal
 // length and may alias only if identical. This is the entire arithmetic of
@@ -50,6 +93,8 @@ func (f *Field) MulSlice(c Elem, dst, src []byte) {
 		copy(dst, src)
 		return
 	}
+	done := f.dotVector([]Elem{c}, dst, [][]byte{src}, false)
+	dst, src = dst[done:], src[done:]
 	t := f.mulRow(c)
 	dst = dst[:len(src)] // bounds-check hint: one len, checked once
 	n := len(src) &^ 3
@@ -80,6 +125,8 @@ func (f *Field) MulAddSlice(c Elem, dst, src []byte) {
 		XORSlice(dst, src)
 		return
 	}
+	done := f.dotVector([]Elem{c}, dst, [][]byte{src}, true)
+	dst, src = dst[done:], src[done:]
 	t := f.mulRow(c)
 	dst = dst[:len(src)]
 	n := len(src) &^ 3
@@ -101,11 +148,15 @@ func (f *Field) MulAddSlice(c Elem, dst, src []byte) {
 // overwrites dst directly (no zeroing pass). Two dispatch tiers keep the
 // encode hot loop fast: an all-ones coefficient vector (the Xorbas local
 // parities) collapses to a word-wise multi-source XOR, and general
-// coefficients take a pairwise-fused table kernel that touches dst once
-// per two sources instead of once per source.
+// coefficients take the vector kernel (every source of a position in one
+// pass) or, on the portable path, a pairwise-fused table kernel that
+// touches dst once per two sources instead of once per source.
 func (f *Field) DotSlices(coeffs []Elem, dst []byte, srcs [][]byte) {
 	if len(coeffs) != len(srcs) {
 		panic("gf: DotSlices coefficient/source count mismatch")
+	}
+	if !allLen(srcs, len(dst)) {
+		panic("gf: DotSlices length mismatch")
 	}
 	// Compact away zero coefficients.
 	nzc := make([]Elem, 0, 16)
@@ -131,6 +182,11 @@ func (f *Field) DotSlices(coeffs []Elem, dst []byte, srcs [][]byte) {
 	case ones:
 		xorIntoSlices(dst, nzs)
 	default:
+		done := f.dotVector(nzc, dst, nzs, false)
+		dst = dst[done:]
+		for j := range nzs {
+			nzs[j] = nzs[j][done:]
+		}
 		f.MulSlice(nzc[0], dst, nzs[0])
 		j := 1
 		for ; j+1 < len(nzc); j += 2 {

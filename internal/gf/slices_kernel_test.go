@@ -2,15 +2,88 @@ package gf
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
+// detected is what this build and CPU give useVector, read before any
+// test overrides it.
+var detected = useVector
+
+// bodies lists the bodies of the region primitives that can run here:
+// the portable one always, the vector one where detection found it.
+func bodies() []bool {
+	if detected {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// setBody selects a body until the test (or subtest) ends.
+func setBody(t testing.TB, vector bool) {
+	prev := useVector
+	useVector = vector
+	t.Cleanup(func() { useVector = prev })
+}
+
+// eachBody runs a property once per body, so every kernel property below
+// pins the vector body to the same naive reference as the portable one.
+func eachBody(t *testing.T, fn func(t *testing.T)) {
+	for _, vector := range bodies() {
+		name := "portable"
+		if vector {
+			name = "vector"
+		}
+		t.Run(name, func(t *testing.T) {
+			setBody(t, vector)
+			fn(t)
+		})
+	}
+}
+
 // kernelLens exercises every word/tail split the fast kernels have: empty,
-// sub-word, exact words, words plus each possible byte tail, and a length
-// large enough to cover the unrolled body many times over.
-var kernelLens = []int{0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257, 1023}
+// sub-word, exact words, words plus each possible byte tail, the vector
+// kernel's 32-byte steps with and without tails, and lengths large enough
+// to cover the unrolled bodies many times over.
+var kernelLens = []int{0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 95, 255, 256, 257, 1023, 4096 + 17}
+
+// aligned returns n bytes starting on a 32-byte boundary, so that an
+// offset into them is an offset off the vector kernel's natural alignment.
+func aligned(n int) []byte {
+	raw := make([]byte, n+32)
+	skip := -int(uintptr(unsafe.Pointer(&raw[0]))) & 31
+	return raw[skip : skip+n]
+}
+
+// naiveDot is the scalar reference of every multi-source primitive:
+// Σ coeffs[j]·srcs[j][i] through Field.Mul.
+func naiveDot(f *Field, coeffs []Elem, srcs [][]byte, i int) byte {
+	var acc Elem
+	for j, c := range coeffs {
+		acc ^= f.Mul(c, Elem(srcs[j][i]))
+	}
+	return byte(acc)
+}
+
+// mixedCoeffs draws k coefficients with zeros and ones mixed into dense
+// values, at least one of them dense.
+func mixedCoeffs(rng *rand.Rand, k int) []Elem {
+	coeffs := make([]Elem, k)
+	for j := range coeffs {
+		switch rng.Intn(4) {
+		case 0:
+			coeffs[j] = Elem(rng.Intn(2))
+		default:
+			coeffs[j] = Elem(2 + rng.Intn(254))
+		}
+	}
+	coeffs[rng.Intn(k)] = Elem(2 + rng.Intn(254))
+	return coeffs
+}
 
 // naiveMulAdd is the scalar reference implementation: dst[i] ^= c·src[i]
 // one element at a time through Field.Mul, no tables, no words.
@@ -24,6 +97,10 @@ func naiveMulAdd(f *Field, c Elem, dst, src []byte) {
 // byte-identical to the naive scalar reference for every one of the 256
 // coefficients, across odd/tail lengths.
 func TestMulKernelsMatchNaiveAllCoefficients(t *testing.T) {
+	eachBody(t, testMulKernelsMatchNaiveAllCoefficients)
+}
+
+func testMulKernelsMatchNaiveAllCoefficients(t *testing.T) {
 	f := MustNew(8)
 	rng := rand.New(rand.NewSource(99))
 	for c := 0; c < 256; c++ {
@@ -76,10 +153,14 @@ func TestXORSliceMatchesNaive(t *testing.T) {
 // TestMulSliceAliased pins dst==src aliasing: MulSlice documents that dst
 // and src may be the same slice (the in-place scaling the decoders use).
 func TestMulSliceAliased(t *testing.T) {
+	eachBody(t, testMulSliceAliased)
+}
+
+func testMulSliceAliased(t *testing.T) {
 	f := MustNew(8)
 	rng := rand.New(rand.NewSource(101))
 	for c := 0; c < 256; c++ {
-		for _, n := range []int{1, 7, 8, 33, 257} {
+		for _, n := range []int{1, 7, 8, 32, 33, 64, 95, 257} {
 			buf := make([]byte, n)
 			rng.Read(buf)
 			want := make([]byte, n)
@@ -135,14 +216,16 @@ func TestMulAddSlice16MatchesNaive(t *testing.T) {
 // TestDotSlicesNoNonzeroCoefficients: an all-zero coefficient vector must
 // still overwrite dst with zeros (DotSlices overwrites, never accumulates).
 func TestDotSlicesNoNonzeroCoefficients(t *testing.T) {
-	f := MustNew(8)
-	dst := []byte{9, 9, 9}
-	f.DotSlices([]Elem{0, 0}, dst, [][]byte{{1, 2, 3}, {4, 5, 6}})
-	for i, b := range dst {
-		if b != 0 {
-			t.Fatalf("dst[%d] = %d, want 0", i, b)
+	eachBody(t, func(t *testing.T) {
+		f := MustNew(8)
+		dst := bytes.Repeat([]byte{9}, 40)
+		f.DotSlices([]Elem{0, 0}, dst, [][]byte{make([]byte, 40), bytes.Repeat([]byte{5}, 40)})
+		for i, b := range dst {
+			if b != 0 {
+				t.Fatalf("dst[%d] = %d, want 0", i, b)
+			}
 		}
-	}
+	})
 }
 
 // TestMulRowConcurrentFirstUse races many goroutines into the lazy table
@@ -176,6 +259,10 @@ func TestMulRowConcurrentFirstUse(t *testing.T) {
 // source, all-ones XOR, mixed pairwise-fused, odd source counts) against
 // the scalar reference on odd/tail lengths.
 func TestDotSlicesMatchesNaive(t *testing.T) {
+	eachBody(t, testDotSlicesMatchesNaive)
+}
+
+func testDotSlicesMatchesNaive(t *testing.T) {
 	f := MustNew(8)
 	rng := rand.New(rand.NewSource(103))
 	cases := [][]Elem{
@@ -190,20 +277,19 @@ func TestDotSlicesMatchesNaive(t *testing.T) {
 		{1, 0, 1, 1},
 		{255, 254, 253, 3, 2, 1, 7, 9, 11, 13},
 	}
+	for _, k := range []int{1, 2, 5, 10, 14} {
+		cases = append(cases, mixedCoeffs(rng, k), mixedCoeffs(rng, k))
+	}
 	for _, coeffs := range cases {
-		for _, n := range []int{0, 1, 7, 8, 9, 17, 64, 257, 1000} {
+		for _, n := range kernelLens {
 			srcs := make([][]byte, len(coeffs))
 			for j := range srcs {
 				srcs[j] = make([]byte, n)
 				rng.Read(srcs[j])
 			}
 			want := make([]byte, n)
-			for i := 0; i < n; i++ {
-				var acc Elem
-				for j, c := range coeffs {
-					acc = f.Add(acc, f.Mul(c, Elem(srcs[j][i])))
-				}
-				want[i] = byte(acc)
+			for i := range want {
+				want[i] = naiveDot(f, coeffs, srcs, i)
 			}
 			dst := make([]byte, n)
 			rng.Read(dst) // dirty: DotSlices must overwrite
@@ -248,4 +334,173 @@ func TestXORIntoSlicesAllArities(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMulKernelsLargeBlock runs the primitives over a whole 1 MiB block,
+// the store's block size, plus a tail: thousands of kernel steps per call.
+func TestMulKernelsLargeBlock(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
+		f := MustNew(8)
+		rng := rand.New(rand.NewSource(108))
+		const n = 1<<20 + 5
+		coeffs := []Elem{2, 0x1d, 0x8e, 0xff, 1, 0, 77, 140, 3, 200}
+		srcs := make([][]byte, len(coeffs))
+		for j := range srcs {
+			srcs[j] = make([]byte, n)
+			rng.Read(srcs[j])
+		}
+		dot := make([]byte, n)
+		f.DotSlices(coeffs, dot, srcs)
+		mul := make([]byte, n)
+		f.MulSlice(coeffs[1], mul, srcs[1])
+		add := append([]byte(nil), srcs[0]...)
+		f.MulAddSlice(coeffs[2], add, srcs[2])
+		for i := 0; i < n; i++ {
+			if dot[i] != naiveDot(f, coeffs, srcs, i) {
+				t.Fatalf("DotSlices diverges at byte %d", i)
+			}
+			if mul[i] != byte(f.Mul(coeffs[1], Elem(srcs[1][i]))) {
+				t.Fatalf("MulSlice diverges at byte %d", i)
+			}
+			if add[i] != srcs[0][i]^byte(f.Mul(coeffs[2], Elem(srcs[2][i]))) {
+				t.Fatalf("MulAddSlice diverges at byte %d", i)
+			}
+		}
+	})
+}
+
+// TestMulKernelsUnalignedOffsets starts the sources and the destination
+// at every offset 0–31 off a 32-byte boundary (the kernels use unaligned
+// loads and stores) and checks that no byte outside dst is written.
+func TestMulKernelsUnalignedOffsets(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
+		f := MustNew(8)
+		rng := rand.New(rand.NewSource(109))
+		const n = 100 // three kernel steps and a four-byte tail
+		coeffs := []Elem{0x53, 1, 0xca}
+		for so := 0; so < 32; so++ {
+			for do := 0; do < 32; do++ {
+				srcs := make([][]byte, len(coeffs))
+				for j := range srcs {
+					srcs[j] = aligned(so + n)[so:]
+					rng.Read(srcs[j])
+				}
+				frame := aligned(do + n + 32)
+				rng.Read(frame)
+				before := append([]byte(nil), frame...)
+				dst := frame[do : do+n]
+
+				check := func(op string, want func(i int) byte) {
+					t.Helper()
+					for i := range dst {
+						if dst[i] != want(i) {
+							t.Fatalf("%s src+%d dst+%d diverges at byte %d", op, so, do, i)
+						}
+					}
+					if !bytes.Equal(frame[:do], before[:do]) || !bytes.Equal(frame[do+n:], before[do+n:]) {
+						t.Fatalf("%s src+%d dst+%d wrote outside dst", op, so, do)
+					}
+				}
+				f.MulAddSlice(coeffs[0], dst, srcs[0])
+				check("MulAddSlice", func(i int) byte {
+					return before[do+i] ^ byte(f.Mul(coeffs[0], Elem(srcs[0][i])))
+				})
+				f.MulSlice(coeffs[2], dst, srcs[2])
+				check("MulSlice", func(i int) byte { return byte(f.Mul(coeffs[2], Elem(srcs[2][i]))) })
+				f.DotSlices(coeffs, dst, srcs)
+				check("DotSlices", func(i int) byte { return naiveDot(f, coeffs, srcs, i) })
+			}
+		}
+	})
+}
+
+// mustPanic runs fn and fails unless it panics with a message holding want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("panic %v, want one mentioning %q", r, want)
+		}
+	}()
+	fn()
+}
+
+// TestRegionPrimitivesValidateBeforeWriting: a slice of the wrong length
+// anywhere in a call panics before the first byte of any destination is
+// written — under the vector body the same mistake would otherwise be an
+// out-of-bounds access instead of a panic.
+func TestRegionPrimitivesValidateBeforeWriting(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
+		f := MustNew(8)
+		const n = 4096
+		src := func(n int) []byte { return bytes.Repeat([]byte{0xa5}, n) }
+		dst := src(n)
+		untouched := func() {
+			t.Helper()
+			if !bytes.Equal(dst, src(n)) {
+				t.Fatal("dst written before the length check")
+			}
+		}
+		mustPanic(t, "length mismatch", func() { f.MulSlice(7, dst, src(n-1)) })
+		untouched()
+		mustPanic(t, "length mismatch", func() { f.MulAddSlice(7, dst, src(n+1)) })
+		untouched()
+		// The short source is the last one: every earlier source is fine.
+		mustPanic(t, "length mismatch", func() {
+			f.DotSlices([]Elem{2, 3, 4}, dst, [][]byte{src(n), src(n), src(n - 32)})
+		})
+		untouched()
+		mustPanic(t, "length mismatch", func() {
+			f.DotSlices([]Elem{2, 0}, dst, [][]byte{src(n), src(n - 1)})
+		})
+		untouched()
+
+		w := f.NewWideTables([][]Elem{{2, 3, 4}, {1, 1, 0}})
+		dst2 := src(n)
+		mustPanic(t, "length mismatch", func() {
+			w.Dot([][]byte{dst, dst2}, [][]byte{src(n), src(n), src(n - 1)}, 0, n)
+		})
+		mustPanic(t, "length mismatch", func() {
+			w.Dot([][]byte{dst, dst2[:n-1]}, [][]byte{src(n), src(n), src(n)}, 0, n-1)
+		})
+		mustPanic(t, "window out of range", func() {
+			w.Dot([][]byte{dst, dst2}, [][]byte{src(n), src(n), src(n)}, 64, n+1)
+		})
+		mustPanic(t, "window out of range", func() {
+			w.Dot([][]byte{dst, dst2}, [][]byte{src(n), src(n), src(n)}, -32, n)
+		})
+		untouched()
+		if !bytes.Equal(dst2, src(n)) {
+			t.Fatal("second destination written before the length check")
+		}
+	})
+}
+
+// TestRegionPrimitivesDoNotAllocate: neither body allocates per call, up
+// to the sixteen sources the stack-held tables cover.
+func TestRegionPrimitivesDoNotAllocate(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
+		f := MustNew(8)
+		rng := rand.New(rand.NewSource(113))
+		coeffs := mixedCoeffs(rng, 14)
+		srcs := make([][]byte, len(coeffs))
+		for j := range srcs {
+			srcs[j] = make([]byte, 4096+5)
+		}
+		dst := make([]byte, 4096+5)
+		w := f.NewWideTables(wideColumnSets(rng, len(coeffs))[4])
+		dsts := make([][]byte, w.Lanes())
+		for l := range dsts {
+			dsts[l] = make([]byte, len(dst))
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			f.MulSlice(coeffs[0], dst, srcs[0])
+			f.MulAddSlice(coeffs[0], dst, srcs[0])
+			f.DotSlices(coeffs, dst, srcs)
+			w.Dot(dsts, srcs, 3, 4096)
+		}); n != 0 {
+			t.Fatalf("%v allocations per round of calls, want 0", n)
+		}
+	})
 }

@@ -1,20 +1,32 @@
 package gf
 
-// Lane-packed multi-column kernels: the encoder's core operation is P
-// parity columns, each a dot product of the same K data slices with
-// different coefficients. Done column-at-a-time that reads every data
-// byte P times. A WideTables set packs, for each data source s, the P
-// byte-products {c_{0,s}·a, …, c_{P-1,s}·a} of every possible byte a into
-// one uint64 (one lane per column, P ≤ 8), so the whole parity set needs
-// exactly ONE table lookup per data byte: 256 entries × 8 B = 2 KiB per
-// source stays L1-resident, and a (10,6) Xorbas stripe encodes all six
-// parities in a single pass over the data.
+// Multi-column kernels: the encoder's core operation is P parity columns,
+// each a dot product of the same K data slices with different
+// coefficients. Done column-at-a-time that reads every data byte P times;
+// a WideTables set computes the whole column group in one pass over the
+// data, in one of two bodies chosen when it is built.
+//
+// Vector body (useVector: amd64 with AVX2). Columns whose coefficients
+// are all 0 or 1 (the Xorbas local parities) stay word-wise XORs of their
+// sources. Every other column is a row of 32-byte nibble tables, and the
+// rows go through the shuffle kernel four at a time: one load and one
+// nibble split of each source serve four parities, exactly the four
+// dense rows RS(10,4) and Xorbas have.
+//
+// Portable body (everywhere else). For each data source s the P
+// byte-products {c_{0,s}·a, …, c_{P-1,s}·a} of every possible byte a are
+// packed into one uint64 (one lane per column, P ≤ 8), so the whole
+// parity set needs exactly ONE table lookup per data byte: 256 entries ×
+// 8 B = 2 KiB per source stays L1-resident. The vector body never builds
+// these.
 
 // WideLanes is the lane capacity of a WideTables set.
 const WideLanes = 8
 
-// wideChunk is the positions processed per accumulator flush: 8 KiB of
-// uint64 accumulator that stays cache-hot against ~20 KiB of tables.
+// wideChunk is the positions processed per pass. Portable body: one
+// accumulator flush, 8 KiB of uint64 that stays cache-hot against ~20 KiB
+// of tables. Vector body: K sources of it stay in L1 from the dense rows
+// to the XOR rows (1–64 KiB measure the same, unchunked 8 % slower).
 const wideChunk = 1024
 
 // WideTables computes up to 8 linear-combination columns of K byte
@@ -23,7 +35,26 @@ const wideChunk = 1024
 type WideTables struct {
 	k     int
 	lanes int
-	tabs  [][256]uint64 // tabs[s][a], lane l = byte of column l for source s
+	tabs  [][256]uint64 // portable body: tabs[s][a], lane l = byte of column l for source s
+
+	// Vector body (tabs == nil): every lane is in one of quads and xors;
+	// f and cols serve the sub-32-byte tail.
+	f     *Field
+	cols  [][]Elem
+	quads []vectorQuad
+	xors  []xorRow
+}
+
+// vectorQuad is four dense columns: tab[s][r] multiplies source s into
+// column lanes[r]. xorRow is a column that is the plain XOR of srcs.
+type vectorQuad struct {
+	lanes [4]int
+	tab   [][4]nibTab
+}
+
+type xorRow struct {
+	lane int
+	srcs []int
 }
 
 // NewWideTables builds the packed tables for cols, a list of coefficient
@@ -42,7 +73,13 @@ func (f *Field) NewWideTables(cols [][]Elem) *WideTables {
 			panic("gf: NewWideTables column length mismatch")
 		}
 	}
-	w := &WideTables{k: k, lanes: len(cols), tabs: make([][256]uint64, k)}
+	w := &WideTables{k: k, lanes: len(cols)}
+	if useVector {
+		w.f, w.cols = f, cols
+		w.buildVector()
+		return w
+	}
+	w.tabs = make([][256]uint64, k)
 	for s := 0; s < k; s++ {
 		for l, col := range cols {
 			row := f.mulRow(col[s])
@@ -55,32 +92,73 @@ func (f *Field) NewWideTables(cols [][]Elem) *WideTables {
 	return w
 }
 
+// buildVector sorts the columns into XOR rows and dense rows and builds
+// the dense rows' nibble tables, four rows to a group. A short last group
+// repeats its last lane — the kernel then computes and stores that column
+// more than once — which costs shapes neither shipped code has less than
+// a third kind of row would.
+func (w *WideTables) buildVector() {
+	var dense []int
+	for l, col := range w.cols {
+		var ones []int
+		xor := true
+		for s, c := range col {
+			xor = xor && c <= 1
+			if c == 1 {
+				ones = append(ones, s)
+			}
+		}
+		if xor && len(ones) > 0 {
+			w.xors = append(w.xors, xorRow{l, ones})
+		} else {
+			dense = append(dense, l)
+		}
+	}
+	for ; len(dense) > 0; dense = dense[min(4, len(dense)):] {
+		q := vectorQuad{tab: make([][4]nibTab, w.k)}
+		for r := range q.lanes {
+			q.lanes[r] = dense[min(r, len(dense)-1)]
+			for s := range q.tab {
+				q.tab[s][r] = w.f.nibbles(w.cols[q.lanes[r]][s])
+			}
+		}
+		w.quads = append(w.quads, q)
+	}
+}
+
 // K returns the number of data sources the tables expect.
 func (w *WideTables) K() int { return w.k }
 
 // Lanes returns the number of output columns.
 func (w *WideTables) Lanes() int { return w.lanes }
 
-// Dot overwrites dsts[l][i] with column l of the combination of the K
-// source slices: one table lookup per source byte, all lanes at once.
-// dsts must have Lanes() entries and srcs K() entries, all equal length.
-func (w *WideTables) Dot(dsts, srcs [][]byte) {
+// Dot overwrites dsts[l][i], for i in the byte window [from, to), with
+// column l of the combination of the K source slices. dsts must have
+// Lanes() entries and srcs K() entries, all of one length that holds the
+// window; everything is checked before the first byte is written.
+func (w *WideTables) Dot(dsts, srcs [][]byte, from, to int) {
 	if len(srcs) != w.k {
 		panic("gf: WideTables.Dot source count mismatch")
 	}
 	if len(dsts) != w.lanes {
 		panic("gf: WideTables.Dot destination count mismatch")
 	}
-	n := 0
-	if w.lanes > 0 {
-		n = len(dsts[0])
+	n := len(dsts[0])
+	if !allLen(srcs, n) || !allLen(dsts, n) {
+		panic("gf: WideTables.Dot length mismatch")
+	}
+	if from < 0 || from > to || to > n {
+		panic("gf: WideTables.Dot window out of range")
+	}
+	if w.tabs == nil {
+		for base := from; base < to; base += wideChunk {
+			w.dotChunk(dsts, srcs, base, min(wideChunk, to-base))
+		}
+		return
 	}
 	var acc [wideChunk]uint64
-	for base := 0; base < n; base += wideChunk {
-		cl := n - base
-		if cl > wideChunk {
-			cl = wideChunk
-		}
+	for base := from; base < to; base += wideChunk {
+		cl := min(wideChunk, to-base)
 		a := acc[:cl]
 		s := 0
 		// First group overwrites the accumulator; 5-source groups keep
@@ -116,6 +194,37 @@ func (w *WideTables) Dot(dsts, srcs [][]byte) {
 			}
 		}
 		scatter(a, dsts, base)
+	}
+}
+
+// dotChunk is the vector body of one chunk, [off, off+n): the shuffle
+// kernels over its 32-byte multiple, then (last chunk only) the tail
+// byte-wise.
+func (w *WideTables) dotChunk(dsts, srcs [][]byte, off, n int) {
+	body := n &^ 31
+	if body > 0 {
+		for i := range w.quads {
+			q := &w.quads[i]
+			d := [4][]byte{dsts[q.lanes[0]], dsts[q.lanes[1]], dsts[q.lanes[2]], dsts[q.lanes[3]]}
+			dotRow4AVX2(&q.tab[0], srcs, &d, off, body)
+		}
+		xs := make([][]byte, 0, 16)
+		for _, x := range w.xors {
+			xs = xs[:0]
+			for _, s := range x.srcs {
+				xs = append(xs, srcs[s][off:off+body])
+			}
+			xorIntoSlices(dsts[x.lane][off:off+body], xs)
+		}
+	}
+	for l, col := range w.cols {
+		for i := off + body; i < off+n; i++ {
+			var b byte
+			for s, c := range col {
+				b ^= w.f.mulRow(c)[srcs[s][i]]
+			}
+			dsts[l][i] = b
+		}
 	}
 }
 

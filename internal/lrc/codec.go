@@ -69,32 +69,18 @@ func (c *Code) checkEncodeArgs(data [][]byte) error {
 }
 
 // encodeRange fills every parity column over the data byte window
-// [from, to) with the lane-packed wide tables: each 8-column group costs
-// one table lookup per data byte, total, instead of one per column. The
-// window form is what the parallel encoder splits on (any byte split is
-// valid — the code is byte-wise). Parity buffers are overwritten, so
-// dirty (reused) buffers are fine.
+// [from, to) with the wide tables: each 8-column group costs one pass
+// over the data instead of one per column. The window form is what the
+// parallel encoder splits on (any byte split is valid — the code is
+// byte-wise); it is handed down as is, so a sub-range allocates nothing.
+// Parity buffers are overwritten, so dirty (reused) buffers are fine.
 func (c *Code) encodeRange(data, parity [][]byte, from, to int) {
 	if from >= to {
 		return
 	}
-	srcs := data
-	if from != 0 || to != len(data[0]) {
-		srcs = make([][]byte, len(data))
-		for i, d := range data {
-			srcs[i] = d[from:to]
-		}
-	}
 	lo := 0
 	for _, w := range c.wideTables() {
-		dsts := parity[lo : lo+w.Lanes()]
-		if from != 0 || to != len(parity[lo]) {
-			dsts = make([][]byte, w.Lanes())
-			for l := range dsts {
-				dsts[l] = parity[lo+l][from:to]
-			}
-		}
-		w.Dot(dsts, srcs)
+		w.Dot(parity[lo:lo+w.Lanes()], data, from, to)
 		lo += w.Lanes()
 	}
 }

@@ -129,9 +129,9 @@ type Code struct {
 	// extracted once so the encoders iterate a slice instead of calling
 	// gen.At in the hot loop.
 	parityCols [][]gf.Elem
-	// wide holds the lane-packed encode tables: each set computes up to
-	// 8 parity columns in one pass over the data (one table lookup per
-	// data byte total — the encode hot path). Built lazily on first
+	// wide holds the encode tables: each set computes up to 8 parity
+	// columns in one pass over the data (the encode hot path; see
+	// gf.WideTables for its two bodies). Built lazily on first
 	// encode so constructing a Code for analysis (distance sweeps, plan
 	// enumeration) stays cheap; sync.Once publishes the finished tables
 	// to concurrent encoders.
@@ -156,7 +156,7 @@ func keyOf(cols []int) colKey {
 	return k
 }
 
-// wideTables returns the lane-packed encode tables, building them on
+// wideTables returns the encode tables, building them on
 // first use.
 func (c *Code) wideTables() []*gf.WideTables {
 	c.wideOnce.Do(func() {

@@ -95,3 +95,28 @@ func BenchmarkEncodeParallel(b *testing.B) {
 		}
 	}
 }
+
+// TestEncodeIntoParallelAllocatesPerGoroutineOnly: a worker hands its
+// byte window down to the kernels instead of re-slicing 16 blocks, so the
+// per-worker cost is the go statement's two closures (the function and
+// its bound arguments) and nothing that grows with the block count.
+func TestEncodeIntoParallelAllocatesPerGoroutineOnly(t *testing.T) {
+	c := NewXorbas()
+	r := rand.New(rand.NewSource(43))
+	data := randData(r, 10, 64<<10)
+	parity := randData(r, 6, 64<<10)
+	allocs := func(workers int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := c.EncodeIntoParallel(data, parity, workers); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if n := allocs(1); n != 0 {
+		t.Errorf("one worker allocates %v times, want 0", n)
+	}
+	const workers = 8
+	if n := allocs(workers); n > 2*workers+1 {
+		t.Errorf("%d workers allocate %v times, want two per goroutine and the WaitGroup", workers, n)
+	}
+}

@@ -201,14 +201,14 @@ func (c *Code) EncodeInto(data, parity [][]byte) error {
 	return nil
 }
 
-// encodeInto fills the parity buffers. GF(2^8) takes the lane-packed wide
-// tables (one lookup per data byte for a whole 8-column group); wider
-// fields zero and accumulate with the lane kernel.
+// encodeInto fills the parity buffers. GF(2^8) takes the wide tables (one
+// pass over the data for a whole 8-column group); wider fields zero and
+// accumulate with the lane kernel.
 func (c *Code) encodeInto(data, parity [][]byte) {
 	if wide := c.wideTables(); wide != nil {
 		lo := 0
 		for _, w := range wide {
-			w.Dot(parity[lo:lo+w.Lanes()], data)
+			w.Dot(parity[lo:lo+w.Lanes()], data, 0, len(data[0]))
 			lo += w.Lanes()
 		}
 		return

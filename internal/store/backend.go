@@ -35,9 +35,11 @@ type Backend interface {
 // OwnedWriter is an optional Backend fast path: WriteOwned stores a block
 // taking ownership of data's backing array, so an in-memory backend can
 // keep the slice instead of copying it. The caller must never touch data
-// again after a successful WriteOwned. Backends that persist bytes
-// elsewhere (disk, network) simply don't implement it and the store falls
-// back to Write.
+// again after a successful WriteOwned. A backend need not retain the
+// buffer to implement it: netblock.Client does, to send the caller's
+// slice without staging a copy, and keeps nothing (which is why the
+// store cannot yet reuse its stripe slabs over the fleet — ROADMAP 2(d)).
+// Backends without it (DirBackend) get Write.
 type OwnedWriter interface {
 	WriteOwned(node int, key string, data []byte) error
 }
