@@ -17,9 +17,9 @@ import (
 // client side of the wire, so they compose with real TCP failures.
 //
 // The FaultBackend wrapper is what a Store should mount: it forwards
-// the client's OwnedWriter, WireStats, HealthChecker and HealthStats
-// interfaces, so breaker state, wire counters and monitor probes all
-// see through the fault layer.
+// the client's WireStats, HealthChecker and HealthStats interfaces, so
+// breaker state, wire counters and monitor probes all see through the
+// fault layer.
 type Cluster struct {
 	mu      sync.Mutex
 	servers []*netblock.Server

@@ -122,10 +122,11 @@ type clientNode struct {
 // how the paper's repair-traffic claim is measured on the wire
 // (store.Metrics surfaces the totals as WireSentBytes/WireRecvBytes).
 //
-// Client also implements store.OwnedWriter: a WriteOwned's buffer is
-// fully drained to the socket before return, so taking ownership is
-// free — the streaming put and repair paths then skip their defensive
-// copies.
+// A Write's buffer is fully drained to the socket (or the operation has
+// failed) before return and nothing of it is kept, which is what lets
+// the store reuse its stripe slabs over a fleet. Client also implements
+// store.OwnedWriter, trivially: taking ownership of a buffer it does not
+// keep is free.
 type Client struct {
 	opts Options
 
@@ -433,10 +434,10 @@ func (c *Client) opTimeout(n int) time.Duration {
 // roundTrip performs one framed request/response on conn under the IO
 // deadline, charging the node's wire counters for exactly the protocol
 // bytes moved. The payload goes out as one vectored write alongside the
-// header+key (writev on a TCP conn): no staging copy of the block, so
-// WriteOwned's zero-copy claim holds all the way to the socket. The
-// deadline scales with the bytes in play — the request payload up
-// front, the response payload once its header announces the size.
+// header+key (writev on a TCP conn): no staging copy of the block
+// between the store's stripe slab and the socket. The deadline scales
+// with the bytes in play — the request payload up front, the response
+// payload once its header announces the size.
 func (c *Client) roundTrip(n *clientNode, conn net.Conn, op byte, node int, key string, data []byte) (byte, []byte, error) {
 	if err := conn.SetDeadline(time.Now().Add(c.opTimeout(len(data)))); err != nil {
 		return 0, nil, err
@@ -470,9 +471,7 @@ func (c *Client) Write(node int, key string, data []byte) error {
 }
 
 // WriteOwned implements store.OwnedWriter: the buffer is sent (or the
-// operation has failed) by return time, so ownership costs nothing and
-// the store's zero-copy put/repair paths stay zero-copy up to the
-// socket.
+// operation has failed) by return time and never kept, so it is Write.
 func (c *Client) WriteOwned(node int, key string, data []byte) error {
 	return c.Write(node, key, data)
 }

@@ -17,8 +17,9 @@ import (
 // must be safe for concurrent use; the store never relies on a backend to
 // detect corruption (blocks are framed with a CRC above this layer).
 type Backend interface {
-	// Write stores a block, replacing any previous value. The streaming
-	// put path reuses data's backing array after Write returns, so
+	// Write stores a block, replacing any previous value. data is a
+	// window of a pooled stripe slab (or a repair worker's scratch) that
+	// the store overwrites with another stripe after Write returns, so
 	// implementations must copy or persist the bytes, never retain the
 	// slice.
 	Write(node int, key string, data []byte) error
@@ -35,11 +36,11 @@ type Backend interface {
 // OwnedWriter is an optional Backend fast path: WriteOwned stores a block
 // taking ownership of data's backing array, so an in-memory backend can
 // keep the slice instead of copying it. The caller must never touch data
-// again after a successful WriteOwned. A backend need not retain the
-// buffer to implement it: netblock.Client does, to send the caller's
-// slice without staging a copy, and keeps nothing (which is why the
-// store cannot yet reuse its stripe slabs over the fleet — ROADMAP 2(d)).
-// Backends without it (DirBackend) get Write.
+// again after a successful WriteOwned. Its one caller is the block server
+// (netblock.Server), which hands a node's backend the exactly-sized
+// buffer it received a request into — a buffer nobody else will want
+// back. The store itself never calls it: it keeps its stripe slabs for
+// the next stripe, so every block it writes goes through Write.
 type OwnedWriter interface {
 	WriteOwned(node int, key string, data []byte) error
 }
@@ -130,9 +131,8 @@ func (m *MemBackend) Write(node int, key string, data []byte) error {
 	return m.WriteOwned(node, key, append([]byte(nil), data...))
 }
 
-// WriteOwned implements OwnedWriter: the slice is stored directly, so the
-// streaming put path's framed block buffers become the stored blocks with
-// zero copies.
+// WriteOwned implements OwnedWriter: the slice is stored directly, so a
+// block server's receive buffer becomes the stored block with no copy.
 func (m *MemBackend) WriteOwned(node int, key string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

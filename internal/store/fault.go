@@ -31,13 +31,10 @@ type Fault struct {
 
 // FaultBackend wraps a Backend with per-node fault injection — the chaos
 // harness behind the degraded-read and repair tests. It forwards
-// OwnedWriter and WireStats to the inner backend when present, so a
-// faulty MemBackend keeps its zero-copy path and a faulty netblock
+// WireStats to the inner backend when present, so a faulty netblock
 // client keeps its wire counters. Safe for concurrent use.
 type FaultBackend struct {
 	inner Backend
-	// ownedW is inner's ownership-transfer path, nil when absent.
-	ownedW OwnedWriter
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -65,9 +62,6 @@ func NewFaultBackend(inner Backend, seed int64) *FaultBackend {
 		faults:    make(map[int]Fault),
 		schedules: make(map[int]faultSchedule),
 		now:       time.Now,
-	}
-	if ow, ok := inner.(OwnedWriter); ok {
-		f.ownedW = ow
 	}
 	return f
 }
@@ -179,22 +173,6 @@ func (f *FaultBackend) Write(node int, key string, data []byte) error {
 	delay, fail, _ := f.roll(node)
 	if err := apply(node, delay, fail); err != nil {
 		return err
-	}
-	return f.inner.Write(node, key, data)
-}
-
-// WriteOwned implements OwnedWriter. When the fault fires the buffer is
-// returned to the caller un-stored (ownership transfers only on
-// success, matching the contract); when the inner backend has no owned
-// path the write degrades to a copying Write, which satisfies ownership
-// trivially.
-func (f *FaultBackend) WriteOwned(node int, key string, data []byte) error {
-	delay, fail, _ := f.roll(node)
-	if err := apply(node, delay, fail); err != nil {
-		return err
-	}
-	if f.ownedW != nil {
-		return f.ownedW.WriteOwned(node, key, data)
 	}
 	return f.inner.Write(node, key, data)
 }

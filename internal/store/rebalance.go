@@ -416,8 +416,6 @@ func (rb *Rebalancer) readFrame(node int, key string) ([]byte, error) {
 }
 
 // writeFrame stores one framed block, streaming when the backend can.
-// The frame may alias backend storage (Read's contract), so the
-// fallback uses the copying Write, never WriteOwned.
 func (rb *Rebalancer) writeFrame(node int, key string, frame []byte) error {
 	if bs, ok := rb.s.cfg.Backend.(BlockStreamer); ok {
 		_, err := bs.WriteBlockFrom(node, key, bytes.NewReader(frame))

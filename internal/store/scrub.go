@@ -167,9 +167,7 @@ func (rs *repairScratch) next(n, payloadLen int) [][]byte {
 // the write-back step for the pipeline to overlap with the next fetch
 // (nil when nothing needs writing). The stripe is re-probed first: the
 // damage may have healed (node revived) or grown since scrub time.
-// Rebuilt payloads land in framed slab buffers: scratch-owned for a
-// copying backend, freshly allocated for an owning one (the buffers are
-// gone for good once handed over, exactly like the streaming put).
+// Rebuilt payloads land in the worker's scratch slab, framed.
 func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func() {
 	s := r.s
 	si, ok := s.stripeSnapshot(it.ref)
@@ -198,13 +196,7 @@ func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func(
 		s.m.mergeRepair(acct)
 		return nil
 	}
-	bs := si.BlockLen
-	var bufs [][]byte
-	if s.ownedW != nil {
-		bufs = makeFramedBufs(len(damaged), bs)
-	} else {
-		bufs = scratch.next(len(damaged), bs)
-	}
+	bufs := scratch.next(len(damaged), si.BlockLen)
 	slotOf := func(pos int) int {
 		for di, p := range damaged {
 			if p == pos {
@@ -218,7 +210,7 @@ func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func(
 	// written back moves the stripe away from the data-loss edge. Scrub
 	// re-reports whatever is still missing.
 	_ = s.reconstructPositions(&si, stripe, damaged, avail, acct, s.repairLim,
-		func(pos int) []byte { return bufs4(bufs[slotOf(pos)], bs) })
+		func(pos int) []byte { return bufs[slotOf(pos)][4:] })
 	s.m.mergeRepair(acct)
 	var rebuilt []int
 	for _, pos := range damaged {
@@ -236,9 +228,8 @@ func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func(
 
 // writeRepaired is the write-back half of a repair: place each rebuilt
 // block on a live node (re-placing off dead ones under the rack rule),
-// stamp its frame's CRC in place and write it — handing the buffer over
-// outright on an owning backend — then splice the new location into the
-// manifest.
+// stamp its frame's CRC in place and write it, then splice the new
+// location into the manifest.
 func (s *Store) writeRepaired(ref stripeRef, si stripeInfo, stripe [][]byte, rebuilt []int, frameOf func(pos int) []byte) {
 	aliveNow := s.aliveSnapshot()
 	placeable := s.placeableSnapshot()
@@ -270,13 +261,7 @@ func (s *Store) writeRepaired(ref stripeRef, si stripeInfo, stripe [][]byte, reb
 		}
 		frame := frameOf(pos)
 		binary.LittleEndian.PutUint32(frame, crc32.Checksum(frame[4:], castagnoli))
-		var err error
-		if s.ownedW != nil {
-			err = s.ownedW.WriteOwned(node, si.Keys[pos], frame)
-		} else {
-			err = s.cfg.Backend.Write(node, si.Keys[pos], frame)
-		}
-		if err != nil {
+		if err := s.cfg.Backend.Write(node, si.Keys[pos], frame); err != nil {
 			continue
 		}
 		if s.relocateBlock(ref, pos, node, si.Keys[pos]) {

@@ -174,10 +174,10 @@ type objectInfo struct {
 type Store struct {
 	cfg    Config
 	placer *placer
-	// ownedW is non-nil when the backend supports ownership-transfer
-	// writes (MemBackend): the streaming put then hands framed buffers to
-	// the backend instead of letting Write copy them.
-	ownedW OwnedWriter
+	// slabs pools the stripe slabs (*slab) PutReader reads, encodes and
+	// writes from. Every slab has the one size geometry × BlockSize fixes;
+	// an idle store's slabs go back to the garbage collector.
+	slabs sync.Pool
 
 	// db is the metadata plane: every manifest, the repair queue and the
 	// liveness record live there, sharded for concurrent access and —
@@ -265,9 +265,6 @@ func open(cfg Config, db *meta.DB) (*Store, error) {
 		alive:     make([]bool, cfg.Nodes),
 		pins:      make(map[verKey]int),
 		condemned: make(map[verKey]*objectInfo),
-	}
-	if ow, ok := cfg.Backend.(OwnedWriter); ok {
-		s.ownedW = ow
 	}
 	s.repairLim = newByteRate(cfg.RepairRateBytes)
 	s.scrubLim = newByteRate(cfg.ScrubRateBytes)

@@ -24,39 +24,89 @@ import (
 // visible and a mid-stream failure rolls every written block back. Put
 // and Get are thin wrappers over these.
 
-// filledStripe is one stripe read from the source, in framed-block
-// layout: bufs[i] is block i's backend frame, with the payload at
-// bufs[i][4:4+BlockSize] (data blocks 0..k-1 filled from the reader,
-// parity blocks encoded in place later). n is the real payload byte
-// count; n < k·BlockSize only for the object's final stripe.
+// slab is one stripe's framed block buffers at the store's geometry:
+// NStored frames of 4+BlockSize bytes in one allocation. full[i] is
+// block i's backend frame, payload at full[i][4:]. A store keeps its
+// slabs in one pool (Store.slabs) and every stripe of every PUT is
+// read, encoded and written from one of them; nothing downstream keeps
+// a frame, because Backend.Write must copy or persist before it returns.
+type slab struct {
+	mem  []byte
+	full [][]byte
+}
+
+// getSlab draws a slab from the store's pool, allocating on a miss. A
+// pooled slab holds an earlier stripe's bytes: the reader and the
+// encoder overwrite all of a full stripe, and compact clears what a
+// short one leaves over.
+func (s *Store) getSlab() *slab {
+	if sl, ok := s.slabs.Get().(*slab); ok {
+		return sl
+	}
+	n, bs := s.cfg.Codec.NStored(), s.cfg.BlockSize
+	mem := make([]byte, n*(4+bs))
+	return &slab{mem: mem, full: carveFramedBufs(mem, n, bs)}
+}
+
+// compact re-lays a short final stripe in place: the dataLen payload
+// bytes the reader left at the full-block layout move to frames of the
+// shrunken block length bl = ⌈dataLen/k⌉ carved from the slab's start,
+// and the padding (the tail of the last partial data block, every wholly
+// empty one) is cleared so that no stale byte is ever encoded into stored
+// parity. A byte's offset is its stream position plus 4 per frame header
+// up to and including its own block's; shorter blocks mean more headers
+// before it, so no byte moves down, and moving the runs back to front
+// never overwrites one that has yet to move.
+func (sl *slab) compact(k, dataLen int) (bufs [][]byte, bl int) {
+	bs := len(sl.full[0]) - 4
+	bl = (dataLen + k - 1) / k
+	bufs = carveFramedBufs(sl.mem, len(sl.full), bl)
+	for hi := dataLen; hi > 0; {
+		i, j := (hi-1)/bs, (hi-1)/bl // old and new block of byte hi-1
+		lo := max(i*bs, j*bl)        // [lo, hi) sits in one block of each layout
+		copy(bufs[j][4+lo-j*bl:4+hi-j*bl], sl.full[i][4+lo-i*bs:4+hi-i*bs])
+		hi = lo
+	}
+	for p := dataLen; p < k*bl; p = (p/bl + 1) * bl {
+		clear(bufs[p/bl][4+p%bl:])
+	}
+	return bufs, bl
+}
+
+// filledStripe is one stripe read from the source into a slab at the
+// full-block layout (data blocks 0..k-1 filled from the reader, parity
+// blocks encoded in place later). n is the real payload byte count;
+// n < k·BlockSize only for the object's final stripe.
 type filledStripe struct {
-	bufs [][]byte
-	n    int
-	err  error // terminal source error (never io.EOF)
+	sl  *slab
+	n   int
+	err error // terminal source error (never io.EOF)
 }
 
 // PutReader stores an object streamed from r, replacing any previous
 // version once the stream completes. The engine is double-buffered: a
-// reader goroutine fills the next stripe's framed block buffers while the
-// current stripe encodes, and each stripe's blocks go to the backend
-// through a bounded write pool. Full stripes never copy: data is read
-// directly into framed buffers, parities are encoded into framed buffers,
-// and an ownership-transferring backend (MemBackend) keeps those very
-// buffers as the stored blocks. On any error nothing is committed and all
-// blocks already written are deleted.
+// reader goroutine fills the next stripe's slab while the current stripe
+// encodes, and each stripe's blocks go to the backend through a bounded
+// write pool. Stripes never copy inside the store: data is read directly
+// into framed buffers, parities are encoded into framed buffers, and the
+// backend is handed those buffers to copy or persist. A PUT draws at most
+// two slabs from the store's pool, each only when the reader first needs
+// it, cycles them for the length of the object and returns them when it
+// succeeds. On any error nothing is committed and all blocks already
+// written are deleted.
 //
 // After an error return the internal reader may still be inside one
 // blocked Read of r until that read unblocks (the same contract as
 // net/http request bodies): do not reuse r, and close it to release the
 // reader promptly — closing an *os.File or net.Conn interrupts the read.
-// On success the reader has always exited.
+// That read targets a slab, so a failed PUT's slabs are left to the
+// garbage collector and never pooled. On success the reader has always
+// exited.
 func (s *Store) PutReader(name string, r io.Reader) error {
 	if err := ValidateName(name); err != nil {
 		return err
 	}
 	k := s.cfg.Codec.K()
-	n := s.cfg.Codec.NStored()
-	bs := s.cfg.BlockSize
 	gen := s.gen.Add(1)
 	obj := &objectInfo{Name: name, Gen: gen}
 	// On any mid-stream failure, blocks already written would be orphaned
@@ -65,16 +115,11 @@ func (s *Store) PutReader(name string, r io.Reader) error {
 		s.deleteBlocks(obj)
 		return err
 	}
-	owned := s.ownedW != nil
-	// Double buffer: with a copying backend two framed buffer sets cycle
-	// through the free list; with an owning backend the stored buffers
-	// are gone for good, so the reader allocates fresh sets and the
-	// fills channel's capacity bounds how far ahead it runs.
-	free := make(chan [][]byte, 2)
-	if !owned {
-		free <- makeFramedBufs(n, bs)
-		free <- makeFramedBufs(n, bs)
-	}
+	// Double buffer: two tokens cycle between the reader and the writer.
+	// A token is nil until the reader first takes it and draws its slab.
+	free := make(chan *slab, 2)
+	free <- nil
+	free <- nil
 	fills := make(chan filledStripe, 1)
 	stop := make(chan struct{})
 	// On exit, stop releases a fill goroutine parked on a channel; one
@@ -86,55 +131,22 @@ func (s *Store) PutReader(name string, r io.Reader) error {
 	go func() {
 		defer close(fills)
 		for {
-			var bufs [][]byte
-			total := 0
+			var sl *slab
+			select {
+			case sl = <-free:
+			case <-stop:
+				return
+			}
+			if sl == nil {
+				sl = s.getSlab()
+			}
+			f := filledStripe{sl: sl}
 			var rerr error
-			start := 0
-			if owned {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// A 1-byte probe decides EOF before the stripe slab is
-				// allocated: an object sized an exact multiple of the
-				// stripe would otherwise cost one discarded multi-MiB
-				// slab on its terminal empty read.
-				var probe [1]byte
-				if _, err := io.ReadFull(r, probe[:]); err != nil {
-					f := filledStripe{}
-					if err != io.EOF {
-						f.err = err
-					}
-					select {
-					case fills <- f:
-					case <-stop:
-					}
-					return
-				}
-				bufs = makeFramedBufs(n, bs)
-				bufs[0][4] = probe[0]
-				m, err := io.ReadFull(r, bufs[0][5:4+bs])
-				total = 1 + m
-				if err != nil {
-					rerr = err
-				}
-				start = 1
-			} else {
-				select {
-				case bufs = <-free:
-				case <-stop:
-					return
-				}
+			for i := 0; i < k && rerr == nil; i++ {
+				var m int
+				m, rerr = io.ReadFull(r, sl.full[i][4:])
+				f.n += m
 			}
-			for i := start; i < k && rerr == nil; i++ {
-				m, err := io.ReadFull(r, bufs[i][4:4+bs])
-				total += m
-				if err != nil {
-					rerr = err
-				}
-			}
-			f := filledStripe{bufs: bufs, n: total}
 			if rerr != nil && rerr != io.EOF && rerr != io.ErrUnexpectedEOF {
 				f.err = rerr
 			}
@@ -152,33 +164,22 @@ func (s *Store) PutReader(name string, r io.Reader) error {
 		if f.err != nil {
 			return fail(fmt.Errorf("store: read object %q: %w", name, f.err))
 		}
-		if f.n == 0 {
-			continue // bare EOF on a stripe boundary
-		}
-		if f.n == k*bs {
-			if err := s.putStripeFramed(obj, f.bufs); err != nil {
+		if f.n > 0 { // 0: bare EOF on a stripe boundary
+			if err := s.putStripeFramed(obj, f.sl, f.n); err != nil {
 				return fail(err)
 			}
-			if !owned {
-				select {
-				case free <- f.bufs:
-				default:
-				}
-			}
-		} else {
-			// Short final stripe: gather the scattered prefix into one
-			// chunk and re-frame at the shrunken block length (the layout
-			// above no longer matches). At most once per object.
-			chunk := make([]byte, f.n)
-			off := 0
-			for i := 0; i < k && off < f.n; i++ {
-				off += copy(chunk[off:], bufs4(f.bufs[i], bs))
-			}
-			if err := s.putStripeShort(obj, chunk); err != nil {
-				return fail(err)
-			}
+			obj.Size += f.n
 		}
-		obj.Size += f.n
+		free <- f.sl
+	}
+	// fills is closed, so the reader has exited, and every stripe's writes
+	// were joined: nothing can touch the slabs again. Both tokens are back
+	// in free, and nobody is left to send on it.
+	close(free)
+	for sl := range free {
+		if sl != nil {
+			s.slabs.Put(sl)
+		}
 	}
 	if err := s.commit(obj); err != nil {
 		return fail(fmt.Errorf("store: commit object %q: %w", name, err))
@@ -186,20 +187,9 @@ func (s *Store) PutReader(name string, r io.Reader) error {
 	return nil
 }
 
-// bufs4 returns the payload window of a framed block buffer.
-func bufs4(b []byte, bs int) []byte { return b[4 : 4+bs] }
-
-// makeFramedBufs allocates one slab carved into n framed block buffers
-// of payloadLen bytes each: one allocation instead of n, and safe to
-// hand to an owning backend because a stripe's blocks are always retired
-// together.
-func makeFramedBufs(n, payloadLen int) [][]byte {
-	fl := 4 + payloadLen
-	return carveFramedBufs(make([]byte, n*fl), n, payloadLen)
-}
-
-// carveFramedBufs slices an existing slab (len ≥ n·(4+payloadLen)) into
-// n framed block buffers — the repair workers' slab-reuse path.
+// carveFramedBufs slices a slab (len ≥ n·(4+payloadLen)) into n framed
+// block buffers: one allocation behind n blocks, which is sound because
+// a stripe's blocks are always retired together.
 func carveFramedBufs(slab []byte, n, payloadLen int) [][]byte {
 	fl := 4 + payloadLen
 	bufs := make([][]byte, n)
@@ -209,27 +199,26 @@ func carveFramedBufs(slab []byte, n, payloadLen int) [][]byte {
 	return bufs
 }
 
-// putStripeFramed encodes and writes one full stripe already laid out in
-// framed block buffers: parities are encoded directly into the framed
-// payload windows, CRC headers are stamped in place, and the n blocks go
-// to the backend through the bounded write pool — zero payload copies
-// inside the store.
-func (s *Store) putStripeFramed(obj *objectInfo, bufs [][]byte) error {
+// putStripeFramed encodes and writes one stripe whose dataLen payload
+// bytes sit in sl at the full-block layout: a short final stripe is first
+// compacted to its shrunken block length, then parities are encoded
+// directly into the framed payload windows, CRC headers are stamped in
+// place, and the n blocks go to the backend through the bounded write
+// pool — a full stripe's payload is never copied inside the store.
+func (s *Store) putStripeFramed(obj *objectInfo, sl *slab, dataLen int) error {
 	k := s.cfg.Codec.K()
-	n := s.cfg.Codec.NStored()
-	bs := s.cfg.BlockSize
-	data := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		data[i] = bufs4(bufs[i], bs)
+	bufs, bl := sl.full, s.cfg.BlockSize
+	if dataLen < k*bl {
+		bufs, bl = sl.compact(k, dataLen)
 	}
-	parity := make([][]byte, n-k)
-	for j := range parity {
-		parity[j] = bufs4(bufs[k+j], bs)
+	payloads := make([][]byte, len(bufs))
+	for i, b := range bufs {
+		payloads[i] = b[4:]
 	}
-	if err := s.cfg.Codec.EncodeInto(data, parity, s.encodeWorkers(k*bs)); err != nil {
+	if err := s.cfg.Codec.EncodeInto(payloads[:k], payloads[k:], s.encodeWorkers(dataLen)); err != nil {
 		return err
 	}
-	return s.sealStripe(obj, bufs, k*bs, bs)
+	return s.sealStripe(obj, bufs, dataLen, bl)
 }
 
 // sealStripe places an encoded framed stripe, appends its manifest entry
@@ -271,13 +260,7 @@ func (s *Store) writeStripeBlocks(si *stripeInfo, bufs [][]byte, idx int) error 
 	writeOne := func(pos int) error {
 		b := bufs[pos]
 		binary.LittleEndian.PutUint32(b, crc32.Checksum(b[4:], castagnoli))
-		var err error
-		if s.ownedW != nil {
-			err = s.ownedW.WriteOwned(si.Nodes[pos], si.Keys[pos], b)
-		} else {
-			err = s.cfg.Backend.Write(si.Nodes[pos], si.Keys[pos], b)
-		}
-		if err != nil {
+		if err := s.cfg.Backend.Write(si.Nodes[pos], si.Keys[pos], b); err != nil {
 			return fmt.Errorf("store: write stripe %d block %d: %w", idx, pos, err)
 		}
 		s.m.putBlocks.Add(1)
@@ -316,33 +299,6 @@ func (s *Store) writeStripeBlocks(si *stripeInfo, bufs [][]byte, idx int) error 
 		}
 	}
 	return nil
-}
-
-// putStripeShort encodes and writes one short (final) stripe: the chunk
-// is re-laid into a fresh framed slab at the shrunken block length
-// (zero-padded by the fresh allocation), then encoded and written exactly
-// like a full framed stripe. chunk must be non-empty and less than
-// K·BlockSize bytes.
-func (s *Store) putStripeShort(obj *objectInfo, chunk []byte) error {
-	k := s.cfg.Codec.K()
-	n := s.cfg.Codec.NStored()
-	blockLen := (len(chunk) + k - 1) / k
-	bufs := makeFramedBufs(n, blockLen)
-	data := make([][]byte, k)
-	parity := make([][]byte, n-k)
-	for i := 0; i < k; i++ {
-		data[i] = bufs4(bufs[i], blockLen)
-		if lo := i * blockLen; lo < len(chunk) {
-			copy(data[i], chunk[lo:])
-		}
-	}
-	for j := range parity {
-		parity[j] = bufs4(bufs[k+j], blockLen)
-	}
-	if err := s.cfg.Codec.EncodeInto(data, parity, s.encodeWorkers(len(chunk))); err != nil {
-		return err
-	}
-	return s.sealStripe(obj, bufs, len(chunk), blockLen)
 }
 
 // commit atomically publishes obj as the current version of its name —
