@@ -362,7 +362,7 @@ func BenchmarkAblationArchivalStripe(b *testing.B) {
 	once("ab-archival", func() {
 		fmt.Println("Ablation: archival stripes (repair reads, single failure)")
 		for _, k := range []int{10, 50, 100} {
-			rsS, err := core.NewRS(k, k+4)
+			rsS, err := lrc.New(lrc.Params{K: k, GlobalParities: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -370,10 +370,14 @@ func BenchmarkAblationArchivalStripe(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			exists := mask(rsS.Slots(), true)
-			avail := mask(rsS.Slots(), true)
+			exists := mask(rsS.NStored(), true)
+			avail := mask(rsS.NStored(), true)
 			avail[1] = false
-			rsReads, _, _ := rsS.PlanRepair(1, exists, avail, false)
+			rsPlan, err := rsS.PlanRepair(1, exists, avail, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rsReads := rsPlan.Reads
 			e2 := mask(lc.NStored(), true)
 			a2 := mask(lc.NStored(), true)
 			a2[1] = false

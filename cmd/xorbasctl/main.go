@@ -9,9 +9,12 @@
 // Usage:
 //
 //	xorbasctl encode  [-rs] -in file -out dir
-//	xorbasctl verify  [-rs] -dir dir -name file
-//	xorbasctl repair  [-rs] -dir dir -name file
-//	xorbasctl decode  [-rs] -dir dir -name file -out file [-size n]
+//	xorbasctl verify  -dir dir -name file
+//	xorbasctl repair  -dir dir -name file
+//	xorbasctl decode  -dir dir -name file -out file
+//
+// verify, repair and decode read the code from <name>.stripe.json, which
+// encode wrote.
 //
 // The `store` subcommands (see store.go) drive the multi-node object
 // store in repro/internal/store instead of a single flat stripe:
@@ -34,7 +37,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/lrc"
-	"repro/internal/rs"
 )
 
 type meta struct {
@@ -65,7 +67,7 @@ func main() {
 		return
 	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	useRS := fs.Bool("rs", false, "use RS(10,4) instead of LRC(10,6,5)")
+	useRS := fs.Bool("rs", false, "encode with RS(10,4) instead of LRC(10,6,5)")
 	in := fs.String("in", "", "input file (encode)")
 	dir := fs.String("dir", "", "shard directory")
 	name := fs.String("name", "", "file name inside the shard directory")
@@ -102,6 +104,15 @@ func usage() {
 }
 
 const k = 10
+
+// codeFor returns the stripe code and its label: RS(10,4) is the LRC's
+// own precode with no local parities, so one code type serves both.
+func codeFor(useRS bool) (*lrc.Code, string) {
+	if useRS {
+		return lrc.NewRS104(), "RS (10,4)"
+	}
+	return lrc.NewXorbas(), "LRC (10,6,5)"
+}
 
 func shardPath(dir, name string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.shard%02d", name, i))
@@ -140,22 +151,10 @@ func encode(in, outDir string, useRS bool) error {
 		return err
 	}
 	shards, shardLen := split(data)
-	var stripe [][]byte
-	if useRS {
-		code, err := rs.New256(k, 14)
-		if err != nil {
-			return err
-		}
-		stripe, err = code.Encode(shards)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		stripe, err = lrc.NewXorbas().Encode(shards)
-		if err != nil {
-			return err
-		}
+	code, kind := codeFor(useRS)
+	stripe, err := code.Encode(shards)
+	if err != nil {
+		return err
 	}
 	name := filepath.Base(in)
 	for i, s := range stripe {
@@ -167,10 +166,6 @@ func encode(in, outDir string, useRS bool) error {
 	mb, _ := json.MarshalIndent(m, "", "  ")
 	if err := os.WriteFile(metaPath(outDir, name), mb, 0o644); err != nil {
 		return err
-	}
-	kind := "LRC (10,6,5)"
-	if useRS {
-		kind = "RS (10,4)"
 	}
 	fmt.Printf("encoded %s (%d bytes) into %d shards of %d bytes each [%s]\n",
 		name, len(data), len(stripe), shardLen, kind)
@@ -211,21 +206,10 @@ func verify(dir, name string) error {
 	if missing > 0 {
 		return fmt.Errorf("%d shards missing; run repair", missing)
 	}
-	var ok bool
-	if m.RS {
-		code, err := rs.New256(k, 14)
-		if err != nil {
-			return err
-		}
-		ok, err = code.Verify(stripe)
-		if err != nil {
-			return err
-		}
-	} else {
-		ok, err = lrc.NewXorbas().Verify(stripe)
-		if err != nil {
-			return err
-		}
+	code, _ := codeFor(m.RS)
+	ok, err := code.Verify(stripe)
+	if err != nil {
+		return err
 	}
 	if !ok {
 		return fmt.Errorf("stripe inconsistent: some shard is corrupted")
@@ -249,23 +233,13 @@ func repair(dir, name string) error {
 		fmt.Println("nothing to repair")
 		return nil
 	}
-	if m.RS {
-		code, err := rs.New256(k, 14)
-		if err != nil {
-			return err
-		}
-		if _, err := code.Reconstruct(stripe); err != nil {
-			return err
-		}
-		fmt.Printf("repaired shards %v with the RS decoder (reads %d blocks)\n", rebuilt, k)
-	} else {
-		light, heavy, err := lrc.NewXorbas().Reconstruct(stripe)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("repaired shards %v: %d via light decoder (5 reads each), %d via heavy decoder\n",
-			rebuilt, light, heavy)
+	code, _ := codeFor(m.RS)
+	light, heavy, err := code.Reconstruct(stripe)
+	if err != nil {
+		return err
 	}
+	fmt.Printf("repaired shards %v: %d via light decoder (5 reads each), %d via heavy decoder (%d reads)\n",
+		rebuilt, light, heavy, k)
 	for _, i := range rebuilt {
 		if err := os.WriteFile(shardPath(dir, name, i), stripe[i], 0o644); err != nil {
 			return err
@@ -282,18 +256,9 @@ func decode(dir, name, out string) error {
 	if err != nil {
 		return err
 	}
-	if m.RS {
-		code, err := rs.New256(k, 14)
-		if err != nil {
-			return err
-		}
-		if _, err := code.Reconstruct(stripe); err != nil {
-			return err
-		}
-	} else {
-		if _, _, err := lrc.NewXorbas().Reconstruct(stripe); err != nil {
-			return err
-		}
+	code, _ := codeFor(m.RS)
+	if _, _, err := code.Reconstruct(stripe); err != nil {
+		return err
 	}
 	buf := make([]byte, 0, m.Size)
 	for i := 0; i < k && int64(len(buf)) < m.Size; i++ {

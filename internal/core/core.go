@@ -1,21 +1,21 @@
 // Package core is the public facade of the library: a single Scheme
 // abstraction unifying the three storage schemes the paper compares —
-// 3-way replication, Reed-Solomon RS(10,4), and the Xorbas LRC(10,6,5) —
-// plus constructors for arbitrary geometries of each.
+// 3-way replication, Reed-Solomon RS(10,4), and the Xorbas LRC(10,6,5).
 //
 // A Scheme answers the questions the reliability model (Section 4) and the
 // cluster simulator (Section 5) ask of a storage code: how many blocks a
 // stripe stores for a given file size, which failures it tolerates, and
-// what a repair must read. Payload-level encoding and decoding live in the
-// underlying packages (repro/internal/rs, repro/internal/lrc) and are
-// re-exported through the concrete types.
+// what a repair must read. There are two implementations: Replication, and
+// Coded, the one adapter over *lrc.Code that serves every erasure code —
+// RS(10,4) is that code type with no local parities — so the simulator's
+// light-or-heavy decision is made by lrc.Code.PlanRepair, the same
+// function the object store's codec adapter calls.
 package core
 
 import (
 	"fmt"
 
 	"repro/internal/lrc"
-	"repro/internal/rs"
 )
 
 // Scheme models a redundancy scheme at stripe granularity.
@@ -111,114 +111,45 @@ func (r Replication) ExpectedRepairReads(erasures int) (float64, float64) {
 	return 1, 1
 }
 
-// RS wraps a Reed-Solomon code as a Scheme.
-type RS struct {
-	code *rs.Code
-}
-
-// NewRS returns the (k, n−k) Reed-Solomon scheme over GF(2^8).
-func NewRS(k, n int) (*RS, error) {
-	c, err := rs.New256(k, n)
-	if err != nil {
-		return nil, err
-	}
-	return &RS{code: c}, nil
-}
-
-// NewRS104 returns the production RS(10,4) scheme (n = 14).
-func NewRS104() *RS {
-	s, err := NewRS(10, 14)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Code exposes the payload-level Reed-Solomon code.
-func (s *RS) Code() *rs.Code { return s.code }
-
-// Name implements Scheme.
-func (s *RS) Name() string {
-	return fmt.Sprintf("RS (%d, %d)", s.code.K(), s.code.N()-s.code.K())
-}
-
-// DataBlocks implements Scheme.
-func (s *RS) DataBlocks() int { return s.code.K() }
-
-// Slots implements Scheme.
-func (s *RS) Slots() int { return s.code.N() }
-
-// Exists implements Scheme: data blocks beyond dataCount are zero padding
-// and not stored; parity blocks always exist.
-func (s *RS) Exists(pos, dataCount int) bool {
-	if pos < 0 || pos >= s.code.N() {
-		return false
-	}
-	if pos < s.code.K() {
-		return pos < dataCount
-	}
-	return true
-}
-
-// StoredCount implements Scheme.
-func (s *RS) StoredCount(dataCount int) int {
-	if dataCount > s.code.K() {
-		dataCount = s.code.K()
-	}
-	return dataCount + s.code.ParityShards()
-}
-
-// StorageOverhead implements Scheme.
-func (s *RS) StorageOverhead() float64 { return s.code.StorageOverhead() }
-
-// FailuresTolerated implements Scheme: MDS tolerates n−k erasures.
-func (s *RS) FailuresTolerated() int { return s.code.ParityShards() }
-
-// PlanRepair implements Scheme.
-func (s *RS) PlanRepair(lost int, exists, avail []bool, deployed bool) ([]int, bool, error) {
-	p, err := s.code.PlanRepair(lost, exists, avail, deployed)
-	if err != nil {
-		return nil, false, err
-	}
-	return p.Reads, false, nil
-}
-
-// ExpectedRepairReads implements Scheme.
-func (s *RS) ExpectedRepairReads(erasures int) (float64, float64) {
-	return s.code.ExpectedRepairReads(erasures), 0
-}
-
-// LRC wraps a Locally Repairable Code as a Scheme.
-type LRC struct {
+// Coded wraps an erasure code as a Scheme.
+type Coded struct {
 	code *lrc.Code
 	d    int // exact minimum distance, computed once
 }
 
-// NewLRC wraps an existing payload-level LRC.
-func NewLRC(c *lrc.Code) *LRC {
-	return &LRC{code: c, d: c.MinDistance()}
+// NewCoded wraps an existing payload-level code.
+func NewCoded(c *lrc.Code) *Coded {
+	return &Coded{code: c, d: c.MinDistance()}
 }
 
+// NewRS104 returns the production RS(10,4) scheme (14 stored blocks).
+func NewRS104() *Coded { return NewCoded(lrc.NewRS104()) }
+
 // NewXorbas returns the paper's LRC (10, 6, 5) scheme.
-func NewXorbas() *LRC { return NewLRC(lrc.NewXorbas()) }
+func NewXorbas() *Coded { return NewCoded(lrc.NewXorbas()) }
 
-// Code exposes the payload-level LRC.
-func (s *LRC) Code() *lrc.Code { return s.code }
+// Code exposes the payload-level code.
+func (s *Coded) Code() *lrc.Code { return s.code }
 
-// Name implements Scheme.
-func (s *LRC) Name() string {
-	p := s.code.Params()
-	return fmt.Sprintf("LRC (%d, %d, %d)", p.K, s.code.NStored()-p.K, s.code.Locality())
+// Name implements Scheme: "RS (10, 4)" for a code without local
+// parities, "LRC (10, 6, 5)" — k, parities, locality — otherwise.
+func (s *Coded) Name() string {
+	k, parities := s.code.K(), s.code.NStored()-s.code.K()
+	if s.code.Params().GroupSize == 0 {
+		return fmt.Sprintf("RS (%d, %d)", k, parities)
+	}
+	return fmt.Sprintf("LRC (%d, %d, %d)", k, parities, s.code.Locality())
 }
 
 // DataBlocks implements Scheme.
-func (s *LRC) DataBlocks() int { return s.code.K() }
+func (s *Coded) DataBlocks() int { return s.code.K() }
 
 // Slots implements Scheme.
-func (s *LRC) Slots() int { return s.code.NStored() }
+func (s *Coded) Slots() int { return s.code.NStored() }
 
-// Exists implements Scheme.
-func (s *LRC) Exists(pos, dataCount int) bool {
+// Exists implements Scheme: data blocks beyond dataCount are zero padding
+// and not stored, nor is a local parity whose whole group is padding.
+func (s *Coded) Exists(pos, dataCount int) bool {
 	if pos < 0 || pos >= s.code.NStored() {
 		return false
 	}
@@ -226,17 +157,17 @@ func (s *LRC) Exists(pos, dataCount int) bool {
 }
 
 // StoredCount implements Scheme.
-func (s *LRC) StoredCount(dataCount int) int { return s.code.StoredCount(dataCount) }
+func (s *Coded) StoredCount(dataCount int) int { return s.code.StoredCount(dataCount) }
 
 // StorageOverhead implements Scheme.
-func (s *LRC) StorageOverhead() float64 { return s.code.StorageOverhead() }
+func (s *Coded) StorageOverhead() float64 { return s.code.StorageOverhead() }
 
 // FailuresTolerated implements Scheme: d−1 with the exact enumerated
-// minimum distance (4 for Xorbas).
-func (s *LRC) FailuresTolerated() int { return s.d - 1 }
+// minimum distance (4 for both RS(10,4) and Xorbas).
+func (s *Coded) FailuresTolerated() int { return s.d - 1 }
 
 // PlanRepair implements Scheme.
-func (s *LRC) PlanRepair(lost int, exists, avail []bool, deployed bool) ([]int, bool, error) {
+func (s *Coded) PlanRepair(lost int, exists, avail []bool, deployed bool) ([]int, bool, error) {
 	p, err := s.code.PlanRepair(lost, exists, avail, deployed)
 	if err != nil {
 		return nil, false, err
@@ -245,14 +176,15 @@ func (s *LRC) PlanRepair(lost int, exists, avail []bool, deployed bool) ([]int, 
 }
 
 // ExpectedRepairReads implements Scheme.
-func (s *LRC) ExpectedRepairReads(erasures int) (float64, float64) {
+func (s *Coded) ExpectedRepairReads(erasures int) (float64, float64) {
 	return s.code.ExpectedRepairReads(erasures)
 }
 
 // Groups returns the stripe positions of each repair group (data groups
-// first, then the global-parity group). Group-aware placement uses this
-// to keep each group inside one rack or datacenter (§1.1).
-func (s *LRC) Groups() [][]int {
+// first, then the global-parity group); none for a code without local
+// parities. Group-aware placement uses this to keep each group inside one
+// rack or datacenter (§1.1).
+func (s *Coded) Groups() [][]int {
 	var out [][]int
 	for _, g := range s.code.Groups() {
 		out = append(out, g.Members)

@@ -278,7 +278,7 @@ func TestPyramidClusterBaseline(t *testing.T) {
 		return read / float64(r.TotalLost())
 	}
 	perXO := run(core.NewXorbas())
-	perPyr := run(core.NewLRC(pyr))
+	perPyr := run(core.NewCoded(pyr))
 	perRS := run(core.NewRS104())
 	if !(perXO < perPyr && perPyr < perRS) {
 		t.Fatalf("per-block read GB ordering broken: LRC %.3f, pyramid %.3f, RS %.3f", perXO, perPyr, perRS)

@@ -96,9 +96,10 @@ type Counters struct {
 	DegradedReads                                             int
 }
 
-// GroupedScheme is implemented by schemes with placement-relevant repair
-// groups (the LRC): group-aware placement keeps each group inside one
-// rack so light repairs stay rack-local (§1.1's geo-distribution story).
+// GroupedScheme is implemented by the coded schemes. Where Groups is
+// non-empty (the LRC), group-aware placement keeps each group inside one
+// rack so light repairs stay rack-local (§1.1's geo-distribution story);
+// a coded scheme with no groups is plain Reed-Solomon.
 type GroupedScheme interface {
 	core.Scheme
 	Groups() [][]int
@@ -220,7 +221,7 @@ func (fs *FS) placeStripe(file string, scheme core.Scheme, dataCount int) (*Stri
 	if len(live) < 2 {
 		return nil, fmt.Errorf("hdfs: %d live nodes cannot hold a stripe", len(live))
 	}
-	if gs, ok := scheme.(GroupedScheme); ok && fs.GroupAwarePlacement {
+	if gs, ok := scheme.(GroupedScheme); ok && fs.GroupAwarePlacement && len(gs.Groups()) > 0 {
 		if err := fs.placeGroupAware(s, gs, positions, live); err == nil {
 			return s, nil
 		}

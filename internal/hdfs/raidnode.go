@@ -160,17 +160,17 @@ func (fs *FS) runEncodeTask(name string, chunk []*Stripe, node int, done func(*S
 // adding only local XOR parities"). Each local parity is computed by a
 // map task that reads just its group's existing blocks. The LRC must
 // extend the stripes' RS precode (same K and global parity count).
-func (fs *FS) MigrateToLRC(name string, rsStripes []*Stripe, lrcScheme *core.LRC, onDone func([]*Stripe)) error {
+func (fs *FS) MigrateToLRC(name string, rsStripes []*Stripe, lrcScheme *core.Coded, onDone func([]*Stripe)) error {
 	k := lrcScheme.DataBlocks()
 	nPre := lrcScheme.Code().NPre()
 	for i, s := range rsStripes {
-		rsS, ok := s.Scheme.(*core.RS)
-		if !ok {
+		// RS-coded means: a coded scheme that stores no local parities yet.
+		if gs, ok := s.Scheme.(GroupedScheme); !ok || len(gs.Groups()) > 0 {
 			return fmt.Errorf("hdfs: stripe %d of %q is not RS-coded", i, name)
 		}
-		if rsS.DataBlocks() != k || rsS.Slots() != nPre {
+		if s.Scheme.DataBlocks() != k || s.Scheme.Slots() != nPre {
 			return fmt.Errorf("hdfs: stripe %d geometry (%d,%d) does not match the LRC precode (%d,%d)",
-				i, rsS.DataBlocks(), rsS.Slots(), k, nPre)
+				i, s.Scheme.DataBlocks(), s.Scheme.Slots(), k, nPre)
 		}
 		for pos := range s.Node {
 			if s.Lost[pos] {
@@ -202,7 +202,7 @@ func (fs *FS) MigrateToLRC(name string, rsStripes []*Stripe, lrcScheme *core.LRC
 // runMigrateTask computes the local parities for one stripe: for each
 // data group with real blocks, read the group's data blocks, XOR, and
 // write the local parity.
-func (fs *FS) runMigrateTask(s *Stripe, lrcScheme *core.LRC, node int, done func(*Stripe)) {
+func (fs *FS) runMigrateTask(s *Stripe, lrcScheme *core.Coded, node int, done func(*Stripe)) {
 	fs.Cl.Eng.Schedule(fs.Cfg.TaskLaunchSec, func() {
 		nPre := lrcScheme.Code().NPre()
 		out := &Stripe{

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/gf"
-	"repro/internal/matrix"
 )
 
 // Encode computes the full stored stripe for K data shards: the data,
@@ -153,41 +152,11 @@ func (c *Code) StoredCount(dataCount int) int {
 // modified — this is also the degraded-read path, where the rebuilt block
 // is served but never written back (§1.1).
 func (c *Code) ReconstructBlock(stripe [][]byte, i int) (payload []byte, light bool, err error) {
-	if len(stripe) != c.nStored {
-		return nil, false, fmt.Errorf("lrc: got %d stripe entries, want %d", len(stripe), c.nStored)
-	}
-	if stripe[i] != nil {
-		out := append([]byte(nil), stripe[i]...)
-		return out, true, nil
-	}
-	if r := c.recipeCache[i]; r != nil {
-		size := -1
-		ok := true
-		for _, j := range r.reads {
-			if stripe[j] == nil {
-				ok = false
-				break
-			}
-			size = len(stripe[j])
-		}
-		if ok && size > 0 {
-			out := make([]byte, size)
-			for jj, j := range r.reads {
-				c.f.MulAddSlice(r.coefs[jj], out, stripe[j])
-			}
-			return out, true, nil
-		}
-	}
-	// Heavy decoder: solve for the data from any independent available set.
-	data, err := c.solveData(stripe)
+	payloads, lights, err := c.ReconstructMany(stripe, []int{i})
 	if err != nil {
 		return nil, false, err
 	}
-	out := make([]byte, len(data[0]))
-	for r := 0; r < c.params.K; r++ {
-		c.f.MulAddSlice(c.gen.At(r, i), out, data[r])
-	}
-	return out, false, nil
+	return payloads[0], lights[0], nil
 }
 
 // ReconstructMany rebuilds the payloads of the requested stored blocks in
@@ -339,8 +308,9 @@ func (c *Code) ReconstructManyInto(stripe [][]byte, positions []int, dst [][]byt
 // solveColsInto runs the heavy decoder for the requested positions with
 // one fused pass per target: the decode vector d_t[j] =
 // Σ_i inv[j,i]·G[i,t] collapses the data solve and the column re-encode
-// into a single slice combination over the k chosen survivors, and the
-// inverse is cached per survivor pattern. dst entries are overwritten.
+// into a single slice combination over the k chosen survivors. It is the
+// only heavy decoder: every Reconstruct* entry point ends here. dst
+// entries are overwritten.
 func (c *Code) solveColsInto(stripe [][]byte, positions []int, dst [][]byte) error {
 	k := c.params.K
 	var avail []int
@@ -364,32 +334,12 @@ func (c *Code) solveColsInto(stripe [][]byte, positions []int, dst [][]byte) err
 			return fmt.Errorf("lrc: dst buffer %d has size %d, want %d", oi, len(dst[oi]), size)
 		}
 	}
-	chosen := c.independentSubset(avail)
-	if len(chosen) < k {
-		return fmt.Errorf("lrc: unrecoverable: available blocks have rank %d < %d", len(chosen), k)
-	}
-	cacheable := c.nStored <= 256
-	var key colKey
-	var inv *matrix.Matrix
-	if cacheable {
-		key = keyOf(chosen)
-		if v, ok := c.invCache.Load(key); ok {
-			inv = v.(*matrix.Matrix)
-		}
-	}
-	if inv == nil {
-		sub := c.gen.SelectCols(chosen)
-		var err error
-		inv, err = sub.Inverse()
-		if err != nil {
-			return fmt.Errorf("lrc: internal: chosen columns singular: %w", err)
-		}
-		if cacheable {
-			c.invCache.Store(key, inv)
-		}
+	d, err := c.decoderFor(avail)
+	if err != nil {
+		return err
 	}
 	srcs := make([][]byte, k)
-	for j, cj := range chosen {
+	for j, cj := range d.chosen {
 		srcs[j] = stripe[cj]
 	}
 	coef := make([]gf.Elem, k)
@@ -397,12 +347,12 @@ func (c *Code) solveColsInto(stripe [][]byte, positions []int, dst [][]byte) err
 		for j := 0; j < k; j++ {
 			if t < k {
 				// Systematic data column: G[i,t] = δ_it.
-				coef[j] = inv.At(j, t)
+				coef[j] = d.inv.At(j, t)
 				continue
 			}
 			var acc gf.Elem
 			for i := 0; i < k; i++ {
-				acc = c.f.Add(acc, c.f.Mul(inv.At(j, i), c.gen.At(i, t)))
+				acc = c.f.Add(acc, c.f.Mul(d.inv.At(j, i), c.gen.At(i, t)))
 			}
 			coef[j] = acc
 		}
@@ -411,162 +361,68 @@ func (c *Code) solveColsInto(stripe [][]byte, positions []int, dst [][]byte) err
 	return nil
 }
 
+// decoderFor returns the heavy decoder for the available blocks: K of
+// them with independent generator columns (data columns preferred, so
+// the solve degenerates to copies where it can) and the inverse over
+// those, cached per availability pattern. Codes wider than the 256-bit
+// key bypass the cache.
+func (c *Code) decoderFor(avail []int) (*decoder, error) {
+	k := c.params.K
+	cacheable := c.nStored <= 256
+	var key colKey
+	if cacheable {
+		key = keyOf(avail)
+		if v, ok := c.decoders.Load(key); ok {
+			return v.(*decoder), nil
+		}
+	}
+	rows := make([]int, k)
+	for i := range rows {
+		rows[i] = i
+	}
+	chosen := c.independentOnRows(avail, rows)
+	if len(chosen) < k {
+		return nil, fmt.Errorf("lrc: unrecoverable: available blocks have rank %d < %d", len(chosen), k)
+	}
+	inv, err := c.gen.SelectCols(chosen).Inverse()
+	if err != nil {
+		return nil, fmt.Errorf("lrc: internal: chosen columns singular: %w", err)
+	}
+	d := &decoder{chosen: chosen, inv: inv}
+	if cacheable {
+		c.decoders.Store(key, d)
+	}
+	return d, nil
+}
+
 // Reconstruct fills every nil entry of the stripe in place, using the
 // light decoder where possible, and returns how many blocks each decoder
 // rebuilt. Light repairs are applied iteratively: repairing one block can
 // unlock light repair of another (e.g. two losses in different groups).
+// When some block is beyond repair the rebuildable ones are still filled
+// in and the error is returned.
 func (c *Code) Reconstruct(stripe [][]byte) (lightCount, heavyCount int, err error) {
-	if len(stripe) != c.nStored {
-		return 0, 0, fmt.Errorf("lrc: got %d stripe entries, want %d", len(stripe), c.nStored)
-	}
-	// Light passes until fixpoint.
-	for {
-		progressed := false
-		for i := 0; i < c.nStored; i++ {
-			if stripe[i] != nil {
-				continue
-			}
-			r := c.recipeCache[i]
-			if r == nil {
-				continue
-			}
-			ready := true
-			for _, j := range r.reads {
-				if stripe[j] == nil {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			out := make([]byte, len(stripe[r.reads[0]]))
-			for jj, j := range r.reads {
-				c.f.MulAddSlice(r.coefs[jj], out, stripe[j])
-			}
-			stripe[i] = out
-			lightCount++
-			progressed = true
-		}
-		if !progressed {
-			break
+	var missing []int
+	for i, s := range stripe {
+		if s == nil {
+			missing = append(missing, i)
 		}
 	}
-	// Heavy pass for anything left.
-	var data [][]byte
-	for i := 0; i < c.nStored; i++ {
-		if stripe[i] != nil {
+	// payloads is aligned with missing (nil where a block is beyond
+	// repair) and empty when the stripe itself was rejected.
+	payloads, light, err := c.ReconstructMany(stripe, missing)
+	for oi, pl := range payloads {
+		if pl == nil {
 			continue
 		}
-		if data == nil {
-			data, err = c.solveData(stripe)
-			if err != nil {
-				return lightCount, heavyCount, err
-			}
-		}
-		out := make([]byte, len(data[0]))
-		for r := 0; r < c.params.K; r++ {
-			c.f.MulAddSlice(c.gen.At(r, i), out, data[r])
-		}
-		stripe[i] = out
-		heavyCount++
-	}
-	return lightCount, heavyCount, nil
-}
-
-// solveData recovers the K data payloads from any rank-K independent set
-// of available blocks (the heavy decoder's linear system, §3.1.2).
-func (c *Code) solveData(stripe [][]byte) ([][]byte, error) {
-	k := c.params.K
-	var avail []int
-	size := -1
-	for i, s := range stripe {
-		if s != nil {
-			avail = append(avail, i)
-			if size == -1 {
-				size = len(s)
-			} else if len(s) != size {
-				return nil, fmt.Errorf("lrc: shard size mismatch at %d", i)
-			}
+		stripe[missing[oi]] = pl
+		if light[oi] {
+			lightCount++
+		} else {
+			heavyCount++
 		}
 	}
-	if size <= 0 {
-		return nil, fmt.Errorf("lrc: empty stripe")
-	}
-	chosen := c.independentSubset(avail)
-	if len(chosen) < k {
-		return nil, fmt.Errorf("lrc: unrecoverable: available blocks have rank %d < %d", len(chosen), k)
-	}
-	sub := c.gen.SelectCols(chosen)
-	inv, err := sub.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("lrc: internal: chosen columns singular: %w", err)
-	}
-	data := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		x := make([]byte, size)
-		for j := 0; j < k; j++ {
-			c.f.MulAddSlice(inv.At(j, i), x, stripe[chosen[j]])
-		}
-		data[i] = x
-	}
-	return data, nil
-}
-
-// independentSubset greedily selects up to K available column indices with
-// linearly independent generator columns, preferring systematic (data)
-// columns so the solve degenerates to a copy when possible.
-func (c *Code) independentSubset(avail []int) []int {
-	k := c.params.K
-	// Order: data columns first, then the rest in index order.
-	order := make([]int, 0, len(avail))
-	for _, i := range avail {
-		if c.kinds[i] == Data {
-			order = append(order, i)
-		}
-	}
-	for _, i := range avail {
-		if c.kinds[i] != Data {
-			order = append(order, i)
-		}
-	}
-	// Incremental Gaussian elimination. byLead[r] is a reduced vector with
-	// leading nonzero at position r and zeros before it, so eliminating at
-	// position r never reintroduces nonzeros at earlier positions.
-	byLead := make([][]gf.Elem, k)
-	var chosen []int
-	f := c.f
-	for _, col := range order {
-		if len(chosen) == k {
-			break
-		}
-		v := make([]gf.Elem, k)
-		for r := 0; r < k; r++ {
-			v[r] = c.gen.At(r, col)
-		}
-		inserted := false
-		for r := 0; r < k; r++ {
-			if v[r] == 0 {
-				continue
-			}
-			b := byLead[r]
-			if b == nil {
-				byLead[r] = v
-				inserted = true
-				break
-			}
-			coef := f.Div(v[r], b[r])
-			for j := r; j < k; j++ {
-				if b[j] != 0 {
-					v[j] = f.Add(v[j], f.Mul(coef, b[j]))
-				}
-			}
-		}
-		if inserted {
-			chosen = append(chosen, col)
-		}
-	}
-	return chosen
+	return lightCount, heavyCount, err
 }
 
 // Verify recomputes the stripe from its data shards and reports whether

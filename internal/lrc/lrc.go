@@ -20,6 +20,12 @@
 // 10 data blocks, a (10,4) RS precode, two stored local XOR parities
 // S1 = X1+…+X5 and S2 = X6+…+X10, implied S3 = P1+P2+P3+P4, locality 5
 // for every one of the 16 stored blocks, and optimal distance d = 5.
+//
+// The baseline the paper compares against is a member of the same family:
+// NewRS104 is the (10,4) precode with no local parities (GroupSize 0), so
+// the program encodes, plans repairs for and decodes RS(10,4) through
+// this package's one planner (PlanRepair) and one heavy decoder rather
+// than through a parallel implementation.
 package lrc
 
 import (
@@ -39,7 +45,11 @@ type Params struct {
 	// paper). The precode is a (K, K+GlobalParities) RS code.
 	GlobalParities int
 	// GroupSize is the locality r of the data groups: each local parity
-	// covers at most GroupSize data blocks (5 in the paper).
+	// covers at most GroupSize data blocks (5 in the paper). 0 means no
+	// local parities at all: the stored stripe is the Reed-Solomon precode
+	// alone — the MDS, locality-K corner of the family (Theorem 2) and the
+	// paper's RS(10,4) baseline. Such a code has no repair groups and no
+	// light recipes, so every repair plans and decodes heavy.
 	GroupSize int
 	// StoreImplied stores the parity-group local parity S_impl as a real
 	// block instead of implying it. This is the paper's pre-optimization
@@ -52,17 +62,30 @@ func (p Params) Validate() error {
 	if p.K <= 0 || p.GlobalParities <= 0 {
 		return fmt.Errorf("lrc: K and GlobalParities must be positive, got %d,%d", p.K, p.GlobalParities)
 	}
-	if p.GroupSize < 2 || p.GroupSize > p.K {
-		return fmt.Errorf("lrc: GroupSize %d out of range [2,%d]", p.GroupSize, p.K)
+	if p.GroupSize != 0 && (p.GroupSize < 2 || p.GroupSize > p.K) {
+		return fmt.Errorf("lrc: GroupSize %d is neither 0 nor in [2,%d]", p.GroupSize, p.K)
+	}
+	if p.GroupSize == 0 && p.StoreImplied {
+		return fmt.Errorf("lrc: StoreImplied needs local parities (GroupSize > 0)")
 	}
 	return nil
 }
 
-// numGroups returns the number of data groups ⌈K/GroupSize⌉.
-func (p Params) numGroups() int { return (p.K + p.GroupSize - 1) / p.GroupSize }
+// numGroups returns the number of data groups ⌈K/GroupSize⌉ (none when
+// GroupSize is 0).
+func (p Params) numGroups() int {
+	if p.GroupSize == 0 {
+		return 0
+	}
+	return (p.K + p.GroupSize - 1) / p.GroupSize
+}
 
 // Xorbas is the paper's (10, 6, 5) geometry.
 var Xorbas = Params{K: 10, GlobalParities: 4, GroupSize: 5}
+
+// RS104 is the paper's baseline, RS(10,4): the Xorbas precode with no
+// local parities.
+var RS104 = Params{K: 10, GlobalParities: 4}
 
 // BlockKind classifies a stored block's role in the stripe.
 type BlockKind int
@@ -137,12 +160,21 @@ type Code struct {
 	// to concurrent encoders.
 	wideOnce sync.Once
 	wide     []*gf.WideTables
-	// invCache memoizes the heavy decoder's inverse per chosen-column
-	// set: steady-state repair of a dead node hits the same erasure
-	// pattern across thousands of stripes, so the O(k³) solve happens
-	// once per pattern. Keys are 256-bit column bitsets; a real repair
-	// run sees only dozens of distinct patterns.
-	invCache sync.Map // colKey -> *matrix.Matrix
+	// decoders memoizes the heavy decoder per availability pattern: the
+	// rank elimination that picks K independent survivors and the O(k³)
+	// inverse over them. Steady-state repair of a dead node presents one
+	// pattern across thousands of stripes, so both happen once per
+	// pattern and every later decode is one lookup. Keys are 256-bit
+	// bitsets over the stored-block indices; a real repair run sees only
+	// dozens of distinct patterns.
+	decoders sync.Map // colKey of the available blocks -> *decoder
+}
+
+// decoder is the heavy solve for one availability pattern: data =
+// (payloads of chosen)·inv.
+type decoder struct {
+	chosen []int          // K available blocks with independent columns
+	inv    *matrix.Matrix // (generator restricted to chosen)⁻¹
 }
 
 // colKey is a bitset over the code's stored-block indices (≤256).
@@ -180,10 +212,16 @@ func New(p Params) (*Code, error) {
 }
 
 // NewXorbas returns the explicit (10,6,5) LRC of Fig. 2.
-func NewXorbas() *Code {
-	c, err := New(Xorbas)
+func NewXorbas() *Code { return mustNew(Xorbas) }
+
+// NewRS104 returns the RS(10,4) baseline: the same 14 precode blocks
+// NewXorbas stores, planned and decoded by the same engine.
+func NewRS104() *Code { return mustNew(RS104) }
+
+func mustNew(p Params) *Code {
+	c, err := New(p)
 	if err != nil {
-		panic("lrc: Xorbas construction failed: " + err.Error())
+		panic(fmt.Sprintf("lrc: built-in geometry %+v failed: %v", p, err))
 	}
 	return c
 }
@@ -244,20 +282,30 @@ func newWithCoefficientFn(p Params, coeff func(g, j int) gf.Elem) (*Code, error)
 		c.kinds[lpIdx] = LocalParity
 	}
 
-	// The parity group: global parities plus implied (or stored) parity.
-	pg := Group{Implied: !p.StoreImplied}
 	for j := p.K; j < nPre; j++ {
-		pg.Members = append(pg.Members, j)
 		c.kinds[j] = GlobalParity
-		c.groupOf[j] = g
 	}
-	if p.StoreImplied {
-		si := nStored - 1
-		pg.Members = append(pg.Members, si)
-		c.kinds[si] = LocalParity
-		c.groupOf[si] = g
+	if g == 0 {
+		// No local parities to imply a parity-group parity from: the
+		// global parities, like the data, belong to no repair group.
+		for i := range c.groupOf {
+			c.groupOf[i] = -1
+		}
+	} else {
+		// The parity group: global parities plus implied (or stored) parity.
+		pg := Group{Implied: !p.StoreImplied}
+		for j := p.K; j < nPre; j++ {
+			pg.Members = append(pg.Members, j)
+			c.groupOf[j] = g
+		}
+		if p.StoreImplied {
+			si := nStored - 1
+			pg.Members = append(pg.Members, si)
+			c.kinds[si] = LocalParity
+			c.groupOf[si] = g
+		}
+		c.groups = append(c.groups, pg)
 	}
-	c.groups = append(c.groups, pg)
 
 	for i := 0; i < p.K; i++ {
 		c.kinds[i] = Data
@@ -338,7 +386,8 @@ func (c *Code) Precode() *rs.Code { return c.pre }
 // Kind returns the role of stored block i.
 func (c *Code) Kind(i int) BlockKind { return c.kinds[i] }
 
-// Groups returns the repair groups (data groups first, parity group last).
+// Groups returns the repair groups (data groups first, parity group
+// last); empty when the code has no local parities.
 func (c *Code) Groups() []Group {
 	out := make([]Group, len(c.groups))
 	for i, g := range c.groups {
@@ -347,7 +396,8 @@ func (c *Code) Groups() []Group {
 	return out
 }
 
-// GroupOf returns the repair-group index of stored block i.
+// GroupOf returns the repair-group index of stored block i, or -1 when
+// the code has no repair groups.
 func (c *Code) GroupOf(i int) int { return c.groupOf[i] }
 
 // Generator returns a copy of the K×NStored generator matrix.

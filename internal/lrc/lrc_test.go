@@ -32,6 +32,8 @@ func TestParamsValidate(t *testing.T) {
 		{K: 10, GlobalParities: 0, GroupSize: 5},
 		{K: 10, GlobalParities: 4, GroupSize: 1},
 		{K: 10, GlobalParities: 4, GroupSize: 11},
+		{K: 10, GlobalParities: 4, GroupSize: -1},
+		{K: 10, GlobalParities: 4, GroupSize: 0, StoreImplied: true},
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {
@@ -40,6 +42,12 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if Xorbas.Validate() != nil {
 		t.Error("Xorbas params invalid")
+	}
+	if RS104.Validate() != nil {
+		t.Error("RS104 params (no local parities) invalid")
+	}
+	if _, err := NewPyramid(RS104); err == nil {
+		t.Error("pyramid code without data groups accepted")
 	}
 }
 

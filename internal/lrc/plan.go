@@ -56,45 +56,30 @@ func (c *Code) PlanRepair(lost int, exists, avail []bool, deployed bool) (Plan, 
 			pool = append(pool, i)
 		}
 	}
-	if !c.heavySolvable(pool, exists) {
-		return Plan{}, fmt.Errorf("lrc: block %d unrecoverable: surviving blocks have insufficient rank", lost)
-	}
-	if deployed {
-		return Plan{Reads: pool, Light: false}, nil
-	}
-	return Plan{Reads: c.minimalHeavySet(pool, exists), Light: false}, nil
-}
-
-// dataRows returns the data positions that are real (non-padding) in a
-// stripe described by exists.
-func (c *Code) dataRows(exists []bool) []int {
+	// The survivors must determine every real (non-padding) data block:
+	// their generator columns, restricted to the real data rows, need
+	// full rank. The rank-sufficient subset the elimination picks is the
+	// minimal read set.
 	var rows []int
 	for i := 0; i < c.params.K; i++ {
 		if exists[i] {
 			rows = append(rows, i)
 		}
 	}
-	return rows
-}
-
-// heavySolvable reports whether the blocks in pool determine every real
-// data block: the generator columns of pool, restricted to the real data
-// rows, must have rank equal to the number of real data rows.
-func (c *Code) heavySolvable(pool []int, exists []bool) bool {
-	rows := c.dataRows(exists)
-	return len(c.independentOnRows(pool, rows)) == len(rows)
-}
-
-// minimalHeavySet returns a smallest-rank-sufficient subset of pool,
-// preferring data columns (they are free copies).
-func (c *Code) minimalHeavySet(pool []int, exists []bool) []int {
-	rows := c.dataRows(exists)
-	return c.independentOnRows(pool, rows)
+	chosen := c.independentOnRows(pool, rows)
+	if len(chosen) < len(rows) {
+		return Plan{}, fmt.Errorf("lrc: block %d unrecoverable: surviving blocks have rank %d < %d", lost, len(chosen), len(rows))
+	}
+	if deployed {
+		return Plan{Reads: pool}, nil
+	}
+	return Plan{Reads: chosen}, nil
 }
 
 // independentOnRows greedily selects columns from pool whose restriction
 // to the given generator rows is linearly independent, up to len(rows)
-// columns, preferring data columns.
+// columns, preferring data columns (they are free copies). It is the one
+// rank elimination behind both the repair planner and the heavy decoder.
 func (c *Code) independentOnRows(pool, rows []int) []int {
 	order := make([]int, 0, len(pool))
 	for _, i := range pool {
@@ -107,6 +92,9 @@ func (c *Code) independentOnRows(pool, rows []int) []int {
 			order = append(order, i)
 		}
 	}
+	// Incremental Gaussian elimination. byLead[r] is a reduced vector with
+	// leading nonzero at position r and zeros before it, so eliminating at
+	// position r never reintroduces nonzeros at earlier positions.
 	nr := len(rows)
 	byLead := make([][]gf.Elem, nr)
 	var chosen []int

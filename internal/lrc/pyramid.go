@@ -27,6 +27,9 @@ func NewPyramid(p Params) (*Code, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	if p.GroupSize == 0 {
+		return nil, fmt.Errorf("lrc: pyramid needs data groups to split a parity over (GroupSize > 0)")
+	}
 	if p.GlobalParities < 2 {
 		return nil, fmt.Errorf("lrc: pyramid needs ≥2 RS parities (one is split)")
 	}

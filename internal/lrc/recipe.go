@@ -30,7 +30,11 @@ func (c *Code) lightRecipes() []*recipe {
 // lightRepairSet returns the stored blocks a light repair of block i is
 // allowed to read: the rest of i's repair group, plus — for the implied
 // parity group — every stored local parity (to synthesize S_impl, Eq. (2)).
+// A code without local parities has no groups and so no light repairs.
 func (c *Code) lightRepairSet(i int) []int {
+	if c.groupOf[i] < 0 {
+		return nil
+	}
 	g := c.groups[c.groupOf[i]]
 	var set []int
 	for _, m := range g.Members {

@@ -1,6 +1,7 @@
 package lrc
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/gf"
@@ -140,7 +141,7 @@ func (c *Code) LocateCorruption(stripe [][]byte) ([]int, error) {
 		if err != nil {
 			continue
 		}
-		if !bytesEqual(rebuilt, stripe[j]) {
+		if !bytes.Equal(rebuilt, stripe[j]) {
 			// Rebuilding j from the others changed it — but that also
 			// happens when a *source* of the rebuild is corrupted. Accept
 			// j only if replacing it makes the whole stripe consistent.
@@ -160,16 +161,4 @@ func (c *Code) LocateCorruption(stripe [][]byte) ([]int, error) {
 		}
 	}
 	return corrupted, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

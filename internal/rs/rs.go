@@ -1,5 +1,16 @@
-// Package rs implements systematic (k, n−k) Reed-Solomon codes, the MDS
-// precode the paper's LRCs are layered on.
+// Package rs constructs the systematic (k, n−k) Reed-Solomon code the
+// paper's LRCs are layered on, and holds its encoder and a reference
+// decoder. It is no longer a storage scheme of its own: the program runs
+// RS(10,4) as repro/internal/lrc's GroupSize-0 code, and repair planning
+// (which blocks to read, light or heavy) lives there, once, for both
+// codes. What stays here:
+//
+//   - the Appendix D construction (New), which lrc uses as its precode;
+//   - Encode / EncodeInto over that generator, including the GF(2^16)
+//     geometries wider than lrc's GF(2^8);
+//   - ReconstructColsInto, an independent any-k-columns MDS decoder. The
+//     benchmark ladder times it as the RS rung, and lrc's equivalence test
+//     uses it as the reference the shared engine must agree with.
 //
 // Following Appendix D, the code is defined by the (n−k)×n Vandermonde
 // parity-check matrix [H]_{i,j} = α^{(i−1)(j−1)} over GF(2^m). The
@@ -24,7 +35,7 @@ import (
 )
 
 // Code is an immutable systematic Reed-Solomon code. Safe for concurrent
-// use: encoding and reconstruction do not mutate the Code.
+// use: encoding and decoding do not mutate the Code.
 type Code struct {
 	f   *gf.Field
 	k   int            // data blocks per stripe
@@ -224,10 +235,6 @@ func (c *Code) encodeInto(data, parity [][]byte) {
 	}
 }
 
-// EncodeVector encodes a k-element message vector into the n-element
-// codeword y = x·G. Used by the theory-side tests (distance enumeration).
-func (c *Code) EncodeVector(x []gf.Elem) []gf.Elem { return c.gen.VecMul(x) }
-
 // decodeInv returns (G restricted to the present columns)⁻¹, cached per
 // column set. present must hold exactly k indices. Codes wider than the
 // 256-bit key (GF(2^16) archival geometries) bypass the cache.
@@ -251,34 +258,15 @@ func (c *Code) decodeInv(present []int) (*matrix.Matrix, error) {
 	return inv, nil
 }
 
-// ReconstructCols rebuilds only the requested stripe positions from the
-// non-nil shards, which are not modified. Each rebuilt column costs one
+// ReconstructColsInto rebuilds the requested stripe positions from the
+// non-nil shards, which are not modified, into the caller's buffers: dst
+// is aligned with positions, each entry sized to the shard length; stale
+// contents are overwritten, never read. Each rebuilt column costs one
 // fused pass over k surviving payloads: the per-target decode vector
 // d_t[j] = Σ_i inv[j,i]·G[i,t] folds the data solve and the re-encode
-// into a single slice combination, instead of materializing all k data
-// shards first (O(k²) slice passes) the way Reconstruct does. Positions
-// already present are returned as copies. RS decoding is all-or-nothing:
-// with fewer than k survivors nothing is recoverable and an error is
-// returned with no payloads.
-func (c *Code) ReconstructCols(shards [][]byte, positions []int) ([][]byte, error) {
-	size, err := c.checkShards(shards)
-	if err != nil {
-		return nil, err
-	}
-	dst := make([][]byte, len(positions))
-	for oi := range dst {
-		dst[oi] = make([]byte, size)
-	}
-	if err := c.ReconstructColsInto(shards, positions, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ReconstructColsInto is ReconstructCols decoding into the caller's
-// buffers: dst is aligned with positions, each entry sized to the shard
-// length; stale contents are overwritten, never read. The store's repair
-// engine decodes straight into reusable framed block slabs through this.
+// into a single slice combination. Positions already present are copied.
+// RS decoding is all-or-nothing: with fewer than k survivors nothing is
+// recoverable and an error is returned.
 func (c *Code) ReconstructColsInto(shards [][]byte, positions []int, dst [][]byte) error {
 	size, err := c.checkShards(shards)
 	if err != nil {
@@ -350,87 +338,6 @@ func (c *Code) ReconstructColsInto(shards [][]byte, positions []int, dst [][]byt
 		}
 	}
 	return nil
-}
-
-// Reconstruct fills in the nil entries of shards in place, given that at
-// least k shards are present. It returns the number of shards it rebuilt.
-// This is the paper's heavy decoder: solving the Vandermonde-structured
-// linear system from any k surviving blocks (§3.1.2).
-func (c *Code) Reconstruct(shards [][]byte) (int, error) {
-	size, err := c.checkShards(shards)
-	if err != nil {
-		return 0, err
-	}
-	var present, missing []int
-	for i, s := range shards {
-		if s != nil {
-			present = append(present, i)
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return 0, nil
-	}
-	if len(present) < c.k {
-		return 0, fmt.Errorf("rs: %d shards present, need at least %d", len(present), c.k)
-	}
-	present = present[:c.k] // MDS: any k columns are independent
-	inv, err := c.decodeInv(present)
-	if err != nil {
-		return 0, err
-	}
-	// x_i = Σ_j inv[j,i]·y_{present[j]}; then y_miss = x·G_miss.
-	data := make([][]byte, c.k)
-	for i := 0; i < c.k; i++ {
-		// Fast path: if present[i] == i for data shard, x_i is the shard
-		// itself only when the selection is exactly the identity prefix;
-		// the general solve below is still cheap so we keep one path.
-		x := make([]byte, size)
-		for j := 0; j < c.k; j++ {
-			c.f.MulAddSliceAuto(inv.At(j, i), x, shards[present[j]])
-		}
-		data[i] = x
-	}
-	rebuilt := 0
-	for _, mi := range missing {
-		out := make([]byte, size)
-		if mi < c.k {
-			copy(out, data[mi])
-		} else {
-			for i := 0; i < c.k; i++ {
-				c.f.MulAddSliceAuto(c.gen.At(i, mi), out, data[i])
-			}
-		}
-		shards[mi] = out
-		rebuilt++
-	}
-	return rebuilt, nil
-}
-
-// Verify recomputes parity from the data shards and reports whether every
-// shard is consistent with the code. All shards must be present.
-func (c *Code) Verify(shards [][]byte) (bool, error) {
-	if _, err := c.checkShards(shards); err != nil {
-		return false, err
-	}
-	for _, s := range shards {
-		if s == nil {
-			return false, fmt.Errorf("rs: Verify requires all shards present")
-		}
-	}
-	enc, err := c.Encode(shards[:c.k])
-	if err != nil {
-		return false, err
-	}
-	for j := c.k; j < c.n; j++ {
-		for b := range enc[j] {
-			if enc[j][b] != shards[j][b] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }
 
 // ColumnSum returns Σ_j g_j over all generator columns. For the Appendix D

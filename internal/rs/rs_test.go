@@ -28,6 +28,43 @@ func randShards(r *rand.Rand, k, size int) [][]byte {
 	return data
 }
 
+// reconstructCols decodes the requested positions into fresh buffers.
+func reconstructCols(c *Code, shards [][]byte, positions []int) ([][]byte, error) {
+	size := 0
+	for _, s := range shards {
+		if s != nil {
+			size = len(s)
+		}
+	}
+	dst := make([][]byte, len(positions))
+	for oi := range dst {
+		dst[oi] = make([]byte, size)
+	}
+	if err := c.ReconstructColsInto(shards, positions, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// reconstruct fills the nil entries of shards in place and returns how
+// many it rebuilt.
+func reconstruct(c *Code, shards [][]byte) (int, error) {
+	var missing []int
+	for i, s := range shards {
+		if s == nil {
+			missing = append(missing, i)
+		}
+	}
+	got, err := reconstructCols(c, shards, missing)
+	if err != nil {
+		return 0, err
+	}
+	for oi, i := range missing {
+		shards[i] = got[oi]
+	}
+	return len(missing), nil
+}
+
 func TestNewParameterValidation(t *testing.T) {
 	if _, err := New256(0, 4); err == nil {
 		t.Error("k=0 accepted")
@@ -88,7 +125,7 @@ func TestEncodeReconstructAllSinglePatterns(t *testing.T) {
 		work := make([][]byte, 14)
 		copy(work, stripe)
 		work[lost] = nil
-		n, err := c.Reconstruct(work)
+		n, err := reconstruct(c, work)
 		if err != nil {
 			t.Fatalf("lost=%d: %v", lost, err)
 		}
@@ -118,7 +155,7 @@ func TestMDSAllFourErasurePatterns(t *testing.T) {
 					for _, i := range idx {
 						work[i] = nil
 					}
-					if _, err := c.Reconstruct(work); err != nil {
+					if _, err := reconstruct(c, work); err != nil {
 						t.Fatalf("pattern %v: %v", idx, err)
 					}
 					for _, i := range idx {
@@ -143,27 +180,8 @@ func TestFiveErasuresFail(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		stripe[i] = nil
 	}
-	if _, err := c.Reconstruct(stripe); err == nil {
+	if _, err := reconstruct(c, stripe); err == nil {
 		t.Fatal("5 erasures should exceed d-1=4 for any k... (needs k=10 present)")
-	}
-}
-
-func TestVerify(t *testing.T) {
-	c := mustCode(t, 10, 14)
-	r := rand.New(rand.NewSource(4))
-	stripe, _ := c.Encode(randShards(r, 10, 64))
-	ok, err := c.Verify(stripe)
-	if err != nil || !ok {
-		t.Fatalf("fresh stripe failed Verify: %v %v", ok, err)
-	}
-	stripe[12][5] ^= 1
-	ok, err = c.Verify(stripe)
-	if err != nil || ok {
-		t.Fatal("corrupted parity passed Verify")
-	}
-	stripe[12] = nil
-	if _, err := c.Verify(stripe); err == nil {
-		t.Fatal("Verify with missing shard should error")
 	}
 }
 
@@ -183,15 +201,15 @@ func TestEncodeInputValidation(t *testing.T) {
 
 func TestReconstructValidation(t *testing.T) {
 	c := mustCode(t, 4, 6)
-	if _, err := c.Reconstruct(make([][]byte, 5)); err == nil {
+	if _, err := reconstruct(c, make([][]byte, 5)); err == nil {
 		t.Error("wrong shard count accepted")
 	}
 	all := make([][]byte, 6)
-	if _, err := c.Reconstruct(all); err == nil {
+	if _, err := reconstruct(c, all); err == nil {
 		t.Error("all-nil accepted")
 	}
 	ragged := [][]byte{{1}, {2, 2}, nil, nil, nil, nil}
-	if _, err := c.Reconstruct(ragged); err == nil {
+	if _, err := reconstruct(c, ragged); err == nil {
 		t.Error("ragged accepted")
 	}
 }
@@ -200,9 +218,8 @@ func TestReconstructNoMissing(t *testing.T) {
 	c := mustCode(t, 4, 6)
 	r := rand.New(rand.NewSource(5))
 	stripe, _ := c.Encode(randShards(r, 4, 8))
-	n, err := c.Reconstruct(stripe)
-	if err != nil || n != 0 {
-		t.Fatalf("rebuilt %d err %v", n, err)
+	if err := c.ReconstructColsInto(stripe, nil, nil); err != nil {
+		t.Fatalf("decoding no positions of a full stripe: %v", err)
 	}
 }
 
@@ -229,7 +246,7 @@ func TestPropertyEncodeEraseReconstruct(t *testing.T) {
 		for _, i := range r.Perm(n)[:e] {
 			stripe[i] = nil
 		}
-		if _, err := c.Reconstruct(stripe); err != nil {
+		if _, err := reconstruct(c, stripe); err != nil {
 			return false
 		}
 		for i := range stripe {
@@ -323,7 +340,7 @@ func BenchmarkReconstructOneOfFourteen(b *testing.B) {
 		work := make([][]byte, 14)
 		copy(work, stripe)
 		work[3] = nil
-		if _, err := c.Reconstruct(work); err != nil {
+		if _, err := reconstruct(c, work); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -357,7 +374,7 @@ func TestLargeBlocklengthGF16(t *testing.T) {
 	for _, i := range []int{0, 5, 120, 279, 285, 299} {
 		stripe[i] = nil
 	}
-	if _, err := c.Reconstruct(stripe); err != nil {
+	if _, err := reconstruct(c, stripe); err != nil {
 		t.Fatal(err)
 	}
 	for i := range stripe {
@@ -367,10 +384,9 @@ func TestLargeBlocklengthGF16(t *testing.T) {
 	}
 }
 
-// TestReconstructCols checks the fused column decoder against the full
-// Reconstruct reference over every ≤4-erasure pattern touching the
-// requested positions, including parity-only requests (which must not
-// decode the data shards at all to be correct).
+// TestReconstructCols checks the fused column decoder over data-only,
+// parity-only (which must not decode the data shards at all to be
+// correct) and mixed requests, and that it leaves its inputs alone.
 func TestReconstructCols(t *testing.T) {
 	c := mustCode(t, 10, 14)
 	r := rand.New(rand.NewSource(41))
@@ -388,7 +404,7 @@ func TestReconstructCols(t *testing.T) {
 		for _, i := range lost {
 			work[i] = nil
 		}
-		got, err := c.ReconstructCols(work, lost)
+		got, err := reconstructCols(c, work, lost)
 		if err != nil {
 			t.Fatalf("ReconstructCols(%v): %v", lost, err)
 		}
@@ -404,7 +420,7 @@ func TestReconstructCols(t *testing.T) {
 		}
 	}
 	// Requesting a present position returns a copy.
-	got, err := c.ReconstructCols(full, []int{5})
+	got, err := reconstructCols(c, full, []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +447,7 @@ func TestReconstructColsUnrecoverable(t *testing.T) {
 	for _, i := range lost {
 		work[i] = nil
 	}
-	if _, err := c.ReconstructCols(work, lost); err == nil {
+	if _, err := reconstructCols(c, work, lost); err == nil {
 		t.Fatal("want error for 5 erasures on RS(10,4)")
 	}
 }
@@ -450,7 +466,7 @@ func TestReconstructColsCached(t *testing.T) {
 		work := make([][]byte, len(full))
 		copy(work, full)
 		work[2] = nil
-		got, err := c.ReconstructCols(work, []int{2})
+		got, err := reconstructCols(c, work, []int{2})
 		if err != nil {
 			t.Fatal(err)
 		}

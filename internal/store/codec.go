@@ -11,17 +11,18 @@
 package store
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
 	"repro/internal/lrc"
-	"repro/internal/rs"
 )
 
-// Codec is the stripe-level erasure code the store runs on. The two
-// implementations wrap the paper's codes: LRC(10,6,5) via repro/internal/lrc
-// and the RS(10,4) baseline via repro/internal/rs.
+// Codec is the stripe-level erasure code the store runs on. There is one
+// implementation, an adapter over *lrc.Code: NewXorbasCodec builds the
+// paper's LRC(10,6,5) and NewRS104Codec the RS(10,4) baseline — the same
+// code type with no local parities — so both codes encode, plan and decode
+// through the same functions, and the light-or-heavy decision is made by
+// lrc.Code.PlanRepair, which the simulator's core.Coded calls too.
 type Codec interface {
 	// Name identifies the codec in reports and snapshots.
 	Name() string
@@ -143,9 +144,8 @@ func (pc *planCache) put(pos int, avail []bool, reads []int, light bool) {
 	pc.mu.Unlock()
 }
 
-// LRCCodec adapts *lrc.Code to the store. The zero value is unusable; use
-// NewLRCCodec or NewXorbasCodec.
-type LRCCodec struct {
+// codec adapts *lrc.Code to the store.
+type codec struct {
 	c      *lrc.Code
 	groups [][]int
 	name   string
@@ -153,8 +153,10 @@ type LRCCodec struct {
 	plans  planCache
 }
 
-// NewLRCCodec wraps an LRC.
-func NewLRCCodec(c *lrc.Code) *LRCCodec {
+// newCodec wraps a code. The name is what the metadata plane records and
+// codecByName reads back: "RS(k,p)" without local parities, else
+// "LRC(k,parities,r)".
+func newCodec(c *lrc.Code) *codec {
 	var groups [][]int
 	for _, g := range c.Groups() {
 		groups = append(groups, g.Members)
@@ -164,28 +166,31 @@ func NewLRCCodec(c *lrc.Code) *LRCCodec {
 		exists[j] = true
 	}
 	p := c.Params()
-	return &LRCCodec{
-		c:      c,
-		groups: groups,
-		exists: exists,
-		name:   fmt.Sprintf("LRC(%d,%d,%d)", p.K, c.NStored()-p.K, p.GroupSize),
+	name := fmt.Sprintf("LRC(%d,%d,%d)", p.K, c.NStored()-p.K, p.GroupSize)
+	if p.GroupSize == 0 {
+		name = fmt.Sprintf("RS(%d,%d)", p.K, p.GlobalParities)
 	}
+	return &codec{c: c, groups: groups, exists: exists, name: name}
 }
 
-// NewXorbasCodec wraps the paper's (10,6,5) code.
-func NewXorbasCodec() *LRCCodec { return NewLRCCodec(lrc.NewXorbas()) }
+// NewXorbasCodec returns the paper's LRC(10,6,5).
+func NewXorbasCodec() Codec { return newCodec(lrc.NewXorbas()) }
+
+// NewRS104Codec returns the paper's RS(10,4) baseline: every repair is
+// heavy and reads k blocks.
+func NewRS104Codec() Codec { return newCodec(lrc.NewRS104()) }
 
 // Name implements Codec.
-func (l *LRCCodec) Name() string { return l.name }
+func (l *codec) Name() string { return l.name }
 
 // K implements Codec.
-func (l *LRCCodec) K() int { return l.c.K() }
+func (l *codec) K() int { return l.c.K() }
 
 // NStored implements Codec.
-func (l *LRCCodec) NStored() int { return l.c.NStored() }
+func (l *codec) NStored() int { return l.c.NStored() }
 
 // Encode implements Codec.
-func (l *LRCCodec) Encode(data [][]byte, workers int) ([][]byte, error) {
+func (l *codec) Encode(data [][]byte, workers int) ([][]byte, error) {
 	if workers > 1 {
 		return l.c.EncodeParallel(data, workers)
 	}
@@ -193,7 +198,7 @@ func (l *LRCCodec) Encode(data [][]byte, workers int) ([][]byte, error) {
 }
 
 // EncodeInto implements Codec.
-func (l *LRCCodec) EncodeInto(data, parity [][]byte, workers int) error {
+func (l *codec) EncodeInto(data, parity [][]byte, workers int) error {
 	if workers > 1 {
 		return l.c.EncodeIntoParallel(data, parity, workers)
 	}
@@ -203,7 +208,7 @@ func (l *LRCCodec) EncodeInto(data, parity [][]byte, workers int) error {
 // PlanReads implements Codec via the code's repair planner (minimal read
 // policy — the store is the "more efficient implementation" of §3.1.2),
 // memoized per (position, availability-mask).
-func (l *LRCCodec) PlanReads(i int, avail []bool) ([]int, bool, error) {
+func (l *codec) PlanReads(i int, avail []bool) ([]int, bool, error) {
 	if reads, light, ok := l.plans.get(i, avail); ok {
 		return reads, light, nil
 	}
@@ -216,186 +221,30 @@ func (l *LRCCodec) PlanReads(i int, avail []bool) ([]int, bool, error) {
 }
 
 // ReconstructBlock implements Codec.
-func (l *LRCCodec) ReconstructBlock(stripe [][]byte, i int) ([]byte, bool, error) {
+func (l *codec) ReconstructBlock(stripe [][]byte, i int) ([]byte, bool, error) {
 	return l.c.ReconstructBlock(stripe, i)
 }
 
 // ReconstructMany implements Codec: one light pass plus at most one
 // shared heavy solve for all requested positions.
-func (l *LRCCodec) ReconstructMany(stripe [][]byte, positions []int) ([][]byte, []bool, error) {
+func (l *codec) ReconstructMany(stripe [][]byte, positions []int) ([][]byte, []bool, error) {
 	return l.c.ReconstructMany(stripe, positions)
 }
 
 // ReconstructManyInto implements Codec.
-func (l *LRCCodec) ReconstructManyInto(stripe [][]byte, positions []int, dst [][]byte) ([]bool, []bool, error) {
+func (l *codec) ReconstructManyInto(stripe [][]byte, positions []int, dst [][]byte) ([]bool, []bool, error) {
 	return l.c.ReconstructManyInto(stripe, positions, dst)
 }
 
 // RepairGroups implements Codec.
-func (l *LRCCodec) RepairGroups() [][]int { return l.groups }
+func (l *codec) RepairGroups() [][]int { return l.groups }
 
 // Verify implements Codec.
-func (l *LRCCodec) Verify(stripe [][]byte) (bool, error) { return l.c.Verify(stripe) }
+func (l *codec) Verify(stripe [][]byte) (bool, error) { return l.c.Verify(stripe) }
 
 // LocateCorruption implements Codec.
-func (l *LRCCodec) LocateCorruption(stripe [][]byte) ([]int, error) {
+func (l *codec) LocateCorruption(stripe [][]byte) ([]int, error) {
 	return l.c.LocateCorruption(stripe)
-}
-
-// RSCodec adapts *rs.Code to the store: the baseline with no local
-// structure, where every repair reads k blocks.
-type RSCodec struct {
-	c      *rs.Code
-	name   string
-	exists []bool // all-true mask, built once for the planner
-	plans  planCache
-}
-
-// NewRSCodec wraps a Reed-Solomon code.
-func NewRSCodec(c *rs.Code) *RSCodec {
-	exists := make([]bool, c.N())
-	for j := range exists {
-		exists[j] = true
-	}
-	return &RSCodec{c: c, exists: exists, name: fmt.Sprintf("RS(%d,%d)", c.K(), c.N()-c.K())}
-}
-
-// NewRS104Codec wraps the paper's RS(10,4) baseline.
-func NewRS104Codec() *RSCodec {
-	c, err := rs.New256(10, 14)
-	if err != nil {
-		panic("store: RS(10,4) construction failed: " + err.Error())
-	}
-	return NewRSCodec(c)
-}
-
-// Name implements Codec.
-func (r *RSCodec) Name() string { return r.name }
-
-// K implements Codec.
-func (r *RSCodec) K() int { return r.c.K() }
-
-// NStored implements Codec.
-func (r *RSCodec) NStored() int { return r.c.N() }
-
-// Encode implements Codec. RS has no parallel encoder; the serial path is
-// used regardless of workers.
-func (r *RSCodec) Encode(data [][]byte, workers int) ([][]byte, error) {
-	return r.c.Encode(data)
-}
-
-// EncodeInto implements Codec (serial regardless of workers, like Encode).
-func (r *RSCodec) EncodeInto(data, parity [][]byte, workers int) error {
-	return r.c.EncodeInto(data, parity)
-}
-
-// PlanReads implements Codec with the minimal policy: any rank-k subset of
-// the available blocks, memoized per (position, availability-mask). light
-// is always false — RS repairs are heavy.
-func (r *RSCodec) PlanReads(i int, avail []bool) ([]int, bool, error) {
-	if reads, _, ok := r.plans.get(i, avail); ok {
-		return reads, false, nil
-	}
-	plan, err := r.c.PlanRepair(i, r.exists, avail, false)
-	if err != nil {
-		return nil, false, err
-	}
-	r.plans.put(i, avail, plan.Reads, false)
-	return plan.Reads, false, nil
-}
-
-// ReconstructBlock implements Codec as a thin wrapper over
-// ReconstructMany: only the requested column is decoded (one fused pass
-// over k survivors), not the whole stripe.
-func (r *RSCodec) ReconstructBlock(stripe [][]byte, i int) ([]byte, bool, error) {
-	payloads, _, err := r.ReconstructMany(stripe, []int{i})
-	if err != nil {
-		return nil, false, err
-	}
-	return payloads[0], false, nil
-}
-
-// ReconstructMany implements Codec via the batched column decoder. RS
-// decoding is all-or-nothing (below rank k nothing is recoverable), so
-// on error every payload is nil — there is no partial progress to keep.
-func (r *RSCodec) ReconstructMany(stripe [][]byte, positions []int) ([][]byte, []bool, error) {
-	if len(stripe) != r.c.N() {
-		return nil, nil, fmt.Errorf("store: got %d stripe entries, want %d", len(stripe), r.c.N())
-	}
-	light := make([]bool, len(positions))
-	payloads, err := r.c.ReconstructCols(stripe, positions)
-	if err != nil {
-		return make([][]byte, len(positions)), light, err
-	}
-	return payloads, light, nil
-}
-
-// ReconstructManyInto implements Codec (all-or-nothing, like
-// ReconstructMany).
-func (r *RSCodec) ReconstructManyInto(stripe [][]byte, positions []int, dst [][]byte) ([]bool, []bool, error) {
-	if len(stripe) != r.c.N() {
-		return nil, nil, fmt.Errorf("store: got %d stripe entries, want %d", len(stripe), r.c.N())
-	}
-	filled := make([]bool, len(positions))
-	light := make([]bool, len(positions))
-	if err := r.c.ReconstructColsInto(stripe, positions, dst); err != nil {
-		return filled, light, err
-	}
-	for i := range filled {
-		filled[i] = true
-	}
-	return filled, light, nil
-}
-
-// RepairGroups implements Codec: RS stripes have no repair groups, so
-// placement only spreads blocks across distinct nodes and racks.
-func (r *RSCodec) RepairGroups() [][]int { return nil }
-
-// Verify implements Codec.
-func (r *RSCodec) Verify(stripe [][]byte) (bool, error) { return r.c.Verify(stripe) }
-
-// LocateCorruption implements Codec by trial re-reconstruction: block j is
-// corrupted if rebuilding it from the others changes it and the repaired
-// stripe then verifies. Only single-block corruption is pinned exactly;
-// wider damage reports every inconsistent candidate.
-func (r *RSCodec) LocateCorruption(stripe [][]byte) ([]int, error) {
-	n := r.c.N()
-	if len(stripe) != n {
-		return nil, fmt.Errorf("store: got %d stripe entries, want %d", len(stripe), n)
-	}
-	for i, s := range stripe {
-		if s == nil {
-			return nil, fmt.Errorf("store: block %d missing; LocateCorruption needs a full stripe", i)
-		}
-	}
-	if ok, err := r.c.Verify(stripe); err != nil {
-		return nil, err
-	} else if ok {
-		return nil, nil
-	}
-	var corrupted []int
-	for j := 0; j < n; j++ {
-		work := make([][]byte, n)
-		copy(work, stripe)
-		work[j] = nil
-		rebuilt, _, err := r.ReconstructBlock(work, j)
-		if err != nil {
-			continue
-		}
-		if !bytes.Equal(rebuilt, stripe[j]) {
-			work[j] = rebuilt
-			if ok, err := r.c.Verify(work); err == nil && ok {
-				corrupted = append(corrupted, j)
-			}
-		}
-	}
-	if len(corrupted) == 0 {
-		// Beyond single-block localization: every block is suspect.
-		for j := 0; j < n; j++ {
-			corrupted = append(corrupted, j)
-		}
-	}
-	return corrupted, nil
 }
 
 // codecByName maps a geometry record's codec name back to a built-in

@@ -124,10 +124,17 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 	for i := range segs {
 		res := <-pending
 		pending = nil
+		// The stripe's reads land in the store-wide counters before its
+		// bytes reach w, so a client that holds the whole body finds the
+		// GET's full cost in Metrics(). degradedReads counts GETs, not
+		// stripes: only the first degraded stripe carries the flag.
+		if acct.degraded {
+			res.acct.degraded = false
+		}
+		s.m.mergeRead(&res.acct)
 		acct.add(&res.acct)
 		if res.err != nil {
 			res.release(s.cache)
-			s.m.mergeRead(acct)
 			return acct.info(), gen, fmt.Errorf("store: degraded read of %q stripe %d: %w", name, segs[i].idx, res.err)
 		}
 		if i+1 < len(segs) {
@@ -159,12 +166,10 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 					p := <-pending
 					p.release(s.cache)
 				}
-				s.m.mergeRead(acct)
 				return acct.info(), gen, fmt.Errorf("store: write object %q: %w", name, err)
 			}
 		}
 		res.release(s.cache)
 	}
-	s.m.mergeRead(acct)
 	return acct.info(), gen, nil
 }

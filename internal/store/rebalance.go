@@ -196,18 +196,11 @@ func (rb *Rebalancer) collectDrainWork(rep *RebalanceReport, states []NodeState)
 				})
 			}
 			if deadDrainer && rb.rm != nil {
-				light := true
-				for _, pos := range dead {
-					if _, l, err := s.cfg.Codec.PlanReads(pos, avail); err != nil || !l {
-						light = false
-						break
-					}
-				}
 				if rb.rm.enqueue(repairItem{
 					ref:      stripeRef{name: obj.Name, gen: obj.Gen, idx: idx},
 					damaged:  dead,
 					erasures: len(dead),
-					light:    light,
+					light:    s.lightRepairable(dead, avail),
 				}) {
 					rep.Enqueued++
 				}

@@ -331,8 +331,9 @@ func TestGeometryRecoveredFromPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.Codec().Name(); got != s1.Codec().Name() {
-		t.Fatalf("recovered codec %s, want %s", got, s1.Codec().Name())
+	// The literal the plane recorded: codecByName must keep resolving it.
+	if got := s2.Codec().Name(); got != "RS(10,4)" || got != s1.Codec().Name() {
+		t.Fatalf("recovered codec %s, want RS(10,4) = %s", got, s1.Codec().Name())
 	}
 	if s2.Nodes() != 17 || s2.Racks() != 5 || s2.cfg.BlockSize != 128 {
 		t.Fatalf("recovered %d nodes / %d racks / %d-byte blocks, want 17 / 5 / 128", s2.Nodes(), s2.Racks(), s2.cfg.BlockSize)
@@ -347,6 +348,28 @@ func TestGeometryRecoveredFromPlane(t *testing.T) {
 	}
 	if st, err := s2.Stat("obj2"); err != nil || st.Stripes != 2 {
 		t.Fatalf("put after reopen: %d stripes (err %v), want 2 at 128-byte blocks", st.Stripes, err)
+	}
+	// The recovered codec decodes what the first process encoded: with a
+	// data block's node down the read is byte-exact through the heavy
+	// decoder (RS has no light one), and a full scrub finds nothing else.
+	node, _, err := s2.BlockLocation("obj", 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.KillNode(node)
+	got, info, err := s2.Get("obj")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("degraded Get after zero-geometry reopen: err %v", err)
+	}
+	if info.HeavyRepairs == 0 || info.LightRepairs != 0 {
+		t.Fatalf("degraded RS Get used %d light / %d heavy repairs, want heavy only", info.LightRepairs, info.HeavyRepairs)
+	}
+	s2.ReviveNode(node)
+	rm := NewRepairManager(s2, 1)
+	rm.Start()
+	defer rm.Stop()
+	if rep := scrubAndDrain(t, s2, rm); rep.Missing != 0 || rep.Corrupt != 0 {
+		t.Fatalf("scrub after reopen: %+v, want a clean store", rep)
 	}
 }
 

@@ -375,18 +375,11 @@ func (sc *Scrubber) ScrubPresence() ScrubReport {
 			}
 			rep.Missing += len(damaged)
 			s.m.missingFound.Add(int64(len(damaged)))
-			light := true
-			for _, pos := range damaged {
-				if _, l, err := s.cfg.Codec.PlanReads(pos, avail); err != nil || !l {
-					light = false
-					break
-				}
-			}
 			if sc.rm.enqueue(repairItem{
 				ref:      stripeRef{name: obj.Name, gen: obj.Gen, idx: idx},
 				damaged:  damaged,
 				erasures: len(damaged),
-				light:    light,
+				light:    s.lightRepairable(damaged, avail),
 			}) {
 				rep.Enqueued++
 			}
@@ -445,18 +438,11 @@ func (sc *Scrubber) scrubStripe(ref stripeRef) (missing, corrupt int, enqueued b
 	}
 	s.m.missingFound.Add(int64(missing))
 	s.m.corruptFound.Add(int64(corrupt))
-	light := true
-	for _, pos := range damaged {
-		if _, l, err := s.cfg.Codec.PlanReads(pos, avail); err != nil || !l {
-			light = false
-			break
-		}
-	}
 	enqueued = sc.rm.enqueue(repairItem{
 		ref:      ref,
 		damaged:  damaged,
 		erasures: len(damaged),
-		light:    light,
+		light:    s.lightRepairable(damaged, avail),
 		silent:   silent,
 	})
 	return missing, corrupt, enqueued

@@ -432,6 +432,19 @@ func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *b
 	return payload, nil
 }
 
+// lightRepairable reports whether every damaged position has a light
+// repair plan given avail — the repair queue's priority bit (at equal
+// risk, light repairs go first), defined here once for the scrubber's two
+// scans and the rebalancer.
+func (s *Store) lightRepairable(damaged []int, avail []bool) bool {
+	for _, pos := range damaged {
+		if _, light, err := s.cfg.Codec.PlanReads(pos, avail); err != nil || !light {
+			return false
+		}
+	}
+	return true
+}
+
 // reconstructPositions rebuilds every nil position in need with one
 // batched decode: the union of the codec's repair plans (light local
 // sets first, heavy fallback — cached per erasure pattern) is fetched
