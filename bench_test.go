@@ -1,12 +1,11 @@
 // Package main's bench harness regenerates every table and figure of the
-// paper's evaluation (Section 5) plus the ablations called out in
-// DESIGN.md. Run with:
+// paper's evaluation (Section 5) plus the ablations. Run with:
 //
 //	go test -bench=. -benchmem
 //
 // Each Benchmark prints the paper-style rows once (on the first
-// iteration) and then times the underlying experiment; EXPERIMENTS.md
-// records the paper-vs-measured comparison.
+// iteration), the paper's own numbers beside them, and then times the
+// underlying experiment.
 //
 // The system's own performance — kernel, encode, store, wire and gateway
 // throughput, repair traffic — is measured by the repo benchmark in
@@ -20,6 +19,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -43,14 +43,23 @@ func once(name string, fn func()) {
 	}
 }
 
+// report prints one of experiments.Reports, by id, once per process.
+func report(b *testing.B, id string) {
+	once(id, func() {
+		for _, r := range experiments.Reports {
+			if slices.Contains(r.IDs, id) {
+				if err := r.Render(os.Stdout, 200); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkTable1MTTDL regenerates Table 1: storage overhead, repair
 // traffic, and MTTDL for 3-replication, RS(10,4) and LRC(10,6,5).
 func BenchmarkTable1MTTDL(b *testing.B) {
-	once("table1", func() {
-		if err := experiments.Table1(os.Stdout); err != nil {
-			b.Fatal(err)
-		}
-	})
+	report(b, "table1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := markov.Table1(markov.FacebookParams()); err != nil {
@@ -63,21 +72,7 @@ func BenchmarkTable1MTTDL(b *testing.B) {
 // WordCount jobs with ~20% of required blocks missing.
 func BenchmarkTable2RepairUnderWorkload(b *testing.B) {
 	cfg := experiments.DefaultWorkload()
-	once("table2", func() {
-		base, err := experiments.RunWorkload(core.NewRS104(), false, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rs, err := experiments.RunWorkload(core.NewRS104(), true, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xo, err := experiments.RunWorkload(core.NewXorbas(), true, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		experiments.Fig7Table2(os.Stdout, base, rs, xo)
-	})
+	report(b, "table2")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunWorkload(core.NewXorbas(), true, cfg); err != nil {
@@ -90,17 +85,7 @@ func BenchmarkTable2RepairUnderWorkload(b *testing.B) {
 // Facebook test cluster with the production small-file distribution.
 func BenchmarkTable3FacebookCluster(b *testing.B) {
 	cfg := experiments.DefaultFacebook()
-	once("table3", func() {
-		rs, err := experiments.RunFacebook(core.NewRS104(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xo, err := experiments.RunFacebook(core.NewXorbas(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		experiments.Table3(os.Stdout, rs, xo)
-	})
+	report(b, "table3")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunFacebook(core.NewXorbas(), cfg); err != nil {
@@ -111,11 +96,7 @@ func BenchmarkTable3FacebookCluster(b *testing.B) {
 
 // BenchmarkFig1FailureTrace regenerates Fig 1's month of node failures.
 func BenchmarkFig1FailureTrace(b *testing.B) {
-	once("fig1", func() {
-		if err := experiments.Fig1(os.Stdout); err != nil {
-			b.Fatal(err)
-		}
-	})
+	report(b, "fig1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := experiments.Fig1(nullWriter{}); err != nil {
@@ -132,17 +113,7 @@ func (nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 // EC2 experiment, eight failure events) and Fig 5's time series.
 func BenchmarkFig4FailureEvents(b *testing.B) {
 	cfg := experiments.DefaultEC2(200)
-	once("fig4", func() {
-		rs, err := experiments.RunEC2(core.NewRS104(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xo, err := experiments.RunEC2(core.NewXorbas(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		experiments.Fig4(os.Stdout, rs, xo)
-	})
+	report(b, "fig4")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunEC2(core.NewXorbas(), cfg); err != nil {
@@ -155,17 +126,7 @@ func BenchmarkFig4FailureEvents(b *testing.B) {
 // CPU series at 5-minute resolution over the failure sequence.
 func BenchmarkFig5TimeSeries(b *testing.B) {
 	cfg := experiments.DefaultEC2(200)
-	once("fig5", func() {
-		rs, err := experiments.RunEC2(core.NewRS104(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xo, err := experiments.RunEC2(core.NewXorbas(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		experiments.Fig5(os.Stdout, rs, xo)
-	})
+	report(b, "fig5")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunEC2(core.NewRS104(), cfg); err != nil {
@@ -178,18 +139,7 @@ func BenchmarkFig5TimeSeries(b *testing.B) {
 // across the 50/100/200-file experiments with least-squares fits.
 func BenchmarkFig6Scatter(b *testing.B) {
 	base := experiments.DefaultEC2(0)
-	sizes := []int{50, 100, 200}
-	once("fig6", func() {
-		rs, err := experiments.RunFig6(core.NewRS104(), sizes, base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xo, err := experiments.RunFig6(core.NewXorbas(), sizes, base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		experiments.Fig6(os.Stdout, rs, xo)
-	})
+	report(b, "fig6")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunFig6(core.NewXorbas(), []int{50}, base); err != nil {
@@ -233,7 +183,7 @@ func BenchmarkTraceDrivenMonth(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §4) ---
+// --- Ablations ---
 
 // BenchmarkAblationImpliedParity compares the deployed implied-parity
 // layout (16 blocks) against storing S3 explicitly (17 blocks): same

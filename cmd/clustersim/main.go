@@ -1,112 +1,59 @@
-// Command clustersim runs the paper's cluster experiments (Section 5) on
-// the simulated substrate and prints the corresponding tables/figures.
+// Command clustersim reproduces the paper's tables and figures on the
+// simulated substrate: the Section 4 reliability model (table1), the
+// failure trace (fig1) and the Section 5 cluster experiments.
 //
 // Usage:
 //
-//	clustersim -exp fig4|fig5|fig6|table2|table3|all [-files n]
+//	clustersim -exp <id>|all [-files n]
+//
+// The ids are those of experiments.Reports; -h lists them.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strings"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4, fig5, fig6, table2, table3, all")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(ids(), ", ")+", all")
 	files := flag.Int("files", 200, "files for the EC2 experiments")
 	flag.Parse()
 
-	if err := run(*exp, *files); err != nil {
+	if err := run(os.Stdout, *exp, *files); err != nil {
 		fmt.Fprintln(os.Stderr, "clustersim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, files int) error {
-	w := os.Stdout
-	wantAll := exp == "all"
+// ids lists every accepted experiment id in table order.
+func ids() []string {
+	var out []string
+	for _, r := range experiments.Reports {
+		out = append(out, r.IDs...)
+	}
+	return out
+}
+
+// run renders the report named exp, or every report for "all".
+func run(w io.Writer, exp string, files int) error {
 	ran := false
-	if wantAll || exp == "fig4" || exp == "fig5" {
-		cfg := experiments.DefaultEC2(files)
-		rs, err := experiments.RunEC2(core.NewRS104(), cfg)
-		if err != nil {
+	for _, r := range experiments.Reports {
+		if exp != "all" && !slices.Contains(r.IDs, exp) {
+			continue
+		}
+		if err := r.Render(w, files); err != nil {
 			return err
 		}
-		xo, err := experiments.RunEC2(core.NewXorbas(), cfg)
-		if err != nil {
-			return err
-		}
-		if wantAll || exp == "fig4" {
-			experiments.Fig4(w, rs, xo)
-			ran = true
-		}
-		if wantAll || exp == "fig5" {
-			experiments.Fig5(w, rs, xo)
-			ran = true
-		}
-	}
-	if wantAll || exp == "fig6" {
-		base := experiments.DefaultEC2(0)
-		sizes := []int{50, 100, 200}
-		rs, err := experiments.RunFig6(core.NewRS104(), sizes, base)
-		if err != nil {
-			return err
-		}
-		xo, err := experiments.RunFig6(core.NewXorbas(), sizes, base)
-		if err != nil {
-			return err
-		}
-		experiments.Fig6(w, rs, xo)
-		ran = true
-	}
-	if wantAll || exp == "table2" || exp == "fig7" {
-		cfg := experiments.DefaultWorkload()
-		base, err := experiments.RunWorkload(core.NewRS104(), false, cfg)
-		if err != nil {
-			return err
-		}
-		rs, err := experiments.RunWorkload(core.NewRS104(), true, cfg)
-		if err != nil {
-			return err
-		}
-		xo, err := experiments.RunWorkload(core.NewXorbas(), true, cfg)
-		if err != nil {
-			return err
-		}
-		experiments.Fig7Table2(w, base, rs, xo)
-		ran = true
-	}
-	if wantAll || exp == "trace" {
-		cfg := experiments.DefaultTraceDriven()
-		for _, s := range []core.Scheme{core.NewRS104(), core.NewXorbas()} {
-			r, err := experiments.RunTraceDriven(s, cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "Trace month %-16s: %3d node failures, %4d repairs (%d light/%d heavy), %.1f GB repair reads, %d blocks lost\n",
-				r.Scheme, r.NodesFailed, r.BlocksRepaired, r.LightRepairs, r.HeavyRepairs, r.RepairTrafficGB, r.DataLossBlocks)
-		}
-		ran = true
-	}
-	if wantAll || exp == "table3" {
-		cfg := experiments.DefaultFacebook()
-		rs, err := experiments.RunFacebook(core.NewRS104(), cfg)
-		if err != nil {
-			return err
-		}
-		xo, err := experiments.RunFacebook(core.NewXorbas(), cfg)
-		if err != nil {
-			return err
-		}
-		experiments.Table3(w, rs, xo)
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
+		return fmt.Errorf("unknown experiment %q (want one of %s, all)", exp, strings.Join(ids(), ", "))
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package cluster models the physical substrate of Section 5's testbeds:
-// DataNode machines with NIC and disk bandwidth, racks, a shared fabric,
-// and the byte/CPU counters the paper's plots are drawn from (HDFS bytes
-// read, network-out traffic, disk bytes read, CPU utilization — Figs 4–6).
+// one rack of DataNode machines with NIC and disk bandwidth, and the
+// byte/CPU counters the paper's plots are drawn from (HDFS bytes read,
+// network-out traffic, disk bytes read, CPU utilization — Figs 4–6).
 package cluster
 
 import (
@@ -15,17 +15,11 @@ import (
 type Config struct {
 	// Nodes is the number of DataNodes (50 slaves on EC2, 35 at Facebook).
 	Nodes int
-	// Racks spreads nodes round-robin; cross-rack flows are tagged and,
-	// if FabricBps > 0, share that aggregate capacity (the Markov model's
-	// γ). 0 or 1 racks disables rack awareness.
-	Racks int
 	// NodeOutBps / NodeInBps are per-node NIC capacities in bytes/s.
 	NodeOutBps, NodeInBps float64
 	// DiskReadBps caps a node's effective egress when serving blocks
 	// (folded into the egress capacity as min(NodeOutBps, DiskReadBps)).
 	DiskReadBps float64
-	// FabricBps caps aggregate cross-rack traffic; 0 = unlimited.
-	FabricBps float64
 	// BucketSec is the metrics time-series resolution (300 s in the
 	// paper's CloudWatch plots).
 	BucketSec float64
@@ -38,9 +32,6 @@ func (c *Config) Validate() error {
 	}
 	if c.NodeOutBps <= 0 || c.NodeInBps <= 0 {
 		return fmt.Errorf("cluster: node bandwidths must be positive")
-	}
-	if c.Racks <= 0 {
-		c.Racks = 1
 	}
 	if c.BucketSec <= 0 {
 		c.BucketSec = 300
@@ -68,9 +59,8 @@ type Cluster struct {
 	Net *sim.Net
 	cfg Config
 
-	alive  []bool
-	rackOf []int
-	M      *Metrics
+	alive []bool
+	M     *Metrics
 }
 
 // New builds a cluster on the engine.
@@ -83,11 +73,10 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 		out = cfg.DiskReadBps
 	}
 	c := &Cluster{
-		Eng:    eng,
-		Net:    sim.NewNet(eng, cfg.Nodes, out, cfg.NodeInBps, cfg.FabricBps),
-		cfg:    cfg,
-		alive:  make([]bool, cfg.Nodes),
-		rackOf: make([]int, cfg.Nodes),
+		Eng:   eng,
+		Net:   sim.NewNet(eng, cfg.Nodes, out, cfg.NodeInBps),
+		cfg:   cfg,
+		alive: make([]bool, cfg.Nodes),
 		M: &Metrics{
 			NetOut:   stats.NewTimeSeries(cfg.BucketSec),
 			DiskRead: stats.NewTimeSeries(cfg.BucketSec),
@@ -96,7 +85,6 @@ func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
 	}
 	for i := range c.alive {
 		c.alive[i] = true
-		c.rackOf[i] = i % cfg.Racks
 	}
 	c.Net.OnProgress = func(f *sim.Flow, bytes float64) {
 		t := eng.Now()
@@ -119,9 +107,6 @@ const (
 	TagWrite = "write"
 )
 
-// Config returns the cluster's configuration (defaults filled).
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Nodes returns the node count.
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 
@@ -138,9 +123,6 @@ func (c *Cluster) LiveNodes() []int {
 	}
 	return out
 }
-
-// Rack returns a node's rack id.
-func (c *Cluster) Rack(n int) int { return c.rackOf[n] }
 
 // Kill terminates a node (the paper's failure events: DataNode
 // terminations, §5.2). Idempotent.
@@ -166,8 +148,7 @@ func (c *Cluster) Transfer(from, to int, bytes float64, tag string, done func())
 	if !c.Alive(to) {
 		return fmt.Errorf("cluster: destination node %d is dead", to)
 	}
-	cross := c.rackOf[from] != c.rackOf[to]
-	c.Net.StartFlow(from, to, bytes, cross, tag, func(*sim.Flow) {
+	c.Net.StartFlow(from, to, bytes, tag, func(*sim.Flow) {
 		if done != nil {
 			done()
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 func testConfig() Config {
-	return Config{Nodes: 10, Racks: 2, NodeOutBps: 100, NodeInBps: 100, BucketSec: 10}
+	return Config{Nodes: 10, NodeOutBps: 100, NodeInBps: 100, BucketSec: 10}
 }
 
 func TestValidate(t *testing.T) {
@@ -24,19 +24,8 @@ func TestValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if ok.Racks != 1 || ok.BucketSec != 300 {
+	if ok.BucketSec != 300 {
 		t.Error("defaults not filled")
-	}
-}
-
-func TestRackAssignment(t *testing.T) {
-	eng := sim.NewEngine()
-	c, err := New(eng, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Rack(0) != 0 || c.Rack(1) != 1 || c.Rack(2) != 0 {
-		t.Fatal("round-robin racks wrong")
 	}
 }
 
@@ -111,25 +100,6 @@ func TestDiskCapsEgress(t *testing.T) {
 	eng.Run()
 	if math.Abs(doneAt-10) > 1e-6 {
 		t.Fatalf("transfer took %f s, want 10 (disk-capped)", doneAt)
-	}
-}
-
-func TestFabricCapsCrossRack(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := testConfig()
-	cfg.FabricBps = 10
-	c, _ := New(eng, cfg)
-	var sameRack, crossRack float64
-	// 0→2 same rack (both rack 0); 0→1 cross rack.
-	if err := c.Transfer(0, 1, 100, TagRead, func() { crossRack = eng.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Transfer(4, 2, 100, TagRead, func() { sameRack = eng.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if crossRack <= sameRack {
-		t.Fatalf("cross-rack (%f) should be slower than same-rack (%f)", crossRack, sameRack)
 	}
 }
 

@@ -45,10 +45,6 @@ type Scheme interface {
 	// whether the light (local) decoder sufficed. deployed selects the
 	// deployed read-set policy (all streams) versus minimal.
 	PlanRepair(lost int, exists, avail []bool, deployed bool) (reads []int, light bool, err error)
-	// ExpectedRepairReads returns, over all erasure patterns of the given
-	// size on a full stripe, the expected blocks read for the next repair
-	// and the fraction handled by the light decoder.
-	ExpectedRepairReads(erasures int) (avg float64, lightFrac float64)
 }
 
 // Replication is n-way block replication (the cluster default, §1).
@@ -100,15 +96,6 @@ func (r Replication) PlanRepair(lost int, exists, avail []bool, deployed bool) (
 		}
 	}
 	return nil, false, fmt.Errorf("core: all %d copies lost", r.Factor)
-}
-
-// ExpectedRepairReads implements Scheme: replication always reads one
-// block per repair.
-func (r Replication) ExpectedRepairReads(erasures int) (float64, float64) {
-	if erasures >= r.Factor {
-		return 0, 0
-	}
-	return 1, 1
 }
 
 // Coded wraps an erasure code as a Scheme.
@@ -173,21 +160,4 @@ func (s *Coded) PlanRepair(lost int, exists, avail []bool, deployed bool) ([]int
 		return nil, false, err
 	}
 	return p.Reads, p.Light, nil
-}
-
-// ExpectedRepairReads implements Scheme.
-func (s *Coded) ExpectedRepairReads(erasures int) (float64, float64) {
-	return s.code.ExpectedRepairReads(erasures)
-}
-
-// Groups returns the stripe positions of each repair group (data groups
-// first, then the global-parity group); none for a code without local
-// parities. Group-aware placement uses this to keep each group inside one
-// rack or datacenter (§1.1).
-func (s *Coded) Groups() [][]int {
-	var out [][]int
-	for _, g := range s.code.Groups() {
-		out = append(out, g.Members)
-	}
-	return out
 }

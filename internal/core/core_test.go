@@ -33,7 +33,7 @@ func TestTable1StaticColumns(t *testing.T) {
 	}
 
 	// Repair traffic (single failure, minimal reads): 1x, 10x, 5x.
-	repReads, _ := rep.ExpectedRepairReads(1)
+	repReads := RepairStats(rep, 1).AvgReads
 	if repReads != 1 {
 		t.Errorf("replication repair reads %f want 1", repReads)
 	}
@@ -46,8 +46,8 @@ func TestTable1StaticColumns(t *testing.T) {
 	if len(reads) != 10 {
 		t.Errorf("RS minimal repair reads %d want 10", len(reads))
 	}
-	lrcReads, lightFrac := xor.ExpectedRepairReads(1)
-	if lrcReads != 5 || lightFrac != 1 {
+	st := RepairStats(xor, 1)
+	if lrcReads, lightFrac := st.AvgReads, st.LightFraction; lrcReads != 5 || lightFrac != 1 {
 		t.Errorf("LRC repair reads %f (light %f) want 5 (1)", lrcReads, lightFrac)
 	}
 }

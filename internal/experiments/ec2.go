@@ -1,7 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section 5) on the simulated substrate. Each driver returns
 // typed results; bench_test.go and cmd/clustersim print them in the
-// paper's row/series formats. EXPERIMENTS.md records paper-vs-measured.
+// paper's row/series formats, beside the paper's own numbers.
 package experiments
 
 import (
@@ -20,8 +20,7 @@ const mb = 1 << 20
 // EC2Config collects the knobs of the §5.2 Amazon EC2 reproduction. The
 // defaults model 50 m1.small slaves: ~100 Mb/s NICs, two map slots, tens
 // of seconds of MapReduce job overhead — values chosen so the baseline
-// repair durations land in Fig 4c's tens-of-minutes regime (see
-// EXPERIMENTS.md's calibration notes).
+// repair durations land in Fig 4c's tens-of-minutes regime.
 type EC2Config struct {
 	Files       int
 	Nodes       int
@@ -88,11 +87,23 @@ func (r *EC2Result) TotalLost() int {
 // given scheme, and collects the Fig 4 per-event metrics plus the Fig 5
 // time series.
 func RunEC2(scheme core.Scheme, cfg EC2Config) (*EC2Result, error) {
-	env, err := newEC2Env(scheme, cfg)
+	if cfg.Files <= 0 {
+		return nil, fmt.Errorf("experiments: need files")
+	}
+	fs, err := newFS(scheme, cfg.Nodes, cfg.NodeBps, hdfs.Config{
+		BlockSizeBytes: cfg.BlockBytes, RepairMaxParallel: cfg.RepairSlots,
+		TaskLaunchSec: 10, DecodeCPUSecPerRead: 0.5,
+		DegradedTimeoutSec: 15, Seed: cfg.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	eng, fs := env.eng, env.fs
+	for i := 0; i < cfg.Files; i++ {
+		if _, err := fs.AddFile(fmt.Sprintf("file-%04d", i), workload.EC2FileBlocks); err != nil {
+			return nil, err
+		}
+	}
+	eng := fs.Cl.Eng
 	rng := rand.New(rand.NewSource(cfg.Seed + 77))
 
 	res := &EC2Result{Scheme: scheme.Name(), Files: cfg.Files}
@@ -121,57 +132,32 @@ func RunEC2(scheme core.Scheme, cfg EC2Config) (*EC2Result, error) {
 		})
 	}
 	// Fig 5 series.
-	for _, b := range env.cl.M.NetOut.Buckets() {
+	for _, b := range fs.Cl.M.NetOut.Buckets() {
 		res.NetOutSeriesGB = append(res.NetOutSeriesGB, b/1e9)
 	}
 	// Fold the reporting-level MR overhead into the traffic series too,
 	// attributing it to the buckets where decoder reads happened.
-	for i, b := range env.cl.M.DiskRead.Buckets() {
+	for i, b := range fs.Cl.M.DiskRead.Buckets() {
 		res.DiskReadSeriesGB = append(res.DiskReadSeriesGB, b/1e9)
 		if i < len(res.NetOutSeriesGB) {
 			res.NetOutSeriesGB[i] += cfg.MRTrafficOverheadFactor * b / 1e9
 		}
 	}
-	res.CPUPercent = env.cl.CPUUtilizationPercent(18)
+	res.CPUPercent = fs.Cl.CPUUtilizationPercent(18)
 	return res, nil
 }
 
-type ec2Env struct {
-	eng *sim.Engine
-	cl  *cluster.Cluster
-	fs  *hdfs.FS
-}
-
-// newEC2Env builds the cluster and loads the experiment's files.
-func newEC2Env(scheme core.Scheme, cfg EC2Config) (*ec2Env, error) {
-	if cfg.Files <= 0 {
-		return nil, fmt.Errorf("experiments: need files")
-	}
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{
-		Nodes: cfg.Nodes, Racks: 1,
-		NodeOutBps: cfg.NodeBps, NodeInBps: cfg.NodeBps,
-		BucketSec: 300,
-	})
+// newFS builds one §5 testbed: a one-rack cluster of nodes with
+// symmetric nodeBps NICs and a DRFS over it. What every experiment shares
+// — two map slots per node, a 60 s BlockFixer scan, the deployed read-set
+// policy — is set here; the caller fills in the rest of hc.
+func newFS(scheme core.Scheme, nodes int, nodeBps float64, hc hdfs.Config) (*hdfs.FS, error) {
+	cl, err := cluster.New(sim.NewEngine(), cluster.Config{Nodes: nodes, NodeOutBps: nodeBps, NodeInBps: nodeBps})
 	if err != nil {
 		return nil, err
 	}
-	fs, err := hdfs.New(cl, scheme, hdfs.Config{
-		BlockSizeBytes: cfg.BlockBytes,
-		SlotsPerNode:   2, RepairMaxParallel: cfg.RepairSlots,
-		TaskLaunchSec: 10, FixerScanSec: 60,
-		DeployedReads: true, DecodeCPUSecPerRead: 0.5,
-		DegradedTimeoutSec: 15, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.Files; i++ {
-		if _, err := fs.AddFile(fmt.Sprintf("file-%04d", i), workload.EC2FileBlocks); err != nil {
-			return nil, err
-		}
-	}
-	return &ec2Env{eng: eng, cl: cl, fs: fs}, nil
+	hc.SlotsPerNode, hc.FixerScanSec, hc.DeployedReads = 2, 60, true
+	return hdfs.New(cl, scheme, hc)
 }
 
 // pickVictims selects live nodes storing at least one block, preferring a

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hdfs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -46,20 +44,9 @@ type FacebookResult struct {
 // RunFacebook deploys the scheme on the Facebook test-cluster workload,
 // terminates one random DataNode, and reports the Table 3 metrics.
 func RunFacebook(scheme core.Scheme, cfg FacebookConfig) (*FacebookResult, error) {
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{
-		Nodes: cfg.Nodes, Racks: 1,
-		NodeOutBps: cfg.NodeBps, NodeInBps: cfg.NodeBps,
-		BucketSec: 300,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fs, err := hdfs.New(cl, scheme, hdfs.Config{
-		BlockSizeBytes: cfg.BlockBytes,
-		SlotsPerNode:   2, RepairMaxParallel: 16,
-		TaskLaunchSec: 10, FixerScanSec: 60,
-		DeployedReads: true, DecodeCPUSecPerRead: 0.5,
+	fs, err := newFS(scheme, cfg.Nodes, cfg.NodeBps, hdfs.Config{
+		BlockSizeBytes: cfg.BlockBytes, RepairMaxParallel: 16,
+		TaskLaunchSec: 10, DecodeCPUSecPerRead: 0.5,
 		DegradedTimeoutSec: 15, Seed: cfg.Seed,
 	})
 	if err != nil {
@@ -80,7 +67,7 @@ func RunFacebook(scheme core.Scheme, cfg FacebookConfig) (*FacebookResult, error
 	before := fs.Snapshot()
 	fs.ResetRepairWindow()
 	fs.KillNode(victim)
-	eng.Run()
+	fs.Cl.Eng.Run()
 	d := fs.Delta(before)
 
 	res := &FacebookResult{

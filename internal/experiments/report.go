@@ -5,12 +5,94 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/markov"
 	"repro/internal/workload"
 )
 
+// Report is one table or figure of the evaluation: the ids `clustersim
+// -exp` accepts for it, and a Render that runs its experiment on the
+// paper's parameters (the EC2 runs behind Figs 4 and 5 load ec2Files
+// files) and prints the result.
+type Report struct {
+	IDs    []string
+	Render func(w io.Writer, ec2Files int) error
+}
+
+// Reports lists the evaluation in the order `clustersim -exp all` prints
+// it.
+var Reports = []Report{
+	{[]string{"table1"}, func(w io.Writer, _ int) error { return Table1(w) }},
+	{[]string{"fig1"}, func(w io.Writer, _ int) error { return Fig1(w) }},
+	{[]string{"fig4"}, func(w io.Writer, files int) error { return renderEC2(w, files, Fig4) }},
+	{[]string{"fig5"}, func(w io.Writer, files int) error { return renderEC2(w, files, Fig5) }},
+	{[]string{"fig6"}, func(w io.Writer, _ int) error {
+		rs, xo, err := both(func(s core.Scheme) (*Fig6Result, error) {
+			return RunFig6(s, []int{50, 100, 200}, DefaultEC2(0))
+		})
+		if err != nil {
+			return err
+		}
+		Fig6(w, rs, xo)
+		return nil
+	}},
+	{[]string{"fig7", "table2"}, func(w io.Writer, _ int) error {
+		cfg := DefaultWorkload()
+		base, err := RunWorkload(core.NewRS104(), false, cfg)
+		if err != nil {
+			return err
+		}
+		rs, xo, err := both(func(s core.Scheme) (*WorkloadResult, error) { return RunWorkload(s, true, cfg) })
+		if err != nil {
+			return err
+		}
+		Fig7Table2(w, base, rs, xo)
+		return nil
+	}},
+	{[]string{"trace"}, func(w io.Writer, _ int) error {
+		rs, xo, err := both(func(s core.Scheme) (*TraceResult, error) { return RunTraceDriven(s, DefaultTraceDriven()) })
+		if err != nil {
+			return err
+		}
+		for _, r := range []*TraceResult{rs, xo} {
+			fmt.Fprintf(w, "Trace month %-16s: %3d node failures, %4d repairs (%d light/%d heavy), %.1f GB repair reads, %d blocks lost\n",
+				r.Scheme, r.NodesFailed, r.BlocksRepaired, r.LightRepairs, r.HeavyRepairs, r.RepairTrafficGB, r.DataLossBlocks)
+		}
+		return nil
+	}},
+	{[]string{"table3"}, func(w io.Writer, _ int) error {
+		rs, xo, err := both(func(s core.Scheme) (*FacebookResult, error) { return RunFacebook(s, DefaultFacebook()) })
+		if err != nil {
+			return err
+		}
+		Table3(w, rs, xo)
+		return nil
+	}},
+}
+
+// renderEC2 runs the §5.2 failure sequence on both clusters and hands the
+// pair to one of the two figures drawn from it.
+func renderEC2(w io.Writer, files int, fig func(w io.Writer, rs, xorbas *EC2Result)) error {
+	rs, xo, err := both(func(s core.Scheme) (*EC2Result, error) { return RunEC2(s, DefaultEC2(files)) })
+	if err != nil {
+		return err
+	}
+	fig(w, rs, xo)
+	return nil
+}
+
+// both runs one experiment on the HDFS-RS cluster and on the HDFS-Xorbas
+// cluster.
+func both[T any](run func(core.Scheme) (T, error)) (rs, xorbas T, err error) {
+	if rs, err = run(core.NewRS104()); err != nil {
+		return rs, xorbas, err
+	}
+	xorbas, err = run(core.NewXorbas())
+	return rs, xorbas, err
+}
+
 // Table1 computes and renders the paper's Table 1 under both the physical
-// model and the paper-calibrated model (see EXPERIMENTS.md).
+// model and the paper-calibrated model (markov.CalibratedParams).
 func Table1(w io.Writer) error {
 	fmt.Fprintln(w, "Table 1: storage overhead, repair traffic, MTTDL")
 	fmt.Fprintln(w, "  paper:  3-replication 2.3079E+10 | RS(10,4) 3.3118E+13 | LRC(10,6,5) 1.2180E+15 days")

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hdfs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -59,25 +57,15 @@ type TraceResult struct {
 // then replaced (restarted empty) at the next day boundary, modelling
 // ops swapping hardware.
 func RunTraceDriven(scheme core.Scheme, cfg TraceConfig) (*TraceResult, error) {
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{
-		Nodes: cfg.Nodes, Racks: 1,
-		NodeOutBps: cfg.NodeBps, NodeInBps: cfg.NodeBps,
-		BucketSec: 3600,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fs, err := hdfs.New(cl, scheme, hdfs.Config{
-		BlockSizeBytes: cfg.BlockBytes,
-		SlotsPerNode:   2, RepairMaxParallel: 16,
-		TaskLaunchSec: 10, FixerScanSec: 60,
-		DeployedReads: true, DecodeCPUSecPerRead: 0.3,
+	fs, err := newFS(scheme, cfg.Nodes, cfg.NodeBps, hdfs.Config{
+		BlockSizeBytes: cfg.BlockBytes, RepairMaxParallel: 16,
+		TaskLaunchSec: 10, DecodeCPUSecPerRead: 0.3,
 		DegradedTimeoutSec: 15, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
+	eng, cl := fs.Cl.Eng, fs.Cl
 	for i := 0; i < cfg.Files; i++ {
 		if _, err := fs.AddFile(fmt.Sprintf("t%04d", i), cfg.FileBlocks); err != nil {
 			return nil, err

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hdfs"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -63,20 +61,9 @@ type WorkloadResult struct {
 // includes both the job input and the repair/degraded reconstruction
 // reads.
 func RunWorkload(scheme core.Scheme, degraded bool, cfg WorkloadConfig) (*WorkloadResult, error) {
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{
-		Nodes: cfg.Nodes, Racks: 1,
-		NodeOutBps: cfg.NodeBps, NodeInBps: cfg.NodeBps,
-		BucketSec: 300,
-	})
-	if err != nil {
-		return nil, err
-	}
-	fs, err := hdfs.New(cl, scheme, hdfs.Config{
-		BlockSizeBytes: cfg.BlockBytes,
-		SlotsPerNode:   2, RepairMaxParallel: 0, // repair job fair-shares slots
-		TaskLaunchSec: 5, FixerScanSec: 60,
-		DeployedReads: true, DecodeCPUSecPerRead: 0.5,
+	fs, err := newFS(scheme, cfg.Nodes, cfg.NodeBps, hdfs.Config{
+		BlockSizeBytes: cfg.BlockBytes, RepairMaxParallel: 0, // repair job fair-shares slots
+		TaskLaunchSec: 5, DecodeCPUSecPerRead: 0.5,
 		DegradedTimeoutSec: 10, Seed: cfg.Seed,
 	})
 	if err != nil {
@@ -129,7 +116,7 @@ func RunWorkload(scheme core.Scheme, degraded bool, cfg WorkloadConfig) (*Worklo
 		stripes := files[j%cfg.Files]
 		jobs = append(jobs, workload.SubmitWordCount(fs, fmt.Sprintf("wordcount-%d", j), stripes, cfg.ProcessBps, nil))
 	}
-	eng.Run()
+	fs.Cl.Eng.Run()
 	for _, wc := range jobs {
 		if !wc.Job.Done() {
 			return nil, fmt.Errorf("experiments: job %s did not finish", wc.Name)

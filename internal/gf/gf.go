@@ -47,7 +47,6 @@ type Field struct {
 	m      uint   // extension degree
 	size   int    // 2^m
 	mask   uint32 // 2^m - 1
-	prim   uint32 // primitive polynomial (with x^m term)
 	exp    []Elem // exp[i] = α^i, doubled length to skip mod in Mul
 	log    []int32
 	inv    []Elem // multiplicative inverses, inv[0] unused
@@ -112,7 +111,6 @@ func NewWithPolynomial(m uint, prim uint32) (*Field, error) {
 		m:      m,
 		size:   1 << m,
 		mask:   (1 << m) - 1,
-		prim:   prim,
 		genera: 2,
 	}
 	order := f.size - 1
@@ -156,15 +154,9 @@ func (f *Field) Order() int { return f.size - 1 }
 // Generator returns the primitive element α used to build the tables.
 func (f *Field) Generator() Elem { return f.genera }
 
-// Polynomial returns the primitive polynomial, including the x^m term.
-func (f *Field) Polynomial() uint32 { return f.prim }
-
 // Add returns a+b. In characteristic 2 addition and subtraction coincide
 // (the paper exploits this when it turns "−" into "+" in Eq. (2)).
 func (f *Field) Add(a, b Elem) Elem { return a ^ b }
-
-// Sub returns a−b, identical to Add in characteristic 2.
-func (f *Field) Sub(a, b Elem) Elem { return a ^ b }
 
 // Mul returns a·b.
 func (f *Field) Mul(a, b Elem) Elem {

@@ -126,9 +126,6 @@ func (w *WideTables) buildVector() {
 	}
 }
 
-// K returns the number of data sources the tables expect.
-func (w *WideTables) K() int { return w.k }
-
 // Lanes returns the number of output columns.
 func (w *WideTables) Lanes() int { return w.lanes }
 

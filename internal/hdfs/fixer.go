@@ -75,7 +75,7 @@ func (fs *FS) fixerScan() {
 	job := &Job{Name: "blockfixer", MaxParallel: fs.Cfg.RepairMaxParallel}
 	for _, ref := range tasks {
 		ref := ref
-		job.AddTask(&Task{PreferredNode: fs.preferRepairNode(ref), Run: func(node int, finish func()) {
+		job.AddTask(&Task{PreferredNode: -1, Run: func(node int, finish func()) {
 			fs.runRepairTask(ref, node, finish)
 		}})
 	}
@@ -100,7 +100,7 @@ func (fs *FS) runRepairTask(ref blockRef, node int, finish func()) {
 			return
 		}
 		exists, avail := ref.s.masks()
-		reads, light, err := ref.s.Scheme.PlanRepair(ref.pos, exists, avail, fs.Cfg.DeployedReads)
+		reads, light, err := fs.Scheme.PlanRepair(ref.pos, exists, avail, fs.Cfg.DeployedReads)
 		if err != nil {
 			fs.counters.Unrecoverable++
 			endTask()
@@ -110,7 +110,7 @@ func (fs *FS) runRepairTask(ref blockRef, node int, finish func()) {
 			decode := fs.Cfg.DecodeCPUSecPerRead * float64(len(reads))
 			fs.Cl.AddCPU(decode, 1)
 			fs.Cl.Eng.Schedule(decode, func() {
-				dest := fs.pickNewHome(ref.s, ref.pos, node)
+				dest := fs.pickNewHome(ref.s, node)
 				writeDone := func() {
 					ref.s.Lost[ref.pos] = false
 					ref.s.Node[ref.pos] = dest
@@ -166,50 +166,17 @@ func (fs *FS) streamBlocks(s *Stripe, reads []int, node int, done func()) {
 	}
 }
 
-// preferRepairNode suggests where to schedule a repair task. Under
-// group-aware placement the task should run in the lost block's rack
-// (data center) so local repairs never cross the fabric; otherwise any
-// node will do.
-func (fs *FS) preferRepairNode(ref blockRef) int {
-	if !fs.GroupAwarePlacement {
-		return -1
-	}
-	home := ref.s.Node[ref.pos]
-	if home < 0 {
-		return -1
-	}
-	rack := fs.Cl.Rack(home)
-	for _, n := range fs.Cl.LiveNodes() {
-		if fs.Cl.Rack(n) == rack {
-			return n
-		}
-	}
-	return -1
-}
-
 // pickNewHome chooses a live node for a rebuilt block, avoiding the
 // stripe's other blocks (placement policy) and preferring not to keep it
-// on the task node. Under group-aware placement the block returns to its
-// original rack so the repair group stays within one data center.
-func (fs *FS) pickNewHome(s *Stripe, pos, taskNode int) int {
+// on the task node.
+func (fs *FS) pickNewHome(s *Stripe, taskNode int) int {
 	onStripe := make(map[int]bool)
 	for p, nd := range s.Node {
 		if nd >= 0 && !s.Lost[p] {
 			onStripe[nd] = true
 		}
 	}
-	var pool []int
-	if fs.GroupAwarePlacement && s.Node[pos] >= 0 {
-		rack := fs.Cl.Rack(s.Node[pos])
-		for _, n := range fs.Cl.LiveNodes() {
-			if fs.Cl.Rack(n) == rack && !onStripe[n] {
-				pool = append(pool, n)
-			}
-		}
-	}
-	if len(pool) == 0 {
-		pool = fs.Cl.LiveNodes()
-	}
+	pool := fs.Cl.LiveNodes()
 	// Deterministic random probe.
 	for tries := 0; tries < 4*len(pool); tries++ {
 		cand := pool[fs.rng.Intn(len(pool))]
@@ -252,7 +219,7 @@ func (fs *FS) ReadBlock(s *Stripe, pos, node int, done func(degraded bool)) {
 func (fs *FS) degradedRead(s *Stripe, pos, node int, done func(degraded bool)) {
 	fs.Cl.Eng.Schedule(fs.Cfg.DegradedTimeoutSec, func() {
 		exists, avail := s.masks()
-		reads, _, err := s.Scheme.PlanRepair(pos, exists, avail, fs.Cfg.DeployedReads)
+		reads, _, err := fs.Scheme.PlanRepair(pos, exists, avail, fs.Cfg.DeployedReads)
 		if err != nil {
 			// Data loss: the read fails permanently; report completion so
 			// the job can account the failure rather than hang.

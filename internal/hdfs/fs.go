@@ -1,5 +1,5 @@
-// Package hdfs simulates the Distributed RAID File System of Section 3:
-// files divided into stripes, parity maintained by a RaidNode, lost
+// Package hdfs simulates the Distributed RAID File System of Section 3
+// as far as Section 5 measures it: files divided into coded stripes, lost
 // blocks detected and rebuilt by a BlockFixer through MapReduce repair
 // jobs, with light/heavy decoder selection per the configured scheme.
 // HDFS-RS and HDFS-Xorbas are the same FS with a different core.Scheme.
@@ -53,12 +53,10 @@ func (c *Config) Validate() error {
 }
 
 // Stripe is one redundancy group of a file: DataCount real data blocks
-// plus parities (or replicas), spread over distinct nodes. Each stripe
-// carries its own scheme so a filesystem can hold replicated, RS and LRC
-// stripes side by side — the §3 lifecycle (replicate → RAID → migrate).
+// plus parities (or replicas) under the file system's scheme, spread over
+// distinct nodes.
 type Stripe struct {
 	File      string
-	Scheme    core.Scheme
 	DataCount int
 	// Node[pos] is the DataNode storing stripe position pos, or −1 when
 	// the position is not stored (zero padding of short stripes).
@@ -96,15 +94,6 @@ type Counters struct {
 	DegradedReads                                             int
 }
 
-// GroupedScheme is implemented by the coded schemes. Where Groups is
-// non-empty (the LRC), group-aware placement keeps each group inside one
-// rack so light repairs stay rack-local (§1.1's geo-distribution story);
-// a coded scheme with no groups is plain Reed-Solomon.
-type GroupedScheme interface {
-	core.Scheme
-	Groups() [][]int
-}
-
 // FS is one DRFS instance on a cluster.
 type FS struct {
 	Cl      *cluster.Cluster
@@ -114,10 +103,6 @@ type FS struct {
 
 	rng     *rand.Rand
 	stripes []*Stripe
-
-	// GroupAwarePlacement places each repair group of a GroupedScheme in
-	// a distinct rack.
-	GroupAwarePlacement bool
 
 	fixerArmed  bool
 	pendingLost []blockRef
@@ -194,7 +179,7 @@ func (fs *FS) AddFile(name string, dataBlocks int) ([]*Stripe, error) {
 		if dc > k {
 			dc = k
 		}
-		s, err := fs.placeStripe(name, fs.Scheme, dc)
+		s, err := fs.placeStripe(name, dc)
 		if err != nil {
 			return nil, err
 		}
@@ -204,28 +189,22 @@ func (fs *FS) AddFile(name string, dataBlocks int) ([]*Stripe, error) {
 	return stripes, nil
 }
 
-// placeStripe allocates nodes for one stripe of the given scheme.
-func (fs *FS) placeStripe(file string, scheme core.Scheme, dataCount int) (*Stripe, error) {
-	slots := scheme.Slots()
-	s := &Stripe{File: file, Scheme: scheme, DataCount: dataCount, Node: make([]int, slots), Lost: make([]bool, slots)}
+// placeStripe allocates nodes for one stripe.
+func (fs *FS) placeStripe(file string, dataCount int) (*Stripe, error) {
+	slots := fs.Scheme.Slots()
+	s := &Stripe{File: file, DataCount: dataCount, Node: make([]int, slots), Lost: make([]bool, slots)}
 	for i := range s.Node {
 		s.Node[i] = -1
 	}
 	var positions []int
 	for pos := 0; pos < slots; pos++ {
-		if scheme.Exists(pos, dataCount) {
+		if fs.Scheme.Exists(pos, dataCount) {
 			positions = append(positions, pos)
 		}
 	}
 	live := fs.Cl.LiveNodes()
 	if len(live) < 2 {
 		return nil, fmt.Errorf("hdfs: %d live nodes cannot hold a stripe", len(live))
-	}
-	if gs, ok := scheme.(GroupedScheme); ok && fs.GroupAwarePlacement && len(gs.Groups()) > 0 {
-		if err := fs.placeGroupAware(s, gs, positions, live); err == nil {
-			return s, nil
-		}
-		// Fall through to random placement when racks don't fit.
 	}
 	// Random placement avoiding collocation; when the stripe is wider
 	// than the cluster (e.g. 16-block Xorbas stripes on the 15-slave
@@ -236,53 +215,6 @@ func (fs *FS) placeStripe(file string, scheme core.Scheme, dataCount int) (*Stri
 		s.Node[pos] = live[perm[i%len(live)]]
 	}
 	return s, nil
-}
-
-// placeGroupAware puts each repair group in its own rack.
-func (fs *FS) placeGroupAware(s *Stripe, gs GroupedScheme, positions []int, live []int) error {
-	racks := map[int][]int{}
-	for _, n := range live {
-		r := fs.Cl.Rack(n)
-		racks[r] = append(racks[r], n)
-	}
-	var rackIDs []int
-	for r := range racks {
-		rackIDs = append(rackIDs, r)
-	}
-	// Deterministic order.
-	for i := 0; i < len(rackIDs); i++ {
-		for j := i + 1; j < len(rackIDs); j++ {
-			if rackIDs[j] < rackIDs[i] {
-				rackIDs[i], rackIDs[j] = rackIDs[j], rackIDs[i]
-			}
-		}
-	}
-	groups := gs.Groups()
-	if len(groups) > len(rackIDs) {
-		return fmt.Errorf("hdfs: %d groups need %d racks", len(groups), len(rackIDs))
-	}
-	existsPos := map[int]bool{}
-	for _, p := range positions {
-		existsPos[p] = true
-	}
-	start := fs.rng.Intn(len(rackIDs))
-	for gi, members := range groups {
-		rack := racks[rackIDs[(start+gi)%len(rackIDs)]]
-		var want []int
-		for _, pos := range members {
-			if existsPos[pos] {
-				want = append(want, pos)
-			}
-		}
-		if len(want) > len(rack) {
-			return fmt.Errorf("hdfs: rack too small for group")
-		}
-		perm := fs.rng.Perm(len(rack))
-		for i, pos := range want {
-			s.Node[pos] = rack[perm[i]]
-		}
-	}
-	return nil
 }
 
 // Snapshot returns the current counters (including cluster byte totals).

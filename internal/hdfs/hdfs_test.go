@@ -15,7 +15,7 @@ func testCluster(t testing.TB, nodes int) (*sim.Engine, *cluster.Cluster) {
 	t.Helper()
 	eng := sim.NewEngine()
 	cl, err := cluster.New(eng, cluster.Config{
-		Nodes: nodes, Racks: 1,
+		Nodes:      nodes,
 		NodeOutBps: 12 * mb, NodeInBps: 12 * mb,
 		BucketSec: 300,
 	})
@@ -325,41 +325,6 @@ func TestReadBlockDegraded(t *testing.T) {
 	}
 	if s.Lost[2] != true {
 		t.Fatal("degraded read should leave the block lost")
-	}
-}
-
-// Group-aware placement puts each repair group in a distinct rack, so a
-// light repair never crosses racks.
-func TestGroupAwarePlacement(t *testing.T) {
-	eng := sim.NewEngine()
-	cl, err := cluster.New(eng, cluster.Config{
-		Nodes: 30, Racks: 3,
-		NodeOutBps: 12 * mb, NodeInBps: 12 * mb,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme := core.NewXorbas()
-	fs := testFS(t, cl, scheme)
-	fs.GroupAwarePlacement = true
-	stripes, err := fs.AddFile("f", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := stripes[0]
-	for gi, members := range scheme.Groups() {
-		rack := -1
-		for _, pos := range members {
-			if s.Node[pos] < 0 {
-				continue
-			}
-			r := cl.Rack(s.Node[pos])
-			if rack == -1 {
-				rack = r
-			} else if r != rack {
-				t.Fatalf("group %d spans racks", gi)
-			}
-		}
 	}
 }
 

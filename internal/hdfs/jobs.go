@@ -92,26 +92,11 @@ func (jt *JobTracker) freeSlotOn(n int) bool {
 }
 
 // pickNode chooses a node for a task: the preferred node when it has a
-// free slot, then a node in the preferred node's rack (Hadoop's
-// rack-locality tier), then the live node with the most free slots
-// (stable tie-break by id for determinism).
+// free slot, then the live node with the most free slots (stable
+// tie-break by id for determinism).
 func (jt *JobTracker) pickNode(preferred int) int {
 	if preferred >= 0 && jt.freeSlotOn(preferred) {
 		return preferred
-	}
-	if preferred >= 0 {
-		rack := jt.cl.Rack(preferred)
-		best, bestFree := -1, 0
-		for n := 0; n < jt.cl.Nodes(); n++ {
-			if jt.cl.Alive(n) && jt.cl.Rack(n) == rack {
-				if free := jt.slotsPerNode - jt.used[n]; free > bestFree {
-					best, bestFree = n, free
-				}
-			}
-		}
-		if best >= 0 {
-			return best
-		}
 	}
 	best, bestFree := -1, 0
 	for n := 0; n < jt.cl.Nodes(); n++ {

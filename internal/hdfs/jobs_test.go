@@ -14,8 +14,7 @@ func TestPickNodePreferences(t *testing.T) {
 	if got := jt.pickNode(2); got != 2 {
 		t.Fatalf("got %d want 2", got)
 	}
-	// Preferred busy: any free node (rack tier covers all in 1-rack
-	// clusters).
+	// Preferred busy: any free node.
 	jt.used[2] = 1
 	if got := jt.pickNode(2); got == 2 || got < 0 {
 		t.Fatalf("busy preferred node returned %d", got)

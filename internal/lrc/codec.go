@@ -84,34 +84,6 @@ func (c *Code) encodeRange(data, parity [][]byte, from, to int) {
 	}
 }
 
-// EncodePartial encodes a short stripe of fewer than K data shards, the
-// paper's zero-padded incomplete stripe (§3.1.1): missing data blocks are
-// treated as all-zero and are NOT stored. The returned slice still has
-// NStored entries; entries that correspond to padding data blocks and to
-// local parities whose whole group is padding are nil. Use Exists to ask
-// which stripe positions are physically stored for a given data count.
-func (c *Code) EncodePartial(data [][]byte, size int) ([][]byte, error) {
-	if len(data) == 0 || len(data) > c.params.K {
-		return nil, fmt.Errorf("lrc: partial stripe with %d shards, want 1..%d", len(data), c.params.K)
-	}
-	full := make([][]byte, c.params.K)
-	copy(full, data)
-	zero := make([]byte, size)
-	for i := len(data); i < c.params.K; i++ {
-		full[i] = zero
-	}
-	stripe, err := c.Encode(full)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < c.nStored; i++ {
-		if !c.Exists(i, len(data)) {
-			stripe[i] = nil
-		}
-	}
-	return stripe, nil
-}
-
 // Exists reports whether stripe position i is physically stored when the
 // stripe holds dataCount ≤ K real data blocks. Padding data blocks do not
 // exist; a local parity exists only if its group covers at least one real
@@ -446,51 +418,4 @@ func (c *Code) Verify(stripe [][]byte) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// UpgradeFromRS converts an existing Reed-Solomon stripe (K data blocks
-// followed by the global parities) into an LRC stripe by computing only
-// the new local parities — the paper's backwards-compatible incremental
-// migration path (§3.1): "Xorbas … can incrementally modify RS encoded
-// files into LRCs by adding only local XOR parities."
-func (c *Code) UpgradeFromRS(rsStripe [][]byte) ([][]byte, error) {
-	if len(rsStripe) != c.NPre() {
-		return nil, fmt.Errorf("lrc: got %d RS blocks, want %d", len(rsStripe), c.NPre())
-	}
-	// The upgrade keeps every RS block in place, which requires the LRC
-	// layout (pyramid codes split an RS parity and cannot be reached
-	// incrementally).
-	for i := c.params.K; i < c.NPre(); i++ {
-		if c.kinds[i] != GlobalParity {
-			return nil, fmt.Errorf("lrc: layout is not an RS extension; incremental upgrade impossible")
-		}
-	}
-	size := -1
-	for i, s := range rsStripe {
-		if s == nil {
-			return nil, fmt.Errorf("lrc: RS block %d missing", i)
-		}
-		if size == -1 {
-			size = len(s)
-		} else if len(s) != size {
-			return nil, fmt.Errorf("lrc: RS block %d size mismatch", i)
-		}
-	}
-	stripe := make([][]byte, c.nStored)
-	copy(stripe, rsStripe)
-	for gi, members := range c.dataGroups {
-		p := make([]byte, size)
-		for mi, dj := range members {
-			c.f.MulAddSlice(c.coeffs[gi][mi], p, stripe[dj])
-		}
-		stripe[c.NPre()+gi] = p
-	}
-	if c.params.StoreImplied {
-		p := make([]byte, size)
-		for j := c.params.K; j < c.NPre(); j++ {
-			c.f.MulAddSlice(1, p, stripe[j])
-		}
-		stripe[c.nStored-1] = p
-	}
-	return stripe, nil
 }

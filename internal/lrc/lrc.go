@@ -377,9 +377,6 @@ func (c *Code) NStored() int { return c.nStored }
 // NPre returns the precode length K + GlobalParities (14 for Xorbas).
 func (c *Code) NPre() int { return c.params.K + c.params.GlobalParities }
 
-// Field returns the underlying GF(2^8) field.
-func (c *Code) Field() *gf.Field { return c.f }
-
 // Precode returns the underlying Reed-Solomon code.
 func (c *Code) Precode() *rs.Code { return c.pre }
 

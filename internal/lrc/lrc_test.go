@@ -350,49 +350,13 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 }
 
-// Backwards compatibility (§3.1): upgrading an RS stripe adds only the
-// local parities and yields exactly the Encode result.
-func TestUpgradeFromRS(t *testing.T) {
-	c := NewXorbas()
-	r := rand.New(rand.NewSource(10))
-	data := randData(r, 10, 64)
-	full, _ := c.Encode(data)
-	rsStripe, err := c.Precode().Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up, err := c.UpgradeFromRS(rsStripe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if !bytes.Equal(up[i], full[i]) {
-			t.Fatalf("block %d differs from direct encode", i)
-		}
-	}
-	if _, err := c.UpgradeFromRS(rsStripe[:13]); err == nil {
-		t.Fatal("short RS stripe accepted")
-	}
-}
-
 // Zero-padded stripes (§3.1.1): a 3-data-block stripe stores 8 blocks
 // (3 data + 4 RS + 1 local parity) and repairs read fewer blocks — the
 // mechanism behind the Facebook-cluster numbers in Table 3.
-func TestEncodePartialSmallFile(t *testing.T) {
+func TestShortStripeSmallFile(t *testing.T) {
 	c := NewXorbas()
-	r := rand.New(rand.NewSource(11))
-	data := randData(r, 3, 64)
-	stripe, err := c.EncodePartial(data, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := c.StoredCount(3); got != 8 {
 		t.Fatalf("StoredCount(3) = %d want 8", got)
-	}
-	for i := 0; i < 16; i++ {
-		if c.Exists(i, 3) != (stripe[i] != nil) {
-			t.Fatalf("Exists(%d,3) inconsistent with EncodePartial", i)
-		}
 	}
 	// Group-1 local parity (S2) must not exist: all its members are padding.
 	if c.Exists(15, 3) {
@@ -411,17 +375,6 @@ func TestEncodePartialSmallFile(t *testing.T) {
 	}
 	if !plan.Light || len(plan.Reads) != 3 {
 		t.Fatalf("plan %+v: want light with 3 reads", plan)
-	}
-}
-
-func TestEncodePartialValidation(t *testing.T) {
-	c := NewXorbas()
-	if _, err := c.EncodePartial(nil, 64); err == nil {
-		t.Error("empty data accepted")
-	}
-	r := rand.New(rand.NewSource(12))
-	if _, err := c.EncodePartial(randData(r, 11, 8), 8); err == nil {
-		t.Error("oversize data accepted")
 	}
 }
 

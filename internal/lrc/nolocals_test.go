@@ -214,3 +214,24 @@ func TestNoLocalsDecoderCache(t *testing.T) {
 		}
 	}
 }
+
+// TestRSStripeIsXorbasPrefix is §3.1's backwards compatibility: the local
+// parities are appended, so an RS(10,4) stripe is the first 14 blocks of
+// the Xorbas stripe of the same data and an RS-coded file becomes an LRC
+// one by adding blocks, rewriting none.
+func TestRSStripeIsXorbasPrefix(t *testing.T) {
+	data := randData(rand.New(rand.NewSource(10)), 10, 4103)
+	rsStripe, err := NewRS104().Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xorbas, err := NewXorbas().Encode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range rsStripe {
+		if !bytes.Equal(b, xorbas[i]) {
+			t.Fatalf("RS block %d is not Xorbas block %d", i, i)
+		}
+	}
+}

@@ -168,15 +168,6 @@ func TestPyramidValidation(t *testing.T) {
 	}
 }
 
-func TestPyramidUpgradeFromRSRejected(t *testing.T) {
-	c := mustPyramid(t)
-	r := rand.New(rand.NewSource(33))
-	pre, _ := c.Precode().Encode(randData(r, 10, 8))
-	if _, err := c.UpgradeFromRS(pre); err == nil {
-		t.Fatal("pyramid layout must reject incremental RS upgrade")
-	}
-}
-
 // Expected repair reads: pyramid matches the LRC for single failures of
 // data blocks but pays k-wide decodes when a global parity dies — its
 // average sits between the LRC and RS.

@@ -12,8 +12,7 @@
 // the probabilities for invoking light or heavy decoder and thus compute
 // the expected number of blocks to be downloaded"), the block size B,
 // and the cross-rack bandwidth γ, plus an optional per-stream overhead
-// that models MapReduce repair-job dispatch (see EXPERIMENTS.md's
-// calibration discussion).
+// that models MapReduce repair-job dispatch (see CalibratedParams).
 //
 // The per-stripe MTTDL is normalized by the stripe count C/(nB), Eq. (3).
 package markov
@@ -64,7 +63,7 @@ func FacebookParams() Params {
 
 // CalibratedParams are FacebookParams plus the per-stream overhead fitted
 // so the RS(10,4) row reproduces the paper's Table 1 MTTDL (see
-// Calibrate and EXPERIMENTS.md). The fitted value is ≈19 s per stream,
+// CalibrateOverhead). The fitted value is ≈19 s per stream,
 // consistent with the tens-of-minutes repair durations of Fig. 4c.
 func CalibratedParams() Params {
 	p := FacebookParams()
@@ -174,18 +173,18 @@ type Result struct {
 // MTTDL computes the system MTTDL for a scheme: the per-stripe absorption
 // time divided by the stripe count C/(nB), Eq. (3).
 func MTTDL(s core.Scheme, p Params) (Result, error) {
-	ch, err := BuildChain(s, p)
+	stats := schemeStats(s)
+	ch, err := buildChain(s, p, stats)
 	if err != nil {
 		return Result{}, err
 	}
 	stripeSec := ch.AbsorptionTime()
 	stripeBytes := float64(s.Slots()) * p.BlockBytes
 	numStripes := p.TotalDataBytes / stripeBytes
-	reads, _ := s.ExpectedRepairReads(1)
 	return Result{
 		Scheme:          s.Name(),
 		StorageOverhead: s.StorageOverhead(),
-		RepairTraffic:   reads,
+		RepairTraffic:   stats[1].AvgReads,
 		MTTDLStripeSec:  stripeSec,
 		MTTDLDays:       stripeSec / numStripes / secondsPerDay,
 	}, nil

@@ -148,7 +148,7 @@ func TestTable1PhysicalShape(t *testing.T) {
 
 // Calibrated model: fitting the per-stream overhead on the RS row
 // reproduces the paper's RS MTTDL exactly and keeps LRC roughly an order
-// of magnitude above (paper: 1.5 orders; see EXPERIMENTS.md).
+// of magnitude above (paper: 1.5 orders).
 func TestTable1Calibrated(t *testing.T) {
 	p := CalibratedParams()
 	if p.PerStreamOverheadSec <= 0 || p.PerStreamOverheadSec > 120 {

@@ -32,21 +32,6 @@ func New(f *gf.Field, rows, cols int) *Matrix {
 	return &Matrix{f: f, rows: rows, cols: cols, data: make([]gf.Elem, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must be equal length.
-func FromRows(f *gf.Field, rows [][]gf.Elem) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("matrix: FromRows needs at least one row and column")
-	}
-	m := New(f, len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic("matrix: ragged rows")
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(f *gf.Field, n int) *Matrix {
 	m := New(f, n, n)

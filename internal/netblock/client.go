@@ -29,10 +29,6 @@ type Options struct {
 	// Application-level failures (not-found, remote errors) never retry:
 	// the node answered, the answer stands.
 	Retries int
-	// PoolSize caps the idle connections kept per node (default 2 — the
-	// store's read pool fans out to 4 workers, but those spread over k
-	// distinct nodes under rack-aware placement).
-	PoolSize int
 	// RetryBackoff is the base sleep between retry attempts on one
 	// operation (default 5ms), doubling per attempt with jitter so a
 	// down node is never hammered back-to-back. Negative disables the
@@ -64,6 +60,11 @@ type Options struct {
 	ChunkSize int
 }
 
+// idlePerNode caps the idle connections kept per node: the store's I/O
+// pools fan out to 4 workers, but those spread over k distinct nodes under
+// rack-aware placement.
+const idlePerNode = 2
+
 func (o *Options) fillDefaults() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
@@ -75,9 +76,6 @@ func (o *Options) fillDefaults() {
 		o.Retries = 0
 	} else if o.Retries == 0 {
 		o.Retries = 2
-	}
-	if o.PoolSize <= 0 {
-		o.PoolSize = 2
 	}
 	if o.RetryBackoff == 0 {
 		o.RetryBackoff = 5 * time.Millisecond
@@ -275,7 +273,7 @@ func (c *Client) getConn(n *clientNode) (conn net.Conn, addr string, pooled bool
 // later operation talk to the old process).
 func (c *Client) putConn(n *clientNode, conn net.Conn, addr string) {
 	n.mu.Lock()
-	if addr == n.addr && len(n.idle) < c.opts.PoolSize {
+	if addr == n.addr && len(n.idle) < idlePerNode {
 		n.idle = append(n.idle, conn)
 		n.mu.Unlock()
 		return
@@ -288,7 +286,7 @@ func (c *Client) putConn(n *clientNode, conn net.Conn, addr string) {
 // errors burn the connection and retry after a jittered exponential
 // backoff; status-level replies are final. Failures on pooled
 // connections are free — a node that restarted since the pool filled
-// leaves up to PoolSize dead sockets behind, and charging those against
+// leaves up to idlePerNode dead sockets behind, and charging those against
 // the retry budget could declare a healthy node unreachable before a
 // single fresh dial — only freshly dialed attempts count against the
 // retry count, the health window and the breaker. Options.RetryBudget

@@ -37,18 +37,11 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer returns a server for be; call ListenAndServe or Serve to
-// start it.
+// NewServer returns a server for be; call Serve to start it.
 func NewServer(be store.Backend) *Server {
 	s := &Server{be: be, conns: make(map[net.Conn]struct{})}
 	s.ow, _ = be.(store.OwnedWriter)
 	return s
-}
-
-// Serve wraps NewServer(be).Serve(l) for the one-liner case. It blocks
-// until the listener fails or is closed.
-func Serve(l net.Listener, be store.Backend) error {
-	return NewServer(be).Serve(l)
 }
 
 // StartLocal boots a server for be on an ephemeral loopback port,
@@ -63,18 +56,6 @@ func StartLocal(be store.Backend) (*Server, string, error) {
 	srv := NewServer(be)
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
-}
-
-// ListenAndServe listens on addr and serves until Close. The bound
-// address is available from Addr once this returns a non-nil listener —
-// use Listen + Serve when the caller needs the port before serving
-// (loopback tests listen on ":0").
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections on l until l is closed (by Close or

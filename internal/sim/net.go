@@ -7,15 +7,13 @@ import (
 
 // Net is a fluid network: concurrent flows share link capacity max-min
 // fairly, recomputed whenever the flow set changes. Each node has an
-// egress and an ingress link; an optional shared fabric link caps the
-// aggregate of cross-rack flows (the paper's γ = 1 Gb/s cross-rack limit
-// in Section 4's model; EC2 runs leave it unlimited).
+// egress and an ingress link and nothing else constrains a flow: §5's
+// clusters are one rack.
 type Net struct {
 	eng        *Engine
 	nodes      int
 	outBps     []float64
 	inBps      []float64
-	fabric     float64 // 0 = unlimited
 	flows      []*Flow // insertion-ordered so callbacks fire deterministically
 	timerGen   int64
 	lastUpdate float64 // engine time of the last progress accounting
@@ -28,33 +26,23 @@ type Net struct {
 
 // Flow is an in-flight transfer.
 type Flow struct {
-	From, To  int
-	CrossRack bool // counts against the shared fabric, if capped
+	From, To int
 	// Tag is free-form metadata for metrics attribution (e.g. "repair-read").
 	Tag string
 
 	remaining float64
 	rate      float64
-	started   float64
 	done      func(f *Flow)
 }
 
-// Remaining returns the bytes not yet transferred.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
-// Started returns the flow's start time.
-func (f *Flow) Started() float64 { return f.started }
-
 // NewNet creates a network of n nodes with uniform egress/ingress
-// capacities (bytes per second) and an optional aggregate cross-rack
-// fabric capacity (0 disables the cap).
-func NewNet(eng *Engine, n int, outBps, inBps, fabricBps float64) *Net {
+// capacities (bytes per second).
+func NewNet(eng *Engine, n int, outBps, inBps float64) *Net {
 	net := &Net{
 		eng:    eng,
 		nodes:  n,
 		outBps: make([]float64, n),
 		inBps:  make([]float64, n),
-		fabric: fabricBps,
 	}
 	for i := 0; i < n; i++ {
 		net.outBps[i] = outBps
@@ -77,11 +65,11 @@ func (n *Net) Active() int { return len(n.flows) }
 // non-nil) on completion. Zero-byte flows complete immediately (next
 // event). from == to models a local copy and also completes immediately:
 // local I/O is not the bottleneck the paper measures.
-func (n *Net) StartFlow(from, to int, bytes float64, crossRack bool, tag string, done func(f *Flow)) *Flow {
+func (n *Net) StartFlow(from, to int, bytes float64, tag string, done func(f *Flow)) *Flow {
 	if from < 0 || from >= n.nodes || to < 0 || to >= n.nodes {
 		panic(fmt.Sprintf("sim: flow endpoints %d→%d out of range", from, to))
 	}
-	f := &Flow{From: from, To: to, CrossRack: crossRack, Tag: tag, remaining: bytes, started: n.eng.Now(), done: done}
+	f := &Flow{From: from, To: to, Tag: tag, remaining: bytes, done: done}
 	if bytes <= 0 || from == to {
 		f.remaining = 0
 		n.eng.Schedule(0, func() {
@@ -163,18 +151,13 @@ func (n *Net) recompute() {
 	// Residual capacities.
 	outCap := append([]float64(nil), n.outBps...)
 	inCap := append([]float64(nil), n.inBps...)
-	fabricCap := n.fabric
 	outFlows := make([]int, n.nodes)
 	inFlows := make([]int, n.nodes)
-	fabricFlows := 0
 	unfrozen := make([]*Flow, len(n.flows))
 	copy(unfrozen, n.flows)
 	for _, f := range n.flows {
 		outFlows[f.From]++
 		inFlows[f.To]++
-		if f.CrossRack && n.fabric > 0 {
-			fabricFlows++
-		}
 	}
 	for len(unfrozen) > 0 {
 		// Find the bottleneck link: the smallest fair share.
@@ -189,11 +172,6 @@ func (n *Net) recompute() {
 				if s := inCap[i] / float64(inFlows[i]); s < share {
 					share = s
 				}
-			}
-		}
-		if fabricFlows > 0 {
-			if s := fabricCap / float64(fabricFlows); s < share {
-				share = s
 			}
 		}
 		if math.IsInf(share, 1) {
@@ -213,9 +191,6 @@ func (n *Net) recompute() {
 			if inFlows[f.To] > 0 && inCap[f.To]/float64(inFlows[f.To]) <= share*(1+1e-12) {
 				bottleneck = true
 			}
-			if f.CrossRack && n.fabric > 0 && fabricFlows > 0 && fabricCap/float64(fabricFlows) <= share*(1+1e-12) {
-				bottleneck = true
-			}
 			if !bottleneck {
 				remaining = append(remaining, f)
 				continue
@@ -225,10 +200,6 @@ func (n *Net) recompute() {
 			inCap[f.To] -= share
 			outFlows[f.From]--
 			inFlows[f.To]--
-			if f.CrossRack && n.fabric > 0 {
-				fabricCap -= share
-				fabricFlows--
-			}
 			progressed = true
 		}
 		unfrozen = remaining

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"testing"
 )
 
@@ -64,9 +63,9 @@ func TestEngineNegativeDelayClamped(t *testing.T) {
 // A single flow on an idle network runs at min(egress, ingress).
 func TestSingleFlowRate(t *testing.T) {
 	e := NewEngine()
-	n := NewNet(e, 2, 100, 80, 0) // ingress 80 is the bottleneck
+	n := NewNet(e, 2, 100, 80) // ingress 80 is the bottleneck
 	var doneAt float64
-	n.StartFlow(0, 1, 800, false, "t", func(*Flow) { doneAt = e.Now() })
+	n.StartFlow(0, 1, 800, "t", func(*Flow) { doneAt = e.Now() })
 	e.Run()
 	if math.Abs(doneAt-10) > 1e-6 {
 		t.Fatalf("800 bytes at 80 B/s should take 10 s, took %f", doneAt)
@@ -76,10 +75,10 @@ func TestSingleFlowRate(t *testing.T) {
 // Two flows from one source share its egress equally.
 func TestEgressSharing(t *testing.T) {
 	e := NewEngine()
-	n := NewNet(e, 3, 100, 1000, 0)
+	n := NewNet(e, 3, 100, 1000)
 	var t1, t2 float64
-	n.StartFlow(0, 1, 500, false, "a", func(*Flow) { t1 = e.Now() })
-	n.StartFlow(0, 2, 500, false, "b", func(*Flow) { t2 = e.Now() })
+	n.StartFlow(0, 1, 500, "a", func(*Flow) { t1 = e.Now() })
+	n.StartFlow(0, 2, 500, "b", func(*Flow) { t2 = e.Now() })
 	e.Run()
 	// Each gets 50 B/s → 10 s.
 	if math.Abs(t1-10) > 1e-6 || math.Abs(t2-10) > 1e-6 {
@@ -90,10 +89,10 @@ func TestEgressSharing(t *testing.T) {
 // When one flow finishes, the survivor picks up the freed capacity.
 func TestRateReallocation(t *testing.T) {
 	e := NewEngine()
-	n := NewNet(e, 3, 100, 1000, 0)
+	n := NewNet(e, 3, 100, 1000)
 	var tShort, tLong float64
-	n.StartFlow(0, 1, 250, false, "short", func(*Flow) { tShort = e.Now() })
-	n.StartFlow(0, 2, 750, false, "long", func(*Flow) { tLong = e.Now() })
+	n.StartFlow(0, 1, 250, "short", func(*Flow) { tShort = e.Now() })
+	n.StartFlow(0, 2, 750, "long", func(*Flow) { tLong = e.Now() })
 	e.Run()
 	// Shared at 50 B/s until short finishes at t=5; long then has 500
 	// left at 100 B/s → finishes at t=10.
@@ -109,11 +108,11 @@ func TestRateReallocation(t *testing.T) {
 // rest of the shared egress to the other flow.
 func TestMaxMinWaterfilling(t *testing.T) {
 	e := NewEngine()
-	n := NewNet(e, 3, 100, 1000, 0)
+	n := NewNet(e, 3, 100, 1000)
 	n.SetNodeCapacity(1, 1000, 10) // node 1 ingress tiny
 	var tSlow, tFast float64
-	n.StartFlow(0, 1, 100, false, "slow", func(*Flow) { tSlow = e.Now() })
-	n.StartFlow(0, 2, 900, false, "fast", func(*Flow) { tFast = e.Now() })
+	n.StartFlow(0, 1, 100, "slow", func(*Flow) { tSlow = e.Now() })
+	n.StartFlow(0, 2, 900, "fast", func(*Flow) { tFast = e.Now() })
 	e.Run()
 	// slow: 10 B/s → 10 s. fast: 90 B/s → 10 s.
 	if math.Abs(tSlow-10) > 1e-6 || math.Abs(tFast-10) > 1e-6 {
@@ -121,30 +120,13 @@ func TestMaxMinWaterfilling(t *testing.T) {
 	}
 }
 
-// The fabric cap binds the aggregate of cross-rack flows.
-func TestFabricCap(t *testing.T) {
-	e := NewEngine()
-	n := NewNet(e, 4, 1000, 1000, 100)
-	var times []float64
-	for i := 0; i < 2; i++ {
-		from, to := i, 2+i
-		n.StartFlow(from, to, 500, true, "x", func(*Flow) { times = append(times, e.Now()) })
-	}
-	e.Run()
-	// 2 cross-rack flows share 100 B/s fabric → 50 B/s each → 10 s.
-	sort.Float64s(times)
-	if len(times) != 2 || math.Abs(times[1]-10) > 1e-6 {
-		t.Fatalf("times %v want both 10", times)
-	}
-}
-
 // Local (same-node) and zero-byte flows complete immediately.
 func TestDegenerateFlows(t *testing.T) {
 	e := NewEngine()
-	n := NewNet(e, 2, 100, 100, 0)
+	n := NewNet(e, 2, 100, 100)
 	done := 0
-	n.StartFlow(0, 0, 1e9, false, "local", func(*Flow) { done++ })
-	n.StartFlow(0, 1, 0, false, "empty", func(*Flow) { done++ })
+	n.StartFlow(0, 0, 1e9, "local", func(*Flow) { done++ })
+	n.StartFlow(0, 1, 0, "empty", func(*Flow) { done++ })
 	e.Run()
 	if done != 2 {
 		t.Fatalf("done=%d", done)
@@ -157,12 +139,12 @@ func TestDegenerateFlows(t *testing.T) {
 // Progress callbacks account every byte exactly once.
 func TestOnProgressConservation(t *testing.T) {
 	e := NewEngine()
-	n := NewNet(e, 3, 100, 100, 0)
+	n := NewNet(e, 3, 100, 100)
 	var accounted float64
 	n.OnProgress = func(f *Flow, b float64) { accounted += b }
-	n.StartFlow(0, 1, 300, false, "a", nil)
-	n.StartFlow(0, 2, 500, false, "b", nil)
-	n.StartFlow(1, 2, 200, false, "c", nil)
+	n.StartFlow(0, 1, 300, "a", nil)
+	n.StartFlow(0, 2, 500, "b", nil)
+	n.StartFlow(1, 2, 200, "c", nil)
 	e.Run()
 	if math.Abs(accounted-1000) > 1e-3 {
 		t.Fatalf("accounted %f want 1000", accounted)
@@ -175,10 +157,10 @@ func TestOnProgressConservation(t *testing.T) {
 // Chained flows via done callbacks (the repair pattern: read then write).
 func TestChainedFlows(t *testing.T) {
 	e := NewEngine()
-	n := NewNet(e, 3, 100, 100, 0)
+	n := NewNet(e, 3, 100, 100)
 	var finished float64
-	n.StartFlow(0, 1, 1000, false, "read", func(*Flow) {
-		n.StartFlow(1, 2, 1000, false, "write", func(*Flow) { finished = e.Now() })
+	n.StartFlow(0, 1, 1000, "read", func(*Flow) {
+		n.StartFlow(1, 2, 1000, "write", func(*Flow) { finished = e.Now() })
 	})
 	e.Run()
 	if math.Abs(finished-20) > 1e-6 {
@@ -190,7 +172,7 @@ func TestChainedFlows(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []float64 {
 		e := NewEngine()
-		n := NewNet(e, 5, 123, 77, 400)
+		n := NewNet(e, 5, 123, 77)
 		var times []float64
 		for i := 0; i < 20; i++ {
 			from := i % 4
@@ -198,7 +180,7 @@ func TestDeterminism(t *testing.T) {
 			if from == to {
 				from = (from + 1) % 5
 			}
-			n.StartFlow(from, to, float64(100+i*37), i%2 == 0, "t", func(*Flow) {
+			n.StartFlow(from, to, float64(100+i*37), "t", func(*Flow) {
 				times = append(times, e.Now())
 			})
 		}
@@ -218,21 +200,21 @@ func TestDeterminism(t *testing.T) {
 
 func TestStartFlowPanicsOnBadEndpoint(t *testing.T) {
 	e := NewEngine()
-	n := NewNet(e, 2, 1, 1, 0)
+	n := NewNet(e, 2, 1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	n.StartFlow(0, 5, 10, false, "bad", nil)
+	n.StartFlow(0, 5, 10, "bad", nil)
 }
 
 func BenchmarkThousandFlows(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
-		n := NewNet(e, 50, 1e8, 1e8, 0)
+		n := NewNet(e, 50, 1e8, 1e8)
 		for j := 0; j < 1000; j++ {
-			n.StartFlow(j%50, (j+7)%50, 64<<20, false, "x", nil)
+			n.StartFlow(j%50, (j+7)%50, 64<<20, "x", nil)
 		}
 		e.Run()
 	}

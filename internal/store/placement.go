@@ -1,9 +1,8 @@
 package store
 
 // Rack-aware placement. HDFS-Xorbas places the 16 blocks of a stripe so
-// that no two blocks of one repair group share a rack (mirroring
-// repro/internal/cluster's topology: rack = node mod racks): a whole-rack
-// loss then costs each group at most one block, which the light decoder
+// that no two blocks of one repair group share a rack (rack = node mod
+// racks): a whole-rack loss then costs each group at most one block, which the light decoder
 // repairs from r=5 reads. When the topology is too small for the strict
 // rule the placer degrades gracefully: distinct nodes per stripe, then
 // distinct nodes per repair group, then any live node.
@@ -34,7 +33,7 @@ func newPlacer(codec Codec, racks int) *placer {
 	return p
 }
 
-// rackOf mirrors cluster.New's round-robin rack assignment.
+// rackOf assigns racks round-robin.
 func (p *placer) rackOf(node int) int { return node % p.racks }
 
 // place assigns every stripe position to a live node. stripeSeq rotates

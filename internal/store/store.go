@@ -30,21 +30,6 @@ type Config struct {
 	// BlockSize is the maximum data-block payload per stripe position in
 	// bytes (default 64 KiB; 256 MB in the paper's clusters).
 	BlockSize int
-	// EncodeWorkers controls parity parallelism: 0 = GOMAXPROCS for
-	// stripes at least ParallelThreshold bytes, <0 = always serial.
-	EncodeWorkers int
-	// ParallelThreshold is the stripe payload size at which encoding goes
-	// parallel (default 1 MiB).
-	ParallelThreshold int
-	// WriteWorkers bounds the pool writing one stripe's framed blocks to
-	// the backend concurrently during streaming puts: 0 = default (4),
-	// <0 = serial. Disk and network backends overlap write latency; a
-	// memory backend mostly overlaps lock hold times.
-	WriteWorkers int
-	// ReadWorkers bounds the pool fetching one stripe's data blocks
-	// concurrently during streaming gets — and a repair's planned source
-	// blocks: 0 = default (4), <0 = serial.
-	ReadWorkers int
 	// RepairRateBytes caps the repair pool's backend read rate in bytes
 	// per second — the paper's bounded fixer load, so background repair
 	// of a dead node never starves foreground reads. Charged by actual
@@ -76,8 +61,6 @@ type Config struct {
 	// left zero to take the recorded values, and a non-zero one that
 	// disagrees fails New with ErrGeometryMismatch.
 	MetaDir string
-	// MetaShards is the metadata plane's index shard count (default 16).
-	MetaShards int
 	// HedgeQuantile enables hedged stripe reads: when one block fetch of
 	// a stripe sits past this quantile of recent block-read latency, the
 	// degraded-path reconstruction race fires instead of waiting on the
@@ -108,9 +91,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.BlockSize == 0 {
 		c.BlockSize = 64 << 10
-	}
-	if c.ParallelThreshold == 0 {
-		c.ParallelThreshold = 1 << 20
 	}
 	if c.HedgeQuantile > 0 && c.HedgeMinDelay <= 0 {
 		c.HedgeMinDelay = 2 * time.Millisecond
@@ -239,9 +219,8 @@ func New(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	db, err := meta.Open(meta.Options{
-		Dir:    cfg.MetaDir,
-		Shards: cfg.MetaShards,
-		Codec:  metaCodec{},
+		Dir:   cfg.MetaDir,
+		Codec: metaCodec{},
 	})
 	if err != nil {
 		return nil, err
@@ -357,42 +336,34 @@ func blockKey(name string, gen int64, stripe, pos int) string {
 	return fmt.Sprintf("%s.g%06d.s%05d.b%02d", safe, gen, stripe, pos)
 }
 
+const (
+	// parallelThreshold is the stripe payload size at which encoding
+	// goes parallel.
+	parallelThreshold = 1 << 20
+	// ioWorkers bounds the pool that writes one stripe's framed blocks
+	// during a put, and the pool that fetches one stripe's data blocks —
+	// or a repair's planned sources — during a get. Disk and network
+	// backends overlap latency; a memory backend mostly overlaps lock
+	// hold times.
+	ioWorkers = 4
+)
+
 // encodeWorkers picks the parity parallelism for a stripe payload size.
-func (s *Store) encodeWorkers(stripeBytes int) int {
-	switch {
-	case s.cfg.EncodeWorkers < 0:
-		return 1
-	case s.cfg.EncodeWorkers > 0:
-		return s.cfg.EncodeWorkers
-	case stripeBytes >= s.cfg.ParallelThreshold:
+func encodeWorkers(stripeBytes int) int {
+	if stripeBytes >= parallelThreshold {
 		return runtime.GOMAXPROCS(0)
-	default:
-		return 1
 	}
+	return 1
 }
 
-// poolSize interprets a worker-count config field (<0 serial, 0 default
-// of 4) and caps it at the number of jobs.
-func poolSize(cfgVal, jobs int) int {
-	w := cfgVal
-	switch {
-	case w < 0:
-		return 1
-	case w == 0:
-		w = 4
+// poolSize is the backend I/O pool size for a stripe operation of the
+// given number of block jobs.
+func poolSize(jobs int) int {
+	if jobs < ioWorkers {
+		return jobs
 	}
-	if w > jobs {
-		w = jobs
-	}
-	return w
+	return ioWorkers
 }
-
-// writeWorkers picks the backend-write pool size for a stripe of n blocks.
-func (s *Store) writeWorkers(n int) int { return poolSize(s.cfg.WriteWorkers, n) }
-
-// readWorkers picks the backend-read pool size for a stripe of k data
-// blocks.
-func (s *Store) readWorkers(k int) int { return poolSize(s.cfg.ReadWorkers, k) }
 
 // Put stores an object under name, replacing any previous version. The
 // object is chunked into K·BlockSize stripes, encoded (in parallel for
@@ -541,7 +512,7 @@ func (s *Store) fetchBlocks(si *stripeInfo, stripe [][]byte, positions []int, av
 		return false
 	}
 	failed := false
-	workers := s.readWorkers(len(positions))
+	workers := poolSize(len(positions))
 	if workers <= 1 {
 		for _, j := range positions {
 			p, err := s.readBlockPayload(si, j, acct, lim)

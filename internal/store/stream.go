@@ -215,7 +215,7 @@ func (s *Store) putStripeFramed(obj *objectInfo, sl *slab, dataLen int) error {
 	for i, b := range bufs {
 		payloads[i] = b[4:]
 	}
-	if err := s.cfg.Codec.EncodeInto(payloads[:k], payloads[k:], s.encodeWorkers(dataLen)); err != nil {
+	if err := s.cfg.Codec.EncodeInto(payloads[:k], payloads[k:], encodeWorkers(dataLen)); err != nil {
 		return err
 	}
 	return s.sealStripe(obj, bufs, dataLen, bl)
@@ -267,7 +267,7 @@ func (s *Store) writeStripeBlocks(si *stripeInfo, bufs [][]byte, idx int) error 
 		s.m.putBytes.Add(int64(len(b)))
 		return nil
 	}
-	workers := s.writeWorkers(n)
+	workers := poolSize(n)
 	if workers <= 1 {
 		for pos := 0; pos < n; pos++ {
 			if err := writeOne(pos); err != nil {
