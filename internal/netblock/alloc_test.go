@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/pattern"
 	"repro/internal/store"
@@ -101,7 +104,7 @@ func TestReadBodyContract(t *testing.T) {
 			},
 			"readResponse": func() error {
 				hdr := []byte{statusOK, 0, 0, 0, 0x40} // dataLen = 1<<30
-				_, _, _, err := readResponse(io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(body)), nil)
+				_, _, _, err := readResponse(io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(body)), nil, nil)
 				return err
 			},
 		}
@@ -115,6 +118,154 @@ func TestReadBodyContract(t *testing.T) {
 				t.Errorf("%s, %d of %d bytes sent: allocated %d bytes, want <= %d", name, sent, maxDataLen, alloc, pinBound(sent))
 			}
 		}
+	}
+}
+
+// aliases reports whether b starts at dst's first byte: b is dst's
+// memory, not a buffer of its own.
+func aliases(b, dst []byte) bool {
+	return len(b) > 0 && cap(dst) > 0 && &b[0] == &dst[:1][0]
+}
+
+// scriptedNode is a block server played from a script: the i-th
+// connection the client opens is handed to serve(i, conn) once its first
+// request has been read, and closed when serve returns.
+func scriptedNode(t *testing.T, serve func(i int, conn net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, err := readRequest(conn); err == nil {
+				serve(i, conn)
+			}
+			conn.Close()
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); <-done })
+	return ln.Addr().String()
+}
+
+// TestReadIntoContract holds Client.ReadInto and readResponse's caller
+// buffer to what their comments promise. A block that fits cap(dst)
+// arrives in dst and allocates no buffer; with cap(dst) one byte short,
+// or no dst, it arrives as from Read — a buffer of exactly its length.
+// A header claiming more than cap(dst) pins what readBody allows and no
+// more. Statuses map onto the same errors as Read's, and the error keeps
+// nothing of dst. A connection that drops mid-body leaves part of a body
+// in dst; the retry receives into the same dst and the bytes are exact.
+func TestReadIntoContract(t *testing.T) {
+	const key = "obj.g000001.s00000.b00"
+	block := store.FrameBlock(patternBytes(t, 1<<20))
+	_, addr := startServer(t, store.NewMemBackend())
+	c := dialTest(t, addr)
+	if err := c.Write(0, key, block); err != nil {
+		t.Fatal(err)
+	}
+	dirty := func(n int) []byte { return bytes.Repeat([]byte{0xA5}, n) }
+	for _, tc := range []struct {
+		name string
+		dst  []byte
+		fits bool
+	}{
+		{"exact", dirty(len(block)), true},
+		{"roomy", dirty(len(block) + 100)[:7], true}, // cap decides, not len
+		{"one short", dirty(len(block) - 1), false},
+		{"nil", nil, false},
+	} {
+		if _, err := c.ReadInto(0, key, tc.dst); err != nil { // the connection and its buffers, unmeasured
+			t.Fatal(err)
+		}
+		var got []byte
+		var err error
+		alloc := allocBytes(func() { got, err = c.ReadInto(0, key, tc.dst) })
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, block) {
+			t.Fatalf("%s: block did not round-trip", tc.name)
+		}
+		if in := aliases(got, tc.dst); in != tc.fits {
+			t.Errorf("%s: result aliases dst = %v, want %v", tc.name, in, tc.fits)
+		}
+		if !tc.fits && cap(got) != len(got) {
+			t.Errorf("%s: own buffer has len %d cap %d", tc.name, len(got), cap(got))
+		}
+		if raceEnabled {
+			continue
+		}
+		if tc.fits && alloc > allocSlack {
+			t.Errorf("%s: a read into the caller's buffer allocated %d bytes, want <= %d", tc.name, alloc, allocSlack)
+		}
+		if !tc.fits && alloc > len(block)+allocSlack {
+			t.Errorf("%s: allocated %d bytes, want <= %d", tc.name, alloc, len(block)+allocSlack)
+		}
+	}
+
+	// Hostile header: 1 GiB claimed against a 1 MiB dst, ten bytes sent.
+	dst := dirty(1 << 20)
+	hdr := []byte{statusOK, 0, 0, 0, 0x40}
+	var err error
+	alloc := allocBytes(func() {
+		_, _, _, err = readResponse(io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(block[:10])), nil, dst)
+	})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("hostile header: err = %v, want ErrUnexpectedEOF", err)
+	}
+	if !raceEnabled && alloc > pinBound(10) {
+		t.Errorf("hostile header: allocated %d bytes, want <= %d", alloc, pinBound(10))
+	}
+	// A short body into a dst that fits is the same error, not io.EOF.
+	hdr = []byte{statusOK, 16, 0, 0, 0}
+	if _, _, _, err := readResponse(bytes.NewReader(hdr), nil, dst); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("body missing entirely: err = %v, want ErrUnexpectedEOF", err)
+	}
+
+	// Statuses, with a dst the error message fits in.
+	if _, err := c.ReadInto(0, "obj.g000009.s00000.b00", dst); !errors.Is(err, store.ErrBlockNotFound) {
+		t.Errorf("missing block: err = %v, want ErrBlockNotFound", err)
+	}
+	sick := scriptedNode(t, func(_ int, conn net.Conn) {
+		writeResponse(conn, statusError, []byte("disk on fire"))
+	})
+	cs := dialTest(t, sick)
+	_, err = cs.ReadInto(0, key, dst)
+	clear(dst) // the error must not be a view of the caller's buffer
+	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
+		t.Errorf("remote error: err = %v, want the node's message", err)
+	}
+
+	// Connection 0 sends the header and half a body of 0xEE, then drops;
+	// connection 1 answers in full.
+	flaky := scriptedNode(t, func(i int, conn net.Conn) {
+		if i > 0 {
+			writeResponse(conn, statusOK, block)
+			return
+		}
+		var frame bytes.Buffer
+		writeResponse(&frame, statusOK, bytes.Repeat([]byte{0xEE}, len(block)))
+		conn.Write(frame.Bytes()[:respHeaderLen+len(block)/2])
+	})
+	cf, err := Dial([]string{flaky}, Options{DialTimeout: time.Second, Timeout: 5 * time.Second, RetryBackoff: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	dst = dirty(len(block))
+	got, err := cf.ReadInto(0, key, dst)
+	if err != nil {
+		t.Fatalf("read across a mid-body drop: %v", err)
+	}
+	if !aliases(got, dst) || !bytes.Equal(got, block) {
+		t.Errorf("read across a mid-body drop: aliases dst %v, bytes exact %v", aliases(got, dst), bytes.Equal(got, block))
 	}
 }
 

@@ -291,8 +291,12 @@ func (c *Client) putConn(n *clientNode, conn net.Conn, addr string) {
 // single fresh dial — only freshly dialed attempts count against the
 // retry count, the health window and the breaker. Options.RetryBudget
 // caps the operation's total wall-time across attempts and sleeps. The
-// returned payload is the response body (block bytes for reads).
-func (c *Client) do(node int, op byte, key string, data []byte) ([]byte, error) {
+// returned payload is the response body (block bytes for reads), received
+// into dst when dst is non-nil and the body fits it (readResponse). Every
+// attempt of one operation receives into the same dst, so a failed or
+// retried round trip leaves whatever it got there; only the body of the
+// attempt that succeeded is ever returned.
+func (c *Client) do(node int, op byte, key string, data, dst []byte) ([]byte, error) {
 	n, err := c.node(node)
 	if err != nil {
 		return nil, err
@@ -314,7 +318,7 @@ func (c *Client) do(node int, op byte, key string, data []byte) ([]byte, error) 
 		// The ping's outcome drives the breaker; a success also clears
 		// the probing latch so the real op below runs against a closed
 		// breaker.
-		if err := c.attempt(n, node, opPing, "", nil); err != nil {
+		if err := c.attempt(n, node); err != nil {
 			return nil, fmt.Errorf("netblock: node %d failed half-open probe: %w", node, err)
 		}
 	}
@@ -334,7 +338,7 @@ func (c *Client) do(node int, op byte, key string, data []byte) ([]byte, error) 
 			continue
 		}
 		start := time.Now()
-		status, body, err := c.roundTrip(n, conn, op, node, key, data)
+		status, body, err := c.roundTrip(n, conn, op, node, key, data, dst)
 		if err != nil {
 			conn.Close()
 			lastErr = err
@@ -364,26 +368,30 @@ func (c *Client) do(node int, op byte, key string, data []byte) ([]byte, error) 
 		node, n.addrSnapshot(), attempt, lastErr)
 }
 
-// attempt runs one non-retrying operation on a fresh connection,
-// recording the outcome in the node's health window. It is the
-// half-open probe path: pooled connections are skipped because a stale
-// pooled socket failing must not re-open the breaker the probe is
-// trying to close.
-func (c *Client) attempt(n *clientNode, node int, op byte, key string, data []byte) error {
+// attempt runs one non-retrying ping on a fresh connection, recording
+// the outcome in the node's health window. It is the half-open probe
+// path: pooled connections are skipped because a stale pooled socket
+// failing must not re-open the breaker the probe is trying to close.
+func (c *Client) attempt(n *clientNode, node int) error {
 	start := time.Now()
-	conn, err := net.DialTimeout("tcp", n.addrSnapshot(), c.opts.DialTimeout)
+	// One snapshot serves the dial and the pooling: putConn refuses a
+	// connection whose address is no longer the node's, and a second
+	// snapshot taken after a SetNode would vouch for a socket to the old
+	// process under the new address.
+	addr := n.addrSnapshot()
+	conn, err := net.DialTimeout("tcp", addr, c.opts.DialTimeout)
 	if err != nil {
 		n.health.record(false, time.Since(start), err)
 		return err
 	}
-	status, body, err := c.roundTrip(n, conn, op, node, key, data)
+	status, body, err := c.roundTrip(n, conn, opPing, node, "", nil, nil)
 	if err != nil {
 		conn.Close()
 		n.health.record(false, time.Since(start), err)
 		return err
 	}
 	n.health.record(true, time.Since(start), nil)
-	c.putConn(n, conn, n.addrSnapshot())
+	c.putConn(n, conn, addr)
 	if status != statusOK {
 		return fmt.Errorf("netblock: node %d: remote error: %s", node, body)
 	}
@@ -435,8 +443,8 @@ func (c *Client) opTimeout(n int) time.Duration {
 // header+key (writev on a TCP conn): no staging copy of the block
 // between the store's stripe slab and the socket. The deadline scales
 // with the bytes in play — the request payload up front, the response
-// payload once its header announces the size.
-func (c *Client) roundTrip(n *clientNode, conn net.Conn, op byte, node int, key string, data []byte) (byte, []byte, error) {
+// payload once its header announces the size. dst is readResponse's.
+func (c *Client) roundTrip(n *clientNode, conn net.Conn, op byte, node int, key string, data, dst []byte) (byte, []byte, error) {
 	if err := conn.SetDeadline(time.Now().Add(c.opTimeout(len(data)))); err != nil {
 		return 0, nil, err
 	}
@@ -454,7 +462,7 @@ func (c *Client) roundTrip(n *clientNode, conn net.Conn, op byte, node int, key 
 		if size > 0 {
 			conn.SetDeadline(time.Now().Add(c.opTimeout(size)))
 		}
-	})
+	}, dst)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -464,7 +472,7 @@ func (c *Client) roundTrip(n *clientNode, conn net.Conn, op byte, node int, key 
 
 // Write implements store.Backend.
 func (c *Client) Write(node int, key string, data []byte) error {
-	_, err := c.do(node, opWrite, key, data)
+	_, err := c.do(node, opWrite, key, data, nil)
 	return err
 }
 
@@ -474,14 +482,24 @@ func (c *Client) WriteOwned(node int, key string, data []byte) error {
 	return c.Write(node, key, data)
 }
 
-// Read implements store.Backend.
+// Read implements store.Backend: the block arrives in a buffer of
+// exactly its own length that the caller owns.
 func (c *Client) Read(node int, key string) ([]byte, error) {
-	return c.do(node, opRead, key, nil)
+	return c.ReadInto(node, key, nil)
+}
+
+// ReadInto implements store.IntoReader: a block that fits cap(dst) is
+// received straight into dst and returned as dst[:len] — no allocation,
+// no zeroing, no copy — and one that does not fit, or any block when dst
+// is nil, comes back in a buffer of its own exactly as from Read. The
+// caller must use the returned slice; after an error dst holds garbage.
+func (c *Client) ReadInto(node int, key string, dst []byte) ([]byte, error) {
+	return c.do(node, opRead, key, nil, dst)
 }
 
 // Delete implements store.Backend.
 func (c *Client) Delete(node int, key string) error {
-	_, err := c.do(node, opDelete, key, nil)
+	_, err := c.do(node, opDelete, key, nil, nil)
 	return err
 }
 
@@ -491,7 +509,7 @@ func (c *Client) Delete(node int, key string) error {
 // itself is the half-open probe — so a HealthMonitor polling CheckNode
 // is exactly the probe driver the breaker wants.
 func (c *Client) Ping(node int) error {
-	_, err := c.do(node, opPing, "", nil)
+	_, err := c.do(node, opPing, "", nil, nil)
 	return err
 }
 

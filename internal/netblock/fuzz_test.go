@@ -56,16 +56,29 @@ func FuzzReadRequest(f *testing.F) {
 }
 
 // FuzzReadResponse is the same contract for the client's response
-// parser, which faces a hostile or corrupted server.
+// parser, which faces a hostile or corrupted server — with and without a
+// caller's buffer of fuzzed capacity (dstCap < 0: none). A payload that
+// fits the buffer must land in it and allocate nothing of its own; one
+// that does not must come back exactly as without a buffer, and a header
+// claiming more than the buffer holds must stay inside the pinned-memory
+// contract all the same.
 func FuzzReadResponse(f *testing.F) {
 	for _, status := range []byte{statusOK, statusNotFound, statusError, statusBadKey} {
 		var frame bytes.Buffer
 		writeResponse(&frame, status, []byte("block bytes, or an error message"))
-		f.Add(frame.Bytes())
+		f.Add(frame.Bytes(), -1)
+		f.Add(frame.Bytes(), 32) // the payload fits exactly
+		f.Add(frame.Bytes(), 31) // one byte short
 	}
-	f.Add([]byte{statusOK, 0, 0, 0, 0})    // empty OK
-	f.Add([]byte{statusOK, 0, 0, 0, 0x40}) // hostile: claims 1 GiB, sends nothing
-	f.Fuzz(func(t *testing.T, in []byte) {
+	f.Add([]byte{statusOK, 0, 0, 0, 0}, -1)         // empty OK
+	f.Add([]byte{statusOK, 0, 0, 0, 0}, 0)          // empty OK into an empty buffer
+	f.Add([]byte{statusOK, 0, 0, 0, 0x40}, -1)      // hostile: claims 1 GiB, sends nothing
+	f.Add([]byte{statusOK, 0, 0, 0, 0x40}, 1<<20+4) // the same against a block-sized buffer
+	f.Fuzz(func(t *testing.T, in []byte, dstCap int) {
+		var dst []byte
+		if dstCap >= 0 {
+			dst = make([]byte, dstCap%(2<<20))
+		}
 		r := bytes.NewReader(in)
 		var status byte
 		var data []byte
@@ -73,7 +86,7 @@ func FuzzReadResponse(f *testing.F) {
 		var err error
 		announced := -1
 		checkPinned(t, in, allocBytes(func() {
-			status, data, wire, err = readResponse(r, func(size int) { announced = size })
+			status, data, wire, err = readResponse(r, func(size int) { announced = size }, dst)
 		}))
 		if err != nil {
 			return
@@ -85,7 +98,11 @@ func FuzzReadResponse(f *testing.F) {
 		if announced != len(data) {
 			t.Fatalf("onSize announced %d bytes, payload has %d", announced, len(data))
 		}
-		if cap(data) != len(data) {
+		fits := dst != nil && len(data) <= cap(dst)
+		if len(data) > 0 && aliases(data, dst) != fits {
+			t.Fatalf("%d-byte payload, %d-byte buffer: payload in the buffer = %v", len(data), cap(dst), !fits)
+		}
+		if !fits && cap(data) != len(data) {
 			t.Fatalf("payload len %d cap %d", len(data), cap(data))
 		}
 		var again bytes.Buffer

@@ -2,6 +2,7 @@ package netblock
 
 import (
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -204,6 +205,51 @@ func TestSetNodeResetsBreaker(t *testing.T) {
 	}
 	if err := c.Ping(0); err != nil {
 		t.Fatalf("ping after SetNode: %v", err)
+	}
+}
+
+// TestProbeConnNotPooledAcrossSetNode re-addresses a node while its
+// half-open probe is in flight: the old process holds its ping reply
+// until SetNode has run. The probe's connection was dialed to the old
+// address, so when the reply arrives it must be closed, not pooled — a
+// pooled socket to the old process would serve the next operation on the
+// "new" node.
+func TestProbeConnNotPooledAcrossSetNode(t *testing.T) {
+	pinged := make(chan struct{})
+	release := make(chan struct{})
+	hungUp := make(chan error, 1)
+	old := scriptedNode(t, func(_ int, conn net.Conn) {
+		close(pinged)
+		<-release
+		writeResponse(conn, statusOK, nil)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, err := conn.Read(make([]byte, 1))
+		hungUp <- err
+	})
+	c := dialTest(t, old)
+	n, err := c.node(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probed := make(chan error, 1)
+	go func() { probed <- c.attempt(n, 0) }()
+	<-pinged
+	_, addr2 := startServer(t, store.NewMemBackend())
+	if err := c.SetNode(0, addr2); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-probed; err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	n.mu.Lock()
+	idle := len(n.idle)
+	n.mu.Unlock()
+	if idle != 0 {
+		t.Fatalf("%d connection(s) to the old address pooled under the new one", idle)
+	}
+	if err := <-hungUp; !errors.Is(err, io.EOF) {
+		t.Fatalf("old process's read after its reply: %v, want EOF (the client hung up)", err)
 	}
 }
 

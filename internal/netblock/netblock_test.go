@@ -294,7 +294,7 @@ func TestHostileRequestsRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		status, body, _, err := readResponse(conn, nil)
+		status, body, _, err := readResponse(conn, nil, nil)
 		if err != nil {
 			t.Fatalf("op %q node %d key %q: %v", tc.op, tc.node, tc.key, err)
 		}

@@ -161,13 +161,20 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 		}
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf[copy(buf, head):]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // the header promised these bytes
-		}
+	if err := readFull(r, buf[copy(buf, head):]); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// readFull fills buf from r; a stream that ends first is always
+// io.ErrUnexpectedEOF, because a header promised these bytes.
+func readFull(r io.Reader, buf []byte) error {
+	_, err := io.ReadFull(r, buf)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // readRequest decodes one request from r (the server side).
@@ -244,7 +251,15 @@ func writeResponse(w io.Writer, status byte, data []byte) error {
 // non-nil, is told the payload length after the header parses and
 // before the body is read; the client uses it to grow the IO deadline
 // in proportion to a large block's size.
-func readResponse(r io.Reader, onSize func(size int)) (status byte, data []byte, wire int64, err error) {
+//
+// dst is the caller's buffer for the payload, nil for none. A payload
+// that fits cap(dst) is received straight into it and the returned data
+// is dst[:len]; one that does not fit — and every payload when dst is
+// nil — goes through readBody into a buffer of its own, so a length
+// field larger than cap(dst) pins exactly what readBody's contract
+// allows and no more. Callers use the returned slice, never dst. On
+// error dst may hold part of a body.
+func readResponse(r io.Reader, onSize func(size int), dst []byte) (status byte, data []byte, wire int64, err error) {
 	var hdr [respHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, 0, err
@@ -255,12 +270,18 @@ func readResponse(r io.Reader, onSize func(size int)) (status byte, data []byte,
 	if dataLen64 > maxDataLen {
 		return 0, nil, 0, fmt.Errorf("netblock: response length %d exceeds limit %d", dataLen64, maxDataLen)
 	}
+	n := int(dataLen64)
 	if onSize != nil {
-		onSize(int(dataLen64))
+		onSize(n)
 	}
-	data, err = readBody(r, int(dataLen64))
+	if dst != nil && n <= cap(dst) {
+		data = dst[:n]
+		err = readFull(r, data)
+	} else {
+		data, err = readBody(r, n)
+	}
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	return hdr[0], data, int64(respHeaderLen + len(data)), nil
+	return hdr[0], data, int64(respHeaderLen + n), nil
 }

@@ -28,7 +28,7 @@ func (c *Client) ReadBlockTo(node int, key string, w io.Writer) (int64, error) {
 	maxLen := uint32(c.opts.ChunkSize)
 	req := make([]byte, 0, chunkReqLen)
 	for {
-		body, err := c.do(node, opReadChunk, key, appendChunkReq(req[:0], offset, maxLen))
+		body, err := c.do(node, opReadChunk, key, appendChunkReq(req[:0], offset, maxLen), nil)
 		if err != nil {
 			return written, err
 		}
@@ -78,7 +78,7 @@ func (c *Client) WriteBlockFrom(node int, key string, r io.Reader) (int64, error
 		return 0, fmt.Errorf("netblock: node %d: %w", node, err)
 	}
 	if probe {
-		if err := c.attempt(n, node, opPing, "", nil); err != nil {
+		if err := c.attempt(n, node); err != nil {
 			return 0, fmt.Errorf("netblock: node %d failed half-open probe: %w", node, err)
 		}
 	}
@@ -125,7 +125,7 @@ func (c *Client) beginUpload(n *clientNode, node int, key string) (net.Conn, str
 			return nil, "", err
 		}
 		start := time.Now()
-		status, body, rerr := c.roundTrip(n, conn, opWriteBegin, node, key, nil)
+		status, body, rerr := c.roundTrip(n, conn, opWriteBegin, node, key, nil, nil)
 		if rerr != nil {
 			conn.Close()
 			if pooled {
@@ -147,7 +147,7 @@ func (c *Client) beginUpload(n *clientNode, node int, key string) (net.Conn, str
 // status into an error. Transport failures are terminal for the upload
 // (the stage lives on the connection), so no retry happens here.
 func (c *Client) uploadStep(n *clientNode, conn net.Conn, op byte, node int, key string, data []byte) error {
-	status, body, err := c.roundTrip(n, conn, op, node, key, data)
+	status, body, err := c.roundTrip(n, conn, op, node, key, data, nil)
 	if err != nil {
 		n.health.record(false, 0, err)
 		return err

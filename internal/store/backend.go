@@ -24,10 +24,13 @@ type Backend interface {
 	// slice.
 	Write(node int, key string, data []byte) error
 	// Read returns the block bytes, or an error wrapping
-	// ErrBlockNotFound. The returned slice
-	// may alias the backend's own storage: callers must treat it as
-	// read-only (every consumer in the store does — payloads are decoded,
-	// verified and served, never edited in place).
+	// ErrBlockNotFound. The returned slice may alias the backend's own
+	// storage (MemBackend's stored block) or be a buffer the caller now
+	// owns (DirBackend, the netblock client); either way nothing will
+	// write to it again, so it may be kept — the block cache does — and
+	// callers must treat it as read-only (every consumer in the store
+	// does — payloads are decoded, verified and served, never edited in
+	// place).
 	Read(node int, key string) ([]byte, error)
 	// Delete removes the block; deleting a missing block is not an error.
 	Delete(node int, key string) error
@@ -43,6 +46,33 @@ type Backend interface {
 // the next stripe, so every block it writes goes through Write.
 type OwnedWriter interface {
 	WriteOwned(node int, key string, data []byte) error
+}
+
+// IntoReader is an optional Backend fast path for reads whose bytes are
+// needed only until a decode has consumed them: ReadInto is Read with the
+// caller supplying the buffer. A block that fits cap(dst) is delivered in
+// dst and returned as dst[:len]; otherwise — the block is larger, dst is
+// nil, or the implementation had the bytes elsewhere already — the result
+// is whatever Read would have returned and dst is not part of it. So the
+// caller must use the returned slice and never dst, stays the owner of
+// dst throughout (the backend keeps no reference past return), and must
+// not let the result outlive dst's next use. After an error dst may hold
+// part of a block. The store's one caller is reconstructPositions, which
+// lends pooled frames for the source blocks of a repair or degraded read;
+// a backend without ReadInto (MemBackend, DirBackend) is simply read
+// through Read.
+type IntoReader interface {
+	ReadInto(node int, key string, dst []byte) ([]byte, error)
+}
+
+// readInto reads a block with dst lent for it: through b's ReadInto when
+// b has one and there is a dst to lend, through Read otherwise. Either
+// way the caller uses the returned slice, never dst.
+func readInto(b Backend, node int, key string, dst []byte) ([]byte, error) {
+	if ir, ok := b.(IntoReader); ok && dst != nil {
+		return ir.ReadInto(node, key, dst)
+	}
+	return b.Read(node, key)
 }
 
 // WireStats is an optional Backend extension for backends that move

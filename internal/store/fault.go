@@ -182,20 +182,33 @@ func (f *FaultBackend) Write(node int, key string, data []byte) error {
 // stay pristine, so the same block can read clean on the next attempt,
 // exactly like a transient wire fault.
 func (f *FaultBackend) Read(node int, key string) ([]byte, error) {
+	return f.ReadInto(node, key, nil)
+}
+
+// ReadInto implements IntoReader behind the same fault gate as Read, so
+// a store over the harness runs the path it ships with: dst is passed to
+// an inner backend that takes one (and Read is the dst == nil case), and
+// an inner backend that does not is read through Read. Corruption flips a
+// byte in place when the inner result is dst's memory — the caller's own
+// buffer, where a bad wire would have put it — and on a copy otherwise,
+// because what the inner backend returned may be its stored block.
+func (f *FaultBackend) ReadInto(node int, key string, dst []byte) ([]byte, error) {
 	delay, fail, corrupt := f.roll(node)
 	if err := apply(node, delay, fail); err != nil {
 		return nil, err
 	}
-	b, err := f.inner.Read(node, key)
+	b, err := readInto(f.inner, node, key, dst)
 	if err != nil || !corrupt || len(b) == 0 {
 		return b, err
 	}
-	nb := append([]byte(nil), b...)
+	if cap(dst) == 0 || &b[0] != &dst[:1][0] {
+		b = append([]byte(nil), b...)
+	}
 	f.mu.Lock()
-	i := f.rng.Intn(len(nb))
+	i := f.rng.Intn(len(b))
 	f.mu.Unlock()
-	nb[i] ^= 0x55
-	return nb, nil
+	b[i] ^= 0x55
+	return b, nil
 }
 
 // Delete implements Backend.

@@ -198,3 +198,65 @@ func TestFaultBackendInjection(t *testing.T) {
 		t.Fatalf("healed node still misbehaves: %v", err)
 	}
 }
+
+// TestFaultBackendReadInto: ReadInto sits behind the same gate as Read —
+// errors, latency and schedules apply — and hands dst to an inner backend
+// that takes one. Corruption goes where a bad wire would put it: into
+// dst, in place, when the block was delivered there, and onto a copy
+// when the inner backend answered with memory of its own (here its
+// stored block); the stored bytes are never touched either way.
+func TestFaultBackendReadInto(t *testing.T) {
+	block := FrameBlock([]byte("pristine"))
+	for _, tc := range []struct {
+		name  string
+		inner Backend
+		lends bool // inner delivers into dst
+	}{
+		{"inner takes a buffer", &lendingBackend{MemBackend: NewMemBackend()}, true},
+		{"inner has only Read", NewMemBackend(), false},
+	} {
+		fb := NewFaultBackend(tc.inner, 42)
+		if err := fb.Write(0, "k", block); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, len(block)+8)
+		inDst := func(b []byte) bool { return len(b) > 0 && &b[0] == &dst[0] }
+
+		got, err := fb.ReadInto(0, "k", dst)
+		if err != nil || !bytes.Equal(got, block) || inDst(got) != tc.lends {
+			t.Fatalf("%s: healthy read: err %v, exact %v, in dst %v", tc.name, err, bytes.Equal(got, block), inDst(got))
+		}
+		if got, err := fb.ReadInto(0, "k", dst[:0:len(block)-1]); err != nil || !bytes.Equal(got, block) || inDst(got) {
+			t.Fatalf("%s: a block that does not fit: err %v, exact %v, in dst %v", tc.name, err, bytes.Equal(got, block), inDst(got))
+		}
+
+		fb.SetFault(0, Fault{ErrRate: 1})
+		if _, err := fb.ReadInto(0, "k", dst); !errors.Is(err, ErrInjected) {
+			t.Fatalf("%s: want ErrInjected, got %v", tc.name, err)
+		}
+		fb.SetFault(0, Fault{Latency: 20 * time.Millisecond})
+		start := time.Now()
+		if _, err := fb.ReadInto(0, "k", dst); err != nil || time.Since(start) < 20*time.Millisecond {
+			t.Fatalf("%s: injected latency: err %v after %v", tc.name, err, time.Since(start))
+		}
+		fb.SetFaultSchedule(0, []FaultStep{{After: 0, Fault: Fault{ErrRate: 1}}})
+		if _, err := fb.ReadInto(0, "k", dst); !errors.Is(err, ErrInjected) {
+			t.Fatalf("%s: scheduled fault: want ErrInjected, got %v", tc.name, err)
+		}
+
+		fb.SetFault(0, Fault{CorruptRate: 1})
+		got, err = fb.ReadInto(0, "k", dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := UnframeBlock(got); err == nil {
+			t.Fatalf("%s: corrupted frame still passed its CRC", tc.name)
+		}
+		if inDst(got) != tc.lends {
+			t.Fatalf("%s: corrupted block in dst = %v, want %v", tc.name, inDst(got), tc.lends)
+		}
+		if stored, err := tc.inner.Read(0, "k"); err != nil || !bytes.Equal(stored, block) {
+			t.Fatalf("%s: injected corruption mutated the stored bytes (err %v)", tc.name, err)
+		}
+	}
+}

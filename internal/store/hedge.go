@@ -49,7 +49,10 @@ func (s *Store) fetchPositionsHedged(si *stripeInfo, scratch [][]byte, want []in
 		go func(pos int) {
 			var r hedgeRead
 			r.pos = pos
-			r.payload, r.err = s.readBlockPayload(si, pos, &r.acct, nil)
+			// No lent frame (dst nil): a straggler abandoned to the race
+			// is never joined, so it must not hold a buffer anyone takes
+			// back.
+			r.payload, r.err = s.readBlockPayload(si, pos, &r.acct, nil, nil)
 			results <- r
 		}(pos)
 	}

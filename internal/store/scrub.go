@@ -184,7 +184,7 @@ func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func(
 	var damaged []int
 	for _, pos := range it.damaged {
 		if !it.silent {
-			if p, err := s.readBlockPayload(&si, pos, acct, s.repairLim); err == nil {
+			if p, err := s.readBlockPayload(&si, pos, acct, s.repairLim, nil); err == nil {
 				stripe[pos] = p // healed under us; reuse the bytes
 				continue
 			}
@@ -406,7 +406,7 @@ func (sc *Scrubber) scrubStripe(ref stripeRef) (missing, corrupt int, enqueued b
 	var damaged []int
 	silent := false
 	for pos := 0; pos < n; pos++ {
-		p, err := s.readBlockPayload(&si, pos, acct, s.scrubLim)
+		p, err := s.readBlockPayload(&si, pos, acct, s.scrubLim, nil)
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) {
 				corrupt++

@@ -158,6 +158,11 @@ type Store struct {
 	// writes from. Every slab has the one size geometry × BlockSize fixes;
 	// an idle store's slabs go back to the garbage collector.
 	slabs sync.Pool
+	// frames pools the block-sized frames (*[]byte, 4+BlockSize) that
+	// reconstructPositions lends an IntoReader backend for the source
+	// blocks of a decode. Block-granular on purpose: a light repair wants
+	// five frames, not a sixteen-frame slab.
+	frames sync.Pool
 
 	// db is the metadata plane: every manifest, the repair queue and the
 	// liveness record live there, sharded for concurrent access and —
@@ -365,6 +370,37 @@ func poolSize(jobs int) int {
 	return ioWorkers
 }
 
+// fanOut runs job(i) for every i in [0, n) on poolSize(n) goroutines and
+// returns once all of them have finished, so whatever the jobs read into
+// or wrote from is the caller's again. A single job runs inline. Jobs
+// report through their own slot of a caller-owned slice (errs[i],
+// accts[i]): no two share one, so nothing is locked.
+func fanOut(n int, job func(i int)) {
+	workers := poolSize(n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			job(i)
+		}
+		return
+	}
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				job(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+}
+
 // Put stores an object under name, replacing any previous version. The
 // object is chunked into K·BlockSize stripes, encoded (in parallel for
 // large stripes), CRC-framed and placed rack-aware on live nodes. It is
@@ -379,13 +415,21 @@ func (s *Store) Put(name string, data []byte) error {
 // scrubber pays for what it reads, good or bad). lim, when non-nil, is
 // charged the actual bytes read: the background datapaths pass their
 // token bucket, foreground reads pass nil.
-func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *byteRate) ([]byte, error) {
+//
+// dst, when non-nil, is a frame lent for the read (reconstructPositions):
+// a backend that implements IntoReader may deliver the block in it, and
+// the payload returned then aliases dst. A backend without ReadInto, or a
+// block that does not fit, is read as ever — it is always the returned
+// slice that is unframed, never dst. The accounting below sees the same
+// bytes on either path. A failed or retried read may leave garbage in
+// dst, which is harmless: only a CRC-clean frame is ever decoded.
+func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *byteRate, dst []byte) ([]byte, error) {
 	node := si.Nodes[pos]
 	if !s.Alive(node) {
 		return nil, fmt.Errorf("store: node %d is dead", node)
 	}
 	start := time.Now()
-	raw, err := s.cfg.Backend.Read(node, si.Keys[pos])
+	raw, err := readInto(s.cfg.Backend, node, si.Keys[pos], dst)
 	if err != nil {
 		return nil, err
 	}
@@ -429,9 +473,35 @@ func (s *Store) lightRepairable(damaged []int, avail []bool) bool {
 // returned. A non-nil dstFor supplies the decode buffer for each target
 // position (the repair engine's reusable framed slabs) and selects the
 // codec's zero-allocation ReconstructManyInto path.
+//
+// The sources fetched here live for one decode, so over a backend that
+// can receive into a caller's buffer (IntoReader) they are borrowed, not
+// allocated: each lands in a frame from s.frames, and on return — every
+// return — each frame is back in the pool and its stripe entry is nil
+// again. What the caller finds in stripe afterwards is what it put there
+// plus the rebuilt targets, which are the codec's fresh payloads or
+// dstFor's buffers and never alias a frame (ReconstructManyInto copies
+// or computes into dst); nothing borrowed can reach the cache, a writer
+// or a write-back. Positions the caller wants to keep (a GET's own
+// blocks) it fetches itself, through Read.
 func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int, avail []bool, acct *readAcct, lim *byteRate, dstFor func(pos int) []byte) error {
 	var firstErr error
 	n := len(stripe)
+	var frames []*[]byte // by stripe position; nil: the backend takes no buffer
+	if _, ok := s.cfg.Backend.(IntoReader); ok {
+		frames = make([]*[]byte, n)
+		// A frame goes back only after every read into it has been joined:
+		// fetchBlocks returns with its workers finished, and nothing else
+		// reads into a frame.
+		defer func() {
+			for j, f := range frames {
+				if f != nil {
+					stripe[j] = nil
+					s.frames.Put(f)
+				}
+			}
+		}()
+	}
 	wanted := make([]int, 0, n)
 	seen := make([]bool, n)
 	for {
@@ -463,7 +533,14 @@ func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int
 		if len(targets) == 0 {
 			return firstErr
 		}
-		if s.fetchBlocks(si, stripe, wanted, avail, acct, lim) {
+		if frames != nil {
+			for _, j := range wanted {
+				if frames[j] == nil {
+					frames[j] = s.getFrame()
+				}
+			}
+		}
+		if s.fetchBlocks(si, stripe, wanted, avail, acct, lim, frames) {
 			continue // a source failed; re-plan with the downgraded avail
 		}
 		var payloads [][]byte
@@ -503,55 +580,44 @@ func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int
 	}
 }
 
+// getFrame draws a block frame from the store's pool, allocating on a
+// miss. A pooled frame holds an earlier block's bytes; a read overwrites
+// the part it returns.
+func (s *Store) getFrame() *[]byte {
+	if f, ok := s.frames.Get().(*[]byte); ok {
+		return f
+	}
+	f := make([]byte, 4+s.cfg.BlockSize)
+	return &f
+}
+
 // fetchBlocks reads the given stripe positions into stripe —
 // concurrently when the read pool allows — charging lim and downgrading
 // avail on failure. Reports whether any fetch failed (the caller then
-// re-plans).
-func (s *Store) fetchBlocks(si *stripeInfo, stripe [][]byte, positions []int, avail []bool, acct *readAcct, lim *byteRate) bool {
+// re-plans). A non-nil frames lends position j's read the buffer
+// *frames[j] (see readBlockPayload); every read has finished by return.
+func (s *Store) fetchBlocks(si *stripeInfo, stripe [][]byte, positions []int, avail []bool, acct *readAcct, lim *byteRate, frames []*[]byte) bool {
 	if len(positions) == 0 {
 		return false
 	}
-	failed := false
-	workers := poolSize(len(positions))
-	if workers <= 1 {
-		for _, j := range positions {
-			p, err := s.readBlockPayload(si, j, acct, lim)
-			if err != nil {
-				avail[j] = false
-				failed = true
-				continue
-			}
-			stripe[j] = p
-		}
-		return failed
-	}
-	accts := make([]readAcct, workers)
+	accts := make([]readAcct, len(positions))
 	errs := make([]error, len(positions))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for idx := range jobs {
-				p, err := s.readBlockPayload(si, positions[idx], &accts[w], lim)
-				if err != nil {
-					errs[idx] = err
-					continue
-				}
-				stripe[positions[idx]] = p
-			}
-		}(w)
-	}
-	for idx := range positions {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	for w := range accts {
-		acct.add(&accts[w])
-	}
+	fanOut(len(positions), func(idx int) {
+		j := positions[idx]
+		var dst []byte
+		if frames != nil {
+			dst = *frames[j]
+		}
+		p, err := s.readBlockPayload(si, j, &accts[idx], lim, dst)
+		if err != nil {
+			errs[idx] = err
+			return
+		}
+		stripe[j] = p
+	})
+	failed := false
 	for idx, err := range errs {
+		acct.add(&accts[idx])
 		if err != nil {
 			avail[positions[idx]] = false
 			failed = true

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"repro/internal/meta"
 )
@@ -256,43 +255,17 @@ func (s *Store) sealStripe(obj *objectInfo, bufs [][]byte, dataLen, blockLen int
 // stripe's blocks through a bounded worker pool. All writes are joined
 // before returning, so a caller that fails can roll back safely.
 func (s *Store) writeStripeBlocks(si *stripeInfo, bufs [][]byte, idx int) error {
-	n := len(bufs)
-	writeOne := func(pos int) error {
+	errs := make([]error, len(bufs))
+	fanOut(len(bufs), func(pos int) {
 		b := bufs[pos]
 		binary.LittleEndian.PutUint32(b, crc32.Checksum(b[4:], castagnoli))
 		if err := s.cfg.Backend.Write(si.Nodes[pos], si.Keys[pos], b); err != nil {
-			return fmt.Errorf("store: write stripe %d block %d: %w", idx, pos, err)
+			errs[pos] = fmt.Errorf("store: write stripe %d block %d: %w", idx, pos, err)
+			return
 		}
 		s.m.putBlocks.Add(1)
 		s.m.putBytes.Add(int64(len(b)))
-		return nil
-	}
-	workers := poolSize(n)
-	if workers <= 1 {
-		for pos := 0; pos < n; pos++ {
-			if err := writeOne(pos); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pos := range jobs {
-				errs[pos] = writeOne(pos)
-			}
-		}()
-	}
-	for pos := 0; pos < n; pos++ {
-		jobs <- pos
-	}
-	close(jobs)
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -467,7 +440,9 @@ func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetc
 // missing or corrupt. avail marks positions believed readable and is
 // downgraded as fetches fail; accounting and errors land in res.
 func (s *Store) fetchPositions(si *stripeInfo, scratch [][]byte, want []int, avail []bool, res *fetchResult) {
-	if !s.fetchBlocks(si, scratch, want, avail, &res.acct, nil) {
+	// The wanted blocks may be cached and are handed to the writer: they
+	// arrive through Read, in buffers of their own, never in a lent frame.
+	if !s.fetchBlocks(si, scratch, want, avail, &res.acct, nil, nil) {
 		return
 	}
 	var missing []int
