@@ -503,6 +503,19 @@ func (c *Client) Delete(node int, key string) error {
 	return err
 }
 
+// DeleteMany implements store.BatchDeleter: every key in one opDeleteMany
+// round trip. The server refuses the whole list, deleting nothing, if any
+// key fails its checks.
+func (c *Client) DeleteMany(node int, keys []string) error {
+	for _, k := range keys {
+		if len(k) > maxKeyLen {
+			return fmt.Errorf("netblock: key length %d exceeds limit %d", len(k), maxKeyLen)
+		}
+	}
+	_, err := c.do(node, opDeleteMany, "", appendKeyList(nil, keys), nil)
+	return err
+}
+
 // Ping checks liveness of one node over a pooled connection. Ping goes
 // through the same breaker gate as every other operation: with the
 // breaker open it fails fast, and once the cooldown elapses the ping

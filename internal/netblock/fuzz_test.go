@@ -2,6 +2,7 @@ package netblock
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -18,7 +19,10 @@ func checkPinned(t *testing.T, in []byte, alloc int) {
 // it must not panic, must not allocate past the pinned-memory contract
 // however large a payload the header claims, and a frame that parses is
 // exactly sized (cap == len), no longer than the input, and re-encodes
-// to the bytes it was parsed from.
+// to the bytes it was parsed from. The parsed request then goes through
+// validateRequest, which must not panic either; an opDeleteMany it
+// accepts holds keys that each pass the single-key rule and re-encode to
+// the payload.
 func FuzzReadRequest(f *testing.F) {
 	payload := bytes.Repeat([]byte{0xA5}, 300)
 	for _, op := range []byte{opWrite, opRead, opDelete, opPing, opReadChunk, opWriteBegin, opWriteChunk, opWriteCommit} {
@@ -34,6 +38,16 @@ func FuzzReadRequest(f *testing.F) {
 		f.Add(appendRequest(nil, op, 3, key, data))
 	}
 	f.Add(appendHeader(nil, opWrite, 0, "k", maxDataLen)) // hostile: claims 1 GiB, sends nothing
+	// Key lists: a reclamation batch's worth, a 1 GiB claim, a length
+	// prefix cut short, and one hostile key among good ones.
+	batch := make([]string, 256)
+	for i := range batch {
+		batch[i] = fmt.Sprintf("obj%03d.g000001.s00000.b%02d", i/16, i%16)
+	}
+	f.Add(appendRequest(nil, opDeleteMany, 3, "", appendKeyList(nil, batch)))
+	f.Add(appendHeader(nil, opDeleteMany, 0, "", maxDataLen))
+	f.Add(appendRequest(nil, opDeleteMany, 0, "", append(appendKeyList(nil, batch[:2]), 5)))
+	f.Add(appendRequest(nil, opDeleteMany, 0, "", appendKeyList(nil, []string{batch[0], "../../escape"})))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		r := bytes.NewReader(in)
 		var req request
@@ -51,6 +65,17 @@ func FuzzReadRequest(f *testing.F) {
 		}
 		if again := appendRequest(nil, req.op, req.node, req.key, req.data); !bytes.Equal(again, in[:used]) {
 			t.Fatalf("frame re-encodes to different bytes:\n in  %x\n out %x", in[:used], again)
+		}
+		if validateRequest(&req) != nil || req.op != opDeleteMany {
+			return
+		}
+		for _, k := range req.keys {
+			if err := validateKey(k); err != nil {
+				t.Fatalf("accepted key list holds a refused key: %v", err)
+			}
+		}
+		if again := appendKeyList(nil, req.keys); !bytes.Equal(again, req.data) {
+			t.Fatalf("key list re-encodes to different bytes:\n in  %x\n out %x", req.data, again)
 		}
 	})
 }

@@ -97,9 +97,16 @@ func TestWireCounters(t *testing.T) {
 	if _, err := c.Read(0, key); err != nil {
 		t.Fatal(err)
 	}
+	// A DeleteMany is one request — an 11-byte header with an empty key,
+	// then each key as a 2-byte length and its bytes — and one bare
+	// 5-byte answer.
+	many := []string{key, "obj.g000001.s00000.b00", "x"}
+	if err := c.DeleteMany(0, many); err != nil {
+		t.Fatal(err)
+	}
 	sent, recv := c.WireTraffic()
-	wantSent := requestWireLen(key, block) + requestWireLen(key, nil)
-	wantRecv := int64(respHeaderLen) + int64(respHeaderLen+len(block))
+	wantSent := requestWireLen(key, block) + requestWireLen(key, nil) + int64(11+(2+1)+(2+22)+(2+1))
+	wantRecv := int64(respHeaderLen) + int64(respHeaderLen+len(block)) + 5
 	if sent[0] != wantSent {
 		t.Errorf("sent[0] = %d, want %d", sent[0], wantSent)
 	}
@@ -288,6 +295,8 @@ func TestHostileRequestsRejected(t *testing.T) {
 		{opWrite, 0, "", payload},
 		{opRead, -1, "obj.g000001.s00000.b00", nil},
 		{opWrite, -7, "obj.g000001.s00000.b00", payload},
+		// The traversal keys once more, as one key list.
+		{opDeleteMany, 0, "", appendKeyList(nil, []string{"obj.g000001.s00000.b00", "../../escape", "../../../../etc/passwd", "..", "."})},
 	}
 	for _, tc := range hostile {
 		if _, err := conn.Write(appendRequest(nil, tc.op, tc.node, tc.key, tc.data)); err != nil {
@@ -313,6 +322,76 @@ func TestHostileRequestsRejected(t *testing.T) {
 	c := dialTest(t, addr)
 	if err := c.Ping(0); err != nil {
 		t.Fatalf("ping after hostile requests: %v", err)
+	}
+}
+
+// TestDeleteManyRejectsWholeList: a key list whose framing is broken, or
+// with one key the single-key ops would refuse anywhere in it, is
+// answered statusBadKey and deletes nothing — not even the good keys
+// ahead of the bad one. A well-formed list deletes every key, missing
+// ones included.
+func TestDeleteManyRejectsWholeList(t *testing.T) {
+	be, err := store.NewDirBackend(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, be)
+	c := dialTest(t, addr)
+	good := []string{"a.g000001.s00000.b00", "b.g000001.s00000.b01", "c.g000001.s00000.b02"}
+	for _, k := range good {
+		if err := c.Write(0, k, store.FrameBlock([]byte(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := func(keys ...string) []byte { return appendKeyList(nil, keys) }
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, tc := range []struct {
+		name, key string
+		data      []byte
+	}{
+		{"truncated length prefix", "", append(list(good...), 5)},
+		{"key runs past the payload", "", append(list(good...), 16, 0, 'x')},
+		{"key over the wire limit", "", list(good[0], strings.Repeat("x", maxKeyLen+1))},
+		{"empty key", "", list(good[0], "", good[1])},
+		{"dot-dot", "", list(good[0], good[1], "..")},
+		{"slash", "", list("a/b", good[0])},
+		{"byte outside the charset", "", list(good[0], "k\x00ey")},
+		{"traversal", "", list(good[0], "../../escape")},
+		{"key in the header", good[2], list(good[0])},
+	} {
+		if _, err := conn.Write(appendRequest(nil, opDeleteMany, 0, tc.key, tc.data)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		status, body, _, err := readResponse(conn, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if status != statusBadKey {
+			t.Fatalf("%s: status %d (%q), want statusBadKey", tc.name, status, body)
+		}
+		for _, k := range good {
+			if _, err := c.Read(0, k); err != nil {
+				t.Fatalf("%s: a refused list deleted %s (%v)", tc.name, k, err)
+			}
+		}
+	}
+
+	if err := c.DeleteMany(0, append(good, "never-existed")); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range good {
+		if _, err := c.Read(0, k); !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("%s after DeleteMany: err %v, want ErrNotFound", k, err)
+		}
+	}
+	if err := c.DeleteMany(0, []string{"ok", ".."}); !errors.Is(err, store.ErrBadKey) {
+		t.Fatalf("DeleteMany with a hostile key: err %v, want ErrBadKey", err)
 	}
 }
 

@@ -12,8 +12,9 @@
 //	request:  op(1) node(u32) keyLen(u16) dataLen(u32) key data
 //	response: status(1) dataLen(u32) data
 //
-// op is one of opWrite/opRead/opDelete/opPing; data is the framed block
-// for writes, empty otherwise. status is statusOK (data = block bytes on
+// op is one of opWrite/opRead/opDelete/opDeleteMany/opPing; data is the
+// framed block for writes, the key list for opDeleteMany (whose header
+// key is empty), empty otherwise. status is statusOK (data = block bytes on
 // reads), statusNotFound, statusBadKey (the request's key or node failed
 // validation; data = error message), or statusError (data = error
 // message). The client maps statuses back onto the store's typed errors
@@ -40,6 +41,11 @@ const (
 	opRead   = 'R'
 	opDelete = 'D'
 	opPing   = 'P'
+	// opDeleteMany deletes a list of blocks from the request's node in
+	// one round trip (the store's batched reclamation). Its header key is
+	// empty and its payload is the keys, each a keyLen(u16) and its bytes
+	// (appendKeyList). The server vets every key before it deletes any.
+	opDeleteMany = 'X'
 	// opReadChunk's 12-byte payload is offset(u64) maxLen(u32); the
 	// response data is total(u64) followed by the window bytes.
 	opReadChunk = 'C'
@@ -98,12 +104,46 @@ func parseChunkReq(b []byte) (offset uint64, maxLen uint32, err error) {
 	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint32(b[8:]), nil
 }
 
+// appendKeyList encodes an opDeleteMany payload: each key as keyLen(u16)
+// and its bytes. Keys longer than maxKeyLen are the caller's to refuse.
+func appendKeyList(dst []byte, keys []string) []byte {
+	for _, k := range keys {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(k)))
+		dst = append(dst, k...)
+	}
+	return dst
+}
+
+// parseKeyList decodes an opDeleteMany payload. It checks the framing
+// only — a length prefix cut short, a key running past the payload or
+// longer than maxKeyLen — and leaves each key's contents to
+// validateRequest.
+func parseKeyList(b []byte) ([]string, error) {
+	var keys []string
+	for len(b) > 0 {
+		if len(b) < 2 {
+			return nil, fmt.Errorf("netblock: key list ends inside a length prefix")
+		}
+		n := int(binary.LittleEndian.Uint16(b))
+		b = b[2:]
+		if n > maxKeyLen || n > len(b) {
+			return nil, fmt.Errorf("netblock: key list claims a %d-byte key with %d bytes left (limit %d)", n, len(b), maxKeyLen)
+		}
+		keys = append(keys, string(b[:n]))
+		b = b[n:]
+	}
+	return keys, nil
+}
+
 // request is one decoded client request.
 type request struct {
 	op   byte
 	node int
 	key  string
 	data []byte
+	// keys is opDeleteMany's key list, decoded from data by
+	// validateRequest.
+	keys []string
 }
 
 // appendHeader encodes a request's header and key onto dst and returns
@@ -197,17 +237,17 @@ func readRequest(r io.Reader) (request, error) {
 	}
 	dataLen := int(dataLen64)
 	switch req.op {
-	case opWrite, opRead, opDelete, opPing, opReadChunk, opWriteBegin, opWriteChunk, opWriteCommit:
+	case opWrite, opRead, opDelete, opDeleteMany, opPing, opReadChunk, opWriteBegin, opWriteChunk, opWriteCommit:
 	default:
 		return request{}, fmt.Errorf("netblock: unknown op %q", req.op)
 	}
-	// Only writes and chunk appends carry a free-form payload, and a
-	// chunk read carries exactly its fixed 12-byte window spec; any other
-	// op claiming bytes would make the server buffer up to maxDataLen per
-	// request just to throw it away, so it is a protocol violation like
-	// an unknown op.
+	// Only writes, chunk appends and key lists carry a free-form payload,
+	// and a chunk read carries exactly its fixed 12-byte window spec; any
+	// other op claiming bytes would make the server buffer up to
+	// maxDataLen per request just to throw it away, so it is a protocol
+	// violation like an unknown op.
 	switch {
-	case req.op == opWrite || req.op == opWriteChunk:
+	case req.op == opWrite || req.op == opWriteChunk || req.op == opDeleteMany:
 	case req.op == opReadChunk:
 		if dataLen != chunkReqLen {
 			return request{}, fmt.Errorf("netblock: chunk read carries %d payload bytes, want %d", dataLen, chunkReqLen)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/store"
 )
@@ -29,6 +30,9 @@ type Server struct {
 	// violations, IO failures). The zero value drops them: a killed
 	// client is business as usual for a block server.
 	Logf func(format string, args ...any)
+	// requests counts the requests this server has decoded: the round
+	// trips clients made to it.
+	requests atomic.Int64
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -170,6 +174,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			return
 		}
+		s.requests.Add(1)
 		if stage == nil && (req.op == opWriteBegin || req.op == opWriteChunk || req.op == opWriteCommit) {
 			stage = make(map[string][]byte)
 		}
@@ -194,29 +199,55 @@ func (s *Server) handle(conn net.Conn) {
 // blockKey and the tmpPrefix comment in internal/store), which excludes
 // path separators outright; "." and ".." are the only in-charset names
 // with path meaning and are rejected explicitly. Node ids must be
-// non-negative for every op, and every op but ping needs a key. Every
-// rejection wraps store.ErrBadKey, which execute answers as
-// statusBadKey so the client can surface the same sentinel.
+// non-negative for every op, and every op but ping needs a key.
+// opDeleteMany carries its keys in the payload instead: validateRequest
+// decodes them into req.keys and holds every one to the same rule, so one
+// bad key — or a list whose framing is broken — refuses the whole request
+// before anything is deleted. Every rejection wraps store.ErrBadKey,
+// which execute answers as statusBadKey so the client can surface the
+// same sentinel.
 func validateRequest(req *request) error {
 	if req.node < 0 {
 		return fmt.Errorf("%w: negative node id %d", store.ErrBadKey, req.node)
 	}
-	if req.op == opPing {
+	switch req.op {
+	case opPing:
+		return nil
+	case opDeleteMany:
+		if req.key != "" {
+			return fmt.Errorf("%w: delete-many names key %q in its header", store.ErrBadKey, req.key)
+		}
+		keys, err := parseKeyList(req.data)
+		if err != nil {
+			return fmt.Errorf("%w: %v", store.ErrBadKey, err)
+		}
+		for _, k := range keys {
+			if err := validateKey(k); err != nil {
+				return err
+			}
+		}
+		req.keys = keys
 		return nil
 	}
-	if req.key == "" {
+	return validateKey(req.key)
+}
+
+// validateKey holds one wire-supplied key to the store's block-key
+// charset (see validateRequest).
+func validateKey(key string) error {
+	if key == "" {
 		return fmt.Errorf("%w: empty key", store.ErrBadKey)
 	}
-	if req.key == "." || req.key == ".." {
-		return fmt.Errorf("%w: invalid key %q", store.ErrBadKey, req.key)
+	if key == "." || key == ".." {
+		return fmt.Errorf("%w: invalid key %q", store.ErrBadKey, key)
 	}
-	for i := 0; i < len(req.key); i++ {
-		c := req.key[i]
+	for i := 0; i < len(key); i++ {
+		c := key[i]
 		switch {
 		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
 			c == '.', c == '-', c == '_':
 		default:
-			return fmt.Errorf("%w: invalid key %q: byte %q outside [A-Za-z0-9._-]", store.ErrBadKey, req.key, c)
+			return fmt.Errorf("%w: invalid key %q: byte %q outside [A-Za-z0-9._-]", store.ErrBadKey, key, c)
 		}
 	}
 	return nil
@@ -257,6 +288,13 @@ func (s *Server) execute(req *request, stage map[string][]byte) (status byte, da
 	case opDelete:
 		if err := s.be.Delete(req.node, req.key); err != nil {
 			return statusError, []byte(err.Error())
+		}
+		return statusOK, nil
+	case opDeleteMany:
+		for _, k := range req.keys {
+			if err := s.be.Delete(req.node, k); err != nil {
+				return statusError, []byte(err.Error())
+			}
 		}
 		return statusOK, nil
 	case opPing:

@@ -75,6 +75,34 @@ func readInto(b Backend, node int, key string, dst []byte) ([]byte, error) {
 	return b.Read(node, key)
 }
 
+// BatchDeleter is an optional Backend fast path for reclamation:
+// DeleteMany removes every listed block from one node in one call, which
+// over a network is one round trip where Delete costs one per key.
+// Deleting a missing block is not an error. After an error any of the
+// keys may remain, and the caller retries all of them, so an
+// implementation need not say which failed. The store's one caller is
+// the reclaimer (reclaim.go), which sends one DeleteMany per node per
+// batch; a backend without it (MemBackend, DirBackend) is sent one
+// Delete per key instead.
+type BatchDeleter interface {
+	DeleteMany(node int, keys []string) error
+}
+
+// deleteMany removes keys from node: in one call when b is a
+// BatchDeleter, one Delete per key otherwise, stopping at the first
+// failure (the caller retries the node's whole list either way).
+func deleteMany(b Backend, node int, keys []string) error {
+	if bd, ok := b.(BatchDeleter); ok {
+		return bd.DeleteMany(node, keys)
+	}
+	for _, key := range keys {
+		if err := b.Delete(node, key); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WireStats is an optional Backend extension for backends that move
 // blocks over a network: cumulative protocol bytes sent to and received
 // from each node. Store.Metrics folds the totals in as

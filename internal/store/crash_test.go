@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -160,4 +161,194 @@ func TestKillNinePreservesAckedPuts(t *testing.T) {
 			t.Fatalf("recovered object %q is torn", st.Name)
 		}
 	}
+}
+
+// The overwrite variant: a child overwrites a ring of four names forever,
+// so the kill lands somewhere among commits that retire versions,
+// tombstones, reclamation batches and tombstone clears. After recovery
+// and one drain, the disks must hold exactly what the manifests place —
+// plus at most the blocks of the one PUT the kill interrupted before its
+// commit, which no manifest or tombstone names — and every name must read
+// back at its last acked version.
+
+const overwriteChildEnv = "STORE_OVERWRITE_CHILD_DIR"
+
+// overwriteRing is the child's working set; iteration i writes
+// overwriteRing[i%4] with the content of ringVersion(i).
+var overwriteRing = []string{"ring-0", "ring-1", "ring-2", "ring-3"}
+
+func ringVersion(i int) []byte { return crashObjBytes(fmt.Sprintf("ring@%d", i)) }
+
+// TestOverwriteCrashChild is the subprocess body of
+// TestKillNineOverwriteRing: without the env marker it skips. It appends
+// each iteration's number to the acked file after its PUT returns.
+func TestOverwriteCrashChild(t *testing.T) {
+	dir := os.Getenv(overwriteChildEnv)
+	if dir == "" {
+		t.Skip("helper for TestKillNineOverwriteRing")
+	}
+	s, err := openCrashStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked, err := os.OpenFile(filepath.Join(dir, "acked"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		if err := s.Put(overwriteRing[i%len(overwriteRing)], ringVersion(i)); err != nil {
+			t.Fatalf("Put #%d: %v", i, err)
+		}
+		if _, err := fmt.Fprintln(acked, i); err != nil {
+			t.Fatal(err)
+		}
+		if err := acked.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func openCrashStore(dir string) (*Store, error) {
+	be, err := NewDirBackend(filepath.Join(dir, "blocks"))
+	if err != nil {
+		return nil, err
+	}
+	return New(Config{Backend: be, BlockSize: 256, MetaDir: filepath.Join(dir, "meta")})
+}
+
+func TestKillNineOverwriteRing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir := t.TempDir()
+	ackPath := filepath.Join(dir, "acked")
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestOverwriteCrashChild$")
+	cmd.Env = append(os.Environ(), overwriteChildEnv+"="+dir)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// A version is 48 keys, so a batch closes every sixth overwrite: a
+	// random ack count past ten batches puts the kill anywhere in the
+	// cycle of retire, batch and tombstone clear.
+	want := 64 + rand.Intn(6)
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if b, err := os.ReadFile(ackPath); err == nil && bytes.Count(b, []byte("\n")) >= want {
+			break
+		}
+		if time.Now().After(deadline) {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+			t.Fatalf("child acked fewer than %d overwrites in 60s", want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	_ = cmd.Wait()
+
+	ackBytes, err := os.ReadFile(ackPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := -1
+	for _, line := range strings.Fields(string(ackBytes)) {
+		i, err := strconv.Atoi(line)
+		if err != nil || i != last+1 {
+			t.Fatalf("acked file out of order at %q", line)
+		}
+		last = i
+	}
+
+	s, err := openCrashStore(dir)
+	if err != nil {
+		t.Fatalf("recovery after kill -9: %v", err)
+	}
+	defer s.Close()
+	pending := s.Metrics().ReclaimPendingBlocks
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Metrics().ReclaimPendingBlocks; n != 0 || s.db.Len(tombPrefix) != 0 {
+		t.Fatalf("after the drain: %d blocks, %d tombstones pending", n, s.db.Len(tombPrefix))
+	}
+	t.Logf("killed after %d acked PUTs; recovery queued %d blocks, all reclaimed", last+1, pending)
+
+	// Every name reads back at its last acked version, or at the one PUT
+	// that may have committed after the last ack.
+	for r, name := range overwriteRing {
+		got, _, err := s.Get(name)
+		if err != nil {
+			t.Fatalf("%s lost by the crash: %v", name, err)
+		}
+		lastAcked := last - (last-r+len(overwriteRing))%len(overwriteRing)
+		ok := bytes.Equal(got, ringVersion(lastAcked))
+		if next := last + 1; next%len(overwriteRing) == r {
+			ok = ok || bytes.Equal(got, ringVersion(next))
+		}
+		if !ok {
+			t.Fatalf("%s does not read back at its last acked version #%d", name, lastAcked)
+		}
+	}
+
+	// The disks hold exactly the manifests' blocks, plus at most one
+	// uncommitted version, newer than every committed one.
+	placed := make(map[string]bool)
+	var maxGen int64
+	it := s.db.Scan(objPrefix)
+	for {
+		_, v, ok := it.Next()
+		if !ok {
+			break
+		}
+		obj := v.(*objectInfo)
+		maxGen = max(maxGen, obj.Gen)
+		for _, b := range retiredOf(obj).left {
+			placed[fmt.Sprintf("node%03d/%s", b.node, b.key)] = true
+		}
+	}
+	nodeDirs, err := filepath.Glob(filepath.Join(dir, "blocks", "node*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	extra := map[string]int{} // "name.gNNNNNN" → blocks no manifest places
+	for _, nd := range nodeDirs {
+		entries, err := os.ReadDir(nd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			held++
+			if placed[filepath.Base(nd)+"/"+e.Name()] {
+				continue
+			}
+			version := e.Name()
+			for j := 0; j < 2; j++ { // strip ".bNN" and ".sNNNNN"
+				version = version[:strings.LastIndexByte(version, '.')]
+			}
+			extra[version]++
+		}
+	}
+	if want := len(placed) + sum(extra); held != want {
+		t.Fatalf("disks hold %d blocks; manifests place %d and %d are extra: some placed block is missing", held, len(placed), sum(extra))
+	}
+	if len(extra) > 1 {
+		t.Fatalf("blocks of %d versions survive unreferenced, want at most the interrupted PUT's: %v", len(extra), extra)
+	}
+	for version := range extra {
+		gen, err := strconv.ParseInt(version[strings.LastIndex(version, ".g")+2:], 10, 64)
+		if err != nil || gen <= maxGen {
+			t.Fatalf("unreferenced blocks of %s: not a PUT newer than every commit (max committed gen %d)", version, maxGen)
+		}
+	}
+}
+
+func sum(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
 }

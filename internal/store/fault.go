@@ -220,6 +220,18 @@ func (f *FaultBackend) Delete(node int, key string) error {
 	return f.inner.Delete(node, key)
 }
 
+// DeleteMany implements BatchDeleter behind the same gate as Delete, one
+// roll for the whole call — so a store over the harness reclaims through
+// the path it ships with — and forwards to an inner BatchDeleter, or
+// deletes key by key when the inner backend has none.
+func (f *FaultBackend) DeleteMany(node int, keys []string) error {
+	delay, fail, _ := f.roll(node)
+	if err := apply(node, delay, fail); err != nil {
+		return err
+	}
+	return deleteMany(f.inner, node, keys)
+}
+
 // WireTraffic implements WireStats by delegation; a non-networked inner
 // backend reports nil.
 func (f *FaultBackend) WireTraffic() (sent, recv []int64) {

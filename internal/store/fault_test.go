@@ -260,3 +260,69 @@ func TestFaultBackendReadInto(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultBackendDeleteMany: DeleteMany sits behind the same gate as
+// Delete — errors, latency and schedules apply, one roll for the whole
+// call, and an injected failure deletes nothing — and reaches an inner
+// BatchDeleter as one call, or an inner backend without one key by key.
+func TestFaultBackendDeleteMany(t *testing.T) {
+	block := FrameBlock([]byte("doomed"))
+	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9", "k10", "k11", "k12", "k13", "k14", "k15"}
+	for _, tc := range []struct {
+		name  string
+		inner *manyDeleter
+		batch bool // inner takes DeleteMany
+	}{
+		{"inner takes a key list", &manyDeleter{MemBackend: NewMemBackend()}, true},
+		{"inner has only Delete", &manyDeleter{MemBackend: NewMemBackend()}, false},
+	} {
+		var inner Backend = tc.inner
+		if !tc.batch {
+			inner = struct{ Backend }{tc.inner} // hides DeleteMany
+		}
+		fb := NewFaultBackend(inner, 42)
+		for _, k := range keys {
+			if err := fb.Write(0, k, block); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		fb.SetFault(0, Fault{ErrRate: 1})
+		if err := fb.DeleteMany(0, keys); !errors.Is(err, ErrInjected) {
+			t.Fatalf("%s: want ErrInjected, got %v", tc.name, err)
+		}
+		fb.SetFaultSchedule(0, []FaultStep{{After: 0, Fault: Fault{ErrRate: 1}}})
+		if err := fb.DeleteMany(0, keys); !errors.Is(err, ErrInjected) {
+			t.Fatalf("%s: scheduled fault: want ErrInjected, got %v", tc.name, err)
+		}
+		if got := tc.inner.BlockCount(0); got != len(keys) {
+			t.Fatalf("%s: an injected failure deleted %d blocks", tc.name, len(keys)-got)
+		}
+
+		// One roll, so one injected delay for the whole list, not one per
+		// key.
+		const lat = 25 * time.Millisecond
+		fb.SetFault(0, Fault{Latency: lat})
+		start := time.Now()
+		if err := fb.DeleteMany(0, keys[:8]); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := time.Since(start); d < lat || d >= 8*lat {
+			t.Fatalf("%s: deleting 8 keys behind a %v gate took %v, want one gate", tc.name, lat, d)
+		}
+		fb.SetFault(0, Fault{})
+		if err := fb.DeleteMany(0, keys[8:]); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := tc.inner.BlockCount(0); got != 0 {
+			t.Fatalf("%s: %d blocks survived", tc.name, got)
+		}
+		wantBatches, wantDeletes := int64(2), int64(0)
+		if !tc.batch {
+			wantBatches, wantDeletes = 0, int64(len(keys))
+		}
+		if b, d := tc.inner.batches.Load(), tc.inner.deletes.Load(); b != wantBatches || d != wantDeletes {
+			t.Fatalf("%s: inner saw %d DeleteMany and %d Delete calls, want %d and %d", tc.name, b, d, wantBatches, wantDeletes)
+		}
+	}
+}

@@ -18,13 +18,16 @@ import (
 //	u/<id>                a serving-tier upload record (opaque []byte)
 //	n/<node>              a cluster membership record (*memberRecord)
 //	c/config              the geometry the plane was created with (*geometryRecord)
+//	t/<gen>/<name>        a retired version whose blocks are not all deleted yet (*objectInfo)
 //
 // Manifests are the hot records: committed durably before a Put acks,
 // relocated copy-on-write by repair workers, and walked by scrub
 // iterators. Repair queue entries are advisory (commit-no-sync: a lost
 // entry is re-found by the next scrub). The state record makes node
 // deaths and the gen/seq watermark survive a crash with no objects to
-// infer them from.
+// infer them from. A tombstone is staged in the very transaction that
+// replaces or removes its manifest, and cleared (commit-no-sync: a lost
+// clear only repeats an idempotent delete) once its blocks are gone.
 
 const (
 	objPrefix    = "o/"
@@ -33,9 +36,14 @@ const (
 	uploadPrefix = "u/"
 	nodePrefix   = "n/"
 	configKey    = "c/config"
+	tombPrefix   = "t/"
 )
 
 func objKey(name string) string { return objPrefix + name }
+
+// tombKey names obj's tombstone. The generation alone is unique; the name
+// makes the record readable.
+func tombKey(obj *objectInfo) string { return fmt.Sprintf("%s%d/%s", tombPrefix, obj.Gen, obj.Name) }
 
 func nodeKey(n int) string { return fmt.Sprintf("%s%06d", nodePrefix, n) }
 
@@ -153,7 +161,7 @@ func (metaCodec) Encode(key string, v any) ([]byte, error) {
 
 func (metaCodec) Decode(key string, b []byte) (any, error) {
 	switch {
-	case strings.HasPrefix(key, objPrefix):
+	case strings.HasPrefix(key, objPrefix), strings.HasPrefix(key, tombPrefix):
 		o := &objectInfo{}
 		if err := json.Unmarshal(b, o); err != nil {
 			return nil, err
@@ -194,8 +202,8 @@ func (metaCodec) Decode(key string, b []byte) (any, error) {
 
 // recoverMeta recovers the plane's durable state into s: manifests are
 // already in the index after replay; this walks them for the gen/seq
-// watermark and applies the membership and liveness records — no
-// presence walk of the backend.
+// watermark, queues every tombstone for reclamation and applies the
+// membership and liveness records — no I/O to the backend.
 func (s *Store) recoverMeta() error {
 	db := s.db
 	var maxGen, maxSeq int64
@@ -214,6 +222,18 @@ func (s *Store) recoverMeta() error {
 				maxSeq = sq
 			}
 		}
+	}
+	// A tombstone's generation counts toward the watermark too: reissued,
+	// it would give a new version the very keys the tombstone deletes.
+	it = db.Scan(tombPrefix)
+	for {
+		_, v, ok := it.Next()
+		if !ok {
+			break
+		}
+		obj := v.(*objectInfo)
+		maxGen = max(maxGen, obj.Gen)
+		s.queue(retiredOf(obj))
 	}
 	// Membership records may grow the node set past cfg.Nodes (nodes
 	// added before a crash), so apply them before the liveness record —
@@ -263,9 +283,14 @@ func (s *Store) MetaRecovered() (objects int, replayed int64) {
 	return s.db.Len(objPrefix), s.db.Metrics().ReplayedRecords
 }
 
-// Close checkpoints and releases the metadata plane. Stop scrubbers and
-// repair managers first; the store must not be used after Close.
-func (s *Store) Close() error { return s.db.Close() }
+// Close drains the reclamation list, then checkpoints and releases the
+// metadata plane. A block that cannot be deleted now keeps its tombstone,
+// and the next open queues it again. Stop scrubbers and repair managers
+// first; the store must not be used after Close.
+func (s *Store) Close() error {
+	_ = s.Reclaim()
+	return s.db.Close()
+}
 
 // Upload records ride in the store's metadata plane under u/<id> so a
 // serving tier (the HTTP gateway's multipart uploads) gets the same

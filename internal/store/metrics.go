@@ -156,6 +156,11 @@ type Metrics struct {
 	CacheHits, CacheMisses             int64
 	CacheEvictions, CacheInvalidations int64
 	CacheBytes                         int64
+	// ReclaimPendingBlocks is a gauge: block keys of retired versions
+	// (overwritten, deleted, rolled back) waiting to be deleted. It
+	// normally stays below 256 (reclaimBatch); growth past that means
+	// deletes are failing against a member node.
+	ReclaimPendingBlocks int64
 	// Wire totals, present when the backend implements WireStats (the
 	// TCP netblock client): cumulative protocol bytes sent to and
 	// received from all nodes. These count what actually crossed the
@@ -228,6 +233,8 @@ func (s *Store) Metrics() Metrics {
 		RebalanceBytesRead:  s.m.rebalanceBytesRead.Load(),
 		WireSentBytes:       wireSent,
 		WireRecvBytes:       wireRecv,
+
+		ReclaimPendingBlocks: s.pendingBlocks.Load(),
 
 		MetaWALBytes:        mm.WALBytes,
 		MetaCommitBatches:   mm.CommitBatches,

@@ -187,11 +187,18 @@ type Store struct {
 
 	// Version pinning: a streaming read pins the (name, generation) it
 	// snapshotted so an overwrite or delete racing the read cannot
-	// reclaim that version's blocks mid-stream. retire defers the
-	// reclamation of a pinned version to the last unpin.
-	pinMu     sync.Mutex
-	pins      map[verKey]int
-	condemned map[verKey]*objectInfo
+	// reclaim that version's blocks mid-stream. A reclamation batch skips
+	// a pinned version until its last unpin.
+	pinMu sync.Mutex
+	pins  map[verKey]int
+
+	// Reclamation (reclaim.go): retired versions whose blocks are not all
+	// deleted yet, the block keys queued since a batch last took the
+	// list, and the gauge of block keys still waiting.
+	reclaimMu     sync.Mutex
+	pending       []*retired
+	fresh         int
+	pendingBlocks atomic.Int64
 
 	gen atomic.Int64 // Put generation, keeps block keys unique
 	seq atomic.Int64 // stripe placement rotation
@@ -208,8 +215,8 @@ type Store struct {
 
 	// cache is the hot-block read cache, nil unless Config.CacheBytes
 	// is set. Invalidation rides the same paths that make blocks stale:
-	// deleteBlocks (retire/delete) and relocateBlock (repair/rebalance
-	// write-backs).
+	// retire (overwrite/delete; for a version a reader pinned, its
+	// reclamation) and relocateBlock (repair/rebalance write-backs).
 	cache *blockCache
 
 	m counters
@@ -243,12 +250,11 @@ func open(cfg Config, db *meta.DB) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		cfg:       cfg,
-		db:        db,
-		placer:    newPlacer(cfg.Codec, cfg.Racks),
-		alive:     make([]bool, cfg.Nodes),
-		pins:      make(map[verKey]int),
-		condemned: make(map[verKey]*objectInfo),
+		cfg:    cfg,
+		db:     db,
+		placer: newPlacer(cfg.Codec, cfg.Racks),
+		alive:  make([]bool, cfg.Nodes),
+		pins:   make(map[verKey]int),
 	}
 	s.repairLim = newByteRate(cfg.RepairRateBytes)
 	s.scrubLim = newByteRate(cfg.ScrubRateBytes)
@@ -642,45 +648,23 @@ func (s *Store) pin(name string, gen int64) {
 	s.pinMu.Unlock()
 }
 
-// unpin releases one reader of (name, gen) and reclaims the version's
-// blocks if it was condemned while pinned.
+// unpin releases one reader of (name, gen). A version retired while
+// pinned stays on the pending list until the first batch after its last
+// unpin.
 func (s *Store) unpin(name string, gen int64) {
 	k := verKey{name, gen}
-	var reclaim *objectInfo
 	s.pinMu.Lock()
 	if s.pins[k]--; s.pins[k] <= 0 {
 		delete(s.pins, k)
-		if o := s.condemned[k]; o != nil {
-			delete(s.condemned, k)
-			reclaim = o
-		}
 	}
 	s.pinMu.Unlock()
-	if reclaim != nil {
-		s.deleteBlocks(reclaim)
-	}
 }
 
-// retire reclaims a replaced or deleted version's blocks — immediately
-// when no reader holds it, otherwise deferred to the last unpin so a
-// streaming read never has its snapshot's blocks deleted out from under
-// it by an overwrite.
-func (s *Store) retire(obj *objectInfo) {
-	k := verKey{obj.Name, obj.Gen}
-	s.pinMu.Lock()
-	if s.pins[k] > 0 {
-		s.condemned[k] = obj
-		s.pinMu.Unlock()
-		return
-	}
-	s.pinMu.Unlock()
-	s.deleteBlocks(obj)
-}
-
-// Delete removes an object and its blocks. The manifest's removal is
-// durable before any block is reclaimed, so a crash mid-delete leaves
-// orphan blocks (invisible, swept by nothing referencing them), never a
-// manifest pointing at deleted bytes.
+// Delete removes an object. The manifest goes and the version's
+// tombstone comes in one durable commit, and the blocks are reclaimed
+// later in a batch (reclaim.go), so a crash at any point leaves either
+// the object or a tombstone that names its blocks — never a manifest
+// pointing at deleted bytes, and never blocks nothing names.
 func (s *Store) Delete(name string) error {
 	var obj *objectInfo
 	err := s.db.Commit(func(tx *meta.Tx) {
@@ -690,6 +674,7 @@ func (s *Store) Delete(name string) error {
 		}
 		obj = v.(*objectInfo)
 		tx.Delete(objKey(name))
+		tx.Put(tombKey(obj), obj)
 	})
 	if err != nil {
 		return err
@@ -699,26 +684,6 @@ func (s *Store) Delete(name string) error {
 	}
 	s.retire(obj)
 	return nil
-}
-
-// deleteBlocks best-effort removes an object's blocks, dead nodes
-// included (backends outlive simulated node failures). The cache drops
-// the version's entries first: this runs at retire time for an
-// unpinned version and at the last unpin otherwise, so a pinned
-// streaming read keeps hitting its own generation until it finishes
-// and a reclaimed generation can never serve another hit.
-func (s *Store) deleteBlocks(obj *objectInfo) {
-	if s.cache != nil {
-		s.cache.invalidateObject(obj)
-	}
-	for i := range obj.Stripes {
-		si := &obj.Stripes[i]
-		for pos, node := range si.Nodes {
-			if node >= 0 {
-				_ = s.cfg.Backend.Delete(node, si.Keys[pos])
-			}
-		}
-	}
 }
 
 // ObjectStat summarizes one stored object.

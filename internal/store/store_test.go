@@ -72,6 +72,13 @@ func TestOverwriteAndDelete(t *testing.T) {
 	if err := s.Delete("a"); !errors.Is(err, ErrObjectNotFound) {
 		t.Fatalf("double Delete: err %v, want ErrObjectNotFound", err)
 	}
+	// Two retired versions are far from a batch: drain by hand.
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Metrics().ReclaimPendingBlocks; n != 0 {
+		t.Fatalf("%d blocks still pending after Reclaim", n)
+	}
 	mb := s.Backend().(*MemBackend)
 	for n := 0; n < s.Nodes(); n++ {
 		if c := mb.BlockCount(n); c != 0 {

@@ -91,8 +91,8 @@ type filledStripe struct {
 // backend is handed those buffers to copy or persist. A PUT draws at most
 // two slabs from the store's pool, each only when the reader first needs
 // it, cycles them for the length of the object and returns them when it
-// succeeds. On any error nothing is committed and all blocks already
-// written are deleted.
+// succeeds. On any error no manifest is committed, and the blocks already
+// written get a tombstone and are reclaimed like a retired version's.
 //
 // After an error return the internal reader may still be inside one
 // blocked Read of r until that read unblocks (the same contract as
@@ -109,9 +109,17 @@ func (s *Store) PutReader(name string, r io.Reader) error {
 	gen := s.gen.Add(1)
 	obj := &objectInfo{Name: name, Gen: gen}
 	// On any mid-stream failure, blocks already written would be orphaned
-	// (no manifest ever references them), so roll them back.
+	// (no manifest ever references them), so roll them back: a durable
+	// tombstone names them — this is the failure path, so the fsync costs
+	// nothing on the acked one — and they are reclaimed like any retired
+	// version.
 	fail := func(err error) error {
-		s.deleteBlocks(obj)
+		if len(obj.Stripes) > 0 {
+			// A plane that cannot log the tombstone is down; the blocks are
+			// still queued in memory, and err is the one to report.
+			_ = s.db.Put(tombKey(obj), obj)
+			s.retire(obj)
+		}
 		return err
 	}
 	// Double buffer: two tokens cycle between the reader and the writer.
@@ -276,14 +284,15 @@ func (s *Store) writeStripeBlocks(si *stripeInfo, bufs [][]byte, idx int) error 
 
 // commit atomically publishes obj as the current version of its name —
 // durably, when the plane has a WAL: the record is fsynced before commit
-// returns, so an acked put survives a crash. Any version it replaces is
-// retired (reclaimed immediately, or at the last unpin if a streaming
-// read still holds it).
+// returns, so an acked put survives a crash. Any version it replaces gets
+// its tombstone in the same record and is retired: its blocks are deleted
+// by a later batch, off this path (reclaim.go).
 func (s *Store) commit(obj *objectInfo) error {
 	var old *objectInfo
 	err := s.db.Commit(func(tx *meta.Tx) {
 		if v, ok := tx.Get(objKey(obj.Name)); ok {
 			old = v.(*objectInfo)
+			tx.Put(tombKey(old), old)
 		}
 		tx.Put(objKey(obj.Name), obj)
 	})

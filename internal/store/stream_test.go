@@ -179,6 +179,9 @@ func TestPutReaderMidStreamFailureRollsBack(t *testing.T) {
 	if _, _, err := s.Get("doomed"); !errors.Is(err, ErrObjectNotFound) {
 		t.Fatalf("Get after failed PutReader: err %v, want ErrObjectNotFound", err)
 	}
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
 	mb := s.Backend().(*MemBackend)
 	for n := 0; n < s.Nodes(); n++ {
 		if c := mb.BlockCount(n); c != 0 {
