@@ -3,9 +3,13 @@
 // the examples/selfheal demo. A Schedule is data ("kill node 3 at
 // t=2s, +50ms latency on node 4 at t=1s, heal at t=6s"), a Target
 // knows how to hurt a specific cluster, and the Runner walks the
-// schedule against wall time. Keeping the scenario declarative means
-// the same script can drive a loopback TCP fleet in a unit test, the
-// selfheal demo, or (through another Target) a real deployment.
+// schedule on a Clock — the wall clock unless a test swaps in a manual
+// one. Schedule is the store world's only time-varying fault script:
+// store.FaultBackend holds a static per-node table, and a fault that
+// changes over time is a Schedule whose steps call its SetFault.
+// Keeping the scenario declarative means the same script can drive a
+// loopback TCP fleet in a unit test, the selfheal demo, or (through
+// another Target) a real deployment.
 package chaos
 
 import (
@@ -58,40 +62,54 @@ type Target interface {
 	SetFault(node int, f store.Fault) error
 }
 
+// Clock is the time source a Runner waits on. The wall clock is the
+// default; tests swap in a manual clock so a schedule fires at exact
+// virtual offsets with no real waits.
+type Clock interface {
+	Now() time.Time
+	After(d time.Duration) <-chan time.Time
+}
+
+// wallClock is the real Clock.
+type wallClock struct{}
+
+func (wallClock) Now() time.Time                         { return time.Now() }
+func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
 // Runner executes one schedule against one target.
 type Runner struct {
 	target Target
 	sched  Schedule
-	// Logf, when non-nil, narrates each step as it fires (tests pass
-	// t.Logf; the demo passes log.Printf).
-	Logf func(format string, args ...any)
+	clock  Clock
 }
 
-// NewRunner builds a runner; the schedule is copied and sorted.
+// NewRunner builds a runner on the wall clock; the schedule is copied
+// and sorted.
 func NewRunner(target Target, sched Schedule) *Runner {
 	s := append(Schedule(nil), sched...)
 	sort.SliceStable(s, func(i, j int) bool { return s[i].At < s[j].At })
-	return &Runner{target: target, sched: s}
+	return &Runner{target: target, sched: s, clock: wallClock{}}
 }
 
-// Run walks the schedule against wall time from now: each step fires at
-// its offset (late steps fire immediately in order). Run returns when
-// the schedule is exhausted or ctx is done, joining any step errors —
-// a failed injection means the scenario didn't happen, which a chaos
-// test must treat as its own failure, not as survival.
+// Run walks the schedule on the runner's clock from now: each step fires
+// at its offset (late steps fire immediately in order). Run returns when
+// the schedule is exhausted or ctx is done — ctx is checked before every
+// step, so a cancelled run fires nothing more, due or not — joining any
+// step errors: a failed injection means the scenario didn't happen,
+// which a chaos test must treat as its own failure, not as survival.
 func (r *Runner) Run(ctx context.Context) error {
-	start := time.Now()
+	start := r.clock.Now()
 	var errs []error
 	for _, st := range r.sched {
-		if wait := time.Until(start.Add(st.At)); wait > 0 {
+		if err := ctx.Err(); err != nil {
+			return errors.Join(append(errs, err)...)
+		}
+		if wait := start.Add(st.At).Sub(r.clock.Now()); wait > 0 {
 			select {
 			case <-ctx.Done():
 				return errors.Join(append(errs, ctx.Err())...)
-			case <-time.After(wait):
+			case <-r.clock.After(wait):
 			}
-		}
-		if r.Logf != nil {
-			r.Logf("chaos t=%s: %s node %d", st.At, st.Op, st.Node)
 		}
 		var err error
 		switch st.Op {

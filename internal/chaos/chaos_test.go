@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,15 +19,89 @@ import (
 	"repro/internal/store"
 )
 
-// recordingTarget captures every step the runner fires, in order.
+// epoch is where every manual clock starts.
+var epoch = time.Unix(1000, 0)
+
+// manualClock is a Clock that moves only when the test moves it. A
+// Runner blocking in After announces the deadline on parked; the test
+// sets the clock to it, and the runner fires exactly there.
+type manualClock struct {
+	mu     sync.Mutex
+	now    time.Time
+	timers []manualTimer
+	parked chan time.Time
+}
+
+type manualTimer struct {
+	at time.Time
+	ch chan time.Time
+}
+
+func newManualClock() *manualClock {
+	return &manualClock{now: epoch, parked: make(chan time.Time, 1)}
+}
+
+func (c *manualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *manualClock) After(d time.Duration) <-chan time.Time {
+	c.mu.Lock()
+	tm := manualTimer{at: c.now.Add(d), ch: make(chan time.Time, 1)}
+	c.timers = append(c.timers, tm)
+	c.mu.Unlock()
+	c.parked <- tm.at
+	return tm.ch
+}
+
+// set moves the clock to t and fires every timer due by then.
+func (c *manualClock) set(t time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = t
+	kept := c.timers[:0]
+	for _, tm := range c.timers {
+		if tm.at.After(t) {
+			kept = append(kept, tm)
+			continue
+		}
+		tm.ch <- t
+	}
+	c.timers = kept
+}
+
+// runVirtual runs r on clk, jumping the clock to each deadline the
+// runner parks on: the whole schedule is walked at its exact virtual
+// offsets in no wall time.
+func runVirtual(ctx context.Context, r *Runner, clk *manualClock) error {
+	r.clock = clk
+	done := make(chan error, 1)
+	go func() { done <- r.Run(ctx) }()
+	for {
+		select {
+		case at := <-clk.parked:
+			clk.set(at)
+		case err := <-done:
+			return err
+		}
+	}
+}
+
+// recordingTarget captures every step the runner fires, in order,
+// stamped with its virtual offset on clk.
 type recordingTarget struct {
+	clk *manualClock
 	mu  sync.Mutex
 	ops []string
 }
 
+func newRecorder() *recordingTarget { return &recordingTarget{clk: newManualClock()} }
+
 func (r *recordingTarget) add(s string) error {
 	r.mu.Lock()
-	r.ops = append(r.ops, s)
+	r.ops = append(r.ops, fmt.Sprintf("%s @%s", s, r.clk.Now().Sub(epoch)))
 	r.mu.Unlock()
 	return nil
 }
@@ -40,57 +115,135 @@ func (r *recordingTarget) SetFault(node int, f store.Fault) error {
 	return r.add(fmt.Sprintf("fault %d", node))
 }
 
-// TestRunnerSchedule checks ordering and dispatch: steps listed out of
-// order fire sorted by offset, OpHeal maps to a zero-fault SetFault,
-// and an unknown op surfaces as an error without stopping the walk.
+func (r *recordingTarget) check(t *testing.T, want ...string) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if fmt.Sprint(r.ops) != fmt.Sprint(want) {
+		t.Fatalf("ops = %q, want %q", r.ops, want)
+	}
+}
+
+// TestRunnerSchedule checks ordering, dispatch and timing: steps listed
+// out of order fire sorted by offset (same-instant steps in listed
+// order), each exactly at its virtual offset, and OpHeal maps to a
+// zero-fault SetFault. The offsets are hours: only a clock that never
+// waits on the wall finishes this test.
 func TestRunnerSchedule(t *testing.T) {
-	rec := &recordingTarget{}
+	rec := newRecorder()
 	r := NewRunner(rec, Schedule{
-		{At: 30 * time.Millisecond, Node: 2, Op: OpHeal},
-		{At: 10 * time.Millisecond, Node: 1, Op: OpKill},
-		{At: 20 * time.Millisecond, Node: 2, Op: OpFault, Fault: store.Fault{ErrRate: 1}},
-		{At: 40 * time.Millisecond, Node: 1, Op: OpRestart},
+		{At: 3 * time.Hour, Node: 2, Op: OpHeal},
+		{At: time.Hour, Node: 1, Op: OpKill},
+		{At: 2 * time.Hour, Node: 2, Op: OpFault, Fault: store.Fault{ErrRate: 1}},
+		{At: 4 * time.Hour, Node: 1, Op: OpRestart},
+		{At: 4 * time.Hour, Node: 5, Op: OpKill},
 	})
-	if err := r.Run(context.Background()); err != nil {
+	if err := runVirtual(context.Background(), r, rec.clk); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"kill 1", "fault 2", "heal 2", "restart 1"}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.ops) != len(want) {
-		t.Fatalf("ops = %v, want %v", rec.ops, want)
-	}
-	for i := range want {
-		if rec.ops[i] != want[i] {
-			t.Fatalf("ops = %v, want %v", rec.ops, want)
-		}
-	}
+	rec.check(t, "kill 1 @1h0m0s", "fault 2 @2h0m0s", "heal 2 @3h0m0s", "restart 1 @4h0m0s", "kill 5 @4h0m0s")
 }
 
+// TestRunnerUnknownOp: an unknown op surfaces as an error without
+// stopping the walk.
 func TestRunnerUnknownOp(t *testing.T) {
-	rec := &recordingTarget{}
-	r := NewRunner(rec, Schedule{{Op: Op("melt"), Node: 1}})
-	if err := r.Run(context.Background()); err == nil {
+	rec := newRecorder()
+	r := NewRunner(rec, Schedule{{Op: Op("melt"), Node: 1}, {At: time.Second, Op: OpKill, Node: 2}})
+	if err := runVirtual(context.Background(), r, rec.clk); err == nil {
 		t.Fatal("unknown op did not error")
 	}
+	rec.check(t, "kill 2 @1s")
 }
 
+// TestRunnerContextCancel: cancelling a run parked on its next step
+// returns ctx's error at once, with only the steps before it fired.
 func TestRunnerContextCancel(t *testing.T) {
-	rec := &recordingTarget{}
+	rec := newRecorder()
+	r := NewRunner(rec, Schedule{
+		{At: time.Hour, Node: 0, Op: OpKill},
+		{At: 2 * time.Hour, Node: 1, Op: OpKill},
+	})
+	r.clock = rec.clk
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- r.Run(ctx) }()
+	rec.clk.set(<-rec.clk.parked)
+	<-rec.clk.parked // the first kill fired; parked on the second
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	rec.check(t, "kill 0 @1h0m0s")
+}
+
+// TestRunnerCancelledFiresNothing: a run whose ctx is already done fires
+// no step, not even the ones already due at offset 0.
+func TestRunnerCancelledFiresNothing(t *testing.T) {
+	rec := newRecorder()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := NewRunner(rec, Schedule{{At: time.Hour, Node: 0, Op: OpKill}})
-	start := time.Now()
-	if err := r.Run(ctx); err == nil {
-		t.Fatal("canceled run did not error")
+	r := NewRunner(rec, Schedule{
+		{At: 0, Node: 0, Op: OpKill},
+		{At: 0, Node: 1, Op: OpFault, Fault: store.Fault{ErrRate: 1}},
+		{At: time.Hour, Node: 2, Op: OpRestart},
+	})
+	if err := runVirtual(ctx, r, rec.clk); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
 	}
-	if time.Since(start) > time.Second {
-		t.Fatal("canceled run kept sleeping")
+	rec.check(t)
+}
+
+// faultTable is a Target over a store.FaultBackend's static fault table,
+// which a Schedule turns into a time-varying one.
+type faultTable struct{ fb *store.FaultBackend }
+
+func (faultTable) Kill(int) error    { return errors.ErrUnsupported }
+func (faultTable) Restart(int) error { return errors.ErrUnsupported }
+func (t faultTable) SetFault(node int, f store.Fault) error {
+	t.fb.SetFault(node, f)
+	return nil
+}
+
+// TestFaultScheduleMode walks a FaultBackend through healthy → dead →
+// healed on a manual clock, checking the backend between steps: the
+// Schedule is the time-varying script, the backend holds only what is in
+// force now. No real sleeps.
+func TestFaultScheduleMode(t *testing.T) {
+	fb := store.NewFaultBackend(store.NewMemBackend(), 1)
+	clk := newManualClock()
+	r := NewRunner(faultTable{fb}, Schedule{
+		{At: 100 * time.Millisecond, Node: 3, Op: OpFault, Fault: store.Fault{ErrRate: 1}},
+		{At: 300 * time.Millisecond, Node: 3, Op: OpHeal},
+	})
+	r.clock = clk
+	done := make(chan error, 1)
+	go func() { done <- r.Run(context.Background()) }()
+
+	at := <-clk.parked
+	if at != epoch.Add(100*time.Millisecond) {
+		t.Fatalf("runner parked until %v, want the first step's offset", at.Sub(epoch))
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.ops) != 0 {
-		t.Fatalf("canceled run fired %v", rec.ops)
+	if err := fb.CheckNode(3); err != nil {
+		t.Fatalf("node healthy before first step, got: %v", err)
+	}
+	clk.set(at)
+	at = <-clk.parked // the fault is installed; parked on the heal
+	if err := fb.CheckNode(3); !errors.Is(err, store.ErrInjected) {
+		t.Fatalf("node should fail inside the ErrRate-1 window, got: %v", err)
+	}
+	if err := fb.Write(3, "k", []byte("x")); !errors.Is(err, store.ErrInjected) {
+		t.Fatalf("write should fail inside the ErrRate-1 window, got: %v", err)
+	}
+	// Other nodes are untouched by node 3's schedule.
+	if err := fb.CheckNode(4); err != nil {
+		t.Fatalf("unrelated node failed: %v", err)
+	}
+	clk.set(at)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.CheckNode(3); err != nil {
+		t.Fatalf("node should be healed after the last step, got: %v", err)
 	}
 }
 

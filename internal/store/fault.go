@@ -29,8 +29,10 @@ type Fault struct {
 	CorruptRate float64
 }
 
-// FaultBackend wraps a Backend with per-node fault injection — the chaos
-// harness behind the degraded-read and repair tests. It forwards
+// FaultBackend wraps a Backend with a static per-node fault table — the
+// chaos harness behind the degraded-read and repair tests. A fault that
+// changes over time is a chaos.Schedule whose Runner calls SetFault at
+// each step; the table holds only what is in force now. It forwards
 // WireStats to the inner backend when present, so a faulty netblock
 // client keeps its wire counters. Safe for concurrent use.
 type FaultBackend struct {
@@ -39,31 +41,16 @@ type FaultBackend struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	faults map[int]Fault
-	// schedules holds per-node time-varying fault scripts; when a node
-	// has one it overrides the static faults entry. now is injectable so
-	// unit tests step through a schedule without real sleeps.
-	schedules map[int]faultSchedule
-	now       func() time.Time
-}
-
-// faultSchedule is one node's installed script and the instant its
-// clock started.
-type faultSchedule struct {
-	steps []FaultStep
-	epoch time.Time
 }
 
 // NewFaultBackend wraps inner; seed makes the injected chaos
 // reproducible.
 func NewFaultBackend(inner Backend, seed int64) *FaultBackend {
-	f := &FaultBackend{
-		inner:     inner,
-		rng:       rand.New(rand.NewSource(seed)),
-		faults:    make(map[int]Fault),
-		schedules: make(map[int]faultSchedule),
-		now:       time.Now,
+	return &FaultBackend{
+		inner:  inner,
+		rng:    rand.New(rand.NewSource(seed)),
+		faults: make(map[int]Fault),
 	}
-	return f
 }
 
 // SetFault installs node's misbehavior profile, replacing any previous
@@ -71,7 +58,6 @@ func NewFaultBackend(inner Backend, seed int64) *FaultBackend {
 func (f *FaultBackend) SetFault(node int, fl Fault) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.schedules, node)
 	if fl == (Fault{}) {
 		delete(f.faults, node)
 		return
@@ -79,75 +65,12 @@ func (f *FaultBackend) SetFault(node int, fl Fault) {
 	f.faults[node] = fl
 }
 
-// Inner returns the wrapped backend.
-func (f *FaultBackend) Inner() Backend { return f.inner }
-
-// FaultStep is one entry of a time-varying fault schedule: from After
-// (measured since the schedule was installed) onward, the node behaves
-// per Fault — until a later step takes over. Chaos scenarios become
-// declarative data ("healthy for 2s, then 100% errors for 5s, then
-// healed") instead of goroutines juggling timers.
-type FaultStep struct {
-	After time.Duration
-	Fault Fault
-}
-
-// SetFaultSchedule installs a time-varying fault script for node,
-// replacing any static fault. Steps must be sorted by After; the node
-// is healthy before the first step. An empty schedule heals the node.
-// The node's schedule clock starts at the current clock reading (see
-// SetNow for the injectable clock).
-func (f *FaultBackend) SetFaultSchedule(node int, steps []FaultStep) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.faults, node)
-	if len(steps) == 0 {
-		delete(f.schedules, node)
-		return
-	}
-	f.schedules[node] = faultSchedule{
-		steps: append([]FaultStep(nil), steps...),
-		epoch: f.now(),
-	}
-}
-
-// SetNow injects the schedule clock — unit tests advance a fake clock
-// instead of sleeping. Install the clock before any schedules; already
-// installed schedules keep their old epochs.
-func (f *FaultBackend) SetNow(now func() time.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.now = now
-}
-
-// scheduledFault resolves node's active fault at the current clock
-// reading. Call with f.mu held.
-func (f *FaultBackend) scheduledFault(node int) (Fault, bool) {
-	sch, ok := f.schedules[node]
-	if !ok {
-		return Fault{}, false
-	}
-	elapsed := f.now().Sub(sch.epoch)
-	var fl Fault
-	for _, st := range sch.steps {
-		if st.After > elapsed {
-			break
-		}
-		fl = st.Fault
-	}
-	return fl, true
-}
-
 // roll decides one operation's fate for node: the added latency, whether
 // to fail, and whether to corrupt (reads only). One lock hold per op;
 // the sleep happens outside the lock.
 func (f *FaultBackend) roll(node int) (delay time.Duration, fail, corrupt bool) {
 	f.mu.Lock()
-	fl, ok := f.scheduledFault(node)
-	if !ok {
-		fl, ok = f.faults[node]
-	}
-	if ok {
+	if fl, ok := f.faults[node]; ok {
 		delay = fl.Latency
 		fail = fl.ErrRate > 0 && f.rng.Float64() < fl.ErrRate
 		corrupt = fl.CorruptRate > 0 && f.rng.Float64() < fl.CorruptRate

@@ -130,7 +130,7 @@ func TestChaosRepairDrainNeverServesCorruptBytes(t *testing.T) {
 						healthy = false
 						break
 					}
-					if _, err := fb.Inner().Read(node, key); err != nil {
+					if _, err := fb.inner.Read(node, key); err != nil {
 						healthy = false
 						break
 					}
@@ -200,7 +200,7 @@ func TestFaultBackendInjection(t *testing.T) {
 }
 
 // TestFaultBackendReadInto: ReadInto sits behind the same gate as Read —
-// errors, latency and schedules apply — and hands dst to an inner backend
+// errors and latency apply — and hands dst to an inner backend
 // that takes one. Corruption goes where a bad wire would put it: into
 // dst, in place, when the block was delivered there, and onto a copy
 // when the inner backend answered with memory of its own (here its
@@ -239,10 +239,6 @@ func TestFaultBackendReadInto(t *testing.T) {
 		if _, err := fb.ReadInto(0, "k", dst); err != nil || time.Since(start) < 20*time.Millisecond {
 			t.Fatalf("%s: injected latency: err %v after %v", tc.name, err, time.Since(start))
 		}
-		fb.SetFaultSchedule(0, []FaultStep{{After: 0, Fault: Fault{ErrRate: 1}}})
-		if _, err := fb.ReadInto(0, "k", dst); !errors.Is(err, ErrInjected) {
-			t.Fatalf("%s: scheduled fault: want ErrInjected, got %v", tc.name, err)
-		}
 
 		fb.SetFault(0, Fault{CorruptRate: 1})
 		got, err = fb.ReadInto(0, "k", dst)
@@ -262,7 +258,7 @@ func TestFaultBackendReadInto(t *testing.T) {
 }
 
 // TestFaultBackendDeleteMany: DeleteMany sits behind the same gate as
-// Delete — errors, latency and schedules apply, one roll for the whole
+// Delete — errors and latency apply, one roll for the whole
 // call, and an injected failure deletes nothing — and reaches an inner
 // BatchDeleter as one call, or an inner backend without one key by key.
 func TestFaultBackendDeleteMany(t *testing.T) {
@@ -290,10 +286,6 @@ func TestFaultBackendDeleteMany(t *testing.T) {
 		fb.SetFault(0, Fault{ErrRate: 1})
 		if err := fb.DeleteMany(0, keys); !errors.Is(err, ErrInjected) {
 			t.Fatalf("%s: want ErrInjected, got %v", tc.name, err)
-		}
-		fb.SetFaultSchedule(0, []FaultStep{{After: 0, Fault: Fault{ErrRate: 1}}})
-		if err := fb.DeleteMany(0, keys); !errors.Is(err, ErrInjected) {
-			t.Fatalf("%s: scheduled fault: want ErrInjected, got %v", tc.name, err)
 		}
 		if got := tc.inner.BlockCount(0); got != len(keys) {
 			t.Fatalf("%s: an injected failure deleted %d blocks", tc.name, len(keys)-got)

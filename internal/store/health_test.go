@@ -7,61 +7,6 @@ import (
 	"time"
 )
 
-// fakeClock is an injectable schedule clock stepped by tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-// TestFaultScheduleMode steps a fake clock through a time-varying fault
-// script: healthy → dead → healed, with no real sleeps.
-func TestFaultScheduleMode(t *testing.T) {
-	fb := NewFaultBackend(NewMemBackend(), 1)
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	fb.SetNow(clk.now)
-	fb.SetFaultSchedule(3, []FaultStep{
-		{After: 100 * time.Millisecond, Fault: Fault{ErrRate: 1}},
-		{After: 300 * time.Millisecond, Fault: Fault{}},
-	})
-
-	if err := fb.CheckNode(3); err != nil {
-		t.Fatalf("node healthy before first step, got: %v", err)
-	}
-	clk.advance(150 * time.Millisecond)
-	if err := fb.CheckNode(3); err == nil {
-		t.Fatal("node should fail inside the ErrRate-1 window")
-	}
-	if err := fb.Write(3, "k", []byte("x")); err == nil {
-		t.Fatal("write should fail inside the ErrRate-1 window")
-	}
-	// Other nodes are untouched by node 3's schedule.
-	if err := fb.CheckNode(4); err != nil {
-		t.Fatalf("unrelated node failed: %v", err)
-	}
-	clk.advance(200 * time.Millisecond) // t=350ms: past the heal step
-	if err := fb.CheckNode(3); err != nil {
-		t.Fatalf("node should be healed after the last step, got: %v", err)
-	}
-	// SetFault replaces the schedule entirely.
-	fb.SetFault(3, Fault{})
-	clk.advance(-300 * time.Millisecond) // back inside the dead window
-	if err := fb.CheckNode(3); err != nil {
-		t.Fatalf("SetFault should clear the schedule, got: %v", err)
-	}
-}
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()

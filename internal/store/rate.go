@@ -5,17 +5,19 @@ import (
 	"time"
 )
 
-// byteRate is a token-bucket byte limiter pacing the background
-// datapaths: the paper bounds the BlockFixer's load so repair traffic
-// never starves foreground reads, and the scrubber's integrity walk gets
-// the same treatment. Charging happens *after* each backend read with the
-// actual byte count (a debt model): a block larger than the burst is
+// Limiter is a token-bucket byte limiter. It paces the background
+// datapaths — the paper bounds the BlockFixer's load so repair traffic
+// never starves foreground reads, and the scrubber's integrity walk and
+// the rebalancer get the same treatment — and serves as foreground QoS:
+// the gateway gives each tenant one and rejects instead of queueing when
+// the bucket is in debt. Charging happens *after* each backend read with
+// the actual byte count (a debt model): a block larger than the burst is
 // still admitted and the bucket simply goes negative, so the long-run
 // average converges on the configured budget regardless of block size.
 //
-// A nil *byteRate is valid and means unlimited — the zero-config fast
+// A nil *Limiter is valid and means unlimited — the zero-config fast
 // path costs one pointer test.
-type byteRate struct {
+type Limiter struct {
 	mu     sync.Mutex
 	rate   float64 // bytes per second
 	burst  float64 // token cap; also the max accumulated idle credit
@@ -23,12 +25,12 @@ type byteRate struct {
 	last   time.Time
 }
 
-// newByteRate builds a limiter for the given budget, nil when the budget
-// is unlimited (≤ 0). The burst is kept small relative to the rate
-// (1/16 s of budget, floored at one typical block frame) so a paced run's
-// measured rate stays within a few percent of the configured one even
-// over short windows.
-func newByteRate(bytesPerSec int64) *byteRate {
+// NewLimiter builds a limiter for the given budget in bytes per second,
+// nil when the budget is unlimited (≤ 0). The burst is kept small
+// relative to the rate (1/16 s of budget, floored at one typical block
+// frame) so a paced run's measured rate stays within a few percent of
+// the configured one even over short windows.
+func NewLimiter(bytesPerSec int64) *Limiter {
 	if bytesPerSec <= 0 {
 		return nil
 	}
@@ -36,112 +38,68 @@ func newByteRate(bytesPerSec int64) *byteRate {
 	if burst < 128<<10 {
 		burst = 128 << 10
 	}
-	return &byteRate{rate: float64(bytesPerSec), burst: burst, last: time.Now()}
+	return &Limiter{rate: float64(bytesPerSec), burst: burst, last: time.Now()}
 }
 
 // refillLocked credits tokens for the time since the last charge. Call
-// with b.mu held.
-func (b *byteRate) refillLocked(now time.Time) {
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
-	if b.tokens > b.burst {
-		b.tokens = b.burst
+// with l.mu held.
+func (l *Limiter) refillLocked(now time.Time) {
+	l.tokens += now.Sub(l.last).Seconds() * l.rate
+	if l.tokens > l.burst {
+		l.tokens = l.burst
 	}
-	b.last = now
+	l.last = now
 }
 
-// admit is the non-blocking admission check: when the bucket is out of
-// debt, n bytes are charged (the bucket may go negative — the debt model
-// admits an object larger than the burst) and ok is true; when the
-// bucket is still paying off earlier debt, nothing is charged and wait
-// reports how long until it breaks even. The gateway turns a false into
-// 429 + Retry-After instead of queueing the client.
-func (b *byteRate) admit(n int64) (wait time.Duration, ok bool) {
-	if b == nil || n < 0 {
+// Admit is the non-blocking admission check: when the bucket is out of
+// debt, n bytes are charged (the bucket may go negative — a single large
+// object is admitted whole) and ok is true; when the bucket is still
+// paying off earlier debt, nothing is charged and wait reports how long
+// until it breaks even. The gateway turns a false into 429 + Retry-After
+// instead of queueing the client.
+func (l *Limiter) Admit(n int64) (wait time.Duration, ok bool) {
+	if l == nil || n < 0 {
 		return 0, true
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(time.Now())
-	if b.tokens < 0 {
-		return time.Duration(-b.tokens / b.rate * float64(time.Second)), false
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.refillLocked(time.Now())
+	if l.tokens < 0 {
+		return time.Duration(-l.tokens / l.rate * float64(time.Second)), false
 	}
-	b.tokens -= float64(n)
+	l.tokens -= float64(n)
 	return 0, true
 }
 
-// charge debits n bytes without ever sleeping — post-hoc accounting for
+// Charge debits n bytes without ever sleeping — post-hoc accounting for
 // flows whose size is only known after the fact (a chunked HTTP upload).
-// The debt shows up in the next admit.
-func (b *byteRate) charge(n int64) {
-	if b == nil || n <= 0 {
+// The debt shows up in the next Admit.
+func (l *Limiter) Charge(n int64) {
+	if l == nil || n <= 0 {
 		return
 	}
-	b.mu.Lock()
-	b.refillLocked(time.Now())
-	b.tokens -= float64(n)
-	b.mu.Unlock()
+	l.mu.Lock()
+	l.refillLocked(time.Now())
+	l.tokens -= float64(n)
+	l.mu.Unlock()
 }
 
-// take charges n bytes against the bucket, sleeping off any debt. Safe
-// for concurrent use; concurrent workers share one budget.
-func (b *byteRate) take(n int64) {
-	if b == nil || n <= 0 {
+// Take charges n bytes against the bucket, sleeping off any debt — the
+// blocking discipline the background datapaths use. Safe for concurrent
+// use; concurrent workers share one budget.
+func (l *Limiter) Take(n int64) {
+	if l == nil || n <= 0 {
 		return
 	}
-	b.mu.Lock()
-	b.refillLocked(time.Now())
-	b.tokens -= float64(n)
+	l.mu.Lock()
+	l.refillLocked(time.Now())
+	l.tokens -= float64(n)
 	var wait time.Duration
-	if b.tokens < 0 {
-		wait = time.Duration(-b.tokens / b.rate * float64(time.Second))
+	if l.tokens < 0 {
+		wait = time.Duration(-l.tokens / l.rate * float64(time.Second))
 	}
-	b.mu.Unlock()
+	l.mu.Unlock()
 	if wait > 0 {
 		time.Sleep(wait)
 	}
-}
-
-// Limiter is the exported face of the token bucket: the same pacing
-// machinery the background datapaths run on (byteRate), reusable as
-// foreground QoS — the gateway gives each tenant one and rejects instead
-// of queueing when the bucket is in debt. A nil *Limiter (or one built
-// with budget ≤ 0) is valid and means unlimited.
-type Limiter struct {
-	b *byteRate
-}
-
-// NewLimiter builds a byte-rate limiter for the given budget in bytes
-// per second; ≤ 0 means unlimited.
-func NewLimiter(bytesPerSec int64) *Limiter {
-	return &Limiter{b: newByteRate(bytesPerSec)}
-}
-
-// Admit is the non-blocking admission check: ok=true means n bytes were
-// charged (the bucket may run into debt — a single large object is
-// admitted whole); ok=false means the bucket is still paying off earlier
-// debt, nothing was charged, and wait estimates how long until it breaks
-// even (the Retry-After hint).
-func (l *Limiter) Admit(n int64) (wait time.Duration, ok bool) {
-	if l == nil {
-		return 0, true
-	}
-	return l.b.admit(n)
-}
-
-// Charge debits n bytes without sleeping — accounting for flows whose
-// size is only known after the fact. The debt surfaces in the next Admit.
-func (l *Limiter) Charge(n int64) {
-	if l == nil {
-		return
-	}
-	l.b.charge(n)
-}
-
-// Take charges n bytes and sleeps off any debt — the blocking discipline
-// the background datapaths use.
-func (l *Limiter) Take(n int64) {
-	if l == nil {
-		return
-	}
-	l.b.take(n)
 }

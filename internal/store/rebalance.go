@@ -371,7 +371,7 @@ func (rb *Rebalancer) migrateTo(ref stripeRef, pos, src, target int) int64 {
 	}
 	s.m.rebalanceBlocksRead.Add(1)
 	s.m.rebalanceBytesRead.Add(int64(len(frame)))
-	s.rebalLim.take(int64(len(frame)))
+	s.rebalLim.Take(int64(len(frame)))
 	payload, err := UnframeBlock(frame)
 	if err != nil || len(payload) != si.BlockLen {
 		return 0 // corrupt replica: scrub's job, not rebalance's

@@ -205,9 +205,9 @@ type Store struct {
 
 	// repairLim / scrubLim / rebalLim pace the background datapaths
 	// (nil = unlimited). Foreground reads never touch them.
-	repairLim *byteRate
-	scrubLim  *byteRate
-	rebalLim  *byteRate
+	repairLim *Limiter
+	scrubLim  *Limiter
+	rebalLim  *Limiter
 
 	// readLat is the block-read latency histogram feeding the hedge
 	// trigger's quantile.
@@ -250,15 +250,15 @@ func open(cfg Config, db *meta.DB) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		cfg:    cfg,
-		db:     db,
-		placer: newPlacer(cfg.Codec, cfg.Racks),
-		alive:  make([]bool, cfg.Nodes),
-		pins:   make(map[verKey]int),
+		cfg:       cfg,
+		db:        db,
+		placer:    newPlacer(cfg.Codec, cfg.Racks),
+		alive:     make([]bool, cfg.Nodes),
+		pins:      make(map[verKey]int),
+		repairLim: NewLimiter(cfg.RepairRateBytes),
+		scrubLim:  NewLimiter(cfg.ScrubRateBytes),
+		rebalLim:  NewLimiter(cfg.RebalanceRateBytes),
 	}
-	s.repairLim = newByteRate(cfg.RepairRateBytes)
-	s.scrubLim = newByteRate(cfg.ScrubRateBytes)
-	s.rebalLim = newByteRate(cfg.RebalanceRateBytes)
 	if cfg.CacheBytes > 0 {
 		s.cache = newBlockCache(cfg.CacheBytes)
 	}
@@ -429,7 +429,7 @@ func (s *Store) Put(name string, data []byte) error {
 // slice that is unframed, never dst. The accounting below sees the same
 // bytes on either path. A failed or retried read may leave garbage in
 // dst, which is harmless: only a CRC-clean frame is ever decoded.
-func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *byteRate, dst []byte) ([]byte, error) {
+func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *Limiter, dst []byte) ([]byte, error) {
 	node := si.Nodes[pos]
 	if !s.Alive(node) {
 		return nil, fmt.Errorf("store: node %d is dead", node)
@@ -442,7 +442,7 @@ func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *b
 	s.readLat.Observe(time.Since(start))
 	acct.blocks++
 	acct.bytes += int64(len(raw))
-	lim.take(int64(len(raw)))
+	lim.Take(int64(len(raw)))
 	payload, err := UnframeBlock(raw)
 	if err != nil {
 		return nil, err
@@ -490,7 +490,7 @@ func (s *Store) lightRepairable(damaged []int, avail []bool) bool {
 // or computes into dst); nothing borrowed can reach the cache, a writer
 // or a write-back. Positions the caller wants to keep (a GET's own
 // blocks) it fetches itself, through Read.
-func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int, avail []bool, acct *readAcct, lim *byteRate, dstFor func(pos int) []byte) error {
+func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int, avail []bool, acct *readAcct, lim *Limiter, dstFor func(pos int) []byte) error {
 	var firstErr error
 	n := len(stripe)
 	var frames []*[]byte // by stripe position; nil: the backend takes no buffer
@@ -602,7 +602,7 @@ func (s *Store) getFrame() *[]byte {
 // avail on failure. Reports whether any fetch failed (the caller then
 // re-plans). A non-nil frames lends position j's read the buffer
 // *frames[j] (see readBlockPayload); every read has finished by return.
-func (s *Store) fetchBlocks(si *stripeInfo, stripe [][]byte, positions []int, avail []bool, acct *readAcct, lim *byteRate, frames []*[]byte) bool {
+func (s *Store) fetchBlocks(si *stripeInfo, stripe [][]byte, positions []int, avail []bool, acct *readAcct, lim *Limiter, frames []*[]byte) bool {
 	if len(positions) == 0 {
 		return false
 	}
