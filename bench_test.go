@@ -25,7 +25,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/lrc"
 	"repro/internal/markov"
@@ -75,7 +74,7 @@ func BenchmarkTable2RepairUnderWorkload(b *testing.B) {
 	report(b, "table2")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunWorkload(core.NewXorbas(), true, cfg); err != nil {
+		if _, err := experiments.RunWorkload(lrc.NewXorbas(), true, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +87,7 @@ func BenchmarkTable3FacebookCluster(b *testing.B) {
 	report(b, "table3")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFacebook(core.NewXorbas(), cfg); err != nil {
+		if _, err := experiments.RunFacebook(lrc.NewXorbas(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +115,7 @@ func BenchmarkFig4FailureEvents(b *testing.B) {
 	report(b, "fig4")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunEC2(core.NewXorbas(), cfg); err != nil {
+		if _, err := experiments.RunEC2(lrc.NewXorbas(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -129,7 +128,7 @@ func BenchmarkFig5TimeSeries(b *testing.B) {
 	report(b, "fig5")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunEC2(core.NewRS104(), cfg); err != nil {
+		if _, err := experiments.RunEC2(lrc.NewRS104(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,7 +141,7 @@ func BenchmarkFig6Scatter(b *testing.B) {
 	report(b, "fig6")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig6(core.NewXorbas(), []int{50}, base); err != nil {
+		if _, err := experiments.RunFig6(lrc.NewXorbas(), []int{50}, base); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,7 +152,7 @@ func BenchmarkFig6Scatter(b *testing.B) {
 func BenchmarkFig7WorkloadCompletion(b *testing.B) {
 	cfg := experiments.DefaultWorkload()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunWorkload(core.NewRS104(), true, cfg); err != nil {
+		if _, err := experiments.RunWorkload(lrc.NewRS104(), true, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -165,7 +164,7 @@ func BenchmarkFig7WorkloadCompletion(b *testing.B) {
 func BenchmarkTraceDrivenMonth(b *testing.B) {
 	cfg := experiments.DefaultTraceDriven()
 	once("trace", func() {
-		for _, s := range []core.Scheme{core.NewRS104(), core.NewXorbas()} {
+		for _, s := range []*lrc.Code{lrc.NewRS104(), lrc.NewXorbas()} {
 			r, err := experiments.RunTraceDriven(s, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -177,7 +176,7 @@ func BenchmarkTraceDrivenMonth(b *testing.B) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTraceDriven(core.NewXorbas(), cfg); err != nil {
+		if _, err := experiments.RunTraceDriven(lrc.NewXorbas(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -285,7 +284,7 @@ func BenchmarkAblationLocalitySweep(b *testing.B) {
 // BenchmarkAblationRSReadSet quantifies §3.1.2's remark that the deployed
 // RS BlockFixer reads 13 blocks where 10 suffice.
 func BenchmarkAblationRSReadSet(b *testing.B) {
-	s := core.NewRS104()
+	s := lrc.NewRS104()
 	exists := make([]bool, 14)
 	avail := make([]bool, 14)
 	for i := range exists {
@@ -293,13 +292,13 @@ func BenchmarkAblationRSReadSet(b *testing.B) {
 	}
 	avail[0] = false
 	once("ab-rs", func() {
-		dep, _, _ := s.PlanRepair(0, exists, avail, true)
-		min, _, _ := s.PlanRepair(0, exists, avail, false)
-		fmt.Printf("Ablation: deployed RS repair reads %d blocks; minimal reads %d\n", len(dep), len(min))
+		dep, _ := s.PlanRepair(0, exists, avail, true)
+		min, _ := s.PlanRepair(0, exists, avail, false)
+		fmt.Printf("Ablation: deployed RS repair reads %d blocks; minimal reads %d\n", len(dep.Reads), len(min.Reads))
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.PlanRepair(0, exists, avail, false); err != nil {
+		if _, err := s.PlanRepair(0, exists, avail, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -374,7 +373,7 @@ func BenchmarkAblationPyramidVsLRC(b *testing.B) {
 			name string
 			c    *lrc.Code
 		}{{"LRC(10,6,5)", xor}, {"pyramid(10,4)", pyr}} {
-			avg, _ := row.c.ExpectedRepairReads(1)
+			avg := row.c.RepairStats(1, true).AvgReads
 			fmt.Printf("  %-14s %8d %9.1fx %9d %9d %12.2f %8d\n",
 				row.name, row.c.NStored(), row.c.StorageOverhead(),
 				row.c.DataLocality(), row.c.Locality(), avg, row.c.MinDistance())

@@ -9,8 +9,8 @@ import (
 	"math/rand"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/hdfs"
+	"repro/internal/lrc"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -86,7 +86,7 @@ func (r *EC2Result) TotalLost() int {
 // two double DataNode terminations — against a fresh cluster running the
 // given scheme, and collects the Fig 4 per-event metrics plus the Fig 5
 // time series.
-func RunEC2(scheme core.Scheme, cfg EC2Config) (*EC2Result, error) {
+func RunEC2(scheme *lrc.Code, cfg EC2Config) (*EC2Result, error) {
 	if cfg.Files <= 0 {
 		return nil, fmt.Errorf("experiments: need files")
 	}
@@ -151,7 +151,7 @@ func RunEC2(scheme core.Scheme, cfg EC2Config) (*EC2Result, error) {
 // symmetric nodeBps NICs and a DRFS over it. What every experiment shares
 // — two map slots per node, a 60 s BlockFixer scan, the deployed read-set
 // policy — is set here; the caller fills in the rest of hc.
-func newFS(scheme core.Scheme, nodes int, nodeBps float64, hc hdfs.Config) (*hdfs.FS, error) {
+func newFS(scheme *lrc.Code, nodes int, nodeBps float64, hc hdfs.Config) (*hdfs.FS, error) {
 	cl, err := cluster.New(sim.NewEngine(), cluster.Config{Nodes: nodes, NodeOutBps: nodeBps, NodeInBps: nodeBps})
 	if err != nil {
 		return nil, err

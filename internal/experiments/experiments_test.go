@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/lrc"
 )
 
@@ -15,11 +14,11 @@ func TestEC2FailureSequenceShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
 	}
-	rs, err := RunEC2(core.NewRS104(), DefaultEC2(50))
+	rs, err := RunEC2(lrc.NewRS104(), DefaultEC2(50))
 	if err != nil {
 		t.Fatal(err)
 	}
-	xo, err := RunEC2(core.NewXorbas(), DefaultEC2(50))
+	xo, err := RunEC2(lrc.NewXorbas(), DefaultEC2(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +57,11 @@ func TestEC2FailureSequenceShape(t *testing.T) {
 }
 
 func TestEC2Deterministic(t *testing.T) {
-	a, err := RunEC2(core.NewXorbas(), DefaultEC2(30))
+	a, err := RunEC2(lrc.NewXorbas(), DefaultEC2(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEC2(core.NewXorbas(), DefaultEC2(30))
+	b, err := RunEC2(lrc.NewXorbas(), DefaultEC2(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestEC2Deterministic(t *testing.T) {
 
 func TestEC2Validation(t *testing.T) {
 	cfg := DefaultEC2(0)
-	if _, err := RunEC2(core.NewXorbas(), cfg); err == nil {
+	if _, err := RunEC2(lrc.NewXorbas(), cfg); err == nil {
 		t.Fatal("0 files accepted")
 	}
 }
@@ -88,11 +87,11 @@ func TestFig6Slopes(t *testing.T) {
 		t.Skip("multi-run simulation")
 	}
 	base := DefaultEC2(0)
-	rs, err := RunFig6(core.NewRS104(), []int{30, 60}, base)
+	rs, err := RunFig6(lrc.NewRS104(), []int{30, 60}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xo, err := RunFig6(core.NewXorbas(), []int{30, 60}, base)
+	xo, err := RunFig6(lrc.NewXorbas(), []int{30, 60}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,15 +119,15 @@ func TestWorkloadShape(t *testing.T) {
 		t.Skip("multi-run simulation")
 	}
 	cfg := DefaultWorkload()
-	base, err := RunWorkload(core.NewRS104(), false, cfg)
+	base, err := RunWorkload(lrc.NewRS104(), false, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := RunWorkload(core.NewRS104(), true, cfg)
+	rs, err := RunWorkload(lrc.NewRS104(), true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xo, err := RunWorkload(core.NewXorbas(), true, cfg)
+	xo, err := RunWorkload(lrc.NewXorbas(), true, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +166,11 @@ func TestFacebookShape(t *testing.T) {
 	}
 	cfg := DefaultFacebook()
 	cfg.Files = 800 // keep the test quick; distribution unchanged
-	rs, err := RunFacebook(core.NewRS104(), cfg)
+	rs, err := RunFacebook(lrc.NewRS104(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xo, err := RunFacebook(core.NewXorbas(), cfg)
+	xo, err := RunFacebook(lrc.NewXorbas(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +202,8 @@ func TestReportRenderers(t *testing.T) {
 	if !strings.Contains(buf.String(), "day 31") {
 		t.Error("Fig1 missing days")
 	}
-	rs, _ := RunEC2(core.NewRS104(), DefaultEC2(20))
-	xo, _ := RunEC2(core.NewXorbas(), DefaultEC2(20))
+	rs, _ := RunEC2(lrc.NewRS104(), DefaultEC2(20))
+	xo, _ := RunEC2(lrc.NewXorbas(), DefaultEC2(20))
 	buf.Reset()
 	Fig4(&buf, rs, xo)
 	Fig5(&buf, rs, xo)
@@ -221,11 +220,11 @@ func TestTraceDrivenMonth(t *testing.T) {
 		t.Skip("month-long simulation")
 	}
 	cfg := DefaultTraceDriven()
-	rs, err := RunTraceDriven(core.NewRS104(), cfg)
+	rs, err := RunTraceDriven(lrc.NewRS104(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xo, err := RunTraceDriven(core.NewXorbas(), cfg)
+	xo, err := RunTraceDriven(lrc.NewXorbas(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,10 +252,10 @@ func TestTraceDrivenMonth(t *testing.T) {
 	}
 }
 
-// The pyramid-code baseline (§6) runs the full cluster experiment as a
-// core.Scheme: per-lost-block repair traffic sits strictly between the
-// LRC's and RS's, because its data blocks repair locally but its global
-// parities decode heavily.
+// The pyramid-code baseline (§6) runs the full cluster experiment like
+// any other *lrc.Code: per-lost-block repair traffic sits strictly
+// between the LRC's and RS's, because its data blocks repair locally but
+// its global parities decode heavily.
 func TestPyramidClusterBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
@@ -266,7 +265,7 @@ func TestPyramidClusterBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultEC2(40)
-	run := func(s core.Scheme) float64 {
+	run := func(s *lrc.Code) float64 {
 		r, err := RunEC2(s, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -277,9 +276,9 @@ func TestPyramidClusterBaseline(t *testing.T) {
 		}
 		return read / float64(r.TotalLost())
 	}
-	perXO := run(core.NewXorbas())
-	perPyr := run(core.NewCoded(pyr))
-	perRS := run(core.NewRS104())
+	perXO := run(lrc.NewXorbas())
+	perPyr := run(pyr)
+	perRS := run(lrc.NewRS104())
 	if !(perXO < perPyr && perPyr < perRS) {
 		t.Fatalf("per-block read GB ordering broken: LRC %.3f, pyramid %.3f, RS %.3f", perXO, perPyr, perRS)
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/hdfs"
+	"repro/internal/lrc"
 	"repro/internal/workload"
 )
 
@@ -43,7 +43,7 @@ type FacebookResult struct {
 
 // RunFacebook deploys the scheme on the Facebook test-cluster workload,
 // terminates one random DataNode, and reports the Table 3 metrics.
-func RunFacebook(scheme core.Scheme, cfg FacebookConfig) (*FacebookResult, error) {
+func RunFacebook(scheme *lrc.Code, cfg FacebookConfig) (*FacebookResult, error) {
 	fs, err := newFS(scheme, cfg.Nodes, cfg.NodeBps, hdfs.Config{
 		BlockSizeBytes: cfg.BlockBytes, RepairMaxParallel: 16,
 		TaskLaunchSec: 10, DecodeCPUSecPerRead: 0.5,

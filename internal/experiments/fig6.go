@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"repro/internal/core"
+	"repro/internal/lrc"
 	"repro/internal/stats"
 )
 
@@ -27,7 +27,7 @@ type Fig6Result struct {
 
 // RunFig6 runs the 50-, 100- and 200-file experiments for a scheme and
 // fits the Fig 6 lines.
-func RunFig6(scheme core.Scheme, sizes []int, base EC2Config) (*Fig6Result, error) {
+func RunFig6(scheme *lrc.Code, sizes []int, base EC2Config) (*Fig6Result, error) {
 	if len(sizes) == 0 {
 		sizes = []int{50, 100, 200}
 	}

@@ -6,7 +6,7 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/lrc"
 	"repro/internal/markov"
 )
 
@@ -24,7 +24,7 @@ func TestReportGolden(t *testing.T) {
 			t.Fatalf("%s: %v", r.IDs[0], err)
 		}
 	}
-	ch, err := markov.BuildChain(core.NewXorbas(), markov.FacebookParams())
+	ch, err := markov.BuildChain(lrc.NewXorbas(), true, markov.FacebookParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/lrc"
 	"repro/internal/markov"
 	"repro/internal/workload"
 )
@@ -27,7 +27,7 @@ var Reports = []Report{
 	{[]string{"fig4"}, func(w io.Writer, files int) error { return renderEC2(w, files, Fig4) }},
 	{[]string{"fig5"}, func(w io.Writer, files int) error { return renderEC2(w, files, Fig5) }},
 	{[]string{"fig6"}, func(w io.Writer, _ int) error {
-		rs, xo, err := both(func(s core.Scheme) (*Fig6Result, error) {
+		rs, xo, err := both(func(s *lrc.Code) (*Fig6Result, error) {
 			return RunFig6(s, []int{50, 100, 200}, DefaultEC2(0))
 		})
 		if err != nil {
@@ -38,11 +38,11 @@ var Reports = []Report{
 	}},
 	{[]string{"fig7", "table2"}, func(w io.Writer, _ int) error {
 		cfg := DefaultWorkload()
-		base, err := RunWorkload(core.NewRS104(), false, cfg)
+		base, err := RunWorkload(lrc.NewRS104(), false, cfg)
 		if err != nil {
 			return err
 		}
-		rs, xo, err := both(func(s core.Scheme) (*WorkloadResult, error) { return RunWorkload(s, true, cfg) })
+		rs, xo, err := both(func(s *lrc.Code) (*WorkloadResult, error) { return RunWorkload(s, true, cfg) })
 		if err != nil {
 			return err
 		}
@@ -50,7 +50,7 @@ var Reports = []Report{
 		return nil
 	}},
 	{[]string{"trace"}, func(w io.Writer, _ int) error {
-		rs, xo, err := both(func(s core.Scheme) (*TraceResult, error) { return RunTraceDriven(s, DefaultTraceDriven()) })
+		rs, xo, err := both(func(s *lrc.Code) (*TraceResult, error) { return RunTraceDriven(s, DefaultTraceDriven()) })
 		if err != nil {
 			return err
 		}
@@ -61,7 +61,7 @@ var Reports = []Report{
 		return nil
 	}},
 	{[]string{"table3"}, func(w io.Writer, _ int) error {
-		rs, xo, err := both(func(s core.Scheme) (*FacebookResult, error) { return RunFacebook(s, DefaultFacebook()) })
+		rs, xo, err := both(func(s *lrc.Code) (*FacebookResult, error) { return RunFacebook(s, DefaultFacebook()) })
 		if err != nil {
 			return err
 		}
@@ -73,7 +73,7 @@ var Reports = []Report{
 // renderEC2 runs the §5.2 failure sequence on both clusters and hands the
 // pair to one of the two figures drawn from it.
 func renderEC2(w io.Writer, files int, fig func(w io.Writer, rs, xorbas *EC2Result)) error {
-	rs, xo, err := both(func(s core.Scheme) (*EC2Result, error) { return RunEC2(s, DefaultEC2(files)) })
+	rs, xo, err := both(func(s *lrc.Code) (*EC2Result, error) { return RunEC2(s, DefaultEC2(files)) })
 	if err != nil {
 		return err
 	}
@@ -83,11 +83,11 @@ func renderEC2(w io.Writer, files int, fig func(w io.Writer, rs, xorbas *EC2Resu
 
 // both runs one experiment on the HDFS-RS cluster and on the HDFS-Xorbas
 // cluster.
-func both[T any](run func(core.Scheme) (T, error)) (rs, xorbas T, err error) {
-	if rs, err = run(core.NewRS104()); err != nil {
+func both[T any](run func(*lrc.Code) (T, error)) (rs, xorbas T, err error) {
+	if rs, err = run(lrc.NewRS104()); err != nil {
 		return rs, xorbas, err
 	}
-	xorbas, err = run(core.NewXorbas())
+	xorbas, err = run(lrc.NewXorbas())
 	return rs, xorbas, err
 }
 

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/hdfs"
+	"repro/internal/lrc"
 	"repro/internal/workload"
 )
 
@@ -56,7 +56,7 @@ type TraceResult struct {
 // simulated days. Each failed node is repaired by the BlockFixer and
 // then replaced (restarted empty) at the next day boundary, modelling
 // ops swapping hardware.
-func RunTraceDriven(scheme core.Scheme, cfg TraceConfig) (*TraceResult, error) {
+func RunTraceDriven(scheme *lrc.Code, cfg TraceConfig) (*TraceResult, error) {
 	fs, err := newFS(scheme, cfg.Nodes, cfg.NodeBps, hdfs.Config{
 		BlockSizeBytes: cfg.BlockBytes, RepairMaxParallel: 16,
 		TaskLaunchSec: 10, DecodeCPUSecPerRead: 0.3,
@@ -103,7 +103,7 @@ func RunTraceDriven(scheme core.Scheme, cfg TraceConfig) (*TraceResult, error) {
 			at := dayStart + rng.Float64()*daySec
 			eng.ScheduleAt(at, func() {
 				live := cl.LiveNodes()
-				if len(live) <= scheme.Slots() {
+				if len(live) <= scheme.NStored() {
 					return // keep the cluster placeable
 				}
 				victim := live[rng.Intn(len(live))]

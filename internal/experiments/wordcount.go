@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/hdfs"
+	"repro/internal/lrc"
 	"repro/internal/workload"
 )
 
@@ -60,7 +60,7 @@ type WorkloadResult struct {
 // take the degraded-read path. Table 2's Total Bytes Read therefore
 // includes both the job input and the repair/degraded reconstruction
 // reads.
-func RunWorkload(scheme core.Scheme, degraded bool, cfg WorkloadConfig) (*WorkloadResult, error) {
+func RunWorkload(scheme *lrc.Code, degraded bool, cfg WorkloadConfig) (*WorkloadResult, error) {
 	fs, err := newFS(scheme, cfg.Nodes, cfg.NodeBps, hdfs.Config{
 		BlockSizeBytes: cfg.BlockBytes, RepairMaxParallel: 0, // repair job fair-shares slots
 		TaskLaunchSec: 5, DecodeCPUSecPerRead: 0.5,
@@ -92,11 +92,11 @@ func RunWorkload(scheme core.Scheme, degraded bool, cfg WorkloadConfig) (*Worklo
 		required := cfg.Files * cfg.FileBlocks
 		target := int(cfg.MissingFraction * float64(required))
 		lost := 0
-		for round := 0; lost < target && round < scheme.DataBlocks(); round++ {
+		for round := 0; lost < target && round < scheme.K(); round++ {
 			// Alternate group halves: rounds walk positions 0, 5, 1, 6, …
 			// so consecutive losses in one stripe land in different local
 			// groups.
-			pos := (round%2)*(scheme.DataBlocks()/2) + round/2
+			pos := (round%2)*(scheme.K()/2) + round/2
 			for _, s := range all {
 				if lost >= target {
 					break

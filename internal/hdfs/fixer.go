@@ -100,14 +100,14 @@ func (fs *FS) runRepairTask(ref blockRef, node int, finish func()) {
 			return
 		}
 		exists, avail := ref.s.masks()
-		reads, light, err := fs.Scheme.PlanRepair(ref.pos, exists, avail, fs.Cfg.DeployedReads)
+		plan, err := fs.Scheme.PlanRepair(ref.pos, exists, avail, fs.Cfg.DeployedReads)
 		if err != nil {
 			fs.counters.Unrecoverable++
 			endTask()
 			return
 		}
-		fs.streamBlocks(ref.s, reads, node, func() {
-			decode := fs.Cfg.DecodeCPUSecPerRead * float64(len(reads))
+		fs.streamBlocks(ref.s, plan.Reads, node, func() {
+			decode := fs.Cfg.DecodeCPUSecPerRead * float64(len(plan.Reads))
 			fs.Cl.AddCPU(decode, 1)
 			fs.Cl.Eng.Schedule(decode, func() {
 				dest := fs.pickNewHome(ref.s, node)
@@ -115,7 +115,7 @@ func (fs *FS) runRepairTask(ref blockRef, node int, finish func()) {
 					ref.s.Lost[ref.pos] = false
 					ref.s.Node[ref.pos] = dest
 					fs.counters.BlocksRepaired++
-					if light {
+					if plan.Light {
 						fs.counters.LightRepairs++
 					} else {
 						fs.counters.HeavyRepairs++
@@ -127,7 +127,7 @@ func (fs *FS) runRepairTask(ref blockRef, node int, finish func()) {
 					ref.s.Lost[ref.pos] = false
 					ref.s.Node[ref.pos] = node
 					fs.counters.BlocksRepaired++
-					if light {
+					if plan.Light {
 						fs.counters.LightRepairs++
 					} else {
 						fs.counters.HeavyRepairs++
@@ -219,7 +219,7 @@ func (fs *FS) ReadBlock(s *Stripe, pos, node int, done func(degraded bool)) {
 func (fs *FS) degradedRead(s *Stripe, pos, node int, done func(degraded bool)) {
 	fs.Cl.Eng.Schedule(fs.Cfg.DegradedTimeoutSec, func() {
 		exists, avail := s.masks()
-		reads, _, err := fs.Scheme.PlanRepair(pos, exists, avail, fs.Cfg.DeployedReads)
+		plan, err := fs.Scheme.PlanRepair(pos, exists, avail, fs.Cfg.DeployedReads)
 		if err != nil {
 			// Data loss: the read fails permanently; report completion so
 			// the job can account the failure rather than hang.
@@ -228,8 +228,8 @@ func (fs *FS) degradedRead(s *Stripe, pos, node int, done func(degraded bool)) {
 			return
 		}
 		fs.counters.DegradedReads++
-		fs.streamBlocks(s, reads, node, func() {
-			decode := fs.Cfg.DecodeCPUSecPerRead * float64(len(reads))
+		fs.streamBlocks(s, plan.Reads, node, func() {
+			decode := fs.Cfg.DecodeCPUSecPerRead * float64(len(plan.Reads))
 			fs.Cl.AddCPU(decode, 1)
 			fs.Cl.Eng.Schedule(decode, func() { done(true) })
 		})

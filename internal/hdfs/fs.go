@@ -2,7 +2,7 @@
 // as far as Section 5 measures it: files divided into coded stripes, lost
 // blocks detected and rebuilt by a BlockFixer through MapReduce repair
 // jobs, with light/heavy decoder selection per the configured scheme.
-// HDFS-RS and HDFS-Xorbas are the same FS with a different core.Scheme.
+// HDFS-RS and HDFS-Xorbas are the same FS with a different *lrc.Code.
 package hdfs
 
 import (
@@ -10,7 +10,7 @@ import (
 	"math/rand"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/lrc"
 )
 
 // Config tunes the filesystem and its repair machinery.
@@ -97,7 +97,7 @@ type Counters struct {
 // FS is one DRFS instance on a cluster.
 type FS struct {
 	Cl      *cluster.Cluster
-	Scheme  core.Scheme
+	Scheme  *lrc.Code
 	Cfg     Config
 	Tracker *JobTracker
 
@@ -120,8 +120,8 @@ type blockRef struct {
 	pos int
 }
 
-// New creates a DRFS over the cluster with the given scheme.
-func New(cl *cluster.Cluster, scheme core.Scheme, cfg Config) (*FS, error) {
+// New creates a DRFS over the cluster with the given code.
+func New(cl *cluster.Cluster, scheme *lrc.Code, cfg Config) (*FS, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func (fs *FS) AddFile(name string, dataBlocks int) ([]*Stripe, error) {
 	if dataBlocks <= 0 {
 		return nil, fmt.Errorf("hdfs: file %q has no blocks", name)
 	}
-	k := fs.Scheme.DataBlocks()
+	k := fs.Scheme.K()
 	var stripes []*Stripe
 	for off := 0; off < dataBlocks; off += k {
 		dc := dataBlocks - off
@@ -191,7 +191,7 @@ func (fs *FS) AddFile(name string, dataBlocks int) ([]*Stripe, error) {
 
 // placeStripe allocates nodes for one stripe.
 func (fs *FS) placeStripe(file string, dataCount int) (*Stripe, error) {
-	slots := fs.Scheme.Slots()
+	slots := fs.Scheme.NStored()
 	s := &Stripe{File: file, DataCount: dataCount, Node: make([]int, slots), Lost: make([]bool, slots)}
 	for i := range s.Node {
 		s.Node[i] = -1

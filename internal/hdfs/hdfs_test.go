@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/lrc"
 	"repro/internal/sim"
 )
 
@@ -25,7 +25,7 @@ func testCluster(t testing.TB, nodes int) (*sim.Engine, *cluster.Cluster) {
 	return eng, cl
 }
 
-func testFS(t testing.TB, cl *cluster.Cluster, scheme core.Scheme) *FS {
+func testFS(t testing.TB, cl *cluster.Cluster, scheme *lrc.Code) *FS {
 	t.Helper()
 	fs, err := New(cl, scheme, Config{
 		BlockSizeBytes: 64 * mb,
@@ -42,7 +42,7 @@ func testFS(t testing.TB, cl *cluster.Cluster, scheme core.Scheme) *FS {
 
 func TestAddFilePlacement(t *testing.T) {
 	_, cl := testCluster(t, 50)
-	fs := testFS(t, cl, core.NewXorbas())
+	fs := testFS(t, cl, lrc.NewXorbas())
 	stripes, err := fs.AddFile("f1", 10)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestAddFilePlacement(t *testing.T) {
 
 func TestAddFileMultiStripeAndPartial(t *testing.T) {
 	_, cl := testCluster(t, 50)
-	fs := testFS(t, cl, core.NewXorbas())
+	fs := testFS(t, cl, lrc.NewXorbas())
 	stripes, err := fs.AddFile("f", 23) // 10 + 10 + 3
 	if err != nil {
 		t.Fatal(err)
@@ -99,14 +99,14 @@ func TestAddFileMultiStripeAndPartial(t *testing.T) {
 
 func TestAddFileValidation(t *testing.T) {
 	_, cl := testCluster(t, 50)
-	fs := testFS(t, cl, core.NewXorbas())
+	fs := testFS(t, cl, lrc.NewXorbas())
 	if _, err := fs.AddFile("bad", 0); err == nil {
 		t.Fatal("0-block file accepted")
 	}
 	// A stripe wider than the cluster wraps with minimal collocation
 	// (the paper's 15-slave WordCount cluster holds 16-block stripes).
 	_, tiny := testCluster(t, 5)
-	fsTiny := testFS(t, tiny, core.NewXorbas())
+	fsTiny := testFS(t, tiny, lrc.NewXorbas())
 	stripes, err := fsTiny.AddFile("f", 10)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestAddFileValidation(t *testing.T) {
 // light with 5 reads each.
 func TestSingleNodeFailureRepairXorbas(t *testing.T) {
 	eng, cl := testCluster(t, 50)
-	fs := testFS(t, cl, core.NewXorbas())
+	fs := testFS(t, cl, lrc.NewXorbas())
 	for i := 0; i < 20; i++ {
 		if _, err := fs.AddFile("f", 10); err != nil {
 			t.Fatal(err)
@@ -175,7 +175,7 @@ func TestSingleNodeFailureRepairXorbas(t *testing.T) {
 // RS deployed repair reads 13 blocks per lost block: the 2× headline.
 func TestSingleNodeFailureRepairRS(t *testing.T) {
 	eng, cl := testCluster(t, 50)
-	fs := testFS(t, cl, core.NewRS104())
+	fs := testFS(t, cl, lrc.NewRS104())
 	for i := 0; i < 20; i++ {
 		if _, err := fs.AddFile("f", 10); err != nil {
 			t.Fatal(err)
@@ -202,7 +202,7 @@ func TestSingleNodeFailureRepairRS(t *testing.T) {
 // Xorbas reads ≈ 5/13 of RS bytes and finishes faster on the same
 // failure — Fig 4's comparison in miniature.
 func TestXorbasVsRSBytesAndDuration(t *testing.T) {
-	run := func(scheme core.Scheme) (bytes float64, duration float64) {
+	run := func(scheme *lrc.Code) (bytes float64, duration float64) {
 		eng, cl := testCluster(t, 50)
 		fs := testFS(t, cl, scheme)
 		for i := 0; i < 20; i++ {
@@ -215,8 +215,8 @@ func TestXorbasVsRSBytesAndDuration(t *testing.T) {
 		eng.Run()
 		return fs.Delta(before).HDFSBytesRead, fs.RepairDuration()
 	}
-	rsBytes, rsDur := run(core.NewRS104())
-	xoBytes, xoDur := run(core.NewXorbas())
+	rsBytes, rsDur := run(lrc.NewRS104())
+	xoBytes, xoDur := run(lrc.NewXorbas())
 	ratio := xoBytes / rsBytes
 	// Per-block ratio is 5/13 ≈ 0.385; Xorbas loses ~16/14 more blocks.
 	if ratio < 0.30 || ratio > 0.60 {
@@ -230,7 +230,7 @@ func TestXorbasVsRSBytesAndDuration(t *testing.T) {
 // Two losses in one group force heavy repairs but everything recovers.
 func TestDoubleFailureHeavyPath(t *testing.T) {
 	eng, cl := testCluster(t, 50)
-	fs := testFS(t, cl, core.NewXorbas())
+	fs := testFS(t, cl, lrc.NewXorbas())
 	stripes, _ := fs.AddFile("f", 10)
 	s := stripes[0]
 	// Kill the nodes holding positions 0 and 1 (same group).
@@ -251,7 +251,7 @@ func TestDoubleFailureHeavyPath(t *testing.T) {
 // Five erasures in a fatal pattern are unrecoverable and counted.
 func TestUnrecoverableStripe(t *testing.T) {
 	eng, cl := testCluster(t, 50)
-	fs := testFS(t, cl, core.NewXorbas())
+	fs := testFS(t, cl, lrc.NewXorbas())
 	stripes, _ := fs.AddFile("f", 10)
 	s := stripes[0]
 	// Erase a whole group (X1..X5 + S1 = 6 blocks ≥ d): kill their nodes.
@@ -265,14 +265,17 @@ func TestUnrecoverableStripe(t *testing.T) {
 	}
 }
 
-// Replication as a Scheme: repair reads one block per lost block.
+// 3-replication is the (1, 2) code with no local parities. Under the
+// minimal read policy — HDFS re-replication copies one survivor — repair
+// reads one block per lost block.
 func TestReplicationRepair(t *testing.T) {
 	eng, cl := testCluster(t, 20)
-	rep, err := core.NewReplication(3)
+	rep, err := lrc.New(lrc.Params{K: 1, GlobalParities: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := testFS(t, cl, rep)
+	fs.Cfg.DeployedReads = false
 	if _, err := fs.AddFile("f", 30); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +297,7 @@ func TestReplicationRepair(t *testing.T) {
 // the reconstruction read-set without any repair write.
 func TestReadBlockDegraded(t *testing.T) {
 	eng, cl := testCluster(t, 50)
-	fs := testFS(t, cl, core.NewXorbas())
+	fs := testFS(t, cl, lrc.NewXorbas())
 	fs.Cfg.FixerScanSec = 1e9 // keep the fixer out of this test
 	stripes, _ := fs.AddFile("f", 10)
 	s := stripes[0]
@@ -393,7 +396,7 @@ func TestJobMaxParallel(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	_, cl := testCluster(t, 5)
-	if _, err := New(cl, core.NewXorbas(), Config{}); err == nil {
+	if _, err := New(cl, lrc.NewXorbas(), Config{}); err == nil {
 		t.Fatal("zero block size accepted")
 	}
 }
@@ -402,7 +405,7 @@ func TestConfigValidation(t *testing.T) {
 // fires, so no repair traffic is generated at all.
 func TestTransientFailureNoRepairs(t *testing.T) {
 	eng, cl := testCluster(t, 50)
-	fs := testFS(t, cl, core.NewXorbas())
+	fs := testFS(t, cl, lrc.NewXorbas())
 	if _, err := fs.AddFile("f", 10); err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +433,7 @@ func TestTransientFailureNoRepairs(t *testing.T) {
 // restart stay repaired, the rest are revived; nothing is double-counted.
 func TestTransientRestartDuringRepair(t *testing.T) {
 	eng, cl := testCluster(t, 50)
-	fs := testFS(t, cl, core.NewXorbas())
+	fs := testFS(t, cl, lrc.NewXorbas())
 	for i := 0; i < 10; i++ {
 		if _, err := fs.AddFile("f", 10); err != nil {
 			t.Fatal(err)

@@ -3,7 +3,7 @@ package hdfs
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/lrc"
 )
 
 func TestPickNodePreferences(t *testing.T) {
@@ -119,7 +119,7 @@ func TestTrackerDefaults(t *testing.T) {
 // The repair window survives an empty fixer scan.
 func TestFixerScanNoWork(t *testing.T) {
 	eng, cl := testCluster(t, 10)
-	fs := testFS(t, cl, core.NewXorbas())
+	fs := testFS(t, cl, lrc.NewXorbas())
 	stripes, _ := fs.AddFile("f", 10)
 	fs.LoseBlock(stripes[0], 3)
 	// Block "recovers" (e.g. transient) before the scan.

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/lrc"
 )
 
 // Randomized failure injection: a long sequence of kills, restarts,
@@ -16,7 +16,7 @@ import (
 //     genuinely lost more than d−1 blocks (accounted as unrecoverable);
 //  3. counters are monotone and mutually consistent.
 func TestStressRandomFailureInjection(t *testing.T) {
-	for _, scheme := range []core.Scheme{core.NewXorbas(), core.NewRS104()} {
+	for _, scheme := range []*lrc.Code{lrc.NewXorbas(), lrc.NewRS104()} {
 		scheme := scheme
 		t.Run(scheme.Name(), func(t *testing.T) {
 			eng, cl := testCluster(t, 40)
@@ -91,7 +91,7 @@ func TestStressRandomFailureInjection(t *testing.T) {
 func TestStressDeterminism(t *testing.T) {
 	run := func() Counters {
 		eng, cl := testCluster(t, 30)
-		fs := testFS(t, cl, core.NewXorbas())
+		fs := testFS(t, cl, lrc.NewXorbas())
 		for i := 0; i < 15; i++ {
 			if _, err := fs.AddFile("f", 10); err != nil {
 				t.Fatal(err)

@@ -88,7 +88,11 @@ func (c *Code) encodeRange(data, parity [][]byte, from, to int) {
 // stripe holds dataCount ≤ K real data blocks. Padding data blocks do not
 // exist; a local parity exists only if its group covers at least one real
 // data block; global parities and S_impl always exist (they mix all data).
+// Positions outside the stripe do not exist.
 func (c *Code) Exists(i, dataCount int) bool {
+	if i < 0 || i >= len(c.kinds) {
+		return false
+	}
 	switch c.kinds[i] {
 	case Data:
 		return i < dataCount

@@ -5,6 +5,21 @@ import (
 	"strings"
 )
 
+// Name identifies the code in reports: "LRC (10, 6, 5)" — k, parities,
+// locality — for a code with local parities, "RS (10, 4)" for one
+// without, and "3-replication" for the k = 1 code without, whose every
+// stored block is a scaled copy of the single data block.
+func (c *Code) Name() string {
+	k, parities := c.params.K, c.nStored-c.params.K
+	switch {
+	case c.params.GroupSize != 0:
+		return fmt.Sprintf("LRC (%d, %d, %d)", k, parities, c.Locality())
+	case k == 1:
+		return fmt.Sprintf("%d-replication", c.nStored)
+	}
+	return fmt.Sprintf("RS (%d, %d)", k, parities)
+}
+
 // Describe renders the code layout in the style of Fig. 2: the data
 // blocks, the Reed-Solomon parities, the local parities with their
 // repair groups, and the implied parity with its alignment identity.

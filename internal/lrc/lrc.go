@@ -487,6 +487,9 @@ func (c *Code) existsFatalErasure(e int) bool {
 					keep = append(keep, j)
 				}
 			}
+			if len(keep) == 0 {
+				return true // erasing every block (e = n, reached when k = 1) loses the data
+			}
 			return c.gen.SelectCols(keep).Rank() < k
 		}
 		for i := start; i < n; i++ {

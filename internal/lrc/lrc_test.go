@@ -424,19 +424,19 @@ func TestPlanRepairErrors(t *testing.T) {
 // exactly 5 (every block light-repairable), and the light fraction 1.
 func TestExpectedRepairReadsSingle(t *testing.T) {
 	c := NewXorbas()
-	avg, lightFrac := c.ExpectedRepairReads(1)
-	if avg != 5 {
-		t.Fatalf("avg reads %f want 5", avg)
+	st := c.RepairStats(1, true)
+	if st.AvgReads != 5 {
+		t.Fatalf("avg reads %f want 5", st.AvgReads)
 	}
-	if lightFrac != 1 {
-		t.Fatalf("light fraction %f want 1", lightFrac)
+	if st.LightFraction != 1 {
+		t.Fatalf("light fraction %f want 1", st.LightFraction)
 	}
-	avg2, lf2 := c.ExpectedRepairReads(2)
-	if !(avg2 > 5 && avg2 < 14) {
-		t.Fatalf("avg reads at 2 erasures %f outside (5,14)", avg2)
+	st = c.RepairStats(2, true)
+	if !(st.AvgReads > 5 && st.AvgReads < 14) {
+		t.Fatalf("avg reads at 2 erasures %f outside (5,14)", st.AvgReads)
 	}
-	if !(lf2 > 0.5 && lf2 < 1) {
-		t.Fatalf("light fraction at 2 erasures %f outside (0.5,1)", lf2)
+	if !(st.LightFraction > 0.5 && st.LightFraction < 1) {
+		t.Fatalf("light fraction at 2 erasures %f outside (0.5,1)", st.LightFraction)
 	}
 }
 

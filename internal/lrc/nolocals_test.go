@@ -70,8 +70,8 @@ func TestNoLocalsIsRS104(t *testing.T) {
 	// The deployed read counts package rs's planner returned before it was
 	// folded into this one: 14-e survivors, never light.
 	for e, want := range []float64{13, 12, 11, 10} {
-		if avg, lightFrac := c.ExpectedRepairReads(e + 1); avg != want || lightFrac != 0 {
-			t.Errorf("ExpectedRepairReads(%d) = %v, %v; want %v, 0", e+1, avg, lightFrac, want)
+		if st := c.RepairStats(e+1, true); st.AvgReads != want || st.LightFraction != 0 {
+			t.Errorf("RepairStats(%d, deployed) = %+v; want %v reads, 0 light", e+1, st, want)
 		}
 	}
 

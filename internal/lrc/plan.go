@@ -2,6 +2,7 @@ package lrc
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/gf"
 )
@@ -132,56 +133,115 @@ func (c *Code) independentOnRows(pool, rows []int) []int {
 	return chosen
 }
 
-// ExpectedRepairReads computes, by exhaustive enumeration over all
-// erasure patterns of the given size, the expected number of blocks read
-// to repair one lost block of a full stripe, under the deployed read-set
-// policy. It also returns the fraction of patterns where the light
-// decoder handles the designated repair. This feeds the Markov model's
-// per-state repair rates (§4: "we determine the probabilities for
-// invoking light or heavy decoder and thus compute the expected number of
-// blocks to be downloaded").
-func (c *Code) ExpectedRepairReads(erasures int) (avgReads float64, lightFraction float64) {
+// RepairStats is what the next repair costs, averaged over the erasure
+// patterns of one size on a full stripe from which some block is still
+// recoverable.
+type RepairStats struct {
+	// AvgReads is the expected number of blocks the next repair streams
+	// in, when the BlockFixer repairs the cheapest (light-first) lost
+	// block next.
+	AvgReads float64
+	// LightFraction is the probability that the next repair is light.
+	LightFraction float64
+	// AvgParallel is the expected number of lost blocks whose minimal
+	// read sets are pairwise disjoint and avoid the other losses: repairs
+	// that can run concurrently without sharing source links. LRC light
+	// repairs in different groups are disjoint; any two repairs of a code
+	// without local parities contend for the same sources, so it stays 1
+	// there.
+	AvgParallel float64
+}
+
+// RepairStats enumerates every pattern of the given number of erasures on
+// a full stripe and aggregates the cost of the next repair, with AvgReads
+// planned under the deployed or minimal read-set policy (see PlanRepair).
+// Patterns from which no block is recoverable are skipped: they are the
+// Markov chain's absorbing state. This is the model's per-state repair
+// input (§4: "we determine the probabilities for invoking light or heavy
+// decoder and thus compute the expected number of blocks to be
+// downloaded"). Cost is C(NStored, erasures) patterns.
+func (c *Code) RepairStats(erasures int, deployed bool) RepairStats {
 	n := c.nStored
 	exists := make([]bool, n)
 	for i := range exists {
 		exists[i] = true
 	}
-	var totReads, totLight, patterns float64
+	var totReads, totLight, totPar, patterns float64
 	idx := make([]int, erasures)
 	var rec func(start, depth int)
 	rec = func(start, depth int) {
-		if depth == erasures {
-			avail := make([]bool, n)
-			for i := range avail {
-				avail[i] = true
-			}
-			for _, i := range idx {
-				avail[i] = false
-			}
-			// Repair the first lost block (states advance one repair at a
-			// time in the Markov chain).
-			for _, lost := range idx {
-				plan, err := c.PlanRepair(lost, exists, avail, true)
-				if err != nil {
-					continue
-				}
-				patterns++
-				totReads += float64(len(plan.Reads))
-				if plan.Light {
-					totLight++
-				}
-				break
+		if depth < erasures {
+			for i := start; i < n; i++ {
+				idx[depth] = i
+				rec(i+1, depth+1)
 			}
 			return
 		}
-		for i := start; i < n; i++ {
-			idx[depth] = i
-			rec(i+1, depth+1)
+		avail := make([]bool, n)
+		for i := range avail {
+			avail[i] = true
 		}
+		for _, i := range idx {
+			avail[i] = false
+		}
+		bestReads, bestLight, found := 0, false, false
+		for _, lost := range idx {
+			p, err := c.PlanRepair(lost, exists, avail, deployed)
+			if err != nil {
+				continue
+			}
+			if reads := len(p.Reads); !found || reads < bestReads || (p.Light && !bestLight && reads <= bestReads) {
+				bestReads, bestLight, found = reads, p.Light, true
+			}
+		}
+		if !found {
+			return
+		}
+		patterns++
+		totReads += float64(bestReads)
+		if bestLight {
+			totLight++
+		}
+		totPar += float64(c.disjointRepairs(idx, exists, avail))
 	}
 	rec(0, 0)
 	if patterns == 0 {
-		return 0, 0
+		return RepairStats{}
 	}
-	return totReads / patterns, totLight / patterns
+	return RepairStats{
+		AvgReads:      totReads / patterns,
+		LightFraction: totLight / patterns,
+		AvgParallel:   totPar / patterns,
+	}
+}
+
+// disjointRepairs counts, greedily and cheapest-first, how many of the
+// lost blocks have minimal repair plans whose read sets are pairwise
+// disjoint and avoid the other losses. At least 1 when any repair exists.
+func (c *Code) disjointRepairs(lost []int, exists, avail []bool) int {
+	var plans [][]int
+	for _, b := range lost {
+		if p, err := c.PlanRepair(b, exists, avail, false); err == nil {
+			plans = append(plans, p.Reads)
+		}
+	}
+	if len(plans) == 0 {
+		return 0
+	}
+	sort.SliceStable(plans, func(i, j int) bool { return len(plans[i]) < len(plans[j]) })
+	used := make(map[int]bool)
+	count := 0
+next:
+	for _, reads := range plans {
+		for _, r := range reads {
+			if used[r] {
+				continue next
+			}
+		}
+		count++
+		for _, r := range reads {
+			used[r] = true
+		}
+	}
+	return max(count, 1)
 }

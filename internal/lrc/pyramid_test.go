@@ -174,8 +174,8 @@ func TestPyramidValidation(t *testing.T) {
 func TestPyramidExpectedReads(t *testing.T) {
 	pyr := mustPyramid(t)
 	xor := NewXorbas()
-	pAvg, _ := pyr.ExpectedRepairReads(1)
-	xAvg, _ := xor.ExpectedRepairReads(1)
+	pAvg := pyr.RepairStats(1, true).AvgReads
+	xAvg := xor.RepairStats(1, true).AvgReads
 	if !(pAvg > xAvg) {
 		t.Fatalf("pyramid avg %f should exceed the LRC's %f (global parities decode heavily)", pAvg, xAvg)
 	}

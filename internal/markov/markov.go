@@ -3,16 +3,17 @@
 // lost blocks, solved exactly for the mean time to data loss (MTTDL).
 //
 // States 0 … m−1 are transient (i blocks lost, still recoverable); state
-// m = FailuresTolerated+1 is absorbing (data loss). Forward rates follow
-// the paper: with i blocks lost, each of the n−i surviving blocks sits on
-// an independently failing node, so λ_i = (n−i)·λ. Backward (repair)
-// rates derive from the expected bytes a repair downloads: the scheme's
-// per-state expected read count (computed by exact enumeration of erasure
-// patterns against the code's repair planner — the paper's "we determine
-// the probabilities for invoking light or heavy decoder and thus compute
-// the expected number of blocks to be downloaded"), the block size B,
-// and the cross-rack bandwidth γ, plus an optional per-stream overhead
-// that models MapReduce repair-job dispatch (see CalibratedParams).
+// m = d, the code's minimum distance, is absorbing (data loss). Forward
+// rates follow the paper: with i blocks lost, each of the n−i surviving
+// blocks sits on an independently failing node, so λ_i = (n−i)·λ.
+// Backward (repair) rates derive from the expected bytes a repair
+// downloads: the code's per-state expected read count
+// (lrc.Code.RepairStats, an exact enumeration of erasure patterns against
+// the repair planner — the paper's "we determine the probabilities for
+// invoking light or heavy decoder and thus compute the expected number of
+// blocks to be downloaded"), the block size B, and the cross-rack
+// bandwidth γ, plus an optional per-stream overhead that models MapReduce
+// repair-job dispatch (see CalibratedParams).
 //
 // The per-stripe MTTDL is normalized by the stripe count C/(nB), Eq. (3).
 package markov
@@ -21,7 +22,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/lrc"
 )
 
 // Params holds the cluster model parameters of Section 4.
@@ -36,9 +37,9 @@ type Params struct {
 	// TotalDataBytes is the cluster's logical data C (30 PB).
 	TotalDataBytes float64
 	// PerStreamOverheadSec adds a fixed latency per block streamed during
-	// coded repairs, modelling MapReduce repair-job dispatch and stream
-	// setup. Replication repairs use the HDFS-native re-replication
-	// pipeline and are exempt. Zero gives the pure bandwidth model.
+	// repairs that run as RaidNode jobs, modelling MapReduce repair-job
+	// dispatch and stream setup. HDFS-native re-replication is exempt.
+	// Zero gives the pure bandwidth model.
 	PerStreamOverheadSec float64
 	// ParallelRepairs scales the repair rate at each state by the
 	// expected number of lost blocks with pairwise-disjoint minimal read
@@ -67,7 +68,7 @@ func FacebookParams() Params {
 // consistent with the tens-of-minutes repair durations of Fig. 4c.
 func CalibratedParams() Params {
 	p := FacebookParams()
-	p.PerStreamOverheadSec = CalibrateOverhead(core.NewRS104(), p, 3.3118e13)
+	p.PerStreamOverheadSec = CalibrateOverhead(lrc.NewRS104(), p, 3.3118e13)
 	return p
 }
 
@@ -89,34 +90,36 @@ type Chain struct {
 // the last one).
 func (c *Chain) States() int { return len(c.Lambda) }
 
-// BuildChain constructs the chain for a scheme under the given
-// parameters. The per-state repair statistics come from exhaustive
-// erasure-pattern enumeration (core.RepairStats).
-func BuildChain(s core.Scheme, p Params) (*Chain, error) {
-	return buildChain(s, p, schemeStats(s))
+// BuildChain constructs the chain for a code under the given parameters.
+// raidJob says whether a repair runs as a RaidNode MapReduce job, which
+// opens streams to the deployed read set and pays PerStreamOverheadSec
+// per stream; HDFS re-replication (false) reads one minimal copy and has
+// no job dispatch. The per-state repair statistics come from exhaustive
+// erasure-pattern enumeration (lrc.Code.RepairStats).
+func BuildChain(c *lrc.Code, raidJob bool, p Params) (*Chain, error) {
+	return buildChain(c, raidJob, p, repairStats(c, raidJob))
 }
 
-// schemeStats enumerates repair statistics for every transient state once;
-// the enumeration is the expensive part, so calibration reuses it.
-func schemeStats(s core.Scheme) []core.RepairStatsResult {
-	m := s.FailuresTolerated() + 1
-	stats := make([]core.RepairStatsResult, m)
-	for i := 1; i < m; i++ {
-		stats[i] = core.RepairStats(s, i)
+// repairStats enumerates repair statistics for every transient state once
+// (stats[0] is unused); the enumeration is the expensive part, so
+// calibration reuses it.
+func repairStats(c *lrc.Code, raidJob bool) []lrc.RepairStats {
+	stats := make([]lrc.RepairStats, c.MinDistance())
+	for i := 1; i < len(stats); i++ {
+		stats[i] = c.RepairStats(i, raidJob)
 	}
 	return stats
 }
 
-func buildChain(s core.Scheme, p Params, stats []core.RepairStatsResult) (*Chain, error) {
+func buildChain(c *lrc.Code, raidJob bool, p Params, stats []lrc.RepairStats) (*Chain, error) {
 	if p.NodeMTTFYears <= 0 || p.BlockBytes <= 0 || p.BandwidthBitsPerSec <= 0 {
 		return nil, fmt.Errorf("markov: non-positive parameters")
 	}
 	lambda := 1 / (p.NodeMTTFYears * secondsPerYear)
-	n := s.Slots()
-	m := s.FailuresTolerated() + 1 // absorbing state index
+	n := c.NStored()
+	m := len(stats) // absorbing state index
 	ch := &Chain{Lambda: make([]float64, m), Rho: make([]float64, m)}
 	blockSec := p.BlockBytes * 8 / p.BandwidthBitsPerSec
-	_, isRep := s.(core.Replication)
 	for i := 0; i < m; i++ {
 		ch.Lambda[i] = float64(n-i) * lambda
 		if i == 0 {
@@ -124,10 +127,10 @@ func buildChain(s core.Scheme, p Params, stats []core.RepairStatsResult) (*Chain
 		}
 		st := stats[i]
 		if st.AvgReads <= 0 {
-			return nil, fmt.Errorf("markov: scheme %s has no repair path at state %d", s.Name(), i)
+			return nil, fmt.Errorf("markov: %s has no repair path at state %d", c.Name(), i)
 		}
 		repairSec := st.AvgReads * blockSec
-		if !isRep {
+		if raidJob {
 			repairSec += st.AvgReads * p.PerStreamOverheadSec
 		}
 		rate := 1 / repairSec
@@ -170,20 +173,21 @@ type Result struct {
 	MTTDLDays       float64 // system MTTDL, Eq. (3), in days
 }
 
-// MTTDL computes the system MTTDL for a scheme: the per-stripe absorption
-// time divided by the stripe count C/(nB), Eq. (3).
-func MTTDL(s core.Scheme, p Params) (Result, error) {
-	stats := schemeStats(s)
-	ch, err := buildChain(s, p, stats)
+// MTTDL computes the system MTTDL for a code (raidJob as in BuildChain):
+// the per-stripe absorption time divided by the stripe count C/(nB),
+// Eq. (3).
+func MTTDL(c *lrc.Code, raidJob bool, p Params) (Result, error) {
+	stats := repairStats(c, raidJob)
+	ch, err := buildChain(c, raidJob, p, stats)
 	if err != nil {
 		return Result{}, err
 	}
 	stripeSec := ch.AbsorptionTime()
-	stripeBytes := float64(s.Slots()) * p.BlockBytes
+	stripeBytes := float64(c.NStored()) * p.BlockBytes
 	numStripes := p.TotalDataBytes / stripeBytes
 	return Result{
-		Scheme:          s.Name(),
-		StorageOverhead: s.StorageOverhead(),
+		Scheme:          c.Name(),
+		StorageOverhead: c.StorageOverhead(),
 		RepairTraffic:   stats[1].AvgReads,
 		MTTDLStripeSec:  stripeSec,
 		MTTDLDays:       stripeSec / numStripes / secondsPerDay,
@@ -191,16 +195,21 @@ func MTTDL(s core.Scheme, p Params) (Result, error) {
 }
 
 // Table1 computes the paper's Table 1 for the three schemes under the
-// given parameters.
+// given parameters: 3-replication — the (1, 2) code with no local
+// parities — repaired by HDFS re-replication, and RS(10,4) and
+// LRC(10,6,5), repaired by RaidNode jobs.
 func Table1(p Params) ([]Result, error) {
-	rep, err := core.NewReplication(3)
+	rep, err := lrc.New(lrc.Params{K: 1, GlobalParities: 2})
 	if err != nil {
 		return nil, err
 	}
-	schemes := []core.Scheme{rep, core.NewRS104(), core.NewXorbas()}
-	out := make([]Result, 0, len(schemes))
-	for _, s := range schemes {
-		r, err := MTTDL(s, p)
+	rows := []struct {
+		c       *lrc.Code
+		raidJob bool
+	}{{rep, false}, {lrc.NewRS104(), true}, {lrc.NewXorbas(), true}}
+	out := make([]Result, 0, len(rows))
+	for _, row := range rows {
+		r, err := MTTDL(row.c, row.raidJob, p)
 		if err != nil {
 			return nil, err
 		}
@@ -209,17 +218,18 @@ func Table1(p Params) ([]Result, error) {
 	return out, nil
 }
 
-// CalibrateOverhead fits PerStreamOverheadSec so the scheme's system
-// MTTDL matches target days, by bisection. MTTDL decreases monotonically
-// in the overhead (slower repairs → lower reliability).
-func CalibrateOverhead(s core.Scheme, p Params, targetDays float64) float64 {
+// CalibrateOverhead fits PerStreamOverheadSec so the system MTTDL of a
+// code repaired by RaidNode jobs matches target days, by bisection. MTTDL
+// decreases monotonically in the overhead (slower repairs → lower
+// reliability).
+func CalibrateOverhead(c *lrc.Code, p Params, targetDays float64) float64 {
 	lo, hi := 0.0, 3600.0
-	stats := schemeStats(s)
-	stripes := p.TotalDataBytes / (float64(s.Slots()) * p.BlockBytes)
+	stats := repairStats(c, true)
+	stripes := p.TotalDataBytes / (float64(c.NStored()) * p.BlockBytes)
 	mttdl := func(ov float64) float64 {
 		q := p
 		q.PerStreamOverheadSec = ov
-		ch, err := buildChain(s, q, stats)
+		ch, err := buildChain(c, true, q, stats)
 		if err != nil {
 			return math.NaN()
 		}

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/lrc"
 )
 
 func TestFacebookParams(t *testing.T) {
@@ -15,10 +15,19 @@ func TestFacebookParams(t *testing.T) {
 	}
 }
 
+// replication3 is 3-replication: the (1, 2) code with no local parities.
+func replication3(t testing.TB) *lrc.Code {
+	t.Helper()
+	c, err := lrc.New(lrc.Params{K: 1, GlobalParities: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestBuildChainShape(t *testing.T) {
-	rep, _ := core.NewReplication(3)
 	p := FacebookParams()
-	ch, err := BuildChain(rep, p)
+	ch, err := BuildChain(replication3(t), false, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +50,8 @@ func TestBuildChainShape(t *testing.T) {
 	}
 
 	// Coded schemes: 5 transient states (Fig. 3).
-	for _, s := range []core.Scheme{core.NewRS104(), core.NewXorbas()} {
-		ch, err := BuildChain(s, p)
+	for _, s := range []*lrc.Code{lrc.NewRS104(), lrc.NewXorbas()} {
+		ch, err := BuildChain(s, true, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,10 +62,9 @@ func TestBuildChainShape(t *testing.T) {
 }
 
 func TestBuildChainValidation(t *testing.T) {
-	rep, _ := core.NewReplication(3)
 	bad := FacebookParams()
 	bad.BlockBytes = 0
-	if _, err := BuildChain(rep, bad); err == nil {
+	if _, err := BuildChain(replication3(t), false, bad); err == nil {
 		t.Fatal("zero block size accepted")
 	}
 }
@@ -168,18 +176,35 @@ func TestTable1Calibrated(t *testing.T) {
 	}
 }
 
+// The replication row is re-replication: one copy read per repair. As a
+// RaidNode job, the (1, 2) code would stream from both survivors.
+func TestReplicationRowReadsOneCopy(t *testing.T) {
+	rep := replication3(t)
+	for _, c := range []struct {
+		raidJob bool
+		reads   float64
+	}{{false, 1}, {true, 2}} {
+		r, err := MTTDL(rep, c.raidJob, FacebookParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.RepairTraffic != c.reads {
+			t.Errorf("raidJob=%v: repair traffic %v, want %v", c.raidJob, r.RepairTraffic, c.reads)
+		}
+	}
+}
+
 func TestCalibrateOverheadBelowTarget(t *testing.T) {
 	// If the target exceeds the zero-overhead MTTDL, calibration returns 0.
 	p := FacebookParams()
-	if got := CalibrateOverhead(core.NewRS104(), p, 1e30); got != 0 {
+	if got := CalibrateOverhead(lrc.NewRS104(), p, 1e30); got != 0 {
 		t.Fatalf("got %f want 0", got)
 	}
 }
 
 func TestMTTDLStripeVsSystem(t *testing.T) {
 	p := FacebookParams()
-	rep, _ := core.NewReplication(3)
-	r, err := MTTDL(rep, p)
+	r, err := MTTDL(replication3(t), false, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +219,12 @@ func TestMTTDLStripeVsSystem(t *testing.T) {
 // repairs must not raise the LRC MTTDL.
 func TestParallelRepairsEffect(t *testing.T) {
 	p := FacebookParams()
-	withPar, err := MTTDL(core.NewXorbas(), p)
+	withPar, err := MTTDL(lrc.NewXorbas(), true, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.ParallelRepairs = false
-	without, err := MTTDL(core.NewXorbas(), p)
+	without, err := MTTDL(lrc.NewXorbas(), true, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +233,9 @@ func TestParallelRepairsEffect(t *testing.T) {
 	}
 	// RS must be unaffected: its repairs always share sources.
 	p2 := FacebookParams()
-	a, _ := MTTDL(core.NewRS104(), p2)
+	a, _ := MTTDL(lrc.NewRS104(), true, p2)
 	p2.ParallelRepairs = false
-	b, _ := MTTDL(core.NewRS104(), p2)
+	b, _ := MTTDL(lrc.NewRS104(), true, p2)
 	if math.Abs(a.MTTDLDays-b.MTTDLDays)/b.MTTDLDays > 1e-9 {
 		t.Fatalf("RS MTTDL changed with parallelism: %e vs %e", a.MTTDLDays, b.MTTDLDays)
 	}
@@ -228,7 +253,7 @@ func BenchmarkTable1(b *testing.B) {
 // Describe renders the Fig 3 chain: 5 transient states for the coded
 // schemes with both rate families.
 func TestDescribeFig3(t *testing.T) {
-	ch, err := BuildChain(core.NewXorbas(), FacebookParams())
+	ch, err := BuildChain(lrc.NewXorbas(), true, FacebookParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 // paper's LRC(10,6,5) and NewRS104Codec the RS(10,4) baseline — the same
 // code type with no local parities — so both codes encode, plan and decode
 // through the same functions, and the light-or-heavy decision is made by
-// lrc.Code.PlanRepair, which the simulator's core.Coded calls too.
+// lrc.Code.PlanRepair, which the simulator's hdfs.FS calls too.
 type Codec interface {
 	// Name identifies the codec in reports and snapshots.
 	Name() string

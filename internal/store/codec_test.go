@@ -5,7 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/lrc"
 )
 
 // TestBuiltInCodecNames pins the names the metadata plane records in
@@ -53,21 +53,21 @@ func forEachErasure(n, max int, fn func(erased []int)) {
 
 // TestStoreCodecAndSimulatorSchemeAgree is the codec-level half of "the
 // simulator and the store cannot disagree": for both codes and every
-// pattern of ≤ 4 erasures on a full stripe, the simulator's core.Scheme
-// (minimal read policy) and the store's Codec plan the same reads and
-// make the same light-or-heavy call for every lost block — the second
-// time round too, when the store answers from its plan cache.
+// pattern of ≤ 4 erasures on a full stripe, the lrc.Code.PlanRepair the
+// simulator calls (minimal read policy) and the store's Codec plan the
+// same reads and make the same light-or-heavy call for every lost block —
+// the second time round too, when the store answers from its plan cache.
 func TestStoreCodecAndSimulatorSchemeAgree(t *testing.T) {
 	for _, c := range []struct {
-		scheme core.Scheme
-		codec  Codec
+		code  *lrc.Code
+		codec Codec
 	}{
-		{core.NewXorbas(), NewXorbasCodec()},
-		{core.NewRS104(), NewRS104Codec()},
+		{lrc.NewXorbas(), NewXorbasCodec()},
+		{lrc.NewRS104(), NewRS104Codec()},
 	} {
 		n := c.codec.NStored()
-		if c.scheme.Slots() != n || c.scheme.DataBlocks() != c.codec.K() {
-			t.Fatalf("%s vs %s: geometry differs", c.scheme.Name(), c.codec.Name())
+		if c.code.NStored() != n || c.code.K() != c.codec.K() {
+			t.Fatalf("%s vs %s: geometry differs", c.code.Name(), c.codec.Name())
 		}
 		exists := make([]bool, n)
 		for i := range exists {
@@ -85,11 +85,11 @@ func TestStoreCodecAndSimulatorSchemeAgree(t *testing.T) {
 					avail[i] = false
 				}
 				for _, lost := range erased {
-					wantReads, wantLight, wantErr := c.scheme.PlanRepair(lost, exists, avail, false)
+					want, wantErr := c.code.PlanRepair(lost, exists, avail, false)
 					reads, isLight, err := c.codec.PlanReads(lost, avail)
-					if (err == nil) != (wantErr == nil) || isLight != wantLight || !reflect.DeepEqual(reads, wantReads) {
+					if (err == nil) != (wantErr == nil) || isLight != want.Light || !reflect.DeepEqual(reads, want.Reads) {
 						t.Fatalf("%s, erased %v, lost %d: store plans %v light=%v err=%v; simulator plans %v light=%v err=%v",
-							c.codec.Name(), erased, lost, reads, isLight, err, wantReads, wantLight, wantErr)
+							c.codec.Name(), erased, lost, reads, isLight, err, want.Reads, want.Light, wantErr)
 					}
 					if isLight {
 						light++

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/hdfs"
+	"repro/internal/lrc"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -123,7 +123,7 @@ func wcFixture(t *testing.T) (*sim.Engine, *hdfs.FS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := hdfs.New(cl, core.NewXorbas(), hdfs.Config{
+	fs, err := hdfs.New(cl, lrc.NewXorbas(), hdfs.Config{
 		BlockSizeBytes: 64 * mb, SlotsPerNode: 2,
 		TaskLaunchSec: 5, FixerScanSec: 1e8,
 		DeployedReads: true, DegradedTimeoutSec: 15,
