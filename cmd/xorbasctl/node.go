@@ -61,9 +61,10 @@ func nodeUsage() {
 	os.Exit(2)
 }
 
-// nodePing dials the listed nodes, probes each a few times, and prints
-// liveness plus breaker/window state per node. Exit status 1 when any
-// node is down, so scripts can gate on it.
+// nodePing dials the listed nodes, probes each up to -probes times, and
+// prints liveness plus breaker/window state per node. A node is down when
+// every probe failed; exit status 1 when any node is down, so scripts can
+// gate on it.
 func nodePing(args []string) error {
 	fs := flag.NewFlagSet("node ping", flag.ExitOnError)
 	nodesFlag := fs.String("nodes", "", "comma-separated node addresses")
@@ -84,22 +85,22 @@ func nodePing(args []string) error {
 		return err
 	}
 	defer c.Close()
+	// The status column and the exit code both read up, not the client's
+	// error window, which still holds the probes that failed first.
+	up := make([]bool, len(addrs))
 	down := 0
 	for i := range addrs {
-		var lastErr error
-		for p := 0; p < *probes; p++ {
-			if lastErr = c.Ping(i); lastErr == nil {
-				break
-			}
+		for p := 0; p < *probes && !up[i]; p++ {
+			up[i] = c.Ping(i) == nil
 		}
-		if lastErr != nil {
+		if !up[i] {
 			down++
 		}
 	}
 	for _, info := range c.NodeHealth() {
-		status := "up"
-		if info.WindowErrRate > 0 || info.State != "closed" {
-			status = "down"
+		status := "down"
+		if up[info.Node] {
+			status = "up"
 		}
 		fmt.Printf("node %2d  %-22s %-4s breaker=%-9s ops=%d errRate=%.2f consecFails=%d p50=%s p99=%s",
 			info.Node, addrs[info.Node], status, info.State,

@@ -8,13 +8,13 @@ package main
 // survive across invocations, so a kill-node / get / scrub sequence
 // shows degraded reads and the BlockFixer's light repairs on real bytes.
 //
-//	xorbasctl store put        -dir DIR -in FILE [-stream] [-name NAME] [-code rs] [-nodes N] [-racks R] [-block BYTES]
-//	xorbasctl store get        -dir DIR -name NAME [-out FILE] [-stream] [-cache-bytes B]
+//	xorbasctl store put        -dir DIR -in FILE [-name NAME] [-code rs] [-nodes N] [-racks R] [-block BYTES]
+//	xorbasctl store get        -dir DIR -name NAME [-out FILE] [-cache-bytes B]
 //
-// With -stream, put pipes the input through the store one stripe at a
-// time (memory stays bounded no matter the object size; `-in -` reads
-// stdin) and get streams stripes straight to -out (`-out -` or no -out
-// writes stdout; the summary then goes to stderr).
+// put and get move the object one stripe at a time, so memory stays
+// bounded no matter the object size. `-in -` reads stdin; `-out -`
+// writes stdout and moves the summary to stderr; get with no -out reads
+// the object, discards the bytes and prints only the summary.
 //
 // Every data command also takes `-backend net -nodes a:7001,b:7002,...`:
 // blocks then live on real node processes (`xorbasctl node serve`)
@@ -75,9 +75,8 @@ func storeMain(args []string) error {
 	fs := flag.NewFlagSet("store "+sub, flag.ExitOnError)
 	sf := cliutil.RegisterStoreFlags(fs)
 	in := fs.String("in", "", "input file (put)")
-	out := fs.String("out", "", "output file (get; default stdout summary only)")
+	out := fs.String("out", "", "output file, '-' = stdout (get; default: discard, summary only)")
 	name := fs.String("name", "", "object name (default: input file base name)")
-	useRS := fs.Bool("rs", false, "create the store with RS(10,4) instead of LRC(10,6,5) (put only, first use; same as -code rs)")
 	racks := fs.Int("racks", 8, "racks, rack = node mod racks (first put only)")
 	blockSize := fs.Int("block", 64<<10, "max data-block bytes (first put only)")
 	node := fs.Int("node", -1, "node id (kill-node / revive-node)")
@@ -87,7 +86,6 @@ func storeMain(args []string) error {
 	workers := fs.Int("workers", 2, "repair worker pool size (scrub / repair-drain)")
 	repairRate := fs.Int64("repair-rate", 0, "repair read budget in bytes/sec, 0 = unlimited (scrub / repair-drain)")
 	scrubRate := fs.Int64("scrub-rate", 0, "scrub read budget in bytes/sec, 0 = unlimited (scrub)")
-	stream := fs.Bool("stream", false, "stream stripe-by-stripe with bounded memory (put/get; '-' = stdin/stdout)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "hot-block read cache capacity in bytes for this invocation (get / stats; 0 = no cache)")
 	if err := fs.Parse(args[1:]); err != nil {
 		os.Exit(2)
@@ -95,14 +93,11 @@ func storeMain(args []string) error {
 	if *sf.Dir == "" {
 		return fmt.Errorf("store %s needs -dir", sub)
 	}
-	if *useRS {
-		*sf.Code = "rs"
-	}
 	switch sub {
 	case "put":
-		return storePut(sf, *in, *name, *racks, *blockSize, *stream)
+		return storePut(sf, *in, *name, *racks, *blockSize)
 	case "get":
-		return storeGet(sf, *name, *out, *stream, *cacheBytes)
+		return storeGet(sf, *name, *out, *cacheBytes)
 	case "kill-node":
 		return storeSetNode(sf, *node, false)
 	case "revive-node":
@@ -121,15 +116,24 @@ func storeMain(args []string) error {
 	}
 }
 
-func storePut(sf *cliutil.StoreFlags, in, name string, racks, blockSize int, stream bool) error {
+func storePut(sf *cliutil.StoreFlags, in, name string, racks, blockSize int) error {
 	if in == "" {
 		return fmt.Errorf("store put needs -in")
 	}
 	if name == "" {
 		if in == "-" {
-			return fmt.Errorf("store put -stream from stdin needs -name")
+			return fmt.Errorf("store put from stdin needs -name")
 		}
 		name = filepath.Base(in)
+	}
+	var r io.Reader = os.Stdin
+	if in != "-" {
+		f, err := os.Open(in)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		r = f
 	}
 	s, err := sf.OpenOrCreate(racks, blockSize, cliutil.Rates{})
 	if err != nil {
@@ -138,33 +142,14 @@ func storePut(sf *cliutil.StoreFlags, in, name string, racks, blockSize int, str
 	if *sf.Code == "rs" && !strings.HasPrefix(s.Codec().Name(), "RS") {
 		fmt.Fprintf(os.Stderr, "note: store already exists with codec %s; -code rs is only honored on first use\n", s.Codec().Name())
 	}
-	var size int64
 	start := time.Now()
-	if stream {
-		var r io.Reader = os.Stdin
-		if in != "-" {
-			f, err := os.Open(in)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			r = f
-		}
-		if err := s.PutReader(name, r); err != nil {
-			return err
-		}
-		if st, err := s.Stat(name); err == nil {
-			size = int64(st.Size)
-		}
-	} else {
-		data, err := os.ReadFile(in)
-		if err != nil {
-			return err
-		}
-		if err := s.Put(name, data); err != nil {
-			return err
-		}
-		size = int64(len(data))
+	if err := s.PutReader(name, r); err != nil {
+		s.Close()
+		return err
+	}
+	var size int64
+	if st, err := s.Stat(name); err == nil {
+		size = int64(st.Size)
 	}
 	elapsed := time.Since(start)
 	if err := s.Close(); err != nil {
@@ -178,7 +163,7 @@ func storePut(sf *cliutil.StoreFlags, in, name string, racks, blockSize int, str
 	return nil
 }
 
-func storeGet(sf *cliutil.StoreFlags, name, out string, stream bool, cacheBytes int64) error {
+func storeGet(sf *cliutil.StoreFlags, name, out string, cacheBytes int64) error {
 	if name == "" {
 		return fmt.Errorf("store get needs -name")
 	}
@@ -188,50 +173,37 @@ func storeGet(sf *cliutil.StoreFlags, name, out string, stream bool, cacheBytes 
 	}
 	defer s.Close()
 	var info store.ReadInfo
-	var size int64
 	report := os.Stdout
 	start := time.Now()
-	if stream {
-		if out != "" && out != "-" {
-			// Stream into a temp file and rename on success, so a failed
-			// read never leaves a truncated object at -out (the same
-			// crash-safety DirBackend gives block writes).
-			tmp := out + ".partial"
-			f, err := os.Create(tmp)
-			if err != nil {
-				return err
-			}
-			info, err = s.GetWriter(name, f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				os.Remove(tmp)
-				return err
-			}
-			if err := os.Rename(tmp, out); err != nil {
-				os.Remove(tmp)
-				return err
-			}
-		} else {
-			// Object bytes own stdout; the summary moves to stderr.
-			report = os.Stderr
-			if info, err = s.GetWriter(name, os.Stdout); err != nil {
-				return err
-			}
-		}
-		size = info.BytesWritten
-	} else {
-		data, dinfo, err := s.Get(name)
-		if err != nil {
+	switch out {
+	case "":
+		info, err = s.GetWriter(name, io.Discard)
+	case "-":
+		// Object bytes own stdout; the summary moves to stderr.
+		report = os.Stderr
+		info, err = s.GetWriter(name, os.Stdout)
+	default:
+		// Stream into a temp file and rename on success, so a failed read
+		// never leaves a truncated object at -out (the same crash-safety
+		// DirBackend gives block writes).
+		tmp := out + ".partial"
+		var f *os.File
+		if f, err = os.Create(tmp); err != nil {
 			return err
 		}
-		if out != "" {
-			if err := os.WriteFile(out, data, 0o644); err != nil {
-				return err
-			}
+		info, err = s.GetWriter(name, f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		info, size = dinfo, int64(len(data))
+		if err == nil {
+			err = os.Rename(tmp, out)
+		}
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	mode := "clean"
@@ -239,8 +211,8 @@ func storeGet(sf *cliutil.StoreFlags, name, out string, stream bool, cacheBytes 
 		mode = fmt.Sprintf("DEGRADED (%d light / %d heavy inline repairs)", info.LightRepairs, info.HeavyRepairs)
 	}
 	fmt.Fprintf(report, "get %s: %d bytes, %s; read %d blocks / %d bytes in %v (%s)\n",
-		name, size, mode, info.BlocksRead, info.BytesRead,
-		elapsed.Round(time.Millisecond), cliutil.Mbps(size, elapsed))
+		name, info.BytesWritten, mode, info.BlocksRead, info.BytesRead,
+		elapsed.Round(time.Millisecond), cliutil.Mbps(info.BytesWritten, elapsed))
 	fmt.Fprint(report, cacheLine(cacheBytes, s.Metrics()))
 	fmt.Fprint(report, cliutil.WireLine(s.Metrics()))
 	return nil

@@ -30,7 +30,7 @@ func TestStoreSubcommandsPersistThroughPlaneOnly(t *testing.T) {
 		args []string
 	}{
 		{storeMain, []string{"put", "-dir", dir, "-in", in, "-name", "obj", "-code", "rs", "-block", "4096"}},
-		{storeMain, []string{"put", "-dir", dir, "-in", in, "-name", "obj2", "-stream"}},
+		{storeMain, []string{"put", "-dir", dir, "-in", in, "-name", "obj2"}},
 		{storeMain, []string{"kill-node", "-dir", dir, "-node", "3"}},
 		{storeMain, []string{"get", "-dir", dir, "-name", "obj", "-out", out}},
 		{storeMain, []string{"corrupt", "-dir", dir, "-name", "obj2", "-stripe", "0", "-block-idx", "1"}},
@@ -42,7 +42,7 @@ func TestStoreSubcommandsPersistThroughPlaneOnly(t *testing.T) {
 		{nodeMain, []string{"rebalance", "-dir", dir}},
 		{nodeMain, []string{"status", "-dir", dir}},
 		{storeMain, []string{"stats", "-dir", dir}},
-		{storeMain, []string{"get", "-dir", dir, "-name", "obj2", "-stream", "-out", out}},
+		{storeMain, []string{"get", "-dir", dir, "-name", "obj2", "-out", out}},
 	}
 	for _, st := range steps {
 		if err := st.run(st.args); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/lrc"
@@ -48,5 +49,42 @@ func TestReportGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("got %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// The README quotes the paper's numbers in one block between
+// <!-- report.golden --> and <!-- /report.golden --> markers. Every line
+// of it (code fences and blank lines aside) must be a line of the pinned
+// report, so the README cannot quote a number the code does not print.
+func TestReadmeQuotesGolden(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/report.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := map[string]bool{}
+	for _, l := range strings.Split(string(golden), "\n") {
+		printed[l] = true
+	}
+	_, block, ok := strings.Cut(string(readme), "<!-- report.golden -->\n")
+	block, _, closed := strings.Cut(block, "<!-- /report.golden -->")
+	if !ok || !closed {
+		t.Fatal("README.md has no <!-- report.golden --> … <!-- /report.golden --> block")
+	}
+	quoted := 0
+	for i, l := range strings.Split(block, "\n") {
+		if l == "" || strings.HasPrefix(l, "```") {
+			continue
+		}
+		if !printed[l] {
+			t.Errorf("README.md block line %d is not a line of report.golden: %q", i+1, l)
+		}
+		quoted++
+	}
+	if quoted < 20 {
+		t.Errorf("README.md block quotes %d lines of report.golden, want at least 20", quoted)
 	}
 }

@@ -371,36 +371,6 @@ func (c *Code) decoderFor(avail []int) (*decoder, error) {
 	return d, nil
 }
 
-// Reconstruct fills every nil entry of the stripe in place, using the
-// light decoder where possible, and returns how many blocks each decoder
-// rebuilt. Light repairs are applied iteratively: repairing one block can
-// unlock light repair of another (e.g. two losses in different groups).
-// When some block is beyond repair the rebuildable ones are still filled
-// in and the error is returned.
-func (c *Code) Reconstruct(stripe [][]byte) (lightCount, heavyCount int, err error) {
-	var missing []int
-	for i, s := range stripe {
-		if s == nil {
-			missing = append(missing, i)
-		}
-	}
-	// payloads is aligned with missing (nil where a block is beyond
-	// repair) and empty when the stripe itself was rejected.
-	payloads, light, err := c.ReconstructMany(stripe, missing)
-	for oi, pl := range payloads {
-		if pl == nil {
-			continue
-		}
-		stripe[missing[oi]] = pl
-		if light[oi] {
-			lightCount++
-		} else {
-			heavyCount++
-		}
-	}
-	return lightCount, heavyCount, err
-}
-
 // Verify recomputes the stripe from its data shards and reports whether
 // every stored block is consistent. All NStored entries must be non-nil.
 func (c *Code) Verify(stripe [][]byte) (bool, error) {

@@ -26,6 +26,34 @@ func fullMask(n int, v bool) []bool {
 	return m
 }
 
+// Reconstruct fills every nil entry of the stripe in place through
+// ReconstructMany and returns how many blocks each decoder rebuilt. When
+// some block is beyond repair the rebuildable ones are still filled in
+// and the error is returned.
+func (c *Code) Reconstruct(stripe [][]byte) (lightCount, heavyCount int, err error) {
+	var missing []int
+	for i, s := range stripe {
+		if s == nil {
+			missing = append(missing, i)
+		}
+	}
+	// payloads is aligned with missing (nil where a block is beyond
+	// repair) and empty when the stripe itself was rejected.
+	payloads, light, err := c.ReconstructMany(stripe, missing)
+	for oi, pl := range payloads {
+		if pl == nil {
+			continue
+		}
+		stripe[missing[oi]] = pl
+		if light[oi] {
+			lightCount++
+		} else {
+			heavyCount++
+		}
+	}
+	return lightCount, heavyCount, err
+}
+
 func TestParamsValidate(t *testing.T) {
 	bad := []Params{
 		{K: 0, GlobalParities: 4, GroupSize: 5},

@@ -379,7 +379,7 @@ func (rb *Rebalancer) migrateTo(ref stripeRef, pos, src, target int) int64 {
 	if err := rb.writeFrame(target, key, frame); err != nil {
 		return 0
 	}
-	if !s.relocateBlock(ref, pos, target, key) {
+	if !s.relocateBlock(ref, pos, target) {
 		// Deleted or overwritten while we copied: remove the copy we
 		// just wrote or it leaks as an orphan.
 		_ = s.cfg.Backend.Delete(target, key)

@@ -264,7 +264,7 @@ func (s *Store) writeRepaired(ref stripeRef, si stripeInfo, stripe [][]byte, reb
 		if err := s.cfg.Backend.Write(node, si.Keys[pos], frame); err != nil {
 			continue
 		}
-		if s.relocateBlock(ref, pos, node, si.Keys[pos]) {
+		if s.relocateBlock(ref, pos, node) {
 			s.m.repairedBlocks.Add(1)
 			s.m.repairedBytes.Add(int64(len(stripe[pos])))
 		} else {

@@ -804,30 +804,29 @@ func (s *Store) stripeSnapshot(ref stripeRef) (stripeInfo, bool) {
 }
 
 // withRelocation returns a copy of the manifest with one stripe position
-// repointed — the copy-on-write half of relocateBlock. Only the touched
-// stripe's slices are duplicated; the rest alias the old version, which
-// is immutable by the same contract.
-func (o *objectInfo) withRelocation(idx, pos, node int, key string) *objectInfo {
+// moved to another node — the copy-on-write half of relocateBlock. Only
+// the touched stripe's node slice is duplicated; the rest, keys included
+// (a block key is fixed by name, generation, stripe and position), alias
+// the old version, which is immutable by the same contract.
+func (o *objectInfo) withRelocation(idx, pos, node int) *objectInfo {
 	n := *o
 	n.Stripes = append([]stripeInfo(nil), o.Stripes...)
 	si := &n.Stripes[idx]
 	si.Nodes = append([]int(nil), si.Nodes...)
-	si.Keys = append([]string(nil), si.Keys...)
 	si.Nodes[pos] = node
-	si.Keys[pos] = key
 	n.muts = o.muts + 1
 	return &n
 }
 
-// relocateBlock points one stripe position at a new node/key after a
-// repair rewrite, committing a copy-on-write replacement manifest. It
-// reports false — leaving the manifest untouched — if the object was
-// deleted or overwritten under the repair (the generation check, redone
+// relocateBlock points one stripe position at a new node after a repair
+// or rebalance rewrite, committing a copy-on-write replacement manifest.
+// It reports false — leaving the manifest untouched — if the object was
+// deleted or overwritten under the rewrite (the generation check, redone
 // inside the transaction: splicing an old version's block into a new
 // manifest would serve stale bytes).
-func (s *Store) relocateBlock(ref stripeRef, pos, node int, key string) bool {
+func (s *Store) relocateBlock(ref stripeRef, pos, node int) bool {
 	relocated := false
-	oldKey := ""
+	key := ""
 	err := s.db.Commit(func(tx *meta.Tx) {
 		v, ok := tx.Get(objKey(ref.name))
 		if !ok {
@@ -840,19 +839,15 @@ func (s *Store) relocateBlock(ref stripeRef, pos, node int, key string) bool {
 		if pos < 0 || pos >= len(obj.Stripes[ref.idx].Nodes) {
 			return
 		}
-		oldKey = obj.Stripes[ref.idx].Keys[pos]
-		tx.Put(objKey(ref.name), obj.withRelocation(ref.idx, pos, node, key))
+		key = obj.Stripes[ref.idx].Keys[pos]
+		tx.Put(objKey(ref.name), obj.withRelocation(ref.idx, pos, node))
 		relocated = true
 	})
 	if err == nil && relocated && s.cache != nil {
 		// Repair and rebalance write-backs commit here; a cached copy of
 		// the pre-repair payload (or of a corrupt block rebuilt in place)
-		// must not serve past this point. Repairs keep the block key, so
-		// old and new are usually the same string — drop both regardless.
-		s.cache.invalidate(oldKey)
-		if key != oldKey {
-			s.cache.invalidate(key)
-		}
+		// must not serve past this point.
+		s.cache.invalidate(key)
 	}
 	return err == nil && relocated
 }
