@@ -57,10 +57,10 @@ type OwnedWriter interface {
 // caller must use the returned slice and never dst, stays the owner of
 // dst throughout (the backend keeps no reference past return), and must
 // not let the result outlive dst's next use. After an error dst may hold
-// part of a block. The store's one caller is reconstructPositions, which
-// lends pooled frames for the source blocks of a repair or degraded read;
-// a backend without ReadInto (MemBackend, DirBackend) is simply read
-// through Read.
+// part of a block. The store's one caller is readBlockPayload, which
+// lends pooled frames for the source blocks of a repair or degraded read
+// and for a rebalance move; a backend without ReadInto (MemBackend,
+// DirBackend) is simply read through Read.
 type IntoReader interface {
 	ReadInto(node int, key string, dst []byte) ([]byte, error)
 }
@@ -80,19 +80,20 @@ func readInto(b Backend, node int, key string, dst []byte) ([]byte, error) {
 // over a network is one round trip where Delete costs one per key.
 // Deleting a missing block is not an error. After an error any of the
 // keys may remain, and the caller retries all of them, so an
-// implementation need not say which failed. The store's one caller is
-// the reclaimer (reclaim.go), which sends one DeleteMany per node per
-// batch; a backend without it (MemBackend, DirBackend) is sent one
-// Delete per key instead.
+// implementation need not say which failed. Its one caller is the
+// reclaimer (reclaim.go), the only place the store deletes a block: it
+// sends one DeleteMany per node per batch, and a backend without it
+// (MemBackend, DirBackend) one Delete per key instead.
 type BatchDeleter interface {
 	DeleteMany(node int, keys []string) error
 }
 
 // deleteMany removes keys from node: in one call when b is a
-// BatchDeleter, one Delete per key otherwise, stopping at the first
-// failure (the caller retries the node's whole list either way).
+// BatchDeleter and there is more than one key, one Delete per key
+// otherwise, stopping at the first failure (the caller retries the node's
+// whole list either way).
 func deleteMany(b Backend, node int, keys []string) error {
-	if bd, ok := b.(BatchDeleter); ok {
+	if bd, ok := b.(BatchDeleter); ok && len(keys) > 1 {
 		return bd.DeleteMany(node, keys)
 	}
 	for _, key := range keys {
@@ -124,13 +125,11 @@ type NodeAdder interface {
 }
 
 // BlockStreamer is an optional Backend extension for moving whole framed
-// blocks without holding them in one wire frame — the migration path for
-// blocks bigger than a protocol message. ReadBlockTo streams a block's
-// framed bytes into w and returns the byte count; WriteBlockFrom streams
-// r into the block, replacing any previous value, atomically on success
-// (a reader never observes a half-written block). Implementations may
-// return an error wrapping errors.ErrUnsupported; callers then fall back
-// to whole-frame Read/Write.
+// blocks without holding them in one wire frame. ReadBlockTo streams a
+// block's framed bytes into w and returns the byte count; WriteBlockFrom
+// streams r into the block, replacing any previous value, atomically on
+// success. The store no longer calls it (a rebalance move is one frame,
+// like every block transfer); it stays because the benchmark names it.
 type BlockStreamer interface {
 	ReadBlockTo(node int, key string, w io.Writer) (int64, error)
 	WriteBlockFrom(node int, key string, r io.Reader) (int64, error)

@@ -352,3 +352,162 @@ func sum(m map[string]int) int {
 	}
 	return n
 }
+
+// The relocation variant: a child moves blocks forever, by repair
+// re-placement (kill a node, rebuild its blocks elsewhere, revive it) and
+// by rebalance (fill a joiner, drain a decommissioned node), so the kill
+// lands among copies, splices, relocation records, batches and clears.
+// After recovery and one drain the disks must hold exactly what the
+// manifests place, plus at most the copy of the one relocation the kill
+// interrupted before its splice — a key the manifests place on another
+// node — and every object must read back whole.
+
+const relocateChildEnv = "STORE_RELOCATE_CHILD_DIR"
+
+// relocObjects is the child's working set.
+var relocObjects = []string{"mv-0", "mv-1", "mv-2", "mv-3"}
+
+// TestRelocationCrashChild is the subprocess body of
+// TestKillNineRelocations: without the env marker it skips. It appends
+// each finished round's number to the acked file.
+func TestRelocationCrashChild(t *testing.T) {
+	dir := os.Getenv(relocateChildEnv)
+	if dir == "" {
+		t.Skip("helper for TestKillNineRelocations")
+	}
+	s, err := openCrashStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range relocObjects {
+		if err := s.Put(name, crashObjBytes(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rm := NewRepairManager(s, 1) // one write-back in flight at a time
+	rm.Start()
+	sc := NewScrubber(s, rm, time.Hour)
+	rb := NewRebalancer(s, rm, time.Hour)
+	acked, err := os.OpenFile(filepath.Join(dir, "acked"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		victim := i % 2
+		s.KillNode(victim)
+		sc.ScrubPresence()
+		rm.Drain()
+		s.ReviveNode(victim)
+		if _, err := s.AddNode(""); err != nil {
+			t.Fatal(err)
+		}
+		rb.RebalanceOnce()
+		if err := s.Decommission(2 + i); err != nil { // the oldest node that is no victim
+			t.Fatal(err)
+		}
+		rb.RebalanceOnce()
+		if _, err := fmt.Fprintln(acked, i); err != nil {
+			t.Fatal(err)
+		}
+		if err := acked.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestKillNineRelocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	dir := t.TempDir()
+	ackPath := filepath.Join(dir, "acked")
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestRelocationCrashChild$")
+	cmd.Env = append(os.Environ(), relocateChildEnv+"="+dir)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// A few whole rounds, then a random delay into the next one: the kill
+	// lands anywhere in a round's repairs, moves and drains.
+	want := 2 + rand.Intn(3)
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if b, err := os.ReadFile(ackPath); err == nil && bytes.Count(b, []byte("\n")) >= want {
+			break
+		}
+		if time.Now().After(deadline) {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+			t.Fatalf("child finished fewer than %d rounds in 60s", want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(time.Duration(rand.Intn(50)) * time.Millisecond)
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	_ = cmd.Wait()
+
+	s, err := openCrashStore(dir)
+	if err != nil {
+		t.Fatalf("recovery after kill -9: %v", err)
+	}
+	defer s.Close()
+	pending := s.Metrics().ReclaimPendingBlocks
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Metrics().ReclaimPendingBlocks; n != 0 || s.db.Len(relocPrefix)+s.db.Len(tombPrefix) != 0 {
+		t.Fatalf("after the drain: %d blocks, %d records pending", n, s.db.Len(relocPrefix)+s.db.Len(tombPrefix))
+	}
+	ackBytes, _ := os.ReadFile(ackPath)
+	t.Logf("killed after %d rounds; recovery queued %d blocks, all reclaimed", bytes.Count(ackBytes, []byte("\n")), pending)
+	for _, name := range relocObjects {
+		if got, _, err := s.Get(name); err != nil || !bytes.Equal(got, crashObjBytes(name)) {
+			t.Fatalf("%s after the crash: err %v", name, err)
+		}
+	}
+
+	placed := make(map[string]int) // block key → its node
+	it := s.db.Scan(objPrefix)
+	for {
+		_, v, ok := it.Next()
+		if !ok {
+			break
+		}
+		for _, b := range retiredOf(v.(*objectInfo)).left {
+			placed[b.key] = b.node
+		}
+	}
+	nodeDirs, err := filepath.Glob(filepath.Join(dir, "blocks", "node*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	var extra []string
+	for _, nd := range nodeDirs {
+		entries, err := os.ReadDir(nd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			node, err := strconv.Atoi(strings.TrimPrefix(filepath.Base(nd), "node"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at, ok := placed[e.Name()]; ok && at == node {
+				found++
+				continue
+			}
+			if _, ok := placed[e.Name()]; !ok {
+				t.Fatalf("node %d holds %s, a key no manifest places", node, e.Name())
+			}
+			extra = append(extra, fmt.Sprintf("node%03d/%s", node, e.Name()))
+		}
+	}
+	if found != len(placed) {
+		t.Fatalf("disks hold %d of the %d placed blocks", found, len(placed))
+	}
+	if len(extra) > 1 {
+		t.Fatalf("%d stale copies survive the drain, want at most the interrupted relocation's: %v", len(extra), extra)
+	}
+}

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"time"
@@ -199,34 +198,4 @@ func (f *FaultBackend) AddNode(addr string) (int, error) {
 		return na.AddNode(addr)
 	}
 	return -1, fmt.Errorf("store: fault backend: add node: %w", errors.ErrUnsupported)
-}
-
-// ReadBlockTo implements BlockStreamer by delegation, with the node's
-// fault roll applied up front (a streamed migration read fails or slows
-// like any other read; corruption injection stays on the unstreamed
-// path). ErrUnsupported when the inner backend cannot stream.
-func (f *FaultBackend) ReadBlockTo(node int, key string, w io.Writer) (int64, error) {
-	bs, ok := f.inner.(BlockStreamer)
-	if !ok {
-		return 0, fmt.Errorf("store: fault backend: read stream: %w", errors.ErrUnsupported)
-	}
-	delay, fail, _ := f.roll(node)
-	if err := apply(node, delay, fail); err != nil {
-		return 0, err
-	}
-	return bs.ReadBlockTo(node, key, w)
-}
-
-// WriteBlockFrom implements BlockStreamer by delegation, same fault
-// discipline as ReadBlockTo.
-func (f *FaultBackend) WriteBlockFrom(node int, key string, r io.Reader) (int64, error) {
-	bs, ok := f.inner.(BlockStreamer)
-	if !ok {
-		return 0, fmt.Errorf("store: fault backend: write stream: %w", errors.ErrUnsupported)
-	}
-	delay, fail, _ := f.roll(node)
-	if err := apply(node, delay, fail); err != nil {
-		return 0, err
-	}
-	return bs.WriteBlockFrom(node, key, r)
 }

@@ -19,15 +19,17 @@ import (
 //	n/<node>              a cluster membership record (*memberRecord)
 //	c/config              the geometry the plane was created with (*geometryRecord)
 //	t/<gen>/<name>        a retired version whose blocks are not all deleted yet (*objectInfo)
+//	r/<node>/<block key>  a relocated block's stale copy, not deleted yet (no value)
 //
 // Manifests are the hot records: committed durably before a Put acks,
 // relocated copy-on-write by repair workers, and walked by scrub
 // iterators. Repair queue entries are advisory (commit-no-sync: a lost
 // entry is re-found by the next scrub). The state record makes node
 // deaths and the gen/seq watermark survive a crash with no objects to
-// infer them from. A tombstone is staged in the very transaction that
-// replaces or removes its manifest, and cleared (commit-no-sync: a lost
-// clear only repeats an idempotent delete) once its blocks are gone.
+// infer them from. A tombstone or relocation record is staged in the very
+// transaction that replaces, removes or splices its manifest, and cleared
+// (commit-no-sync: a lost clear only repeats an idempotent delete) once
+// its blocks are gone.
 
 const (
 	objPrefix    = "o/"
@@ -37,6 +39,7 @@ const (
 	nodePrefix   = "n/"
 	configKey    = "c/config"
 	tombPrefix   = "t/"
+	relocPrefix  = "r/"
 )
 
 func objKey(name string) string { return objPrefix + name }
@@ -44,6 +47,9 @@ func objKey(name string) string { return objPrefix + name }
 // tombKey names obj's tombstone. The generation alone is unique; the name
 // makes the record readable.
 func tombKey(obj *objectInfo) string { return fmt.Sprintf("%s%d/%s", tombPrefix, obj.Gen, obj.Name) }
+
+// relocKey names a stale copy's record, which holds nothing else.
+func relocKey(b blockRef) string { return fmt.Sprintf("%s%d/%s", relocPrefix, b.node, b.key) }
 
 func nodeKey(n int) string { return fmt.Sprintf("%s%06d", nodePrefix, n) }
 
@@ -195,6 +201,8 @@ func (metaCodec) Decode(key string, b []byte) (any, error) {
 			return nil, err
 		}
 		return g, nil
+	case strings.HasPrefix(key, relocPrefix):
+		return nil, nil
 	default:
 		return nil, fmt.Errorf("store: unknown meta key %q", key)
 	}
@@ -202,8 +210,8 @@ func (metaCodec) Decode(key string, b []byte) (any, error) {
 
 // recoverMeta recovers the plane's durable state into s: manifests are
 // already in the index after replay; this walks them for the gen/seq
-// watermark, queues every tombstone for reclamation and applies the
-// membership and liveness records — no I/O to the backend.
+// watermark, queues every tombstone and relocation record and applies
+// the membership and liveness records — no I/O to the backend.
 func (s *Store) recoverMeta() error {
 	db := s.db
 	var maxGen, maxSeq int64
@@ -234,6 +242,19 @@ func (s *Store) recoverMeta() error {
 		obj := v.(*objectInfo)
 		maxGen = max(maxGen, obj.Gen)
 		s.queue(retiredOf(obj))
+	}
+	it = db.Scan(relocPrefix)
+	for {
+		k, _, ok := it.Next()
+		if !ok {
+			break
+		}
+		var b blockRef
+		if _, err := fmt.Sscanf(k, relocPrefix+"%d/%s", &b.node, &b.key); err != nil {
+			return fmt.Errorf("store: relocation record %q: %w", k, err)
+		}
+		s.deleting[b]++
+		s.queue(&retired{rec: k, left: []blockRef{b}})
 	}
 	// Membership records may grow the node set past cfg.Nodes (nodes
 	// added before a crash), so apply them before the liveness record —

@@ -156,8 +156,8 @@ type Metrics struct {
 	CacheHits, CacheMisses             int64
 	CacheEvictions, CacheInvalidations int64
 	CacheBytes                         int64
-	// ReclaimPendingBlocks is a gauge: block keys of retired versions
-	// (overwritten, deleted, rolled back) waiting to be deleted. It
+	// ReclaimPendingBlocks is a gauge: block keys of retired versions and
+	// stale copies of relocated blocks waiting to be deleted. It
 	// normally stays below 256 (reclaimBatch); growth past that means
 	// deletes are failing against a member node.
 	ReclaimPendingBlocks int64

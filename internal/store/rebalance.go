@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"errors"
 	"sort"
 	"time"
 )
@@ -124,19 +122,21 @@ func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 	// Promotions close the pass. Joining nodes have received their fill
 	// (and new stripes already land on them), so they graduate to
 	// active. A draining node retires to dead only when no manifest
-	// block references it — anything still there is Remaining work for
-	// repairs in flight or the next pass.
+	// block references it and, unless it is down (the reclaimer stops
+	// asking a dead member), no copy moved off it awaits deletion —
+	// anything else is Remaining work for the next pass.
+	_ = s.Reclaim() // a refused delete stays pending and counts below
 	for _, j := range joiners {
 		if s.promote(j, NodeJoining, NodeActive) {
 			rep.Promoted++
 		}
 	}
 	if len(drainers) > 0 {
-		counts := s.BlocksPerNode()
+		counts := s.BlocksPerNode() // node ids only grow: it covers every drainer
 		for _, d := range drainers {
-			left := 0
-			if d < len(counts) {
-				left = counts[d]
+			left := counts[d]
+			if s.Alive(d) {
+				left += s.deletesOn(d)
 			}
 			if left == 0 {
 				if s.promote(d, NodeDraining, NodeDead) {
@@ -173,17 +173,16 @@ func (rb *Rebalancer) collectDrainWork(rep *RebalanceReport, states []NodeState)
 			var dead, drainPos []int
 			deadDrainer := false
 			for pos := 0; pos < n; pos++ {
+				// A node that joined since states was taken is no drainer.
 				nd := si.Nodes[pos]
 				up := nd >= 0 && nd < len(alive) && alive[nd]
+				draining := nd >= 0 && nd < len(states) && states[nd] == NodeDraining
 				avail[pos] = up
-				if !up {
+				switch {
+				case !up:
 					dead = append(dead, pos)
-					if nd >= 0 && nd < len(states) && states[nd] == NodeDraining {
-						deadDrainer = true
-					}
-					continue
-				}
-				if states[nd] == NodeDraining {
+					deadDrainer = deadDrainer || draining
+				case draining:
 					drainPos = append(drainPos, pos)
 				}
 			}
@@ -286,7 +285,7 @@ func (rb *Rebalancer) fillJoiners(rep *RebalanceReport, joiners []int) {
 				if target < 0 {
 					continue
 				}
-				if n := rb.migrateTo(ref, pos, nd, target); n > 0 {
+				if n := rb.migrateTo(ref, &fresh, pos, target); n > 0 {
 					rep.Moved++
 					rep.MovedBytes += n
 					counts[nd]--
@@ -337,86 +336,35 @@ func (rb *Rebalancer) migrateOff(ref stripeRef, pos int) int64 {
 	if src < 0 || !s.Alive(src) || s.MemberState(src) != NodeDraining {
 		return 0 // moved, died or re-planned under us
 	}
-	aliveNow := s.aliveSnapshot()
-	cur := append([]int(nil), si.Nodes...)
-	for q, nd := range cur {
-		if nd < 0 || nd >= len(aliveNow) || !aliveNow[nd] {
-			cur[q] = -1
-		}
-	}
-	cur[pos] = -1
-	target := s.placer.pickReplacement(si.Seq, pos, cur, s.placeableSnapshot())
+	target := s.replacement(&si, pos)
 	if target < 0 || target == src {
 		return 0 // nowhere to go; Remaining reports it
 	}
-	return rb.migrateTo(ref, pos, src, target)
+	return rb.migrateTo(ref, &si, pos, target)
 }
 
-// migrateTo copies one block from src to target, splices the manifest,
-// and deletes the source replica — the atomic unit of rebalance. The
-// block key carries no node component, so the copy lands under the same
-// key on the target node; manifest relocation is the commit point, and
-// a relocation loss (object deleted or overwritten mid-copy) deletes
-// the target copy so nothing orphans.
-func (rb *Rebalancer) migrateTo(ref stripeRef, pos, src, target int) int64 {
+// migrateTo copies stripe position pos of si, a snapshot of ref's
+// stripe, to target and relocates it there — the atomic unit of
+// rebalance. The copy keeps its key; the commit hands the source replica
+// (or, when the object changed mid-copy, the copy) to the reclaimer.
+func (rb *Rebalancer) migrateTo(ref stripeRef, si *stripeInfo, pos, target int) int64 {
 	s := rb.s
-	si, ok := s.stripeSnapshot(ref)
-	if !ok || si.Nodes[pos] != src {
-		return 0
-	}
-	key := si.Keys[pos]
-	frame, err := rb.readFrame(src, key)
+	f := s.getFrame()
+	defer s.frames.Put(f)
+	var acct readAcct
+	payload, err := s.readBlockPayload(si, pos, &acct, s.rebalLim, *f)
+	s.m.rebalanceBlocksRead.Add(acct.blocks)
+	s.m.rebalanceBytesRead.Add(acct.bytes)
 	if err != nil {
+		return 0 // unreadable or corrupt replica: scrub's job, not rebalance's
+	}
+	// Reframed in f, where an IntoReader backend already put these bytes.
+	if !s.relocate(ref, pos, target, si.Keys[pos], AppendFrame((*f)[:0], payload)) {
 		return 0
 	}
-	s.m.rebalanceBlocksRead.Add(1)
-	s.m.rebalanceBytesRead.Add(int64(len(frame)))
-	s.rebalLim.Take(int64(len(frame)))
-	payload, err := UnframeBlock(frame)
-	if err != nil || len(payload) != si.BlockLen {
-		return 0 // corrupt replica: scrub's job, not rebalance's
-	}
-	if err := rb.writeFrame(target, key, frame); err != nil {
-		return 0
-	}
-	if !s.relocateBlock(ref, pos, target) {
-		// Deleted or overwritten while we copied: remove the copy we
-		// just wrote or it leaks as an orphan.
-		_ = s.cfg.Backend.Delete(target, key)
-		return 0
-	}
-	_ = s.cfg.Backend.Delete(src, key)
 	s.m.rebalancedBlocks.Add(1)
 	s.m.rebalancedBytes.Add(int64(len(payload)))
 	return int64(len(payload))
-}
-
-// readFrame fetches one framed block, streaming through the backend's
-// BlockStreamer when it has one (blocks bigger than a wire frame) and
-// falling back to a whole-frame Read.
-func (rb *Rebalancer) readFrame(node int, key string) ([]byte, error) {
-	if bs, ok := rb.s.cfg.Backend.(BlockStreamer); ok {
-		var buf bytes.Buffer
-		_, err := bs.ReadBlockTo(node, key, &buf)
-		if err == nil {
-			return buf.Bytes(), nil
-		}
-		if !errors.Is(err, errors.ErrUnsupported) {
-			return nil, err
-		}
-	}
-	return rb.s.cfg.Backend.Read(node, key)
-}
-
-// writeFrame stores one framed block, streaming when the backend can.
-func (rb *Rebalancer) writeFrame(node int, key string, frame []byte) error {
-	if bs, ok := rb.s.cfg.Backend.(BlockStreamer); ok {
-		_, err := bs.WriteBlockFrom(node, key, bytes.NewReader(frame))
-		if err == nil || !errors.Is(err, errors.ErrUnsupported) {
-			return err
-		}
-	}
-	return rb.s.cfg.Backend.Write(node, key, frame)
 }
 
 // MembershipStatus is the observability view of elastic membership —

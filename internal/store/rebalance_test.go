@@ -212,6 +212,40 @@ func TestRebalanceFillsJoiner(t *testing.T) {
 	}
 }
 
+// TestCollectDrainWorkAfterJoin: a pass takes its membership snapshot
+// before it walks the manifests, so a node that joins in between — and a
+// PUT that lands a block on it — must not index past the snapshot.
+func TestCollectDrainWorkAfterJoin(t *testing.T) {
+	s := newTestStore(t, Config{Nodes: 20, BlockSize: 64})
+	if err := s.Decommission(3); err != nil {
+		t.Fatal(err)
+	}
+	states := s.memberStates()
+	joiner, err := s.AddNode("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; s.BlocksPerNode()[joiner] == 0; i++ {
+		if i == 20 {
+			t.Fatal("no PUT placed a block on the joiner")
+		}
+		if err := s.Put(fmt.Sprintf("o%d", i), randBytes(rng, 64*10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("collectDrainWork with a pre-join snapshot: %v", r)
+		}
+	}()
+	var rep RebalanceReport
+	moves := NewRebalancer(s, nil, time.Hour).collectDrainWork(&rep, states)
+	if want := s.BlocksPerNode()[3]; len(moves) != want {
+		t.Fatalf("%d drain moves, want the drainer's %d blocks", len(moves), want)
+	}
+}
+
 // TestRebalanceStatusAndNoop: MembershipStatus reflects the topology
 // and a pass with nothing to do is a cheap no-op.
 func TestRebalanceStatusAndNoop(t *testing.T) {
@@ -290,5 +324,57 @@ func TestRebalanceSurvivesOverwriteRace(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("overwrite lost to a stale rebalance")
+	}
+}
+
+// TestRebalanceDrainWaitsForDeletes: a live drainer whose stale copies
+// refuse deletion stays draining, the copies counted in Remaining, until
+// a later pass deletes them; a dead drainer's refused deletes do not hold
+// its drain, and the next drain after it left the topology drops them.
+func TestRebalanceDrainWaitsForDeletes(t *testing.T) {
+	for _, dead := range []bool{false, true} {
+		gate := newDeleteGate()
+		s := newTestStore(t, Config{Nodes: 20, BlockSize: 512, Backend: gate})
+		rng := rand.New(rand.NewSource(12))
+		for i := 0; i < 4; i++ {
+			if err := s.Put(fmt.Sprintf("obj-%d", i), randBytes(rng, 512*10+7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const victim = 6
+		held := gate.BlockCount(victim)
+		gate.shut.Store(victim)
+		if dead {
+			s.KillNode(victim)
+		}
+		if err := s.Decommission(victim); err != nil {
+			t.Fatal(err)
+		}
+		rm := NewRepairManager(s, 2)
+		rm.Start()
+		rb := NewRebalancer(s, rm, time.Hour)
+		rb.RebalanceOnce()
+		rm.Drain()
+		rep := rb.RebalanceOnce()
+		rm.Stop()
+		if dead {
+			if st := s.MemberState(victim); rep.Remaining != 0 || st != NodeDead {
+				t.Fatalf("dead drainer: %d remaining, state %s; want 0 and dead", rep.Remaining, st)
+			}
+			if err := s.Reclaim(); err != nil || s.Metrics().ReclaimPendingBlocks != 0 {
+				t.Fatalf("dead drainer: its refused deletes outlive it (err %v)", err)
+			}
+			continue
+		}
+		if st := s.MemberState(victim); rep.Remaining != held || st != NodeDraining {
+			t.Fatalf("refused deletes: %d remaining, state %s; want %d and draining", rep.Remaining, st, held)
+		}
+		gate.shut.Store(-1)
+		if rep = rb.RebalanceOnce(); rep.Remaining != 0 || s.MemberState(victim) != NodeDead {
+			t.Fatalf("after the deletes: %d remaining, state %s", rep.Remaining, s.MemberState(victim))
+		}
+		if n := gate.BlockCount(victim); n != 0 {
+			t.Fatalf("drained node holds %d blocks", n)
+		}
 	}
 }

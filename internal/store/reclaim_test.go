@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // manyDeleter is a MemBackend that takes DeleteMany, counting both kinds
@@ -211,6 +213,139 @@ func TestReclaimRollbackLeaksNothing(t *testing.T) {
 	}
 }
 
+// TestReclaimRepairedNodeAfterRevive: repair re-places a dead node's
+// blocks while the node answers nothing, deletes included. Its stale
+// copies wait in the pending list, and once it is healed and revived a
+// drain leaves it holding only what the manifests place.
+func TestReclaimRepairedNodeAfterRevive(t *testing.T) {
+	const bs = 64
+	mb := NewMemBackend()
+	fb := NewFaultBackend(mb, 1)
+	s := newTestStore(t, Config{Backend: fb, Nodes: 20, BlockSize: bs})
+	rng := rand.New(rand.NewSource(34))
+	want := randBytes(rng, 3*s.Codec().K()*bs)
+	if err := s.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	victim, _, err := s.BlockLocation("obj", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := mb.BlockCount(victim)
+	fb.SetFault(victim, Fault{ErrRate: 1})
+	s.KillNode(victim)
+	rm := NewRepairManager(s, 2)
+	rm.Start()
+	defer rm.Stop()
+	NewScrubber(s, rm, time.Hour).ScrubPresence()
+	rm.Drain()
+	if got := s.Metrics().RepairedBlocks; got != int64(held) {
+		t.Fatalf("repaired %d blocks, want the victim's %d", got, held)
+	}
+	if err := s.Reclaim(); !errors.Is(err, ErrInjected) {
+		t.Errorf("Reclaim with the victim down: err %v, want ErrInjected", err)
+	}
+	if got := s.Metrics().ReclaimPendingBlocks; got != int64(held) {
+		t.Errorf("%d blocks pending with the victim down, want its %d stale copies", got, held)
+	}
+
+	fb.SetFault(victim, Fault{})
+	s.ReviveNode(victim)
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if n := mb.BlockCount(victim); n != 0 {
+		t.Fatalf("revived victim holds %d blocks no manifest places", n)
+	}
+	checkPlacedExactly(t, s, mb)
+	if got, info, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
+		t.Fatalf("Get after revive and drain: err %v, degraded %v", err, info.Degraded)
+	}
+}
+
+// deleteGate is a MemBackend whose node shut refuses deletes, as a node
+// that is down does (-1: none).
+type deleteGate struct {
+	*MemBackend
+	shut atomic.Int64
+}
+
+func newDeleteGate() *deleteGate {
+	d := &deleteGate{MemBackend: NewMemBackend()}
+	d.shut.Store(-1)
+	return d
+}
+
+func (d *deleteGate) Delete(node int, key string) error {
+	if int64(node) == d.shut.Load() {
+		return ErrInjected
+	}
+	return d.MemBackend.Delete(node, key)
+}
+
+// TestReclaimMoveBackToStaleNode: a block moves off node A, and A's stale
+// copy waits in the pending list because A refuses the delete. Moving the
+// block back to A then is refused, and A is no placement candidate for
+// it, or the pending delete would remove the live copy. Once the delete
+// lands, the move back does too, and nothing deletes it.
+func TestReclaimMoveBackToStaleNode(t *testing.T) {
+	const bs = 64
+	gate := newDeleteGate()
+	s := newTestStore(t, Config{Backend: gate, Nodes: 20, BlockSize: bs})
+	want := randBytes(rand.New(rand.NewSource(35)), s.Codec().K()*bs)
+	if err := s.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := s.db.Get(objKey("obj"))
+	ref := stripeRef{name: "obj", gen: v.(*objectInfo).Gen}
+	snap := func() *stripeInfo { si, _ := s.stripeSnapshot(ref); return &si }
+	a, b := snap().Nodes[0], 0
+	for slices.Contains(snap().Nodes, b) {
+		b++
+	}
+	gate.shut.Store(int64(a))
+	rb := NewRebalancer(s, nil, time.Hour)
+	if rb.migrateTo(ref, snap(), 0, b) == 0 {
+		t.Fatalf("move %d -> %d failed", a, b)
+	}
+	if err := s.Reclaim(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Reclaim with node %d refusing deletes: err %v, want ErrInjected", a, err)
+	}
+
+	if rb.migrateTo(ref, snap(), 0, a) != 0 {
+		t.Fatal("moved the block back onto a copy that awaits deletion")
+	}
+	for n := 0; n < s.Nodes(); n++ {
+		if n != a {
+			s.KillNode(n) // leave a the one node the block could go to
+		}
+	}
+	if n := s.replacement(snap(), 0); n >= 0 {
+		t.Fatalf("node %d was picked for the block while its copy there awaits deletion", n)
+	}
+	for n := 0; n < s.Nodes(); n++ {
+		s.ReviveNode(n)
+	}
+
+	gate.shut.Store(-1)
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if rb.migrateTo(ref, snap(), 0, a) == 0 {
+		t.Fatalf("move back %d -> %d failed after the stale copy went", b, a)
+	}
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	checkPlacedExactly(t, s, gate.MemBackend)
+	if node, _, _ := s.BlockLocation("obj", 0, 0); node != a {
+		t.Fatalf("block on node %d, want %d", node, a)
+	}
+	if got, info, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
+		t.Fatalf("Get after the round trip: err %v, degraded %v", err, info.Degraded)
+	}
+}
+
 // TestReclaimResumesAfterRestart: blocks Close could not delete keep their
 // tombstones; the next open queues them without touching the backend, a
 // drain deletes them, and a tombstone's generation is never reissued — a
@@ -379,5 +514,212 @@ func TestReclaimConcurrent(t *testing.T) {
 		if want := body(i, rounds-1); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%s after the race: err %v, last version %v", name, err, bytes.Equal(got, want))
 		}
+	}
+}
+
+// TestRelocationHammer races overwrites, repair drains and rebalance
+// passes, so blocks move between nodes — back onto nodes whose stale
+// copies still wait in the pending list, too — while versions retire
+// under them. Once the racers stop and the cluster settles, every object
+// reads back at its last version and every disk holds exactly what the
+// manifests place. Run under -race -count=10 in CI.
+func TestRelocationHammer(t *testing.T) {
+	const bs, names, rounds, nodes = 64, 3, 12, 20
+	gate := newDeleteGate()
+	mb := gate.MemBackend
+	s := newTestStore(t, Config{Backend: NewFaultBackend(gate, 1), Nodes: nodes, BlockSize: bs})
+	size := s.Codec().K()*bs + bs/2 // two stripes
+	body := func(i, v int) []byte { return bytes.Repeat([]byte{byte(i*rounds + v)}, size) }
+	for i := 0; i < names; i++ {
+		if err := s.Put(fmt.Sprintf("h%d", i), body(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rm := NewRepairManager(s, 2)
+	rm.Start()
+	defer rm.Stop()
+	sc := NewScrubber(s, rm, time.Hour)
+	rb := NewRebalancer(s, rm, time.Hour)
+
+	var wg sync.WaitGroup
+	for i := 0; i < names; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for v := 1; v < rounds; v++ {
+				if err := s.Put(fmt.Sprintf("h%d", i), body(i, v)); err != nil {
+					t.Errorf("Put: %v", err)
+				}
+			}
+		}(i)
+	}
+	wg.Add(2)
+	go func() { // kill, re-place the victim's blocks, revive: repair moves
+		defer wg.Done()
+		for n := 0; n < 40; n++ {
+			victim := n % 2 // blocks moved off one come back when the other dies
+			s.KillNode(victim)
+			gate.shut.Store(int64(victim)) // its stale copies stay pending
+			sc.ScrubPresence()
+			rm.Drain()
+			s.ReviveNode(victim)
+		}
+		gate.shut.Store(-1)
+	}()
+	go func() { // a join and a decommission per round: rebalance moves
+		defer wg.Done()
+		for n := 0; n < 4; n++ {
+			if _, err := s.AddNode(""); err != nil {
+				t.Errorf("AddNode: %v", err)
+			}
+			rb.RebalanceOnce()
+			if err := s.Decommission(nodes - 1 - n); err != nil {
+				t.Errorf("Decommission: %v", err)
+			}
+			rb.RebalanceOnce()
+		}
+	}()
+	wg.Wait()
+
+	for pass := 0; s.MembershipStatus().Draining > 0; pass++ {
+		if pass == 10 {
+			t.Fatalf("drains never completed: %+v", s.MembershipStatus())
+		}
+		rb.RebalanceOnce()
+		rm.Drain()
+	}
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := sc.ScrubOnce(); rep.Missing+rep.Corrupt != 0 {
+		t.Fatalf("the settled cluster lost blocks: %+v", rep)
+	}
+	checkPlacedExactly(t, s, mb)
+	for i := 0; i < names; i++ {
+		if got, _, err := s.Get(fmt.Sprintf("h%d", i)); err != nil || !bytes.Equal(got, body(i, rounds-1)) {
+			t.Errorf("h%d after the race: err %v, last version %v", i, err, bytes.Equal(got, body(i, rounds-1)))
+		}
+	}
+	if m := s.Metrics(); m.RepairedBlocks == 0 || m.RebalancedBlocks == 0 {
+		t.Fatalf("the race moved nothing: %d repaired, %d rebalanced", m.RepairedBlocks, m.RebalancedBlocks)
+	}
+}
+
+// opTap is a MemBackend that runs tap once, after the first write (or,
+// with del, delete) of key.
+type opTap struct {
+	*MemBackend
+	del bool
+	key string
+	tap func()
+}
+
+func (o *opTap) run(del bool, key string) {
+	if tap := o.tap; del == o.del && key == o.key && tap != nil {
+		o.tap = nil
+		tap()
+	}
+}
+
+func (o *opTap) Write(node int, key string, data []byte) error {
+	err := o.MemBackend.Write(node, key, data)
+	o.run(false, key)
+	return err
+}
+
+func (o *opTap) Delete(node int, key string) error {
+	err := o.MemBackend.Delete(node, key)
+	o.run(true, key)
+	return err
+}
+
+// TestReclaimHoldsCopyBeingWritten: a repair rewrites a block in place on
+// node D, and between its write and its splice a rebalance moves the
+// block off D and drains the reclaimer. The delete of D's copy waits for
+// the rewrite, which then finds the copy named and splices nothing, so
+// the block is neither lost nor leaked.
+func TestReclaimHoldsCopyBeingWritten(t *testing.T) {
+	const bs = 64
+	tap := &opTap{MemBackend: NewMemBackend()}
+	s := newTestStore(t, Config{Backend: tap, Nodes: 20, BlockSize: bs})
+	want := randBytes(rand.New(rand.NewSource(36)), s.Codec().K()*bs)
+	if err := s.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := s.db.Get(objKey("obj"))
+	ref := stripeRef{name: "obj", gen: v.(*objectInfo).Gen}
+	si, _ := s.stripeSnapshot(ref)
+	d, key, t2 := si.Nodes[0], si.Keys[0], 0
+	for slices.Contains(si.Nodes, t2) {
+		t2++
+	}
+	frame, err := tap.Read(d, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap.key, tap.tap = key, func() {
+		if NewRebalancer(s, nil, time.Hour).migrateTo(ref, &si, 0, t2) == 0 {
+			t.Errorf("move %d -> %d failed", d, t2)
+		}
+		if err := s.Reclaim(); err != nil {
+			t.Error(err)
+		}
+		if _, err := tap.Read(d, key); err != nil {
+			t.Errorf("the copy being written was deleted: %v", err)
+		}
+	}
+	if s.relocate(ref, 0, d, key, frame) {
+		t.Fatal("the rewrite spliced a copy named for deletion")
+	}
+
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	checkPlacedExactly(t, s, tap.MemBackend)
+	if node, _, _ := s.BlockLocation("obj", 0, 0); node != t2 {
+		t.Fatalf("block on node %d, want %d", node, t2)
+	}
+	if got, info, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
+		t.Fatalf("Get: err %v, degraded %v", err, info.Degraded)
+	}
+}
+
+// TestReclaimNoCopyUnderInflightDelete: a block moves off node A, and
+// while the move deletes A's stale copy a rebalance tries to move the
+// block back. It must write nothing: a copy landing after the delete
+// would outlive the record that named it.
+func TestReclaimNoCopyUnderInflightDelete(t *testing.T) {
+	const bs = 64
+	tap := &opTap{MemBackend: NewMemBackend(), del: true}
+	s := newTestStore(t, Config{Backend: tap, Nodes: 20, BlockSize: bs})
+	want := randBytes(rand.New(rand.NewSource(37)), s.Codec().K()*bs)
+	if err := s.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := s.db.Get(objKey("obj"))
+	ref := stripeRef{name: "obj", gen: v.(*objectInfo).Gen}
+	snap := func() *stripeInfo { si, _ := s.stripeSnapshot(ref); return &si }
+	a, b := snap().Nodes[0], 0
+	for slices.Contains(snap().Nodes, b) {
+		b++
+	}
+	rb := NewRebalancer(s, nil, time.Hour)
+	tap.key, tap.tap = snap().Keys[0], func() {
+		if rb.migrateTo(ref, snap(), 0, a) != 0 {
+			t.Error("moved the block back onto a copy being deleted")
+		}
+	}
+	if rb.migrateTo(ref, snap(), 0, b) == 0 {
+		t.Fatalf("move %d -> %d failed", a, b)
+	}
+	if tap.tap != nil {
+		t.Fatal("the move deleted no stale copy")
+	}
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	checkPlacedExactly(t, s, tap.MemBackend)
+	if got, info, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
+		t.Fatalf("Get: err %v, degraded %v", err, info.Degraded)
 	}
 }

@@ -291,8 +291,8 @@ func TestDirBackendSurvivesRestart(t *testing.T) {
 		t.Fatalf("post-repair Get: err %v, degraded %v", err, info.Degraded)
 	}
 
-	// Revive the node: repair already invalidated its stale replicas, so
-	// nothing stale can resurface.
+	// Revive the node: repair re-placed its blocks, so its stale replicas
+	// are no manifest's and cannot resurface.
 	s2.ReviveNode(victim)
 	got, info, err = s2.Get("obj")
 	if err != nil || !bytes.Equal(got, want) || info.Degraded {
@@ -309,6 +309,15 @@ func TestDirBackendSurvivesRestart(t *testing.T) {
 	got, info, err = s3.Get("obj")
 	if err != nil || !bytes.Equal(got, want) || info.Degraded {
 		t.Fatalf("Get after second restart: err %v, degraded %v", err, info.Degraded)
+	}
+	// Every stale replica repair left on the victim is deleted or still
+	// named by a record that survived both crashes: one drain empties the
+	// victim's directory.
+	if err := s3.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := os.ReadDir(filepath.Dir(be3.Path(victim, "x"))); err != nil || len(left) != 0 {
+		t.Fatalf("victim's directory after the drain: %d entries (err %v)", len(left), err)
 	}
 }
 

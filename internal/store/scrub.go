@@ -228,49 +228,26 @@ func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func(
 
 // writeRepaired is the write-back half of a repair: place each rebuilt
 // block on a live node (re-placing off dead ones under the rack rule),
-// stamp its frame's CRC in place and write it, then splice the new
-// location into the manifest.
+// stamp its frame's CRC in place and relocate it there. A re-placement
+// leaves its stale replica to the reclaimer, which retries until the dead
+// node answers: a revived node cannot resurface it (HDFS re-registration
+// invalidates it the same way).
 func (s *Store) writeRepaired(ref stripeRef, si stripeInfo, stripe [][]byte, rebuilt []int, frameOf func(pos int) []byte) {
-	aliveNow := s.aliveSnapshot()
-	placeable := s.placeableSnapshot()
 	for _, pos := range rebuilt {
-		node := si.Nodes[pos]
-		if node < 0 || node >= len(aliveNow) || !aliveNow[node] {
+		node, key := si.Nodes[pos], si.Keys[pos]
+		if !s.Alive(node) {
 			// Re-place on a live placeable node (never a drainer — repair
-			// must not refill a node mid-decommission), keeping the rack
-			// rule against the rest of the stripe. Slots on dead nodes
-			// don't constrain.
-			cur := append([]int(nil), si.Nodes...)
-			for q, nd := range cur {
-				if nd < 0 || nd >= len(aliveNow) || !aliveNow[nd] {
-					cur[q] = -1
-				}
-			}
-			repl := s.placer.pickReplacement(si.Seq, pos, cur, placeable)
-			if repl < 0 {
+			// must not refill a node mid-decommission).
+			if node = s.replacement(&si, pos); node < 0 {
 				continue // no live node; nothing to write to
 			}
-			old := node
-			node = repl
-			si.Nodes[pos] = repl
-			if old != node {
-				// Invalidate the stale replica so a revived node cannot
-				// resurface it (HDFS re-registration would do the same).
-				_ = s.cfg.Backend.Delete(old, si.Keys[pos])
-			}
+			si.Nodes[pos] = node
 		}
 		frame := frameOf(pos)
 		binary.LittleEndian.PutUint32(frame, crc32.Checksum(frame[4:], castagnoli))
-		if err := s.cfg.Backend.Write(node, si.Keys[pos], frame); err != nil {
-			continue
-		}
-		if s.relocateBlock(ref, pos, node) {
+		if s.relocate(ref, pos, node, key, frame) {
 			s.m.repairedBlocks.Add(1)
 			s.m.repairedBytes.Add(int64(len(stripe[pos])))
-		} else {
-			// The object was deleted or overwritten while we repaired:
-			// remove the block we just wrote or it leaks as an orphan.
-			_ = s.cfg.Backend.Delete(node, si.Keys[pos])
 		}
 	}
 }

@@ -158,10 +158,10 @@ type Store struct {
 	// writes from. Every slab has the one size geometry × BlockSize fixes;
 	// an idle store's slabs go back to the garbage collector.
 	slabs sync.Pool
-	// frames pools the block-sized frames (*[]byte, 4+BlockSize) that
-	// reconstructPositions lends an IntoReader backend for the source
-	// blocks of a decode. Block-granular on purpose: a light repair wants
-	// five frames, not a sixteen-frame slab.
+	// frames pools the block-sized frames (*[]byte, 4+BlockSize) lent to
+	// an IntoReader backend for a decode's sources and a rebalance move.
+	// Block-granular on purpose: a light repair wants five frames, not a
+	// sixteen-frame slab.
 	frames sync.Pool
 
 	// db is the metadata plane: every manifest, the repair queue and the
@@ -192,13 +192,14 @@ type Store struct {
 	pinMu sync.Mutex
 	pins  map[verKey]int
 
-	// Reclamation (reclaim.go): retired versions whose blocks are not all
-	// deleted yet, the block keys queued since a batch last took the
-	// list, and the gauge of block keys still waiting.
-	reclaimMu     sync.Mutex
-	pending       []*retired
-	fresh         int
-	pendingBlocks atomic.Int64
+	// Reclamation (reclaim.go): the pending list, the block keys queued
+	// since a batch last took it, the gauge of keys still waiting, and the
+	// counts of relocated copies awaiting deletion and being written.
+	reclaimMu         sync.Mutex
+	pending           []*retired
+	fresh             int
+	pendingBlocks     atomic.Int64
+	deleting, landing map[blockRef]int
 
 	gen atomic.Int64 // Put generation, keeps block keys unique
 	seq atomic.Int64 // stripe placement rotation
@@ -216,7 +217,7 @@ type Store struct {
 	// cache is the hot-block read cache, nil unless Config.CacheBytes
 	// is set. Invalidation rides the same paths that make blocks stale:
 	// retire (overwrite/delete; for a version a reader pinned, its
-	// reclamation) and relocateBlock (repair/rebalance write-backs).
+	// reclamation) and relocate (repair/rebalance write-backs).
 	cache *blockCache
 
 	m counters
@@ -255,6 +256,8 @@ func open(cfg Config, db *meta.DB) (*Store, error) {
 		placer:    newPlacer(cfg.Codec, cfg.Racks),
 		alive:     make([]bool, cfg.Nodes),
 		pins:      make(map[verKey]int),
+		deleting:  make(map[blockRef]int),
+		landing:   make(map[blockRef]int),
 		repairLim: NewLimiter(cfg.RepairRateBytes),
 		scrubLim:  NewLimiter(cfg.ScrubRateBytes),
 		rebalLim:  NewLimiter(cfg.RebalanceRateBytes),
@@ -804,7 +807,7 @@ func (s *Store) stripeSnapshot(ref stripeRef) (stripeInfo, bool) {
 }
 
 // withRelocation returns a copy of the manifest with one stripe position
-// moved to another node — the copy-on-write half of relocateBlock. Only
+// moved to another node — the copy-on-write half of relocate. Only
 // the touched stripe's node slice is duplicated; the rest, keys included
 // (a block key is fixed by name, generation, stripe and position), alias
 // the old version, which is immutable by the same contract.
@@ -818,36 +821,68 @@ func (o *objectInfo) withRelocation(idx, pos, node int) *objectInfo {
 	return &n
 }
 
-// relocateBlock points one stripe position at a new node after a repair
-// or rebalance rewrite, committing a copy-on-write replacement manifest.
-// It reports false — leaving the manifest untouched — if the object was
-// deleted or overwritten under the rewrite (the generation check, redone
-// inside the transaction: splicing an old version's block into a new
-// manifest would serve stale bytes).
-func (s *Store) relocateBlock(ref stripeRef, pos, node int) bool {
-	relocated := false
-	key := ""
-	err := s.db.Commit(func(tx *meta.Tx) {
-		v, ok := tx.Get(objKey(ref.name))
-		if !ok {
-			return
-		}
-		obj := v.(*objectInfo)
-		if obj.Gen != ref.gen || ref.idx >= len(obj.Stripes) {
-			return
-		}
-		if pos < 0 || pos >= len(obj.Stripes[ref.idx].Nodes) {
-			return
-		}
-		key = obj.Stripes[ref.idx].Keys[pos]
-		tx.Put(objKey(ref.name), obj.withRelocation(ref.idx, pos, node))
-		relocated = true
-	})
-	if err == nil && relocated && s.cache != nil {
+// relocate writes frame, stripe position pos of ref, to node under key
+// and splices node into the manifest, copy-on-write, with the relocation
+// record of the copy that leaves: the one the manifest held, or the one
+// written when the splice is refused — the object was deleted or
+// overwritten (splicing an old version's block into a new manifest would
+// serve stale bytes), or a racing relocation named node's copy for
+// deletion. Block keys carry no node component, so a block can move back
+// onto a copy whose delete is pending (a refused one) or in flight: it
+// writes nothing then, and batches hold back a delete of the copy it is
+// writing until the splice is decided.
+func (s *Store) relocate(ref stripeRef, pos, node int, key string, frame []byte) bool {
+	b := blockRef{node, key}
+	s.reclaimMu.Lock()
+	if s.deleting[b] > 0 {
+		s.reclaimMu.Unlock()
+		return false
+	}
+	s.landing[b]++
+	s.reclaimMu.Unlock()
+	spliced := false
+	var gone *retired
+	err := s.cfg.Backend.Write(node, key, frame)
+	if err == nil {
+		err = s.db.Commit(func(tx *meta.Tx) {
+			s.reclaimMu.Lock()
+			defer s.reclaimMu.Unlock()
+			if s.deleting[b] > 0 {
+				return // the copy just written is named already
+			}
+			old := b
+			v, _ := tx.Get(objKey(ref.name))
+			if obj, ok := v.(*objectInfo); ok && obj.Gen == ref.gen && ref.idx < len(obj.Stripes) {
+				old.node, spliced = obj.Stripes[ref.idx].Nodes[pos], true
+				tx.Put(objKey(ref.name), obj.withRelocation(ref.idx, pos, node))
+			}
+			if old.node >= 0 && (old.node != node || !spliced) {
+				// A failed commit leaves old marked, which is moot: the
+				// plane is down for good (meta's WAL errors are sticky).
+				gone = &retired{rec: relocKey(old), left: []blockRef{old}}
+				tx.Put(gone.rec, nil)
+				s.deleting[old]++
+			}
+		})
+	}
+	s.reclaimMu.Lock()
+	drop(s.landing, b)
+	s.reclaimMu.Unlock()
+	if err != nil {
+		return false
+	}
+	if spliced && s.cache != nil {
 		// Repair and rebalance write-backs commit here; a cached copy of
 		// the pre-repair payload (or of a corrupt block rebuilt in place)
 		// must not serve past this point.
 		s.cache.invalidate(key)
 	}
-	return err == nil && relocated
+	if gone != nil {
+		// Reclaimed at once, not batched: a later relocation's placement
+		// must not depend on whether a batch has run. A refused delete
+		// stays pending.
+		s.pendingBlocks.Add(1)
+		_ = s.reclaim([]*retired{gone})
+	}
+	return spliced
 }
