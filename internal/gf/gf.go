@@ -11,13 +11,14 @@
 // in uint16 so a single implementation covers m up to 16; the common case
 // used by the (10,6,5) Xorbas code is GF(2^8).
 //
-// The GF(2^8) region multiplies (MulSlice, MulAddSlice, DotSlices,
+// The region primitives (XORSlice, MulSlice, MulAddSlice, DotSlices,
 // WideTables.Dot) have two bodies that produce identical bytes. On amd64
 // with AVX2 — found at start-up by a CPUID/XGETBV stub, kernel_amd64.s —
-// they run a split-nibble byte-shuffle kernel, 32 bytes per step. On every
-// other architecture, on amd64 without AVX2 and under -tags purego they
-// run pure-Go table loops, which are also the oracle the vector body is
-// tested against. XOR is word-wise Go everywhere.
+// a GF(2^8) multiply runs a split-nibble byte-shuffle kernel and an
+// all-ones combination (a local parity, a light decode) a multi-source
+// XOR kernel, 32 bytes per step. On every other architecture, on amd64
+// without AVX2 and under -tags purego they run pure-Go table and word
+// loops, which are also the oracle the vector body is tested against.
 package gf
 
 import (

@@ -21,3 +21,11 @@ func dotRowAVX2(tab *nibTab, srcs [][]byte, dst []byte, off, n int, acc bool)
 //
 //go:noescape
 func dotRow4AVX2(tab *[4]nibTab, srcs [][]byte, dsts *[4][]byte, off, n int)
+
+// xorAVX2 sets dst[off:off+n] = ⊕_j srcs[j][off:off+n], the all-ones
+// combination with no tables. len(srcs) must be at least 1 and n a
+// positive multiple of 32 with off+n inside dst and every source; dst may
+// be one of the sources.
+//
+//go:noescape
+func xorAVX2(srcs [][]byte, dst []byte, off, n int)

@@ -145,3 +145,73 @@ row4src:
 	JB      row4pos
 	VZEROUPPER
 	RET
+
+// func xorAVX2(srcs [][]byte, dst []byte, off, n int)
+//
+// dst[off:off+n] = ⊕_j srcs[j][off:off+n]: 128 bytes (four YMM
+// accumulators) per step while they fit, then 32 bytes per step. Every
+// source of a position is read before the position is written, so dst may
+// be one of the sources. len(srcs) ≥ 1, n is a positive multiple of 32 and
+// the caller has checked off+n against every slice.
+TEXT ·xorAVX2(SB), NOSPLIT, $0-64
+	MOVQ srcs_base+0(FP), SI
+	MOVQ srcs_len+8(FP), R8
+	MOVQ dst_base+24(FP), DX
+	MOVQ off+48(FP), BX
+	MOVQ n+56(FP), CX
+	ADDQ BX, CX
+	LEAQ (R8)(R8*2), R8
+	SHLQ $3, R8                // bytes of slice headers: 24·len(srcs)
+	MOVQ (SI), R11             // srcs[0] seeds the accumulators
+
+xor128pos:
+	LEAQ    128(BX), R9
+	CMPQ    R9, CX
+	JA      xor32pos
+	VMOVDQU (R11)(BX*1), Y0
+	VMOVDQU 32(R11)(BX*1), Y1
+	VMOVDQU 64(R11)(BX*1), Y2
+	VMOVDQU 96(R11)(BX*1), Y3
+	MOVQ    $24, R10
+
+xor128src:
+	CMPQ  R10, R8
+	JAE   xor128store
+	MOVQ  (SI)(R10*1), R12
+	VPXOR (R12)(BX*1), Y0, Y0
+	VPXOR 32(R12)(BX*1), Y1, Y1
+	VPXOR 64(R12)(BX*1), Y2, Y2
+	VPXOR 96(R12)(BX*1), Y3, Y3
+	ADDQ  $24, R10
+	JMP   xor128src
+
+xor128store:
+	VMOVDQU Y0, (DX)(BX*1)
+	VMOVDQU Y1, 32(DX)(BX*1)
+	VMOVDQU Y2, 64(DX)(BX*1)
+	VMOVDQU Y3, 96(DX)(BX*1)
+	MOVQ    R9, BX
+	JMP     xor128pos
+
+xor32pos:
+	CMPQ    BX, CX
+	JAE     xordone
+	VMOVDQU (R11)(BX*1), Y0
+	MOVQ    $24, R10
+
+xor32src:
+	CMPQ  R10, R8
+	JAE   xor32store
+	MOVQ  (SI)(R10*1), R12
+	VPXOR (R12)(BX*1), Y0, Y0
+	ADDQ  $24, R10
+	JMP   xor32src
+
+xor32store:
+	VMOVDQU Y0, (DX)(BX*1)
+	ADDQ    $32, BX
+	JMP     xor32pos
+
+xordone:
+	VZEROUPPER
+	RET

@@ -13,3 +13,7 @@ func dotRowAVX2(tab *nibTab, srcs [][]byte, dst []byte, off, n int, acc bool) {
 func dotRow4AVX2(tab *[4]nibTab, srcs [][]byte, dsts *[4][]byte, off, n int) {
 	panic("gf: no vector kernel in this build")
 }
+
+func xorAVX2(srcs [][]byte, dst []byte, off, n int) {
+	panic("gf: no vector kernel in this build")
+}

@@ -6,15 +6,17 @@ import "encoding/binary"
 // encoders: every parity block is a linear combination Σ c_i·X_i of data
 // blocks, computed column-wise over the block payloads. For GF(2^8) each
 // payload byte is one field element; the local XOR parities of the Xorbas
-// code (all c_i = 1) reduce to plain XOR, which XORSlice provides without
-// any table lookups.
+// code (all c_i = 1) and every light decode reduce to plain XOR, which
+// XORSlice and the all-ones DotSlices provide without any table lookups.
 //
-// The GF(2^8) multiply primitives have two bodies (package doc). Where
-// useVector is set, every region's longest 32-byte multiple goes through
-// the shuffle kernel and only the tail through the pure-Go loops below;
-// everywhere else those loops are the whole body. They index a per-Field
-// cached 256×256 table (see Field.mulRow) instead of rebuilding a
-// 256-byte row per call. Neither body allocates.
+// Every region primitive has two bodies (package doc). Where useVector is
+// set, every region's longest 32-byte multiple goes through an AVX2
+// kernel — the shuffle kernel for a multiply, the XOR kernel for an
+// all-ones combination — and only the tail through the pure-Go loops
+// below; everywhere else those loops are the whole body. The multiply
+// loops index a per-Field cached 256×256 table (see Field.mulRow) instead
+// of rebuilding a 256-byte row per call; the XOR loops work a 64-bit word
+// at a time. Neither body allocates.
 
 // nibTab is one coefficient in the vector kernels' form: c·x =
 // t[x&15] ^ t[16+x>>4], two 16-entry tables a byte shuffle can index.
@@ -56,6 +58,17 @@ func (f *Field) dotVector(coeffs []Elem, dst []byte, srcs [][]byte, acc bool) in
 	return n
 }
 
+// xorVector is dotVector for an all-ones combination: dst = ⊕ srcs over
+// the longest 32-byte multiple, through the XOR kernel. len(srcs) ≥ 1.
+func xorVector(dst []byte, srcs [][]byte) int {
+	n := len(dst) &^ 31
+	if !useVector || n == 0 {
+		return 0
+	}
+	xorAVX2(srcs, dst, 0, n)
+	return n
+}
+
 // XORSlice sets dst[i] ^= src[i] for all i. dst and src must have equal
 // length and may alias only if identical. This is the entire arithmetic of
 // the Xorbas local parities (coefficients c_i = 1, Section 2.1).
@@ -63,6 +76,8 @@ func XORSlice(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf: XORSlice length mismatch")
 	}
+	done := xorVector(dst, [][]byte{dst, src})
+	dst, src = dst[done:], src[done:]
 	n := len(dst) &^ 7
 	for i := 0; i < n; i += 8 {
 		binary.LittleEndian.PutUint64(dst[i:],
@@ -147,7 +162,7 @@ func (f *Field) MulAddSlice(c Elem, dst, src []byte) {
 // dst. All srcs and dst must share one length. The first contribution
 // overwrites dst directly (no zeroing pass). Two dispatch tiers keep the
 // encode hot loop fast: an all-ones coefficient vector (the Xorbas local
-// parities) collapses to a word-wise multi-source XOR, and general
+// parities, every light decode) collapses to a multi-source XOR, and general
 // coefficients take the vector kernel (every source of a position in one
 // pass) or, on the portable path, a pairwise-fused table kernel that
 // touches dst once per two sources instead of once per source.
@@ -213,16 +228,31 @@ func (f *Field) mulAdd2(c1, c2 Elem, dst, a, b []byte) {
 	}
 }
 
-// xorIntoSlices sets dst = srcs[0] ^ srcs[1] ^ … word-wise, overwriting
-// dst: the whole arithmetic of a local parity column, with dst written
-// once for the entire group instead of once per member. Arities up to
-// five — the Xorbas light recipe reads exactly five blocks, the decode
-// hot path — get fixed-shape kernels whose slice bases stay in
-// registers; wider sets peel five sources at a time.
+// xorIntoSlices sets dst = srcs[0] ^ srcs[1] ^ …, overwriting dst: the
+// whole arithmetic of a local parity column and of a light decode, with
+// dst written once for the entire group instead of once per member. The
+// vector body XORs every source of 32 bytes in one kernel step, whatever
+// the arity, and leaves a tail of under 32 bytes to a byte loop. The
+// portable body works word-wise: arities up to five — the Xorbas light
+// recipe reads exactly five blocks, the decode hot path — get fixed-shape
+// kernels whose slice bases stay in registers; wider sets peel five
+// sources at a time.
 func xorIntoSlices(dst []byte, srcs [][]byte) {
-	switch len(srcs) {
-	case 1:
+	if len(srcs) == 1 {
 		copy(dst, srcs[0])
+		return
+	}
+	if done := xorVector(dst, srcs); done > 0 {
+		for i := done; i < len(dst); i++ {
+			b := srcs[0][i]
+			for _, s := range srcs[1:] {
+				b ^= s[i]
+			}
+			dst[i] = b
+		}
+		return
+	}
+	switch len(srcs) {
 	case 2:
 		xor2(dst, srcs[0], srcs[1])
 	case 3:

@@ -69,6 +69,21 @@ func naiveDot(f *Field, coeffs []Elem, srcs [][]byte, i int) byte {
 	return byte(acc)
 }
 
+// xorArities are the all-ones source counts the allocation and guard-page
+// tests run: a plain pair, the Xorbas light recipe, and a heavy decode
+// wider than the portable body's five-source kernels.
+var xorArities = []int{2, 5, 13}
+
+// onesCoeffs returns k coefficients that are all 1: an all-ones
+// combination, which DotSlices sends to the XOR kernels.
+func onesCoeffs(k int) []Elem {
+	c := make([]Elem, k)
+	for j := range c {
+		c[j] = 1
+	}
+	return c
+}
+
 // mixedCoeffs draws k coefficients with zeros and ones mixed into dense
 // values, at least one of them dense.
 func mixedCoeffs(rng *rand.Rand, k int) []Elem {
@@ -131,23 +146,29 @@ func testMulKernelsMatchNaiveAllCoefficients(t *testing.T) {
 	}
 }
 
-// TestXORSliceMatchesNaive covers the word body plus every tail length.
+// TestXORSliceMatchesNaive covers the vector steps, the word loop and
+// every tail length, with source and destination each starting off the
+// 32-byte boundary.
 func TestXORSliceMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(100))
-	for _, n := range kernelLens {
-		dst := make([]byte, n)
-		src := make([]byte, n)
-		rng.Read(dst)
-		rng.Read(src)
-		want := make([]byte, n)
-		for i := range dst {
-			want[i] = dst[i] ^ src[i]
+	eachBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(100))
+		for _, n := range kernelLens {
+			for _, o := range []int{0, 1, 7, 31} {
+				dst := aligned(o + n)[o:]
+				src := aligned(3*o + n)[3*o:]
+				rng.Read(dst)
+				rng.Read(src)
+				want := make([]byte, n)
+				for i := range dst {
+					want[i] = dst[i] ^ src[i]
+				}
+				XORSlice(dst, src)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("XORSlice(n=%d, dst+%d, src+%d) diverges from naive reference", n, o, 3*o%32)
+				}
+			}
 		}
-		XORSlice(dst, src)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("XORSlice(n=%d) diverges from naive reference", n)
-		}
-	}
+	})
 }
 
 // TestMulSliceAliased pins dst==src aliasing: MulSlice documents that dst
@@ -176,15 +197,22 @@ func testMulSliceAliased(t *testing.T) {
 }
 
 // TestXORSliceAliasedSelfZeroes: x ^= x must zero the slice (identical
-// aliasing is the only aliasing XORSlice admits).
+// aliasing is the only aliasing XORSlice admits), on every body and
+// length: the vector kernel reads dst and src before it writes either.
 func TestXORSliceAliasedSelfZeroes(t *testing.T) {
-	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-	XORSlice(buf, buf)
-	for i, b := range buf {
-		if b != 0 {
-			t.Fatalf("buf[%d] = %d after self-XOR", i, b)
+	eachBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(104))
+		for _, n := range kernelLens {
+			buf := aligned(n + 5)[5:]
+			rng.Read(buf)
+			XORSlice(buf, buf)
+			for i, b := range buf {
+				if b != 0 {
+					t.Fatalf("n=%d: buf[%d] = %d after self-XOR", n, i, b)
+				}
+			}
 		}
-	}
+	})
 }
 
 // TestMulAddSlice16MatchesNaive checks the word-lane GF(2^16) kernel
@@ -301,39 +329,42 @@ func testDotSlicesMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestXORIntoSlicesAllArities pins the fixed-arity xor2..xor5 kernels
-// and the wide-arity peeling fallback (xor5 + xor5in + XORSlice tail)
-// byte-identical to a naive reference for 1..13 sources across every
-// word/tail length split. Arity ≥ 6 is reachable from an all-ones
-// DotSlices heavy-decode vector, and only this path runs xor5in.
+// TestXORIntoSlicesAllArities pins the all-ones DotSlices byte-identical
+// to a naive reference for 1..16 sources across every vector-step and
+// word/tail length split, each source and the destination starting at
+// its own offset off the 32-byte boundary. Portable body: the fixed-arity
+// xor2..xor5 kernels and the wide-arity peeling fallback (xor5 + xor5in +
+// XORSlice tail); arity ≥ 6 is reachable from an all-ones heavy-decode
+// vector, and only this path runs xor5in. Vector body: the XOR kernel's
+// four-register and one-register steps, then the byte tail.
 func TestXORIntoSlicesAllArities(t *testing.T) {
-	f := MustNew(8)
-	rng := rand.New(rand.NewSource(107))
-	for arity := 1; arity <= 13; arity++ {
-		coeffs := make([]Elem, arity)
-		for j := range coeffs {
-			coeffs[j] = 1
-		}
-		for _, n := range kernelLens {
-			srcs := make([][]byte, arity)
-			for j := range srcs {
-				srcs[j] = make([]byte, n)
-				rng.Read(srcs[j])
-			}
-			want := make([]byte, n)
-			for _, s := range srcs {
-				for i := range want {
-					want[i] ^= s[i]
+	eachBody(t, func(t *testing.T) {
+		f := MustNew(8)
+		rng := rand.New(rand.NewSource(107))
+		for arity := 1; arity <= 16; arity++ {
+			coeffs := onesCoeffs(arity)
+			for _, n := range kernelLens {
+				srcs := make([][]byte, arity)
+				for j := range srcs {
+					o := (5 * j) % 32
+					srcs[j] = aligned(o + n)[o:]
+					rng.Read(srcs[j])
+				}
+				want := make([]byte, n)
+				for _, s := range srcs {
+					for i := range want {
+						want[i] ^= s[i]
+					}
+				}
+				got := aligned(arity + n)[arity:]
+				rng.Read(got) // stale contents must be overwritten
+				f.DotSlices(coeffs, got, srcs)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("arity %d len %d: all-ones DotSlices mismatch", arity, n)
 				}
 			}
-			got := make([]byte, n)
-			rng.Read(got) // stale contents must be overwritten
-			f.DotSlices(coeffs, got, srcs)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("arity %d len %d: all-ones DotSlices mismatch", arity, n)
-			}
 		}
-	}
+	})
 }
 
 // TestMulKernelsLargeBlock runs the primitives over a whole 1 MiB block,
@@ -494,10 +525,15 @@ func TestRegionPrimitivesDoNotAllocate(t *testing.T) {
 		for l := range dsts {
 			dsts[l] = make([]byte, len(dst))
 		}
+		ones := onesCoeffs(13)
 		if n := testing.AllocsPerRun(10, func() {
 			f.MulSlice(coeffs[0], dst, srcs[0])
 			f.MulAddSlice(coeffs[0], dst, srcs[0])
 			f.DotSlices(coeffs, dst, srcs)
+			XORSlice(dst, srcs[1])
+			for _, arity := range xorArities {
+				f.DotSlices(ones[:arity], dst, srcs[:arity])
+			}
 			w.Dot(dsts, srcs, 3, 4096)
 		}); n != 0 {
 			t.Fatalf("%v allocations per round of calls, want 0", n)

@@ -7,11 +7,12 @@ package gf
 // data, in one of two bodies chosen when it is built.
 //
 // Vector body (useVector: amd64 with AVX2). Columns whose coefficients
-// are all 0 or 1 (the Xorbas local parities) stay word-wise XORs of their
-// sources. Every other column is a row of 32-byte nibble tables, and the
-// rows go through the shuffle kernel four at a time: one load and one
-// nibble split of each source serve four parities, exactly the four
-// dense rows RS(10,4) and Xorbas have.
+// are all 0 or 1 (the Xorbas local parities) are XOR rows: each goes
+// through the XOR kernel over the sources it names, with no tables. Every
+// other column is a row of 32-byte nibble tables, and the rows go through
+// the shuffle kernel four at a time: one load and one nibble split of
+// each source serve four parities, exactly the four dense rows RS(10,4)
+// and Xorbas have.
 //
 // Portable body (everywhere else). For each data source s the P
 // byte-products {c_{0,s}·a, …, c_{P-1,s}·a} of every possible byte a are
@@ -194,8 +195,8 @@ func (w *WideTables) Dot(dsts, srcs [][]byte, from, to int) {
 	}
 }
 
-// dotChunk is the vector body of one chunk, [off, off+n): the shuffle
-// kernels over its 32-byte multiple, then (last chunk only) the tail
+// dotChunk is the vector body of one chunk, [off, off+n): the shuffle and
+// XOR kernels over its 32-byte multiple, then (last chunk only) the tail
 // byte-wise.
 func (w *WideTables) dotChunk(dsts, srcs [][]byte, off, n int) {
 	body := n &^ 31
@@ -209,9 +210,9 @@ func (w *WideTables) dotChunk(dsts, srcs [][]byte, off, n int) {
 		for _, x := range w.xors {
 			xs = xs[:0]
 			for _, s := range x.srcs {
-				xs = append(xs, srcs[s][off:off+body])
+				xs = append(xs, srcs[s])
 			}
-			xorIntoSlices(dsts[x.lane][off:off+body], xs)
+			xorAVX2(xs, dsts[x.lane], off, body)
 		}
 	}
 	for l, col := range w.cols {

@@ -140,7 +140,7 @@ func (c *Code) ReconstructBlock(stripe [][]byte, i int) (payload []byte, light b
 // rebuilt block can unlock another's recipe (two losses chained through
 // the implied parity group) — then a single heavy solve shared by every
 // remaining position. Repairing m losses costs one plan/decode pass
-// through the word-wise XOR and fused table kernels instead of m full
+// through the field package's XOR and table kernels instead of m full
 // O(k²) stripe decodes. The input stripe is not modified.
 //
 // payloads is aligned with positions; a nil entry means that block could

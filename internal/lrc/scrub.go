@@ -29,28 +29,24 @@ func (c *Code) GroupSyndrome(stripe [][]byte, group int) ([]byte, error) {
 	}
 	g := c.groups[group]
 	// Use the light recipe of the group's first member: member = Σ
-	// coef·reads ⇒ syndrome = member + Σ coef·reads.
+	// coef·reads ⇒ syndrome = 1·member + Σ coef·reads, one pass.
 	anchor := g.Members[0]
 	r := c.recipeCache[anchor]
 	if r == nil {
 		return nil, fmt.Errorf("lrc: group %d has no parity equation", group)
 	}
-	size := -1
+	srcs := make([][]byte, 0, 1+len(r.reads))
 	for _, j := range append([]int{anchor}, r.reads...) {
 		if stripe[j] == nil {
 			return nil, fmt.Errorf("lrc: block %d missing; syndrome needs the full group", j)
 		}
-		if size == -1 {
-			size = len(stripe[j])
-		} else if len(stripe[j]) != size {
+		if len(srcs) > 0 && len(stripe[j]) != len(srcs[0]) {
 			return nil, fmt.Errorf("lrc: block %d size mismatch", j)
 		}
+		srcs = append(srcs, stripe[j])
 	}
-	syn := make([]byte, size)
-	gf.XORSlice(syn, stripe[anchor])
-	for ji, j := range r.reads {
-		c.f.MulAddSlice(r.coefs[ji], syn, stripe[j])
-	}
+	syn := make([]byte, len(srcs[0]))
+	c.f.DotSlices(append([]gf.Elem{1}, r.coefs...), syn, srcs)
 	return syn, nil
 }
 

@@ -473,8 +473,8 @@ func (s *Store) lightRepairable(damaged []int, avail []bool) bool {
 // batched decode: the union of the codec's repair plans (light local
 // sets first, heavy fallback — cached per erasure pattern) is fetched
 // concurrently through the bounded read pool, then a single
-// ReconstructMany pass rebuilds all targets through the word-wise XOR
-// and fused table kernels. stripe holds payloads already in hand and is
+// ReconstructMany pass rebuilds all targets through the field package's
+// XOR and table kernels. stripe holds payloads already in hand and is
 // filled in place; avail marks positions believed readable and is
 // downgraded as fetches fail, re-planning until every target is rebuilt
 // or provably unrecoverable. On an unrecoverable stripe the targets that
