@@ -16,14 +16,11 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/lrc"
@@ -529,76 +526,6 @@ func BenchmarkRebalance(b *testing.B) {
 				b.ReportMetric(float64(m.RepairBlocksRead)/float64(m.RepairedBlocks), "read-blocks/drained")
 			}
 			b.ReportMetric(float64(moved)/float64(b.N), "blocks-moved/op")
-		})
-	}
-}
-
-// BenchmarkHedgedGet measures the tail-latency story of hedged reads:
-// one node of twenty answers 10ms late on every request (a straggler,
-// not a corpse — the breaker never opens), and each sub-benchmark GETs
-// the same 2-stripe object. Unhedged, every GET waits out the straggler
-// once per stripe; hedged, the read fires the reconstruction race past
-// the p90 latency and the decode beats the slow socket. p99-ms is the
-// per-GET 99th percentile — the paper-adjacent "tail at scale" claim on
-// this datapath.
-func BenchmarkHedgedGet(b *testing.B) {
-	const (
-		nodes = 20
-		stall = 10 * time.Millisecond
-		size  = 2 * 10 * (64 << 10) // 2 full stripes
-	)
-	for _, mode := range []struct {
-		name     string
-		quantile float64
-	}{
-		{"unhedged", 0},
-		{"hedged", 0.9},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			fb := store.NewFaultBackend(store.NewMemBackend(), nodes)
-			s, err := store.New(store.Config{
-				Backend:       fb,
-				Nodes:         nodes,
-				BlockSize:     64 << 10,
-				HedgeQuantile: mode.quantile,
-				HedgeMinDelay: 2 * time.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := s.PutReader("bench", pattern.NewReader(size)); err != nil {
-				b.Fatal(err)
-			}
-			// Slow exactly one node that holds a block of stripe 0, so
-			// every GET meets the straggler.
-			slow, _, err := s.BlockLocation("bench", 0, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fb.SetFault(slow, store.Fault{Latency: stall})
-			// Warm the latency histogram so the hedge quantile is real.
-			for i := 0; i < 8; i++ {
-				if _, err := s.GetWriter("bench", io.Discard); err != nil {
-					b.Fatal(err)
-				}
-			}
-			lats := make([]time.Duration, 0, b.N)
-			b.SetBytes(size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := time.Now()
-				if _, err := s.GetWriter("bench", io.Discard); err != nil {
-					b.Fatal(err)
-				}
-				lats = append(lats, time.Since(start))
-			}
-			b.StopTimer()
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			p99 := lats[len(lats)*99/100]
-			b.ReportMetric(float64(p99)/1e6, "p99-ms")
-			m := s.Metrics()
-			b.ReportMetric(float64(m.HedgeFires)/float64(b.N), "hedge-fires/op")
-			b.ReportMetric(float64(m.HedgeWins)/float64(b.N), "hedge-wins/op")
 		})
 	}
 }

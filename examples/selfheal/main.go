@@ -5,8 +5,7 @@
 // flips a node), repair drains automatically, the replacement process
 // comes up empty and is re-marked alive and re-filled — and the whole
 // time, reads keep returning exact bytes, with the circuit breaker
-// fast-failing the dead socket and hedged reads racing reconstruction
-// against stragglers.
+// fast-failing the dead socket.
 package main
 
 import (
@@ -35,7 +34,7 @@ const (
 
 func main() {
 	fmt.Println("== Self-healing: chaos schedule vs. health monitor ==")
-	fmt.Printf("%d TCP block servers, breaker threshold 3, hedge at p90\n\n", nodes)
+	fmt.Printf("%d TCP block servers, breaker threshold 3\n\n", nodes)
 
 	cl, err := chaos.NewCluster(nodes, netblock.Options{
 		DialTimeout:        250 * time.Millisecond,
@@ -51,11 +50,9 @@ func main() {
 	defer cl.Close()
 
 	s, err := store.New(store.Config{
-		Backend:       cl.Backend(),
-		Nodes:         nodes,
-		BlockSize:     blockSize,
-		HedgeQuantile: 0.9,
-		HedgeMinDelay: 10 * time.Millisecond,
+		Backend:   cl.Backend(),
+		Nodes:     nodes,
+		BlockSize: blockSize,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -129,19 +126,6 @@ func main() {
 	rm.Drain()
 	m = s.Metrics()
 	fmt.Printf("auto-revival: AutoRevivals=%d; revival scrub re-filled the blank disk\n", m.AutoRevivals)
-
-	// A slow node (not dead — just slow) shows the hedge: past the p90
-	// latency the read races parallel reconstruction against the straggler.
-	fmt.Printf("\n-- chaos: node 7 turns into a straggler (+150ms per request) --\n")
-	if err := cl.SetFault(7, store.Fault{Latency: 150 * time.Millisecond}); err != nil {
-		log.Fatal(err)
-	}
-	getExact(srv.URL, want.Bytes()) // warm the latency histogram past the stall
-	hedged := getExact(srv.URL, want.Bytes())
-	m = s.Metrics()
-	fmt.Printf("GET with straggler: %v, HedgeFires=%d HedgeWins=%d (reconstruction beat the slow socket)\n",
-		hedged.Round(time.Millisecond), m.HedgeFires, m.HedgeWins)
-	cl.SetFault(7, store.Fault{})
 
 	// The operator's view of all of the above: /healthz.
 	hz, err := http.Get(srv.URL + "/healthz")

@@ -50,8 +50,6 @@ func TestRebalanceUnderChurn(t *testing.T) {
 		// Pace the migration hard enough that the drain is still in
 		// flight when the kill and the join land on top of it.
 		RebalanceRateBytes: 256 << 10,
-		HedgeQuantile:      0.9,
-		HedgeMinDelay:      25 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

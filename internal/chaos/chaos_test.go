@@ -291,11 +291,9 @@ func TestSelfHealingUnderTraffic(t *testing.T) {
 	defer cl.Close()
 
 	s, err := store.New(store.Config{
-		Backend:       cl.Backend(),
-		Nodes:         nodes,
-		BlockSize:     4 << 10,
-		HedgeQuantile: 0.9,
-		HedgeMinDelay: 25 * time.Millisecond,
+		Backend:   cl.Backend(),
+		Nodes:     nodes,
+		BlockSize: 4 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -507,8 +507,8 @@ func parseRange(h string, size int64) (off, length int64, ok, satisfiable bool) 
 	}
 	if lo == "" {
 		// Suffix range: last N bytes.
-		n, err := strconv.ParseInt(hi, 10, 64)
-		if err != nil || n < 0 {
+		n, valid := bytePos(hi)
+		if !valid {
 			return 0, 0, false, false
 		}
 		if n == 0 || size == 0 {
@@ -519,24 +519,27 @@ func parseRange(h string, size int64) (off, length int64, ok, satisfiable bool) 
 		}
 		return size - n, n, true, true
 	}
-	start, err := strconv.ParseInt(lo, 10, 64)
-	if err != nil || start < 0 {
+	start, valid := bytePos(lo)
+	if !valid {
 		return 0, 0, false, false
+	}
+	end := size - 1 // open-ended "a-"
+	if hi != "" {
+		if end, valid = bytePos(hi); !valid || end < start {
+			return 0, 0, false, false
+		}
 	}
 	if start >= size {
 		return 0, 0, true, false
 	}
-	end := size - 1 // open-ended "a-"
-	if hi != "" {
-		end, err = strconv.ParseInt(hi, 10, 64)
-		if err != nil || end < start {
-			return 0, 0, false, false
-		}
-		if end > size-1 {
-			end = size - 1
-		}
-	}
-	return start, end - start + 1, true, true
+	return start, min(end, size-1) - start + 1, true, true
+}
+
+// bytePos parses one position of a byte range, which RFC 7233 §2.1
+// spells 1*DIGIT: no sign, no space. One past int64 is refused too.
+func bytePos(s string) (int64, bool) {
+	n, err := strconv.ParseUint(s, 10, 63)
+	return int64(n), err == nil
 }
 
 // handleHead answers the object's size with no body.

@@ -162,7 +162,10 @@ func TestRangeConformance(t *testing.T) {
 	}
 
 	// Malformed and multi-range headers are ignored: full 200.
-	for _, h := range []string{"bytes=abc-def", "lines=0-10", "bytes=0-1,5-6", "bytes=9-5"} {
+	// Positions are digits only (RFC 7233 §2.1), so a signed one is
+	// malformed too, and so is the end of a range that starts past the
+	// object.
+	for _, h := range []string{"bytes=abc-def", "lines=0-10", "bytes=0-1,5-6", "bytes=9-5", "bytes=+0-+9", "bytes=-+5", "bytes=99999-x"} {
 		resp, body := do(t, "GET", url, nil, "Range", h)
 		wantStatus(t, resp, body, 200)
 		if !bytes.Equal(body, obj) {

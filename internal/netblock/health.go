@@ -15,10 +15,9 @@ import (
 // failing transport-level stops costing callers a dial timeout per
 // operation — the breaker opens and operations fail in nanoseconds,
 // which the store treats like any other block failure and reconstructs
-// around (the Dean & Barroso tail-tolerance playbook: fail fast, hedge,
-// back off). After a jittered exponential cooldown the breaker goes
-// half-open and one probe (the protocol's ping) decides whether the
-// node is back.
+// around (fail fast, then back off). After a jittered exponential
+// cooldown the breaker goes half-open and one probe (the protocol's
+// ping) decides whether the node is back.
 
 // ErrBreakerOpen reports an operation refused locally because the
 // node's circuit breaker is open — the node has failed enough

@@ -13,8 +13,8 @@ const latBuckets = 40
 // LatencyHist is a cumulative log2-bucketed latency histogram, lock-free
 // for hot paths: an observation lands in the bucket indexed by the bit
 // length of its latency in microseconds, so bucket i holds [2^(i-1), 2^i)
-// µs. The zero value is ready. It backs the store's hedge trigger
-// (block-read latency) and the gateway's per-verb /metrics quantiles.
+// µs. The zero value is ready. It backs the gateway's per-verb /metrics
+// quantiles.
 type LatencyHist struct {
 	buckets [latBuckets]atomic.Int64
 	count   atomic.Int64
@@ -37,22 +37,12 @@ func (h *LatencyHist) Observe(d time.Duration) {
 // Count returns how many latencies have been observed.
 func (h *LatencyHist) Count() int64 { return h.count.Load() }
 
-// Quantile returns the upper edge of the bucket holding the q-quantile
-// observation, the one at zero-based rank ⌊q·n⌋ — the hedge trigger's
-// convention: p90 of ten reads is the slowest, so one straggler in ten
-// does not arm the trigger on itself. 0 when nothing has been observed.
-func (h *LatencyHist) Quantile(q float64) time.Duration {
-	return h.AtRank(int64(q*float64(h.count.Load())) + 1)
-}
-
 // AtRank returns the upper edge of the bucket holding the rank-th
 // fastest observation (one-based, clamped to [1, Count]), 0 when nothing
 // has been observed. Factor-of-two coarse, and it rounds up, never down:
-// an overestimate by at most 2× is the right bias both for a hedge
-// trigger (fire late rather than storm the backend) and for reported
-// tails. Callers that need their own rank rounding (the gateway's
-// /metrics uses round-half-up) pass the rank; Quantile is the common
-// rule.
+// an overestimate by at most 2× is the right bias for reported tails.
+// The caller chooses the rank rounding (the gateway's /metrics uses
+// round-half-up of q·n).
 func (h *LatencyHist) AtRank(rank int64) time.Duration {
 	total := h.count.Load()
 	if total == 0 {

@@ -180,42 +180,17 @@ func TestBorrowedSourcesNeverEscape(t *testing.T) {
 	}
 }
 
-// slowNode delays every read of one node, through Read and ReadInto
-// alike, so a hedged GET's race has a straggler to abandon.
-type slowNode struct {
-	*lendingBackend
-	node  int
-	delay time.Duration
-}
-
-func (b *slowNode) Read(node int, key string) ([]byte, error) {
-	if node == b.node {
-		time.Sleep(b.delay)
-	}
-	return b.lendingBackend.Read(node, key)
-}
-
-func (b *slowNode) ReadInto(node int, key string, dst []byte) ([]byte, error) {
-	if node == b.node {
-		time.Sleep(b.delay)
-	}
-	return b.lendingBackend.ReadInto(node, key, dst)
-}
-
 // TestBorrowConcurrent races everything that borrows frames against
-// everything that could be handed one by mistake: degraded and hedged
-// GETs (a slow node keeps the hedge firing, a dead one keeps reads
-// degraded), a repair pipeline draining the dead node, and overwrites
-// retiring the versions under both. Every GET returns some complete
-// version of its object. Run under -race -count=10 in CI: a frame pooled
-// while a read into it is still in flight is a reported race.
+// everything that could be handed one by mistake: degraded GETs (a dead
+// node keeps reads degraded), a repair pipeline draining the dead node,
+// and overwrites retiring the versions under both. Every GET returns
+// some complete version of its object. Run under -race -count=10 in CI:
+// a frame pooled while a read into it is still in flight is a reported
+// race.
 func TestBorrowConcurrent(t *testing.T) {
 	const bs = 128
-	be := &slowNode{lendingBackend: &lendingBackend{MemBackend: NewMemBackend()}, node: 2, delay: 3 * time.Millisecond}
-	s := newTestStore(t, Config{
-		Backend: be, BlockSize: bs, CacheBytes: 64 << 10,
-		HedgeQuantile: 0.5, HedgeMinDelay: time.Millisecond,
-	})
+	be := &lendingBackend{MemBackend: NewMemBackend()}
+	s := newTestStore(t, Config{Backend: be, BlockSize: bs, CacheBytes: 64 << 10})
 	k := s.Codec().K()
 	const names, versions = 4, 3
 	// version v of object i is 2 stripes and a bit of one byte value, so
@@ -282,7 +257,7 @@ func TestBorrowConcurrent(t *testing.T) {
 			t.Errorf("c%d after the race: err %v, last version %v", i, err, bytes.Equal(got, body(i, versions-1)))
 		}
 	}
-	if m := s.Metrics(); m.HedgeFires == 0 || m.RepairedBlocks == 0 || m.DegradedReads == 0 {
-		t.Errorf("hedge fires %d, repaired blocks %d, degraded reads %d: the race missed a contender", m.HedgeFires, m.RepairedBlocks, m.DegradedReads)
+	if m := s.Metrics(); m.RepairedBlocks == 0 || m.DegradedReads == 0 {
+		t.Errorf("repaired blocks %d, degraded reads %d: the race missed a contender", m.RepairedBlocks, m.DegradedReads)
 	}
 }

@@ -6,10 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/meta"
-	"repro/internal/stats"
 )
 
 // Config sizes a Store. Zero fields take defaults.
@@ -61,19 +59,6 @@ type Config struct {
 	// left zero to take the recorded values, and a non-zero one that
 	// disagrees fails New with ErrGeometryMismatch.
 	MetaDir string
-	// HedgeQuantile enables hedged stripe reads: when one block fetch of
-	// a stripe sits past this quantile of recent block-read latency, the
-	// degraded-path reconstruction race fires instead of waiting on the
-	// straggler (Dean & Barroso's hedged requests, with erasure decode
-	// as the backup request). Must be in (0, 1); 0 disables hedging.
-	// With one slow node in the cluster, ~k/nodes of stripes touch it,
-	// so a quantile below that pollution rate (0.9 with defaults) keeps
-	// the trigger armed.
-	HedgeQuantile float64
-	// HedgeMinDelay floors the hedge trigger delay (default 2ms when
-	// hedging is enabled) so a cold latency histogram or an all-memory
-	// backend never fires hedges on microsecond jitter.
-	HedgeMinDelay time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -92,9 +77,6 @@ func (c *Config) fillDefaults() {
 	if c.BlockSize == 0 {
 		c.BlockSize = 64 << 10
 	}
-	if c.HedgeQuantile > 0 && c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = 2 * time.Millisecond
-	}
 }
 
 // validate rejects what no plane could make valid. It runs before the
@@ -109,9 +91,6 @@ func (c *Config) validate() error {
 	}
 	if c.BlockSize < 0 {
 		return fmt.Errorf("store: block size must be positive, got %d", c.BlockSize)
-	}
-	if c.HedgeQuantile != 0 && (c.HedgeQuantile < 0 || c.HedgeQuantile >= 1) {
-		return fmt.Errorf("store: hedge quantile must be in (0,1), got %g", c.HedgeQuantile)
 	}
 	return nil
 }
@@ -209,10 +188,6 @@ type Store struct {
 	repairLim *Limiter
 	scrubLim  *Limiter
 	rebalLim  *Limiter
-
-	// readLat is the block-read latency histogram feeding the hedge
-	// trigger's quantile.
-	readLat stats.LatencyHist
 
 	// cache is the hot-block read cache, nil unless Config.CacheBytes
 	// is set. Invalidation rides the same paths that make blocks stale:
@@ -437,12 +412,10 @@ func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *L
 	if !s.Alive(node) {
 		return nil, fmt.Errorf("store: node %d is dead", node)
 	}
-	start := time.Now()
 	raw, err := readInto(s.cfg.Backend, node, si.Keys[pos], dst)
 	if err != nil {
 		return nil, err
 	}
-	s.readLat.Observe(time.Since(start))
 	acct.blocks++
 	acct.bytes += int64(len(raw))
 	lim.Take(int64(len(raw)))
@@ -473,26 +446,26 @@ func (s *Store) lightRepairable(damaged []int, avail []bool) bool {
 // batched decode: the union of the codec's repair plans (light local
 // sets first, heavy fallback — cached per erasure pattern) is fetched
 // concurrently through the bounded read pool, then a single
-// ReconstructMany pass rebuilds all targets through the field package's
-// XOR and table kernels. stripe holds payloads already in hand and is
-// filled in place; avail marks positions believed readable and is
+// ReconstructManyInto pass rebuilds all targets through the field
+// package's XOR and table kernels. stripe holds payloads already in hand
+// and is filled in place; avail marks positions believed readable and is
 // downgraded as fetches fail, re-planning until every target is rebuilt
 // or provably unrecoverable. On an unrecoverable stripe the targets that
 // can be rebuilt still are (partial progress) and the first failure is
-// returned. A non-nil dstFor supplies the decode buffer for each target
-// position (the repair engine's reusable framed slabs) and selects the
-// codec's zero-allocation ReconstructManyInto path.
+// returned. dstFor supplies the decode buffer for each target position:
+// the repair engine's reusable framed slabs, or a fresh block for a
+// degraded GET.
 //
 // The sources fetched here live for one decode, so over a backend that
 // can receive into a caller's buffer (IntoReader) they are borrowed, not
 // allocated: each lands in a frame from s.frames, and on return — every
 // return — each frame is back in the pool and its stripe entry is nil
 // again. What the caller finds in stripe afterwards is what it put there
-// plus the rebuilt targets, which are the codec's fresh payloads or
-// dstFor's buffers and never alias a frame (ReconstructManyInto copies
-// or computes into dst); nothing borrowed can reach the cache, a writer
-// or a write-back. Positions the caller wants to keep (a GET's own
-// blocks) it fetches itself, through Read.
+// plus the rebuilt targets, which are dstFor's buffers and never alias a
+// frame (ReconstructManyInto copies or computes into dst); nothing
+// borrowed can reach the cache, a writer or a write-back. Positions the
+// caller wants to keep (a GET's own blocks) it fetches itself, through
+// Read.
 func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int, avail []bool, acct *readAcct, lim *Limiter, dstFor func(pos int) []byte) error {
 	var firstErr error
 	n := len(stripe)
@@ -552,28 +525,19 @@ func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int
 		if s.fetchBlocks(si, stripe, wanted, avail, acct, lim, frames) {
 			continue // a source failed; re-plan with the downgraded avail
 		}
-		var payloads [][]byte
-		var filled, lights []bool
-		var err error
-		if dstFor != nil {
-			payloads = make([][]byte, len(targets))
-			for ti, pos := range targets {
-				payloads[ti] = dstFor(pos)
-			}
-			filled, lights, err = s.cfg.Codec.ReconstructManyInto(stripe, targets, payloads)
-		} else {
-			payloads, lights, err = s.cfg.Codec.ReconstructMany(stripe, targets)
+		payloads := make([][]byte, len(targets))
+		for ti, pos := range targets {
+			payloads[ti] = dstFor(pos)
 		}
+		filled, lights, err := s.cfg.Codec.ReconstructManyInto(stripe, targets, payloads)
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("%w: %v", ErrUnrecoverable, err)
 		}
-		for ti, pos := range targets {
-			if payloads == nil || payloads[ti] == nil {
+		for ti, ok := range filled {
+			if !ok {
 				continue
 			}
-			if dstFor != nil && (filled == nil || !filled[ti]) {
-				continue // Into path: the buffer was not filled
-			}
+			pos := targets[ti]
 			stripe[pos] = payloads[ti]
 			avail[pos] = true
 			if lights[ti] {
@@ -582,9 +546,9 @@ func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int
 				acct.heavy++
 			}
 		}
-		// Every planned source was in hand, so a target ReconstructMany
-		// left nil is genuinely unrecoverable — re-looping could not fetch
-		// anything new.
+		// Every planned source was in hand, so a target
+		// ReconstructManyInto left unfilled is genuinely unrecoverable —
+		// re-looping could not fetch anything new.
 		return firstErr
 	}
 }

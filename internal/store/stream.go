@@ -396,7 +396,7 @@ func (r *fetchResult) release(c *blockCache) {
 // memory, pinned until the caller releases the result so eviction can
 // never recycle a payload under the decode, and only the misses go to
 // the backend — a fully cached stripe returns without touching the
-// backend or arming the hedge machinery at all.
+// backend at all.
 func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetchResult {
 	for i := range scratch {
 		scratch[i] = nil
@@ -425,11 +425,7 @@ func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetc
 	for pos := 0; pos < n; pos++ {
 		avail[pos] = s.Alive(si.Nodes[pos])
 	}
-	if d := s.hedgeDelay(); d > 0 {
-		s.fetchPositionsHedged(si, scratch, want, avail, &res, d)
-	} else {
-		s.fetchPositions(si, scratch, want, avail, &res)
-	}
+	s.fetchPositions(si, scratch, want, avail, &res)
 	if c := s.cache; c != nil && res.err == nil {
 		// Cache what the backend (or the decode) just produced — but only
 		// the wanted positions: reconstruction sources outside the window
@@ -461,7 +457,7 @@ func (s *Store) fetchPositions(si *stripeInfo, scratch [][]byte, want []int, ava
 		}
 	}
 	res.acct.degraded = true
-	if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil, nil); err != nil {
+	if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil, func(int) []byte { return make([]byte, si.BlockLen) }); err != nil {
 		res.err = err
 	}
 }
