@@ -61,10 +61,11 @@ func nodeUsage() {
 	os.Exit(2)
 }
 
-// nodePing dials the listed nodes, probes each up to -probes times, and
-// prints liveness plus breaker/window state per node. A node is down when
-// every probe failed; exit status 1 when any node is down, so scripts can
-// gate on it.
+// nodePing dials the listed nodes, probes each up to -probes times with
+// the HealthMonitor's probe (CheckNode: one ping on a fresh connection),
+// and prints liveness plus the outcome window per node. A node is down
+// when every probe failed; exit status 1 when any node is down, so
+// scripts can gate on it.
 func nodePing(args []string) error {
 	fs := flag.NewFlagSet("node ping", flag.ExitOnError)
 	nodesFlag := fs.String("nodes", "", "comma-separated node addresses")
@@ -77,10 +78,7 @@ func nodePing(args []string) error {
 		return fmt.Errorf("node ping needs -nodes")
 	}
 	addrs := strings.Split(*nodesFlag, ",")
-	c, err := netblock.Dial(addrs, netblock.Options{
-		DialTimeout: *timeout,
-		Retries:     -1, // each probe is one attempt; the probe loop is the retry policy
-	})
+	c, err := netblock.Dial(addrs, netblock.Options{DialTimeout: *timeout})
 	if err != nil {
 		return err
 	}
@@ -91,7 +89,7 @@ func nodePing(args []string) error {
 	down := 0
 	for i := range addrs {
 		for p := 0; p < *probes && !up[i]; p++ {
-			up[i] = c.Ping(i) == nil
+			up[i] = c.CheckNode(i) == nil
 		}
 		if !up[i] {
 			down++
@@ -102,9 +100,8 @@ func nodePing(args []string) error {
 		if up[info.Node] {
 			status = "up"
 		}
-		fmt.Printf("node %2d  %-22s %-4s breaker=%-9s ops=%d errRate=%.2f consecFails=%d p50=%s p99=%s",
-			info.Node, addrs[info.Node], status, info.State,
-			info.WindowOps, info.WindowErrRate, info.ConsecFails, info.P50, info.P99)
+		fmt.Printf("node %2d  %-22s %-4s ops=%d errRate=%.2f consecFails=%d p50=%s p99=%s",
+			info.Node, addrs[info.Node], status, info.WindowOps, info.WindowErrRate, info.ConsecFails, info.P50, info.P99)
 		if info.LastErr != "" {
 			fmt.Printf("  lastErr=%q", info.LastErr)
 		}

@@ -4,8 +4,10 @@
 // confirm the death (three missed beats, so one dropped packet never
 // flips a node), repair drains automatically, the replacement process
 // comes up empty and is re-marked alive and re-filled — and the whole
-// time, reads keep returning exact bytes, with the circuit breaker
-// fast-failing the dead socket.
+// time, reads keep returning exact bytes. The monitor is the only
+// failure detector: until it confirms the death a read pays the dead
+// socket's refused connections, and after that the store sends nothing
+// to the node.
 package main
 
 import (
@@ -34,15 +36,12 @@ const (
 
 func main() {
 	fmt.Println("== Self-healing: chaos schedule vs. health monitor ==")
-	fmt.Printf("%d TCP block servers, breaker threshold 3\n\n", nodes)
+	fmt.Printf("%d TCP block servers, death confirmed after 3 missed probes\n\n", nodes)
 
 	cl, err := chaos.NewCluster(nodes, netblock.Options{
-		DialTimeout:        250 * time.Millisecond,
-		Retries:            1,
-		RetryBackoff:       2 * time.Millisecond,
-		BreakerThreshold:   3,
-		BreakerCooldown:    50 * time.Millisecond,
-		BreakerMaxCooldown: 250 * time.Millisecond,
+		DialTimeout:  250 * time.Millisecond,
+		Retries:      1,
+		RetryBackoff: 2 * time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -101,14 +100,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Reads keep working the whole time the node is dark: first attempts
-	// eat the dial timeout, then the breaker opens and failure is free.
-	coldRead := getExact(srv.URL, want.Bytes())
-	warmRead := getExact(srv.URL, want.Bytes())
-	fmt.Printf("degraded GET while dead: %v (paying dial timeouts), then %v (breaker open, fail-fast)\n",
-		coldRead.Round(time.Millisecond), warmRead.Round(time.Millisecond))
-
+	// Reads keep working the whole time the node is dark: before the
+	// monitor confirms the death a read pays the dead node's failed
+	// attempts, after it the store reads around the node without asking.
+	suspectRead := getExact(srv.URL, want.Bytes())
 	waitUntil("monitor confirms the death", func() bool { return !s.Alive(victim) })
+	deadRead := getExact(srv.URL, want.Bytes())
+	fmt.Printf("degraded GET: %v before the monitor's verdict (paying failed attempts), %v after (node skipped)\n",
+		suspectRead.Round(time.Millisecond), deadRead.Round(time.Millisecond))
 	rm.Drain()
 	m := s.Metrics()
 	fmt.Printf("auto-death confirmed: AutoDeaths=%d, repair drained %d blocks (reading ~%.1f survivors each)\n",
@@ -136,22 +135,17 @@ func main() {
 		Status    string `json:"status"`
 		LiveNodes int    `json:"live_nodes"`
 		Nodes     []struct {
-			Node    int    `json:"node"`
-			Alive   bool   `json:"alive"`
-			Breaker string `json:"breaker"`
-			Opens   int64  `json:"opens"`
+			Node      int  `json:"node"`
+			Alive     bool `json:"alive"`
+			WindowOps int  `json:"window_ops"`
 		} `json:"nodes"`
 	}
 	if err := json.NewDecoder(hz.Body).Decode(&health); err != nil {
 		log.Fatal(err)
 	}
 	hz.Body.Close()
-	opens := int64(0)
-	for _, n := range health.Nodes {
-		opens += n.Opens
-	}
-	fmt.Printf("\n/healthz: status=%q live=%d/%d, breaker opens across the window: %d\n",
-		health.Status, health.LiveNodes, len(health.Nodes), opens)
+	fmt.Printf("\n/healthz: status=%q live=%d/%d, node %d's window since the restart: %d ops\n",
+		health.Status, health.LiveNodes, len(health.Nodes), victim, health.Nodes[victim].WindowOps)
 
 	// Convergence: nothing left to fix, and the bytes never lied.
 	rm.Drain()

@@ -18,7 +18,7 @@ import (
 //
 // The FaultBackend wrapper is what a Store should mount: it forwards
 // the client's WireStats, HealthChecker and HealthStats interfaces, so
-// breaker state, wire counters and monitor probes all see through the
+// outcome windows, wire counters and monitor probes all see through the
 // fault layer.
 type Cluster struct {
 	mu      sync.Mutex
@@ -33,8 +33,7 @@ type Cluster struct {
 
 // NewCluster boots n servers and dials the client with opts (zero
 // fields take netblock defaults; chaos tests usually shrink
-// DialTimeout, RetryBackoff and the breaker cooldown so scenarios
-// converge in test time).
+// DialTimeout and RetryBackoff so scenarios converge in test time).
 func NewCluster(n int, opts netblock.Options) (*Cluster, error) {
 	c := &Cluster{
 		servers:  make([]*netblock.Server, n),
@@ -65,8 +64,8 @@ func NewCluster(n int, opts netblock.Options) (*Cluster, error) {
 // Backend returns what a Store should mount as its Config.Backend.
 func (c *Cluster) Backend() store.Backend { return c.fault }
 
-// Client returns the underlying netblock client (breaker snapshots,
-// wire counters).
+// Client returns the underlying netblock client (outcome windows, wire
+// counters).
 func (c *Cluster) Client() *netblock.Client { return c.client }
 
 // Fault returns the injection layer, for direct scripting outside a

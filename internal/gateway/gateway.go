@@ -304,9 +304,7 @@ type healthNode struct {
 	Node        int     `json:"node"`
 	Alive       bool    `json:"alive"`
 	State       string  `json:"state"`
-	Breaker     string  `json:"breaker"`
 	ConsecFails int     `json:"consec_fails,omitempty"`
-	Opens       int64   `json:"opens,omitempty"`
 	WindowOps   int     `json:"window_ops,omitempty"`
 	ErrRate     float64 `json:"err_rate,omitempty"`
 	P50Ms       float64 `json:"p50_ms,omitempty"`
@@ -328,8 +326,8 @@ type healthMembership struct {
 }
 
 // healthReport is the /healthz body: overall status plus the per-node
-// failure-plane view (liveness as the store records it, breaker state
-// as the backend sees it, membership state as planned).
+// failure-plane view (liveness as the store records it, the transport's
+// outcome window as the backend sees it, membership state as planned).
 type healthReport struct {
 	Status     string           `json:"status"`
 	LiveNodes  int              `json:"live_nodes"`
@@ -363,9 +361,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter) {
 			Node:        info.Node,
 			Alive:       info.Alive,
 			State:       state,
-			Breaker:     info.State,
 			ConsecFails: info.ConsecFails,
-			Opens:       info.Opens,
 			WindowOps:   info.WindowOps,
 			ErrRate:     info.WindowErrRate,
 			P50Ms:       float64(info.P50.Microseconds()) / 1e3,

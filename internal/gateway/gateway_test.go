@@ -289,9 +289,8 @@ func TestWriteDegradedSheds(t *testing.T) {
 		Status    string `json:"status"`
 		LiveNodes int    `json:"live_nodes"`
 		Nodes     []struct {
-			Node    int    `json:"node"`
-			Alive   bool   `json:"alive"`
-			Breaker string `json:"breaker"`
+			Node  int  `json:"node"`
+			Alive bool `json:"alive"`
 		} `json:"nodes"`
 	}
 	if err := json.Unmarshal(body, &rep); err != nil {
@@ -387,8 +386,12 @@ func TestAdmission429(t *testing.T) {
 
 func TestInflightCap(t *testing.T) {
 	_, srv := newTestGateway(t, Config{MaxInflight: 1})
-	// Park one PUT mid-body so it holds the tenant's only slot.
+	// Park one PUT mid-body so it holds the tenant's only slot. Cleanups
+	// run last-registered first, so this one ends the body before
+	// srv.Close waits on the handler reading it, even when the test
+	// fails before its own Close.
 	pr, pw := io.Pipe()
+	t.Cleanup(func() { pw.Close() })
 	errc := make(chan error, 1)
 	go func() {
 		req, _ := http.NewRequest("PUT", srv.URL+"/t/acme/slow", pr)
@@ -416,8 +419,13 @@ func TestInflightCap(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	pw.Close()
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked PUT never completed after its body ended")
 	}
 	// Slot released: the tenant serves again.
 	resp, body := do(t, "GET", srv.URL+"/t/acme/slow", nil)

@@ -39,20 +39,6 @@ type Options struct {
 	// budget runs out the operation fails with whatever error the last
 	// attempt produced, even if attempts remain.
 	RetryBudget time.Duration
-	// BreakerThreshold is how many consecutive transport failures open a
-	// node's circuit breaker (default 5; negative disables the breaker).
-	// With the breaker open, operations on the node fail fast with
-	// ErrBreakerOpen instead of burning a dial timeout each; after a
-	// jittered exponential cooldown one operation is admitted as the
-	// half-open probe (a protocol ping) and its outcome closes or
-	// re-opens the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is the breaker's base open duration (default
-	// 250ms), doubling on every consecutive re-open up to
-	// BreakerMaxCooldown (default 15s). Both are jittered.
-	BreakerCooldown time.Duration
-	// BreakerMaxCooldown caps the exponential cooldown growth.
-	BreakerMaxCooldown time.Duration
 	// ChunkSize is the window size for streamed block transfers
 	// (ReadBlockTo / WriteBlockFrom), default 1 MiB. Each window is one
 	// request/response, so the per-operation deadline applies per window
@@ -82,17 +68,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.RetryBudget <= 0 {
 		o.RetryBudget = 15 * time.Second
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
-	} else if o.BreakerThreshold < 0 {
-		o.BreakerThreshold = -1
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 250 * time.Millisecond
-	}
-	if o.BreakerMaxCooldown <= 0 {
-		o.BreakerMaxCooldown = 15 * time.Second
 	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 1 << 20
@@ -149,10 +124,7 @@ func Dial(addrs []string, opts Options) (*Client, error) {
 		if a == "" {
 			return nil, fmt.Errorf("netblock: empty address for node %d", i)
 		}
-		c.nodes[i] = &clientNode{
-			addr:   a,
-			health: newNodeHealth(opts.BreakerThreshold, opts.BreakerCooldown, opts.BreakerMaxCooldown),
-		}
+		c.nodes[i] = &clientNode{addr: a, health: new(nodeHealth)}
 	}
 	return c, nil
 }
@@ -173,10 +145,7 @@ func (c *Client) AddNode(addr string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := len(c.nodes)
-	c.nodes = append(c.nodes, &clientNode{
-		addr:   addr,
-		health: newNodeHealth(c.opts.BreakerThreshold, c.opts.BreakerCooldown, c.opts.BreakerMaxCooldown),
-	})
+	c.nodes = append(c.nodes, &clientNode{addr: addr, health: new(nodeHealth)})
 	return id, nil
 }
 
@@ -204,7 +173,7 @@ func (c *Client) SetNode(node int, addr string) error {
 		conn.Close()
 	}
 	// The old process's failures say nothing about the new one: start it
-	// with a clean window and a closed breaker.
+	// with a clean window.
 	n.health.reset()
 	return nil
 }
@@ -248,6 +217,10 @@ func (c *Client) node(node int) (*clientNode, error) {
 	return c.nodes[node], nil
 }
 
+// dial opens a connection to a node. It is a variable so tests can
+// script the transport's dial failures.
+var dial = net.DialTimeout
+
 // getConn pops an idle connection (pooled=true) or dials a fresh one.
 // addr is the node address the connection belongs to — putConn uses it
 // to spot connections that outlived a SetNode.
@@ -262,7 +235,7 @@ func (c *Client) getConn(n *clientNode) (conn net.Conn, addr string, pooled bool
 	}
 	addr = n.addr
 	n.mu.Unlock()
-	conn, err = net.DialTimeout("tcp", addr, c.opts.DialTimeout)
+	conn, err = dial("tcp", addr, c.opts.DialTimeout)
 	return conn, addr, false, err
 }
 
@@ -289,7 +262,9 @@ func (c *Client) putConn(n *clientNode, conn net.Conn, addr string) {
 // leaves up to idlePerNode dead sockets behind, and charging those against
 // the retry budget could declare a healthy node unreachable before a
 // single fresh dial — only freshly dialed attempts count against the
-// retry count, the health window and the breaker. Options.RetryBudget
+// retry count and the outcome window, each timed from before its dial.
+// Whether the node is down is not decided here: the store keeps a node
+// its HealthMonitor has marked dead off the wire. Options.RetryBudget
 // caps the operation's total wall-time across attempts and sleeps. The
 // returned payload is the response body (block bytes for reads), received
 // into dst when dst is non-nil and the body fits it (readResponse). Every
@@ -308,28 +283,15 @@ func (c *Client) do(node int, op byte, key string, data, dst []byte) ([]byte, er
 	if len(key) > maxKeyLen {
 		return nil, fmt.Errorf("netblock: key length %d exceeds limit %d", len(key), maxKeyLen)
 	}
-	probe, err := n.health.allow()
-	if err != nil {
-		return nil, fmt.Errorf("netblock: node %d: %w", node, err)
-	}
-	if probe && op != opPing {
-		// Half-open: prove the node answers a ping on a fresh connection
-		// before committing the real (possibly payload-heavy) operation.
-		// The ping's outcome drives the breaker; a success also clears
-		// the probing latch so the real op below runs against a closed
-		// breaker.
-		if err := c.attempt(n, node); err != nil {
-			return nil, fmt.Errorf("netblock: node %d failed half-open probe: %w", node, err)
-		}
-	}
 	deadline := time.Now().Add(c.opts.RetryBudget)
 	backoff := c.opts.RetryBackoff
 	var lastErr error
 	attempt := 0
 	for attempt <= c.opts.Retries {
+		start := time.Now()
 		conn, addr, pooled, err := c.getConn(n)
 		if err != nil {
-			n.health.record(false, 0, err)
+			n.health.record(false, time.Since(start), err)
 			lastErr = err
 			attempt++
 			if !c.backoff(&backoff, attempt, deadline) {
@@ -337,7 +299,6 @@ func (c *Client) do(node int, op byte, key string, data, dst []byte) ([]byte, er
 			}
 			continue
 		}
-		start := time.Now()
 		status, body, err := c.roundTrip(n, conn, op, node, key, data, dst)
 		if err != nil {
 			conn.Close()
@@ -369,9 +330,10 @@ func (c *Client) do(node int, op byte, key string, data, dst []byte) ([]byte, er
 }
 
 // attempt runs one non-retrying ping on a fresh connection, recording
-// the outcome in the node's health window. It is the half-open probe
-// path: pooled connections are skipped because a stale pooled socket
-// failing must not re-open the breaker the probe is trying to close.
+// the outcome in the node's outcome window. It is CheckNode's probe:
+// pooled connections are skipped because a stale pooled socket failing
+// says nothing about the node, and a probe that succeeds on one proves
+// nothing about whether the node still accepts connections.
 func (c *Client) attempt(n *clientNode, node int) error {
 	start := time.Now()
 	// One snapshot serves the dial and the pooling: putConn refuses a
@@ -379,7 +341,7 @@ func (c *Client) attempt(n *clientNode, node int) error {
 	// snapshot taken after a SetNode would vouch for a socket to the old
 	// process under the new address.
 	addr := n.addrSnapshot()
-	conn, err := net.DialTimeout("tcp", addr, c.opts.DialTimeout)
+	conn, err := dial("tcp", addr, c.opts.DialTimeout)
 	if err != nil {
 		n.health.record(false, time.Since(start), err)
 		return err
@@ -516,23 +478,27 @@ func (c *Client) DeleteMany(node int, keys []string) error {
 	return err
 }
 
-// Ping checks liveness of one node over a pooled connection. Ping goes
-// through the same breaker gate as every other operation: with the
-// breaker open it fails fast, and once the cooldown elapses the ping
-// itself is the half-open probe — so a HealthMonitor polling CheckNode
-// is exactly the probe driver the breaker wants.
+// Ping checks liveness of one node over a pooled connection, retried
+// like any other operation.
 func (c *Client) Ping(node int) error {
 	_, err := c.do(node, opPing, "", nil, nil)
 	return err
 }
 
-// CheckNode implements store.HealthChecker: one breaker-aware liveness
-// probe. An open breaker failing fast is the correct monitor signal —
-// the node has already proven itself down this cooldown window.
-func (c *Client) CheckNode(node int) error { return c.Ping(node) }
+// CheckNode implements store.HealthChecker: one ping on a fresh
+// connection, never retried, so a probe costs at most DialTimeout +
+// Timeout. The HealthMonitor's streaks are the retry and hysteresis
+// policy; a second one here would only delay its verdict.
+func (c *Client) CheckNode(node int) error {
+	n, err := c.node(node)
+	if err != nil {
+		return err
+	}
+	return c.attempt(n, node)
+}
 
 // NodeHealth implements store.HealthStats: a snapshot of every node's
-// breaker state and windowed error/latency accounting.
+// windowed error/latency accounting.
 func (c *Client) NodeHealth() []store.NodeHealthInfo {
 	nodes := c.nodesSnapshot()
 	out := make([]store.NodeHealthInfo, len(nodes))

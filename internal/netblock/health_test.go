@@ -4,6 +4,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,116 +25,15 @@ func closedPort(t *testing.T) string {
 	return addr
 }
 
-// TestBreakerOpensAndFailsFast drives a dead node to the failure
-// threshold and checks that further operations fail locally in
-// ErrBreakerOpen without burning a dial timeout each.
-func TestBreakerOpensAndFailsFast(t *testing.T) {
-	addr := closedPort(t)
-	c, err := Dial([]string{addr}, Options{
-		DialTimeout:      200 * time.Millisecond,
-		Retries:          -1, // one attempt per op: threshold arithmetic stays exact
-		RetryBackoff:     -1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour, // never half-opens during the test
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 3; i++ {
-		if err := c.Ping(0); err == nil {
-			t.Fatal("ping of a closed port succeeded")
-		} else if errors.Is(err, ErrBreakerOpen) {
-			t.Fatalf("breaker open after %d failures, threshold is 3", i+1)
-		}
-	}
-	start := time.Now()
-	err = c.Ping(0)
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("want ErrBreakerOpen after threshold, got: %v", err)
-	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("open breaker took %v to answer; want a local fast-fail", d)
-	}
-	infos := c.NodeHealth()
-	if len(infos) != 1 || infos[0].State != "open" {
-		t.Fatalf("NodeHealth = %+v, want one open node", infos)
-	}
-	if infos[0].Opens != 1 || infos[0].ConsecFails < 3 {
-		t.Fatalf("NodeHealth counters = %+v", infos[0])
-	}
-}
-
-// TestBreakerHalfOpenRecovery opens a node's breaker, brings the node
-// back, and checks the half-open probe closes the breaker so real
-// operations flow again — zero operator action.
-func TestBreakerHalfOpenRecovery(t *testing.T) {
-	addr := closedPort(t)
-	c, err := Dial([]string{addr}, Options{
-		DialTimeout:        200 * time.Millisecond,
-		Retries:            -1,
-		RetryBackoff:       -1,
-		BreakerThreshold:   2,
-		BreakerCooldown:    50 * time.Millisecond,
-		BreakerMaxCooldown: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 2; i++ {
-		if err := c.Ping(0); err == nil {
-			t.Fatal("ping of a closed port succeeded")
-		}
-	}
-	if err := c.Ping(0); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("want ErrBreakerOpen, got: %v", err)
-	}
-
-	// Bring the node up on the same address the client already has.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	srv := NewServer(store.NewMemBackend())
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	// Within the cooldown the breaker still fails fast; once it elapses
-	// the next operation is the half-open probe and must succeed.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := c.Ping(0)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrBreakerOpen) {
-			t.Fatalf("unexpected error during recovery: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never recovered after the node came back")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := c.NodeHealth()[0].State; got != "closed" {
-		t.Fatalf("breaker state after recovery = %q, want closed", got)
-	}
-	// A real operation (with a payload) works too.
-	if err := c.Write(0, "k", store.FrameBlock([]byte("back"))); err != nil {
-		t.Fatalf("write after recovery: %v", err)
-	}
-}
-
 // TestRetryBackoffSleeps checks the satellite fix: retry attempts
 // against a down node are spaced by the jittered backoff instead of
 // hammering back-to-back.
 func TestRetryBackoffSleeps(t *testing.T) {
 	addr := closedPort(t)
 	c, err := Dial([]string{addr}, Options{
-		DialTimeout:      100 * time.Millisecond,
-		Retries:          2,
-		RetryBackoff:     40 * time.Millisecond,
-		BreakerThreshold: -1,
+		DialTimeout:  100 * time.Millisecond,
+		Retries:      2,
+		RetryBackoff: 40 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,11 +57,10 @@ func TestRetryBackoffSleeps(t *testing.T) {
 func TestRetryBudgetDeadline(t *testing.T) {
 	addr := closedPort(t)
 	c, err := Dial([]string{addr}, Options{
-		DialTimeout:      100 * time.Millisecond,
-		Retries:          1000,
-		RetryBackoff:     50 * time.Millisecond,
-		RetryBudget:      200 * time.Millisecond,
-		BreakerThreshold: -1,
+		DialTimeout:  100 * time.Millisecond,
+		Retries:      1000,
+		RetryBackoff: 50 * time.Millisecond,
+		RetryBudget:  200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,41 +75,109 @@ func TestRetryBudgetDeadline(t *testing.T) {
 	}
 }
 
-// TestSetNodeResetsBreaker checks that repointing a node clears its
-// failure history — the new process starts with a closed breaker.
-func TestSetNodeResetsBreaker(t *testing.T) {
+// TestSetNodeResetsWindow checks that repointing a node clears its
+// failure history — the new process starts with an empty window.
+func TestSetNodeResetsWindow(t *testing.T) {
 	addr := closedPort(t)
 	c, err := Dial([]string{addr}, Options{
-		DialTimeout:      200 * time.Millisecond,
-		Retries:          -1,
-		RetryBackoff:     -1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
+		DialTimeout:  200 * time.Millisecond,
+		Retries:      -1,
+		RetryBackoff: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	for i := 0; i < 2; i++ {
-		c.Ping(0)
+		if err := c.Ping(0); err == nil {
+			t.Fatal("ping of a closed port succeeded")
+		}
 	}
-	if err := c.Ping(0); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("want ErrBreakerOpen, got: %v", err)
+	if info := c.NodeHealth()[0]; info.ConsecFails != 2 || info.WindowOps != 2 || info.LastErr == "" {
+		t.Fatalf("window before SetNode = %+v, want 2 failed ops", info)
 	}
 	_, addr2 := startServer(t, store.NewMemBackend())
 	if err := c.SetNode(0, addr2); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.NodeHealth()[0].State; got != "closed" {
-		t.Fatalf("breaker state after SetNode = %q, want closed", got)
+	if info := c.NodeHealth()[0]; info.ConsecFails != 0 || info.WindowOps != 0 || info.LastErr != "" {
+		t.Fatalf("window after SetNode = %+v, want empty", info)
 	}
 	if err := c.Ping(0); err != nil {
 		t.Fatalf("ping after SetNode: %v", err)
 	}
 }
 
+// failDials makes every dial of the rest of the test call f and then
+// fail.
+func failDials(t *testing.T, f func()) {
+	orig := dial
+	dial = func(string, string, time.Duration) (net.Conn, error) {
+		f()
+		return nil, errors.New("scripted dial failure")
+	}
+	t.Cleanup(func() { dial = orig })
+}
+
+// TestFailedDialsRecordTheirCost scripts a dial that takes 20ms and then
+// fails, through each path that dials: an ordinary op, CheckNode's probe
+// and a streamed upload's opening handshake. Every failure lands in the
+// window with what it cost the caller, so the window's quantiles show
+// the wait instead of 0µs.
+func TestFailedDialsRecordTheirCost(t *testing.T) {
+	const cost = 20 * time.Millisecond
+	failDials(t, func() { time.Sleep(cost) })
+	c, err := Dial([]string{"127.0.0.1:1"}, Options{Retries: -1, RetryBackoff: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(0); err == nil {
+		t.Fatal("ping over a failing dial succeeded")
+	}
+	if err := c.CheckNode(0); err == nil {
+		t.Fatal("CheckNode over a failing dial succeeded")
+	}
+	if _, err := c.WriteBlockFrom(0, "k", strings.NewReader("x")); err == nil {
+		t.Fatal("WriteBlockFrom over a failing dial succeeded")
+	}
+	info := c.NodeHealth()[0]
+	if info.ConsecFails != 3 || info.WindowOps != 3 || info.WindowErrRate != 1 {
+		t.Fatalf("window = %+v, want 3 failed ops", info)
+	}
+	if info.P50 < cost {
+		t.Fatalf("P50 = %v, want >= %v: failed dials must record their cost", info.P50, cost)
+	}
+}
+
+// TestCheckNodeIsOneAttempt checks that the monitor's probe is a single
+// dial even under a client configured to retry: the HealthMonitor's
+// streaks are the retry policy, so one probe costs at most DialTimeout +
+// Timeout. Ping, an ordinary op, still retries.
+func TestCheckNodeIsOneAttempt(t *testing.T) {
+	var dials atomic.Int64
+	failDials(t, func() { dials.Add(1) })
+	c, err := Dial([]string{"127.0.0.1:1"}, Options{Retries: 2, RetryBackoff: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CheckNode(0); err == nil {
+		t.Fatal("CheckNode over a failing dial succeeded")
+	}
+	if got := dials.Swap(0); got != 1 {
+		t.Fatalf("CheckNode dialed %d times, want 1", got)
+	}
+	if err := c.Ping(0); err == nil {
+		t.Fatal("ping over a failing dial succeeded")
+	}
+	if got := dials.Load(); got != 3 {
+		t.Fatalf("Ping dialed %d times, want 3 (Retries 2)", got)
+	}
+}
+
 // TestProbeConnNotPooledAcrossSetNode re-addresses a node while its
-// half-open probe is in flight: the old process holds its ping reply
+// CheckNode probe is in flight: the old process holds its ping reply
 // until SetNode has run. The probe's connection was dialed to the old
 // address, so when the reply arrives it must be closed, not pooled — a
 // pooled socket to the old process would serve the next operation on the
@@ -232,7 +200,7 @@ func TestProbeConnNotPooledAcrossSetNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	probed := make(chan error, 1)
-	go func() { probed <- c.attempt(n, 0) }()
+	go func() { probed <- c.CheckNode(0) }()
 	<-pinged
 	_, addr2 := startServer(t, store.NewMemBackend())
 	if err := c.SetNode(0, addr2); err != nil {

@@ -12,7 +12,7 @@ import (
 // as a sequence of bounded windows, so a paper-scale 256 MB block never
 // needs a single wire frame (or a deadline sized for one). Reads are
 // stateless — every window is an independent opReadChunk request, so
-// the usual retry/breaker machinery applies per window. Writes stage on
+// the usual retry machinery applies per window. Writes stage on
 // one pinned connection (opWriteBegin/Chunk/Commit) and commit
 // atomically at the server; a connection lost mid-upload discards the
 // stage, never leaving a torn block.
@@ -73,15 +73,6 @@ func (c *Client) WriteBlockFrom(node int, key string, r io.Reader) (int64, error
 	if len(key) > maxKeyLen {
 		return 0, fmt.Errorf("netblock: key length %d exceeds limit %d", len(key), maxKeyLen)
 	}
-	probe, err := n.health.allow()
-	if err != nil {
-		return 0, fmt.Errorf("netblock: node %d: %w", node, err)
-	}
-	if probe {
-		if err := c.attempt(n, node); err != nil {
-			return 0, fmt.Errorf("netblock: node %d failed half-open probe: %w", node, err)
-		}
-	}
 	conn, addr, err := c.beginUpload(n, node, key)
 	if err != nil {
 		return 0, err
@@ -119,12 +110,12 @@ func (c *Client) WriteBlockFrom(node int, key string, r io.Reader) (int64, error
 // attempt is definitive.
 func (c *Client) beginUpload(n *clientNode, node int, key string) (net.Conn, string, error) {
 	for {
+		start := time.Now()
 		conn, addr, pooled, err := c.getConn(n)
 		if err != nil {
-			n.health.record(false, 0, err)
+			n.health.record(false, time.Since(start), err)
 			return nil, "", err
 		}
-		start := time.Now()
 		status, body, rerr := c.roundTrip(n, conn, opWriteBegin, node, key, nil, nil)
 		if rerr != nil {
 			conn.Close()
@@ -147,9 +138,10 @@ func (c *Client) beginUpload(n *clientNode, node int, key string) (net.Conn, str
 // status into an error. Transport failures are terminal for the upload
 // (the stage lives on the connection), so no retry happens here.
 func (c *Client) uploadStep(n *clientNode, conn net.Conn, op byte, node int, key string, data []byte) error {
+	start := time.Now()
 	status, body, err := c.roundTrip(n, conn, op, node, key, data, nil)
 	if err != nil {
-		n.health.record(false, 0, err)
+		n.health.record(false, time.Since(start), err)
 		return err
 	}
 	if status != statusOK {

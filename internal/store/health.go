@@ -16,19 +16,14 @@ import (
 
 // NodeHealthInfo is one node's failure-plane snapshot: liveness as the
 // store records it, plus whatever windowed transport accounting the
-// backend keeps (breaker state, error rate, latency quantiles). A
-// non-tracking backend leaves everything but Node and Alive zero, with
-// State "untracked".
+// backend keeps (error rate, latency quantiles). A non-tracking backend
+// leaves everything but Node and Alive zero. Only Alive says whether
+// the node is down; the rest is evidence for an operator.
 type NodeHealthInfo struct {
-	Node  int
-	Alive bool
-	// State is the node's circuit-breaker state: "closed", "open",
-	// "half-open", or "untracked" when the backend keeps no breaker.
-	State       string
+	Node        int
+	Alive       bool
 	ConsecFails int
-	// Opens counts breaker open transitions since the client was built.
-	Opens   int64
-	LastErr string
+	LastErr     string
 	// Windowed accounting over the backend's recent operations.
 	WindowOps     int
 	WindowErrRate float64
@@ -37,30 +32,27 @@ type NodeHealthInfo struct {
 
 // HealthChecker is an optional Backend extension (like WireStats): one
 // active liveness probe against a node. A nil error means the node
-// answered; any error is a miss. Implementations may fail fast from
-// local state (an open circuit breaker) instead of touching the wire —
-// a node that has already proven itself down this cooldown window is
-// down.
+// answered; any error is a miss. A probe is one attempt: the
+// HealthMonitor's streaks are the only retry policy, so an
+// implementation that retried or failed fast from state of its own
+// would put a second failure detector in front of the first.
 type HealthChecker interface {
 	CheckNode(node int) error
 }
 
-// HealthStats is an optional Backend extension: per-node breaker and
-// window snapshots for observability (the gateway's /healthz, xorbasctl
+// HealthStats is an optional Backend extension: per-node outcome-window
+// snapshots for observability (the gateway's /healthz, xorbasctl
 // node ping).
 type HealthStats interface {
 	NodeHealth() []NodeHealthInfo
 }
 
 // NodeHealth reports every node's failure-plane state: the backend's
-// breaker/window snapshot when it keeps one (HealthStats), overlaid
-// with the store's own liveness record.
+// window snapshot when it keeps one (HealthStats), overlaid with the
+// store's own liveness record.
 func (s *Store) NodeHealth() []NodeHealthInfo {
 	alive := s.aliveSnapshot()
 	infos := make([]NodeHealthInfo, len(alive))
-	for i := range infos {
-		infos[i].State = "untracked"
-	}
 	if hs, ok := s.cfg.Backend.(HealthStats); ok {
 		for i, info := range hs.NodeHealth() {
 			if i < len(infos) {
@@ -186,7 +178,9 @@ func (m *HealthMonitor) Stop() { m.loop.halt() }
 // transitions. A death enqueues a presence scrub (manifest-only walk —
 // every stripe touching the dead node lands in the prioritized repair
 // queue); a revival runs a full scrub so anything the node lost while
-// down is found and fixed.
+// down is found and fixed. Retired (NodeDead) members are not probed:
+// the monitor never kills or revives them, so a probe would only spend a
+// dial, or a full dial timeout when the host is gone.
 func (m *HealthMonitor) tick() {
 	// The node set can grow between ticks (AddNode); size every round
 	// off the membership table and stretch the streak slices to match.
@@ -199,6 +193,9 @@ func (m *HealthMonitor) tick() {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
+		if states[i] == NodeDead {
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -209,6 +206,9 @@ func (m *HealthMonitor) tick() {
 
 	deaths, revived := 0, false
 	for i := 0; i < n; i++ {
+		if states[i] == NodeDead {
+			continue
+		}
 		if errs[i] != nil {
 			m.fails[i]++
 			m.oks[i] = 0
@@ -227,10 +227,8 @@ func (m *HealthMonitor) tick() {
 		}
 		m.oks[i]++
 		m.fails[i] = 0
-		// Suppress revival for draining nodes (same reasoning as above)
-		// and for dead members: a decommissioned process that still
-		// answers pings must never rejoin the topology.
-		if states[i] == NodeDraining || states[i] == NodeDead {
+		// Suppress revival for draining nodes (same reasoning as above).
+		if states[i] == NodeDraining {
 			continue
 		}
 		if m.oks[i] >= m.cfg.ReviveThreshold && !m.s.Alive(i) {

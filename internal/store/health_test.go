@@ -148,7 +148,7 @@ func TestWriteDegradedThreshold(t *testing.T) {
 }
 
 // TestNodeHealthOverlay checks the store's NodeHealth merges its
-// liveness record over the backend view (untracked for MemBackend).
+// liveness record over the backend view (empty for MemBackend).
 func TestNodeHealthOverlay(t *testing.T) {
 	s, err := New(Config{Nodes: 4})
 	if err != nil {
@@ -163,8 +163,8 @@ func TestNodeHealthOverlay(t *testing.T) {
 		if info.Node != i {
 			t.Fatalf("node %d reported as %d", i, info.Node)
 		}
-		if info.State != "untracked" {
-			t.Fatalf("MemBackend node state = %q, want untracked", info.State)
+		if info.WindowOps != 0 || info.ConsecFails != 0 || info.LastErr != "" {
+			t.Fatalf("MemBackend node %d has transport accounting: %+v", i, info)
 		}
 		if wantAlive := i != 2; info.Alive != wantAlive {
 			t.Fatalf("node %d alive = %v", i, info.Alive)

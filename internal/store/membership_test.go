@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -193,7 +194,9 @@ func TestMembershipSurvivesKill9(t *testing.T) {
 func TestMonitorRespectsDraining(t *testing.T) {
 	s := newTestStore(t, Config{Nodes: 20})
 	failing := map[int]bool{}
+	probes := make([]atomic.Int64, 20)
 	probe := func(n int) error {
+		probes[n].Add(1)
 		if failing[n] {
 			return errors.New("probe: no route")
 		}
@@ -222,17 +225,21 @@ func TestMonitorRespectsDraining(t *testing.T) {
 	}
 
 	// The drain protocol retires the node; a still-answering process
-	// must not be revived into the topology.
+	// must not be revived into the topology, and is not even probed.
 	s.KillNode(drainer)
 	if !s.promote(drainer, NodeDraining, NodeDead) {
 		t.Fatal("promote draining→dead failed")
 	}
 	failing[drainer] = false
+	before := probes[drainer].Load()
 	for i := 0; i < 5; i++ {
 		m.tick()
 	}
 	if s.Alive(drainer) {
 		t.Fatal("monitor must not revive a dead member")
+	}
+	if got := probes[drainer].Load() - before; got != 0 {
+		t.Fatalf("monitor probed a retired member %d times, want 0", got)
 	}
 
 	// A draining node the operator killed by hand also stays down: its

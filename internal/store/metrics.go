@@ -133,10 +133,13 @@ type Metrics struct {
 	// harness stops naming the store's internals (ROADMAP.md, item 1).
 	HedgeFires int64
 	// Failure plane: liveness flips made by the HealthMonitor without an
-	// operator, and circuit-breaker open transitions summed over nodes
-	// (present when the backend implements HealthStats).
+	// operator.
 	AutoDeaths, AutoRevivals int64
-	BreakerOpens             int64
+	// BreakerOpens is always 0: the transport has no circuit breaker,
+	// the HealthMonitor alone decides who is down. It stays only because
+	// the benchmark harness reads it, and goes when the harness stops
+	// naming the store's internals (ROADMAP.md, item 1).
+	BreakerOpens int64
 	// Rebalance path: blocks migrated off draining nodes / onto joiners
 	// by the Rebalancer, the payload bytes that moved, and what the moves
 	// read from the backend. A live migration reads exactly one block per
@@ -196,12 +199,6 @@ func (s *Store) Metrics() Metrics {
 			wireRecv += recv[i]
 		}
 	}
-	var breakerOpens int64
-	if hs, ok := s.cfg.Backend.(HealthStats); ok {
-		for _, info := range hs.NodeHealth() {
-			breakerOpens += info.Opens
-		}
-	}
 	m := Metrics{
 		PutBlocks:           s.m.putBlocks.Load(),
 		PutBytes:            s.m.putBytes.Load(),
@@ -223,7 +220,6 @@ func (s *Store) Metrics() Metrics {
 		RepairsHeavy:        s.m.repairsHeavy.Load(),
 		AutoDeaths:          s.m.autoDeaths.Load(),
 		AutoRevivals:        s.m.autoRevivals.Load(),
-		BreakerOpens:        breakerOpens,
 		RebalancedBlocks:    s.m.rebalancedBlocks.Load(),
 		RebalancedBytes:     s.m.rebalancedBytes.Load(),
 		RebalanceBlocksRead: s.m.rebalanceBlocksRead.Load(),
