@@ -75,34 +75,21 @@ func run(argv []string) error {
 		return err
 	}
 
-	// The self-healing plane: repair workers drain whatever scrubs (or
-	// the monitor) enqueue; the monitor turns backend probes into
-	// liveness flips and repair work; the rebalancer moves blocks to
-	// match membership changes. All optional — a store without
-	// -health-interval behaves exactly as before, operator-driven.
+	// The self-healing plane, run by one RepairManager: its workers
+	// drain what the passes enqueue — the scrub walk, the rebalance pass
+	// that follows membership changes, the monitor's probe round that
+	// turns backend probes into liveness flips. A pass whose interval is
+	// 0 is off; with all three off the store is operator-driven.
 	rm := store.NewRepairManager(s, 0)
+	sc := store.NewScrubber(s, rm, *scrubEvery)
+	store.NewRebalancer(s, rm, *rebalEvery)
+	store.NewHealthMonitor(s, sc, store.MonitorConfig{
+		Interval:        *healthEvery,
+		FailThreshold:   *failK,
+		ReviveThreshold: *reviveK,
+	})
 	rm.Start()
 	defer rm.Stop()
-	sc := store.NewScrubber(s, rm, *scrubEvery)
-	if *scrubEvery > 0 {
-		sc.Start()
-		defer sc.Stop()
-	}
-	reb := store.NewRebalancer(s, rm, *rebalEvery)
-	if *rebalEvery > 0 {
-		reb.Start()
-		defer reb.Stop()
-	}
-	var mon *store.HealthMonitor
-	if *healthEvery > 0 {
-		mon = store.NewHealthMonitor(s, rm, sc, store.MonitorConfig{
-			Interval:        *healthEvery,
-			FailThreshold:   *failK,
-			ReviveThreshold: *reviveK,
-		})
-		mon.Start()
-		defer mon.Stop()
-	}
 
 	g, err := gateway.New(gateway.Config{
 		Store:       s,
@@ -156,14 +143,9 @@ func run(argv []string) error {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("xorbasd: shutdown: %v", err)
 	}
-	// Stop the background planes before the close: it checkpoints the
-	// metadata plane, and a repair, scrub or migration still in flight
-	// would race it. The deferred Stops become no-ops.
-	if mon != nil {
-		mon.Stop()
-	}
-	reb.Stop()
-	sc.Stop()
+	// Stop the background plane before the close: it checkpoints the
+	// metadata plane, and a probe round, scrub, migration or repair still
+	// in flight would race it. The deferred Stop becomes a no-op.
 	rm.Stop()
 	log.Printf("xorbasd: checkpointing store")
 	return s.Close()

@@ -3,8 +3,8 @@
 // chaos schedule kills a node process. The HealthMonitor's probes
 // confirm the death (three missed beats, so one dropped packet never
 // flips a node), repair drains automatically, the replacement process
-// comes up empty and is re-marked alive and re-filled — and the whole
-// time, reads keep returning exact bytes. The monitor is the only
+// comes up empty and is re-marked alive, with only its own blocks
+// re-checked — and the whole time, reads keep returning exact bytes. The monitor is the only
 // failure detector: until it confirms the death a read pays the dead
 // socket's refused connections, and after that the store sends nothing
 // to the node.
@@ -58,17 +58,17 @@ func main() {
 	}
 	defer s.Close()
 
+	// One Start runs the repair workers and the monitor's probe round,
+	// one Stop halts both; the monitor alone drives the scrubber's walks.
 	rm := store.NewRepairManager(s, 2)
-	rm.Start()
-	defer rm.Stop()
-	sc := store.NewScrubber(s, rm, time.Hour)
-	mon := store.NewHealthMonitor(s, rm, sc, store.MonitorConfig{
+	sc := store.NewScrubber(s, rm, 0)
+	store.NewHealthMonitor(s, sc, store.MonitorConfig{
 		Interval:        25 * time.Millisecond,
 		FailThreshold:   3,
 		ReviveThreshold: 2,
 	})
-	mon.Start()
-	defer mon.Stop()
+	rm.Start()
+	defer rm.Stop()
 
 	g, err := gateway.New(gateway.Config{Store: s})
 	if err != nil {
@@ -124,7 +124,7 @@ func main() {
 	waitUntil("monitor re-marks it alive", func() bool { return s.Alive(victim) })
 	rm.Drain()
 	m = s.Metrics()
-	fmt.Printf("auto-revival: AutoRevivals=%d; revival scrub re-filled the blank disk\n", m.AutoRevivals)
+	fmt.Printf("auto-revival: AutoRevivals=%d; a presence walk queued only the revived node's blocks for re-check\n", m.AutoRevivals)
 
 	// The operator's view of all of the above: /healthz.
 	hz, err := http.Get(srv.URL + "/healthz")

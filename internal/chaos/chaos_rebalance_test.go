@@ -53,19 +53,15 @@ func TestRebalanceUnderChurn(t *testing.T) {
 	}
 	defer s.Close()
 	rm := store.NewRepairManager(s, 2)
-	rm.Start()
-	defer rm.Stop()
-	sc := store.NewScrubber(s, rm, time.Hour)
-	mon := store.NewHealthMonitor(s, rm, sc, store.MonitorConfig{
+	sc := store.NewScrubber(s, rm, 0)
+	store.NewHealthMonitor(s, sc, store.MonitorConfig{
 		Interval:        20 * time.Millisecond,
 		FailThreshold:   3,
 		ReviveThreshold: 2,
 	})
-	mon.Start()
-	defer mon.Stop()
-	reb := store.NewRebalancer(s, rm, 50*time.Millisecond)
-	reb.Start()
-	defer reb.Stop()
+	store.NewRebalancer(s, rm, 50*time.Millisecond)
+	rm.Start()
+	defer rm.Stop()
 
 	g, err := gateway.New(gateway.Config{Store: s})
 	if err != nil {

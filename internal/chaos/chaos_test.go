@@ -297,16 +297,14 @@ func TestSelfHealingUnderTraffic(t *testing.T) {
 	}
 	defer s.Close()
 	rm := store.NewRepairManager(s, 2)
-	rm.Start()
-	defer rm.Stop()
-	sc := store.NewScrubber(s, rm, time.Hour)
-	mon := store.NewHealthMonitor(s, rm, sc, store.MonitorConfig{
+	sc := store.NewScrubber(s, rm, 0)
+	store.NewHealthMonitor(s, sc, store.MonitorConfig{
 		Interval:        20 * time.Millisecond,
 		FailThreshold:   3,
 		ReviveThreshold: 2,
 	})
-	mon.Start()
-	defer mon.Stop()
+	rm.Start()
+	defer rm.Stop()
 
 	g, err := gateway.New(gateway.Config{Store: s})
 	if err != nil {

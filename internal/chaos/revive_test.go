@@ -48,13 +48,14 @@ func TestReviveOnSameAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	mon := store.NewHealthMonitor(s, nil, nil, store.MonitorConfig{
+	rm := store.NewRepairManager(s, 0)
+	store.NewHealthMonitor(s, store.NewScrubber(s, rm, 0), store.MonitorConfig{
 		Interval:        interval,
 		FailThreshold:   3,
 		ReviveThreshold: 2,
 	})
-	mon.Start()
-	defer mon.Stop()
+	rm.Start()
+	defer rm.Stop()
 
 	servers[victim].Close()
 	down := time.Now()

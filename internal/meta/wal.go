@@ -85,6 +85,11 @@ func decodeRecord(payload []byte) ([]walOp, error) {
 		return nil, fmt.Errorf("%w: bad op count", ErrCorruptLog)
 	}
 	payload = payload[n:]
+	// Every op takes at least one byte, so a count past the bytes left is
+	// corruption, and it must not size the allocation below.
+	if count > uint64(len(payload)) {
+		return nil, fmt.Errorf("%w: op count %d exceeds the record", ErrCorruptLog, count)
+	}
 	ops := make([]walOp, 0, count)
 	readStr := func() (string, error) {
 		l, n := binary.Uvarint(payload)

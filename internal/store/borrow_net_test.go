@@ -54,7 +54,7 @@ func TestRepairSteadyStateAllocation(t *testing.T) {
 	rm := store.NewRepairManager(s, 1)
 	rm.Start()
 	defer rm.Stop()
-	sc := store.NewScrubber(s, rm, time.Hour)
+	sc := store.NewScrubber(s, rm, 0)
 	// repairNode kills a node and drains its repair, returning the blocks
 	// rebuilt and the bytes the whole process allocated meanwhile.
 	repairNode := func(node int) (blocks, alloc int64) {

@@ -165,7 +165,7 @@ func TestBorrowedSourcesNeverEscape(t *testing.T) {
 		// A second node goes, and the manager's own pipeline drains it.
 		s.KillNode(1)
 		rm.Start()
-		sc := NewScrubber(s, rm, time.Hour)
+		sc := NewScrubber(s, rm, 0)
 		sc.ScrubPresence()
 		rm.Drain()
 		rm.Stop()
@@ -206,7 +206,7 @@ func TestBorrowConcurrent(t *testing.T) {
 	rm := NewRepairManager(s, 2)
 	rm.Start()
 	defer rm.Stop()
-	sc := NewScrubber(s, rm, time.Hour)
+	sc := NewScrubber(s, rm, 0)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestBlockCacheEviction: the byte budget holds — inserting far more
@@ -240,7 +239,7 @@ func TestCacheRepairCoherence(t *testing.T) {
 
 	rm := NewRepairManager(s, 2)
 	rm.Start()
-	sc := NewScrubber(s, rm, time.Hour)
+	sc := NewScrubber(s, rm, 0)
 	if rep := sc.ScrubPresence(); rep.Enqueued == 0 {
 		t.Fatalf("presence scrub found nothing to repair: %+v", rep)
 	}

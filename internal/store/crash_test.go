@@ -386,8 +386,8 @@ func TestRelocationCrashChild(t *testing.T) {
 	}
 	rm := NewRepairManager(s, 1) // one write-back in flight at a time
 	rm.Start()
-	sc := NewScrubber(s, rm, time.Hour)
-	rb := NewRebalancer(s, rm, time.Hour)
+	sc := NewScrubber(s, rm, 0)
+	rb := NewRebalancer(s, rm, 0)
 	acked, err := os.OpenFile(filepath.Join(dir, "acked"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@ import (
 // ledger: it probes every node through the backend's health interface,
 // flips the plane-durable liveness record after K consecutive failures
 // (with hysteresis so a flapping node doesn't thrash repair), enqueues
-// prioritized repair on confirmed death, and re-marks alive + re-scrubs
-// on revival.
+// prioritized repair on confirmed death, and re-marks alive + re-checks
+// the revived node's blocks on revival.
 
 // NodeHealthInfo is one node's failure-plane snapshot: liveness as the
 // store records it, plus whatever windowed transport accounting the
@@ -91,7 +91,9 @@ func (s *Store) WriteDegraded() bool {
 
 // MonitorConfig tunes a HealthMonitor. Zero fields take defaults.
 type MonitorConfig struct {
-	// Interval between probe rounds (default 1s).
+	// Interval between probe rounds. A positive Interval registers the
+	// round as a pass of the scrubber's RepairManager; 0 registers
+	// nothing, and the caller ticks by hand.
 	Interval time.Duration
 	// FailThreshold is how many consecutive missed probes confirm a
 	// death (default 3) — the flap damper on the way down.
@@ -102,16 +104,13 @@ type MonitorConfig struct {
 	ReviveThreshold int
 	// Probe overrides the backend's HealthChecker (tests inject fault
 	// scripts here). When nil and the backend implements HealthChecker,
-	// that is used; when neither exists the monitor is inert — Start
-	// does nothing, and operator KillNode/ReviveNode calls stay the only
-	// liveness authority.
+	// that is used; when neither exists the monitor is inert — it
+	// registers no pass, and operator KillNode/ReviveNode calls stay the
+	// only liveness authority.
 	Probe func(node int) error
 }
 
 func (c *MonitorConfig) fillDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = time.Second
-	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3
 	}
@@ -127,22 +126,19 @@ func (c *MonitorConfig) fillDefaults() {
 // assert (only a truly dead process stays dead).
 type HealthMonitor struct {
 	s     *Store
-	rm    *RepairManager
 	sc    *Scrubber
 	cfg   MonitorConfig
 	probe func(node int) error
 
-	// Consecutive outcome streaks per node, touched only by the monitor
-	// goroutine.
+	// Consecutive outcome streaks per node, touched only by tick.
 	fails, oks []int
-
-	loop periodic
 }
 
-// NewHealthMonitor builds a monitor over the store. rm and sc may be
-// nil — then confirmed deaths still flip liveness but nothing enqueues
-// repair (the next operator-run scrub picks the damage up).
-func NewHealthMonitor(s *Store, rm *RepairManager, sc *Scrubber, cfg MonitorConfig) *HealthMonitor {
+// NewHealthMonitor builds a monitor over the store whose confirmed
+// deaths and revivals feed sc's repair queue. With a probe source and a
+// positive cfg.Interval, its probe round becomes one of the passes of
+// sc's RepairManager, started and stopped with it.
+func NewHealthMonitor(s *Store, sc *Scrubber, cfg MonitorConfig) *HealthMonitor {
 	cfg.fillDefaults()
 	probe := cfg.Probe
 	if probe == nil {
@@ -150,36 +146,29 @@ func NewHealthMonitor(s *Store, rm *RepairManager, sc *Scrubber, cfg MonitorConf
 			probe = hc.CheckNode
 		}
 	}
-	return &HealthMonitor{
+	m := &HealthMonitor{
 		s:     s,
-		rm:    rm,
 		sc:    sc,
 		cfg:   cfg,
 		probe: probe,
 		fails: make([]int, s.cfg.Nodes),
 		oks:   make([]int, s.cfg.Nodes),
 	}
-}
-
-// Start launches the probe loop. Idempotent; a no-op when no probe
-// source exists.
-func (m *HealthMonitor) Start() {
-	if m.probe == nil {
-		return
+	if probe != nil && cfg.Interval > 0 {
+		sc.rm.every(cfg.Interval, m.tick)
 	}
-	m.loop.start(m.cfg.Interval, m.tick)
+	return m
 }
 
-// Stop halts the probe loop and waits for any in-flight round (and the
-// scrubs it triggered) to finish. Idempotent.
-func (m *HealthMonitor) Stop() { m.loop.halt() }
-
-// tick probes every node in parallel, then applies confirmed
-// transitions. A death enqueues a presence scrub (manifest-only walk —
-// every stripe touching the dead node lands in the prioritized repair
-// queue); a revival runs a full scrub so anything the node lost while
-// down is found and fixed. Retired (NodeDead) members are not probed:
-// the monitor never kills or revives them, so a probe would only spend a
+// tick is one probe round: it probes every node in parallel, then
+// applies confirmed transitions. Deaths and revivals feed one
+// manifest-only presence walk into the prioritized repair queue, never a
+// block read: every stripe touching a dead or just-revived node is
+// enqueued, and the worker re-reads a revived node's blocks with their
+// CRCs checked, rebuilding only the ones it lost while down. The round
+// stays as short as the walk, so a second death during a revival is
+// confirmed on time. Retired (NodeDead) members are not probed: the
+// monitor never kills or revives them, so a probe would only spend a
 // dial, or a full dial timeout when the host is gone.
 func (m *HealthMonitor) tick() {
 	// The node set can grow between ticks (AddNode); size every round
@@ -204,7 +193,8 @@ func (m *HealthMonitor) tick() {
 	}
 	wg.Wait()
 
-	deaths, revived := 0, false
+	deaths := 0
+	revived := map[int]bool{}
 	for i := 0; i < n; i++ {
 		if states[i] == NodeDead {
 			continue
@@ -234,20 +224,15 @@ func (m *HealthMonitor) tick() {
 		if m.oks[i] >= m.cfg.ReviveThreshold && !m.s.Alive(i) {
 			m.s.ReviveNode(i)
 			m.s.m.autoRevivals.Add(1)
-			revived = true
+			revived[i] = true
 		}
 	}
-	if deaths > 0 {
-		if m.sc != nil {
-			m.sc.ScrubPresence()
-		}
+	if deaths > 0 || len(revived) > 0 {
+		m.sc.presence(func(node int) bool { return revived[node] || !m.s.Alive(node) })
 		// Counted only now: whoever sees AutoDeaths move (a test, an
 		// operator script about to Drain) finds the death's stripes
 		// already in the repair queue. Liveness flips earlier, so
 		// !Alive(node) promises nothing about the queue.
 		m.s.m.autoDeaths.Add(int64(deaths))
-	}
-	if revived && m.sc != nil {
-		m.sc.ScrubOnce()
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -37,16 +38,14 @@ func TestHealthMonitorAutoDeathRepairRevival(t *testing.T) {
 	}
 
 	rm := NewRepairManager(s, 2)
-	rm.Start()
-	defer rm.Stop()
-	sc := NewScrubber(s, rm, time.Hour) // no background walks; the monitor triggers scrubs
-	mon := NewHealthMonitor(s, rm, sc, MonitorConfig{
+	sc := NewScrubber(s, rm, 0) // no background walks; the monitor triggers scrubs
+	NewHealthMonitor(s, sc, MonitorConfig{
 		Interval:        10 * time.Millisecond,
 		FailThreshold:   3,
 		ReviveThreshold: 2,
 	})
-	mon.Start()
-	defer mon.Stop()
+	rm.Start()
+	defer rm.Stop()
 
 	const victim = 2
 	fb.SetFault(victim, Fault{ErrRate: 1})
@@ -106,19 +105,75 @@ func TestHealthMonitorFlapDamping(t *testing.T) {
 		}
 		return ErrInjected
 	}
-	mon := NewHealthMonitor(s, nil, nil, MonitorConfig{
+	rm := NewRepairManager(s, 0)
+	NewHealthMonitor(s, NewScrubber(s, rm, 0), MonitorConfig{
 		Interval:      5 * time.Millisecond,
 		FailThreshold: 3,
 		Probe:         probe,
 	})
-	mon.Start()
+	rm.Start()
 	time.Sleep(200 * time.Millisecond)
-	mon.Stop()
+	rm.Stop()
 	if !s.Alive(0) {
 		t.Fatal("flapping node below the fail threshold was marked dead")
 	}
 	if got := s.Metrics().AutoDeaths; got != 0 {
 		t.Fatalf("AutoDeaths = %d, want 0", got)
+	}
+}
+
+// TestRevivalDoesNotBlindMonitor: a revival's re-check of the revived
+// node is queued repair work, not part of the probe round, so a second
+// death right after a revival is confirmed within the fail threshold's
+// ticks even when the integrity-walk budget is small (a full scrub of
+// this store at 256 KiB/s would take about ten seconds).
+func TestRevivalDoesNotBlindMonitor(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	s := newTestStore(t, Config{Nodes: 20, BlockSize: 4 << 10, ScrubRateBytes: 256 << 10})
+	want := patternBytes(t, 40*s.Codec().K()*(4<<10))
+	if err := s.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	var failing [20]atomic.Bool
+	rm := NewRepairManager(s, 2)
+	NewHealthMonitor(s, NewScrubber(s, rm, 0), MonitorConfig{
+		Interval:        interval,
+		FailThreshold:   2,
+		ReviveThreshold: 1,
+		Probe: func(node int) error {
+			if failing[node].Load() {
+				return ErrInjected
+			}
+			return nil
+		},
+	})
+	rm.Start()
+	defer rm.Stop()
+
+	failing[3].Store(true)
+	waitFor(t, 5*time.Second, "node 3's death", func() bool { return s.Metrics().AutoDeaths >= 1 })
+	failing[3].Store(false)
+	waitFor(t, 5*time.Second, "node 3's revival", func() bool { return s.Alive(3) })
+	time.Sleep(50 * time.Millisecond)
+
+	failing[7].Store(true)
+	start := time.Now()
+	const limit = 10 * interval
+	for s.Alive(7) {
+		if d := time.Since(start); d > 30*time.Second {
+			t.Fatalf("node 7 still alive %v after its probes began failing (limit %v)", d, limit)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	d := time.Since(start)
+	if d > limit {
+		t.Fatalf("node 7 confirmed dead %v after its probes began failing, want within %v (10 intervals)", d, limit)
+	}
+	t.Logf("node 7 confirmed dead %v after its probes began failing", d)
+	rm.Drain()
+	got, _, err := s.Get("obj")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("get after revival and second death: %v", err)
 	}
 }
 

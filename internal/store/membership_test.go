@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestMembershipStateMachine walks the planned-topology transitions:
@@ -202,8 +201,8 @@ func TestMonitorRespectsDraining(t *testing.T) {
 		}
 		return nil
 	}
-	m := NewHealthMonitor(s, nil, nil, MonitorConfig{
-		Interval:        time.Hour, // ticks are driven by hand
+	m := NewHealthMonitor(s, NewScrubber(s, NewRepairManager(s, 0), 0), MonitorConfig{
+		// No Interval: ticks are driven by hand.
 		FailThreshold:   2,
 		ReviveThreshold: 2,
 		Probe:           probe,
@@ -280,8 +279,7 @@ func TestMonitorRespectsDraining(t *testing.T) {
 func TestMonitorProbesAddedNodes(t *testing.T) {
 	s := newTestStore(t, Config{Nodes: 4})
 	failing := map[int]bool{}
-	m := NewHealthMonitor(s, nil, nil, MonitorConfig{
-		Interval:      time.Hour,
+	m := NewHealthMonitor(s, NewScrubber(s, NewRepairManager(s, 0), 0), MonitorConfig{
 		FailThreshold: 2,
 		Probe: func(n int) error {
 			if failing[n] {

@@ -36,33 +36,24 @@ type RebalanceReport struct {
 	Promoted int
 }
 
-// Rebalancer migrates blocks to match the planned topology. Passes run
-// periodically in the background (Start/Stop) or synchronously
-// (RebalanceOnce); rm may be nil, in which case dead drainers cannot
-// make progress until a repair manager exists.
+// Rebalancer migrates blocks to match the planned topology, one
+// synchronous pass (RebalanceOnce) at a time.
 type Rebalancer struct {
 	s  *Store
 	rm *RepairManager
-	// interval is the background pass period.
-	interval time.Duration
-	loop     periodic
 }
 
 // NewRebalancer builds a rebalancer feeding the repair manager's queue
-// for unreadable drainers. Interval ≤ 0 defaults to 5s.
-func NewRebalancer(s *Store, rm *RepairManager, interval time.Duration) *Rebalancer {
-	if interval <= 0 {
-		interval = 5 * time.Second
+// for unreadable drainers. A period > 0 registers RebalanceOnce as one of
+// the manager's passes, run every period between its Start and Stop; 0
+// leaves every pass to the caller.
+func NewRebalancer(s *Store, rm *RepairManager, period time.Duration) *Rebalancer {
+	rb := &Rebalancer{s: s, rm: rm}
+	if period > 0 {
+		rm.every(period, func() { rb.RebalanceOnce() })
 	}
-	return &Rebalancer{s: s, rm: rm, interval: interval}
+	return rb
 }
-
-// Start launches the periodic background pass. Idempotent.
-func (rb *Rebalancer) Start() { rb.loop.start(rb.interval, func() { rb.RebalanceOnce() }) }
-
-// Stop halts the background pass. Idempotent; blocks until an in-flight
-// pass finishes.
-func (rb *Rebalancer) Stop() { rb.loop.halt() }
 
 // drainMove is one candidate migration off a draining node, with the
 // risk priority it sorts under.
@@ -194,7 +185,7 @@ func (rb *Rebalancer) collectDrainWork(rep *RebalanceReport, states []NodeState)
 					seq:      si.Seq,
 				})
 			}
-			if deadDrainer && rb.rm != nil {
+			if deadDrainer {
 				if rb.rm.enqueue(repairItem{
 					ref:      stripeRef{name: obj.Name, gen: obj.Gen, idx: idx},
 					damaged:  dead,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // TestRebalanceDrainsLiveNode is the core migration path: a draining
@@ -34,7 +33,7 @@ func TestRebalanceDrainsLiveNode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rb := NewRebalancer(s, nil, time.Hour)
+	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
 	rep := rb.RebalanceOnce()
 	if rep.Moved == 0 {
 		t.Fatal("rebalance moved nothing")
@@ -101,7 +100,7 @@ func TestRebalanceDrainsDeadNode(t *testing.T) {
 	rm := NewRepairManager(s, 2)
 	rm.Start()
 	defer rm.Stop()
-	rb := NewRebalancer(s, rm, time.Hour)
+	rb := NewRebalancer(s, rm, 0)
 
 	rep := rb.RebalanceOnce()
 	if rep.Moved != 0 {
@@ -160,7 +159,7 @@ func TestRebalanceFillsJoiner(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rb := NewRebalancer(s, nil, time.Hour)
+	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
 	rep := rb.RebalanceOnce()
 	if rep.Moved == 0 {
 		t.Fatal("fill moved nothing onto the joiner")
@@ -240,7 +239,7 @@ func TestCollectDrainWorkAfterJoin(t *testing.T) {
 		}
 	}()
 	var rep RebalanceReport
-	moves := NewRebalancer(s, nil, time.Hour).collectDrainWork(&rep, states)
+	moves := NewRebalancer(s, NewRepairManager(s, 0), 0).collectDrainWork(&rep, states)
 	if want := s.BlocksPerNode()[3]; len(moves) != want {
 		t.Fatalf("%d drain moves, want the drainer's %d blocks", len(moves), want)
 	}
@@ -253,7 +252,7 @@ func TestRebalanceStatusAndNoop(t *testing.T) {
 	if err := s.Put("o", make([]byte, 512*10)); err != nil {
 		t.Fatal(err)
 	}
-	rb := NewRebalancer(s, nil, time.Hour)
+	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
 	if rep := rb.RebalanceOnce(); rep.Stripes != 0 || rep.Moved != 0 {
 		t.Fatalf("steady-state pass should not walk: %+v", rep)
 	}
@@ -312,7 +311,7 @@ func TestRebalanceSurvivesOverwriteRace(t *testing.T) {
 	if err := s.Put("obj", want); err != nil { // new generation
 		t.Fatal(err)
 	}
-	rb := NewRebalancer(s, nil, time.Hour)
+	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
 	if pos >= 0 {
 		if n := rb.migrateOff(ref, pos); n != 0 {
 			t.Fatal("migration against a stale generation must be skipped")
@@ -352,7 +351,7 @@ func TestRebalanceDrainWaitsForDeletes(t *testing.T) {
 		}
 		rm := NewRepairManager(s, 2)
 		rm.Start()
-		rb := NewRebalancer(s, rm, time.Hour)
+		rb := NewRebalancer(s, rm, 0)
 		rb.RebalanceOnce()
 		rm.Drain()
 		rep := rb.RebalanceOnce()

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // manyDeleter is a MemBackend that takes DeleteMany, counting both kinds
@@ -237,7 +236,7 @@ func TestReclaimRepairedNodeAfterRevive(t *testing.T) {
 	rm := NewRepairManager(s, 2)
 	rm.Start()
 	defer rm.Stop()
-	NewScrubber(s, rm, time.Hour).ScrubPresence()
+	NewScrubber(s, rm, 0).ScrubPresence()
 	rm.Drain()
 	if got := s.Metrics().RepairedBlocks; got != int64(held) {
 		t.Fatalf("repaired %d blocks, want the victim's %d", got, held)
@@ -304,7 +303,7 @@ func TestReclaimMoveBackToStaleNode(t *testing.T) {
 		b++
 	}
 	gate.shut.Store(int64(a))
-	rb := NewRebalancer(s, nil, time.Hour)
+	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
 	if rb.migrateTo(ref, snap(), 0, b) == 0 {
 		t.Fatalf("move %d -> %d failed", a, b)
 	}
@@ -538,8 +537,8 @@ func TestRelocationHammer(t *testing.T) {
 	rm := NewRepairManager(s, 2)
 	rm.Start()
 	defer rm.Stop()
-	sc := NewScrubber(s, rm, time.Hour)
-	rb := NewRebalancer(s, rm, time.Hour)
+	sc := NewScrubber(s, rm, 0)
+	rb := NewRebalancer(s, rm, 0)
 
 	var wg sync.WaitGroup
 	for i := 0; i < names; i++ {
@@ -658,7 +657,7 @@ func TestReclaimHoldsCopyBeingWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 	tap.key, tap.tap = key, func() {
-		if NewRebalancer(s, nil, time.Hour).migrateTo(ref, &si, 0, t2) == 0 {
+		if NewRebalancer(s, NewRepairManager(s, 0), 0).migrateTo(ref, &si, 0, t2) == 0 {
 			t.Errorf("move %d -> %d failed", d, t2)
 		}
 		if err := s.Reclaim(); err != nil {
@@ -703,7 +702,7 @@ func TestReclaimNoCopyUnderInflightDelete(t *testing.T) {
 	for slices.Contains(snap().Nodes, b) {
 		b++
 	}
-	rb := NewRebalancer(s, nil, time.Hour)
+	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
 	tap.key, tap.tap = snap().Keys[0], func() {
 		if rb.migrateTo(ref, snap(), 0, a) != 0 {
 			t.Error("moved the block back onto a copy being deleted")

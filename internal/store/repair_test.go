@@ -81,7 +81,7 @@ func TestScrubPresenceRepairsNodeKill(t *testing.T) {
 	rm := NewRepairManager(s, 2)
 	rm.Start()
 	defer rm.Stop()
-	sc := NewScrubber(s, rm, time.Hour)
+	sc := NewScrubber(s, rm, 0)
 	rep := sc.ScrubPresence()
 	if rep.Missing == 0 || rep.Enqueued == 0 {
 		t.Fatalf("presence scrub report %+v, want damage enqueued", rep)
@@ -125,7 +125,7 @@ func TestPacedRepairRate(t *testing.T) {
 	rm := NewRepairManager(s, 2)
 	rm.Start()
 	defer rm.Stop()
-	sc := NewScrubber(s, rm, time.Hour)
+	sc := NewScrubber(s, rm, 0)
 	sc.ScrubPresence()
 
 	// Foreground Gets while the paced repair drains.
@@ -193,9 +193,8 @@ func TestConcurrentStorePaced(t *testing.T) {
 		ScrubRateBytes:  128 << 20,
 	})
 	rm := NewRepairManager(s, 3)
-	rm.Start()
 	sc := NewScrubber(s, rm, 3*time.Millisecond)
-	sc.Start()
+	rm.Start()
 
 	const writers = 3
 	var wg sync.WaitGroup
@@ -234,7 +233,6 @@ func TestConcurrentStorePaced(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	sc.Stop()
 	scrubAndDrain(t, s, rm)
 	rm.Stop()
 	for w := 0; w < writers; w++ {

@@ -16,15 +16,23 @@ import (
 // rebuilding blocks (light local decode first) and rewriting them to live
 // nodes.
 
-// RepairManager owns the repair queue and its worker pool.
+// RepairManager owns the repair queue, its worker pool and every
+// periodic pass that feeds it (the scrub walk, the rebalance pass, the
+// health monitor's probe round): one Start brings the whole background
+// plane up and one Stop brings it down.
 type RepairManager struct {
 	s       *Store
 	q       *repairQueue
 	workers int
+	wg      sync.WaitGroup // the workers
 
-	startOnce sync.Once
-	stopOnce  sync.Once
-	wg        sync.WaitGroup
+	// The periodic passes registered through every, as loops ready to
+	// launch. passWG counts the running ones; halt is closed by Stop.
+	mu               sync.Mutex
+	started, stopped bool
+	passes           []func()
+	halt             chan struct{}
+	passWG           sync.WaitGroup
 }
 
 // NewRepairManager builds a manager with the given pool size (≤0 means 2
@@ -36,7 +44,7 @@ func NewRepairManager(s *Store, workers int) *RepairManager {
 	if workers <= 0 {
 		workers = 2
 	}
-	r := &RepairManager{s: s, q: newRepairQueue(), workers: workers}
+	r := &RepairManager{s: s, q: newRepairQueue(), workers: workers, halt: make(chan struct{})}
 	it := s.db.Scan(qPrefix)
 	for {
 		_, v, ok := it.Next()
@@ -48,37 +56,48 @@ func NewRepairManager(s *Store, workers int) *RepairManager {
 	return r
 }
 
-// Start launches the worker pool. Each worker runs a two-stage pipeline
-// mirroring the PR 3 stream engine: while stripe i's rebuilt blocks are
-// being written back (and the manifest relocated), the worker is already
-// fetching and decoding stripe i+1's sources. The queue item stays
-// in-flight until its write-back lands, so Drain still means "damage
-// gone", not "damage decoded". Idempotent.
+// Start launches the worker pool and every registered pass. Each worker
+// runs a two-stage pipeline: while stripe i's rebuilt blocks are being
+// written back (and the manifest relocated), the worker is already
+// fetching and decoding stripe i+1's sources. The queue item stays in-flight until its write-back lands, so
+// Drain still means "damage gone", not "damage decoded". Idempotent.
 func (r *RepairManager) Start() {
-	r.startOnce.Do(func() {
-		for w := 0; w < r.workers; w++ {
-			r.wg.Add(1)
-			go func() {
-				defer r.wg.Done()
-				var scratch repairScratch
-				var join func() // pending write-back of the previous item
-				for {
-					it, ok := r.q.Pop()
-					if !ok {
-						break
-					}
-					write := r.repairFetch(it, &scratch)
-					if join != nil {
-						join() // write-backs are serialized per worker
-					}
-					join = r.asyncWrite(it, write)
-				}
-				if join != nil {
-					join()
-				}
-			}()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.started || r.stopped {
+		return
+	}
+	r.started = true
+	for w := 0; w < r.workers; w++ {
+		r.wg.Add(1)
+		go r.work()
+	}
+	for _, loop := range r.passes {
+		r.passWG.Add(1)
+		go loop()
+	}
+}
+
+// work is one repair worker: it pops items until the queue closes and
+// empties, overlapping each write-back with the next item's fetch.
+func (r *RepairManager) work() {
+	defer r.wg.Done()
+	var scratch repairScratch
+	var join func() // pending write-back of the previous item
+	for {
+		it, ok := r.q.Pop()
+		if !ok {
+			break
 		}
-	})
+		write := r.repairFetch(it, &scratch)
+		if join != nil {
+			join() // write-backs are serialized per worker
+		}
+		join = r.asyncWrite(it, write)
+	}
+	if join != nil {
+		join()
+	}
 }
 
 // asyncWrite runs a repair write-back concurrently with the worker's
@@ -108,13 +127,50 @@ func (r *RepairManager) finish(it repairItem) {
 	r.q.Done()
 }
 
-// Stop drains the queue and stops the workers. Idempotent; blocks until
-// in-flight repairs finish.
+// Stop halts every pass and waits for any in flight, then drains the
+// queue and stops the workers, so whatever a pass enqueued before it
+// halted is still repaired. Idempotent; every caller blocks until the
+// in-flight passes and repairs finish. A stopped manager never starts.
 func (r *RepairManager) Stop() {
-	r.stopOnce.Do(func() {
-		r.q.Close()
-		r.wg.Wait()
-	})
+	r.mu.Lock()
+	if !r.stopped {
+		r.stopped = true
+		close(r.halt)
+	}
+	r.mu.Unlock()
+	r.passWG.Wait()
+	r.q.Close()
+	r.wg.Wait()
+}
+
+// every registers a periodic pass: run is called every period, never
+// overlapping itself, from Start until Stop. A pass registered on a
+// started manager starts at once; one registered on a stopped manager
+// never runs.
+func (r *RepairManager) every(period time.Duration, run func()) {
+	loop := func() {
+		defer r.passWG.Done()
+		t := time.NewTicker(period)
+		defer t.Stop()
+		for {
+			select {
+			case <-r.halt:
+				return
+			case <-t.C:
+				run()
+			}
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.stopped {
+		return
+	}
+	r.passes = append(r.passes, loop)
+	if r.started {
+		r.passWG.Add(1)
+		go loop()
+	}
 }
 
 // Drain blocks until the queue is empty and every in-flight repair has
@@ -267,25 +323,19 @@ type ScrubReport struct {
 type Scrubber struct {
 	s  *Store
 	rm *RepairManager
-	// Interval is the background walk period.
-	interval time.Duration
-	loop     periodic
 }
 
-// NewScrubber builds a scrubber feeding the manager's queue.
-func NewScrubber(s *Store, rm *RepairManager, interval time.Duration) *Scrubber {
-	if interval <= 0 {
-		interval = time.Second
+// NewScrubber builds a scrubber feeding the manager's queue. A period > 0
+// registers the full walk (ScrubOnce) as one of the manager's passes, run
+// every period between its Start and Stop; 0 leaves every walk to the
+// caller.
+func NewScrubber(s *Store, rm *RepairManager, period time.Duration) *Scrubber {
+	sc := &Scrubber{s: s, rm: rm}
+	if period > 0 {
+		rm.every(period, func() { sc.ScrubOnce() })
 	}
-	return &Scrubber{s: s, rm: rm, interval: interval}
+	return sc
 }
-
-// Start launches the periodic background walk. Idempotent.
-func (sc *Scrubber) Start() { sc.loop.start(sc.interval, func() { sc.ScrubOnce() }) }
-
-// Stop halts the background walk. Idempotent; blocks until an in-flight
-// walk finishes.
-func (sc *Scrubber) Stop() { sc.loop.halt() }
 
 // ScrubOnce walks every stripe synchronously and returns what it found.
 // The walk streams through the metadata plane's prefix iterator — one
@@ -321,6 +371,15 @@ func (sc *Scrubber) ScrubOnce() ScrubReport {
 // node kill turns into queued repairs at manifest-walk speed; silent
 // corruption and deleted blocks on live nodes are ScrubOnce's job.
 func (sc *Scrubber) ScrubPresence() ScrubReport {
+	return sc.presence(func(node int) bool { return !sc.s.Alive(node) })
+}
+
+// presence is the manifest-only walk behind ScrubPresence and a revival:
+// every stripe with blocks on suspect nodes is enqueued with those
+// blocks as its damage. The repair worker re-probes
+// each one — a block that reads back with its CRC intact is reused, not
+// rebuilt. Missing counts only blocks on dead nodes.
+func (sc *Scrubber) presence(suspect func(node int) bool) ScrubReport {
 	var rep ScrubReport
 	s := sc.s
 	n := s.cfg.Codec.NStored()
@@ -341,17 +400,19 @@ func (sc *Scrubber) ScrubPresence() ScrubReport {
 			avail := make([]bool, n)
 			var damaged []int
 			for pos := 0; pos < n; pos++ {
-				if s.Alive(si.Nodes[pos]) {
+				node := si.Nodes[pos]
+				if !suspect(node) {
 					avail[pos] = true
-				} else {
-					damaged = append(damaged, pos)
+					continue
+				}
+				damaged = append(damaged, pos)
+				if !s.Alive(node) {
+					rep.Missing++
 				}
 			}
 			if len(damaged) == 0 {
 				continue
 			}
-			rep.Missing += len(damaged)
-			s.m.missingFound.Add(int64(len(damaged)))
 			if sc.rm.enqueue(repairItem{
 				ref:      stripeRef{name: obj.Name, gen: obj.Gen, idx: idx},
 				damaged:  damaged,
@@ -362,6 +423,7 @@ func (sc *Scrubber) ScrubPresence() ScrubReport {
 			}
 		}
 	}
+	s.m.missingFound.Add(int64(rep.Missing))
 	return rep
 }
 

@@ -13,7 +13,7 @@ import (
 // pool to finish everything it queued.
 func scrubAndDrain(t *testing.T, s *Store, rm *RepairManager) ScrubReport {
 	t.Helper()
-	sc := NewScrubber(s, rm, time.Hour)
+	sc := NewScrubber(s, rm, 0)
 	rep := sc.ScrubOnce()
 	rm.Drain()
 	return rep
@@ -208,9 +208,8 @@ func TestRepairBytesLRCvsRS(t *testing.T) {
 func TestConcurrentStore(t *testing.T) {
 	s := newTestStore(t, Config{Nodes: 24, Racks: 8, BlockSize: 64})
 	rm := NewRepairManager(s, 3)
+	NewScrubber(s, rm, 5*time.Millisecond)
 	rm.Start()
-	sc := NewScrubber(s, rm, 5*time.Millisecond)
-	sc.Start()
 
 	const writers = 4
 	var wg sync.WaitGroup
@@ -251,7 +250,6 @@ func TestConcurrentStore(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	sc.Stop()
 	scrubAndDrain(t, s, rm)
 	rm.Stop()
 	for w := 0; w < writers; w++ {
@@ -279,7 +277,7 @@ func TestGetDuringRepairRace(t *testing.T) {
 	rm := NewRepairManager(s, 2)
 	rm.Start()
 	defer rm.Stop()
-	sc := NewScrubber(s, rm, time.Hour)
+	sc := NewScrubber(s, rm, 0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -342,11 +340,9 @@ func TestScrubberBackgroundLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm := NewRepairManager(s, 1)
+	NewScrubber(s, rm, 2*time.Millisecond)
 	rm.Start()
 	defer rm.Stop()
-	sc := NewScrubber(s, rm, 2*time.Millisecond)
-	sc.Start()
-	defer sc.Stop()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if s.Metrics().RepairedBlocks >= 1 {

@@ -109,7 +109,7 @@ func TestSlabDirtyPool(t *testing.T) {
 			}
 		}
 		rm := NewRepairManager(s, 1)
-		if rep := NewScrubber(s, rm, time.Hour).ScrubOnce(); rep.Missing+rep.Corrupt+rep.Enqueued != 0 {
+		if rep := NewScrubber(s, rm, 0).ScrubOnce(); rep.Missing+rep.Corrupt+rep.Enqueued != 0 {
 			t.Fatalf("%s: scrub after dirty-pool puts: %+v", codec.Name(), rep)
 		}
 	}
