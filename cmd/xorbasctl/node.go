@@ -24,16 +24,17 @@ package main
 //	xorbasctl node add          -dir DIR [-addr HOST:PORT]
 //	xorbasctl node decommission -dir DIR -node N
 //	xorbasctl node status       -dir DIR
-//	xorbasctl node rebalance    -dir DIR [-workers W] [-rebalance-rate B] [-repair-rate B]
+//	xorbasctl node rebalance    -dir DIR [-workers W] [-repair-rate B]
 //
 // add registers one new node (joining until a rebalance pass fills it;
 // -addr is required for the net backend, recorded in the membership
 // plane so later opens re-register it); decommission marks a node
-// draining — its blocks migrate off on the next rebalance (or are
-// rebuilt by repair when the node is already dead), and only when zero
-// manifest blocks reference it does it retire to dead. rebalance runs
-// synchronous passes until the drain/fill converges, the operator-driven
-// counterpart of xorbasd's -rebalance-interval loop.
+// draining — the next rebalance queues its blocks for the repair pool,
+// which copies them off (or rebuilds them when the node is dead), and
+// only when zero manifest blocks reference it does it retire to dead.
+// rebalance runs synchronous passes, each drained, until the drain/fill
+// converges, the operator-driven counterpart of xorbasd's
+// -rebalance-interval loop; -repair-rate paces every block it moves.
 
 import (
 	"flag"
@@ -57,7 +58,7 @@ func nodeUsage() {
 	fmt.Fprintln(os.Stderr, "       xorbasctl node add -dir DIR [-addr HOST:PORT]")
 	fmt.Fprintln(os.Stderr, "       xorbasctl node decommission -dir DIR -node N")
 	fmt.Fprintln(os.Stderr, "       xorbasctl node status -dir DIR")
-	fmt.Fprintln(os.Stderr, "       xorbasctl node rebalance -dir DIR [-workers W] [-rebalance-rate B] [-repair-rate B]")
+	fmt.Fprintln(os.Stderr, "       xorbasctl node rebalance -dir DIR [-workers W] [-repair-rate B]")
 	os.Exit(2)
 }
 
@@ -203,54 +204,55 @@ func nodeStatus(args []string) error {
 	return nil
 }
 
-// nodeRebalance runs synchronous rebalance passes until the topology
-// converges: drains emptied (live moves or dead-node repairs), joiners
+// nodeRebalance runs synchronous rebalance passes, each followed by a
+// drain of the repair queue, until the topology converges: drainers
+// emptied (their blocks copied off, or rebuilt when unreadable), joiners
 // filled, promotions made.
 func nodeRebalance(args []string) error {
 	fs := flag.NewFlagSet("node rebalance", flag.ExitOnError)
 	sf := cliutil.RegisterStoreFlags(fs)
-	workers := fs.Int("workers", 2, "repair worker pool size (dead-drainer rebuilds)")
-	rebalRate := fs.Int64("rebalance-rate", 0, "migration read budget in bytes/sec, 0 = unlimited")
-	repairRate := fs.Int64("repair-rate", 0, "repair read budget in bytes/sec, 0 = unlimited")
+	workers := fs.Int("workers", 2, "repair worker pool size (drain copies and rebuilds)")
+	repairRate := fs.Int64("repair-rate", 0, "read budget of every block move in bytes/sec, 0 = unlimited")
 	passes := fs.Int("max-passes", 10, "pass limit before giving up on convergence")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
-	s, err := sf.Open(cliutil.Rates{Repair: *repairRate, Rebalance: *rebalRate})
+	s, err := sf.Open(cliutil.Rates{Repair: *repairRate})
 	if err != nil {
 		return err
 	}
+	before := s.Metrics()
 	rm := store.NewRepairManager(s, *workers)
 	rm.Start()
 	rb := store.NewRebalancer(s, rm, 0)
 	start := time.Now()
-	var total store.RebalanceReport
-	converged := false
-	for p := 0; p < *passes; p++ {
+	queued, promoted, converged := 0, 0, 0
+	for p := 1; p <= *passes && converged == 0; p++ {
 		rep := rb.RebalanceOnce()
 		rm.Drain()
-		total.Stripes += rep.Stripes
-		total.Moved += rep.Moved
-		total.MovedBytes += rep.MovedBytes
-		total.Enqueued += rep.Enqueued
-		total.Promoted += rep.Promoted
+		queued += rep.Enqueued
+		promoted += rep.Promoted
 		if rep.Remaining == 0 && rep.Enqueued == 0 {
-			converged = true
-			break
+			converged = p
 		}
 	}
 	rm.Stop()
 	elapsed := time.Since(start)
 	m := s.Metrics()
-	fmt.Printf("rebalance: %d blocks / %d bytes migrated, %d stripes repaired via queue, %d promotions, in %v (%s)\n",
-		total.Moved, total.MovedBytes, total.Enqueued, total.Promoted,
-		elapsed.Round(time.Millisecond), cliutil.Mbps(total.MovedBytes, elapsed))
-	fmt.Printf("reads: rebalance %d blocks / %d bytes, repair %d blocks / %d bytes (%d light / %d heavy)\n",
-		m.RebalanceBlocksRead, m.RebalanceBytesRead,
-		m.RepairBlocksRead, m.RepairBytesRead, m.RepairsLight, m.RepairsHeavy)
+	copied, copiedBytes := m.RebalancedBlocks-before.RebalancedBlocks, m.RebalancedBytes-before.RebalancedBytes
+	rebuilt, rebuiltBytes := m.RepairedBlocks-before.RepairedBlocks, m.RepairedBytes-before.RepairedBytes
+	fmt.Printf("rebalance: %d blocks / %d bytes copied, %d blocks / %d bytes rebuilt, %d stripes queued, %d promotions, in %v (%s)\n",
+		copied, copiedBytes, rebuilt, rebuiltBytes, queued, promoted,
+		elapsed.Round(time.Millisecond), cliutil.Mbps(copiedBytes+rebuiltBytes, elapsed))
+	fmt.Printf("reads: joiner fill %d blocks / %d bytes, repair %d blocks / %d bytes (%d light / %d heavy)\n",
+		m.RebalanceBlocksRead-before.RebalanceBlocksRead, m.RebalanceBytesRead-before.RebalanceBytesRead,
+		m.RepairBlocksRead-before.RepairBlocksRead, m.RepairBytesRead-before.RepairBytesRead,
+		m.RepairsLight-before.RepairsLight, m.RepairsHeavy-before.RepairsHeavy)
 	fmt.Print(cliutil.WireLine(m))
-	if !converged {
+	if converged == 0 {
 		fmt.Println("warning: topology not converged; rerun (dead drainers need live survivors to rebuild from)")
+	} else {
+		fmt.Printf("converged in %d passes\n", converged)
 	}
 	return s.Close()
 }

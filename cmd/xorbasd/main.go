@@ -44,9 +44,8 @@ func run(argv []string) error {
 	blockSize := fs.Int("block", 64<<10, "max data-block bytes (store creation only)")
 	rate := fs.Int64("tenant-rate", 0, "per-tenant byte budget per second across puts and gets; over budget = 429 (0 = unlimited)")
 	inflight := fs.Int64("tenant-inflight", 0, "per-tenant concurrent request cap; over cap = 429 (0 = unlimited)")
-	repairRate := fs.Int64("repair-rate", 0, "repair read budget, bytes/sec (0 = unlimited)")
+	repairRate := fs.Int64("repair-rate", 0, "read budget of every background block move (repair, drain, joiner fill), bytes/sec; foreground gets are never paced (0 = unlimited)")
 	scrubRate := fs.Int64("scrub-rate", 0, "scrub read budget, bytes/sec (0 = unlimited)")
-	rebalRate := fs.Int64("rebalance-rate", 0, "rebalance migration read budget, bytes/sec; foreground gets are never paced (0 = unlimited)")
 	cacheBytes := fs.Int64("cache-bytes", 256<<20, "hot-block read cache capacity in bytes: repeat reads of hot objects skip the backend; hit rate on /metrics (0 = no cache)")
 	scrubEvery := fs.Duration("scrub-interval", 0, "background integrity-walk period (0 = no background scrub)")
 	rebalEvery := fs.Duration("rebalance-interval", 0, "background rebalance pass period; moves blocks onto joiners and off drainers (0 = no background rebalance)")
@@ -69,17 +68,19 @@ func run(argv []string) error {
 		return fmt.Errorf("need -dir")
 	}
 
-	rates := cliutil.Rates{Repair: *repairRate, Scrub: *scrubRate, Rebalance: *rebalRate, CacheBytes: *cacheBytes}
+	rates := cliutil.Rates{Repair: *repairRate, Scrub: *scrubRate, CacheBytes: *cacheBytes}
 	s, err := sf.OpenOrCreate(*racks, *blockSize, rates)
 	if err != nil {
 		return err
 	}
 
 	// The self-healing plane, run by one RepairManager: its workers
-	// drain what the passes enqueue — the scrub walk, the rebalance pass
-	// that follows membership changes, the monitor's probe round that
-	// turns backend probes into liveness flips. A pass whose interval is
-	// 0 is off; with all three off the store is operator-driven.
+	// drain what the passes enqueue, under the one -repair-rate budget —
+	// the scrub walk, the rebalance pass that queues a drainer's blocks
+	// to be copied off (or rebuilt, if it died) and fills joiners, the
+	// monitor's probe round that turns backend probes into liveness
+	// flips, drainers' included. A pass whose interval is 0 is off; with
+	// all three off the store is operator-driven.
 	rm := store.NewRepairManager(s, 0)
 	sc := store.NewScrubber(s, rm, *scrubEvery)
 	store.NewRebalancer(s, rm, *rebalEvery)

@@ -2,13 +2,14 @@
 // decommission feature must copy a retiring node's data out before it
 // leaves — "complicated and time consuming". This walkthrough drives the
 // real store's elastic-membership path instead of a simulation: a node
-// is marked draining and the Rebalancer empties it.
+// is marked draining, and each rebalance pass hands its stripes to the
+// repair queue, whose pool empties it.
 //
 // Two scenarios per codec:
 //
-//   - live drain: the node still answers, so each block is copied to a
-//     new home — one block read per block moved, identical for both
-//     codecs.
+//   - live drain: the node still answers, so the repair worker's
+//     re-probe reads each block and copies it to a new home — one block
+//     read per block moved, identical for both codecs.
 //
 //   - dead drain (scheduled repair): the node is already gone when the
 //     decommission lands, so every block is recreated from its stripe's

@@ -19,8 +19,8 @@ import (
 
 // TestRebalanceUnderChurn is the elastic-membership acceptance scenario:
 // a real loopback TCP fleet serves a store through the HTTP gateway
-// under live PUT/GET traffic while a node is decommissioned and a paced
-// background rebalance drains it — and, mid-drain, another node is
+// under live PUT/GET traffic while a node is decommissioned and the paced
+// repair pool drains it — and, mid-drain, another node is
 // SIGKILLed and a brand-new node joins. Every read during the whole
 // window must come back byte-exact or as a clean typed error; the drain
 // must complete (the victim retires to dead with an empty disk); the
@@ -44,9 +44,9 @@ func TestRebalanceUnderChurn(t *testing.T) {
 		Backend:   cl.Backend(),
 		Nodes:     nodes,
 		BlockSize: 4 << 10,
-		// Pace the migration hard enough that the drain is still in
+		// Pace every block move hard enough that the drain is still in
 		// flight when the kill and the join land on top of it.
-		RebalanceRateBytes: 256 << 10,
+		RepairRateBytes: 256 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)

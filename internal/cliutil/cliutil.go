@@ -78,13 +78,13 @@ func (f *StoreFlags) codec() (store.Codec, error) {
 }
 
 // Rates bundles the resource budgets an open threads into the store:
-// bytes/sec for the three paced background datapaths (repair reads,
-// scrub reads, rebalance migration reads; 0 = unlimited — foreground
-// gets are never paced), plus the hot-block read cache capacity.
+// bytes/sec for the two paced background datapaths (Repair: every block
+// move — repairs, drain copies, joiner fills; Scrub: the integrity walk;
+// 0 = unlimited — foreground gets are never paced), plus the hot-block
+// read cache capacity.
 type Rates struct {
-	Repair    int64
-	Scrub     int64
-	Rebalance int64
+	Repair int64
+	Scrub  int64
 	// CacheBytes is a capacity, not a rate: resident bytes for the
 	// store's hot-block read cache (store.Config.CacheBytes). 0 = no
 	// cache.
@@ -211,7 +211,6 @@ func (f *StoreFlags) build(spec BackendSpec, metaDir string, geometry store.Conf
 	cfg.MetaDir = metaDir
 	cfg.RepairRateBytes = r.Repair
 	cfg.ScrubRateBytes = r.Scrub
-	cfg.RebalanceRateBytes = r.Rebalance
 	cfg.CacheBytes = r.CacheBytes
 	s, err := store.New(cfg)
 	if err != nil {

@@ -59,8 +59,9 @@ type OwnedWriter interface {
 // not let the result outlive dst's next use. After an error dst may hold
 // part of a block. The store's one caller is readBlockPayload, which
 // lends pooled frames for the source blocks of a repair or degraded read
-// and for a rebalance move; a backend without ReadInto (MemBackend,
-// DirBackend) is simply read through Read.
+// and for a joiner fill, and a repair's re-probe its slab slots; a
+// backend without ReadInto (MemBackend, DirBackend) is simply read
+// through Read.
 type IntoReader interface {
 	ReadInto(node int, key string, dst []byte) ([]byte, error)
 }
@@ -128,7 +129,7 @@ type NodeAdder interface {
 // blocks without holding them in one wire frame. ReadBlockTo streams a
 // block's framed bytes into w and returns the byte count; WriteBlockFrom
 // streams r into the block, replacing any previous value, atomically on
-// success. The store no longer calls it (a rebalance move is one frame,
+// success. The store no longer calls it (a block move is one frame,
 // like every block transfer); it stays because the benchmark names it.
 type BlockStreamer interface {
 	ReadBlockTo(node int, key string, w io.Writer) (int64, error)

@@ -126,7 +126,7 @@ func (c *MonitorConfig) fillDefaults() {
 // assert (only a truly dead process stays dead).
 type HealthMonitor struct {
 	s     *Store
-	sc    *Scrubber
+	rm    *RepairManager
 	cfg   MonitorConfig
 	probe func(node int) error
 
@@ -148,7 +148,7 @@ func NewHealthMonitor(s *Store, sc *Scrubber, cfg MonitorConfig) *HealthMonitor 
 	}
 	m := &HealthMonitor{
 		s:     s,
-		sc:    sc,
+		rm:    sc.rm,
 		cfg:   cfg,
 		probe: probe,
 		fails: make([]int, s.cfg.Nodes),
@@ -167,9 +167,11 @@ func NewHealthMonitor(s *Store, sc *Scrubber, cfg MonitorConfig) *HealthMonitor 
 // enqueued, and the worker re-reads a revived node's blocks with their
 // CRCs checked, rebuilding only the ones it lost while down. The round
 // stays as short as the walk, so a second death during a revival is
-// confirmed on time. Retired (NodeDead) members are not probed: the
-// monitor never kills or revives them, so a probe would only spend a
-// dial, or a full dial timeout when the host is gone.
+// confirmed on time. A draining node is probed, killed and revived like
+// any other: if it dies mid-drain its queued blocks are rebuilt instead
+// of copied, and the drain still retires it. Retired (NodeDead) members
+// are not probed: the monitor never kills or revives them, so a probe
+// would only spend a dial, or a full dial timeout when the host is gone.
 func (m *HealthMonitor) tick() {
 	// The node set can grow between ticks (AddNode); size every round
 	// off the membership table and stretch the streak slices to match.
@@ -202,13 +204,6 @@ func (m *HealthMonitor) tick() {
 		if errs[i] != nil {
 			m.fails[i]++
 			m.oks[i] = 0
-			// A draining node's liveness belongs to the rebalancer's
-			// drain protocol, not the monitor: flipping it dead here
-			// would turn a planned drain into repair churn. Keep probing
-			// (the streaks stay current) but suppress the kill.
-			if states[i] == NodeDraining {
-				continue
-			}
 			if m.fails[i] >= m.cfg.FailThreshold && m.s.Alive(i) {
 				m.s.KillNode(i)
 				deaths++
@@ -217,10 +212,6 @@ func (m *HealthMonitor) tick() {
 		}
 		m.oks[i]++
 		m.fails[i] = 0
-		// Suppress revival for draining nodes (same reasoning as above).
-		if states[i] == NodeDraining {
-			continue
-		}
 		if m.oks[i] >= m.cfg.ReviveThreshold && !m.s.Alive(i) {
 			m.s.ReviveNode(i)
 			m.s.m.autoRevivals.Add(1)
@@ -228,7 +219,7 @@ func (m *HealthMonitor) tick() {
 		}
 	}
 	if deaths > 0 || len(revived) > 0 {
-		m.sc.presence(func(node int) bool { return revived[node] || !m.s.Alive(node) })
+		m.rm.presence(func(node int) bool { return revived[node] })
 		// Counted only now: whoever sees AutoDeaths move (a test, an
 		// operator script about to Drain) finds the death's stripes
 		// already in the repair queue. Liveness flips earlier, so

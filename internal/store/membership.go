@@ -37,8 +37,8 @@ const (
 	// promotes them to active.
 	NodeJoining NodeState = "joining"
 	// NodeDraining nodes serve reads but receive no placements; the
-	// rebalancer migrates their blocks away and promotes them to dead
-	// when none remain.
+	// rebalancer queues their blocks for the repair pool to move away
+	// and promotes them to dead when none remain.
 	NodeDraining NodeState = "draining"
 	// NodeDead nodes are out of the topology for good.
 	NodeDead NodeState = "dead"
@@ -116,6 +116,15 @@ func (s *Store) placeableSnapshot() []bool {
 	return out
 }
 
+// keeps reports whether node n may keep the blocks it holds: alive and
+// in a placeable state. A repair writes every block it copies or
+// rebuilds on a node that does not keep it somewhere that does.
+func (s *Store) keeps(n int) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return n >= 0 && n < len(s.alive) && s.alive[n] && s.members[n].State.placeable()
+}
+
 // PlaceableNodes counts nodes eligible for new placements.
 func (s *Store) PlaceableNodes() int {
 	s.mu.RLock()
@@ -167,10 +176,11 @@ func (s *Store) AddNode(addr string) (int, error) {
 }
 
 // Decommission marks a node draining: it serves reads (if alive) but
-// receives no new blocks, and the rebalancer migrates its blocks away —
-// live blocks by direct paced copy, unreadable ones (the node may
-// already be dead) by presence-walk repair from their groups. When
-// nothing remains the node retires to dead.
+// receives no new blocks, and each rebalance pass queues its stripes for
+// the repair pool, which copies a readable block off it and rebuilds an
+// unreadable one (the node may be dead) from its group. Its liveness
+// stays the health monitor's. When nothing remains the node retires to
+// dead.
 func (s *Store) Decommission(n int) error {
 	return s.transition(n, NodeDraining, func(cur NodeState) error {
 		if cur == NodeDead {
@@ -181,8 +191,8 @@ func (s *Store) Decommission(n int) error {
 }
 
 // RemoveNode retires a node immediately: dead in the topology, dead for
-// liveness. Its remaining blocks become repair work (enqueue with a
-// presence walk — ScrubPresence or a rebalance pass).
+// liveness. Its remaining blocks become repair work (ScrubPresence
+// enqueues them).
 func (s *Store) RemoveNode(n int) error {
 	err := s.transition(n, NodeDead, func(cur NodeState) error { return nil })
 	if err != nil {

@@ -119,9 +119,10 @@ type Metrics struct {
 	ScrubBlocksRead, ScrubBytesRead int64
 	MissingBlocksFound              int64
 	CorruptBlocksFound              int64
-	// Repair path: what the BlockFixer read and rewrote. The paper's
-	// locality win is RepairBytesRead(LRC) ≈ half RepairBytesRead(RS)
-	// for single-block losses.
+	// Repair path: what the BlockFixer read and rewrote. The reads
+	// include every re-probe, so a drain copy's one read is here. The
+	// paper's locality win is RepairBytesRead(LRC) ≈ half
+	// RepairBytesRead(RS) for single-block losses.
 	RepairBlocksRead, RepairBytesRead int64
 	RepairedBlocks                    int64
 	// RepairedBytes counts payload bytes rebuilt and rewritten by the
@@ -140,12 +141,12 @@ type Metrics struct {
 	// the benchmark harness reads it, and goes when the harness stops
 	// naming the store's internals (ROADMAP.md, item 1).
 	BreakerOpens int64
-	// Rebalance path: blocks migrated off draining nodes / onto joiners
-	// by the Rebalancer, the payload bytes that moved, and what the moves
-	// read from the backend. A live migration reads exactly one block per
-	// moved block; draining an already-dead node goes through repair
-	// instead and shows up in the Repair counters (where LRC reads half
-	// of RS's bytes).
+	// Rebalance path: blocks copied off draining nodes by the repair pool
+	// or onto joiners by the Rebalancer, and their payload bytes; then
+	// what the joiner fills read from the backend (a drain copy's read is
+	// a repair read). A copy reads exactly one block per moved block; a
+	// drained block that cannot be read is rebuilt and shows up in the
+	// Repair counters instead (where LRC reads half of RS's bytes).
 	RebalancedBlocks, RebalancedBytes       int64
 	RebalanceBlocksRead, RebalanceBytesRead int64
 	// Hot-block cache (Config.CacheBytes; all zero when disabled): hits

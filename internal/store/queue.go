@@ -2,6 +2,7 @@ package store
 
 import (
 	"container/heap"
+	"slices"
 	"sync"
 )
 
@@ -11,8 +12,11 @@ type repairItem struct {
 	// damaged lists the stripe positions needing a rewrite (missing or
 	// corrupt at scrub time; the worker re-probes before repairing).
 	damaged []int
-	// erasures is the risk key: how many blocks the stripe is down. A
-	// Xorbas stripe at 4 erasures is one loss from data loss.
+	// erasures is the risk key: how many blocks the stripe is down — on
+	// nodes that are down, or unreadable when a full scrub queued it. A
+	// Xorbas stripe at 4 erasures is one loss from data loss. Blocks
+	// queued only to move (a drain) or to re-check (a revival) add
+	// none, so such an item queues behind every stripe that lost one.
 	erasures int
 	// light is true when every damaged block had a light repair plan at
 	// enqueue time.
@@ -29,53 +33,53 @@ type repairItem struct {
 // (they finish faster and free the queue); then FIFO. Pop blocks until an
 // item arrives or the queue closes. Safe for concurrent use.
 type repairQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  repairHeap
-	queued map[stripeRef]bool // dedupe: one pending item per stripe
-	// inFlight counts items popped but not yet Done — WaitIdle's other
-	// half.
-	inFlight int
+	mu       sync.Mutex
+	cond     *sync.Cond
+	pending  repairHeap // one item per stripe
+	inFlight int        // popped but not yet Done: WaitIdle's other half
 	closed   bool
 	seq      int64
 }
 
 func newRepairQueue() *repairQueue {
-	q := &repairQueue{queued: make(map[stripeRef]bool)}
+	q := &repairQueue{pending: repairHeap{at: make(map[stripeRef]int)}}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// Push enqueues a damaged stripe unless it is already pending. Reports
-// whether the item was accepted.
-func (q *repairQueue) Push(it repairItem) bool {
+// Push enqueues a damaged stripe. A stripe already pending absorbs the
+// item instead (absorb), so no damage found later is lost to the one
+// queued first. It returns the stripe's item as now queued, and false
+// when the queue is closed or the item brought nothing new.
+func (q *repairQueue) Push(it repairItem) (repairItem, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || q.queued[it.ref] {
-		return false
+	if q.closed {
+		return it, false
+	}
+	if i, ok := q.pending.at[it.ref]; ok {
+		return q.pending.absorb(i, it)
 	}
 	q.seq++
 	it.seq = q.seq
-	q.queued[it.ref] = true
-	heap.Push(&q.items, it)
+	heap.Push(&q.pending, it)
 	// Broadcast, not Signal: the one woken waiter could be a WaitIdle
 	// caller rather than a Pop, stranding the item.
 	q.cond.Broadcast()
-	return true
+	return it, true
 }
 
 // Pop blocks until an item is available or the queue closes (ok=false).
 func (q *repairQueue) Pop() (repairItem, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.pending.Len() == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.pending.Len() == 0 {
 		return repairItem{}, false
 	}
-	it := heap.Pop(&q.items).(repairItem)
-	delete(q.queued, it.ref)
+	it := heap.Pop(&q.pending).(repairItem)
 	q.inFlight++
 	return it, true
 }
@@ -92,7 +96,7 @@ func (q *repairQueue) Done() {
 func (q *repairQueue) WaitIdle() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) > 0 || q.inFlight > 0 {
+	for q.pending.Len() > 0 || q.inFlight > 0 {
 		q.cond.Wait()
 	}
 }
@@ -101,7 +105,7 @@ func (q *repairQueue) WaitIdle() {
 func (q *repairQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.items)
+	return q.pending.Len()
 }
 
 // Close wakes all blocked Pops; subsequent Pushes are dropped.
@@ -112,29 +116,60 @@ func (q *repairQueue) Close() {
 	q.cond.Broadcast()
 }
 
-// repairHeap orders items by (erasures desc, light first, seq asc).
-type repairHeap []repairItem
-
-func (h repairHeap) Len() int { return len(h) }
-
-func (h repairHeap) Less(i, j int) bool {
-	if h[i].erasures != h[j].erasures {
-		return h[i].erasures > h[j].erasures
-	}
-	if h[i].light != h[j].light {
-		return h[i].light
-	}
-	return h[i].seq < h[j].seq
+// repairHeap orders items by (erasures desc, light first, seq asc), and
+// tracks where each pending stripe sits so that absorb can find it.
+type repairHeap struct {
+	items []repairItem
+	at    map[stripeRef]int
 }
 
-func (h repairHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h repairHeap) Len() int { return len(h.items) }
 
-func (h *repairHeap) Push(x any) { *h = append(*h, x.(repairItem)) }
+func (h repairHeap) Less(i, j int) bool {
+	a, b := &h.items[i], &h.items[j]
+	if a.erasures != b.erasures {
+		return a.erasures > b.erasures
+	}
+	if a.light != b.light {
+		return a.light
+	}
+	return a.seq < b.seq
+}
+
+func (h repairHeap) Swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.at[h.items[i].ref], h.at[h.items[j].ref] = i, j
+}
+
+func (h *repairHeap) Push(x any) {
+	it := x.(repairItem)
+	h.at[it.ref] = len(h.items)
+	h.items = append(h.items, it)
+}
 
 func (h *repairHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+	it := h.items[len(h.items)-1]
+	h.items = h.items[:len(h.items)-1]
+	delete(h.at, it.ref)
 	return it
+}
+
+// absorb merges it into the pending item at index i: the damage becomes
+// the union of both, the risk the higher erasures (light only when both
+// were), and silent sticks, since a silent block must not be re-probed.
+// The item keeps its FIFO place and moves up the queue if its risk rose.
+// It reports false when it added no position, risk or silence.
+func (h *repairHeap) absorb(i int, it repairItem) (repairItem, bool) {
+	p, was := &h.items[i], h.items[i]
+	for _, pos := range it.damaged {
+		if !slices.Contains(p.damaged, pos) {
+			p.damaged = append(p.damaged, pos)
+		}
+	}
+	p.erasures = max(p.erasures, it.erasures)
+	p.light = p.light && it.light
+	p.silent = p.silent || it.silent
+	merged := *p
+	heap.Fix(h, i)
+	return merged, len(merged.damaged) > len(was.damaged) || merged.erasures > was.erasures || merged.silent != was.silent
 }

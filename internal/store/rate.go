@@ -7,13 +7,14 @@ import (
 
 // Limiter is a token-bucket byte limiter. It paces the background
 // datapaths — the paper bounds the BlockFixer's load so repair traffic
-// never starves foreground reads, and the scrubber's integrity walk and
-// the rebalancer get the same treatment — and serves as foreground QoS:
-// the gateway gives each tenant one and rejects instead of queueing when
-// the bucket is in debt. Charging happens *after* each backend read with
-// the actual byte count (a debt model): a block larger than the burst is
-// still admitted and the bucket simply goes negative, so the long-run
-// average converges on the configured budget regardless of block size.
+// never starves foreground reads, so one bucket paces every background
+// block move and a second the scrubber's integrity walk — and serves as
+// foreground QoS: the gateway gives each tenant one and rejects instead
+// of queueing when the bucket is in debt. Charging happens *after* each
+// backend read with the actual byte count (a debt model): a block larger
+// than the burst is still admitted and the bucket simply goes negative,
+// so the long-run average converges on the configured budget regardless
+// of block size.
 //
 // A nil *Limiter is valid and means unlimited — the zero-config fast
 // path costs one pointer test.
@@ -75,31 +76,26 @@ func (l *Limiter) Admit(n int64) (wait time.Duration, ok bool) {
 // flows whose size is only known after the fact (a chunked HTTP upload).
 // The debt shows up in the next Admit.
 func (l *Limiter) Charge(n int64) {
-	if l == nil || n <= 0 {
-		return
+	if l != nil && n > 0 {
+		l.debit(n)
 	}
-	l.mu.Lock()
-	l.refillLocked(time.Now())
-	l.tokens -= float64(n)
-	l.mu.Unlock()
 }
 
 // Take charges n bytes against the bucket, sleeping off any debt — the
 // blocking discipline the background datapaths use. Safe for concurrent
 // use; concurrent workers share one budget.
 func (l *Limiter) Take(n int64) {
-	if l == nil || n <= 0 {
-		return
+	if l != nil && n > 0 {
+		time.Sleep(l.debit(n))
 	}
+}
+
+// debit charges n bytes and returns how long until the bucket is out of
+// the debt that leaves (0 when there is none).
+func (l *Limiter) debit(n int64) time.Duration {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.refillLocked(time.Now())
 	l.tokens -= float64(n)
-	var wait time.Duration
-	if l.tokens < 0 {
-		wait = time.Duration(-l.tokens / l.rate * float64(time.Second))
-	}
-	l.mu.Unlock()
-	if wait > 0 {
-		time.Sleep(wait)
-	}
+	return time.Duration(max(-l.tokens, 0) / l.rate * float64(time.Second))
 }

@@ -1,52 +1,51 @@
 package store
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
-// The Rebalancer is the migration half of elastic membership: a
-// background walk that moves manifest blocks off draining nodes and onto
-// joiners, paced by the rebalance token bucket so a planned topology
-// change never starves foreground traffic. It is deliberately shaped
-// like the Scrubber — a periodic synchronous pass over the manifest
-// walk — and it reuses the repair machinery for the one case a copy
-// cannot handle: a draining node that is already dead drains by
-// presence-walk repair (each stripe's survivors rebuild the lost block
-// elsewhere; with the LRC codec that is an r=5 light read per block
-// where RS reads k=10).
+// The Rebalancer is the planning half of elastic membership. A drain is
+// a repair: its pass hands every stripe with a block on a draining node
+// to the repair queue through the same manifest-only presence walk the
+// health monitor and ScrubPresence use, and the repair pool's CRC-checked
+// re-probe copies a readable block off the drainer or, when it cannot be
+// read (the drainer may be dead), rebuilds it from its stripe — with the
+// LRC codec an r=5 light read per block where RS reads k=10. What the
+// Rebalancer still moves itself is the joiner fill, paced by the repair
+// budget like every other background block move, and it makes the
+// membership promotions once their work is done.
 
-// RebalanceReport summarizes one rebalance pass.
+// RebalanceReport summarizes one rebalance pass. Blocks moved are counted
+// in Metrics (RebalancedBlocks for copies, RepairedBlocks for rebuilds):
+// a drain's moves land after the pass, when the repair pool gets to them.
 type RebalanceReport struct {
-	// Stripes is how many stripes the pass examined.
+	// Stripes is how many stripes the drain walk examined (0 when no
+	// node is draining).
 	Stripes int
-	// Moved counts blocks migrated (drain moves and joiner fills), and
-	// MovedBytes their payload bytes.
-	Moved      int
-	MovedBytes int64
-	// Enqueued is how many stripes with unreadable blocks on draining
-	// nodes were handed to the repair queue (the dead-drainer path).
+	// Enqueued is how many stripes with blocks on draining nodes (or,
+	// as in every presence walk, on down nodes) were handed to the
+	// repair queue.
 	Enqueued int
 	// Remaining is how many manifest blocks still sit on draining nodes
-	// after the pass — repairs still in flight, or moves that failed and
-	// will be retried next pass. Zero means every drain completed.
+	// after the pass, plus a live drainer's moved copies still awaiting
+	// deletion: the drain work the repair pool has yet to finish, and
+	// the next pass queues again. Zero means every drain completed.
 	Remaining int
 	// Promoted counts membership promotions made at the end of the pass
 	// (joining→active, draining→dead).
 	Promoted int
 }
 
-// Rebalancer migrates blocks to match the planned topology, one
-// synchronous pass (RebalanceOnce) at a time.
+// Rebalancer drives topology changes one synchronous pass
+// (RebalanceOnce) at a time: it queues drains for the repair pool, fills
+// joiners, and promotes members whose transition completed.
 type Rebalancer struct {
 	s  *Store
 	rm *RepairManager
 }
 
-// NewRebalancer builds a rebalancer feeding the repair manager's queue
-// for unreadable drainers. A period > 0 registers RebalanceOnce as one of
-// the manager's passes, run every period between its Start and Stop; 0
-// leaves every pass to the caller.
+// NewRebalancer builds a rebalancer feeding the repair manager's queue.
+// A period > 0 registers RebalanceOnce as one of the manager's passes,
+// run every period between its Start and Stop; 0 leaves every pass to
+// the caller.
 func NewRebalancer(s *Store, rm *RepairManager, period time.Duration) *Rebalancer {
 	rb := &Rebalancer{s: s, rm: rm}
 	if period > 0 {
@@ -55,24 +54,12 @@ func NewRebalancer(s *Store, rm *RepairManager, period time.Duration) *Rebalance
 	return rb
 }
 
-// drainMove is one candidate migration off a draining node, with the
-// risk priority it sorts under.
-type drainMove struct {
-	ref stripeRef
-	pos int
-	// erasures is the stripe's dead-block count when the candidate was
-	// collected: a block whose stripe is already degraded is closer to
-	// the data-loss edge and moves first (the drain-ordering policy of
-	// the retired HDFS simulation, ported to the real datapath).
-	erasures int
-	seq      int
-}
-
-// RebalanceOnce runs one synchronous pass: walk every stripe, migrate
-// blocks off draining nodes (most-endangered stripes first), enqueue
-// repair for blocks a dead drainer can no longer serve, fill joining
-// nodes toward the cluster mean, then promote members whose transition
-// completed. A no-op when the topology has no drainers or joiners.
+// RebalanceOnce runs one synchronous pass: enqueue every stripe with a
+// block on a draining node for the repair pool, fill joining nodes
+// toward the cluster mean, then promote members whose transition
+// completed. A drain is asynchronous: its node retires on a later pass,
+// once the repair queue has moved its blocks. A no-op when the topology
+// has no drainers or joiners.
 func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 	var rep RebalanceReport
 	s := rb.s
@@ -90,24 +77,12 @@ func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 		return rep
 	}
 
-	moves := rb.collectDrainWork(&rep, states)
-	// Most-endangered blocks first: a stripe already missing blocks is
-	// the one a further failure could push past recoverability.
-	sort.Slice(moves, func(i, j int) bool {
-		if moves[i].erasures != moves[j].erasures {
-			return moves[i].erasures > moves[j].erasures
-		}
-		return moves[i].seq < moves[j].seq
-	})
-	for _, mv := range moves {
-		if n := rb.migrateOff(mv.ref, mv.pos); n > 0 {
-			rep.Moved++
-			rep.MovedBytes += n
-		}
+	if len(drainers) > 0 {
+		walk := rb.rm.presence(drainingIn(states))
+		rep.Stripes, rep.Enqueued = walk.Stripes, walk.Enqueued
 	}
-
 	if len(joiners) > 0 {
-		rb.fillJoiners(&rep, joiners)
+		rb.fillJoiners(joiners)
 	}
 
 	// Promotions close the pass. Joining nodes have received their fill
@@ -141,79 +116,22 @@ func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 	return rep
 }
 
-// collectDrainWork walks the manifests once, returning the readable
-// blocks on draining nodes as move candidates and enqueueing repair for
-// stripes whose draining node is dead (mirroring ScrubPresence: the
-// whole damaged set goes in one prioritized item).
-func (rb *Rebalancer) collectDrainWork(rep *RebalanceReport, states []NodeState) []drainMove {
-	s := rb.s
-	alive := s.aliveSnapshot()
-	n := s.cfg.Codec.NStored()
-	var moves []drainMove
-	it := s.db.Scan(objPrefix)
-	for {
-		_, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		obj := v.(*objectInfo)
-		for idx := range obj.Stripes {
-			si := &obj.Stripes[idx]
-			rep.Stripes++
-			avail := make([]bool, n)
-			var dead, drainPos []int
-			deadDrainer := false
-			for pos := 0; pos < n; pos++ {
-				// A node that joined since states was taken is no drainer.
-				nd := si.Nodes[pos]
-				up := nd >= 0 && nd < len(alive) && alive[nd]
-				draining := nd >= 0 && nd < len(states) && states[nd] == NodeDraining
-				avail[pos] = up
-				switch {
-				case !up:
-					dead = append(dead, pos)
-					deadDrainer = deadDrainer || draining
-				case draining:
-					drainPos = append(drainPos, pos)
-				}
-			}
-			for _, pos := range drainPos {
-				moves = append(moves, drainMove{
-					ref:      stripeRef{name: obj.Name, gen: obj.Gen, idx: idx},
-					pos:      pos,
-					erasures: len(dead),
-					seq:      si.Seq,
-				})
-			}
-			if deadDrainer {
-				if rb.rm.enqueue(repairItem{
-					ref:      stripeRef{name: obj.Name, gen: obj.Gen, idx: idx},
-					damaged:  dead,
-					erasures: len(dead),
-					light:    s.lightRepairable(dead, avail),
-				}) {
-					rep.Enqueued++
-				}
-			}
-		}
-	}
-	return moves
+// drainingIn names the nodes that states, a pass's membership snapshot,
+// has draining: a node that joined since the snapshot is no drainer.
+func drainingIn(states []NodeState) func(node int) bool {
+	return func(node int) bool { return node >= 0 && node < len(states) && states[node] == NodeDraining }
 }
 
 // fillJoiners moves blocks from the most-loaded active nodes onto
 // joining nodes until each joiner holds the cluster-mean share (or no
 // rack-safe donor block remains). Counts are tracked live so one pass
 // converges instead of overshooting.
-func (rb *Rebalancer) fillJoiners(rep *RebalanceReport, joiners []int) {
+func (rb *Rebalancer) fillJoiners(joiners []int) {
 	s := rb.s
 	counts := s.BlocksPerNode()
-	placeable := s.placeableSnapshot()
-	total, eligible := 0, 0
-	for i, c := range counts {
+	total, eligible := 0, s.PlaceableNodes()
+	for _, c := range counts {
 		total += c
-		if i < len(placeable) && placeable[i] {
-			eligible++
-		}
 	}
 	if eligible == 0 || total == 0 {
 		return
@@ -235,60 +153,48 @@ func (rb *Rebalancer) fillJoiners(rep *RebalanceReport, joiners []int) {
 		return
 	}
 	states := s.memberStates()
-	it := s.db.Scan(objPrefix)
-	for deficit > 0 {
-		_, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		obj := v.(*objectInfo)
-		for idx := range obj.Stripes {
-			if deficit == 0 {
-				break
+	s.eachStripe(func(obj *objectInfo, idx int) bool {
+		si := &obj.Stripes[idx]
+		for pos, nd := range si.Nodes {
+			// Donors are over-mean active nodes; a below-mean joiner
+			// takes the block only when the move keeps the stripe's
+			// node- and rack-spread intact.
+			if nd < 0 || nd >= len(counts) || counts[nd] <= mean {
+				continue
 			}
-			si := &obj.Stripes[idx]
-			for pos, nd := range si.Nodes {
-				// Donors are over-mean active nodes; a below-mean joiner
-				// takes the block only when the move keeps the stripe's
-				// node- and rack-spread intact.
-				if nd < 0 || nd >= len(counts) || counts[nd] <= mean {
-					continue
-				}
-				if nd >= len(states) || states[nd] != NodeActive || !s.Alive(nd) {
-					continue
-				}
-				// The iterator's manifest is a point-in-time view; an
-				// earlier fill may already have moved a sibling of this
-				// stripe, so safety is judged against a fresh snapshot.
-				ref := stripeRef{name: obj.Name, gen: obj.Gen, idx: idx}
-				fresh, ok := s.stripeSnapshot(ref)
-				if !ok || fresh.Nodes[pos] != nd {
-					continue
-				}
-				target := -1
-				for _, j := range joiners {
-					if j < len(counts) && counts[j] < mean && s.placementSafe(&fresh, pos, j) && s.Alive(j) {
-						if target < 0 || counts[j] < counts[target] {
-							target = j
-						}
-					}
-				}
-				if target < 0 {
-					continue
-				}
-				if n := rb.migrateTo(ref, &fresh, pos, target); n > 0 {
-					rep.Moved++
-					rep.MovedBytes += n
-					counts[nd]--
-					counts[target]++
-					deficit--
-					if deficit == 0 {
-						break
+			if nd >= len(states) || states[nd] != NodeActive || !s.Alive(nd) {
+				continue
+			}
+			// The iterator's manifest is a point-in-time view; an
+			// earlier fill may already have moved a sibling of this
+			// stripe, so safety is judged against a fresh snapshot.
+			ref := stripeRef{name: obj.Name, gen: obj.Gen, idx: idx}
+			fresh, ok := s.stripeSnapshot(ref)
+			if !ok || fresh.Nodes[pos] != nd {
+				continue
+			}
+			target := -1
+			for _, j := range joiners {
+				if j < len(counts) && counts[j] < mean && s.placementSafe(&fresh, pos, j) && s.Alive(j) {
+					if target < 0 || counts[j] < counts[target] {
+						target = j
 					}
 				}
 			}
+			if target < 0 {
+				continue
+			}
+			if rb.migrateTo(ref, &fresh, pos, target) > 0 {
+				counts[nd]--
+				counts[target]++
+				deficit--
+				if deficit == 0 {
+					return false
+				}
+			}
 		}
-	}
+		return true
+	})
 }
 
 // placementSafe reports whether putting stripe position pos on node t
@@ -312,42 +218,22 @@ func (s *Store) placementSafe(si *stripeInfo, pos, t int) bool {
 	return true
 }
 
-// migrateOff moves one block off its (draining) node to a placer-chosen
-// target, returning the payload bytes moved (0 when the move was
-// skipped or failed; the next pass retries). The read is paced by the
-// rebalance limiter and CRC-verified — a corrupt replica is never
-// propagated, it is left for the scrubber to find and repair.
-func (rb *Rebalancer) migrateOff(ref stripeRef, pos int) int64 {
-	s := rb.s
-	si, ok := s.stripeSnapshot(ref)
-	if !ok {
-		return 0 // object deleted or overwritten since collection
-	}
-	src := si.Nodes[pos]
-	if src < 0 || !s.Alive(src) || s.MemberState(src) != NodeDraining {
-		return 0 // moved, died or re-planned under us
-	}
-	target := s.replacement(&si, pos)
-	if target < 0 || target == src {
-		return 0 // nowhere to go; Remaining reports it
-	}
-	return rb.migrateTo(ref, &si, pos, target)
-}
-
 // migrateTo copies stripe position pos of si, a snapshot of ref's
-// stripe, to target and relocates it there — the atomic unit of
-// rebalance. The copy keeps its key; the commit hands the source replica
-// (or, when the object changed mid-copy, the copy) to the reclaimer.
+// stripe, to target and relocates it there — one joiner fill, its read
+// paced by the repair budget. The copy keeps its key; the commit hands
+// the source replica (or, when the object changed mid-copy, the copy)
+// to the reclaimer. It returns the payload bytes moved, 0 when the read
+// or the splice failed.
 func (rb *Rebalancer) migrateTo(ref stripeRef, si *stripeInfo, pos, target int) int64 {
 	s := rb.s
 	f := s.getFrame()
 	defer s.frames.Put(f)
 	var acct readAcct
-	payload, err := s.readBlockPayload(si, pos, &acct, s.rebalLim, *f)
+	payload, err := s.readBlockPayload(si, pos, &acct, s.repairLim, *f)
 	s.m.rebalanceBlocksRead.Add(acct.blocks)
 	s.m.rebalanceBytesRead.Add(acct.bytes)
 	if err != nil {
-		return 0 // unreadable or corrupt replica: scrub's job, not rebalance's
+		return 0 // unreadable or corrupt replica: scrub's job, not a fill's
 	}
 	// Reframed in f, where an IntoReader backend already put these bytes.
 	if !s.relocate(ref, pos, target, si.Keys[pos], AppendFrame((*f)[:0], payload)) {
@@ -368,7 +254,8 @@ type MembershipStatus struct {
 	// nodes — the work left before those drains complete. Zero when no
 	// node is draining (the manifest walk is skipped).
 	DrainingBlocks int
-	// Cumulative migration counters (same values as Metrics).
+	// Cumulative blocks copied off drainers and onto joiners (same
+	// values as Metrics).
 	RebalancedBlocks, RebalancedBytes int64
 }
 

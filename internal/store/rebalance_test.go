@@ -4,18 +4,19 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// TestRebalanceDrainsLiveNode is the core migration path: a draining
-// node's blocks move to placeable peers under the pacing bucket, the
-// drain completes (node promoted to dead), every object stays
-// byte-exact, and the source replicas are gone from the backend — zero
-// orphans.
+// TestRebalanceDrainsLiveNode is the core drain path: a pass queues the
+// draining node's stripes, the repair pool copies each block off it under
+// the repair budget, and the next pass retires the node (promoted to
+// dead). Every object stays byte-exact, and the source replicas are gone
+// from the backend — zero orphans.
 func TestRebalanceDrainsLiveNode(t *testing.T) {
 	be := NewMemBackend()
 	s := newTestStore(t, Config{Nodes: 20, BlockSize: 512, Backend: be,
-		RebalanceRateBytes: 64 << 20}) // paced, but far from the test's rate
+		RepairRateBytes: 64 << 20}) // paced, but far from the test's rate
 	rng := rand.New(rand.NewSource(7))
 	want := map[string][]byte{}
 	for i := 0; i < 6; i++ {
@@ -26,18 +27,23 @@ func TestRebalanceDrainsLiveNode(t *testing.T) {
 		}
 	}
 	const victim = 8
-	if s.BlocksPerNode()[victim] == 0 {
+	held := s.BlocksPerNode()[victim]
+	if held == 0 {
 		t.Fatal("test needs blocks on the victim")
 	}
 	if err := s.Decommission(victim); err != nil {
 		t.Fatal(err)
 	}
 
-	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
-	rep := rb.RebalanceOnce()
-	if rep.Moved == 0 {
-		t.Fatal("rebalance moved nothing")
+	rm := NewRepairManager(s, 2)
+	rm.Start()
+	defer rm.Stop()
+	rb := NewRebalancer(s, rm, 0)
+	if rep := rb.RebalanceOnce(); rep.Enqueued != held {
+		t.Fatalf("pass queued %d stripes, want the victim's %d", rep.Enqueued, held)
 	}
+	rm.Drain()
+	rep := rb.RebalanceOnce()
 	if rep.Remaining != 0 {
 		t.Fatalf("drain incomplete: %d blocks remain", rep.Remaining)
 	}
@@ -66,13 +72,14 @@ func TestRebalanceDrainsLiveNode(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if m.RebalancedBlocks != int64(rep.Moved) {
-		t.Fatalf("RebalancedBlocks = %d, report moved %d", m.RebalancedBlocks, rep.Moved)
+	if m.RebalancedBlocks != int64(held) {
+		t.Fatalf("RebalancedBlocks = %d, want the victim's %d", m.RebalancedBlocks, held)
 	}
-	// A live migration reads exactly what it moves: one block read per
-	// moved block, no amplification.
-	if m.RebalanceBlocksRead != int64(rep.Moved) {
-		t.Fatalf("RebalanceBlocksRead = %d, want %d", m.RebalanceBlocksRead, rep.Moved)
+	// A live drain copies: one repair read (the re-probe) per copied
+	// block, no amplification, and nothing rebuilt.
+	if m.RepairBlocksRead != m.RebalancedBlocks || m.RepairedBlocks != 0 {
+		t.Fatalf("RepairBlocksRead = %d, RepairedBlocks = %d; want %d and 0",
+			m.RepairBlocksRead, m.RepairedBlocks, m.RebalancedBlocks)
 	}
 }
 
@@ -103,9 +110,6 @@ func TestRebalanceDrainsDeadNode(t *testing.T) {
 	rb := NewRebalancer(s, rm, 0)
 
 	rep := rb.RebalanceOnce()
-	if rep.Moved != 0 {
-		t.Fatalf("nothing is copyable off a dead node, moved %d", rep.Moved)
-	}
 	if s.BlocksPerNode()[victim] > 0 && rep.Enqueued == 0 {
 		t.Fatal("dead drainer's stripes were not enqueued for repair")
 	}
@@ -132,6 +136,9 @@ func TestRebalanceDrainsDeadNode(t *testing.T) {
 	m := s.Metrics()
 	if m.RepairedBlocks == 0 {
 		t.Fatal("dead-node drain should repair blocks")
+	}
+	if m.RebalancedBlocks != 0 {
+		t.Fatalf("nothing is copyable off a dead node, copied %d", m.RebalancedBlocks)
 	}
 	if m.RepairsLight == 0 {
 		t.Fatal("LRC dead-node drain should use light repairs")
@@ -160,8 +167,8 @@ func TestRebalanceFillsJoiner(t *testing.T) {
 	}
 
 	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
-	rep := rb.RebalanceOnce()
-	if rep.Moved == 0 {
+	rb.RebalanceOnce()
+	if s.Metrics().RebalancedBlocks == 0 {
 		t.Fatal("fill moved nothing onto the joiner")
 	}
 	counts := s.BlocksPerNode()
@@ -211,15 +218,17 @@ func TestRebalanceFillsJoiner(t *testing.T) {
 	}
 }
 
-// TestCollectDrainWorkAfterJoin: a pass takes its membership snapshot
-// before it walks the manifests, so a node that joins in between — and a
-// PUT that lands a block on it — must not index past the snapshot.
-func TestCollectDrainWorkAfterJoin(t *testing.T) {
+// TestDrainWalkAfterJoin: a pass takes its membership snapshot before it
+// walks the manifests, and a node that joined since, holding blocks, is
+// no drainer. A walk over a snapshot taken before such a join does not
+// index past it, and a pass after the join queues exactly the drainer's
+// stripes.
+func TestDrainWalkAfterJoin(t *testing.T) {
 	s := newTestStore(t, Config{Nodes: 20, BlockSize: 64})
 	if err := s.Decommission(3); err != nil {
 		t.Fatal(err)
 	}
-	states := s.memberStates()
+	before := s.memberStates()
 	joiner, err := s.AddNode("")
 	if err != nil {
 		t.Fatal(err)
@@ -233,15 +242,14 @@ func TestCollectDrainWorkAfterJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("collectDrainWork with a pre-join snapshot: %v", r)
-		}
-	}()
-	var rep RebalanceReport
-	moves := NewRebalancer(s, NewRepairManager(s, 0), 0).collectDrainWork(&rep, states)
-	if want := s.BlocksPerNode()[3]; len(moves) != want {
-		t.Fatalf("%d drain moves, want the drainer's %d blocks", len(moves), want)
+	want := s.BlocksPerNode()[3] // one block per stripe
+	rm := NewRepairManager(s, 0)
+	if rep := rm.presence(drainingIn(before)); rep.Enqueued != want {
+		t.Fatalf("pre-join walk queued %d stripes, want the drainer's %d", rep.Enqueued, want)
+	}
+	rm = NewRepairManager(s, 0)
+	if rep := NewRebalancer(s, rm, 0).RebalanceOnce(); rep.Enqueued != want || rm.Pending() != want {
+		t.Fatalf("pass queued %d stripes (%d pending), want the drainer's %d", rep.Enqueued, rm.Pending(), want)
 	}
 }
 
@@ -252,8 +260,11 @@ func TestRebalanceStatusAndNoop(t *testing.T) {
 	if err := s.Put("o", make([]byte, 512*10)); err != nil {
 		t.Fatal(err)
 	}
-	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
-	if rep := rb.RebalanceOnce(); rep.Stripes != 0 || rep.Moved != 0 {
+	rm := NewRepairManager(s, 2)
+	rm.Start()
+	defer rm.Stop()
+	rb := NewRebalancer(s, rm, 0)
+	if rep := rb.RebalanceOnce(); rep != (RebalanceReport{}) {
 		t.Fatalf("steady-state pass should not walk: %+v", rep)
 	}
 	st := s.MembershipStatus()
@@ -275,15 +286,18 @@ func TestRebalanceStatusAndNoop(t *testing.T) {
 		t.Fatalf("status epoch = %d, store epoch %d", st.Epoch, s.Epoch())
 	}
 	rb.RebalanceOnce()
+	rm.Drain()
+	rb.RebalanceOnce()
 	st = s.MembershipStatus()
 	if st.Draining != 0 || st.Dead != 1 || st.DrainingBlocks != 0 {
 		t.Fatalf("post-drain status: %+v", st)
 	}
 }
 
-// TestRebalanceSurvivesOverwriteRace: an object overwritten between
-// collection and migration must not have stale blocks spliced into its
-// new manifest — the move is skipped and nothing orphans.
+// TestRebalanceSurvivesOverwriteRace: a drain item queued for a
+// generation that an overwrite then replaced moves nothing — a stale
+// block must never be spliced into the new manifest — and the overwrite
+// reads back.
 func TestRebalanceSurvivesOverwriteRace(t *testing.T) {
 	be := NewMemBackend()
 	s := newTestStore(t, Config{Nodes: 20, BlockSize: 512, Backend: be})
@@ -291,38 +305,30 @@ func TestRebalanceSurvivesOverwriteRace(t *testing.T) {
 	if err := s.Put("obj", randBytes(rng, 512*10)); err != nil {
 		t.Fatal(err)
 	}
-	const victim = 1
+	v, _ := s.db.Get(objKey("obj"))
+	obj := v.(*objectInfo)
+	victim := obj.Stripes[0].Nodes[0]
 	if err := s.Decommission(victim); err != nil {
 		t.Fatal(err)
 	}
-	// Find a block on the victim and race an overwrite against its move
-	// by migrating against the stale generation by hand.
-	v, _ := s.db.Get(objKey("obj"))
-	obj := v.(*objectInfo)
-	ref := stripeRef{name: "obj", gen: obj.Gen, idx: 0}
-	pos := -1
-	for p, nd := range obj.Stripes[0].Nodes {
-		if nd == victim {
-			pos = p
-			break
-		}
-	}
+	rm := NewRepairManager(s, 2)
+	rm.enqueue(repairItem{ref: stripeRef{name: "obj", gen: obj.Gen, idx: 0}, damaged: []int{0}})
 	want := randBytes(rng, 512*10)
 	if err := s.Put("obj", want); err != nil { // new generation
 		t.Fatal(err)
 	}
-	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
-	if pos >= 0 {
-		if n := rb.migrateOff(ref, pos); n != 0 {
-			t.Fatal("migration against a stale generation must be skipped")
-		}
+	rm.Start()
+	rm.Drain()
+	rm.Stop()
+	if m := s.Metrics(); m.RebalancedBlocks != 0 || m.RepairedBlocks != 0 {
+		t.Fatalf("a drain item for a replaced generation moved %d blocks, rebuilt %d", m.RebalancedBlocks, m.RepairedBlocks)
 	}
 	got, _, err := s.Get("obj")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("overwrite lost to a stale rebalance")
+		t.Fatal("overwrite lost to a stale drain")
 	}
 }
 
@@ -374,6 +380,148 @@ func TestRebalanceDrainWaitsForDeletes(t *testing.T) {
 		}
 		if n := gate.BlockCount(victim); n != 0 {
 			t.Fatalf("drained node holds %d blocks", n)
+		}
+	}
+}
+
+// TestDeadDrainerRetires: a decommissioned node whose process dies
+// mid-drain (its probes fail and its reads error) is killed by the health
+// monitor like any other node; its queued blocks are rebuilt instead of
+// copied, and the drain still retires it.
+func TestDeadDrainerRetires(t *testing.T) {
+	fb := NewFaultBackend(NewMemBackend(), 1)
+	s := newTestStore(t, Config{Nodes: 20, BlockSize: 1 << 10, Backend: fb})
+	rng := rand.New(rand.NewSource(41))
+	want := map[string][]byte{}
+	for i := 0; i < 20; i++ {
+		name := fmt.Sprintf("obj-%d", i)
+		want[name] = randBytes(rng, 10<<10)
+		if err := s.Put(name, want[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const drainer = 6
+	if err := s.Decommission(drainer); err != nil {
+		t.Fatal(err)
+	}
+	fb.SetFault(drainer, Fault{ErrRate: 1})
+	rm := NewRepairManager(s, 2)
+	rm.Start()
+	defer rm.Stop()
+	m := NewHealthMonitor(s, NewScrubber(s, rm, 0), MonitorConfig{
+		FailThreshold: 2,
+		Probe: func(n int) error {
+			if n == drainer {
+				return ErrInjected
+			}
+			return nil
+		},
+	})
+	rb := NewRebalancer(s, rm, 0)
+	for round := 0; round < 10 && s.MemberState(drainer) != NodeDead; round++ {
+		m.tick()
+		rb.RebalanceOnce()
+		rm.Drain()
+	}
+	if st, left := s.MemberState(drainer), s.BlocksPerNode()[drainer]; st != NodeDead || left != 0 || s.Alive(drainer) {
+		t.Fatalf("dead drainer: state %s, %d blocks, alive %v; want dead, 0, false", st, left, s.Alive(drainer))
+	}
+	for name, data := range want {
+		got, info, err := s.Get(name)
+		if err != nil || !bytes.Equal(got, data) || info.Degraded {
+			t.Fatalf("Get(%s): err %v, exact %v, degraded %v", name, err, bytes.Equal(got, data), info.Degraded)
+		}
+	}
+}
+
+// TestLossOutranksDrain: a drain queues behind every stripe that lost a
+// block. Node a is decommissioned and node b killed, before or after the
+// drain walk; the walk runs before ScrubPresence, yet every item popped
+// before the first drain-only one carries b's block as damage.
+func TestLossOutranksDrain(t *testing.T) {
+	for _, killFirst := range []bool{true, false} {
+		s := newTestStore(t, Config{Nodes: 20, BlockSize: 512})
+		rng := rand.New(rand.NewSource(13))
+		for i := 0; i < 10; i++ {
+			if err := s.Put(fmt.Sprintf("obj-%d", i), randBytes(rng, 512*10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const a, b = 4, 11 // placement leaves b out of some stripes that hold a
+		if err := s.Decommission(a); err != nil {
+			t.Fatal(err)
+		}
+		if killFirst {
+			s.KillNode(b)
+		}
+		rm := NewRepairManager(s, 0)
+		NewRebalancer(s, rm, 0).RebalanceOnce()
+		s.KillNode(b)
+		NewScrubber(s, rm, 0).ScrubPresence()
+		losses, drains, both := 0, 0, 0
+		for rm.Pending() > 0 {
+			it, _ := rm.q.Pop()
+			si, _ := s.stripeSnapshot(it.ref)
+			pb := slices.Index(si.Nodes, b)
+			if pb < 0 {
+				drains++
+				continue
+			}
+			if !slices.Contains(it.damaged, pb) {
+				t.Fatalf("kill first %v: stripe %+v lost its block on node %d, queued with damage %v", killFirst, it.ref, b, it.damaged)
+			}
+			if drains > 0 {
+				t.Fatalf("kill first %v: stripe %+v lost a block on node %d but popped after %d drain-only items", killFirst, it.ref, b, drains)
+			}
+			if slices.Contains(si.Nodes, a) {
+				both++
+			}
+			losses++
+		}
+		if losses == 0 || drains == 0 || both == 0 {
+			t.Fatalf("%d loss items (%d also draining), %d drain-only items; the test needs all three", losses, both, drains)
+		}
+	}
+}
+
+// TestDrainRepairsLaterLoss: a node that dies while its stripes sit in
+// the queue as drain items still gets its blocks rebuilt. The drain pass
+// queues node a's stripes, node b dies, and ScrubPresence's items merge
+// into the pending drains; once the pool has drained, no manifest places
+// a block on b — without a scrub — and the next pass retires a.
+func TestDrainRepairsLaterLoss(t *testing.T) {
+	s := newTestStore(t, Config{Nodes: 20, BlockSize: 512})
+	rng := rand.New(rand.NewSource(14))
+	want := map[string][]byte{}
+	for i := 0; i < 10; i++ {
+		name := fmt.Sprintf("obj-%d", i)
+		want[name] = randBytes(rng, 512*10)
+		if err := s.Put(name, want[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const a, b = 4, 11
+	if err := s.Decommission(a); err != nil {
+		t.Fatal(err)
+	}
+	rm := NewRepairManager(s, 2)
+	defer rm.Stop()
+	rb := NewRebalancer(s, rm, 0)
+	rb.RebalanceOnce() // the workers are not started: the drain items wait
+	s.KillNode(b)
+	NewScrubber(s, rm, 0).ScrubPresence()
+	rm.Start()
+	rm.Drain()
+	if left := s.BlocksPerNode()[b]; left != 0 {
+		t.Fatalf("%d manifest blocks still on dead node %d", left, b)
+	}
+	if rep := rb.RebalanceOnce(); rep.Remaining != 0 || s.MemberState(a) != NodeDead {
+		t.Fatalf("drain of %d: %d remaining, state %s", a, rep.Remaining, s.MemberState(a))
+	}
+	for name, data := range want {
+		got, info, err := s.Get(name)
+		if err != nil || !bytes.Equal(got, data) || info.Degraded {
+			t.Fatalf("Get(%s): err %v, exact %v, degraded %v", name, err, bytes.Equal(got, data), info.Degraded)
 		}
 	}
 }

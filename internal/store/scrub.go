@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,7 +15,9 @@ import (
 // that "periodically checks for lost or corrupted blocks" and a
 // RepairManager whose goroutine pool drains the prioritized repair queue,
 // rebuilding blocks (light local decode first) and rewriting them to live
-// nodes.
+// nodes. A decommission drains through the same queue (HDFS's one
+// replication queue does the same): a block that still reads is copied
+// off its draining node, one that does not is rebuilt.
 
 // RepairManager owns the repair queue, its worker pool and every
 // periodic pass that feeds it (the scrub walk, the rebalance pass, the
@@ -181,16 +184,16 @@ func (r *RepairManager) Drain() { r.q.WaitIdle() }
 // Pending returns the queued repair count.
 func (r *RepairManager) Pending() int { return r.q.Len() }
 
-// enqueue admits one damaged stripe (deduplicated by the queue) and
-// persists it to the metadata plane. The record is committed without a
-// sync: losing it in a crash only costs a rediscovery by the next scrub,
-// which is not worth an fsync per enqueue.
+// enqueue admits one damaged stripe (merged into its pending item, if
+// any) and persists the item as queued to the metadata plane. The record
+// is committed without a sync: losing it in a crash only costs a
+// rediscovery by the next scrub, which is not worth an fsync per enqueue.
 func (r *RepairManager) enqueue(it repairItem) bool {
-	if !r.q.Push(it) {
-		return false
+	it, ok := r.q.Push(it)
+	if ok {
+		_ = r.s.db.CommitNoSync(func(tx *meta.Tx) { tx.Put(qKey(it.ref), recordOf(it)) })
 	}
-	_ = r.s.db.CommitNoSync(func(tx *meta.Tx) { tx.Put(qKey(it.ref), recordOf(it)) })
-	return true
+	return ok
 }
 
 // repairScratch is one worker's pair of reusable framed block slabs.
@@ -218,17 +221,19 @@ func (rs *repairScratch) next(n, payloadLen int) [][]byte {
 	return carveFramedBufs(slab[:need], n, payloadLen)
 }
 
-// repairFetch re-probes a damaged stripe and rebuilds its blocks — the
+// repairFetch re-probes a queued stripe and rebuilds what it lost — the
 // read/decode half of a repair, paced by the repair limiter — returning
 // the write-back step for the pipeline to overlap with the next fetch
-// (nil when nothing needs writing). The stripe is re-probed first: the
-// damage may have healed (node revived) or grown since scrub time.
-// Rebuilt payloads land in the worker's scratch slab, framed.
+// (nil when nothing needs writing). Each queued position is re-probed
+// first, into its slot of the worker's scratch slab: the damage may have
+// healed (node revived) or grown since it was queued. A block that reads
+// back with its CRC intact is reused, and written back from its slot when
+// its node may not keep it (a drain); the rest are rebuilt into theirs.
 func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func() {
 	s := r.s
 	si, ok := s.stripeSnapshot(it.ref)
 	if !ok {
-		return nil // object deleted since scrub
+		return nil // object deleted or overwritten since it was queued
 	}
 	n := s.cfg.Codec.NStored()
 	acct := &readAcct{}
@@ -236,72 +241,70 @@ func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func(
 	for pos := 0; pos < n; pos++ {
 		avail[pos] = s.Alive(si.Nodes[pos])
 	}
+	bufs := scratch.next(len(it.damaged), si.BlockLen)
+	frameOf := func(pos int) []byte { return bufs[slices.Index(it.damaged, pos)] }
 	stripe := make([][]byte, n)
-	var damaged []int
-	for _, pos := range it.damaged {
+	var copied, damaged []int
+	for i, pos := range it.damaged {
 		if !it.silent {
-			if p, err := s.readBlockPayload(&si, pos, acct, s.repairLim, nil); err == nil {
+			if p, err := s.readBlockPayload(&si, pos, acct, s.repairLim, bufs[i]); err == nil {
 				stripe[pos] = p // healed under us; reuse the bytes
+				if !s.keeps(si.Nodes[pos]) {
+					copy(bufs[i][4:], p) // onto itself when the backend read into the slot
+					copied = append(copied, pos)
+				}
 				continue
 			}
 		}
 		avail[pos] = false
 		damaged = append(damaged, pos)
 	}
-	if len(damaged) == 0 {
-		s.m.mergeRepair(acct)
-		return nil
-	}
-	bufs := scratch.next(len(damaged), si.BlockLen)
-	slotOf := func(pos int) int {
-		for di, p := range damaged {
-			if p == pos {
-				return di
+	var rebuilt []int
+	if len(damaged) > 0 {
+		// On an unrecoverable stripe the batched decode still rebuilds what
+		// it can before failing; persist that partial progress — every block
+		// written back moves the stripe away from the data-loss edge. Scrub
+		// re-reports whatever is still missing.
+		_ = s.reconstructPositions(&si, stripe, damaged, avail, acct, s.repairLim,
+			func(pos int) []byte { return frameOf(pos)[4:] })
+		for _, pos := range damaged {
+			if stripe[pos] != nil {
+				rebuilt = append(rebuilt, pos)
 			}
 		}
-		return -1
 	}
-	// On an unrecoverable stripe the batched decode still rebuilds what
-	// it can before failing; persist that partial progress — every block
-	// written back moves the stripe away from the data-loss edge. Scrub
-	// re-reports whatever is still missing.
-	_ = s.reconstructPositions(&si, stripe, damaged, avail, acct, s.repairLim,
-		func(pos int) []byte { return bufs[slotOf(pos)][4:] })
 	s.m.mergeRepair(acct)
-	var rebuilt []int
-	for _, pos := range damaged {
-		if stripe[pos] != nil {
-			rebuilt = append(rebuilt, pos)
-		}
-	}
-	if len(rebuilt) == 0 {
+	if len(copied) == 0 && len(rebuilt) == 0 {
 		return nil
 	}
-	return func() {
-		s.writeRepaired(it.ref, si, stripe, rebuilt, func(pos int) []byte { return bufs[slotOf(pos)] })
-	}
+	return func() { s.writeRepaired(it.ref, si, stripe, copied, rebuilt, frameOf) }
 }
 
-// writeRepaired is the write-back half of a repair: place each rebuilt
-// block on a live node (re-placing off dead ones under the rack rule),
-// stamp its frame's CRC in place and relocate it there. A re-placement
-// leaves its stale replica to the reclaimer, which retries until the dead
-// node answers: a revived node cannot resurface it (HDFS re-registration
-// invalidates it the same way).
-func (s *Store) writeRepaired(ref stripeRef, si stripeInfo, stripe [][]byte, rebuilt []int, frameOf func(pos int) []byte) {
-	for _, pos := range rebuilt {
+// writeRepaired is the write-back half of a repair: place each copied
+// or rebuilt block on a node that keeps it (re-placing off a dead or
+// draining one under the rack rule), stamp its frame's CRC in place and
+// relocate it there. A copy counts as rebalanced, a rebuild as repaired.
+// A re-placement leaves its stale replica to the reclaimer, which retries
+// until the old node answers: a revived node cannot resurface it (HDFS
+// re-registration invalidates it the same way).
+func (s *Store) writeRepaired(ref stripeRef, si stripeInfo, stripe [][]byte, copied, rebuilt []int, frameOf func(pos int) []byte) {
+	for i, pos := range append(copied, rebuilt...) {
 		node, key := si.Nodes[pos], si.Keys[pos]
-		if !s.Alive(node) {
-			// Re-place on a live placeable node (never a drainer — repair
-			// must not refill a node mid-decommission).
+		if !s.keeps(node) {
 			if node = s.replacement(&si, pos); node < 0 {
-				continue // no live node; nothing to write to
+				continue // nowhere to go; the next scrub or drain pass retries
 			}
 			si.Nodes[pos] = node
 		}
 		frame := frameOf(pos)
 		binary.LittleEndian.PutUint32(frame, crc32.Checksum(frame[4:], castagnoli))
-		if s.relocate(ref, pos, node, key, frame) {
+		if !s.relocate(ref, pos, node, key, frame) {
+			continue
+		}
+		if i < len(copied) {
+			s.m.rebalancedBlocks.Add(1)
+			s.m.rebalancedBytes.Add(int64(len(stripe[pos])))
+		} else {
 			s.m.repairedBlocks.Add(1)
 			s.m.repairedBytes.Add(int64(len(stripe[pos])))
 		}
@@ -338,29 +341,20 @@ func NewScrubber(s *Store, rm *RepairManager, period time.Duration) *Scrubber {
 }
 
 // ScrubOnce walks every stripe synchronously and returns what it found.
-// The walk streams through the metadata plane's prefix iterator — one
-// shard's manifests in memory at a time, never a global snapshot — so
-// scrub cost stays flat as the namespace grows.
+// The walk streams (eachStripe), so its memory stays flat as the
+// namespace grows.
 func (sc *Scrubber) ScrubOnce() ScrubReport {
 	var rep ScrubReport
-	it := sc.s.db.Scan(objPrefix)
-	for {
-		_, v, ok := it.Next()
-		if !ok {
-			break
+	sc.s.eachStripe(func(obj *objectInfo, i int) bool {
+		miss, corr, enq := sc.scrubStripe(stripeRef{name: obj.Name, gen: obj.Gen, idx: i})
+		rep.Stripes++
+		rep.Missing += miss
+		rep.Corrupt += corr
+		if enq {
+			rep.Enqueued++
 		}
-		obj := v.(*objectInfo)
-		for i := range obj.Stripes {
-			ref := stripeRef{name: obj.Name, gen: obj.Gen, idx: i}
-			miss, corr, enq := sc.scrubStripe(ref)
-			rep.Stripes++
-			rep.Missing += miss
-			rep.Corrupt += corr
-			if enq {
-				rep.Enqueued++
-			}
-		}
-	}
+		return true
+	})
 	return rep
 }
 
@@ -370,59 +364,56 @@ func (sc *Scrubber) ScrubOnce() ScrubReport {
 // from reading blocks). No backend reads and no CRC checks happen, so a
 // node kill turns into queued repairs at manifest-walk speed; silent
 // corruption and deleted blocks on live nodes are ScrubOnce's job.
-func (sc *Scrubber) ScrubPresence() ScrubReport {
-	return sc.presence(func(node int) bool { return !sc.s.Alive(node) })
-}
+func (sc *Scrubber) ScrubPresence() ScrubReport { return sc.rm.presence(nil) }
 
-// presence is the manifest-only walk behind ScrubPresence and a revival:
-// every stripe with blocks on suspect nodes is enqueued with those
-// blocks as its damage. The repair worker re-probes
-// each one — a block that reads back with its CRC intact is reused, not
-// rebuilt. Missing counts only blocks on dead nodes.
-func (sc *Scrubber) presence(suspect func(node int) bool) ScrubReport {
+// presence is the one manifest-only walk, behind ScrubPresence, the
+// health monitor's deaths and revivals, and a rebalance pass's drains:
+// every stripe with a block on a node that the walk's liveness snapshot
+// has down, or on a live node that recheck names (nil names none), is
+// enqueued with those blocks as its damage. A stripe is never queued
+// without its losses, and its erasures are those losses alone, so a
+// drain or a revival re-check queues behind every stripe that lost a
+// block. The repair worker re-probes each one — a block that reads back
+// with its CRC intact is reused, not rebuilt. Missing counts only blocks
+// on down nodes.
+func (r *RepairManager) presence(recheck func(node int) bool) ScrubReport {
 	var rep ScrubReport
-	s := sc.s
+	s := r.s
+	alive := s.aliveSnapshot()
 	n := s.cfg.Codec.NStored()
-	it := s.db.Scan(objPrefix)
-	for {
-		_, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		obj := v.(*objectInfo)
-		for idx := range obj.Stripes {
-			// The iterator's manifests are immutable (copy-on-write plane),
-			// so the stripe can be inspected directly — no re-lookup, no
-			// copy. A stale view only mis-ages a repair item; the queue item
-			// carries the generation and the repair re-probes.
-			si := &obj.Stripes[idx]
-			rep.Stripes++
-			avail := make([]bool, n)
-			var damaged []int
-			for pos := 0; pos < n; pos++ {
-				node := si.Nodes[pos]
-				if !suspect(node) {
-					avail[pos] = true
-					continue
-				}
+	s.eachStripe(func(obj *objectInfo, idx int) bool {
+		// Inspected in place: a stale view only mis-ages a repair item,
+		// which carries the generation, and the worker re-probes.
+		si := &obj.Stripes[idx]
+		rep.Stripes++
+		avail := make([]bool, n)
+		var damaged []int
+		down := 0
+		for pos, node := range si.Nodes {
+			switch {
+			case node < 0 || node >= len(alive) || !alive[node]:
+				down++
 				damaged = append(damaged, pos)
-				if !s.Alive(node) {
-					rep.Missing++
-				}
-			}
-			if len(damaged) == 0 {
-				continue
-			}
-			if sc.rm.enqueue(repairItem{
-				ref:      stripeRef{name: obj.Name, gen: obj.Gen, idx: idx},
-				damaged:  damaged,
-				erasures: len(damaged),
-				light:    s.lightRepairable(damaged, avail),
-			}) {
-				rep.Enqueued++
+			case recheck != nil && recheck(node):
+				damaged = append(damaged, pos)
+			default:
+				avail[pos] = true
 			}
 		}
-	}
+		if len(damaged) == 0 {
+			return true
+		}
+		rep.Missing += down
+		if r.enqueue(repairItem{
+			ref:      stripeRef{name: obj.Name, gen: obj.Gen, idx: idx},
+			damaged:  damaged,
+			erasures: down,
+			light:    s.lightRepairable(damaged, avail),
+		}) {
+			rep.Enqueued++
+		}
+		return true
+	})
 	s.m.missingFound.Add(int64(rep.Missing))
 	return rep
 }

@@ -28,19 +28,16 @@ type Config struct {
 	// BlockSize is the maximum data-block payload per stripe position in
 	// bytes (default 64 KiB; 256 MB in the paper's clusters).
 	BlockSize int
-	// RepairRateBytes caps the repair pool's backend read rate in bytes
-	// per second — the paper's bounded fixer load, so background repair
-	// of a dead node never starves foreground reads. Charged by actual
-	// bytes read through a shared token bucket; 0 = unlimited.
+	// RepairRateBytes caps the backend read rate of every background
+	// block move in bytes per second: repairs, drain copies and joiner
+	// fills — the paper's bounded fixer load, so neither a dead node's
+	// repair nor a planned topology change starves foreground reads.
+	// Charged by actual bytes read through one shared token bucket;
+	// 0 = unlimited.
 	RepairRateBytes int64
 	// ScrubRateBytes caps the scrubber's integrity-walk read rate in
 	// bytes per second, same discipline; 0 = unlimited.
 	ScrubRateBytes int64
-	// RebalanceRateBytes caps the rebalancer's migration read rate in
-	// bytes per second — planned topology change must never starve
-	// foreground traffic, same token-bucket discipline as repair and
-	// scrub; 0 = unlimited.
-	RebalanceRateBytes int64
 	// CacheBytes bounds the in-memory hot-block cache on the foreground
 	// read path: fetched (and reconstructed) data-block payloads stay
 	// resident in a sharded, pin/unpin LRU keyed by backend block key —
@@ -138,7 +135,7 @@ type Store struct {
 	// an idle store's slabs go back to the garbage collector.
 	slabs sync.Pool
 	// frames pools the block-sized frames (*[]byte, 4+BlockSize) lent to
-	// an IntoReader backend for a decode's sources and a rebalance move.
+	// an IntoReader backend for a decode's sources and a joiner fill.
 	// Block-granular on purpose: a light repair wants five frames, not a
 	// sixteen-frame slab.
 	frames sync.Pool
@@ -183,11 +180,10 @@ type Store struct {
 	gen atomic.Int64 // Put generation, keeps block keys unique
 	seq atomic.Int64 // stripe placement rotation
 
-	// repairLim / scrubLim / rebalLim pace the background datapaths
-	// (nil = unlimited). Foreground reads never touch them.
+	// repairLim paces every background block move, scrubLim the
+	// integrity walk (nil = unlimited). Foreground reads never touch them.
 	repairLim *Limiter
 	scrubLim  *Limiter
-	rebalLim  *Limiter
 
 	// cache is the hot-block read cache, nil unless Config.CacheBytes
 	// is set. Invalidation rides the same paths that make blocks stale:
@@ -235,7 +231,6 @@ func open(cfg Config, db *meta.DB) (*Store, error) {
 		landing:   make(map[blockRef]int),
 		repairLim: NewLimiter(cfg.RepairRateBytes),
 		scrubLim:  NewLimiter(cfg.ScrubRateBytes),
-		rebalLim:  NewLimiter(cfg.RebalanceRateBytes),
 	}
 	if cfg.CacheBytes > 0 {
 		s.cache = newBlockCache(cfg.CacheBytes)
@@ -431,8 +426,8 @@ func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *L
 
 // lightRepairable reports whether every damaged position has a light
 // repair plan given avail — the repair queue's priority bit (at equal
-// risk, light repairs go first), defined here once for the scrubber's two
-// scans and the rebalancer.
+// risk, light repairs go first), defined here once for the full scrub and
+// the presence walk.
 func (s *Store) lightRepairable(damaged []int, avail []bool) bool {
 	for _, pos := range damaged {
 		if _, light, err := s.cfg.Codec.PlanReads(pos, avail); err != nil || !light {
@@ -697,22 +692,36 @@ func (s *Store) Stat(name string) (ObjectStat, error) {
 // view.
 func (s *Store) BlocksPerNode() []int {
 	out := make([]int, s.Nodes())
+	s.eachStripe(func(o *objectInfo, i int) bool {
+		for _, n := range o.Stripes[i].Nodes {
+			if n >= 0 && n < len(out) {
+				out[n]++
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// eachStripe calls fn with every stripe of every stored object, streamed
+// through the metadata plane's prefix iterator — one shard's manifests in
+// memory at a time, never a global snapshot — until fn returns false.
+// The manifests are immutable (copy-on-write plane): fn may inspect one
+// in place, but it is a point-in-time view.
+func (s *Store) eachStripe(fn func(obj *objectInfo, idx int) bool) {
 	it := s.db.Scan(objPrefix)
 	for {
 		_, v, ok := it.Next()
 		if !ok {
-			break
+			return
 		}
-		o := v.(*objectInfo)
-		for i := range o.Stripes {
-			for _, n := range o.Stripes[i].Nodes {
-				if n >= 0 && n < len(out) {
-					out[n]++
-				}
+		obj := v.(*objectInfo)
+		for idx := range obj.Stripes {
+			if !fn(obj, idx) {
+				return
 			}
 		}
 	}
-	return out
 }
 
 // BlockLocation returns where one stripe position of an object lives —

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -377,16 +378,34 @@ func TestQueuePriority(t *testing.T) {
 			t.Fatalf("pop order %v, want %v", order, want)
 		}
 	}
-	// Dedupe: the same stripe cannot be queued twice.
-	if !q.Push(mk(5, 1, true)) || q.Push(mk(5, 2, true)) {
-		t.Fatal("dedupe failed")
+	// One item per stripe: a push that brings nothing new is refused, and
+	// one that does merges into the pending item — the union of damage,
+	// the higher risk, light only when both were — and moves it up.
+	first := mk(5, 1, true)
+	first.damaged = []int{2}
+	if _, ok := q.Push(first); !ok {
+		t.Fatal("first push refused")
+	}
+	if _, ok := q.Push(first); ok {
+		t.Fatal("a duplicate push was taken")
+	}
+	q.Push(mk(6, 2, true))
+	more := mk(5, 3, false)
+	more.damaged = []int{2, 7}
+	if it, ok := q.Push(more); !ok || !slices.Equal(it.damaged, []int{2, 7}) || it.erasures != 3 || it.light {
+		t.Fatalf("merged item %+v (ok %v), want damage [2 7], 3 erasures, heavy", it, ok)
+	}
+	if q.Len() != 2 {
+		t.Fatalf("%d items pending, want 2", q.Len())
 	}
 	q.Close()
-	if _, ok := q.Pop(); !ok {
-		// the queued item drains even after Close
-		t.Fatal("Close dropped a pending item")
+	for _, want := range []int{5, 6} { // pending items drain even after Close
+		it, ok := q.Pop()
+		if !ok || it.ref.idx != want {
+			t.Fatalf("after Close popped %+v (ok %v), want stripe %d", it.ref, ok, want)
+		}
+		q.Done()
 	}
-	q.Done()
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop returned an item from a closed empty queue")
 	}
