@@ -4,10 +4,11 @@
 // confirm the death (three missed beats, so one dropped packet never
 // flips a node), repair drains automatically, the replacement process
 // comes up empty and is re-marked alive, with only its own blocks
-// re-checked — and the whole time, reads keep returning exact bytes. The monitor is the only
-// failure detector: until it confirms the death a read pays the dead
-// socket's refused connections, and after that the store sends nothing
-// to the node.
+// re-checked — and the whole time, reads keep returning exact bytes. The
+// monitor is the only failure detector: until it confirms the death a
+// read pays one refused connection per block it asks of the dead node
+// and rebuilds that block from the rest of its stripe; after that the
+// store sends nothing to the node.
 package main
 
 import (
@@ -39,9 +40,7 @@ func main() {
 	fmt.Printf("%d TCP block servers, death confirmed after 3 missed probes\n\n", nodes)
 
 	cl, err := chaos.NewCluster(nodes, netblock.Options{
-		DialTimeout:  250 * time.Millisecond,
-		Retries:      1,
-		RetryBackoff: 2 * time.Millisecond,
+		DialTimeout: 250 * time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -101,12 +100,13 @@ func main() {
 	}
 
 	// Reads keep working the whole time the node is dark: before the
-	// monitor confirms the death a read pays the dead node's failed
-	// attempts, after it the store reads around the node without asking.
+	// monitor confirms the death a read pays one failed attempt per block
+	// it asks of the dead node, after it the store reads around the node
+	// without asking.
 	suspectRead := getExact(srv.URL, want.Bytes())
 	waitUntil("monitor confirms the death", func() bool { return !s.Alive(victim) })
 	deadRead := getExact(srv.URL, want.Bytes())
-	fmt.Printf("degraded GET: %v before the monitor's verdict (paying failed attempts), %v after (node skipped)\n",
+	fmt.Printf("degraded GET: %v before the monitor's verdict (one failed attempt per block on the node), %v after (node skipped)\n",
 		suspectRead.Round(time.Millisecond), deadRead.Round(time.Millisecond))
 	rm.Drain()
 	m := s.Metrics()

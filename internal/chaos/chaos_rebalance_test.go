@@ -30,10 +30,8 @@ import (
 func TestRebalanceUnderChurn(t *testing.T) {
 	const nodes = 20
 	cl, err := NewCluster(nodes, netblock.Options{
-		DialTimeout:  250 * time.Millisecond,
-		Timeout:      2 * time.Second,
-		Retries:      1,
-		RetryBackoff: 2 * time.Millisecond,
+		DialTimeout: 250 * time.Millisecond,
+		Timeout:     2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -277,10 +277,8 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestSelfHealingUnderTraffic(t *testing.T) {
 	const nodes = 20
 	cl, err := NewCluster(nodes, netblock.Options{
-		DialTimeout:  250 * time.Millisecond,
-		Timeout:      2 * time.Second,
-		Retries:      1,
-		RetryBackoff: 2 * time.Millisecond,
+		DialTimeout: 250 * time.Millisecond,
+		Timeout:     2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

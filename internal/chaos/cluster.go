@@ -33,7 +33,7 @@ type Cluster struct {
 
 // NewCluster boots n servers and dials the client with opts (zero
 // fields take netblock defaults; chaos tests usually shrink
-// DialTimeout and RetryBackoff so scenarios converge in test time).
+// DialTimeout and Timeout so scenarios converge in test time).
 func NewCluster(n int, opts netblock.Options) (*Cluster, error) {
 	c := &Cluster{
 		servers:  make([]*netblock.Server, n),

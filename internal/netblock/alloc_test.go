@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/pattern"
 	"repro/internal/store"
@@ -160,8 +159,10 @@ func scriptedNode(t *testing.T, serve func(i int, conn net.Conn)) string {
 // or no dst, it arrives as from Read — a buffer of exactly its length.
 // A header claiming more than cap(dst) pins what readBody allows and no
 // more. Statuses map onto the same errors as Read's, and the error keeps
-// nothing of dst. A connection that drops mid-body leaves part of a body
-// in dst; the retry receives into the same dst and the bytes are exact.
+// nothing of dst. A pooled connection that drops mid-body leaves part of
+// a body in dst; the fresh dial that replaces it receives into the same
+// dst and the bytes are exact. A fresh connection that drops fails the
+// op.
 func TestReadIntoContract(t *testing.T) {
 	const key = "obj.g000001.s00000.b00"
 	block := store.FrameBlock(patternBytes(t, 1<<20))
@@ -243,29 +244,50 @@ func TestReadIntoContract(t *testing.T) {
 		t.Errorf("remote error: err = %v, want the node's message", err)
 	}
 
-	// Connection 0 sends the header and half a body of 0xEE, then drops;
-	// connection 1 answers in full.
-	flaky := scriptedNode(t, func(i int, conn net.Conn) {
+	// A body that drops halfway: the header and half a body of 0xEE.
+	half := func(conn net.Conn) {
+		var frame bytes.Buffer
+		writeResponse(&frame, statusOK, bytes.Repeat([]byte{0xEE}, len(block)))
+		conn.Write(frame.Bytes()[:respHeaderLen+len(block)/2])
+	}
+	// On a pooled socket the drop is passed over for free: connection 0
+	// answers a probe, is pooled, and drops the read that reuses it;
+	// connection 1, freshly dialed, answers in full, into the same dst.
+	pooledDrop := scriptedNode(t, func(i int, conn net.Conn) {
 		if i > 0 {
 			writeResponse(conn, statusOK, block)
 			return
 		}
-		var frame bytes.Buffer
-		writeResponse(&frame, statusOK, bytes.Repeat([]byte{0xEE}, len(block)))
-		conn.Write(frame.Bytes()[:respHeaderLen+len(block)/2])
+		writeResponse(conn, statusOK, nil)
+		if _, err := readRequest(conn); err == nil {
+			half(conn)
+		}
 	})
-	cf, err := Dial([]string{flaky}, Options{DialTimeout: time.Second, Timeout: 5 * time.Second, RetryBackoff: -1})
-	if err != nil {
+	cp := dialTest(t, pooledDrop)
+	if err := cp.CheckNode(0); err != nil {
 		t.Fatal(err)
 	}
-	defer cf.Close()
 	dst = dirty(len(block))
-	got, err := cf.ReadInto(0, key, dst)
+	got, err := cp.ReadInto(0, key, dst)
 	if err != nil {
-		t.Fatalf("read across a mid-body drop: %v", err)
+		t.Fatalf("read across a pooled socket's mid-body drop: %v", err)
 	}
 	if !aliases(got, dst) || !bytes.Equal(got, block) {
-		t.Errorf("read across a mid-body drop: aliases dst %v, bytes exact %v", aliases(got, dst), bytes.Equal(got, block))
+		t.Errorf("read across a pooled socket's mid-body drop: aliases dst %v, bytes exact %v", aliases(got, dst), bytes.Equal(got, block))
+	}
+	// On a freshly dialed socket the drop is final, and the error keeps
+	// nothing of the half body dst received.
+	freshDrop := scriptedNode(t, func(_ int, conn net.Conn) { half(conn) })
+	cf := dialTest(t, freshDrop)
+	dst = dirty(len(block))
+	got, err = cf.ReadInto(0, key, dst)
+	if err == nil || got != nil {
+		t.Fatalf("read across a fresh socket's mid-body drop: %d bytes, err %v; want a failed op", len(got), err)
+	}
+	msg := err.Error()
+	clear(dst)
+	if err.Error() != msg {
+		t.Errorf("the error of a dropped read is a view of dst: %q became %q", msg, err.Error())
 	}
 }
 

@@ -11,6 +11,10 @@ import (
 )
 
 // Options tunes a Client. Zero fields take defaults.
+//
+// There is no retry policy: every block op gets one attempt (see do). A
+// block that cannot be read is the store's to rebuild from the rest of
+// its stripe, and whether a node is down is its HealthMonitor's call.
 type Options struct {
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration
@@ -22,23 +26,6 @@ type Options struct {
 	// block over a slow link is not condemned by a deadline sized for
 	// pings.
 	Timeout time.Duration
-	// Retries is how many extra attempts an operation gets after a
-	// transport failure, each on a freshly dialed connection. The zero
-	// value means "use the default" (2), so to disable retries entirely
-	// set any negative value, which is clamped to zero extra attempts.
-	// Application-level failures (not-found, remote errors) never retry:
-	// the node answered, the answer stands.
-	Retries int
-	// RetryBackoff is the base sleep between retry attempts on one
-	// operation (default 5ms), doubling per attempt with jitter so a
-	// down node is never hammered back-to-back. Negative disables the
-	// sleep entirely (tests that want deterministic timing).
-	RetryBackoff time.Duration
-	// RetryBudget caps one operation's total retry wall-time — dials,
-	// round trips and backoff sleeps together (default 15s). When the
-	// budget runs out the operation fails with whatever error the last
-	// attempt produced, even if attempts remain.
-	RetryBudget time.Duration
 	// ChunkSize is the window size for streamed block transfers
 	// (ReadBlockTo / WriteBlockFrom), default 1 MiB. Each window is one
 	// request/response, so the per-operation deadline applies per window
@@ -57,17 +44,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 5 * time.Millisecond
-	}
-	if o.RetryBudget <= 0 {
-		o.RetryBudget = 15 * time.Second
 	}
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 1 << 20
@@ -90,8 +66,9 @@ type clientNode struct {
 // of the store maps to nodes[i] of the address list, so a 16-wide LRC
 // stripe spreads over 16 node processes exactly as it spreads over 16
 // directories under a DirBackend. Connections are pooled per node;
-// failed operations retry on fresh connections up to Options.Retries
-// times; every request and response byte is counted per node, which is
+// every operation gets one attempt, and a failed one is the caller's to
+// route around (the store reads the block from the rest of its stripe);
+// every request and response byte is counted per node, which is
 // how the paper's repair-traffic claim is measured on the wire
 // (store.Metrics surfaces the totals as WireSentBytes/WireRecvBytes).
 //
@@ -221,12 +198,13 @@ func (c *Client) node(node int) (*clientNode, error) {
 // script the transport's dial failures.
 var dial = net.DialTimeout
 
-// getConn pops an idle connection (pooled=true) or dials a fresh one.
-// addr is the node address the connection belongs to — putConn uses it
-// to spot connections that outlived a SetNode.
-func (c *Client) getConn(n *clientNode) (conn net.Conn, addr string, pooled bool, err error) {
+// getConn pops an idle connection (pooled=true) or, when none is idle
+// or fresh is set, dials a new one. addr is the node address the
+// connection belongs to, snapshotted once for the dial and the pooling:
+// putConn uses it to spot connections that outlived a SetNode.
+func (c *Client) getConn(n *clientNode, fresh bool) (conn net.Conn, addr string, pooled bool, err error) {
 	n.mu.Lock()
-	if len(n.idle) > 0 {
+	if !fresh && len(n.idle) > 0 {
 		conn := n.idle[len(n.idle)-1]
 		n.idle = n.idle[:len(n.idle)-1]
 		addr := n.addr
@@ -255,22 +233,63 @@ func (c *Client) putConn(n *clientNode, conn net.Conn, addr string) {
 	conn.Close()
 }
 
-// do runs one request against a node with bounded retries. Transport
-// errors burn the connection and retry after a jittered exponential
-// backoff; status-level replies are final. Failures on pooled
-// connections are free — a node that restarted since the pool filled
-// leaves up to idlePerNode dead sockets behind, and charging those against
-// the retry budget could declare a healthy node unreachable before a
-// single fresh dial — only freshly dialed attempts count against the
-// retry count and the outcome window, each timed from before its dial.
-// Whether the node is down is not decided here: the store keeps a node
-// its HealthMonitor has marked dead off the wire. Options.RetryBudget
-// caps the operation's total wall-time across attempts and sleeps. The
-// returned payload is the response body (block bytes for reads), received
-// into dst when dst is non-nil and the body fits it (readResponse). Every
-// attempt of one operation receives into the same dst, so a failed or
-// retried round trip leaves whatever it got there; only the body of the
-// attempt that succeeded is ever returned.
+// exchange runs one request/response against node n. Pooled sockets go
+// first, unless fresh is set (a probe: a stale pooled socket failing says
+// nothing about the node, and one succeeding proves nothing about whether
+// it still accepts connections). A pooled socket that fails is closed and
+// the next is tried, recording nothing — a node that restarted since the
+// pool filled leaves up to idlePerNode dead sockets behind. The freshly
+// dialed attempt is timed from before its dial, recorded in the node's
+// outcome window, and final. On an OK status the connection is returned
+// with its address for the caller to pool or pin; any other status pools
+// it and comes back as the error the status means.
+func (c *Client) exchange(n *clientNode, fresh bool, op byte, node int, key string, data, dst []byte) (net.Conn, string, []byte, error) {
+	for {
+		start := time.Now()
+		conn, addr, pooled, err := c.getConn(n, fresh)
+		if err == nil {
+			var status byte
+			var body []byte
+			status, body, err = c.roundTrip(n, conn, op, node, key, data, dst)
+			if err == nil {
+				n.health.record(true, time.Since(start), nil)
+				if status == statusOK {
+					return conn, addr, body, nil
+				}
+				c.putConn(n, conn, addr)
+				return nil, "", nil, statusErr(status, body, node, key)
+			}
+			conn.Close()
+			if pooled {
+				continue
+			}
+		}
+		n.health.record(false, time.Since(start), err)
+		return nil, "", nil, fmt.Errorf("netblock: node %d (%s) unreachable: %w", node, addr, err)
+	}
+}
+
+// statusErr maps a non-OK reply onto the store's errors. The node
+// answered, so the answer stands.
+func statusErr(status byte, body []byte, node int, key string) error {
+	switch status {
+	case statusNotFound:
+		return fmt.Errorf("%w: node %d key %q", store.ErrBlockNotFound, node, key)
+	case statusBadKey:
+		return fmt.Errorf("%w: node %d: %s", store.ErrBadKey, node, body)
+	default:
+		return fmt.Errorf("netblock: node %d: remote error: %s", node, body)
+	}
+}
+
+// do runs one block op against a node in one attempt (exchange): a
+// transport failure is returned, not retried — the store reads a block it
+// cannot fetch from the rest of its stripe, and its HealthMonitor alone
+// decides whether the node is down. The returned payload is the response
+// body (block bytes for reads), received into dst when dst is non-nil and
+// the body fits it (readResponse). A stale pooled socket passed over
+// first receives into the same dst, so a failed op leaves whatever it got
+// there; only the body of a round trip that succeeded is ever returned.
 func (c *Client) do(node int, op byte, key string, data, dst []byte) ([]byte, error) {
 	n, err := c.node(node)
 	if err != nil {
@@ -283,108 +302,12 @@ func (c *Client) do(node int, op byte, key string, data, dst []byte) ([]byte, er
 	if len(key) > maxKeyLen {
 		return nil, fmt.Errorf("netblock: key length %d exceeds limit %d", len(key), maxKeyLen)
 	}
-	deadline := time.Now().Add(c.opts.RetryBudget)
-	backoff := c.opts.RetryBackoff
-	var lastErr error
-	attempt := 0
-	for attempt <= c.opts.Retries {
-		start := time.Now()
-		conn, addr, pooled, err := c.getConn(n)
-		if err != nil {
-			n.health.record(false, time.Since(start), err)
-			lastErr = err
-			attempt++
-			if !c.backoff(&backoff, attempt, deadline) {
-				break
-			}
-			continue
-		}
-		status, body, err := c.roundTrip(n, conn, op, node, key, data, dst)
-		if err != nil {
-			conn.Close()
-			lastErr = err
-			if !pooled {
-				n.health.record(false, time.Since(start), err)
-				attempt++
-				if !c.backoff(&backoff, attempt, deadline) {
-					break
-				}
-			}
-			continue
-		}
-		n.health.record(true, time.Since(start), nil)
-		c.putConn(n, conn, addr)
-		switch status {
-		case statusOK:
-			return body, nil
-		case statusNotFound:
-			return nil, fmt.Errorf("%w: node %d key %q", store.ErrBlockNotFound, node, key)
-		case statusBadKey:
-			return nil, fmt.Errorf("%w: node %d: %s", store.ErrBadKey, node, body)
-		default:
-			return nil, fmt.Errorf("netblock: node %d: remote error: %s", node, body)
-		}
-	}
-	return nil, fmt.Errorf("netblock: node %d (%s) unreachable after %d attempts: %w",
-		node, n.addrSnapshot(), attempt, lastErr)
-}
-
-// attempt runs one non-retrying ping on a fresh connection, recording
-// the outcome in the node's outcome window. It is CheckNode's probe:
-// pooled connections are skipped because a stale pooled socket failing
-// says nothing about the node, and a probe that succeeds on one proves
-// nothing about whether the node still accepts connections.
-func (c *Client) attempt(n *clientNode, node int) error {
-	start := time.Now()
-	// One snapshot serves the dial and the pooling: putConn refuses a
-	// connection whose address is no longer the node's, and a second
-	// snapshot taken after a SetNode would vouch for a socket to the old
-	// process under the new address.
-	addr := n.addrSnapshot()
-	conn, err := dial("tcp", addr, c.opts.DialTimeout)
+	conn, addr, body, err := c.exchange(n, false, op, node, key, data, dst)
 	if err != nil {
-		n.health.record(false, time.Since(start), err)
-		return err
+		return nil, err
 	}
-	status, body, err := c.roundTrip(n, conn, opPing, node, "", nil, nil)
-	if err != nil {
-		conn.Close()
-		n.health.record(false, time.Since(start), err)
-		return err
-	}
-	n.health.record(true, time.Since(start), nil)
 	c.putConn(n, conn, addr)
-	if status != statusOK {
-		return fmt.Errorf("netblock: node %d: remote error: %s", node, body)
-	}
-	return nil
-}
-
-// backoff sleeps the jittered current backoff (doubling it for next
-// time) before another attempt. It returns false when no attempts
-// remain worth sleeping for: the retry budget deadline has passed or
-// would pass mid-sleep. A negative RetryBackoff skips sleeping but
-// still honors the deadline.
-func (c *Client) backoff(cur *time.Duration, attempt int, deadline time.Time) bool {
-	if attempt > c.opts.Retries {
-		return false // last attempt burned; no sleep before reporting failure
-	}
-	if c.opts.RetryBackoff < 0 {
-		return time.Now().Before(deadline)
-	}
-	d := jitter(*cur)
-	*cur *= 2
-	if time.Now().Add(d).After(deadline) {
-		return false
-	}
-	time.Sleep(d)
-	return true
-}
-
-func (n *clientNode) addrSnapshot() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.addr
+	return body, nil
 }
 
 // wireFloorRate is the slowest link the deadline math tolerates, in
@@ -478,23 +401,22 @@ func (c *Client) DeleteMany(node int, keys []string) error {
 	return err
 }
 
-// Ping checks liveness of one node over a pooled connection, retried
-// like any other operation.
-func (c *Client) Ping(node int) error {
-	_, err := c.do(node, opPing, "", nil, nil)
-	return err
-}
-
 // CheckNode implements store.HealthChecker: one ping on a fresh
-// connection, never retried, so a probe costs at most DialTimeout +
-// Timeout. The HealthMonitor's streaks are the retry and hysteresis
-// policy; a second one here would only delay its verdict.
+// connection, so a probe costs at most DialTimeout + Timeout and a stale
+// pooled socket cannot vouch for a node that no longer accepts
+// connections. The HealthMonitor's streaks are the retry and hysteresis
+// policy.
 func (c *Client) CheckNode(node int) error {
 	n, err := c.node(node)
 	if err != nil {
 		return err
 	}
-	return c.attempt(n, node)
+	conn, addr, _, err := c.exchange(n, true, opPing, node, "", nil, nil)
+	if err != nil {
+		return err
+	}
+	c.putConn(n, conn, addr)
+	return nil
 }
 
 // NodeHealth implements store.HealthStats: a snapshot of every node's

@@ -1,7 +1,6 @@
 package netblock
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
@@ -104,14 +103,4 @@ func (h *nodeHealth) snapshot() store.NodeHealthInfo {
 	info.P50 = rank(0.50)
 	info.P99 = rank(0.99)
 	return info
-}
-
-// jitter spreads d uniformly over [d/2, d): synchronized retries from
-// many clients against one recovering node would otherwise stampede it
-// back down.
-func jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }

@@ -1,6 +1,7 @@
 package netblock
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -25,72 +26,18 @@ func closedPort(t *testing.T) string {
 	return addr
 }
 
-// TestRetryBackoffSleeps checks the satellite fix: retry attempts
-// against a down node are spaced by the jittered backoff instead of
-// hammering back-to-back.
-func TestRetryBackoffSleeps(t *testing.T) {
-	addr := closedPort(t)
-	c, err := Dial([]string{addr}, Options{
-		DialTimeout:  100 * time.Millisecond,
-		Retries:      2,
-		RetryBackoff: 40 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	if err := c.Ping(0); err == nil {
-		t.Fatal("ping of a closed port succeeded")
-	}
-	// Three attempts with sleeps of jitter(40ms) + jitter(80ms) between
-	// them: at least (40+80)/2 = 60ms of deliberate spacing (dials to a
-	// closed loopback port fail in microseconds).
-	if d := time.Since(start); d < 60*time.Millisecond {
-		t.Fatalf("3 attempts finished in %v; retries are not backing off", d)
-	}
-}
-
-// TestRetryBudgetDeadline checks that the retry wall-time cap cuts the
-// attempt loop short: a generous retry count cannot hold a caller past
-// the budget.
-func TestRetryBudgetDeadline(t *testing.T) {
-	addr := closedPort(t)
-	c, err := Dial([]string{addr}, Options{
-		DialTimeout:  100 * time.Millisecond,
-		Retries:      1000,
-		RetryBackoff: 50 * time.Millisecond,
-		RetryBudget:  200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	if err := c.Ping(0); err == nil {
-		t.Fatal("ping of a closed port succeeded")
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("budgeted operation took %v; deadline is not capping retries", d)
-	}
-}
-
 // TestSetNodeResetsWindow checks that repointing a node clears its
 // failure history — the new process starts with an empty window.
 func TestSetNodeResetsWindow(t *testing.T) {
 	addr := closedPort(t)
-	c, err := Dial([]string{addr}, Options{
-		DialTimeout:  200 * time.Millisecond,
-		Retries:      -1,
-		RetryBackoff: -1,
-	})
+	c, err := Dial([]string{addr}, Options{DialTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	for i := 0; i < 2; i++ {
-		if err := c.Ping(0); err == nil {
-			t.Fatal("ping of a closed port succeeded")
+		if err := c.CheckNode(0); err == nil {
+			t.Fatal("probe of a closed port succeeded")
 		}
 	}
 	if info := c.NodeHealth()[0]; info.ConsecFails != 2 || info.WindowOps != 2 || info.LastErr == "" {
@@ -103,8 +50,8 @@ func TestSetNodeResetsWindow(t *testing.T) {
 	if info := c.NodeHealth()[0]; info.ConsecFails != 0 || info.WindowOps != 0 || info.LastErr != "" {
 		t.Fatalf("window after SetNode = %+v, want empty", info)
 	}
-	if err := c.Ping(0); err != nil {
-		t.Fatalf("ping after SetNode: %v", err)
+	if err := c.CheckNode(0); err != nil {
+		t.Fatalf("probe after SetNode: %v", err)
 	}
 }
 
@@ -127,13 +74,13 @@ func failDials(t *testing.T, f func()) {
 func TestFailedDialsRecordTheirCost(t *testing.T) {
 	const cost = 20 * time.Millisecond
 	failDials(t, func() { time.Sleep(cost) })
-	c, err := Dial([]string{"127.0.0.1:1"}, Options{Retries: -1, RetryBackoff: -1})
+	c, err := Dial([]string{"127.0.0.1:1"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(0); err == nil {
-		t.Fatal("ping over a failing dial succeeded")
+	if _, err := c.Read(0, "k"); err == nil {
+		t.Fatal("read over a failing dial succeeded")
 	}
 	if err := c.CheckNode(0); err == nil {
 		t.Fatal("CheckNode over a failing dial succeeded")
@@ -151,13 +98,13 @@ func TestFailedDialsRecordTheirCost(t *testing.T) {
 }
 
 // TestCheckNodeIsOneAttempt checks that the monitor's probe is a single
-// dial even under a client configured to retry: the HealthMonitor's
-// streaks are the retry policy, so one probe costs at most DialTimeout +
-// Timeout. Ping, an ordinary op, still retries.
+// dial, so one probe costs at most DialTimeout + Timeout, and that an
+// ordinary op is one dial too: the HealthMonitor's streaks are the only
+// retry policy, and a block the store cannot fetch it reads around.
 func TestCheckNodeIsOneAttempt(t *testing.T) {
 	var dials atomic.Int64
 	failDials(t, func() { dials.Add(1) })
-	c, err := Dial([]string{"127.0.0.1:1"}, Options{Retries: 2, RetryBackoff: -1})
+	c, err := Dial([]string{"127.0.0.1:1"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +115,45 @@ func TestCheckNodeIsOneAttempt(t *testing.T) {
 	if got := dials.Swap(0); got != 1 {
 		t.Fatalf("CheckNode dialed %d times, want 1", got)
 	}
-	if err := c.Ping(0); err == nil {
-		t.Fatal("ping over a failing dial succeeded")
+	if _, err := c.Read(0, "k"); err == nil {
+		t.Fatal("read over a failing dial succeeded")
 	}
-	if got := dials.Load(); got != 3 {
-		t.Fatalf("Ping dialed %d times, want 3 (Retries 2)", got)
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("Read dialed %d times, want 1", got)
+	}
+}
+
+// TestDegradedReadIsOneAttempt closes the server of a node holding a data
+// block without telling the store — the window before the monitor
+// confirms a death. The GET is rebuilt from the rest of the stripe, and
+// the dead node is sent one attempt: the pooled sockets the PUT left
+// fail unrecorded, the fresh dial fails once, and nothing retries it.
+func TestDegradedReadIsOneAttempt(t *testing.T) {
+	const nodes = 20
+	cl := startCluster(t, nodes)
+	s, err := store.New(store.Config{Backend: cl.client, Nodes: nodes, BlockSize: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	obj := patternBytes(t, s.Codec().K()<<12)
+	if err := s.Put("obj", obj); err != nil {
+		t.Fatal(err)
+	}
+	x, _, err := s.BlockLocation("obj", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.kill(x)
+	got, info, err := s.Get("obj")
+	if err != nil {
+		t.Fatalf("degraded GET: %v", err)
+	}
+	if !bytes.Equal(got, obj) || !info.Degraded {
+		t.Fatalf("GET with node %d's server closed: byte-exact %v, degraded %v; want both", x, bytes.Equal(got, obj), info.Degraded)
+	}
+	if h := cl.client.NodeHealth()[x]; h.ConsecFails != 1 {
+		t.Fatalf("node %d: %d failed attempts recorded for one op, want 1", x, h.ConsecFails)
 	}
 }
 
@@ -228,7 +209,7 @@ func TestNodeHealthWindow(t *testing.T) {
 	_, addr := startServer(t, store.NewMemBackend())
 	c := dialTest(t, addr)
 	for i := 0; i < 10; i++ {
-		if err := c.Ping(0); err != nil {
+		if err := c.CheckNode(0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,9 +11,9 @@ import (
 // Client's store.BlockStreamer implementation: whole framed blocks move
 // as a sequence of bounded windows, so a paper-scale 256 MB block never
 // needs a single wire frame (or a deadline sized for one). Reads are
-// stateless — every window is an independent opReadChunk request, so
-// the usual retry machinery applies per window. Writes stage on
-// one pinned connection (opWriteBegin/Chunk/Commit) and commit
+// stateless — every window is an independent opReadChunk request, one
+// attempt like any other op, so a failed window fails the read. Writes
+// stage on one pinned connection (opWriteBegin/Chunk/Commit) and commit
 // atomically at the server; a connection lost mid-upload discards the
 // stage, never leaving a torn block.
 
@@ -61,10 +61,9 @@ func (c *Client) ReadBlockTo(node int, key string, w io.Writer) (int64, error) {
 
 // WriteBlockFrom streams r into the block, committing atomically at the
 // server. The upload pins one connection for its whole life: a stale
-// pooled socket failing the opening handshake is retried on a fresh
+// pooled socket failing the opening handshake is passed over for a fresh
 // dial (no bytes of r consumed yet), but a failure mid-stream fails the
-// upload — the caller retries the whole block, the discarded stage
-// costs the server nothing.
+// upload — the discarded stage costs the server nothing.
 func (c *Client) WriteBlockFrom(node int, key string, r io.Reader) (int64, error) {
 	n, err := c.node(node)
 	if err != nil {
@@ -73,7 +72,7 @@ func (c *Client) WriteBlockFrom(node int, key string, r io.Reader) (int64, error
 	if len(key) > maxKeyLen {
 		return 0, fmt.Errorf("netblock: key length %d exceeds limit %d", len(key), maxKeyLen)
 	}
-	conn, addr, err := c.beginUpload(n, node, key)
+	conn, addr, _, err := c.exchange(n, false, opWriteBegin, node, key, nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -102,36 +101,6 @@ func (c *Client) WriteBlockFrom(node int, key string, r io.Reader) (int64, error
 	}
 	c.putConn(n, conn, addr)
 	return total, nil
-}
-
-// beginUpload opens the staged upload on a connection the caller then
-// pins. Failures on pooled connections retry silently (the socket may
-// simply have outlived the server process); the first freshly dialed
-// attempt is definitive.
-func (c *Client) beginUpload(n *clientNode, node int, key string) (net.Conn, string, error) {
-	for {
-		start := time.Now()
-		conn, addr, pooled, err := c.getConn(n)
-		if err != nil {
-			n.health.record(false, time.Since(start), err)
-			return nil, "", err
-		}
-		status, body, rerr := c.roundTrip(n, conn, opWriteBegin, node, key, nil, nil)
-		if rerr != nil {
-			conn.Close()
-			if pooled {
-				continue
-			}
-			n.health.record(false, time.Since(start), rerr)
-			return nil, "", rerr
-		}
-		n.health.record(true, time.Since(start), nil)
-		if status != statusOK {
-			conn.Close()
-			return nil, "", fmt.Errorf("netblock: node %d: remote error: %s", node, body)
-		}
-		return conn, addr, nil
-	}
 }
 
 // uploadStep runs one op of a pinned upload, translating a non-OK

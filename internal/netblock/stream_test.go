@@ -157,7 +157,7 @@ func TestClientAddNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ping(id2); err == nil {
+	if err := c.CheckNode(id2); err == nil {
 		t.Fatal("ping of an address-less node should fail")
 	}
 	be2 := store.NewMemBackend()
@@ -165,7 +165,7 @@ func TestClientAddNode(t *testing.T) {
 	if err := c.SetNode(id2, addr2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ping(id2); err != nil {
+	if err := c.CheckNode(id2); err != nil {
 		t.Fatalf("ping after SetNode: %v", err)
 	}
 	if sent, _ := c.WireTraffic(); len(sent) != 3 {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -57,6 +59,74 @@ func FuzzUnframeBlock(f *testing.F) {
 		back, err := UnframeBlock(framed)
 		if err != nil || !bytes.Equal(back, b) {
 			t.Fatalf("AppendFrame of %d bytes does not round-trip: %v", len(b), err)
+		}
+	})
+}
+
+// keyByte reports whether c may appear in a block key: the charset the
+// netblock server holds every wire-supplied key to.
+func keyByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+		c == '.' || c == '-' || c == '_'
+}
+
+// FuzzValidateName holds the object-name key contract. ValidateName
+// accepts exactly the names of 1 to 1024 bytes in [A-Za-z0-9._/-] with no
+// empty, "." or ".." segment, and a rejection wraps ErrBadKey. For every
+// name it accepts, the block keys it yields — with the generation, stripe
+// and position at their widest — pass the netblock key charset and, with
+// DirBackend's temp-file prefix and its longest suffix ("-" and a
+// 10-digit random number), fit a 255-byte file name; and a relocation
+// record naming such a block parses back to the same node and key.
+func FuzzValidateName(f *testing.F) {
+	for _, seed := range []string{
+		"", "a", "obj", "t/bucket/obj.v1", "a//b", "./a", "a/..", "/a", "a/", "sp ace", "ü",
+		strings.Repeat("x", maxNameLen), strings.Repeat("x", maxNameLen+1), strings.Repeat("ab/", 341) + "c",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		want := len(name) >= 1 && len(name) <= maxNameLen
+		for _, seg := range strings.Split(name, "/") {
+			want = want && seg != "" && seg != "." && seg != ".."
+			for i := 0; i < len(seg); i++ {
+				want = want && keyByte(seg[i])
+			}
+		}
+		err := ValidateName(name)
+		switch {
+		case want && err != nil:
+			t.Fatalf("valid name %q rejected: %v", name, err)
+		case !want && err == nil:
+			t.Fatalf("invalid name %q accepted", name)
+		case err != nil && !errors.Is(err, ErrBadKey):
+			t.Fatalf("rejection of %q is %v, want ErrBadKey", name, err)
+		case err != nil:
+			return
+		}
+		for _, n := range []struct {
+			gen         int64
+			stripe, pos int
+		}{{1, 0, 0}, {math.MaxInt64, math.MaxInt, math.MaxInt}} {
+			key := blockKey(name, n.gen, n.stripe, n.pos)
+			if key == "." || key == ".." {
+				t.Fatalf("name %q: block key %q", name, key)
+			}
+			for i := 0; i < len(key); i++ {
+				if !keyByte(key[i]) {
+					t.Fatalf("name %q: block key %q holds byte %q", name, key, key[i])
+				}
+			}
+			if tmp := tmpPrefix + key + "-4294967295"; len(tmp) > 255 {
+				t.Fatalf("name %q: temp file name is %d bytes, want <= 255", name, len(tmp))
+			}
+			for _, node := range []int{0, math.MaxInt} {
+				b := blockRef{node: node, key: key}
+				back, err := parseRelocKey(relocKey(b))
+				if err != nil || back != b {
+					t.Fatalf("relocation record %q parses to %+v, %v; want %+v", relocKey(b), back, err, b)
+				}
+			}
 		}
 	})
 }

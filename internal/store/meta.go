@@ -51,6 +51,16 @@ func tombKey(obj *objectInfo) string { return fmt.Sprintf("%s%d/%s", tombPrefix,
 // relocKey names a stale copy's record, which holds nothing else.
 func relocKey(b blockRef) string { return fmt.Sprintf("%s%d/%s", relocPrefix, b.node, b.key) }
 
+// parseRelocKey reads a relocation record's key back into the copy it
+// names.
+func parseRelocKey(k string) (blockRef, error) {
+	var b blockRef
+	if _, err := fmt.Sscanf(k, relocPrefix+"%d/%s", &b.node, &b.key); err != nil {
+		return b, fmt.Errorf("store: relocation record %q: %w", k, err)
+	}
+	return b, nil
+}
+
 func nodeKey(n int) string { return fmt.Sprintf("%s%06d", nodePrefix, n) }
 
 func qKey(ref stripeRef) string {
@@ -249,9 +259,9 @@ func (s *Store) recoverMeta() error {
 		if !ok {
 			break
 		}
-		var b blockRef
-		if _, err := fmt.Sscanf(k, relocPrefix+"%d/%s", &b.node, &b.key); err != nil {
-			return fmt.Errorf("store: relocation record %q: %w", k, err)
+		b, err := parseRelocKey(k)
+		if err != nil {
+			return err
 		}
 		s.deleting[b]++
 		s.queue(&retired{rec: k, left: []blockRef{b}})

@@ -305,8 +305,15 @@ func (s *Store) aliveSnapshot() []bool {
 	return append([]bool(nil), s.alive...)
 }
 
+// keyNameLen caps the object-name part of a block key. The global
+// generation alone makes a key unique; the name only makes it readable.
+// Capped, the longest key (every number at its int64 width) plus
+// DirBackend's temp-file prefix and suffix fits a 255-byte file name.
+const keyNameLen = 128
+
 // blockKey builds a unique, filesystem-safe backend key.
 func blockKey(name string, gen int64, stripe, pos int) string {
+	name = name[:min(len(name), keyNameLen)]
 	safe := make([]byte, 0, len(name))
 	for i := 0; i < len(name); i++ {
 		c := name[i]

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -351,6 +352,45 @@ func TestDirBackendSweepsStaleTemps(t *testing.T) {
 	}
 	if got, err := be2.Read(7, "obj.g000001.s00000.b00"); err != nil || string(got) != "real block" {
 		t.Fatalf("real block lost in sweep: %q, err %v", got, err)
+	}
+}
+
+// TestDirBackendLongName stores an object under the longest name
+// ValidateName accepts. Block keys embed the name and a DirBackend write
+// adds its temp-file prefix and suffix to the key, so an uncapped key
+// for a name past about 220 bytes exceeds the 255-byte file-name limit
+// and the PUT fails.
+func TestDirBackendLongName(t *testing.T) {
+	dir := t.TempDir()
+	be, err := NewDirBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestStore(t, Config{Backend: be, BlockSize: 64})
+	name := strings.Repeat("long-name/", maxNameLen/10) + "tail"
+	if len(name) != maxNameLen || ValidateName(name) != nil {
+		t.Fatalf("test name: %d bytes, ValidateName %v", len(name), ValidateName(name))
+	}
+	want := randBytes(rand.New(rand.NewSource(3)), 64*10+5)
+	if err := s.Put(name, want); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	got, _, err := s.Get(name)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get: %d bytes, err %v", len(got), err)
+	}
+	if err := s.Delete(name); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if _, _, err := s.Get(name); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after Delete: err %v, want ErrNotFound", err)
+	}
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "node*", "*"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("after Delete and Reclaim: %d files left, err %v", len(left), err)
 	}
 }
 
