@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -200,5 +201,137 @@ func TestKillNineMidMultipartResumes(t *testing.T) {
 	if !bytes.Equal(body, want) {
 		t.Fatalf("assembled object is not byte-exact after the crash (%d bytes, want %d)",
 			len(body), len(want))
+	}
+}
+
+// TestRetriedCompleteKeepsObject cuts a completed multipart upload's WAL
+// at every record boundary from just before the complete — each cut a
+// crash somewhere in complete's commit and retire — and, over a copy of
+// the store reopened at each cut, retries the complete the way a client
+// that never saw the ack would. The retry reassembles the same three
+// parts (nothing retired yet) or answers 404 (the record is gone); the
+// object is whole either way, and an abort of the uploadId then sweeps
+// whatever parts the crash left behind.
+func TestRetriedCompleteKeepsObject(t *testing.T) {
+	dir := t.TempDir()
+	s := gwCrashOpen(t, dir)
+	defer s.Close()
+	g, err := New(Config{Store: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(g)
+	defer srv.Close()
+	resp, body := do(t, "POST", srv.URL+"/t/acme/obj?uploads", nil)
+	wantStatus(t, resp, body, 200)
+	var begin struct {
+		UploadID string `json:"uploadId"`
+	}
+	if err := json.Unmarshal(body, &begin); err != nil {
+		t.Fatal(err)
+	}
+	id := begin.UploadID
+	var want []byte
+	for n := 1; n <= 3; n++ {
+		p := testBytes(int64(20+n), 5000)
+		want = append(want, p...)
+		resp, body = do(t, "PUT", fmt.Sprintf("%s/t/acme/obj?uploadId=%s&partNumber=%d", srv.URL, id, n), p)
+		wantStatus(t, resp, body, 200)
+	}
+	walPath := filepath.Join(dir, "meta", "wal.log") // the metadata plane's one WAL segment
+	fi, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body = do(t, "POST", srv.URL+"/t/acme/obj?uploadId="+id, nil)
+	wantStatus(t, resp, body, 200)
+	wal, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Record framing: uint32 LE payload length | uint32 CRC | payload.
+	cuts := []int{int(fi.Size())}
+	for off := cuts[0]; off+8 <= len(wal); {
+		off += 8 + int(binary.LittleEndian.Uint32(wal[off:]))
+		cuts = append(cuts, off)
+	}
+	if cuts[len(cuts)-1] != len(wal) || len(cuts) < 3 {
+		t.Fatalf("WAL tail does not split into records: cuts %v of %d bytes", cuts, len(wal))
+	}
+
+	swept := 0 // cuts whose abort found parts to sweep
+	for _, cut := range cuts {
+		crashed := filepath.Join(t.TempDir(), "crashed")
+		copyTree(t, dir, crashed)
+		if err := os.WriteFile(filepath.Join(crashed, "meta", "wal.log"), wal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2 := gwCrashOpen(t, crashed)
+		g2, err := New(Config{Store: s2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv2 := httptest.NewServer(g2)
+		resp, body := do(t, "POST", srv2.URL+"/t/acme/obj?uploadId="+id, nil)
+		switch resp.StatusCode {
+		case 200:
+			var done struct {
+				Parts int `json:"parts"`
+			}
+			if err := json.Unmarshal(body, &done); err != nil || done.Parts != 3 {
+				t.Errorf("cut at %d: retried complete acked %s, want all 3 parts", cut, body)
+			}
+		case 404:
+		default:
+			t.Errorf("cut at %d: retried complete answered %d (%s), want 200 or 404", cut, resp.StatusCode, body)
+		}
+		resp, body = do(t, "GET", srv2.URL+"/t/acme/obj", nil)
+		if resp.StatusCode != 200 || !bytes.Equal(body, want) {
+			t.Errorf("cut at %d: GET after the retried complete answered %d with %d bytes, want 200 with %d",
+				cut, resp.StatusCode, len(body), len(want))
+		}
+		resp, body = do(t, "DELETE", srv2.URL+"/t/acme/obj?uploadId="+id, nil)
+		if resp.StatusCode == 204 {
+			swept++
+		}
+		if resp.StatusCode != 204 && resp.StatusCode != 404 {
+			t.Errorf("cut at %d: abort answered %d (%s)", cut, resp.StatusCode, body)
+		}
+		if left := s2.ObjectsWithPrefix(".mpu/"); len(left) != 0 {
+			t.Errorf("cut at %d: %d parts left after the abort", cut, len(left))
+		}
+		srv2.Close()
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if swept == 0 {
+		t.Error("no cut left parts behind: the sweep went unexercised")
+	}
+}
+
+// copyTree copies the regular files under src to the same paths under
+// dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

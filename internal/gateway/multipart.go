@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -33,6 +34,12 @@ import (
 // kill -9 the gateway (or the machine) mid-upload and a fresh process
 // over the reopened store sees the record and every fully-acked part;
 // the client re-PUTs whatever it never got an ack for and completes.
+// Complete retires the record before any part, so a crash after the
+// final object commits leaves either the whole upload (a retried complete
+// assembles the same bytes again) or no record (a retried complete
+// answers 404 and the object stays whole) — never a record over a
+// partial set of parts. Parts left behind with no record are swept by an
+// abort of their uploadId.
 // Tenants cannot reach the part namespace directly: tenant names cannot
 // start with '.', so no /t/ URL resolves into .mpu/.
 
@@ -177,8 +184,8 @@ func (g *Gateway) listParts(w http.ResponseWriter, id, tenant, key string) {
 }
 
 // completeUpload streams the parts, in part-number order, through one
-// PutReader into the final object, then retires the parts and the
-// record. The assembly is a pipe: part bytes never accumulate in
+// PutReader into the final object, then retires the record and the
+// parts. The assembly is a pipe: part bytes never accumulate in
 // memory, and the final object commits atomically — a crash mid-
 // complete leaves the upload intact and resumable, never a torn object.
 func (g *Gateway) completeUpload(w http.ResponseWriter, t *tenant, id, tenant_, key string) {
@@ -235,22 +242,36 @@ func (g *Gateway) completeUpload(w http.ResponseWriter, t *tenant, id, tenant_, 
 	writeJSON(w, http.StatusOK, map[string]any{"key": key, "size": total, "parts": len(parts)})
 }
 
-// abortUpload discards the upload's parts and record.
+// abortUpload discards the upload's record and parts. An uploadId with
+// no record but parts left under .mpu/<id>/ (a crash mid-retire) is
+// swept the same way; a record owned by another tenant or key is still
+// "not found".
 func (g *Gateway) abortUpload(w http.ResponseWriter, id, tenant, key string) {
-	if _, err := g.getUpload(id, tenant, key); err != nil {
+	_, err := g.getUpload(id, tenant, key)
+	if err != nil {
+		if _, ok := g.st.GetUploadRecord(id); !errors.Is(err, store.ErrNotFound) || ok {
+			g.writeError(w, err)
+			return
+		}
+	}
+	parts := g.partsOf(id)
+	if err != nil && len(parts) == 0 {
 		g.writeError(w, err)
 		return
 	}
-	g.retireUpload(id, g.partsOf(id))
+	g.retireUpload(id, parts)
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// retireUpload best-effort deletes the upload's parts and record. A
-// crash mid-retire leaves orphaned parts under .mpu/<id>/ with no
-// record; abort of the (now missing) upload is the manual sweep.
+// retireUpload best-effort deletes the upload's record, then its parts.
+// The record goes first: once it is gone no complete can reassemble the
+// upload, so a crash or a failed delete partway through leaves parts with
+// no record (which abort sweeps), never a record over some of its parts.
 func (g *Gateway) retireUpload(id string, parts []partStat) {
-	for i := range parts {
-		_ = g.st.Delete(parts[i].name)
+	if g.st.DeleteUploadRecord(id) != nil {
+		return // the record stands over every part: a retry sees the whole upload
 	}
-	_ = g.st.DeleteUploadRecord(id)
+	for i := range parts {
+		_ = g.st.Delete(parts[i].name) // a part left behind is abort's to sweep
+	}
 }

@@ -15,6 +15,8 @@ import (
 // There is no retry policy: every block op gets one attempt (see do). A
 // block that cannot be read is the store's to rebuild from the rest of
 // its stripe, and whether a node is down is its HealthMonitor's call.
+// There is no transfer size either: a block crosses the wire in one
+// frame, and Timeout grows with its bytes.
 type Options struct {
 	// DialTimeout bounds one connection attempt (default 2s).
 	DialTimeout time.Duration
@@ -26,11 +28,6 @@ type Options struct {
 	// block over a slow link is not condemned by a deadline sized for
 	// pings.
 	Timeout time.Duration
-	// ChunkSize is the window size for streamed block transfers
-	// (ReadBlockTo / WriteBlockFrom), default 1 MiB. Each window is one
-	// request/response, so the per-operation deadline applies per window
-	// and a multi-GB migration never needs a multi-GB deadline.
-	ChunkSize int
 }
 
 // idlePerNode caps the idle connections kept per node: the store's I/O
@@ -44,9 +41,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = 1 << 20
 	}
 }
 
@@ -233,17 +227,16 @@ func (c *Client) putConn(n *clientNode, conn net.Conn, addr string) {
 	conn.Close()
 }
 
-// exchange runs one request/response against node n. Pooled sockets go
-// first, unless fresh is set (a probe: a stale pooled socket failing says
-// nothing about the node, and one succeeding proves nothing about whether
-// it still accepts connections). A pooled socket that fails is closed and
-// the next is tried, recording nothing — a node that restarted since the
-// pool filled leaves up to idlePerNode dead sockets behind. The freshly
-// dialed attempt is timed from before its dial, recorded in the node's
-// outcome window, and final. On an OK status the connection is returned
-// with its address for the caller to pool or pin; any other status pools
-// it and comes back as the error the status means.
-func (c *Client) exchange(n *clientNode, fresh bool, op byte, node int, key string, data, dst []byte) (net.Conn, string, []byte, error) {
+// exchange runs one request/response against node n and pools the
+// connection after any reply. Pooled sockets go first, unless fresh is
+// set (a probe: a stale pooled socket failing says nothing about the
+// node, and one succeeding proves nothing about whether it still accepts
+// connections). A pooled socket that fails is closed and the next is
+// tried, recording nothing — a node that restarted since the pool filled
+// leaves up to idlePerNode dead sockets behind. The freshly dialed
+// attempt is timed from before its dial, recorded in the node's outcome
+// window, and final. A non-OK status comes back as the error it means.
+func (c *Client) exchange(n *clientNode, fresh bool, op byte, node int, key string, data, dst []byte) ([]byte, error) {
 	for {
 		start := time.Now()
 		conn, addr, pooled, err := c.getConn(n, fresh)
@@ -253,11 +246,11 @@ func (c *Client) exchange(n *clientNode, fresh bool, op byte, node int, key stri
 			status, body, err = c.roundTrip(n, conn, op, node, key, data, dst)
 			if err == nil {
 				n.health.record(true, time.Since(start), nil)
-				if status == statusOK {
-					return conn, addr, body, nil
-				}
 				c.putConn(n, conn, addr)
-				return nil, "", nil, statusErr(status, body, node, key)
+				if status != statusOK {
+					return nil, statusErr(status, body, node, key)
+				}
+				return body, nil
 			}
 			conn.Close()
 			if pooled {
@@ -265,7 +258,7 @@ func (c *Client) exchange(n *clientNode, fresh bool, op byte, node int, key stri
 			}
 		}
 		n.health.record(false, time.Since(start), err)
-		return nil, "", nil, fmt.Errorf("netblock: node %d (%s) unreachable: %w", node, addr, err)
+		return nil, fmt.Errorf("netblock: node %d (%s) unreachable: %w", node, addr, err)
 	}
 }
 
@@ -302,12 +295,7 @@ func (c *Client) do(node int, op byte, key string, data, dst []byte) ([]byte, er
 	if len(key) > maxKeyLen {
 		return nil, fmt.Errorf("netblock: key length %d exceeds limit %d", len(key), maxKeyLen)
 	}
-	conn, addr, body, err := c.exchange(n, false, op, node, key, data, dst)
-	if err != nil {
-		return nil, err
-	}
-	c.putConn(n, conn, addr)
-	return body, nil
+	return c.exchange(n, false, op, node, key, data, dst)
 }
 
 // wireFloorRate is the slowest link the deadline math tolerates, in
@@ -411,12 +399,8 @@ func (c *Client) CheckNode(node int) error {
 	if err != nil {
 		return err
 	}
-	conn, addr, _, err := c.exchange(n, true, opPing, node, "", nil, nil)
-	if err != nil {
-		return err
-	}
-	c.putConn(n, conn, addr)
-	return nil
+	_, err = c.exchange(n, true, opPing, node, "", nil, nil)
+	return err
 }
 
 // NodeHealth implements store.HealthStats: a snapshot of every node's

@@ -25,18 +25,23 @@ func checkPinned(t *testing.T, in []byte, alloc int) {
 // the payload.
 func FuzzReadRequest(f *testing.F) {
 	payload := bytes.Repeat([]byte{0xA5}, 300)
-	for _, op := range []byte{opWrite, opRead, opDelete, opPing, opReadChunk, opWriteBegin, opWriteChunk, opWriteCommit} {
+	for _, op := range []byte{opWrite, opRead, opDelete, opPing} {
 		key, data := "obj.g000001.s00000.b00", []byte(nil)
 		switch op {
-		case opWrite, opWriteChunk:
+		case opWrite:
 			data = payload
-		case opReadChunk:
-			data = appendChunkReq(nil, 1<<20, 1<<20)
 		case opPing:
 			key = ""
 		}
 		f.Add(appendRequest(nil, op, 3, key, data))
 	}
+	// The retired chunked-transfer ops, framed as they were: a windowed
+	// read ('C', 12-byte window spec) and a staged upload's begin, append
+	// and commit ('B', 'A', 'M'). Each is an unknown op now.
+	f.Add(appendRequest(nil, 'C', 3, "obj.g000001.s00000.b00", make([]byte, 12)))
+	f.Add(appendRequest(nil, 'B', 3, "obj.g000001.s00000.b00", nil))
+	f.Add(appendRequest(nil, 'A', 3, "obj.g000001.s00000.b00", payload))
+	f.Add(appendRequest(nil, 'M', 3, "obj.g000001.s00000.b00", nil))
 	f.Add(appendHeader(nil, opWrite, 0, "k", maxDataLen)) // hostile: claims 1 GiB, sends nothing
 	// Key lists: a reclamation batch's worth, a 1 GiB claim, a length
 	// prefix cut short, and one hostile key among good ones.

@@ -68,7 +68,7 @@ func failDials(t *testing.T, f func()) {
 
 // TestFailedDialsRecordTheirCost scripts a dial that takes 20ms and then
 // fails, through each path that dials: an ordinary op, CheckNode's probe
-// and a streamed upload's opening handshake. Every failure lands in the
+// and a streamed upload. Every failure lands in the
 // window with what it cost the caller, so the window's quantiles show
 // the wait instead of 0µs.
 func TestFailedDialsRecordTheirCost(t *testing.T) {

@@ -262,6 +262,50 @@ func TestPayloadOnNonWriteRejected(t *testing.T) {
 	}
 }
 
+// TestRetiredOpsRejected sends the op bytes of the chunked-transfer ops
+// the protocol no longer has — 'C' (windowed read), 'B', 'A', 'M'
+// (staged upload begin, append, commit) — each framed as it once was.
+// The parser refuses every one as an unknown op, and the server drops
+// the connection without a reply: no request stages bytes for a later
+// one, so nothing of the would-be upload reaches the backend.
+func TestRetiredOpsRejected(t *testing.T) {
+	be := store.NewMemBackend()
+	_, addr := startServer(t, be)
+	const key = "obj.g000001.s00000.b00"
+	for _, tc := range []struct {
+		op   byte
+		data []byte
+	}{
+		{'C', make([]byte, 12)}, // offset(u64) maxLen(u32)
+		{'B', nil},
+		{'A', store.FrameBlock([]byte("staged"))},
+		{'M', nil},
+	} {
+		frame := appendRequest(nil, tc.op, 0, key, tc.data)
+		if _, err := readRequest(bytes.NewReader(frame)); err == nil {
+			t.Errorf("op %q: readRequest accepted a retired op", tc.op)
+		}
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Errorf("op %q: server answered instead of dropping the connection", tc.op)
+		}
+		conn.Close()
+	}
+	if _, err := be.Read(0, key); !errors.Is(err, store.ErrBlockNotFound) {
+		t.Fatalf("a retired op reached the backend: %v", err)
+	}
+	if err := dialTest(t, addr).CheckNode(0); err != nil {
+		t.Fatalf("ping after the retired ops: %v", err)
+	}
+}
+
 // TestHostileRequestsRejected sends wire requests no real client emits —
 // path-traversal keys, ".."/empty keys, a negative node id — and asserts
 // the server answers statusBadKey without the backend ever seeing them.

@@ -19,9 +19,11 @@
 // validation; data = error message), or statusError (data = error
 // message). The client maps statuses back onto the store's typed errors
 // — store.ErrBlockNotFound, store.ErrBadKey — so errors.Is works the
-// same against a remote backend as a local one. One request is answered
-// by exactly one response, in order, so a connection carries a simple
-// call/reply stream and pools trivially.
+// same against a remote backend as a local one. A block crosses the wire
+// as exactly one frame each way, up to maxDataLen. One request is
+// answered by exactly one response, in order, and the server keeps no
+// state between requests, so a connection carries a simple call/reply
+// stream and pools trivially.
 package netblock
 
 import (
@@ -30,12 +32,7 @@ import (
 	"io"
 )
 
-// Protocol ops. The chunked ops exist for blocks bigger than one wire
-// frame (the rebalancer migrating 256 MB paper-scale blocks): opReadChunk
-// returns a bounded window of a block plus its total size, and
-// opWriteBegin/opWriteChunk/opWriteCommit stage an upload on the
-// connection, committing atomically so a reader never observes a
-// half-written block.
+// Protocol ops.
 const (
 	opWrite  = 'W'
 	opRead   = 'R'
@@ -46,17 +43,6 @@ const (
 	// empty and its payload is the keys, each a keyLen(u16) and its bytes
 	// (appendKeyList). The server vets every key before it deletes any.
 	opDeleteMany = 'X'
-	// opReadChunk's 12-byte payload is offset(u64) maxLen(u32); the
-	// response data is total(u64) followed by the window bytes.
-	opReadChunk = 'C'
-	// opWriteBegin stages an empty upload for the request's key on this
-	// connection; opWriteChunk appends its payload to the stage;
-	// opWriteCommit writes the staged bytes to the backend in one call
-	// and clears the stage. Stages are connection-local: a dropped
-	// connection discards its partial uploads.
-	opWriteBegin  = 'B'
-	opWriteChunk  = 'A'
-	opWriteCommit = 'M'
 )
 
 // Response statuses.
@@ -75,34 +61,9 @@ const (
 	// provoking a giant allocation.
 	maxKeyLen = 4096
 	// maxDataLen bounds one framed block on the wire (1 GiB; the paper's
-	// 256 MB blocks fit with room). Same corrupt-header defense. Staged
-	// chunked uploads are held to the same total.
+	// 256 MB blocks fit with room). Same corrupt-header defense.
 	maxDataLen = 1 << 30
-	// chunkReqLen is opReadChunk's fixed payload: offset(u64) maxLen(u32).
-	chunkReqLen = 12
-	// chunkRespHdrLen prefixes every opReadChunk response: total(u64).
-	chunkRespHdrLen = 8
-	// maxStagedKeys bounds concurrent chunked uploads per connection —
-	// the client pins one connection per upload, so more than a few
-	// stages on one connection is a protocol abuse, not a workload.
-	maxStagedKeys = 4
 )
-
-// appendChunkReq encodes an opReadChunk payload.
-func appendChunkReq(dst []byte, offset uint64, maxLen uint32) []byte {
-	var b [chunkReqLen]byte
-	binary.LittleEndian.PutUint64(b[:], offset)
-	binary.LittleEndian.PutUint32(b[8:], maxLen)
-	return append(dst, b[:]...)
-}
-
-// parseChunkReq decodes an opReadChunk payload.
-func parseChunkReq(b []byte) (offset uint64, maxLen uint32, err error) {
-	if len(b) != chunkReqLen {
-		return 0, 0, fmt.Errorf("netblock: chunk read payload is %d bytes, want %d", len(b), chunkReqLen)
-	}
-	return binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint32(b[8:]), nil
-}
 
 // appendKeyList encodes an opDeleteMany payload: each key as keyLen(u16)
 // and its bytes. Keys longer than maxKeyLen are the caller's to refuse.
@@ -174,7 +135,7 @@ func requestWireLen(key string, data []byte) int64 {
 
 // readBodyEager is the largest buffer readBody allocates on a header's
 // word alone: a 1 MiB block (the largest size shipped or benchmarked)
-// plus its CRC frame header or chunk-window prefix, with a page to spare.
+// plus its CRC frame header, with a page to spare.
 const readBodyEager = 1<<20 + 4<<10
 
 // readBody reads exactly n bytes from r into a slice of exactly n bytes:
@@ -237,25 +198,17 @@ func readRequest(r io.Reader) (request, error) {
 	}
 	dataLen := int(dataLen64)
 	switch req.op {
-	case opWrite, opRead, opDelete, opDeleteMany, opPing, opReadChunk, opWriteBegin, opWriteChunk, opWriteCommit:
-	default:
-		return request{}, fmt.Errorf("netblock: unknown op %q", req.op)
-	}
-	// Only writes, chunk appends and key lists carry a free-form payload,
-	// and a chunk read carries exactly its fixed 12-byte window spec; any
-	// other op claiming bytes would make the server buffer up to
-	// maxDataLen per request just to throw it away, so it is a protocol
-	// violation like an unknown op.
-	switch {
-	case req.op == opWrite || req.op == opWriteChunk || req.op == opDeleteMany:
-	case req.op == opReadChunk:
-		if dataLen != chunkReqLen {
-			return request{}, fmt.Errorf("netblock: chunk read carries %d payload bytes, want %d", dataLen, chunkReqLen)
-		}
-	default:
+	case opWrite, opDeleteMany:
+	case opRead, opDelete, opPing:
+		// Only writes and key lists carry a payload; any other op claiming
+		// bytes would make the server buffer up to maxDataLen per request
+		// just to throw it away, so it is a protocol violation like an
+		// unknown op.
 		if dataLen != 0 {
 			return request{}, fmt.Errorf("netblock: op %q carries %d payload bytes", req.op, dataLen)
 		}
+	default:
+		return request{}, fmt.Errorf("netblock: unknown op %q", req.op)
 	}
 	// The key is read on its own so that the payload's buffer holds the
 	// payload and nothing else (the backend may keep it; see readBody).

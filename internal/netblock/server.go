@@ -2,7 +2,6 @@ package netblock
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -145,10 +144,10 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // handle runs one connection's request loop: decode, execute against the
-// backend, reply. Backend failures are answered (statusNotFound /
-// statusError), not dropped, so the client can tell "block missing" from
-// "node unreachable"; only transport or protocol errors end the
-// connection.
+// backend, reply, keeping nothing between requests. Backend failures are
+// answered (statusNotFound / statusError), not dropped, so the client can
+// tell "block missing" from "node unreachable"; only transport or
+// protocol errors end the connection.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -159,11 +158,6 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	// stage holds this connection's in-flight chunked uploads, keyed by
-	// node/key. Connection-local on purpose: a client that dies
-	// mid-upload takes its partial bytes down with the connection, and
-	// no half-written block ever reaches the backend.
-	var stage map[string][]byte
 	for {
 		req, err := readRequest(br)
 		if err != nil {
@@ -175,10 +169,7 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		s.requests.Add(1)
-		if stage == nil && (req.op == opWriteBegin || req.op == opWriteChunk || req.op == opWriteCommit) {
-			stage = make(map[string][]byte)
-		}
-		status, data := s.execute(&req, stage)
+		status, data := s.execute(&req)
 		if err := writeResponse(bw, status, data); err != nil {
 			s.logf("netblock: %s: write response: %v", conn.RemoteAddr(), err)
 			return
@@ -253,10 +244,9 @@ func validateKey(key string) error {
 	return nil
 }
 
-// execute runs one decoded request against the backend. stage is the
-// connection's chunked-upload state (nil unless the connection has used
-// a staging op).
-func (s *Server) execute(req *request, stage map[string][]byte) (status byte, data []byte) {
+// execute runs one decoded request against the backend. The request
+// stands alone: nothing of it outlives the reply.
+func (s *Server) execute(req *request) (status byte, data []byte) {
 	if err := validateRequest(req); err != nil {
 		return statusBadKey, []byte(err.Error())
 	}
@@ -299,75 +289,8 @@ func (s *Server) execute(req *request, stage map[string][]byte) (status byte, da
 		return statusOK, nil
 	case opPing:
 		return statusOK, nil
-	case opReadChunk:
-		offset, maxLen, err := parseChunkReq(req.data)
-		if err != nil {
-			return statusError, []byte(err.Error())
-		}
-		b, err := s.be.Read(req.node, req.key)
-		if err != nil {
-			if errors.Is(err, store.ErrNotFound) {
-				return statusNotFound, nil
-			}
-			return statusError, []byte(err.Error())
-		}
-		total := uint64(len(b))
-		if offset > total {
-			offset = total
-		}
-		end := offset + uint64(maxLen)
-		if end > total {
-			end = total
-		}
-		// total(u64) ‖ window. The window aliases the backend's bytes
-		// (read-only per the Backend contract); only the 8-byte prefix
-		// allocates.
-		resp := make([]byte, chunkRespHdrLen, chunkRespHdrLen+int(end-offset))
-		binary.LittleEndian.PutUint64(resp, total)
-		return statusOK, append(resp, b[offset:end]...)
-	case opWriteBegin:
-		sk := stageKey(req.node, req.key)
-		if _, dup := stage[sk]; !dup && len(stage) >= maxStagedKeys {
-			return statusError, []byte(fmt.Sprintf("netblock: %d uploads already staged on this connection", len(stage)))
-		}
-		stage[sk] = []byte{} // non-nil: the key is staged, even at 0 bytes
-		return statusOK, nil
-	case opWriteChunk:
-		sk := stageKey(req.node, req.key)
-		buf, ok := stage[sk]
-		if !ok {
-			return statusError, []byte("netblock: chunk without a staged upload (missing begin?)")
-		}
-		if len(buf)+len(req.data) > maxDataLen {
-			delete(stage, sk)
-			return statusError, []byte(fmt.Sprintf("netblock: staged upload exceeds limit %d", maxDataLen))
-		}
-		stage[sk] = append(buf, req.data...)
-		return statusOK, nil
-	case opWriteCommit:
-		sk := stageKey(req.node, req.key)
-		buf, ok := stage[sk]
-		if !ok {
-			return statusError, []byte("netblock: commit without a staged upload (missing begin?)")
-		}
-		delete(stage, sk)
-		// The staged buffer is connection-owned and dead after this
-		// request, so an owned-write backend takes it copy-free.
-		var err error
-		if s.ow != nil {
-			err = s.ow.WriteOwned(req.node, req.key, buf)
-		} else {
-			err = s.be.Write(req.node, req.key, buf)
-		}
-		if err != nil {
-			return statusError, []byte(err.Error())
-		}
-		return statusOK, nil
 	default:
 		// readRequest already rejected unknown ops; belt and braces.
 		return statusError, []byte("netblock: unknown op")
 	}
 }
-
-// stageKey names one staged upload on a connection.
-func stageKey(node int, key string) string { return fmt.Sprintf("%d/%s", node, key) }

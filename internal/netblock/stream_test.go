@@ -5,29 +5,19 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 )
 
-// TestStreamRoundTrip moves a block through the chunked ops with a
-// window far smaller than the block, so both directions take many
-// windows: WriteBlockFrom stages and commits, ReadBlockTo reassembles
-// byte-exactly, and the plain ops see the same bytes (one protocol, two
-// framings).
+// TestStreamRoundTrip moves a block through the BlockStreamer adapters:
+// WriteBlockFrom writes it in one frame, ReadBlockTo returns it
+// byte-exactly, and the plain ops see the same bytes.
 func TestStreamRoundTrip(t *testing.T) {
-	be := store.NewMemBackend()
-	_, addr := startServer(t, be)
-	c, err := Dial([]string{addr}, Options{
-		DialTimeout: time.Second, Timeout: 5 * time.Second, ChunkSize: 1024,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
+	_, addr := startServer(t, store.NewMemBackend())
+	c := dialTest(t, addr)
 
 	rng := rand.New(rand.NewSource(42))
-	payload := make([]byte, 10*1024+37) // 11 windows at 1 KiB
+	payload := make([]byte, 10*1024+37)
 	rng.Read(payload)
 	frame := store.FrameBlock(payload)
 
@@ -60,7 +50,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("streamed frame does not unframe: %v", err)
 	}
 
-	// An empty block streams too (total=0, one window).
+	// An empty block streams too.
 	if _, err := c.WriteBlockFrom(0, "empty.g000001.s00000.b00", bytes.NewReader(nil)); err != nil {
 		t.Fatalf("empty WriteBlockFrom: %v", err)
 	}
@@ -82,25 +72,28 @@ func TestStreamReadNotFound(t *testing.T) {
 	}
 }
 
-// TestStreamAbandonedUploadInvisible: chunks without a commit must
-// never reach the backend — the stage dies with the connection.
+// TestStreamAbandonedUploadInvisible: a reader that fails mid-stream
+// writes nothing — neither a torn block under a new key nor a
+// replacement of an existing one.
 func TestStreamAbandonedUploadInvisible(t *testing.T) {
 	be := store.NewMemBackend()
 	_, addr := startServer(t, be)
-	c, err := Dial([]string{addr}, Options{
-		DialTimeout: time.Second, Timeout: 5 * time.Second, ChunkSize: 512,
-	})
-	if err != nil {
+	c := dialTest(t, addr)
+	old := store.FrameBlock([]byte("the block before"))
+	if err := c.Write(0, "kept.g000001.s00000.b00", old); err != nil {
 		t.Fatal(err)
 	}
-	// A reader that fails mid-stream abandons the upload.
-	r := &failingReader{data: make([]byte, 2048), failAt: 1500}
-	if _, err := c.WriteBlockFrom(0, "torn.g000001.s00000.b00", r); err == nil {
-		t.Fatal("upload should fail with the reader")
+	for _, key := range []string{"torn.g000001.s00000.b00", "kept.g000001.s00000.b00"} {
+		r := &failingReader{data: make([]byte, 2048), failAt: 1500}
+		if n, err := c.WriteBlockFrom(0, key, r); err == nil || n != 0 {
+			t.Fatalf("%s: WriteBlockFrom over a failing reader = %d, %v; want 0 and the reader's error", key, n, err)
+		}
 	}
-	c.Close()
 	if _, err := be.Read(0, "torn.g000001.s00000.b00"); !errors.Is(err, store.ErrBlockNotFound) {
 		t.Fatalf("abandoned upload reached the backend: %v", err)
+	}
+	if got, err := be.Read(0, "kept.g000001.s00000.b00"); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("abandoned upload replaced an existing block: %v", err)
 	}
 }
 

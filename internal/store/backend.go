@@ -126,11 +126,12 @@ type NodeAdder interface {
 }
 
 // BlockStreamer is an optional Backend extension for moving whole framed
-// blocks without holding them in one wire frame. ReadBlockTo streams a
-// block's framed bytes into w and returns the byte count; WriteBlockFrom
-// streams r into the block, replacing any previous value, atomically on
-// success. The store no longer calls it (a block move is one frame,
-// like every block transfer); it stays because the benchmark names it.
+// blocks through an io.Writer or io.Reader. ReadBlockTo writes a block's
+// framed bytes into w and returns the byte count; WriteBlockFrom reads r
+// into the block, replacing any previous value, atomically on success.
+// The netblock client implements it with one wire frame each way, as
+// every block transfer is. The store does not call it; it stays because
+// the benchmark names it.
 type BlockStreamer interface {
 	ReadBlockTo(node int, key string, w io.Writer) (int64, error)
 	WriteBlockFrom(node int, key string, r io.Reader) (int64, error)

@@ -354,19 +354,3 @@ func (s *Store) DeleteUploadRecord(id string) error {
 	_, err := s.db.Delete(uploadPrefix + id)
 	return err
 }
-
-// UploadRecords returns every stored upload record keyed by id — the
-// recovery walk a serving tier runs after a restart. Bytes are private
-// copies.
-func (s *Store) UploadRecords() map[string][]byte {
-	out := make(map[string][]byte)
-	it := s.db.Scan(uploadPrefix)
-	for {
-		k, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		out[strings.TrimPrefix(k, uploadPrefix)] = append([]byte(nil), v.([]byte)...)
-	}
-	return out
-}
