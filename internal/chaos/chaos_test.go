@@ -410,10 +410,11 @@ func TestSelfHealingUnderTraffic(t *testing.T) {
 	}).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 15*time.Second, "auto-revival", func() bool { return s.Alive(victim) })
-	if got := s.Metrics().AutoRevivals; got < 1 {
-		t.Fatalf("AutoRevivals = %d, want >= 1", got)
-	}
+	// AutoRevivals, not Alive: liveness flips before the revival is
+	// counted, so only the counter says the re-check is queued.
+	waitFor(t, 15*time.Second, "auto-revival", func() bool {
+		return s.Metrics().AutoRevivals >= 1 && s.Alive(victim)
+	})
 
 	// Let traffic run a beat on the healed cluster, then stop it.
 	time.Sleep(200 * time.Millisecond)

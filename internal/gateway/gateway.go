@@ -16,7 +16,8 @@
 // Error mapping is typed end to end: handlers test the store's exported
 // sentinels with errors.Is (never message strings) and translate
 // ErrNotFound→404, ErrBadKey→400, ErrBadRange→416, ErrUnrecoverable and
-// meta.ErrClosed→503.
+// meta.ErrClosed→503; the gateway's own errBadRequest (a malformed
+// request about a valid name) is 400 too.
 package gateway
 
 import (
@@ -255,6 +256,11 @@ func (g *Gateway) methodNotAllowed(w http.ResponseWriter) {
 	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 }
 
+// errBadRequest marks a client error that is not about the object name,
+// such as a bad multipart partNumber or completing an upload with no
+// parts, so its 400 body does not read "invalid object name".
+var errBadRequest = errors.New("gateway: bad request")
+
 // writeError maps a store/meta error onto an HTTP status via errors.Is
 // — the one place gateway errors become status codes, with no string
 // matching anywhere.
@@ -263,7 +269,7 @@ func (g *Gateway) writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, store.ErrNotFound):
 		code = http.StatusNotFound
-	case errors.Is(err, store.ErrBadKey):
+	case errors.Is(err, store.ErrBadKey), errors.Is(err, errBadRequest):
 		code = http.StatusBadRequest
 	case errors.Is(err, store.ErrBadRange):
 		code = http.StatusRequestedRangeNotSatisfiable

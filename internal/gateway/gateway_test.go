@@ -222,6 +222,7 @@ func TestErrorMapping(t *testing.T) {
 		{fmt.Errorf("x: %w", store.ErrObjectNotFound), 404},
 		{fmt.Errorf("x: %w", store.ErrBlockNotFound), 404},
 		{fmt.Errorf("x: %w", store.ErrBadKey), 400},
+		{fmt.Errorf("x: %w", errBadRequest), 400},
 		{fmt.Errorf("x: %w", store.ErrBadRange), 416},
 		{fmt.Errorf("x: %w", store.ErrUnrecoverable), 503},
 		{fmt.Errorf("x: %w", meta.ErrClosed), 503},
@@ -545,6 +546,7 @@ func TestMultipartErrors(t *testing.T) {
 	for _, pn := range []string{"0", "10001", "abc", ""} {
 		resp, body := do(t, "PUT", srv.URL+"/t/acme/obj?uploadId="+id+"&partNumber="+pn, []byte("x"))
 		wantStatus(t, resp, body, 400)
+		wantNotBadName(t, body)
 	}
 	// Unknown id, and a known id used by the wrong tenant or key, all 404.
 	resp, body = do(t, "PUT", srv.URL+"/t/acme/obj?uploadId=deadbeef&partNumber=1", []byte("x"))
@@ -557,6 +559,7 @@ func TestMultipartErrors(t *testing.T) {
 	// Completing an upload with no parts is a client error.
 	resp, body = do(t, "POST", srv.URL+"/t/acme/obj?uploadId="+id, nil)
 	wantStatus(t, resp, body, 400)
+	wantNotBadName(t, body)
 
 	// Abort, then the id is gone.
 	resp, body = do(t, "PUT", srv.URL+"/t/acme/obj?uploadId="+id+"&partNumber=1", []byte("x"))
@@ -565,6 +568,15 @@ func TestMultipartErrors(t *testing.T) {
 	wantStatus(t, resp, body, 204)
 	resp, body = do(t, "GET", srv.URL+"/t/acme/obj?uploadId="+id, nil)
 	wantStatus(t, resp, body, 404)
+}
+
+// wantNotBadName fails when a 400 body blames the object name: the
+// multipart errors are about the request, and the name is valid.
+func wantNotBadName(t *testing.T, body []byte) {
+	t.Helper()
+	if strings.Contains(string(body), "invalid object name") {
+		t.Fatalf("400 body blames a valid name: %q", body)
+	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {

@@ -120,7 +120,7 @@ func (g *Gateway) putPart(w http.ResponseWriter, r *http.Request, t *tenant, id,
 	}
 	n, err := strconv.Atoi(partStr)
 	if err != nil || n < 1 || n > maxPartNumber {
-		g.writeError(w, fmt.Errorf("%w: partNumber %q (want 1..%d)", store.ErrBadKey, partStr, maxPartNumber))
+		g.writeError(w, fmt.Errorf("%w: partNumber %q (want 1..%d)", errBadRequest, partStr, maxPartNumber))
 		return
 	}
 	declared := r.ContentLength
@@ -198,7 +198,7 @@ func (g *Gateway) completeUpload(w http.ResponseWriter, t *tenant, id, tenant_, 
 	}
 	parts := g.partsOf(id)
 	if len(parts) == 0 {
-		g.writeError(w, fmt.Errorf("%w: upload %q has no parts", store.ErrBadKey, id))
+		g.writeError(w, fmt.Errorf("%w: upload %q has no parts", errBadRequest, id))
 		return
 	}
 	// A tenant in admission debt waits like any other request; the

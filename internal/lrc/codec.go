@@ -223,7 +223,7 @@ func (c *Code) ReconstructManyInto(stripe [][]byte, positions []int, dst [][]byt
 			if filled[oi] {
 				continue
 			}
-			r := c.recipeCache[p]
+			r := c.recipes[p]
 			if r == nil {
 				continue
 			}
@@ -337,21 +337,13 @@ func (c *Code) solveColsInto(stripe [][]byte, positions []int, dst [][]byte) err
 	return nil
 }
 
-// decoderFor returns the heavy decoder for the available blocks: K of
+// decoderFor computes the heavy decoder for the available blocks: K of
 // them with independent generator columns (data columns preferred, so
 // the solve degenerates to copies where it can) and the inverse over
-// those, cached per availability pattern. Codes wider than the 256-bit
-// key bypass the cache.
+// those. Nothing is memoized: the elimination and the K×K inverse cost
+// microseconds, the blocks a decode moves cost milliseconds.
 func (c *Code) decoderFor(avail []int) (*decoder, error) {
 	k := c.params.K
-	cacheable := c.nStored <= 256
-	var key colKey
-	if cacheable {
-		key = keyOf(avail)
-		if v, ok := c.decoders.Load(key); ok {
-			return v.(*decoder), nil
-		}
-	}
 	rows := make([]int, k)
 	for i := range rows {
 		rows[i] = i
@@ -364,11 +356,7 @@ func (c *Code) decoderFor(avail []int) (*decoder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lrc: internal: chosen columns singular: %w", err)
 	}
-	d := &decoder{chosen: chosen, inv: inv}
-	if cacheable {
-		c.decoders.Store(key, d)
-	}
-	return d, nil
+	return &decoder{chosen: chosen, inv: inv}, nil
 }
 
 // Verify recomputes the stripe from its data shards and reports whether

@@ -125,7 +125,10 @@ type Group struct {
 	Implied bool
 }
 
-// Code is an immutable Locally Repairable Code. Safe for concurrent use.
+// Code is an immutable Locally Repairable Code. Safe for concurrent use:
+// the constructor sets every field but the encode tables, which are built
+// once on first encode. Repair plans and heavy-decode inverses are computed
+// per call, never stored.
 type Code struct {
 	params Params
 	f      *gf.Field
@@ -145,9 +148,9 @@ type Code struct {
 	gen *matrix.Matrix
 	// dataGroups[g] lists the data block indices covered by S_g.
 	dataGroups [][]int
-	// recipeCache holds the per-block light-repair recipes, computed once
-	// at construction so the Code is safe for concurrent use afterwards.
-	recipeCache []*recipe
+	// recipes[i] is stored block i's light-repair recipe (nil when it has
+	// none), computed once by the constructor; nothing writes it after.
+	recipes []*recipe
 	// parityCols[j-K] is generator column j as a flat coefficient vector,
 	// extracted once so the encoders iterate a slice instead of calling
 	// gen.At in the hot loop.
@@ -160,32 +163,13 @@ type Code struct {
 	// to concurrent encoders.
 	wideOnce sync.Once
 	wide     []*gf.WideTables
-	// decoders memoizes the heavy decoder per availability pattern: the
-	// rank elimination that picks K independent survivors and the O(k³)
-	// inverse over them. Steady-state repair of a dead node presents one
-	// pattern across thousands of stripes, so both happen once per
-	// pattern and every later decode is one lookup. Keys are 256-bit
-	// bitsets over the stored-block indices; a real repair run sees only
-	// dozens of distinct patterns.
-	decoders sync.Map // colKey of the available blocks -> *decoder
 }
 
 // decoder is the heavy solve for one availability pattern: data =
-// (payloads of chosen)·inv.
+// (payloads of chosen)·inv. decoderFor builds one per decode.
 type decoder struct {
 	chosen []int          // K available blocks with independent columns
 	inv    *matrix.Matrix // (generator restricted to chosen)⁻¹
-}
-
-// colKey is a bitset over the code's stored-block indices (≤256).
-type colKey [4]uint64
-
-func keyOf(cols []int) colKey {
-	var k colKey
-	for _, c := range cols {
-		k[c>>6] |= 1 << (uint(c) & 63)
-	}
-	return k
 }
 
 // wideTables returns the encode tables, building them on
@@ -312,7 +296,7 @@ func newWithCoefficientFn(p Params, coeff func(g, j int) gf.Elem) (*Code, error)
 	}
 
 	c.gen = c.buildGenerator()
-	c.recipeCache = c.lightRecipes()
+	c.recipes = c.lightRecipes()
 	c.buildParityCols()
 	return c, nil
 }

@@ -184,11 +184,10 @@ func TestNoLocalsIsRS104(t *testing.T) {
 	}
 }
 
-// TestNoLocalsDecoderCache: the heavy decoder is cached per availability
-// pattern, so repeated decodes of one pattern (the steady-state
-// node-repair shape) and interleaved decodes of two stay correct, for
-// both codes.
-func TestNoLocalsDecoderCache(t *testing.T) {
+// TestNoLocalsRepeatedPatterns: repeated heavy decodes of one
+// availability pattern (the steady-state node-repair shape) and
+// interleaved decodes of several stay correct, for both codes.
+func TestNoLocalsRepeatedPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, c := range []*Code{NewRS104(), NewXorbas()} {
 		// Two losses in one group force the heavy decoder on Xorbas too.
@@ -208,7 +207,7 @@ func TestNoLocalsDecoderCache(t *testing.T) {
 			}
 			for oi, i := range lost {
 				if !bytes.Equal(payloads[oi], stripe[i]) {
-					t.Fatalf("n=%d round %d: cached decode of block %d wrong", c.NStored(), round, i)
+					t.Fatalf("n=%d round %d: decode of block %d wrong", c.NStored(), round, i)
 				}
 			}
 		}

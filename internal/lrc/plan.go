@@ -33,7 +33,7 @@ func (c *Code) PlanRepair(lost int, exists, avail []bool, deployed bool) (Plan, 
 		return Plan{}, fmt.Errorf("lrc: block %d does not exist in this stripe", lost)
 	}
 	// Light decoder: every existing block in the recipe must be available.
-	if r := c.recipeCache[lost]; r != nil {
+	if r := c.recipes[lost]; r != nil {
 		light := true
 		var reads []int
 		for _, j := range r.reads {

@@ -112,7 +112,7 @@ func NewPyramid(p Params) (*Code, error) {
 	}
 	c.groups = append(c.groups, pg)
 	c.gen = gen
-	c.recipeCache = c.lightRecipes()
+	c.recipes = c.lightRecipes()
 	c.buildParityCols()
 	return c, nil
 }
@@ -122,7 +122,7 @@ func NewPyramid(p Params) (*Code, error) {
 // whose global parities need a full heavy decode).
 func (c *Code) FullyLocal() bool {
 	for i := 0; i < c.nStored; i++ {
-		if c.recipeCache[i] == nil {
+		if c.recipes[i] == nil {
 			return false
 		}
 	}

@@ -152,26 +152,16 @@ func (c *Code) Recipe(i int) (reads []int, coefs []gf.Elem, ok bool) {
 	if i < 0 || i >= c.nStored {
 		return nil, nil, false
 	}
-	r := c.recipes()[i]
+	r := c.recipes[i]
 	if r == nil {
 		return nil, nil, false
 	}
 	return append([]int(nil), r.reads...), append([]gf.Elem(nil), r.coefs...), true
 }
 
-// recipes lazily computes and caches light recipes. The cache is written
-// once at construction time via ensureRecipes, so concurrent reads are
-// safe.
-func (c *Code) recipes() []*recipe {
-	if c.recipeCache == nil {
-		c.recipeCache = c.lightRecipes()
-	}
-	return c.recipeCache
-}
-
 // lightReadSet returns the stored blocks light repair of i reads, or nil.
 func (c *Code) lightReadSet(i int) []int {
-	r := c.recipes()[i]
+	r := c.recipes[i]
 	if r == nil {
 		return nil
 	}
@@ -184,7 +174,7 @@ func (c *Code) lightReadSet(i int) []int {
 func (c *Code) VerifyLocality() error {
 	k := c.params.K
 	for i := 0; i < c.nStored; i++ {
-		r := c.recipes()[i]
+		r := c.recipes[i]
 		if r == nil {
 			return fmt.Errorf("lrc: block %d has no light repair", i)
 		}

@@ -31,7 +31,7 @@ func (c *Code) GroupSyndrome(stripe [][]byte, group int) ([]byte, error) {
 	// Use the light recipe of the group's first member: member = Σ
 	// coef·reads ⇒ syndrome = 1·member + Σ coef·reads, one pass.
 	anchor := g.Members[0]
-	r := c.recipeCache[anchor]
+	r := c.recipes[anchor]
 	if r == nil {
 		return nil, fmt.Errorf("lrc: group %d has no parity equation", group)
 	}

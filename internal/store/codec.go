@@ -12,7 +12,6 @@ package store
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/lrc"
 )
@@ -43,10 +42,8 @@ type Codec interface {
 	// rebuilt, given avail[j] marking positions believed readable, and
 	// whether the light (local) decoder suffices. Positions already held
 	// by the caller are included in the read set; the caller decides what
-	// it still needs to fetch. The returned slice may be shared with the
-	// codec's plan cache (steady-state repair of a dead node re-plans the
-	// same erasure pattern for thousands of stripes): callers must treat
-	// it as read-only.
+	// it still needs to fetch. Each call computes a fresh plan: the
+	// returned slice belongs to the caller.
 	PlanReads(i int, avail []bool) (reads []int, light bool, err error)
 	// ReconstructBlock rebuilds block i from the non-nil stripe entries,
 	// reporting whether the light decoder sufficed. The stripe is not
@@ -79,78 +76,12 @@ type Codec interface {
 	LocateCorruption(stripe [][]byte) ([]int, error)
 }
 
-// planKey identifies one cached repair plan: the lost position plus the
-// availability pattern it was planned against.
-type planKey struct {
-	pos  int
-	mask uint64
-}
-
-// planEntry is one cached PlanReads result. reads is shared with every
-// caller (the Codec contract makes plan read sets read-only).
-type planEntry struct {
-	reads []int
-	light bool
-}
-
-// planCache memoizes successful repair plans per (position,
-// availability-mask) bitset: repairing a dead node presents the same
-// erasure pattern across thousands of stripes, and the rank elimination
-// behind each plan is pure overhead after the first solve. Stripes wider
-// than 64 blocks bypass the cache (every paper code fits). Unrecoverable
-// patterns are not cached — they are rare and re-solving keeps error
-// paths simple.
-type planCache struct {
-	mu sync.RWMutex
-	m  map[planKey]planEntry
-}
-
-// availMask packs an availability vector into a bitset, ok=false when the
-// stripe is too wide to cache.
-func availMask(avail []bool) (uint64, bool) {
-	if len(avail) > 64 {
-		return 0, false
-	}
-	var m uint64
-	for i, a := range avail {
-		if a {
-			m |= 1 << uint(i)
-		}
-	}
-	return m, true
-}
-
-func (pc *planCache) get(pos int, avail []bool) ([]int, bool, bool) {
-	mask, ok := availMask(avail)
-	if !ok {
-		return nil, false, false
-	}
-	pc.mu.RLock()
-	e, hit := pc.m[planKey{pos, mask}]
-	pc.mu.RUnlock()
-	return e.reads, e.light, hit
-}
-
-func (pc *planCache) put(pos int, avail []bool, reads []int, light bool) {
-	mask, ok := availMask(avail)
-	if !ok {
-		return
-	}
-	pc.mu.Lock()
-	if pc.m == nil {
-		pc.m = make(map[planKey]planEntry)
-	}
-	pc.m[planKey{pos, mask}] = planEntry{reads: reads, light: light}
-	pc.mu.Unlock()
-}
-
 // codec adapts *lrc.Code to the store.
 type codec struct {
 	c      *lrc.Code
 	groups [][]int
 	name   string
 	exists []bool // all-true mask, built once for the planner
-	plans  planCache
 }
 
 // newCodec wraps a code. The name is what the metadata plane records and
@@ -206,17 +137,12 @@ func (l *codec) EncodeInto(data, parity [][]byte, workers int) error {
 }
 
 // PlanReads implements Codec via the code's repair planner (minimal read
-// policy — the store is the "more efficient implementation" of §3.1.2),
-// memoized per (position, availability-mask).
+// policy — the store is the "more efficient implementation" of §3.1.2).
 func (l *codec) PlanReads(i int, avail []bool) ([]int, bool, error) {
-	if reads, light, ok := l.plans.get(i, avail); ok {
-		return reads, light, nil
-	}
 	plan, err := l.c.PlanRepair(i, l.exists, avail, false)
 	if err != nil {
 		return nil, false, err
 	}
-	l.plans.put(i, avail, plan.Reads, plan.Light)
 	return plan.Reads, plan.Light, nil
 }
 

@@ -214,16 +214,17 @@ func (m *HealthMonitor) tick() {
 		m.fails[i] = 0
 		if m.oks[i] >= m.cfg.ReviveThreshold && !m.s.Alive(i) {
 			m.s.ReviveNode(i)
-			m.s.m.autoRevivals.Add(1)
 			revived[i] = true
 		}
 	}
 	if deaths > 0 || len(revived) > 0 {
 		m.rm.presence(func(node int) bool { return revived[node] })
-		// Counted only now: whoever sees AutoDeaths move (a test, an
-		// operator script about to Drain) finds the death's stripes
-		// already in the repair queue. Liveness flips earlier, so
-		// !Alive(node) promises nothing about the queue.
+		// Counted only now: whoever sees AutoDeaths or AutoRevivals move
+		// (a test, an operator script about to Drain) finds the stripes
+		// the death or revival touched already in the repair queue.
+		// Liveness flips earlier, so Alive(node) promises nothing about
+		// the queue or the counters.
 		m.s.m.autoDeaths.Add(int64(deaths))
+		m.s.m.autoRevivals.Add(int64(len(revived)))
 	}
 }

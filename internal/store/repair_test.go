@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -246,9 +247,11 @@ func TestConcurrentStorePaced(t *testing.T) {
 	}
 }
 
-// TestPlanReadsCached: the adapters' memoized plans match a fresh solve
-// for arbitrary availability patterns, light flags included.
-func TestPlanReadsCached(t *testing.T) {
+// TestPlanReadsCallerOwnsSlice: the read set PlanReads returns belongs
+// to the caller. Overwriting it and planning the same pattern again must
+// yield the original plan, for arbitrary availability patterns, light
+// flags included; a plan reads only available blocks.
+func TestPlanReadsCallerOwnsSlice(t *testing.T) {
 	for _, codec := range []Codec{NewXorbasCodec(), NewRS104Codec()} {
 		n := codec.NStored()
 		rng := rand.New(rand.NewSource(63))
@@ -260,22 +263,22 @@ func TestPlanReadsCached(t *testing.T) {
 			pos := rng.Intn(n)
 			avail[pos] = false
 			first, light1, err1 := codec.PlanReads(pos, avail)
-			second, light2, err2 := codec.PlanReads(pos, avail) // cached
+			want := append([]int(nil), first...)
+			for i := range first {
+				first[i] = -1
+			}
+			second, light2, err2 := codec.PlanReads(pos, avail)
 			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%s: cached error mismatch: %v vs %v", codec.Name(), err1, err2)
+				t.Fatalf("%s: re-plan error mismatch: %v vs %v", codec.Name(), err1, err2)
 			}
 			if err1 != nil {
 				continue
 			}
-			if light1 != light2 || len(first) != len(second) {
-				t.Fatalf("%s: cached plan differs for pos %d", codec.Name(), pos)
+			if light1 != light2 || !slices.Equal(second, want) {
+				t.Fatalf("%s: re-plan of pos %d after overwriting the first plan: %v light=%v, want %v light=%v",
+					codec.Name(), pos, second, light2, want, light1)
 			}
-			for i := range first {
-				if first[i] != second[i] {
-					t.Fatalf("%s: cached plan read set differs for pos %d", codec.Name(), pos)
-				}
-			}
-			for _, j := range first {
+			for _, j := range second {
 				if j != pos && !avail[j] {
 					t.Fatalf("%s: plan for %d reads unavailable block %d", codec.Name(), pos, j)
 				}

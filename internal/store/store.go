@@ -446,17 +446,16 @@ func (s *Store) lightRepairable(damaged []int, avail []bool) bool {
 
 // reconstructPositions rebuilds every nil position in need with one
 // batched decode: the union of the codec's repair plans (light local
-// sets first, heavy fallback — cached per erasure pattern) is fetched
-// concurrently through the bounded read pool, then a single
-// ReconstructManyInto pass rebuilds all targets through the field
-// package's XOR and table kernels. stripe holds payloads already in hand
-// and is filled in place; avail marks positions believed readable and is
-// downgraded as fetches fail, re-planning until every target is rebuilt
-// or provably unrecoverable. On an unrecoverable stripe the targets that
-// can be rebuilt still are (partial progress) and the first failure is
-// returned. dstFor supplies the decode buffer for each target position:
-// the repair engine's reusable framed slabs, or a fresh block for a
-// degraded GET.
+// sets first, heavy fallback) is fetched concurrently through the
+// bounded read pool, then a single ReconstructManyInto pass rebuilds all
+// targets through the field package's XOR and table kernels. stripe
+// holds payloads already in hand and is filled in place; avail marks
+// positions believed readable and is downgraded as fetches fail,
+// re-planning until every target is rebuilt or provably unrecoverable.
+// On an unrecoverable stripe the targets that can be rebuilt still are
+// (partial progress) and the first failure is returned. dstFor supplies
+// the decode buffer for each target position: the repair engine's
+// reusable framed slabs, or a fresh block for a degraded GET.
 //
 // The sources fetched here live for one decode, so over a backend that
 // can receive into a caller's buffer (IntoReader) they are borrowed, not
