@@ -9,7 +9,7 @@ package main
 // shows degraded reads and the BlockFixer's light repairs on real bytes.
 //
 //	xorbasctl store put        -dir DIR -in FILE [-name NAME] [-code rs] [-nodes N] [-racks R] [-block BYTES]
-//	xorbasctl store get        -dir DIR -name NAME [-out FILE] [-cache-bytes B]
+//	xorbasctl store get        -dir DIR -name NAME [-out FILE]
 //
 // put and get move the object one stripe at a time, so memory stays
 // bounded no matter the object size. `-in -` reads stdin; `-out -`
@@ -35,7 +35,7 @@ package main
 //	xorbasctl store corrupt    -dir DIR -name NAME [-stripe I] [-block-idx J] [-silent]
 //	xorbasctl store scrub      -dir DIR [-workers W] [-scrub-rate B] [-repair-rate B]
 //	xorbasctl store repair-drain -dir DIR [-workers W] [-repair-rate B]
-//	xorbasctl store stats      -dir DIR [-cache-bytes B]
+//	xorbasctl store stats      -dir DIR
 //
 // scrub is the full integrity walk (every block read and CRC-checked,
 // syndromes scanned) followed by a drain of the repair queue;
@@ -86,7 +86,6 @@ func storeMain(args []string) error {
 	workers := fs.Int("workers", 2, "repair worker pool size (scrub / repair-drain)")
 	repairRate := fs.Int64("repair-rate", 0, "repair read budget in bytes/sec, 0 = unlimited (scrub / repair-drain)")
 	scrubRate := fs.Int64("scrub-rate", 0, "scrub read budget in bytes/sec, 0 = unlimited (scrub)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "hot-block read cache capacity in bytes for this invocation (get / stats; 0 = no cache)")
 	if err := fs.Parse(args[1:]); err != nil {
 		os.Exit(2)
 	}
@@ -97,7 +96,7 @@ func storeMain(args []string) error {
 	case "put":
 		return storePut(sf, *in, *name, *racks, *blockSize)
 	case "get":
-		return storeGet(sf, *name, *out, *cacheBytes)
+		return storeGet(sf, *name, *out)
 	case "kill-node":
 		return storeSetNode(sf, *node, false)
 	case "revive-node":
@@ -109,7 +108,7 @@ func storeMain(args []string) error {
 	case "repair-drain":
 		return storeRepairDrain(sf, *workers, *repairRate)
 	case "stats":
-		return storeStats(sf, *cacheBytes)
+		return storeStats(sf)
 	default:
 		storeUsage()
 		return nil
@@ -163,11 +162,11 @@ func storePut(sf *cliutil.StoreFlags, in, name string, racks, blockSize int) err
 	return nil
 }
 
-func storeGet(sf *cliutil.StoreFlags, name, out string, cacheBytes int64) error {
+func storeGet(sf *cliutil.StoreFlags, name, out string) error {
 	if name == "" {
 		return fmt.Errorf("store get needs -name")
 	}
-	s, err := sf.Open(cliutil.Rates{CacheBytes: cacheBytes})
+	s, err := sf.Open(cliutil.Rates{})
 	if err != nil {
 		return err
 	}
@@ -213,23 +212,8 @@ func storeGet(sf *cliutil.StoreFlags, name, out string, cacheBytes int64) error 
 	fmt.Fprintf(report, "get %s: %d bytes, %s; read %d blocks / %d bytes in %v (%s)\n",
 		name, info.BytesWritten, mode, info.BlocksRead, info.BytesRead,
 		elapsed.Round(time.Millisecond), cliutil.Mbps(info.BytesWritten, elapsed))
-	fmt.Fprint(report, cacheLine(cacheBytes, s.Metrics()))
 	fmt.Fprint(report, cliutil.WireLine(s.Metrics()))
 	return nil
-}
-
-// cacheLine formats the hot-block cache view — capacity, residency, hit
-// rate — empty when no cache was configured for this invocation.
-func cacheLine(capacity int64, m store.Metrics) string {
-	if capacity <= 0 {
-		return ""
-	}
-	rate := 0.0
-	if lookups := m.CacheHits + m.CacheMisses; lookups > 0 {
-		rate = float64(m.CacheHits) / float64(lookups)
-	}
-	return fmt.Sprintf("cache: %d/%d bytes resident, %d hits / %d misses (%.0f%% hit rate), %d evicted + %d invalidated\n",
-		m.CacheBytes, capacity, m.CacheHits, m.CacheMisses, 100*rate, m.CacheEvictions, m.CacheInvalidations)
 }
 
 func storeSetNode(sf *cliutil.StoreFlags, node int, up bool) error {
@@ -348,14 +332,13 @@ func storeRepairDrain(sf *cliutil.StoreFlags, workers int, repairRate int64) err
 	return s.Close()
 }
 
-func storeStats(sf *cliutil.StoreFlags, cacheBytes int64) error {
-	s, err := sf.Open(cliutil.Rates{CacheBytes: cacheBytes})
+func storeStats(sf *cliutil.StoreFlags) error {
+	s, err := sf.Open(cliutil.Rates{})
 	if err != nil {
 		return err
 	}
 	defer s.Close()
 	fmt.Printf("store %s: codec %s, %d nodes / %d racks\n", *sf.Dir, s.Codec().Name(), s.Nodes(), s.Racks())
-	fmt.Print(cacheLine(cacheBytes, s.Metrics()))
 	objects, replayed := s.MetaRecovered()
 	fmt.Printf("meta plane %s: %d manifests recovered, %d WAL records replayed at open\n",
 		sf.MetaDir(), objects, replayed)

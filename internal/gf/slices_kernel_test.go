@@ -215,32 +215,6 @@ func TestXORSliceAliasedSelfZeroes(t *testing.T) {
 	})
 }
 
-// TestMulAddSlice16MatchesNaive checks the word-lane GF(2^16) kernel
-// against per-lane scalar math on even lengths including word tails.
-func TestMulAddSlice16MatchesNaive(t *testing.T) {
-	f := MustNew(16)
-	rng := rand.New(rand.NewSource(102))
-	for _, c := range []Elem{0, 1, 2, 3, 0x1234, 0xFFFF} {
-		for _, n := range []int{0, 2, 4, 6, 8, 14, 16, 18, 254, 256, 1024} {
-			src := make([]byte, n)
-			dst := make([]byte, n)
-			rng.Read(src)
-			rng.Read(dst)
-			want := append([]byte(nil), dst...)
-			for i := 0; i+1 < n; i += 2 {
-				a := Elem(src[i]) | Elem(src[i+1])<<8
-				p := f.Mul(c, a)
-				want[i] ^= byte(p)
-				want[i+1] ^= byte(p >> 8)
-			}
-			f.MulAddSlice16(c, dst, src)
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("MulAddSlice16(c=%#x, n=%d) diverges from naive reference", c, n)
-			}
-		}
-	}
-}
-
 // TestDotSlicesNoNonzeroCoefficients: an all-zero coefficient vector must
 // still overwrite dst with zeros (DotSlices overwrites, never accumulates).
 func TestDotSlicesNoNonzeroCoefficients(t *testing.T) {

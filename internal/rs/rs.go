@@ -6,8 +6,7 @@
 // codes. What stays here:
 //
 //   - the Appendix D construction (New), which lrc uses as its precode;
-//   - Encode / EncodeInto over that generator, including the GF(2^16)
-//     geometries wider than lrc's GF(2^8);
+//   - Encode / EncodeInto over that generator;
 //   - ReconstructColsInto, an independent any-k-columns MDS decoder. The
 //     benchmark ladder times it as the RS rung, and lrc's equivalence test
 //     uses it as the reference the shared engine must agree with.
@@ -44,10 +43,10 @@ type Code struct {
 	// parityCols[j-k] is generator column j flattened, so the encode hot
 	// loop iterates a slice instead of calling gen.At per coefficient.
 	parityCols [][]gf.Elem
-	// wide holds the lane-packed encode tables (GF(2^8) only): each set
-	// computes up to 8 parity columns in one pass over the data. Built
-	// lazily on the first encode so analysis-only constructions stay
-	// cheap; sync.Once publishes the tables to concurrent encoders.
+	// wide holds the lane-packed encode tables: each set computes up to
+	// 8 parity columns in one pass over the data. Built lazily on the
+	// first encode so analysis-only constructions stay cheap; sync.Once
+	// publishes the tables to concurrent encoders.
 	wideOnce sync.Once
 	wide     []*gf.WideTables
 	// invCache memoizes the decode inverse per surviving-column set:
@@ -69,13 +68,10 @@ func keyOf(cols []int) colKey {
 	return k
 }
 
-// wideTables returns the lane-packed encode tables (nil for fields wider
-// than GF(2^8)), building them on first use.
+// wideTables returns the lane-packed encode tables, building them on
+// first use.
 func (c *Code) wideTables() []*gf.WideTables {
 	c.wideOnce.Do(func() {
-		if c.f.M() != 8 {
-			return
-		}
 		for lo := 0; lo < len(c.parityCols); lo += gf.WideLanes {
 			hi := lo + gf.WideLanes
 			if hi > len(c.parityCols) {
@@ -88,8 +84,11 @@ func (c *Code) wideTables() []*gf.WideTables {
 }
 
 // New constructs the (k, n−k) Reed-Solomon code of Appendix D over the
-// field f. Requires 0 < k < n ≤ field size.
+// field f, which must be GF(2^8). Requires 0 < k < n ≤ 256.
 func New(f *gf.Field, k, n int) (*Code, error) {
+	if f.M() != 8 {
+		return nil, fmt.Errorf("rs: GF(2^%d) unsupported, want GF(2^8)", f.M())
+	}
 	h, err := matrix.RSParityCheck(f, k, n)
 	if err != nil {
 		return nil, err
@@ -212,49 +211,29 @@ func (c *Code) EncodeInto(data, parity [][]byte) error {
 	return nil
 }
 
-// encodeInto fills the parity buffers. GF(2^8) takes the wide tables (one
-// pass over the data for a whole 8-column group); wider fields zero and
-// accumulate with the lane kernel.
+// encodeInto fills the parity buffers with the wide tables: one pass over
+// the data for a whole 8-column group.
 func (c *Code) encodeInto(data, parity [][]byte) {
-	if wide := c.wideTables(); wide != nil {
-		lo := 0
-		for _, w := range wide {
-			w.Dot(parity[lo:lo+w.Lanes()], data, 0, len(data[0]))
-			lo += w.Lanes()
-		}
-		return
-	}
-	for j := range parity {
-		p := parity[j]
-		for i := range p {
-			p[i] = 0
-		}
-		for i, col := 0, c.parityCols[j]; i < c.k; i++ {
-			c.f.MulAddSliceAuto(col[i], p, data[i])
-		}
+	lo := 0
+	for _, w := range c.wideTables() {
+		w.Dot(parity[lo:lo+w.Lanes()], data, 0, len(data[0]))
+		lo += w.Lanes()
 	}
 }
 
 // decodeInv returns (G restricted to the present columns)⁻¹, cached per
-// column set. present must hold exactly k indices. Codes wider than the
-// 256-bit key (GF(2^16) archival geometries) bypass the cache.
+// column set. present must hold exactly k indices.
 func (c *Code) decodeInv(present []int) (*matrix.Matrix, error) {
-	cacheable := c.n <= 256
-	var key colKey
-	if cacheable {
-		key = keyOf(present)
-		if v, ok := c.invCache.Load(key); ok {
-			return v.(*matrix.Matrix), nil
-		}
+	key := keyOf(present)
+	if v, ok := c.invCache.Load(key); ok {
+		return v.(*matrix.Matrix), nil
 	}
 	sub := c.gen.SelectCols(present)
 	inv, err := sub.Inverse()
 	if err != nil {
 		return nil, fmt.Errorf("rs: MDS violation, singular submatrix: %w", err)
 	}
-	if cacheable {
-		c.invCache.Store(key, inv)
-	}
+	c.invCache.Store(key, inv)
 	return inv, nil
 }
 
@@ -325,17 +304,7 @@ func (c *Code) ReconstructColsInto(shards [][]byte, positions []int, dst [][]byt
 			}
 			coef[j] = acc
 		}
-		if c.f.M() == 8 {
-			c.f.DotSlices(coef, dst[oi], srcs)
-		} else {
-			buf := dst[oi]
-			for i := range buf {
-				buf[i] = 0
-			}
-			for j := 0; j < c.k; j++ {
-				c.f.MulAddSliceAuto(coef[j], buf, srcs[j])
-			}
-		}
+		c.f.DotSlices(coef, dst[oi], srcs)
 	}
 	return nil
 }

@@ -75,6 +75,9 @@ func TestNewParameterValidation(t *testing.T) {
 	if _, err := New256(10, 300); err == nil {
 		t.Error("n > field size accepted")
 	}
+	if _, err := New(gf.MustNew(16), 10, 14); err == nil {
+		t.Error("GF(2^16) accepted")
+	}
 }
 
 func TestSystematicGenerator(t *testing.T) {
@@ -342,44 +345,6 @@ func BenchmarkReconstructOneOfFourteen(b *testing.B) {
 		work[3] = nil
 		if _, err := reconstruct(c, work); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// A blocklength beyond GF(2^8)'s 256 ceiling: RS(280, 20) over GF(2^16)
-// — the §7 archival regime at full width — encodes and repairs.
-func TestLargeBlocklengthGF16(t *testing.T) {
-	f := gf.MustNew(16)
-	c, err := New(f, 280, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.MinDistance() != 21 {
-		t.Fatalf("distance %d want 21", c.MinDistance())
-	}
-	r := rand.New(rand.NewSource(77))
-	data := make([][]byte, 280)
-	for i := range data {
-		data[i] = make([]byte, 64) // even length: uint16 lanes
-		r.Read(data[i])
-	}
-	stripe, err := c.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := make([][]byte, len(stripe))
-	for i := range stripe {
-		orig[i] = append([]byte(nil), stripe[i]...)
-	}
-	for _, i := range []int{0, 5, 120, 279, 285, 299} {
-		stripe[i] = nil
-	}
-	if _, err := reconstruct(c, stripe); err != nil {
-		t.Fatal(err)
-	}
-	for i := range stripe {
-		if !bytes.Equal(stripe[i], orig[i]) {
-			t.Fatalf("shard %d wrong after GF(2^16) reconstruction", i)
 		}
 	}
 }

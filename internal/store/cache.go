@@ -13,13 +13,14 @@ import (
 // eviction walks the LRU tail skipping pinned frames.
 //
 // Keying: entries are keyed by the backend block key, which already
-// embeds (object name, put generation, stripe index, block position)
-// and is never reused — see blockKey. A new generation therefore never
-// collides with a cached old one, and staleness is purely a residency
-// question: retire/delete and repair/rebalance relocation call
-// invalidate so a dropped version or a rewritten block stops serving
-// hits immediately (pinned readers of the old version keep their
-// payload slices — memory is reclaimed by GC at the last unpin).
+// embeds (object name, generation, stripe index, block position) and is
+// never reused — see blockKey: every PUT and every relocation writes
+// under a fresh generation. A new copy therefore never collides with a
+// cached old one, and staleness is purely a residency question:
+// retire/delete and repair/rebalance relocation call invalidate so a
+// dropped version or a replaced copy stops serving hits immediately
+// (pinned readers of the old version keep their payload slices — memory
+// is reclaimed by GC at the last unpin).
 //
 // The cache is sharded by key hash; each shard has its own lock, table,
 // intrusive LRU list and slice of the byte budget, so concurrent
@@ -183,8 +184,8 @@ func (c *blockCache) add(key string, payload []byte) {
 
 // invalidate drops key if resident — the staleness hook. Version
 // retire/delete and the repair/rebalance relocation commit route here,
-// so a reclaimed generation or a rewritten block can never serve
-// another hit.
+// so a reclaimed generation or a replaced copy can never serve another
+// hit.
 func (c *blockCache) invalidate(key string) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()

@@ -359,8 +359,9 @@ func sum(m map[string]int) int {
 // lands among copies, splices, relocation records, batches and clears.
 // After recovery and one drain the disks must hold exactly what the
 // manifests place, plus at most the copy of the one relocation the kill
-// interrupted before its splice — a key the manifests place on another
-// node — and every object must read back whole.
+// interrupted before its splice — another copy, under a key of its own,
+// of a block the manifests place — and every object must read back
+// whole.
 
 const relocateChildEnv = "STORE_RELOCATE_CHILD_DIR"
 
@@ -467,7 +468,13 @@ func TestKillNineRelocations(t *testing.T) {
 		}
 	}
 
+	// block names a copy by its key minus the generation: which stripe
+	// position of which object it holds.
+	block := func(key string) string {
+		return key[:strings.LastIndex(key, ".g")] + key[strings.LastIndex(key, ".s"):]
+	}
 	placed := make(map[string]int) // block key → its node
+	blocks := make(map[string]bool)
 	it := s.db.Scan(objPrefix)
 	for {
 		_, v, ok := it.Next()
@@ -476,6 +483,7 @@ func TestKillNineRelocations(t *testing.T) {
 		}
 		for _, b := range retiredOf(v.(*objectInfo)).left {
 			placed[b.key] = b.node
+			blocks[block(b.key)] = true
 		}
 	}
 	nodeDirs, err := filepath.Glob(filepath.Join(dir, "blocks", "node*"))
@@ -498,8 +506,8 @@ func TestKillNineRelocations(t *testing.T) {
 				found++
 				continue
 			}
-			if _, ok := placed[e.Name()]; !ok {
-				t.Fatalf("node %d holds %s, a key no manifest places", node, e.Name())
+			if !blocks[block(e.Name())] {
+				t.Fatalf("node %d holds %s, a copy of no block the manifests place", node, e.Name())
 			}
 			extra = append(extra, fmt.Sprintf("node%03d/%s", node, e.Name()))
 		}

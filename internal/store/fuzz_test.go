@@ -76,11 +76,14 @@ func keyByte(c byte) bool {
 // name it accepts, the block keys it yields — with the generation, stripe
 // and position at their widest — pass the netblock key charset and, with
 // DirBackend's temp-file prefix and its longest suffix ("-" and a
-// 10-digit random number), fit a 255-byte file name; and a relocation
+// 10-digit random number), fit a 255-byte file name; the generation
+// read back from the key is the one it was built with (recovery resumes
+// past it), however many ".g" and ".s" the name holds; and a relocation
 // record naming such a block parses back to the same node and key.
 func FuzzValidateName(f *testing.F) {
 	for _, seed := range []string{
 		"", "a", "obj", "t/bucket/obj.v1", "a//b", "./a", "a/..", "/a", "a/", "sp ace", "ü",
+		"obj.g000123.s00000.b00", "a.g1/b.s2.g", "x.s", "x.g",
 		strings.Repeat("x", maxNameLen), strings.Repeat("x", maxNameLen+1), strings.Repeat("ab/", 341) + "c",
 	} {
 		f.Add(seed)
@@ -116,6 +119,9 @@ func FuzzValidateName(f *testing.F) {
 				if !keyByte(key[i]) {
 					t.Fatalf("name %q: block key %q holds byte %q", name, key, key[i])
 				}
+			}
+			if got := keyGen(key); got != n.gen {
+				t.Fatalf("name %q: block key %q reads back generation %d, want %d", name, key, got, n.gen)
 			}
 			if tmp := tmpPrefix + key + "-4294967295"; len(tmp) > 255 {
 				t.Fatalf("name %q: temp file name is %d bytes, want <= 255", name, len(tmp))

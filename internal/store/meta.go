@@ -14,7 +14,7 @@ import (
 //
 //	o/<name>              an object's manifest (*objectInfo)
 //	q/<gen>.<idx>/<name>  a queued repair item (*repairRecord)
-//	s/state               liveness + generation watermark (*stateRecord)
+//	s/state               the dead nodes (*stateRecord)
 //	u/<id>                a serving-tier upload record (opaque []byte)
 //	n/<node>              a cluster membership record (*memberRecord)
 //	c/config              the geometry the plane was created with (*geometryRecord)
@@ -25,11 +25,15 @@ import (
 // relocated copy-on-write by repair workers, and walked by scrub
 // iterators. Repair queue entries are advisory (commit-no-sync: a lost
 // entry is re-found by the next scrub). The state record makes node
-// deaths and the gen/seq watermark survive a crash with no objects to
-// infer them from. A tombstone or relocation record is staged in the very
-// transaction that replaces, removes or splices its manifest, and cleared
-// (commit-no-sync: a lost clear only repeats an idempotent delete) once
-// its blocks are gone.
+// deaths survive a crash with no objects to infer them from. A tombstone
+// or relocation record is staged in the very transaction that replaces,
+// removes or splices its manifest, and cleared (commit-no-sync: a lost
+// clear only repeats an idempotent delete) once its blocks are gone.
+//
+// The generation watermark is no record of its own: every block key
+// carries the generation it was issued under (see blockKey), so recovery
+// resumes past the largest one any manifest, tombstone or relocation
+// record names, or any queued repair item's version.
 
 const (
 	objPrefix    = "o/"
@@ -67,14 +71,8 @@ func qKey(ref stripeRef) string {
 	return fmt.Sprintf("%s%d.%d/%s", qPrefix, ref.gen, ref.idx, ref.name)
 }
 
-// stateRecord is the non-manifest durable state: which nodes are dead,
-// and the gen/seq watermark at the last liveness change (the
-// watermark otherwise recovers as the max over live manifests, which
-// can dip after a delete — harmless for block keys, but the record
-// keeps it monotonic).
+// stateRecord is the liveness record: which nodes are dead.
 type stateRecord struct {
-	Gen  int64 `json:"gen"`
-	Seq  int64 `json:"seq"`
 	Dead []int `json:"dead,omitempty"`
 }
 
@@ -219,52 +217,43 @@ func (metaCodec) Decode(key string, b []byte) (any, error) {
 }
 
 // recoverMeta recovers the plane's durable state into s: manifests are
-// already in the index after replay; this walks them for the gen/seq
-// watermark, queues every tombstone and relocation record and applies
-// the membership and liveness records — no I/O to the backend.
+// already in the index after replay; one walk of the records finds the
+// gen/seq watermark and queues every tombstone and relocation record,
+// then the membership and liveness records apply — no I/O to the
+// backend.
 func (s *Store) recoverMeta() error {
 	db := s.db
 	var maxGen, maxSeq int64
-	it := db.Scan(objPrefix)
-	for {
-		_, v, ok := it.Next()
-		if !ok {
-			break
-		}
-		obj := v.(*objectInfo)
-		if obj.Gen > maxGen {
-			maxGen = obj.Gen
-		}
+	watermark := func(obj *objectInfo) {
 		for i := range obj.Stripes {
-			if sq := int64(obj.Stripes[i].Seq); sq > maxSeq {
-				maxSeq = sq
+			maxSeq = max(maxSeq, int64(obj.Stripes[i].Seq))
+			for _, k := range obj.Stripes[i].Keys {
+				maxGen = max(maxGen, keyGen(k))
 			}
 		}
 	}
-	// A tombstone's generation counts toward the watermark too: reissued,
-	// it would give a new version the very keys the tombstone deletes.
-	it = db.Scan(tombPrefix)
+	it := db.Scan("")
 	for {
-		_, v, ok := it.Next()
+		k, v, ok := it.Next()
 		if !ok {
 			break
 		}
-		obj := v.(*objectInfo)
-		maxGen = max(maxGen, obj.Gen)
-		s.queue(retiredOf(obj))
-	}
-	it = db.Scan(relocPrefix)
-	for {
-		k, _, ok := it.Next()
-		if !ok {
-			break
+		switch {
+		case strings.HasPrefix(k, objPrefix):
+			watermark(v.(*objectInfo))
+		case strings.HasPrefix(k, tombPrefix):
+			watermark(v.(*objectInfo))
+			s.queue(retiredOf(v.(*objectInfo)))
+		case strings.HasPrefix(k, relocPrefix):
+			b, err := parseRelocKey(k)
+			if err != nil {
+				return err
+			}
+			maxGen = max(maxGen, keyGen(b.key))
+			s.queue(&retired{rec: k, left: []blockRef{b}})
+		case strings.HasPrefix(k, qPrefix):
+			maxGen = max(maxGen, v.(*repairRecord).Gen)
 		}
-		b, err := parseRelocKey(k)
-		if err != nil {
-			return err
-		}
-		s.deleting[b]++
-		s.queue(&retired{rec: k, left: []blockRef{b}})
 	}
 	// Membership records may grow the node set past cfg.Nodes (nodes
 	// added before a crash), so apply them before the liveness record —
@@ -273,14 +262,7 @@ func (s *Store) recoverMeta() error {
 		return err
 	}
 	if v, ok := db.Get(stateKey); ok {
-		st := v.(*stateRecord)
-		if st.Gen > maxGen {
-			maxGen = st.Gen
-		}
-		if st.Seq > maxSeq {
-			maxSeq = st.Seq
-		}
-		for _, n := range st.Dead {
+		for _, n := range v.(*stateRecord).Dead {
 			if n >= 0 && n < len(s.alive) {
 				s.alive[n] = false
 			}
@@ -291,10 +273,10 @@ func (s *Store) recoverMeta() error {
 	return nil
 }
 
-// logState commits the current liveness + watermark record. Callers
-// that cannot return an error (KillNode) treat it as best-effort: the
-// in-memory flip already happened and a lost record only costs a
-// post-crash scrub the node-death hint.
+// logState commits the current liveness record. Callers that cannot
+// return an error (KillNode) treat it as best-effort: the in-memory flip
+// already happened and a lost record only costs a post-crash scrub the
+// node-death hint.
 func (s *Store) logState() error {
 	s.mu.RLock()
 	var dead []int
@@ -304,7 +286,7 @@ func (s *Store) logState() error {
 		}
 	}
 	s.mu.RUnlock()
-	return s.db.Put(stateKey, &stateRecord{Gen: s.gen.Load(), Seq: s.seq.Load(), Dead: dead})
+	return s.db.Put(stateKey, &stateRecord{Dead: dead})
 }
 
 // MetaRecovered reports what recovery found in the metadata plane —

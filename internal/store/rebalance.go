@@ -220,10 +220,9 @@ func (s *Store) placementSafe(si *stripeInfo, pos, t int) bool {
 
 // migrateTo copies stripe position pos of si, a snapshot of ref's
 // stripe, to target and relocates it there — one joiner fill, its read
-// paced by the repair budget. The copy keeps its key; the commit hands
-// the source replica (or, when the object changed mid-copy, the copy)
-// to the reclaimer. It returns the payload bytes moved, 0 when the read
-// or the splice failed.
+// paced by the repair budget. The commit hands the source replica (or,
+// when the object changed mid-copy, the copy) to the reclaimer. It
+// returns the payload bytes moved, 0 when the read or the splice failed.
 func (rb *Rebalancer) migrateTo(ref stripeRef, si *stripeInfo, pos, target int) int64 {
 	s := rb.s
 	f := s.getFrame()
@@ -236,7 +235,7 @@ func (rb *Rebalancer) migrateTo(ref stripeRef, si *stripeInfo, pos, target int) 
 		return 0 // unreadable or corrupt replica: scrub's job, not a fill's
 	}
 	// Reframed in f, where an IntoReader backend already put these bytes.
-	if !s.relocate(ref, pos, target, si.Keys[pos], AppendFrame((*f)[:0], payload)) {
+	if !s.relocate(ref, pos, target, AppendFrame((*f)[:0], payload)) {
 		return 0
 	}
 	s.m.rebalancedBlocks.Add(1)

@@ -21,6 +21,11 @@ import (
 // requests on every run. A relocation reclaims the copy it replaced the
 // same way, at once (see relocate).
 //
+// Every copy a PUT or a relocation writes gets a fresh generation in its
+// key, and recovery resumes past every generation a record still names,
+// so nothing is written under a key a pending delete names: a pending
+// delete never names a live copy, whatever node the block is on by then.
+//
 // A version a streaming read still pins waits in the list: a batch skips
 // it until its last unpin. An entry with a block on a node that refused
 // the delete waits in the list for the next batch, unless the node has
@@ -108,43 +113,10 @@ func (s *Store) takePending() []*retired {
 	return batch
 }
 
-// replacement picks the node a relocation moves stripe position pos to:
-// placeable, keeping the rack rule against the positions on live nodes,
-// and holding no copy of the block that awaits deletion.
-func (s *Store) replacement(si *stripeInfo, pos int) int {
-	alive := s.aliveSnapshot()
-	cur := append([]int(nil), si.Nodes...)
-	for q, nd := range cur {
-		if nd < 0 || nd >= len(alive) || !alive[nd] {
-			cur[q] = -1
-		}
-	}
-	eligible := s.placeableSnapshot()
-	s.reclaimMu.Lock()
-	for n := range eligible {
-		eligible[n] = eligible[n] && s.deleting[blockRef{n, si.Keys[pos]}] == 0
-	}
-	s.reclaimMu.Unlock()
-	return s.placer.pickReplacement(si.Seq, pos, cur, eligible)
-}
-
-// drop takes one count of b off m, forgetting b at zero.
-func drop(m map[blockRef]int, b blockRef) {
-	if m[b]--; m[b] <= 0 {
-		delete(m, b)
-	}
-}
-
-// deletesOn counts node's relocated copies that await deletion.
-func (s *Store) deletesOn(node int) (n int) {
-	s.reclaimMu.Lock()
-	defer s.reclaimMu.Unlock()
-	for b := range s.deleting {
-		if b.node == node {
-			n++
-		}
-	}
-	return n
+// deletesOn counts node's relocated copies that await deletion: its
+// relocation records, which reclaim clears only once the delete landed.
+func (s *Store) deletesOn(node int) int {
+	return s.db.Len(fmt.Sprintf("%s%d/", relocPrefix, node))
 }
 
 // Reclaim deletes now every block the pending list holds, instead of
@@ -164,17 +136,15 @@ func (s *Store) Reclaim() error {
 // with nothing left has its record cleared.
 func (s *Store) reclaim(batch []*retired) error {
 	var work, wait []*retired
-	s.reclaimMu.Lock()
 	s.pinMu.Lock()
 	for _, r := range batch {
-		if r.obj == nil && s.landing[r.left[0]] > 0 || r.obj != nil && s.pins[verKey{r.obj.Name, r.obj.Gen}] > 0 {
+		if r.obj != nil && s.pins[verKey{r.obj.Name, r.obj.Gen}] > 0 {
 			wait = append(wait, r)
 		} else {
 			work = append(work, r)
 		}
 	}
 	s.pinMu.Unlock()
-	s.reclaimMu.Unlock()
 
 	byNode := make(map[int][]string)
 	for _, r := range work {
@@ -210,15 +180,12 @@ func (s *Store) reclaim(batch []*retired) error {
 	}
 
 	var cleared []string
-	var freed []blockRef // relocated copies now gone
 	for _, r := range work {
 		before := len(r.left)
 		left := r.left[:0]
 		for _, b := range r.left {
 			if failed[b.node] {
 				left = append(left, b)
-			} else if r.obj == nil {
-				freed = append(freed, b)
 			}
 		}
 		r.left = left
@@ -231,8 +198,7 @@ func (s *Store) reclaim(batch []*retired) error {
 	}
 	if len(cleared) > 0 {
 		// No fsync: a lost clear only repeats an idempotent delete after
-		// the next open. A relocation that lands a freed pair again commits
-		// with an fsync after this record, so it makes the clear durable.
+		// the next open.
 		_ = s.db.CommitNoSync(func(tx *meta.Tx) {
 			for _, k := range cleared {
 				tx.Delete(k)
@@ -240,9 +206,6 @@ func (s *Store) reclaim(batch []*retired) error {
 		})
 	}
 	s.reclaimMu.Lock()
-	for _, b := range freed {
-		drop(s.deleting, b)
-	}
 	s.pending = append(s.pending, wait...)
 	s.reclaimMu.Unlock()
 	return firstErr

@@ -283,10 +283,10 @@ func (d *deleteGate) Delete(node int, key string) error {
 }
 
 // TestReclaimMoveBackToStaleNode: a block moves off node A, and A's stale
-// copy waits in the pending list because A refuses the delete. Moving the
-// block back to A then is refused, and A is no placement candidate for
-// it, or the pending delete would remove the live copy. Once the delete
-// lands, the move back does too, and nothing deletes it.
+// copy waits in the pending list because A refuses the delete. A stays a
+// placement candidate for the block, and the move back lands at once,
+// under a key of its own: the pending delete, once A takes it, removes
+// only the stale copy.
 func TestReclaimMoveBackToStaleNode(t *testing.T) {
 	const bs = 64
 	gate := newDeleteGate()
@@ -311,28 +311,22 @@ func TestReclaimMoveBackToStaleNode(t *testing.T) {
 		t.Fatalf("Reclaim with node %d refusing deletes: err %v, want ErrInjected", a, err)
 	}
 
-	if rb.migrateTo(ref, snap(), 0, a) != 0 {
-		t.Fatal("moved the block back onto a copy that awaits deletion")
-	}
 	for n := 0; n < s.Nodes(); n++ {
 		if n != a {
 			s.KillNode(n) // leave a the one node the block could go to
 		}
 	}
-	if n := s.replacement(snap(), 0); n >= 0 {
-		t.Fatalf("node %d was picked for the block while its copy there awaits deletion", n)
+	if n := s.replacement(snap(), 0); n != a {
+		t.Fatalf("node %d was picked for the block, want %d, the one live node", n, a)
 	}
 	for n := 0; n < s.Nodes(); n++ {
 		s.ReviveNode(n)
 	}
+	if rb.migrateTo(ref, snap(), 0, a) == 0 {
+		t.Fatalf("move back %d -> %d failed while the stale copy awaits deletion", b, a)
+	}
 
 	gate.shut.Store(-1)
-	if err := s.Reclaim(); err != nil {
-		t.Fatal(err)
-	}
-	if rb.migrateTo(ref, snap(), 0, a) == 0 {
-		t.Fatalf("move back %d -> %d failed after the stale copy went", b, a)
-	}
 	if err := s.Reclaim(); err != nil {
 		t.Fatal(err)
 	}
@@ -419,6 +413,61 @@ func TestReclaimResumesAfterRestart(t *testing.T) {
 		if got, _, err := s2.Get(name); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s after restart and drain: err %v", name, err)
 		}
+	}
+}
+
+// TestReclaimNeverReissuesRelocatedKey: a block moves off node A while A
+// refuses deletes, so its relocation record outlives the object, whose
+// tombstone clears. After a restart over the same plane, a new version
+// of the same name must not get a key that record names: once A takes
+// the delete, it would remove the live block.
+func TestReclaimNeverReissuesRelocatedKey(t *testing.T) {
+	const bs = 64
+	dir := filepath.Join(t.TempDir(), "meta")
+	gate := newDeleteGate()
+	cfg := Config{Backend: gate, Nodes: 20, BlockSize: bs, MetaDir: dir}
+	s1 := newTestStore(t, cfg)
+	rng := rand.New(rand.NewSource(38))
+	if err := s1.Put("obj", randBytes(rng, s1.Codec().K()*bs)); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := s1.db.Get(objKey("obj"))
+	ref := stripeRef{name: "obj", gen: v.(*objectInfo).Gen}
+	si, _ := s1.stripeSnapshot(ref)
+	a, b := si.Nodes[0], 0
+	for slices.Contains(si.Nodes, b) {
+		b++
+	}
+	gate.shut.Store(int64(a))
+	if NewRebalancer(s1, NewRepairManager(s1, 0), 0).migrateTo(ref, &si, 0, b) == 0 {
+		t.Fatalf("move %d -> %d failed", a, b)
+	}
+	if err := s1.Delete("obj"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Reclaim(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Reclaim with node %d refusing deletes: err %v, want ErrInjected", a, err)
+	}
+	if s1.db.Len(tombPrefix) != 0 || s1.db.Len(relocPrefix) != 1 {
+		t.Fatalf("%d tombstones, %d relocation records pending, want 0 and 1", s1.db.Len(tombPrefix), s1.db.Len(relocPrefix))
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestStore(t, Config{Backend: gate, MetaDir: dir})
+	defer s2.Close()
+	want := randBytes(rng, s2.Codec().K()*bs)
+	if err := s2.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	gate.shut.Store(-1)
+	if err := s2.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	checkPlacedExactly(t, s2, gate.MemBackend)
+	if got, info, err := s2.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
+		t.Fatalf("Get after the restart: err %v, degraded %v", err, info.Degraded)
 	}
 }
 
@@ -634,9 +683,9 @@ func (o *opTap) Delete(node int, key string) error {
 
 // TestReclaimHoldsCopyBeingWritten: a repair rewrites a block in place on
 // node D, and between its write and its splice a rebalance moves the
-// block off D and drains the reclaimer. The delete of D's copy waits for
-// the rewrite, which then finds the copy named and splices nothing, so
-// the block is neither lost nor leaked.
+// block off D and drains the reclaimer. The rewrite's copy has a key of
+// its own, so the drain leaves it alone, and the rewrite then splices it
+// over the rebalanced copy: the block is neither lost nor leaked.
 func TestReclaimHoldsCopyBeingWritten(t *testing.T) {
 	const bs = 64
 	tap := &opTap{MemBackend: NewMemBackend()}
@@ -648,35 +697,39 @@ func TestReclaimHoldsCopyBeingWritten(t *testing.T) {
 	v, _ := s.db.Get(objKey("obj"))
 	ref := stripeRef{name: "obj", gen: v.(*objectInfo).Gen}
 	si, _ := s.stripeSnapshot(ref)
-	d, key, t2 := si.Nodes[0], si.Keys[0], 0
+	d, t2 := si.Nodes[0], 0
 	for slices.Contains(si.Nodes, t2) {
 		t2++
 	}
-	frame, err := tap.Read(d, key)
+	frame, err := tap.Read(d, si.Keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap.key, tap.tap = key, func() {
+	rewrite := blockKey("obj", s.gen.Load()+1, 0, 0) // the key relocate issues next
+	tap.key, tap.tap = rewrite, func() {
 		if NewRebalancer(s, NewRepairManager(s, 0), 0).migrateTo(ref, &si, 0, t2) == 0 {
 			t.Errorf("move %d -> %d failed", d, t2)
 		}
 		if err := s.Reclaim(); err != nil {
 			t.Error(err)
 		}
-		if _, err := tap.Read(d, key); err != nil {
+		if _, err := tap.Read(d, rewrite); err != nil {
 			t.Errorf("the copy being written was deleted: %v", err)
 		}
 	}
-	if s.relocate(ref, 0, d, key, frame) {
-		t.Fatal("the rewrite spliced a copy named for deletion")
+	if !s.relocate(ref, 0, d, frame) {
+		t.Fatal("the rewrite did not land")
+	}
+	if tap.tap != nil {
+		t.Fatal("the rewrite wrote no copy under the next key")
 	}
 
 	if err := s.Reclaim(); err != nil {
 		t.Fatal(err)
 	}
 	checkPlacedExactly(t, s, tap.MemBackend)
-	if node, _, _ := s.BlockLocation("obj", 0, 0); node != t2 {
-		t.Fatalf("block on node %d, want %d", node, t2)
+	if node, _, _ := s.BlockLocation("obj", 0, 0); node != d {
+		t.Fatalf("block on node %d, want %d", node, d)
 	}
 	if got, info, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
 		t.Fatalf("Get: err %v, degraded %v", err, info.Degraded)
@@ -684,9 +737,9 @@ func TestReclaimHoldsCopyBeingWritten(t *testing.T) {
 }
 
 // TestReclaimNoCopyUnderInflightDelete: a block moves off node A, and
-// while the move deletes A's stale copy a rebalance tries to move the
-// block back. It must write nothing: a copy landing after the delete
-// would outlive the record that named it.
+// while the move deletes A's stale copy a rebalance moves the block back.
+// The move back lands at once, under a key of its own, so the delete in
+// flight cannot take it.
 func TestReclaimNoCopyUnderInflightDelete(t *testing.T) {
 	const bs = 64
 	tap := &opTap{MemBackend: NewMemBackend(), del: true}
@@ -704,8 +757,8 @@ func TestReclaimNoCopyUnderInflightDelete(t *testing.T) {
 	}
 	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
 	tap.key, tap.tap = snap().Keys[0], func() {
-		if rb.migrateTo(ref, snap(), 0, a) != 0 {
-			t.Error("moved the block back onto a copy being deleted")
+		if rb.migrateTo(ref, snap(), 0, a) == 0 {
+			t.Errorf("move back %d -> %d failed while the stale copy was being deleted", b, a)
 		}
 	}
 	if rb.migrateTo(ref, snap(), 0, b) == 0 {
@@ -718,6 +771,9 @@ func TestReclaimNoCopyUnderInflightDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPlacedExactly(t, s, tap.MemBackend)
+	if node, _, _ := s.BlockLocation("obj", 0, 0); node != a {
+		t.Fatalf("block on node %d, want %d", node, a)
+	}
 	if got, info, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
 		t.Fatalf("Get: err %v, degraded %v", err, info.Degraded)
 	}

@@ -280,16 +280,30 @@ func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func(
 	return func() { s.writeRepaired(it.ref, si, stripe, copied, rebuilt, frameOf) }
 }
 
+// replacement picks the node a relocation moves stripe position pos to:
+// placeable, and keeping the rack rule against the positions on live
+// nodes.
+func (s *Store) replacement(si *stripeInfo, pos int) int {
+	alive := s.aliveSnapshot()
+	cur := append([]int(nil), si.Nodes...)
+	for q, nd := range cur {
+		if nd < 0 || nd >= len(alive) || !alive[nd] {
+			cur[q] = -1
+		}
+	}
+	return s.placer.pickReplacement(si.Seq, pos, cur, s.placeableSnapshot())
+}
+
 // writeRepaired is the write-back half of a repair: place each copied
 // or rebuilt block on a node that keeps it (re-placing off a dead or
 // draining one under the rack rule), stamp its frame's CRC in place and
 // relocate it there. A copy counts as rebalanced, a rebuild as repaired.
-// A re-placement leaves its stale replica to the reclaimer, which retries
-// until the old node answers: a revived node cannot resurface it (HDFS
+// The replaced replica is left to the reclaimer, which retries until the
+// old node answers: a revived node cannot resurface it (HDFS
 // re-registration invalidates it the same way).
 func (s *Store) writeRepaired(ref stripeRef, si stripeInfo, stripe [][]byte, copied, rebuilt []int, frameOf func(pos int) []byte) {
 	for i, pos := range append(copied, rebuilt...) {
-		node, key := si.Nodes[pos], si.Keys[pos]
+		node := si.Nodes[pos]
 		if !s.keeps(node) {
 			if node = s.replacement(&si, pos); node < 0 {
 				continue // nowhere to go; the next scrub or drain pass retries
@@ -298,7 +312,7 @@ func (s *Store) writeRepaired(ref stripeRef, si stripeInfo, stripe [][]byte, cop
 		}
 		frame := frameOf(pos)
 		binary.LittleEndian.PutUint32(frame, crc32.Checksum(frame[4:], castagnoli))
-		if !s.relocate(ref, pos, node, key, frame) {
+		if !s.relocate(ref, pos, node, frame) {
 			continue
 		}
 		if i < len(copied) {

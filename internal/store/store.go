@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -169,15 +171,13 @@ type Store struct {
 	pins  map[verKey]int
 
 	// Reclamation (reclaim.go): the pending list, the block keys queued
-	// since a batch last took it, the gauge of keys still waiting, and the
-	// counts of relocated copies awaiting deletion and being written.
-	reclaimMu         sync.Mutex
-	pending           []*retired
-	fresh             int
-	pendingBlocks     atomic.Int64
-	deleting, landing map[blockRef]int
+	// since a batch last took it, and the gauge of keys still waiting.
+	reclaimMu     sync.Mutex
+	pending       []*retired
+	fresh         int
+	pendingBlocks atomic.Int64
 
-	gen atomic.Int64 // Put generation, keeps block keys unique
+	gen atomic.Int64 // issues Put and relocation generations, keeps block keys unique
 	seq atomic.Int64 // stripe placement rotation
 
 	// repairLim paces every background block move, scrubLim the
@@ -227,8 +227,6 @@ func open(cfg Config, db *meta.DB) (*Store, error) {
 		placer:    newPlacer(cfg.Codec, cfg.Racks),
 		alive:     make([]bool, cfg.Nodes),
 		pins:      make(map[verKey]int),
-		deleting:  make(map[blockRef]int),
-		landing:   make(map[blockRef]int),
 		repairLim: NewLimiter(cfg.RepairRateBytes),
 		scrubLim:  NewLimiter(cfg.ScrubRateBytes),
 	}
@@ -325,6 +323,22 @@ func blockKey(name string, gen int64, stripe, pos int) string {
 		}
 	}
 	return fmt.Sprintf("%s.g%06d.s%05d.b%02d", safe, gen, stripe, pos)
+}
+
+// keyGen reads back the generation blockKey wrote into key, 0 when key
+// does not parse. The name part may itself hold ".g" or ".s", but the
+// suffix blockKey appends holds each once.
+func keyGen(key string) int64 {
+	i := strings.LastIndex(key, ".g")
+	j := strings.LastIndex(key, ".s")
+	if i < 0 || j < i {
+		return 0
+	}
+	gen, err := strconv.ParseInt(key[i+2:j], 10, 64)
+	if err != nil {
+		return 0
+	}
+	return gen
 }
 
 const (
@@ -786,82 +800,56 @@ func (s *Store) stripeSnapshot(ref stripeRef) (stripeInfo, bool) {
 }
 
 // withRelocation returns a copy of the manifest with one stripe position
-// moved to another node — the copy-on-write half of relocate. Only
-// the touched stripe's node slice is duplicated; the rest, keys included
-// (a block key is fixed by name, generation, stripe and position), alias
-// the old version, which is immutable by the same contract.
-func (o *objectInfo) withRelocation(idx, pos, node int) *objectInfo {
+// moved to another node under a new key — the copy-on-write half of
+// relocate. Only the touched stripe's node and key slices are duplicated;
+// the rest alias the old version, which is immutable by the same
+// contract.
+func (o *objectInfo) withRelocation(idx, pos, node int, key string) *objectInfo {
 	n := *o
 	n.Stripes = append([]stripeInfo(nil), o.Stripes...)
 	si := &n.Stripes[idx]
 	si.Nodes = append([]int(nil), si.Nodes...)
-	si.Nodes[pos] = node
+	si.Keys = append([]string(nil), si.Keys...)
+	si.Nodes[pos], si.Keys[pos] = node, key
 	n.muts = o.muts + 1
 	return &n
 }
 
-// relocate writes frame, stripe position pos of ref, to node under key
-// and splices node into the manifest, copy-on-write, with the relocation
-// record of the copy that leaves: the one the manifest held, or the one
-// written when the splice is refused — the object was deleted or
-// overwritten (splicing an old version's block into a new manifest would
-// serve stale bytes), or a racing relocation named node's copy for
-// deletion. Block keys carry no node component, so a block can move back
-// onto a copy whose delete is pending (a refused one) or in flight: it
-// writes nothing then, and batches hold back a delete of the copy it is
-// writing until the splice is decided.
-func (s *Store) relocate(ref stripeRef, pos, node int, key string, frame []byte) bool {
-	b := blockRef{node, key}
-	s.reclaimMu.Lock()
-	if s.deleting[b] > 0 {
-		s.reclaimMu.Unlock()
+// relocate writes frame, stripe position pos of ref, to node under a key
+// of its own and splices both into the manifest, copy-on-write, with the
+// relocation record of the copy that leaves: the one the manifest held,
+// or the one just written when the object was deleted or overwritten
+// meanwhile (splicing an old version's block into a new manifest would
+// serve stale bytes). Every copy gets a fresh generation, so a pending
+// delete only ever names a copy that nothing reads — a rewrite on the
+// same node included.
+func (s *Store) relocate(ref stripeRef, pos, node int, frame []byte) bool {
+	key := blockKey(ref.name, s.gen.Add(1), ref.idx, pos)
+	if err := s.cfg.Backend.Write(node, key, frame); err != nil {
 		return false
 	}
-	s.landing[b]++
-	s.reclaimMu.Unlock()
+	gone := blockRef{node, key}
 	spliced := false
-	var gone *retired
-	err := s.cfg.Backend.Write(node, key, frame)
-	if err == nil {
-		err = s.db.Commit(func(tx *meta.Tx) {
-			s.reclaimMu.Lock()
-			defer s.reclaimMu.Unlock()
-			if s.deleting[b] > 0 {
-				return // the copy just written is named already
-			}
-			old := b
-			v, _ := tx.Get(objKey(ref.name))
-			if obj, ok := v.(*objectInfo); ok && obj.Gen == ref.gen && ref.idx < len(obj.Stripes) {
-				old.node, spliced = obj.Stripes[ref.idx].Nodes[pos], true
-				tx.Put(objKey(ref.name), obj.withRelocation(ref.idx, pos, node))
-			}
-			if old.node >= 0 && (old.node != node || !spliced) {
-				// A failed commit leaves old marked, which is moot: the
-				// plane is down for good (meta's WAL errors are sticky).
-				gone = &retired{rec: relocKey(old), left: []blockRef{old}}
-				tx.Put(gone.rec, nil)
-				s.deleting[old]++
-			}
-		})
-	}
-	s.reclaimMu.Lock()
-	drop(s.landing, b)
-	s.reclaimMu.Unlock()
+	err := s.db.Commit(func(tx *meta.Tx) {
+		v, _ := tx.Get(objKey(ref.name))
+		if obj, ok := v.(*objectInfo); ok && obj.Gen == ref.gen && ref.idx < len(obj.Stripes) {
+			si := &obj.Stripes[ref.idx]
+			gone, spliced = blockRef{si.Nodes[pos], si.Keys[pos]}, true
+			tx.Put(objKey(ref.name), obj.withRelocation(ref.idx, pos, node, key))
+		}
+		tx.Put(relocKey(gone), nil)
+	})
 	if err != nil {
-		return false
+		return false // the plane is down for good (meta's WAL errors are sticky)
 	}
 	if spliced && s.cache != nil {
 		// Repair and rebalance write-backs commit here; a cached copy of
 		// the pre-repair payload (or of a corrupt block rebuilt in place)
 		// must not serve past this point.
-		s.cache.invalidate(key)
+		s.cache.invalidate(gone.key)
 	}
-	if gone != nil {
-		// Reclaimed at once, not batched: a later relocation's placement
-		// must not depend on whether a batch has run. A refused delete
-		// stays pending.
-		s.pendingBlocks.Add(1)
-		_ = s.reclaim([]*retired{gone})
-	}
+	// Reclaimed at once, not batched; a refused delete stays pending.
+	s.pendingBlocks.Add(1)
+	_ = s.reclaim([]*retired{{rec: relocKey(gone), left: []blockRef{gone}}})
 	return spliced
 }

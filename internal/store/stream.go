@@ -333,9 +333,9 @@ func (s *Store) Get(name string) ([]byte, ReadInfo, error) {
 // readRetrying runs read attempts of [off, off+length) against fresh
 // manifest snapshots until one succeeds or fails for good. A failed
 // attempt can mean the snapshot went stale under the read: repair
-// workers relocate blocks without a generation bump, and an overwrite
-// replaces the version with one. A fresh snapshot sees the current
-// block locations, so retry — but only while w can still be rewound
+// workers relocate blocks within a version, and an overwrite replaces
+// the version. A fresh snapshot sees the current block locations, so
+// retry — but only while w can still be rewound
 // (rewind reports whether it was) and the manifest is actually moving
 // (the muts counter): a failure with an unchanged manifest is genuinely
 // lost data, and retrying would just re-read every stripe to fail
