@@ -228,8 +228,11 @@ func storeSetNode(sf *cliutil.StoreFlags, node int, up bool) error {
 		return fmt.Errorf("node %d out of range [0,%d)", node, s.Nodes())
 	}
 	if up {
-		s.ReviveNode(node)
-		fmt.Printf("node %d revived\n", node)
+		if s.ReviveNode(node); s.Alive(node) {
+			fmt.Printf("node %d revived\n", node)
+		} else {
+			fmt.Printf("node %d is retired: it stays down\n", node)
+		}
 	} else {
 		s.KillNode(node)
 		fmt.Printf("node %d killed: its blocks are unreadable until scrub repairs them elsewhere\n", node)

@@ -49,9 +49,7 @@ func run(argv []string) error {
 	cacheBytes := fs.Int64("cache-bytes", 256<<20, "hot-block read cache capacity in bytes: repeat reads of hot objects skip the backend; hit rate on /metrics (0 = no cache)")
 	scrubEvery := fs.Duration("scrub-interval", 0, "background integrity-walk period (0 = no background scrub)")
 	rebalEvery := fs.Duration("rebalance-interval", 0, "background rebalance pass period; moves blocks onto joiners and off drainers (0 = no background rebalance)")
-	healthEvery := fs.Duration("health-interval", 0, "node health probe period; probing backends get auto dead/alive + auto-repair (0 = off)")
-	failK := fs.Int("health-fail-threshold", 3, "consecutive missed probes that confirm a node death")
-	reviveK := fs.Int("health-revive-threshold", 2, "consecutive answered probes that confirm a revival")
+	healthEvery := fs.Duration("health-interval", 0, "node health probe period; probing backends get auto dead/alive + auto-repair: 3 missed probes confirm a death, 2 answered a revival (0 = off)")
 	tokens := map[string]string{}
 	fs.Func("token", "tenant=secret bearer token, repeatable; tenants without one are open", func(v string) error {
 		tenant, secret, ok := strings.Cut(v, "=")
@@ -84,11 +82,7 @@ func run(argv []string) error {
 	rm := store.NewRepairManager(s, 0)
 	sc := store.NewScrubber(s, rm, *scrubEvery)
 	store.NewRebalancer(s, rm, *rebalEvery)
-	store.NewHealthMonitor(s, sc, store.MonitorConfig{
-		Interval:        *healthEvery,
-		FailThreshold:   *failK,
-		ReviveThreshold: *reviveK,
-	})
+	store.NewHealthMonitor(s, sc, store.MonitorConfig{Interval: *healthEvery})
 	rm.Start()
 	defer rm.Stop()
 

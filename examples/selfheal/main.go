@@ -61,11 +61,7 @@ func main() {
 	// one Stop halts both; the monitor alone drives the scrubber's walks.
 	rm := store.NewRepairManager(s, 2)
 	sc := store.NewScrubber(s, rm, 0)
-	store.NewHealthMonitor(s, sc, store.MonitorConfig{
-		Interval:        25 * time.Millisecond,
-		FailThreshold:   3,
-		ReviveThreshold: 2,
-	})
+	store.NewHealthMonitor(s, sc, store.MonitorConfig{Interval: 25 * time.Millisecond})
 	rm.Start()
 	defer rm.Stop()
 

@@ -52,11 +52,7 @@ func TestRebalanceUnderChurn(t *testing.T) {
 	defer s.Close()
 	rm := store.NewRepairManager(s, 2)
 	sc := store.NewScrubber(s, rm, 0)
-	store.NewHealthMonitor(s, sc, store.MonitorConfig{
-		Interval:        20 * time.Millisecond,
-		FailThreshold:   3,
-		ReviveThreshold: 2,
-	})
+	store.NewHealthMonitor(s, sc, store.MonitorConfig{Interval: 20 * time.Millisecond})
 	store.NewRebalancer(s, rm, 50*time.Millisecond)
 	rm.Start()
 	defer rm.Stop()

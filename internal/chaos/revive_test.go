@@ -49,11 +49,7 @@ func TestReviveOnSameAddress(t *testing.T) {
 	}
 	defer s.Close()
 	rm := store.NewRepairManager(s, 0)
-	store.NewHealthMonitor(s, store.NewScrubber(s, rm, 0), store.MonitorConfig{
-		Interval:        interval,
-		FailThreshold:   3,
-		ReviveThreshold: 2,
-	})
+	store.NewHealthMonitor(s, store.NewScrubber(s, rm, 0), store.MonitorConfig{Interval: interval})
 	rm.Start()
 	defer rm.Stop()
 

@@ -79,7 +79,10 @@ func TestReadBodyContract(t *testing.T) {
 		if n > readBodyEager {
 			bound = n*134/100 + allocSlack
 		} else if n > 0 {
-			if allocs := testing.AllocsPerRun(1, func() { r.Reset(src[:n]); readBody(r, n) }); allocs != 1 {
+			// Averaged over runs, a malloc from a goroutine another test
+			// left running is divided away; a real second allocation per
+			// call still reads 2.
+			if allocs := testing.AllocsPerRun(20, func() { r.Reset(src[:n]); readBody(r, n) }); allocs != 1 {
 				t.Errorf("n=%d: %v allocations, want 1", n, allocs)
 			}
 		}

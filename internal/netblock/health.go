@@ -10,7 +10,7 @@ import (
 // The client's per-node outcome window: recent operation outcomes and
 // latencies, exported through NodeHealth for observability (/healthz,
 // xorbasctl node ping). The window decides nothing. Whether a node is
-// down is the store's liveness record, written by its HealthMonitor
+// down is the store's membership record, written by its HealthMonitor
 // from CheckNode probes or by the operator; the store sends no traffic
 // to a node it has marked dead.
 

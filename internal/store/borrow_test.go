@@ -94,11 +94,8 @@ func TestBorrowedSourcesNeverEscape(t *testing.T) {
 			stripes, gen, _ := s.manifestSnapshot(name)
 			for idx, want := range wantFrames(t, codec, bs, object) {
 				for pos := 0; pos < k; pos++ {
-					if payload, e := s.cache.get(stripes[idx].Keys[pos]); e != nil {
-						if !bytes.Equal(payload, want[pos][4:]) {
-							t.Fatalf("%s: cached %s is not the block", codec.Name(), stripes[idx].Keys[pos])
-						}
-						s.cache.unpin(e)
+					if payload := s.cache.get(stripes[idx].Keys[pos]); payload != nil && !bytes.Equal(payload, want[pos][4:]) {
+						t.Fatalf("%s: cached %s is not the block", codec.Name(), stripes[idx].Keys[pos])
 					}
 				}
 			}
@@ -130,7 +127,6 @@ func TestBorrowedSourcesNeverEscape(t *testing.T) {
 						t.Fatalf("%s: %s stripe %d: source %d left in the stripe", codec.Name(), name, idx, pos)
 					}
 				}
-				res.release(s.cache)
 			}
 			s.unpin(name, gen)
 		}

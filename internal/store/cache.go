@@ -7,10 +7,12 @@ import (
 
 // The hot-block cache: a buffer-pool-style, byte-budgeted LRU over
 // fetched data-block payloads, so a hot object under heavy read traffic
-// costs one backend read instead of one per reader. The design follows
-// classic database buffer management — pin/unpin reference counts keep
-// an entry resident while a stripe decode is using it as a source, and
-// eviction walks the LRU tail skipping pinned frames.
+// costs one backend read instead of one per reader. A payload is never
+// written again once cached (Backend.Read results are the reader's own,
+// and a frame lent to a decode never reaches the cache), so eviction
+// needs no pins: an evicted or invalidated payload stays valid for
+// whoever already holds the slice, and the garbage collector frees it
+// after the last one.
 //
 // Keying: entries are keyed by the backend block key, which already
 // embeds (object name, generation, stripe index, block position) and is
@@ -18,9 +20,7 @@ import (
 // under a fresh generation. A new copy therefore never collides with a
 // cached old one, and staleness is purely a residency question:
 // retire/delete and repair/rebalance relocation call invalidate so a
-// dropped version or a replaced copy stops serving hits immediately
-// (pinned readers of the old version keep their payload slices — memory
-// is reclaimed by GC at the last unpin).
+// dropped version or a replaced copy stops serving hits immediately.
 //
 // The cache is sharded by key hash; each shard has its own lock, table,
 // intrusive LRU list and slice of the byte budget, so concurrent
@@ -31,13 +31,11 @@ import (
 // default concurrency.
 const cacheShards = 16
 
-// cacheEntry is one resident block payload. pins and the list links are
-// guarded by the owning shard's mutex; key and payload are immutable.
+// cacheEntry is one resident block payload. The list links are guarded
+// by the owning shard's mutex; key and payload are immutable.
 type cacheEntry struct {
 	key     string
 	payload []byte
-	shard   *cacheShard
-	pins    int
 	// LRU list links; head side is most recently used.
 	prev, next *cacheEntry
 }
@@ -67,7 +65,7 @@ type blockCache struct {
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
-	bytes         atomic.Int64 // bytes pinned by resident payloads, all shards
+	bytes         atomic.Int64 // bytes held by resident payloads, all shards
 }
 
 func newBlockCache(budget int64) *blockCache {
@@ -110,9 +108,8 @@ func (sh *cacheShard) unlink(e *cacheEntry) {
 }
 
 // drop removes an entry from the table, the LRU list and the byte
-// accounting. A pinned reader keeps its payload slice — dropping only
-// ends the entry's cache residency, it never frees memory out from
-// under a decode.
+// accounting. A reader keeps its payload slice — dropping only ends the
+// entry's cache residency.
 func (sh *cacheShard) drop(c *blockCache, e *cacheEntry) {
 	sh.unlink(e)
 	delete(sh.table, e.key)
@@ -120,43 +117,30 @@ func (sh *cacheShard) drop(c *blockCache, e *cacheEntry) {
 	c.bytes.Add(-e.cost())
 }
 
-// get returns the cached payload for key with the entry pinned, or
-// (nil, nil) on a miss. The caller owes exactly one unpin per non-nil
-// handle, once the stripe decode that uses the payload has drained.
-func (c *blockCache) get(key string) ([]byte, *cacheEntry) {
+// get returns the cached payload for key, or nil on a miss.
+func (c *blockCache) get(key string) []byte {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	e := sh.table[key]
 	if e == nil {
 		sh.mu.Unlock()
 		c.misses.Add(1)
-		return nil, nil
+		return nil
 	}
 	sh.unlink(e)
 	sh.pushFront(e)
-	e.pins++
 	sh.mu.Unlock()
 	c.hits.Add(1)
-	return e.payload, e
-}
-
-// unpin releases one reader of a pinned entry.
-func (c *blockCache) unpin(e *cacheEntry) {
-	sh := e.shard
-	sh.mu.Lock()
-	e.pins--
-	sh.mu.Unlock()
+	return e.payload
 }
 
 // add inserts (or refreshes) a payload at MRU, then evicts LRU-first
-// back down to the shard budget, skipping pinned entries — if every
-// resident entry is pinned the shard runs over budget rather than yank
-// a frame out of an in-flight decode. Payloads larger than a whole
-// shard budget are not cached (admitting one would just flush the
-// shard for a single entry that can never stay).
+// back down to the shard budget. Payloads larger than a whole shard
+// budget are not cached (admitting one would just flush the shard for a
+// single entry that can never stay).
 func (c *blockCache) add(key string, payload []byte) {
 	sh := c.shardFor(key)
-	e := &cacheEntry{key: key, payload: payload, shard: sh}
+	e := &cacheEntry{key: key, payload: payload}
 	if e.cost() > sh.budget {
 		return
 	}
@@ -169,14 +153,7 @@ func (c *blockCache) add(key string, payload []byte) {
 	sh.bytes += e.cost()
 	c.bytes.Add(e.cost())
 	for sh.bytes > sh.budget {
-		victim := sh.root.prev
-		for victim != &sh.root && victim.pins > 0 {
-			victim = victim.prev
-		}
-		if victim == &sh.root {
-			break
-		}
-		sh.drop(c, victim)
+		sh.drop(c, sh.root.prev)
 		c.evictions.Add(1)
 	}
 	sh.mu.Unlock()

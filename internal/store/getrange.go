@@ -134,7 +134,6 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 		s.m.mergeRead(&res.acct)
 		acct.add(&res.acct)
 		if res.err != nil {
-			res.release(s.cache)
 			return acct.info(), gen, fmt.Errorf("store: degraded read of %q stripe %d: %w", name, segs[i].idx, res.err)
 		}
 		if i+1 < len(segs) {
@@ -159,17 +158,14 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 			}
 			part = part[cutLo : blockHi-blockLo]
 			if _, err := w.Write(part); err != nil {
-				res.release(s.cache)
 				if pending != nil {
-					// Join the prefetch; its reads are uncharged on this
-					// failure path, but its cache pins still release.
-					p := <-pending
-					p.release(s.cache)
+					// Join the prefetch, so no fetch outlives the version
+					// pin; its reads are uncharged on this failure path.
+					<-pending
 				}
 				return acct.info(), gen, fmt.Errorf("store: write object %q: %w", name, err)
 			}
 		}
-		res.release(s.cache)
 	}
 	return acct.info(), gen, nil
 }

@@ -9,10 +9,22 @@ import (
 // learn of dead DataNodes from missed heartbeats and repair without an
 // operator; here the HealthMonitor plays the NameNode's heartbeat
 // ledger: it probes every node through the backend's health interface,
-// flips the plane-durable liveness record after K consecutive failures
-// (with hysteresis so a flapping node doesn't thrash repair), enqueues
-// prioritized repair on confirmed death, and re-marks alive + re-checks
-// the revived node's blocks on revival.
+// flips the liveness bit of the node's plane-durable membership record
+// after failThreshold consecutive failures (with hysteresis so a
+// flapping node doesn't thrash repair), enqueues prioritized repair on
+// confirmed death, and re-marks alive + re-checks the revived node's
+// blocks on revival.
+
+// The detector's streak thresholds. A node is confirmed down, and its
+// stripes enqueued for repair, failThreshold probe rounds after it stops
+// answering — failThreshold × MonitorConfig.Interval, 3 s at a 1 s
+// interval: §1.1's wait before a transient failure is treated as a
+// loss. It is revived after reviveThreshold answered rounds, so a
+// half-up node does not bounce between repair and service.
+const (
+	failThreshold   = 3
+	reviveThreshold = 2
+)
 
 // NodeHealthInfo is one node's failure-plane snapshot: liveness as the
 // store records it, plus whatever windowed transport accounting the
@@ -49,10 +61,10 @@ type HealthStats interface {
 
 // NodeHealth reports every node's failure-plane state: the backend's
 // window snapshot when it keeps one (HealthStats), overlaid with the
-// store's own liveness record.
+// liveness in the store's own membership records.
 func (s *Store) NodeHealth() []NodeHealthInfo {
-	alive := s.aliveSnapshot()
-	infos := make([]NodeHealthInfo, len(alive))
+	members := s.Members()
+	infos := make([]NodeHealthInfo, len(members))
 	if hs, ok := s.cfg.Backend.(HealthStats); ok {
 		for i, info := range hs.NodeHealth() {
 			if i < len(infos) {
@@ -62,7 +74,7 @@ func (s *Store) NodeHealth() []NodeHealthInfo {
 	}
 	for i := range infos {
 		infos[i].Node = i
-		infos[i].Alive = alive[i]
+		infos[i].Alive = members[i].Alive
 	}
 	return infos
 }
@@ -72,8 +84,8 @@ func (s *Store) LiveNodes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	live := 0
-	for _, a := range s.alive {
-		if a {
+	for _, m := range s.members {
+		if !m.Down {
 			live++
 		}
 	}
@@ -89,34 +101,18 @@ func (s *Store) WriteDegraded() bool {
 	return s.PlaceableNodes() < s.cfg.Codec.NStored()
 }
 
-// MonitorConfig tunes a HealthMonitor. Zero fields take defaults.
+// MonitorConfig tunes a HealthMonitor.
 type MonitorConfig struct {
 	// Interval between probe rounds. A positive Interval registers the
 	// round as a pass of the scrubber's RepairManager; 0 registers
 	// nothing, and the caller ticks by hand.
 	Interval time.Duration
-	// FailThreshold is how many consecutive missed probes confirm a
-	// death (default 3) — the flap damper on the way down.
-	FailThreshold int
-	// ReviveThreshold is how many consecutive answered probes confirm a
-	// revival (default 2) — hysteresis so a half-up node doesn't bounce
-	// between repair and service.
-	ReviveThreshold int
 	// Probe overrides the backend's HealthChecker (tests inject fault
 	// scripts here). When nil and the backend implements HealthChecker,
 	// that is used; when neither exists the monitor is inert — it
 	// registers no pass, and operator KillNode/ReviveNode calls stay the
 	// only liveness authority.
 	Probe func(node int) error
-}
-
-func (c *MonitorConfig) fillDefaults() {
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.ReviveThreshold <= 0 {
-		c.ReviveThreshold = 2
-	}
 }
 
 // HealthMonitor turns probe outcomes into liveness flips and repair
@@ -127,7 +123,6 @@ func (c *MonitorConfig) fillDefaults() {
 type HealthMonitor struct {
 	s     *Store
 	rm    *RepairManager
-	cfg   MonitorConfig
 	probe func(node int) error
 
 	// Consecutive outcome streaks per node, touched only by tick.
@@ -139,7 +134,6 @@ type HealthMonitor struct {
 // positive cfg.Interval, its probe round becomes one of the passes of
 // sc's RepairManager, started and stopped with it.
 func NewHealthMonitor(s *Store, sc *Scrubber, cfg MonitorConfig) *HealthMonitor {
-	cfg.fillDefaults()
 	probe := cfg.Probe
 	if probe == nil {
 		if hc, ok := s.cfg.Backend.(HealthChecker); ok {
@@ -149,7 +143,6 @@ func NewHealthMonitor(s *Store, sc *Scrubber, cfg MonitorConfig) *HealthMonitor 
 	m := &HealthMonitor{
 		s:     s,
 		rm:    sc.rm,
-		cfg:   cfg,
 		probe: probe,
 		fails: make([]int, s.cfg.Nodes),
 		oks:   make([]int, s.cfg.Nodes),
@@ -175,8 +168,8 @@ func NewHealthMonitor(s *Store, sc *Scrubber, cfg MonitorConfig) *HealthMonitor 
 func (m *HealthMonitor) tick() {
 	// The node set can grow between ticks (AddNode); size every round
 	// off the membership table and stretch the streak slices to match.
-	states := m.s.memberStates()
-	n := len(states)
+	members := m.s.Members()
+	n := len(members)
 	for len(m.fails) < n {
 		m.fails = append(m.fails, 0)
 		m.oks = append(m.oks, 0)
@@ -184,7 +177,7 @@ func (m *HealthMonitor) tick() {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		if states[i] == NodeDead {
+		if members[i].State == NodeDead {
 			continue
 		}
 		wg.Add(1)
@@ -198,13 +191,13 @@ func (m *HealthMonitor) tick() {
 	deaths := 0
 	revived := map[int]bool{}
 	for i := 0; i < n; i++ {
-		if states[i] == NodeDead {
+		if members[i].State == NodeDead {
 			continue
 		}
 		if errs[i] != nil {
 			m.fails[i]++
 			m.oks[i] = 0
-			if m.fails[i] >= m.cfg.FailThreshold && m.s.Alive(i) {
+			if m.fails[i] >= failThreshold && m.s.Alive(i) {
 				m.s.KillNode(i)
 				deaths++
 			}
@@ -212,7 +205,7 @@ func (m *HealthMonitor) tick() {
 		}
 		m.oks[i]++
 		m.fails[i] = 0
-		if m.oks[i] >= m.cfg.ReviveThreshold && !m.s.Alive(i) {
+		if m.oks[i] >= reviveThreshold && !m.s.Alive(i) {
 			m.s.ReviveNode(i)
 			revived[i] = true
 		}

@@ -39,11 +39,7 @@ func TestHealthMonitorAutoDeathRepairRevival(t *testing.T) {
 
 	rm := NewRepairManager(s, 2)
 	sc := NewScrubber(s, rm, 0) // no background walks; the monitor triggers scrubs
-	NewHealthMonitor(s, sc, MonitorConfig{
-		Interval:        10 * time.Millisecond,
-		FailThreshold:   3,
-		ReviveThreshold: 2,
-	})
+	NewHealthMonitor(s, sc, MonitorConfig{Interval: 10 * time.Millisecond})
 	rm.Start()
 	defer rm.Stop()
 
@@ -109,9 +105,8 @@ func TestHealthMonitorFlapDamping(t *testing.T) {
 	}
 	rm := NewRepairManager(s, 0)
 	NewHealthMonitor(s, NewScrubber(s, rm, 0), MonitorConfig{
-		Interval:      5 * time.Millisecond,
-		FailThreshold: 3,
-		Probe:         probe,
+		Interval: 5 * time.Millisecond,
+		Probe:    probe,
 	})
 	rm.Start()
 	time.Sleep(200 * time.Millisecond)
@@ -139,9 +134,7 @@ func TestRevivalDoesNotBlindMonitor(t *testing.T) {
 	var failing [20]atomic.Bool
 	rm := NewRepairManager(s, 2)
 	NewHealthMonitor(s, NewScrubber(s, rm, 0), MonitorConfig{
-		Interval:        interval,
-		FailThreshold:   2,
-		ReviveThreshold: 1,
+		Interval: interval,
 		Probe: func(node int) error {
 			if failing[node].Load() {
 				return ErrInjected
@@ -205,7 +198,7 @@ func TestWriteDegradedThreshold(t *testing.T) {
 }
 
 // TestNodeHealthOverlay checks the store's NodeHealth merges its
-// liveness record over the backend view (empty for MemBackend).
+// liveness over the backend view (empty for MemBackend).
 func TestNodeHealthOverlay(t *testing.T) {
 	s, err := New(Config{Nodes: 4})
 	if err != nil {

@@ -7,9 +7,10 @@ import (
 )
 
 // Cluster membership is a first-class, durable subsystem: every node has
-// a state in the planned topology, separate from its probe-driven
-// liveness bit. Liveness answers "can I read from it right now";
-// membership answers "should new bytes land on it".
+// one record holding its state in the planned topology and its
+// probe-driven liveness bit, as HDFS's NameNode keeps one entry per
+// DataNode. Liveness answers "can I read from it right now"; the state
+// answers "should new bytes land on it".
 //
 //	          AddNode                    rebalance pass completes
 //	  (new id) ──────▶ joining ────────────────────────▶ active
@@ -20,11 +21,12 @@ import (
 //	           drain completes (no manifest blocks left)
 //
 // RemoveNode is the hard edge active→dead (the node is gone; its blocks
-// become repair work). States are persisted in the metadata plane under
-// n/ keys and recovered on restart like the repair queue, so a kill -9
-// forgets nothing. Node ids are never reused: old manifests keep
-// resolving mid-migration, new stripes simply stop landing on retired
-// ids.
+// become repair work). A dead member is down. Records are persisted in
+// the metadata plane under n/ keys — a state change bumps the epoch, a
+// liveness flip does not — and recovered on restart like the repair
+// queue, so a kill -9 forgets nothing. Node ids are never reused: old
+// manifests keep resolving mid-migration, new stripes simply stop
+// landing on retired ids.
 
 // NodeState is a node's place in the planned topology.
 type NodeState string
@@ -49,9 +51,13 @@ type memberRecord struct {
 	Node  int       `json:"node"`
 	Addr  string    `json:"addr,omitempty"`
 	State NodeState `json:"state"`
-	// Epoch is the membership epoch this record was last written at; the
-	// store's epoch recovers as the max over records.
+	// Epoch is the membership epoch of the record's last state change;
+	// the store's epoch recovers as the max over records.
 	Epoch int64 `json:"epoch"`
+	// Down is the node's liveness: set by KillNode (the operator's or
+	// the health monitor's) and by the transition to NodeDead, cleared
+	// by ReviveNode.
+	Down bool `json:"down,omitempty"`
 }
 
 // MemberInfo is the exported view of one membership record.
@@ -66,13 +72,18 @@ type MemberInfo struct {
 // placeable reports whether a node in this state may receive new blocks.
 func (st NodeState) placeable() bool { return st == NodeActive || st == NodeJoining }
 
+// keeps reports whether the node may keep and receive blocks: alive and
+// in a placeable state.
+func (m MemberInfo) keeps() bool { return m.Alive && m.State.placeable() }
+
 // Members returns the membership table, one row per node id ever issued.
+// It is also the store's one snapshot of liveness and state together.
 func (s *Store) Members() []MemberInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]MemberInfo, len(s.members))
 	for i, m := range s.members {
-		out[i] = MemberInfo{Node: m.Node, Addr: m.Addr, State: m.State, Alive: s.alive[i], Epoch: m.Epoch}
+		out[i] = MemberInfo{Node: m.Node, Addr: m.Addr, State: m.State, Alive: !m.Down, Epoch: m.Epoch}
 	}
 	return out
 }
@@ -92,37 +103,13 @@ func (s *Store) MemberState(n int) NodeState {
 	return s.members[n].State
 }
 
-// memberStates snapshots the per-node states.
-func (s *Store) memberStates() []NodeState {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]NodeState, len(s.members))
-	for i := range s.members {
-		out[i] = s.members[i].State
-	}
-	return out
-}
-
-// placeableSnapshot is the placement view of the cluster: alive AND in a
-// placeable state. Reads still use aliveSnapshot — a draining node's
-// blocks stay readable mid-migration.
-func (s *Store) placeableSnapshot() []bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]bool, len(s.alive))
-	for i := range out {
-		out[i] = s.alive[i] && s.members[i].State.placeable()
-	}
-	return out
-}
-
 // keeps reports whether node n may keep the blocks it holds: alive and
 // in a placeable state. A repair writes every block it copies or
 // rebuilds on a node that does not keep it somewhere that does.
 func (s *Store) keeps(n int) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return n >= 0 && n < len(s.alive) && s.alive[n] && s.members[n].State.placeable()
+	return n >= 0 && n < len(s.members) && !s.members[n].Down && s.members[n].State.placeable()
 }
 
 // PlaceableNodes counts nodes eligible for new placements.
@@ -130,8 +117,8 @@ func (s *Store) PlaceableNodes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for i := range s.alive {
-		if s.alive[i] && s.members[i].State.placeable() {
+	for _, m := range s.members {
+		if !m.Down && m.State.placeable() {
 			n++
 		}
 	}
@@ -166,12 +153,10 @@ func (s *Store) AddNode(addr string) (int, error) {
 	rec := memberRecord{Node: id, Addr: addr, State: NodeJoining, Epoch: epoch}
 	s.mu.Lock()
 	s.members = append(s.members, rec)
-	s.alive = append(s.alive, true)
 	s.mu.Unlock()
 	if err := s.db.Put(nodeKey(id), &rec); err != nil {
 		return -1, err
 	}
-	_ = s.logState()
 	return id, nil
 }
 
@@ -194,16 +179,12 @@ func (s *Store) Decommission(n int) error {
 // liveness. Its remaining blocks become repair work (ScrubPresence
 // enqueues them).
 func (s *Store) RemoveNode(n int) error {
-	err := s.transition(n, NodeDead, func(cur NodeState) error { return nil })
-	if err != nil {
-		return err
-	}
-	s.KillNode(n)
-	return nil
+	return s.transition(n, NodeDead, func(cur NodeState) error { return nil })
 }
 
 // transition moves node n to state after check approves the current
-// state, persisting the record and bumping the epoch.
+// state, persisting the record and bumping the epoch. A node moved to
+// NodeDead is down in the same record.
 func (s *Store) transition(n int, state NodeState, check func(cur NodeState) error) error {
 	s.memberMu.Lock()
 	defer s.memberMu.Unlock()
@@ -224,15 +205,10 @@ func (s *Store) transition(n int, state NodeState, check func(cur NodeState) err
 	epoch := s.epoch.Add(1)
 	s.members[n].State = state
 	s.members[n].Epoch = epoch
+	s.members[n].Down = s.members[n].Down || state == NodeDead
 	rec := s.members[n]
-	if state == NodeDead {
-		s.alive[n] = false
-	}
 	s.mu.Unlock()
-	if err := s.db.Put(nodeKey(n), &rec); err != nil {
-		return err
-	}
-	return s.logState()
+	return s.db.Put(nodeKey(n), &rec)
 }
 
 // promote is transition without the public error contract: used by the
@@ -283,12 +259,11 @@ func (s *Store) recoverMembers() error {
 		for len(s.members) <= m.Node {
 			id := len(s.members)
 			s.members = append(s.members, memberRecord{Node: id, State: NodeActive})
-			s.alive = append(s.alive, true)
 		}
 		s.members[m.Node] = *m
-		if m.State == NodeDead {
-			s.alive[m.Node] = false
-		}
+		// A retired member is down, also in a record written before
+		// liveness joined it.
+		s.members[m.Node].Down = m.Down || m.State == NodeDead
 		if m.Epoch > maxEpoch {
 			maxEpoch = m.Epoch
 		}

@@ -1,9 +1,15 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/meta"
 )
 
 // TestMembershipStateMachine walks the planned-topology transitions:
@@ -72,6 +78,9 @@ func TestMembershipStateMachine(t *testing.T) {
 	}
 	if s.Alive(7) {
 		t.Fatal("removed node must be dead for liveness too")
+	}
+	if s.ReviveNode(7); s.Alive(7) {
+		t.Fatal("a retired member must stay down: revival is for transient failures")
 	}
 	if err := s.Decommission(7); err == nil {
 		t.Fatal("decommissioning a dead node must error")
@@ -186,6 +195,127 @@ func TestMembershipSurvivesKill9(t *testing.T) {
 	}
 }
 
+// TestLivenessSurvivesKill9: liveness lives in the node's n/ record,
+// committed on every flip in the order of the flips, so a crash with no
+// Close reopens with each node's last flip — before any probe or
+// presence walk has looked at the backend. The hammer half flips the
+// same nodes from several goroutines: a commit that lost the race to a
+// later flip's would leave that node's record stale on disk.
+func TestLivenessSurvivesKill9(t *testing.T) {
+	dir := t.TempDir()
+	be := NewMemBackend()
+	s1 := newTestStore(t, Config{Nodes: 20, Backend: be, MetaDir: dir})
+	const a, b = 3, 8
+	s1.KillNode(a)
+	s1.KillNode(b)
+	s1.ReviveNode(a)
+
+	// No Close: the WAL is all the next open gets.
+	s2 := newTestStore(t, Config{Nodes: 20, Backend: be, MetaDir: dir})
+	if !s2.Alive(a) || s2.Alive(b) {
+		t.Fatalf("recovered alive(%d) = %v, alive(%d) = %v; want true, false", a, s2.Alive(a), b, s2.Alive(b))
+	}
+	if got := s2.LiveNodes(); got != 19 {
+		t.Fatalf("recovered LiveNodes() = %d, want 19", got)
+	}
+	if e := s2.Epoch(); e != 0 {
+		t.Fatalf("liveness flips moved the membership epoch to %d", e)
+	}
+	if v, ok := s2.db.Get(nodeKey(b)); !ok || !v.(*memberRecord).Down {
+		t.Fatalf("node %d's n/ record does not say it is down: %v", b, v)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 25; i++ {
+				if n := rng.Intn(4); rng.Intn(2) == 0 {
+					s2.KillNode(n)
+				} else {
+					s2.ReviveNode(n)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s3 := newTestStore(t, Config{Nodes: 20, Backend: be, MetaDir: dir})
+	for n := 0; n < 20; n++ {
+		if s3.Alive(n) != s2.Alive(n) {
+			t.Fatalf("node %d recovered alive = %v, last flip left it %v", n, s3.Alive(n), s2.Alive(n))
+		}
+	}
+}
+
+// TestLegacyDeadListFolds: a plane written before liveness joined the
+// member records keeps the dead list in an s/state record, and its n/
+// records carry no down field. It reopens with the same nodes down, the
+// list folded into their n/ records and the old record gone, so the
+// next open finds the same liveness without it.
+func TestLegacyDeadListFolds(t *testing.T) {
+	dir := t.TempDir()
+	be := NewMemBackend()
+	s1 := newTestStore(t, Config{Nodes: 20, Backend: be, MetaDir: dir})
+	want := []byte("written before the fold")
+	if err := s1.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The old format, byte for byte: a joined node 20, a retired node 9,
+	// and a dead list naming seed node 5, node 9 and node 20.
+	db, err := meta.Open(meta.Options{Dir: dir, Codec: metaCodec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range map[string]string{
+		nodeKey(20):   `{"node":20,"addr":"10.0.0.21:7000","state":"joining","epoch":1}`,
+		nodeKey(9):    `{"node":9,"state":"dead","epoch":2}`,
+		legacyDeadKey: `{"dead":[5,9,20]}`,
+	} {
+		if err := db.Put(k, json.RawMessage(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(s *Store, when string) {
+		t.Helper()
+		if got := s.Nodes(); got != 21 {
+			t.Fatalf("%s: Nodes() = %d, want 21", when, got)
+		}
+		for n := 0; n < 21; n++ {
+			if down := n == 5 || n == 9 || n == 20; s.Alive(n) == down {
+				t.Fatalf("%s: node %d alive = %v", when, n, s.Alive(n))
+			}
+		}
+		if _, ok := s.db.Get(legacyDeadKey); ok {
+			t.Fatalf("%s: the s/state record is still in the plane", when)
+		}
+		if st, e := s.MemberState(20), s.Epoch(); st != NodeJoining || e != 2 {
+			t.Fatalf("%s: node 20 %s at epoch %d, want joining at 2", when, st, e)
+		}
+		if got, _, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: Get: err %v, exact %v", when, err, bytes.Equal(got, want))
+		}
+	}
+	s2 := newTestStore(t, Config{Backend: be, MetaDir: dir})
+	check(s2, "first open")
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3 := newTestStore(t, Config{Backend: be, MetaDir: dir})
+	check(s3, "second open")
+	if err := s3.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMonitorKillsDeadDrainer: a draining node's liveness is the
 // monitor's like any other node's. One that stops answering probes is
 // killed after the threshold and one that answers again is revived, but
@@ -203,9 +333,7 @@ func TestMonitorKillsDeadDrainer(t *testing.T) {
 	}
 	m := NewHealthMonitor(s, NewScrubber(s, NewRepairManager(s, 0), 0), MonitorConfig{
 		// No Interval: ticks are driven by hand.
-		FailThreshold:   2,
-		ReviveThreshold: 2,
-		Probe:           probe,
+		Probe: probe,
 	})
 
 	const drainer = 6
@@ -213,9 +341,11 @@ func TestMonitorKillsDeadDrainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	failing[drainer] = true
-	m.tick()
-	if !s.Alive(drainer) {
-		t.Fatal("one missed probe is below the threshold")
+	for i := 1; i < failThreshold; i++ {
+		m.tick()
+		if !s.Alive(drainer) {
+			t.Fatalf("%d missed probes are below the threshold", i)
+		}
 	}
 	m.tick()
 	if s.Alive(drainer) {
@@ -250,7 +380,7 @@ func TestMonitorKillsDeadDrainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.KillNode(drainer2)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < reviveThreshold; i++ {
 		m.tick()
 	}
 	if !s.Alive(drainer2) {
@@ -267,7 +397,6 @@ func TestMonitorProbesAddedNodes(t *testing.T) {
 	s := newTestStore(t, Config{Nodes: 4})
 	failing := map[int]bool{}
 	m := NewHealthMonitor(s, NewScrubber(s, NewRepairManager(s, 0), 0), MonitorConfig{
-		FailThreshold: 2,
 		Probe: func(n int) error {
 			if failing[n] {
 				return errors.New("down")
@@ -281,7 +410,7 @@ func TestMonitorProbesAddedNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	failing[id] = true
-	for i := 0; i < 3; i++ {
+	for i := 0; i < failThreshold; i++ {
 		m.tick()
 	}
 	if s.Alive(id) {

@@ -14,9 +14,8 @@ import (
 //
 //	o/<name>              an object's manifest (*objectInfo)
 //	q/<gen>.<idx>/<name>  a queued repair item (*repairRecord)
-//	s/state               the dead nodes (*stateRecord)
 //	u/<id>                a serving-tier upload record (opaque []byte)
-//	n/<node>              a cluster membership record (*memberRecord)
+//	n/<node>              a node's membership and liveness (*memberRecord)
 //	c/config              the geometry the plane was created with (*geometryRecord)
 //	t/<gen>/<name>        a retired version whose blocks are not all deleted yet (*objectInfo)
 //	r/<node>/<block key>  a relocated block's stale copy, not deleted yet (no value)
@@ -24,7 +23,7 @@ import (
 // Manifests are the hot records: committed durably before a Put acks,
 // relocated copy-on-write by repair workers, and walked by scrub
 // iterators. Repair queue entries are advisory (commit-no-sync: a lost
-// entry is re-found by the next scrub). The state record makes node
+// entry is re-found by the next scrub). The member records make node
 // deaths survive a crash with no objects to infer them from. A tombstone
 // or relocation record is staged in the very transaction that replaces,
 // removes or splices its manifest, and cleared (commit-no-sync: a lost
@@ -34,16 +33,21 @@ import (
 // carries the generation it was issued under (see blockKey), so recovery
 // resumes past the largest one any manifest, tombstone or relocation
 // record names, or any queued repair item's version.
+//
+// Planes written before liveness joined the member records hold the dead
+// list in one more record, s/state; recovery folds it into the n/
+// records and deletes it in one commit.
 
 const (
 	objPrefix    = "o/"
 	qPrefix      = "q/"
-	stateKey     = "s/state"
 	uploadPrefix = "u/"
 	nodePrefix   = "n/"
 	configKey    = "c/config"
 	tombPrefix   = "t/"
 	relocPrefix  = "r/"
+	// legacyDeadKey is the old planes' dead list (see above).
+	legacyDeadKey = "s/state"
 )
 
 func objKey(name string) string { return objPrefix + name }
@@ -69,11 +73,6 @@ func nodeKey(n int) string { return fmt.Sprintf("%s%06d", nodePrefix, n) }
 
 func qKey(ref stripeRef) string {
 	return fmt.Sprintf("%s%d.%d/%s", qPrefix, ref.gen, ref.idx, ref.name)
-}
-
-// stateRecord is the liveness record: which nodes are dead.
-type stateRecord struct {
-	Dead []int `json:"dead,omitempty"`
 }
 
 // geometryRecord is what every stored block and manifest already
@@ -187,12 +186,14 @@ func (metaCodec) Decode(key string, b []byte) (any, error) {
 			return nil, err
 		}
 		return r, nil
-	case key == stateKey:
-		st := &stateRecord{}
-		if err := json.Unmarshal(b, st); err != nil {
+	case key == legacyDeadKey:
+		var st struct {
+			Dead []int `json:"dead"`
+		}
+		if err := json.Unmarshal(b, &st); err != nil {
 			return nil, err
 		}
-		return st, nil
+		return st.Dead, nil
 	case strings.HasPrefix(key, uploadPrefix):
 		// Serving-tier records are opaque to the store; copy because
 		// replay buffers are reused.
@@ -219,8 +220,7 @@ func (metaCodec) Decode(key string, b []byte) (any, error) {
 // recoverMeta recovers the plane's durable state into s: manifests are
 // already in the index after replay; one walk of the records finds the
 // gen/seq watermark and queues every tombstone and relocation record,
-// then the membership and liveness records apply — no I/O to the
-// backend.
+// then the membership records apply — no I/O to the backend.
 func (s *Store) recoverMeta() error {
 	db := s.db
 	var maxGen, maxSeq int64
@@ -256,37 +256,32 @@ func (s *Store) recoverMeta() error {
 		}
 	}
 	// Membership records may grow the node set past cfg.Nodes (nodes
-	// added before a crash), so apply them before the liveness record —
-	// its Dead indices must resolve against the full table.
+	// added before a crash), so apply them before an old plane's dead
+	// list — its indices must resolve against the full table.
 	if err := s.recoverMembers(); err != nil {
 		return err
 	}
-	if v, ok := db.Get(stateKey); ok {
-		for _, n := range v.(*stateRecord).Dead {
-			if n >= 0 && n < len(s.alive) {
-				s.alive[n] = false
+	if v, ok := db.Get(legacyDeadKey); ok {
+		var down []*memberRecord
+		for _, n := range v.([]int) {
+			if n >= 0 && n < len(s.members) && !s.members[n].Down {
+				s.members[n].Down = true
+				rec := s.members[n]
+				down = append(down, &rec)
 			}
+		}
+		if err := db.Commit(func(tx *meta.Tx) {
+			for _, rec := range down {
+				tx.Put(nodeKey(rec.Node), rec)
+			}
+			tx.Delete(legacyDeadKey)
+		}); err != nil {
+			return err
 		}
 	}
 	s.gen.Store(maxGen)
 	s.seq.Store(maxSeq)
 	return nil
-}
-
-// logState commits the current liveness record. Callers that cannot
-// return an error (KillNode) treat it as best-effort: the in-memory flip
-// already happened and a lost record only costs a post-crash scrub the
-// node-death hint.
-func (s *Store) logState() error {
-	s.mu.RLock()
-	var dead []int
-	for n, a := range s.alive {
-		if !a {
-			dead = append(dead, n)
-		}
-	}
-	s.mu.RUnlock()
-	return s.db.Put(stateKey, &stateRecord{Dead: dead})
 }
 
 // MetaRecovered reports what recovery found in the metadata plane —

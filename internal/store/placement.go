@@ -36,12 +36,12 @@ func newPlacer(codec Codec, racks int) *placer {
 // rackOf assigns racks round-robin.
 func (p *placer) rackOf(node int) int { return node % p.racks }
 
-// place assigns every stripe position to a live node. stripeSeq rotates
-// the scan start so load spreads across stripes. alive is the eligible
-// set — its length is the topology of record (membership may have grown
-// it past the construction-time node count); at least one entry must be
-// true.
-func (p *placer) place(stripeSeq int, alive []bool) []int {
+// place assigns every stripe position to a node that keeps blocks.
+// stripeSeq rotates the scan start so load spreads across stripes.
+// members is the membership snapshot — its length is the topology of
+// record (membership may have grown it past the construction-time node
+// count); at least one member must keep blocks.
+func (p *placer) place(stripeSeq int, members []MemberInfo) []int {
 	assigned := make([]int, p.nStored)
 	usedNode := make(map[int]bool, p.nStored)
 	// groupRacks[g] marks racks already holding a block of group g;
@@ -49,7 +49,7 @@ func (p *placer) place(stripeSeq int, alive []bool) []int {
 	groupRacks := make(map[int]map[int]bool)
 	groupNodes := make(map[int]map[int]bool)
 	for pos := 0; pos < p.nStored; pos++ {
-		assigned[pos] = p.pick(stripeSeq, pos, alive, usedNode, groupRacks, groupNodes)
+		assigned[pos] = p.pick(stripeSeq, pos, members, usedNode, groupRacks, groupNodes)
 	}
 	return assigned
 }
@@ -58,7 +58,7 @@ func (p *placer) place(stripeSeq int, alive []bool) []int {
 // the stripe's current assignment (nodes[pos] == -1 for the slot being
 // re-placed; dead-node slots should also be -1 so their racks don't
 // constrain the choice).
-func (p *placer) pickReplacement(stripeSeq, pos int, nodes []int, alive []bool) int {
+func (p *placer) pickReplacement(stripeSeq, pos int, nodes []int, members []MemberInfo) int {
 	usedNode := make(map[int]bool)
 	groupRacks := make(map[int]map[int]bool)
 	groupNodes := make(map[int]map[int]bool)
@@ -72,7 +72,7 @@ func (p *placer) pickReplacement(stripeSeq, pos int, nodes []int, alive []bool) 
 			markGroup(groupNodes, g, n)
 		}
 	}
-	return p.pick(stripeSeq, pos, alive, usedNode, groupRacks, groupNodes)
+	return p.pick(stripeSeq, pos, members, usedNode, groupRacks, groupNodes)
 }
 
 func markGroup(m map[int]map[int]bool, g, v int) {
@@ -87,11 +87,11 @@ func markGroup(m map[int]map[int]bool, g, v int) {
 // then dropping the rack rule (fresh node for the stripe), then the
 // stripe rule too (fresh node for the group — a node loss still costs
 // each group at most one block), and finally accepting any live node.
-func (p *placer) pick(stripeSeq, pos int, alive []bool, usedNode map[int]bool, groupRacks, groupNodes map[int]map[int]bool) int {
+func (p *placer) pick(stripeSeq, pos int, members []MemberInfo, usedNode map[int]bool, groupRacks, groupNodes map[int]map[int]bool) int {
 	g := p.groupOf[pos]
-	// len(alive), not the construction-time count: elastic membership
+	// len(members), not the construction-time count: elastic membership
 	// grows the node set after the placer is built.
-	nn := len(alive)
+	nn := len(members)
 	if nn == 0 {
 		return -1
 	}
@@ -99,7 +99,7 @@ func (p *placer) pick(stripeSeq, pos int, alive []bool, usedNode map[int]bool, g
 	for relax := 0; ; relax++ {
 		for off := 0; off < nn; off++ {
 			n := (start + off) % nn
-			if !alive[n] {
+			if !members[n].keeps() {
 				continue
 			}
 			switch relax {

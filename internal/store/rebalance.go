@@ -63,10 +63,10 @@ func NewRebalancer(s *Store, rm *RepairManager, period time.Duration) *Rebalance
 func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 	var rep RebalanceReport
 	s := rb.s
-	states := s.memberStates()
+	members := s.Members()
 	var drainers, joiners []int
-	for i, st := range states {
-		switch st {
+	for i, m := range members {
+		switch m.State {
 		case NodeDraining:
 			drainers = append(drainers, i)
 		case NodeJoining:
@@ -78,7 +78,7 @@ func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 	}
 
 	if len(drainers) > 0 {
-		walk := rb.rm.presence(drainingIn(states))
+		walk := rb.rm.presence(drainingIn(members))
 		rep.Stripes, rep.Enqueued = walk.Stripes, walk.Enqueued
 	}
 	if len(joiners) > 0 {
@@ -116,10 +116,10 @@ func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 	return rep
 }
 
-// drainingIn names the nodes that states, a pass's membership snapshot,
+// drainingIn names the nodes that members, a pass's membership snapshot,
 // has draining: a node that joined since the snapshot is no drainer.
-func drainingIn(states []NodeState) func(node int) bool {
-	return func(node int) bool { return node >= 0 && node < len(states) && states[node] == NodeDraining }
+func drainingIn(members []MemberInfo) func(node int) bool {
+	return func(node int) bool { return node >= 0 && node < len(members) && members[node].State == NodeDraining }
 }
 
 // fillJoiners moves blocks from the most-loaded active nodes onto
@@ -152,7 +152,7 @@ func (rb *Rebalancer) fillJoiners(joiners []int) {
 	if deficit == 0 {
 		return
 	}
-	states := s.memberStates()
+	members := s.Members()
 	s.eachStripe(func(obj *objectInfo, idx int) bool {
 		si := &obj.Stripes[idx]
 		for pos, nd := range si.Nodes {
@@ -162,7 +162,7 @@ func (rb *Rebalancer) fillJoiners(joiners []int) {
 			if nd < 0 || nd >= len(counts) || counts[nd] <= mean {
 				continue
 			}
-			if nd >= len(states) || states[nd] != NodeActive || !s.Alive(nd) {
+			if nd >= len(members) || members[nd].State != NodeActive || !s.Alive(nd) {
 				continue
 			}
 			// The iterator's manifest is a point-in-time view; an
@@ -265,9 +265,9 @@ func (s *Store) MembershipStatus() MembershipStatus {
 		RebalancedBlocks: s.m.rebalancedBlocks.Load(),
 		RebalancedBytes:  s.m.rebalancedBytes.Load(),
 	}
-	states := s.memberStates()
-	for _, state := range states {
-		switch state {
+	members := s.Members()
+	for _, m := range members {
+		switch m.State {
 		case NodeActive:
 			st.Active++
 		case NodeJoining:
@@ -280,8 +280,8 @@ func (s *Store) MembershipStatus() MembershipStatus {
 	}
 	if st.Draining > 0 {
 		counts := s.BlocksPerNode()
-		for i, state := range states {
-			if state == NodeDraining && i < len(counts) {
+		for i, m := range members {
+			if m.State == NodeDraining && i < len(counts) {
 				st.DrainingBlocks += counts[i]
 			}
 		}

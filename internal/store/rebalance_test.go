@@ -228,7 +228,7 @@ func TestDrainWalkAfterJoin(t *testing.T) {
 	if err := s.Decommission(3); err != nil {
 		t.Fatal(err)
 	}
-	before := s.memberStates()
+	before := s.Members()
 	joiner, err := s.AddNode("")
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +409,6 @@ func TestDeadDrainerRetires(t *testing.T) {
 	rm.Start()
 	defer rm.Stop()
 	m := NewHealthMonitor(s, NewScrubber(s, rm, 0), MonitorConfig{
-		FailThreshold: 2,
 		Probe: func(n int) error {
 			if n == drainer {
 				return ErrInjected

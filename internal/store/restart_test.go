@@ -98,7 +98,7 @@ func TestCleanRestartNoPresenceWalk(t *testing.T) {
 // TestCrashRestartReplaysWAL is the crash half: the first process never
 // closes, so nothing is checkpointed and the next open must replay the
 // WAL to recover the manifests. Every acked put is there; the node death
-// survives via the liveness record; and the presence walk that finds the
+// survives in the node's membership record; and the presence walk that finds the
 // dead node's blocks is the scrubber's job after open, not recovery's.
 func TestCrashRestartReplaysWAL(t *testing.T) {
 	root := t.TempDir()

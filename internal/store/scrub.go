@@ -284,14 +284,14 @@ func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func(
 // placeable, and keeping the rack rule against the positions on live
 // nodes.
 func (s *Store) replacement(si *stripeInfo, pos int) int {
-	alive := s.aliveSnapshot()
+	members := s.Members()
 	cur := append([]int(nil), si.Nodes...)
 	for q, nd := range cur {
-		if nd < 0 || nd >= len(alive) || !alive[nd] {
+		if nd < 0 || nd >= len(members) || !members[nd].Alive {
 			cur[q] = -1
 		}
 	}
-	return s.placer.pickReplacement(si.Seq, pos, cur, s.placeableSnapshot())
+	return s.placer.pickReplacement(si.Seq, pos, cur, members)
 }
 
 // writeRepaired is the write-back half of a repair: place each copied
@@ -393,7 +393,7 @@ func (sc *Scrubber) ScrubPresence() ScrubReport { return sc.rm.presence(nil) }
 func (r *RepairManager) presence(recheck func(node int) bool) ScrubReport {
 	var rep ScrubReport
 	s := r.s
-	alive := s.aliveSnapshot()
+	members := s.Members()
 	n := s.cfg.Codec.NStored()
 	s.eachStripe(func(obj *objectInfo, idx int) bool {
 		// Inspected in place: a stale view only mis-ages a repair item,
@@ -405,7 +405,7 @@ func (r *RepairManager) presence(recheck func(node int) bool) ScrubReport {
 		down := 0
 		for pos, node := range si.Nodes {
 			switch {
-			case node < 0 || node >= len(alive) || !alive[node]:
+			case node < 0 || node >= len(members) || !members[node].Alive:
 				down++
 				damaged = append(damaged, pos)
 			case recheck != nil && recheck(node):

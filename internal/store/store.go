@@ -42,10 +42,10 @@ type Config struct {
 	ScrubRateBytes int64
 	// CacheBytes bounds the in-memory hot-block cache on the foreground
 	// read path: fetched (and reconstructed) data-block payloads stay
-	// resident in a sharded, pin/unpin LRU keyed by backend block key —
-	// which embeds (name, gen, stripe, pos), so generations can never
-	// collide — and a repeat read of a hot object costs zero backend
-	// reads. Scrub, repair and rebalance reads never populate it.
+	// resident in a sharded LRU keyed by backend block key — which
+	// embeds (name, gen, stripe, pos), so generations can never collide
+	// — and a repeat read of a hot object costs zero backend reads.
+	// Scrub, repair and rebalance reads never populate it.
 	// 0 disables caching (the default; background tools and tests then
 	// see every read hit the backend).
 	CacheBytes int64
@@ -143,22 +143,22 @@ type Store struct {
 	frames sync.Pool
 
 	// db is the metadata plane: every manifest, the repair queue and the
-	// liveness record live there, sharded for concurrent access and —
+	// membership records live there, sharded for concurrent access and —
 	// with Config.MetaDir — write-ahead logged. Values follow the meta
 	// package's copy-on-write contract: an *objectInfo handed out by the
 	// plane is immutable, and mutation commits a replacement.
 	db *meta.DB
 
-	// mu guards the liveness vector and the membership table (manifests
-	// no longer live under it). members and alive always have equal
-	// length: one slot per node id ever issued.
+	// mu guards the membership table: one record per node id ever
+	// issued, its liveness included (manifests no longer live under it).
 	mu      sync.RWMutex
-	alive   []bool
 	members []memberRecord
 
-	// memberMu serializes membership mutations (AddNode, state
-	// transitions) so a backend registration and the table growth it
-	// pairs with are atomic — without holding mu across the backend call.
+	// memberMu serializes every n/ record write (AddNode, state
+	// transitions, liveness flips) so a backend registration and the
+	// table growth it pairs with are atomic, and records commit in the
+	// order their changes were made — without holding mu across the
+	// backend call or the commit.
 	memberMu sync.Mutex
 	// epoch counts membership changes; persisted in every n/ record.
 	epoch atomic.Int64
@@ -225,7 +225,6 @@ func open(cfg Config, db *meta.DB) (*Store, error) {
 		cfg:       cfg,
 		db:        db,
 		placer:    newPlacer(cfg.Codec, cfg.Racks),
-		alive:     make([]bool, cfg.Nodes),
 		pins:      make(map[verKey]int),
 		repairLim: NewLimiter(cfg.RepairRateBytes),
 		scrubLim:  NewLimiter(cfg.ScrubRateBytes),
@@ -233,11 +232,9 @@ func open(cfg Config, db *meta.DB) (*Store, error) {
 	if cfg.CacheBytes > 0 {
 		s.cache = newBlockCache(cfg.CacheBytes)
 	}
-	for i := range s.alive {
-		s.alive[i] = true
-	}
 	// Seed nodes start active at epoch 0; their records are persisted
-	// lazily, on the first membership change that touches them.
+	// lazily, on the first membership or liveness change that touches
+	// them.
 	s.members = make([]memberRecord, cfg.Nodes)
 	for i := range s.members {
 		s.members[i] = memberRecord{Node: i, State: NodeActive}
@@ -260,7 +257,7 @@ func (s *Store) Backend() Backend { return s.cfg.Backend }
 func (s *Store) Nodes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.alive)
+	return len(s.members)
 }
 
 // Racks returns the rack count.
@@ -270,37 +267,38 @@ func (s *Store) Racks() int { return s.cfg.Racks }
 func (s *Store) Alive(n int) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return n >= 0 && n < len(s.alive) && s.alive[n]
+	return n >= 0 && n < len(s.members) && !s.members[n].Down
 }
 
 // KillNode takes a node down: its blocks become unreadable until revival
 // or repair (the paper's DataNode terminations, §5.2). Idempotent. The
-// death is logged to the metadata plane (best-effort) so a restart
-// still knows the node is down without a presence walk.
-func (s *Store) KillNode(n int) {
-	s.mu.Lock()
-	if n >= 0 && n < len(s.alive) {
-		s.alive[n] = false
-	}
-	s.mu.Unlock()
-	_ = s.logState()
-}
+// death is logged in the node's membership record (best-effort) so a
+// restart still knows the node is down without a presence walk.
+func (s *Store) KillNode(n int) { s.setDown(n, true) }
 
 // ReviveNode brings a node back (§1.1's transient failures). Idempotent.
-func (s *Store) ReviveNode(n int) {
-	s.mu.Lock()
-	if n >= 0 && n < len(s.alive) {
-		s.alive[n] = true
-	}
-	s.mu.Unlock()
-	_ = s.logState()
-}
+// A retired (NodeDead) member stays down: it is out of the topology.
+func (s *Store) ReviveNode(n int) { s.setDown(n, false) }
 
-// aliveSnapshot copies the liveness vector.
-func (s *Store) aliveSnapshot() []bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]bool(nil), s.alive...)
+// setDown flips node n's liveness and commits its n/ record; a flip
+// that changes nothing, or would revive a retired member, commits
+// nothing, and none bumps the epoch.
+// memberMu orders the commits as it orders the flips, so a record on
+// disk is never older than a later flip. s.mu is released before the
+// fsynced commit: Alive is on every read's path. A lost commit only
+// costs a post-crash scrub the liveness hint.
+func (s *Store) setDown(n int, down bool) {
+	s.memberMu.Lock()
+	defer s.memberMu.Unlock()
+	s.mu.Lock()
+	if n < 0 || n >= len(s.members) || s.members[n].Down == down || s.members[n].State == NodeDead {
+		s.mu.Unlock()
+		return
+	}
+	s.members[n].Down = down
+	rec := s.members[n]
+	s.mu.Unlock()
+	_ = s.db.Put(nodeKey(n), &rec)
 }
 
 // keyNameLen caps the object-name part of a block key. The global

@@ -238,7 +238,7 @@ func (s *Store) sealStripe(obj *objectInfo, bufs [][]byte, dataLen, blockLen int
 	// Place on the membership-aware set: alive AND active/joining. New
 	// stripes land on the post-change topology immediately; draining
 	// nodes only serve reads for what they already hold.
-	nodes := s.placer.place(seq, s.placeableSnapshot())
+	nodes := s.placer.place(seq, s.Members())
 	idx := len(obj.Stripes)
 	si := stripeInfo{
 		Seq:      seq,
@@ -362,26 +362,11 @@ func (s *Store) readRetrying(name string, off, length int64, w io.Writer, rewind
 
 // fetchResult is one stripe fetched (and if necessary reconstructed) by
 // the get pipeline, with its own accounting so concurrent fetches never
-// share counters; accts merge in stripe order. pinned holds the cache
-// entries whose payloads sit in stripe — the caller releases them once
-// the stripe has drained, whichever way the read ends.
+// share counters; accts merge in stripe order.
 type fetchResult struct {
 	stripe [][]byte
 	acct   readAcct
-	pinned []*cacheEntry
 	err    error
-}
-
-// release unpins the cache entries this fetch pinned. Safe to call more
-// than once and on a result with no pins.
-func (r *fetchResult) release(c *blockCache) {
-	if len(r.pinned) == 0 {
-		return
-	}
-	for _, e := range r.pinned {
-		c.unpin(e)
-	}
-	r.pinned = nil
 }
 
 // fetchStripe reads a stripe's data blocks at positions [pLo, pHi] —
@@ -393,10 +378,8 @@ func (r *fetchResult) release(c *blockCache) {
 // previous stripe's payloads.
 //
 // The hot-block cache is probed first: hits fill scratch straight from
-// memory, pinned until the caller releases the result so eviction can
-// never recycle a payload under the decode, and only the misses go to
-// the backend — a fully cached stripe returns without touching the
-// backend at all.
+// memory, and only the misses go to the backend — a fully cached stripe
+// returns without touching the backend at all.
 func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetchResult {
 	for i := range scratch {
 		scratch[i] = nil
@@ -405,9 +388,8 @@ func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetc
 	want := make([]int, 0, pHi-pLo+1)
 	if c := s.cache; c != nil {
 		for pos := pLo; pos <= pHi; pos++ {
-			if payload, e := c.get(si.Keys[pos]); e != nil {
+			if payload := c.get(si.Keys[pos]); payload != nil {
 				scratch[pos] = payload
-				res.pinned = append(res.pinned, e)
 			} else {
 				want = append(want, pos)
 			}
