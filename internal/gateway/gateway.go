@@ -318,45 +318,21 @@ type healthNode struct {
 	LastErr     string  `json:"last_err,omitempty"`
 }
 
-// healthMembership is the /healthz elastic-membership block: the planned
-// topology's epoch and per-state counts, plus drain/rebalance progress.
-type healthMembership struct {
-	Epoch            int64 `json:"epoch"`
-	Active           int   `json:"active"`
-	Joining          int   `json:"joining,omitempty"`
-	Draining         int   `json:"draining,omitempty"`
-	Dead             int   `json:"dead,omitempty"`
-	DrainingBlocks   int   `json:"draining_blocks,omitempty"`
-	RebalancedBlocks int64 `json:"rebalanced_blocks,omitempty"`
-	RebalancedBytes  int64 `json:"rebalanced_bytes,omitempty"`
-}
-
 // healthReport is the /healthz body: overall status plus the per-node
 // failure-plane view (liveness as the store records it, the transport's
 // outcome window as the backend sees it, membership state as planned).
 type healthReport struct {
-	Status     string           `json:"status"`
-	LiveNodes  int              `json:"live_nodes"`
-	Membership healthMembership `json:"membership"`
-	Nodes      []healthNode     `json:"nodes"`
+	Status     string                 `json:"status"`
+	LiveNodes  int                    `json:"live_nodes"`
+	Membership store.MembershipStatus `json:"membership"`
+	Nodes      []healthNode           `json:"nodes"`
 }
 
 // handleHealthz always answers 200 — a gateway that can report health
 // is up; degradation is in the body, not the status code, so probes
 // distinguish "down" from "degraded but serving reads".
 func (g *Gateway) handleHealthz(w http.ResponseWriter) {
-	rep := healthReport{Status: "ok", LiveNodes: g.st.LiveNodes()}
-	ms := g.st.MembershipStatus()
-	rep.Membership = healthMembership{
-		Epoch:            ms.Epoch,
-		Active:           ms.Active,
-		Joining:          ms.Joining,
-		Draining:         ms.Draining,
-		Dead:             ms.Dead,
-		DrainingBlocks:   ms.DrainingBlocks,
-		RebalancedBlocks: ms.RebalancedBlocks,
-		RebalancedBytes:  ms.RebalancedBytes,
-	}
+	rep := healthReport{Status: "ok", LiveNodes: g.st.LiveNodes(), Membership: g.st.MembershipStatus()}
 	members := g.st.Members()
 	for _, info := range g.st.NodeHealth() {
 		state := string(store.NodeDead)
@@ -378,6 +354,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter) {
 	// "Degraded" is judged against the planned topology, not raw node
 	// count: a retired (dead) member missing is by design, a draining one
 	// is still expected up.
+	ms := rep.Membership
 	expected := ms.Active + ms.Joining + ms.Draining
 	if g.st.WriteDegraded() {
 		rep.Status = "degraded-readonly"

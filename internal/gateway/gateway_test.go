@@ -312,6 +312,58 @@ func TestWriteDegradedSheds(t *testing.T) {
 	wantStatus(t, resp, body, 200)
 }
 
+// TestHealthzMembershipKeys pins the bytes of /healthz's membership
+// block through a drain and a join: epoch and active always, every other
+// count only when it is non-zero.
+func TestHealthzMembershipKeys(t *testing.T) {
+	s, err := store.New(store.Config{BlockSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	_, srv := newTestGateway(t, Config{Store: s})
+	membership := func(want string) {
+		t.Helper()
+		resp, body := do(t, "GET", srv.URL+"/healthz", nil)
+		wantStatus(t, resp, body, 200)
+		var rep struct {
+			Membership json.RawMessage `json:"membership"`
+		}
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := json.Compact(&got, rep.Membership); err != nil || got.String() != want {
+			t.Fatalf("membership = %s (%v), want %s", got.String(), err, want)
+		}
+	}
+	membership(`{"epoch":0,"active":20}`)
+
+	if err := s.Put("o", testBytes(8, 256*10)); err != nil { // one stripe
+		t.Fatal(err)
+	}
+	victim, _, err := s.BlockLocation("o", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Decommission(victim); err != nil {
+		t.Fatal(err)
+	}
+	membership(`{"epoch":1,"active":19,"draining":1,"draining_blocks":1}`)
+
+	rm := store.NewRepairManager(s, 1)
+	rm.Start()
+	defer rm.Stop()
+	rb := store.NewRebalancer(s, rm, 0)
+	rb.RebalanceOnce()
+	rm.Drain()
+	rb.RebalanceOnce()
+	if _, err := s.AddNode(""); err != nil {
+		t.Fatal(err)
+	}
+	membership(`{"epoch":3,"active":19,"joining":1,"dead":1,"rebalanced_blocks":1,"rebalanced_bytes":256}`)
+}
+
 func TestTenantIsolation(t *testing.T) {
 	_, srv := newTestGateway(t, Config{})
 	obj := testBytes(5, 500)

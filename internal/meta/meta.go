@@ -64,29 +64,18 @@ type Options struct {
 	// the plane in memory only: same API and sharding, no durability —
 	// the mode tests and in-memory stores run in.
 	Dir string
-	// Shards is the in-memory index shard count (default 16). More
-	// shards means less lock contention between commits, lookups and
-	// scans touching different keys.
-	Shards int
 	// Codec encodes and decodes stored values (default RawCodec).
 	Codec Codec
-	// CheckpointEvery triggers an automatic checkpoint after that many
-	// WAL records (default 1<<14; <0 disables automatic checkpoints).
-	// Checkpoints bound both the WAL's size and replay time at open.
-	CheckpointEvery int
 }
 
-func (o *Options) fillDefaults() {
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
-	if o.Codec == nil {
-		o.Codec = RawCodec{}
-	}
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = 1 << 14
-	}
-}
+// shards is the in-memory index shard count: commits, lookups and scans
+// touching different keys contend on different locks.
+const shards = 16
+
+// checkpointEvery triggers an automatic checkpoint after that many WAL
+// records, bounding both the WAL's size and replay time at open. A
+// variable only so a test can lower it.
+var checkpointEvery = 1 << 14
 
 // shard is one slice of the in-memory index.
 type shard struct {
@@ -162,8 +151,10 @@ func (db *DB) Metrics() Metrics {
 // mid-commit (never-acked, safely dropped) but failing loudly on
 // corruption in the middle of the log.
 func Open(opts Options) (*DB, error) {
-	opts.fillDefaults()
-	db := &DB{opts: opts, shards: make([]shard, opts.Shards)}
+	if opts.Codec == nil {
+		opts.Codec = RawCodec{}
+	}
+	db := &DB{opts: opts, shards: make([]shard, shards)}
 	for i := range db.shards {
 		db.shards[i].m = make(map[string]any)
 	}
@@ -394,7 +385,7 @@ func (db *DB) commit(fn func(tx *Tx), sync bool) error {
 		db.m.walBytes.Add(int64(len(rec)))
 		db.m.commitRecords.Add(1)
 		db.records++
-		needCp = db.opts.CheckpointEvery > 0 && db.records >= db.opts.CheckpointEvery
+		needCp = db.records >= checkpointEvery
 	}
 	db.commitMu.Unlock()
 	if g != nil && sync {

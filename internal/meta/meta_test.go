@@ -39,7 +39,7 @@ func get(t *testing.T, db *DB, key string) (string, bool) {
 
 func TestPutGetDeleteRoundTrip(t *testing.T) {
 	for _, dir := range []string{"", t.TempDir()} {
-		db := openRaw(t, dir, Options{Shards: 4})
+		db := openRaw(t, dir, Options{})
 		mustPut(t, db, "a", "1")
 		mustPut(t, db, "b", "2")
 		if v, ok := get(t, db, "a"); !ok || v != "1" {
@@ -143,7 +143,7 @@ func TestEncodeErrorAppliesNothing(t *testing.T) {
 }
 
 func TestScanPrefixSnapshot(t *testing.T) {
-	db := openRaw(t, "", Options{Shards: 3})
+	db := openRaw(t, "", Options{})
 	want := map[string]string{}
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("o/%03d", i)
@@ -183,7 +183,7 @@ func TestScanPrefixSnapshot(t *testing.T) {
 // TestScanDuringWrites checks the snapshot guarantee under concurrent
 // commits: keys present for the whole scan appear exactly once.
 func TestScanDuringWrites(t *testing.T) {
-	db := openRaw(t, "", Options{Shards: 8})
+	db := openRaw(t, "", Options{})
 	for i := 0; i < 500; i++ {
 		mustPut(t, db, fmt.Sprintf("stable/%04d", i), "v")
 	}
@@ -402,15 +402,17 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 }
 
 func TestAutoCheckpoint(t *testing.T) {
+	defer func(n int) { checkpointEvery = n }(checkpointEvery)
+	checkpointEvery = 10
 	dir := t.TempDir()
-	db := openRaw(t, dir, Options{CheckpointEvery: 10})
+	db := openRaw(t, dir, Options{})
 	for i := 0; i < 25; i++ {
 		mustPut(t, db, fmt.Sprintf("k%03d", i), "v")
 	}
 	if got := db.Metrics().Checkpoints; got < 2 {
 		t.Fatalf("Checkpoints = %d, want >= 2", got)
 	}
-	db2 := openRaw(t, dir, Options{CheckpointEvery: 10})
+	db2 := openRaw(t, dir, Options{})
 	if n := db2.Len(""); n != 25 {
 		t.Fatalf("recovered %d keys, want 25", n)
 	}

@@ -14,8 +14,8 @@ import (
 
 // Server exposes a store.Backend over TCP. One server is one node
 // process in a real cluster: the CLI's `xorbasctl node serve` wraps a
-// DirBackend in one of these, and examples/netcluster boots a fleet of
-// them on loopback. The node id travels in each request and is passed
+// DirBackend in one of these, and StartLocal boots one on loopback for
+// an in-process fleet. The node id travels in each request and is passed
 // through to the backend unchanged, so a server's on-disk layout matches
 // the in-process DirBackend layout exactly.
 type Server struct {

@@ -2,7 +2,8 @@ package store
 
 import (
 	"bytes"
-	"reflect"
+	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/lrc"
@@ -51,53 +52,135 @@ func forEachErasure(n, max int, fn func(erased []int)) {
 	rec(0, make([]int, 0, max))
 }
 
-// TestStoreCodecAndSimulatorSchemeAgree is the codec-level half of "the
-// simulator and the store cannot disagree": for both codes and every
-// pattern of ≤ 4 erasures on a full stripe, the lrc.Code.PlanRepair the
-// simulator calls (minimal read policy) and the store's Codec plan the
-// same reads and make the same light-or-heavy call for every lost block.
-func TestStoreCodecAndSimulatorSchemeAgree(t *testing.T) {
+// TestRepairabilitySweep holds the store's datapath to the paper's code
+// claims pattern by pattern: every set of 1-6 lost positions of
+// LRC(10,6,5) and 1-4 of RS(10,4), each on a fresh one-stripe object
+// whose lost positions' nodes are killed. lrc.Code is the oracle:
+// ReconstructMany says which positions the code rebuilds, PlanRepair
+// (minimal policy) what each one reads. The GET is byte-exact exactly
+// when every lost data position is rebuilt (else ErrUnrecoverable),
+// degraded exactly when one is lost, and reads the available data plus
+// the lost data's plans. A presence scrub and repair drain rebuild
+// exactly what the code can, reading the union of the plans; a full
+// scrub then finds only what it cannot. So a single loss reads 5 blocks
+// on LRC and 10 on RS, and any 4 losses are repaired. A light count is
+// bounded below, not pinned: a block rebuilt in the same decode can
+// complete another's light recipe. Under -race or -short a seeded tenth
+// of the patterns runs, every single loss included.
+func TestRepairabilitySweep(t *testing.T) {
+	const bs = 16
+	sample := raceEnabled || testing.Short()
+	rng := rand.New(rand.NewSource(52))
 	for _, c := range []struct {
-		code  *lrc.Code
-		codec Codec
+		code    *lrc.Code
+		codec   Codec
+		maxLost int
 	}{
-		{lrc.NewXorbas(), NewXorbasCodec()},
-		{lrc.NewRS104(), NewRS104Codec()},
+		{lrc.NewXorbas(), NewXorbasCodec(), 6},
+		{lrc.NewRS104(), NewRS104Codec(), 4},
 	} {
-		n := c.codec.NStored()
-		if c.code.NStored() != n || c.code.K() != c.codec.K() {
-			t.Fatalf("%s vs %s: geometry differs", c.code.Name(), c.codec.Name())
+		k, n := c.code.K(), c.code.NStored()
+		data := randBytes(rng, k*bs)
+		shards := make([][]byte, k)
+		for i := range shards {
+			shards[i] = data[i*bs : (i+1)*bs]
+		}
+		full, err := c.code.Encode(shards)
+		if err != nil {
+			t.Fatal(err)
 		}
 		exists := make([]bool, n)
 		for i := range exists {
 			exists[i] = true
 		}
-		patterns, light := 0, 0
-		forEachErasure(n, 4, func(erased []int) {
+		patterns := 0
+		forEachErasure(n, c.maxLost, func(lost []int) {
+			if sample && len(lost) > 1 && rng.Intn(10) != 0 {
+				return
+			}
 			patterns++
-			avail := make([]bool, n)
-			for i := range avail {
-				avail[i] = true
+			avail := append([]bool(nil), exists...)
+			stripe := append([][]byte(nil), full...)
+			for _, pos := range lost {
+				avail[pos], stripe[pos] = false, nil
 			}
-			for _, i := range erased {
-				avail[i] = false
+			rebuilt, _, _ := c.code.ReconstructMany(stripe, lost)
+			canRebuild, dataLost, dataBack := 0, false, true
+			for i, pos := range lost {
+				if rebuilt[i] != nil {
+					canRebuild++
+				}
+				if pos < k {
+					dataLost = true
+					dataBack = dataBack && rebuilt[i] != nil
+				}
 			}
-			for _, lost := range erased {
-				want, wantErr := c.code.PlanRepair(lost, exists, avail, false)
-				reads, isLight, err := c.codec.PlanReads(lost, avail)
-				if (err == nil) != (wantErr == nil) || isLight != want.Light || !reflect.DeepEqual(reads, want.Reads) {
-					t.Fatalf("%s, erased %v, lost %d: store plans %v light=%v err=%v; simulator plans %v light=%v err=%v",
-						c.codec.Name(), erased, lost, reads, isLight, err, want.Reads, want.Light, wantErr)
+			getReads, repairReads, lightPlans := make(map[int]bool), make(map[int]bool), int64(0)
+			for pos := 0; pos < k; pos++ {
+				if avail[pos] {
+					getReads[pos] = true
 				}
-				if isLight {
-					light++
+			}
+			for _, pos := range lost {
+				plan, err := c.code.PlanRepair(pos, exists, avail, false)
+				if err != nil {
+					continue
 				}
+				if plan.Light {
+					lightPlans++
+				}
+				for _, j := range plan.Reads {
+					repairReads[j] = true
+					if pos < k {
+						getReads[j] = true
+					}
+				}
+			}
+
+			s := newTestStore(t, Config{Codec: c.codec, BlockSize: bs})
+			defer s.Close()
+			if err := s.Put("o", data); err != nil {
+				t.Fatal(err)
+			}
+			for _, pos := range lost {
+				node, _, err := s.BlockLocation("o", 0, pos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.KillNode(node)
+			}
+			if got := s.LiveNodes(); got != s.Nodes()-len(lost) {
+				t.Fatalf("%s, lost %v: %d nodes live; two lost positions share a node", c.codec.Name(), lost, got)
+			}
+			got, info, err := s.Get("o")
+			if dataBack && (err != nil || !bytes.Equal(got, data)) || !dataBack && !errors.Is(err, ErrUnrecoverable) {
+				t.Fatalf("%s, lost %v: GET err %v, byte-exact %v; the code rebuilds every lost data block: %v",
+					c.codec.Name(), lost, err, bytes.Equal(got, data), dataBack)
+			}
+			if info.Degraded != dataLost || info.BlocksRead != int64(len(getReads)) {
+				t.Fatalf("%s, lost %v: GET degraded %v, read %d blocks; want %v, %d",
+					c.codec.Name(), lost, info.Degraded, info.BlocksRead, dataLost, len(getReads))
+			}
+
+			rm := NewRepairManager(s, 1)
+			rm.Start()
+			sc := NewScrubber(s, rm, 0)
+			sc.ScrubPresence()
+			rm.Drain()
+			rm.Stop()
+			m := s.Metrics()
+			if m.RepairedBlocks != int64(canRebuild) || m.RepairBlocksRead != int64(len(repairReads)) ||
+				m.RepairsLight+m.RepairsHeavy != m.RepairedBlocks || m.RepairsLight < lightPlans {
+				t.Fatalf("%s, lost %v: repair rebuilt %d blocks (%d light, %d heavy) reading %d; want %d rebuilt (at least %d light) reading %d",
+					c.codec.Name(), lost, m.RepairedBlocks, m.RepairsLight, m.RepairsHeavy, m.RepairBlocksRead,
+					canRebuild, lightPlans, len(repairReads))
+			}
+			if rep := sc.ScrubOnce(); rep.Missing != len(lost)-canRebuild || rep.Corrupt != 0 {
+				t.Fatalf("%s, lost %v: scrub after the repair found %d missing, %d corrupt; want %d, 0",
+					c.codec.Name(), lost, rep.Missing, rep.Corrupt, len(lost)-canRebuild)
 			}
 		})
-		t.Logf("%s: %d patterns agree, %d light plans", c.codec.Name(), patterns, light)
-		if (light > 0) != (len(c.codec.RepairGroups()) > 0) {
-			t.Errorf("%s: %d light plans with %d repair groups", c.codec.Name(), light, len(c.codec.RepairGroups()))
-		}
+		t.Logf("%s: %d loss patterns", c.codec.Name(), patterns)
 	}
 }
 

@@ -248,14 +248,18 @@ func (rb *Rebalancer) migrateTo(ref stripeRef, si *stripeInfo, pos, target int) 
 type MembershipStatus struct {
 	Epoch int64 `json:"epoch"`
 	// Per-state member counts.
-	Active, Joining, Draining, Dead int
+	Active   int `json:"active"`
+	Joining  int `json:"joining,omitempty"`
+	Draining int `json:"draining,omitempty"`
+	Dead     int `json:"dead,omitempty"`
 	// DrainingBlocks counts manifest blocks still referencing draining
 	// nodes — the work left before those drains complete. Zero when no
 	// node is draining (the manifest walk is skipped).
-	DrainingBlocks int
+	DrainingBlocks int `json:"draining_blocks,omitempty"`
 	// Cumulative blocks copied off drainers and onto joiners (same
 	// values as Metrics).
-	RebalancedBlocks, RebalancedBytes int64
+	RebalancedBlocks int64 `json:"rebalanced_blocks,omitempty"`
+	RebalancedBytes  int64 `json:"rebalanced_bytes,omitempty"`
 }
 
 // MembershipStatus snapshots the planned topology and drain progress.

@@ -471,6 +471,66 @@ func TestReclaimNeverReissuesRelocatedKey(t *testing.T) {
 	}
 }
 
+// landedWriter is a MemBackend whose Write, while fail is set, stores
+// the block and then reports failure: a directory sync that failed after
+// the rename, or a reply lost after the node stored the block.
+type landedWriter struct {
+	*MemBackend
+	fail atomic.Bool
+}
+
+func (l *landedWriter) Write(node int, key string, data []byte) error {
+	if err := l.MemBackend.Write(node, key, data); err != nil || !l.fail.Load() {
+		return err
+	}
+	return fmt.Errorf("%w: write to node %d reported failure after it landed", ErrInjected, node)
+}
+
+// TestRelocationFailedWriteLeaksNothing: a repair whose write-back
+// reports failure splices nothing, but the copy may be on the node under
+// a key no later write reuses. Once the reclaimer drains, the nodes hold
+// exactly the blocks the manifests place; a later drain then repairs.
+func TestRelocationFailedWriteLeaksNothing(t *testing.T) {
+	const bs = 64
+	lw := &landedWriter{MemBackend: NewMemBackend()}
+	s := newTestStore(t, Config{Backend: lw, BlockSize: bs})
+	defer s.Close()
+	want := randBytes(rand.New(rand.NewSource(39)), 2*s.Codec().K()*bs)
+	if err := s.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	victim, _, err := s.BlockLocation("obj", 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.KillNode(victim)
+	rm := NewRepairManager(s, 1)
+	rm.Start()
+	defer rm.Stop()
+	sc := NewScrubber(s, rm, 0)
+	lw.fail.Store(true)
+	sc.ScrubPresence()
+	rm.Drain()
+	if got := s.Metrics().RepairedBlocks; got != 0 {
+		t.Fatalf("%d blocks counted repaired with every write-back failing", got)
+	}
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	checkPlacedExactly(t, s, lw.MemBackend)
+
+	lw.fail.Store(false)
+	sc.ScrubPresence()
+	rm.Drain()
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	checkPlacedExactly(t, s, lw.MemBackend)
+	if got, info, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
+		t.Fatalf("Get after the repair: err %v, degraded %v", err, info.Degraded)
+	}
+}
+
 // TestReclaimConcurrent races overwrites, deletes, pinned streaming GETs
 // and drains. Every read returns one whole version or not-found, and
 // once the racers stop a drain leaves exactly the manifests' blocks. Run

@@ -72,7 +72,6 @@ func TestCleanRestartNoPresenceWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	if cb.reads.Load() != 0 || cb.writes.Load() != 0 || cb.deletes.Load() != 0 {
 		t.Fatalf("clean restart touched the backend: %d reads, %d writes, %d deletes",
 			cb.reads.Load(), cb.writes.Load(), cb.deletes.Load())
@@ -92,6 +91,28 @@ func TestCleanRestartNoPresenceWalk(t *testing.T) {
 		if info.Degraded {
 			t.Fatalf("Get(%q) after clean restart was degraded", name)
 		}
+	}
+
+	// A node death survives a clean restart too, and a reopen that names
+	// no geometry reads it from the plane: the object still reads back
+	// byte-exact, around the dead node.
+	victim, _, err := s2.BlockLocation("a", 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.KillNode(victim)
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3 := newTestStore(t, Config{Backend: be2, MetaDir: metaDir})
+	defer s3.Close()
+	if objects, replayed := s3.MetaRecovered(); objects != len(want) || replayed != 0 || s3.Alive(victim) {
+		t.Fatalf("reopen: %d objects, %d WAL records replayed, node %d alive %v; want %d, 0, false",
+			objects, replayed, victim, s3.Alive(victim), len(want))
+	}
+	got, info, err := s3.Get("a")
+	if err != nil || !bytes.Equal(got, want["a"]) || !info.Degraded {
+		t.Fatalf("Get after the reopen with node %d dead: err %v, degraded %v", victim, err, info.Degraded)
 	}
 }
 

@@ -820,17 +820,18 @@ func (o *objectInfo) withRelocation(idx, pos, node int, key string) *objectInfo 
 // meanwhile (splicing an old version's block into a new manifest would
 // serve stale bytes). Every copy gets a fresh generation, so a pending
 // delete only ever names a copy that nothing reads — a rewrite on the
-// same node included.
+// same node included. A write that reports failure may still have landed
+// (a rename before a failed directory sync, a reply lost after the node
+// stored the block), and its key is never issued again, so its copy gets
+// the same record and delete.
 func (s *Store) relocate(ref stripeRef, pos, node int, frame []byte) bool {
 	key := blockKey(ref.name, s.gen.Add(1), ref.idx, pos)
-	if err := s.cfg.Backend.Write(node, key, frame); err != nil {
-		return false
-	}
+	written := s.cfg.Backend.Write(node, key, frame) == nil
 	gone := blockRef{node, key}
 	spliced := false
 	err := s.db.Commit(func(tx *meta.Tx) {
 		v, _ := tx.Get(objKey(ref.name))
-		if obj, ok := v.(*objectInfo); ok && obj.Gen == ref.gen && ref.idx < len(obj.Stripes) {
+		if obj, ok := v.(*objectInfo); written && ok && obj.Gen == ref.gen && ref.idx < len(obj.Stripes) {
 			si := &obj.Stripes[ref.idx]
 			gone, spliced = blockRef{si.Nodes[pos], si.Keys[pos]}, true
 			tx.Put(objKey(ref.name), obj.withRelocation(ref.idx, pos, node, key))

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -226,11 +227,12 @@ func TestGetWriterNotFound(t *testing.T) {
 	}
 }
 
-// TestStreamingBoundedMemory is the tentpole's acceptance test: a
-// 256 MiB object round-trips through PutReader/GetWriter on a disk
-// backend while the heap footprint stays bounded by stripes, far under
-// the object size. HeapSys only grows, so its delta is a high-water
-// proxy; HeapAlloc after a forced GC is the retained live set.
+// TestStreamingBoundedMemory: a 256 MiB object round-trips through
+// PutReader/GetWriter on a disk backend under a 64 MiB GOMEMLIMIT, a
+// quarter of the object, while the heap footprint stays bounded by
+// stripes, far under the object size. HeapSys only grows, so its delta
+// is a high-water proxy; HeapAlloc after a forced GC is the retained
+// live set.
 func TestStreamingBoundedMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the heap; run without -race")
@@ -239,6 +241,7 @@ func TestStreamingBoundedMemory(t *testing.T) {
 		t.Skip("256 MiB round trip; skipped with -short")
 	}
 	const objectSize = 256 << 20
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(64 << 20))
 	be, err := NewDirBackend(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
