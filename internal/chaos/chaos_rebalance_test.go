@@ -243,3 +243,50 @@ func TestRebalanceUnderChurn(t *testing.T) {
 	t.Logf("converged: %d acked puts verified, joiner holds %d blocks, status %+v",
 		ackedCount, counts[joiner], ms)
 }
+
+// TestReopenGrownFleet: a store mounted on the harness grows the fleet
+// by one node, closes, and reopens over the same harness. The fault
+// layer reports the netblock client's node count, so recovery knows the
+// joiner is already registered and registers it no second time.
+func TestReopenGrownFleet(t *testing.T) {
+	const nodes = 20
+	cl, err := NewCluster(nodes, netblock.Options{
+		DialTimeout: 250 * time.Millisecond,
+		Timeout:     2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cfg := store.Config{Backend: cl.Backend(), Nodes: nodes, BlockSize: 4 << 10, MetaDir: t.TempDir()}
+	s, err := store.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := cl.StartNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := s.AddNode(addr); err != nil || id != nodes {
+		t.Fatalf("AddNode = %d, %v; want node %d", id, err, nodes)
+	}
+	want := patternBytes(t, 48<<10)
+	if err := s.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := store.New(cfg)
+	if err != nil {
+		t.Fatalf("reopen over the grown fleet: %v", err)
+	}
+	defer s2.Close()
+	if got, n := s2.Nodes(), cl.Client().Nodes(); got != nodes+1 || n != nodes+1 {
+		t.Fatalf("after reopen: store spans %d nodes, client %d; want %d each", got, n, nodes+1)
+	}
+	if got, _, err := s2.Get("obj"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get after reopen: err %v, byte-exact %v", err, bytes.Equal(got, want))
+	}
+}

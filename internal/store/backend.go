@@ -116,13 +116,16 @@ type WireStats interface {
 
 // NodeAdder is an optional Backend extension for backends with per-node
 // addressing (the netblock client): AddNode registers one more node and
-// returns its id, which must equal the previous node count. Backends
-// addressed by plain integer index (MemBackend, DirBackend) accept any
-// node id natively and don't implement it; the store then grows
-// membership without a registration step. Implementations may return an
-// error wrapping errors.ErrUnsupported to decline.
+// returns its id, which must equal the previous node count, and Nodes
+// reports that count — what a reopening store has to register no second
+// time. Backends addressed by plain integer index (MemBackend,
+// DirBackend) accept any node id natively and don't implement it; the
+// store then grows membership without a registration step.
+// Implementations may return an error wrapping errors.ErrUnsupported
+// from AddNode to decline.
 type NodeAdder interface {
 	AddNode(addr string) (int, error)
+	Nodes() int
 }
 
 // BlockStreamer is an optional Backend extension for moving whole framed

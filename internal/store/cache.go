@@ -18,9 +18,11 @@ import (
 // embeds (object name, generation, stripe index, block position) and is
 // never reused — see blockKey: every PUT and every relocation writes
 // under a fresh generation. A new copy therefore never collides with a
-// cached old one, and staleness is purely a residency question:
-// retire/delete and repair/rebalance relocation call invalidate so a
-// dropped version or a replaced copy stops serving hits immediately.
+// cached old one, and staleness is purely a residency question, settled
+// in one place: reclaim drops a copy's entry when it deletes the copy,
+// which is after every reader whose snapshot names it has finished. Until
+// then the entry can only serve those readers — no later snapshot names
+// its key.
 //
 // The cache is sharded by key hash; each shard has its own lock, table,
 // intrusive LRU list and slice of the byte budget, so concurrent
@@ -159,10 +161,8 @@ func (c *blockCache) add(key string, payload []byte) {
 	sh.mu.Unlock()
 }
 
-// invalidate drops key if resident — the staleness hook. Version
-// retire/delete and the repair/rebalance relocation commit route here,
-// so a reclaimed generation or a replaced copy can never serve another
-// hit.
+// invalidate drops key if resident. reclaim calls it for every copy it
+// deletes, so a copy serves no hit once it is gone from its node.
 func (c *blockCache) invalidate(key string) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
@@ -171,16 +171,4 @@ func (c *blockCache) invalidate(key string) {
 		c.invalidations.Add(1)
 	}
 	sh.mu.Unlock()
-}
-
-// invalidateObject drops every cached block of one object version —
-// the retire/delete path. Only data positions are ever inserted, but
-// sweeping all keys is cheap and keeps this correct if that policy
-// changes.
-func (c *blockCache) invalidateObject(obj *objectInfo) {
-	for i := range obj.Stripes {
-		for _, key := range obj.Stripes[i].Keys {
-			c.invalidate(key)
-		}
-	}
 }

@@ -126,9 +126,10 @@ func TestCachedReadsSkipBackend(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationOnOverwriteAndDelete: retire routes through the
-// cache, so an overwrite serves new bytes, residency doesn't accumulate
-// dead generations, and a delete leaves nothing resident.
+// TestCacheInvalidationOnOverwriteAndDelete: an overwrite serves new
+// bytes at once, and reclaiming the retired version routes through the
+// cache, so residency doesn't accumulate dead generations and a reclaimed
+// delete leaves nothing resident.
 func TestCacheInvalidationOnOverwriteAndDelete(t *testing.T) {
 	s := newTestStore(t, Config{BlockSize: 128, CacheBytes: 64 << 20})
 	rng := rand.New(rand.NewSource(8))
@@ -148,14 +149,20 @@ func TestCacheInvalidationOnOverwriteAndDelete(t *testing.T) {
 	if got, _, err := s.Get("obj"); err != nil || !bytes.Equal(got, v2) {
 		t.Fatalf("post-overwrite Get: err %v", err)
 	}
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
 	m := s.Metrics()
 	if m.CacheInvalidations == 0 {
-		t.Fatal("overwrite retired v1 without invalidating its cache entries")
+		t.Fatal("reclaiming v1 did not invalidate its cache entries")
 	}
 	if m.CacheBytes > resident1 {
 		t.Fatalf("residency grew across overwrite: %d -> %d (stale generation retained)", resident1, m.CacheBytes)
 	}
 	if err := s.Delete("obj"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reclaim(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Metrics().CacheBytes; got != 0 {

@@ -31,9 +31,12 @@ type Fault struct {
 // FaultBackend wraps a Backend with a static per-node fault table — the
 // chaos harness behind the degraded-read and repair tests. A fault that
 // changes over time is a chaos.Schedule whose Runner calls SetFault at
-// each step; the table holds only what is in force now. It forwards
-// WireStats to the inner backend when present, so a faulty netblock
-// client keeps its wire counters. Safe for concurrent use.
+// each step; the table holds only what is in force now. Besides Backend
+// it implements IntoReader, BatchDeleter, WireStats, HealthChecker,
+// HealthStats and NodeAdder, each forwarded to the inner backend when
+// that has it (faults apply first), so a faulty netblock client keeps
+// its frames, batched deletes, wire counters, probes and node ids. Safe
+// for concurrent use.
 type FaultBackend struct {
 	inner Backend
 
@@ -186,6 +189,15 @@ func (f *FaultBackend) NodeHealth() []NodeHealthInfo {
 		return hs.NodeHealth()
 	}
 	return nil
+}
+
+// Nodes implements NodeAdder by delegation: 0 when the inner backend
+// issues no node ids, so the store registers nothing through it.
+func (f *FaultBackend) Nodes() int {
+	if na, ok := f.inner.(NodeAdder); ok {
+		return na.Nodes()
+	}
+	return 0
 }
 
 // AddNode implements NodeAdder by delegation, so elastic membership

@@ -5,25 +5,6 @@ import (
 	"io"
 )
 
-// GetRange streams bytes [off, off+length) of an object to w, with
-// length < 0 meaning "to the end". Only the stripes the range overlaps
-// are visited and, within each, only the data blocks the range covers
-// are read (reconstructed when missing or corrupt, exactly like a full
-// read) — a small range on a large object costs its covering blocks,
-// not the object. The serving tier's Range: requests ride on this.
-//
-// off outside [0, size] returns ErrBadRange; length past the end is
-// clamped. A failed attempt retries with a fresh manifest snapshot while
-// nothing has been written to w (see readRetrying) — the manifest can
-// change under a read; once bytes are out a failure is final, since the
-// writer cannot be rewound.
-func (s *Store) GetRange(name string, off, length int64, w io.Writer) (ReadInfo, error) {
-	cw := &countingWriter{w: w}
-	info, err := s.readRetrying(name, off, length, cw, func() bool { return cw.n == 0 })
-	info.BytesWritten = cw.n
-	return info, err
-}
-
 // rangeSeg is one stripe's overlap with a requested range: the stripe
 // index, the byte window [lo, hi) within the stripe's data, and the
 // covering block positions [pLo, pHi].
@@ -33,20 +14,33 @@ type rangeSeg struct {
 	pLo, pHi int
 }
 
-// streamRangeVersion performs one ranged read attempt against the
-// object version current at entry, returning that version's generation.
+// GetRange streams bytes [off, off+length) of an object to w, with
+// length < 0 meaning "to the end". Only the stripes the range overlaps
+// are visited and, within each, only the data blocks the range covers
+// are read (reconstructed when missing or corrupt, exactly like a full
+// read) — a small range on a large object costs its covering blocks,
+// not the object. The serving tier's Range: requests ride on this.
+//
+// off outside [0, size] returns ErrBadRange; length past the end is
+// clamped. The read is one pass over the version current at entry: its
+// pin keeps every block its snapshot names on its node until the read
+// ends, so a concurrent overwrite, delete, repair or rebalance never
+// takes a block from under it, and a failure — a stripe that cannot be
+// decoded, a writer that refuses bytes — is final. The ReadInfo counts
+// the bytes that reached w.
+//
 // The stripe pipeline is one deep: while segment i drains to w, segment
 // i+1 is already being fetched into the other of two scratch slices
 // that ping-pong for the whole read (the only per-stripe state), and
 // each fetch covers only the blocks its byte window needs.
-func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) (ReadInfo, int64, error) {
+func (s *Store) GetRange(name string, off, length int64, w io.Writer) (ReadInfo, error) {
 	stripes, gen, ok := s.manifestSnapshot(name)
 	if !ok {
-		return ReadInfo{}, 0, fmt.Errorf("%w: %q", ErrObjectNotFound, name)
+		return ReadInfo{}, fmt.Errorf("%w: %q", ErrObjectNotFound, name)
 	}
 	// The snapshot pinned this version (see manifestSnapshot); hold the
-	// pin for the whole read so an overwrite cannot reclaim the blocks
-	// under us, and release it whichever way the read ends.
+	// pin for the whole read so no block it names is reclaimed under us,
+	// and release it whichever way the read ends.
 	defer s.unpin(name, gen)
 	k := s.cfg.Codec.K()
 	var size int64
@@ -54,7 +48,7 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 		size += int64(stripes[i].DataLen)
 	}
 	if off < 0 || off > size {
-		return ReadInfo{}, gen, fmt.Errorf("%w: offset %d of %d-byte object %q", ErrBadRange, off, size, name)
+		return ReadInfo{}, fmt.Errorf("%w: offset %d of %d-byte object %q", ErrBadRange, off, size, name)
 	}
 	// A whole-object read (Get, GetWriter) fetches all k data positions
 	// of every stripe, as it always has — including the padding-only tail
@@ -70,7 +64,7 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 		// segment mapping below would also come up empty, but an explicit
 		// gate keeps "no bytes wanted, no backend reads" an invariant
 		// rather than a side effect of the loop bounds.
-		return ReadInfo{}, gen, nil
+		return ReadInfo{}, nil
 	}
 	end := off + length
 	// Map the byte range onto stripe segments: [lo, hi) within each
@@ -109,6 +103,12 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 	}
 	n := s.cfg.Codec.NStored()
 	acct := &readAcct{}
+	var written int64
+	done := func(err error) (ReadInfo, error) {
+		info := acct.info()
+		info.BytesWritten = written
+		return info, err
+	}
 	scratch := [2][][]byte{make([][]byte, n), make([][]byte, n)}
 	startFetch := func(i int) chan fetchResult {
 		ch := make(chan fetchResult, 1)
@@ -134,7 +134,7 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 		s.m.mergeRead(&res.acct)
 		acct.add(&res.acct)
 		if res.err != nil {
-			return acct.info(), gen, fmt.Errorf("store: degraded read of %q stripe %d: %w", name, segs[i].idx, res.err)
+			return done(fmt.Errorf("store: degraded read of %q stripe %d: %w", name, segs[i].idx, res.err))
 		}
 		if i+1 < len(segs) {
 			pending = startFetch(i + 1)
@@ -157,15 +157,17 @@ func (s *Store) streamRangeVersion(name string, off, length int64, w io.Writer) 
 				continue
 			}
 			part = part[cutLo : blockHi-blockLo]
-			if _, err := w.Write(part); err != nil {
+			n, err := w.Write(part)
+			written += int64(n)
+			if err != nil {
 				if pending != nil {
 					// Join the prefetch, so no fetch outlives the version
 					// pin; its reads are uncharged on this failure path.
 					<-pending
 				}
-				return acct.info(), gen, fmt.Errorf("store: write object %q: %w", name, err)
+				return done(fmt.Errorf("store: write object %q: %w", name, err))
 			}
 		}
 	}
-	return acct.info(), gen, nil
+	return done(nil)
 }

@@ -274,15 +274,11 @@ func (s *Store) recoverMembers() error {
 	}
 	// Re-register recovered nodes the backend was not constructed with —
 	// every id in order, dead ones included, so backend ids stay aligned
-	// with membership ids. The backend's own count is authoritative when
-	// it exposes one: a grown net cluster reopened from the original
-	// address list starts short, and the recorded addresses rebuild the
-	// tail.
+	// with membership ids. The backend's own count is authoritative: a
+	// grown net cluster reopened from the original address list starts
+	// short, and the recorded addresses rebuild the tail.
 	if na != nil {
-		base := s.cfg.Nodes
-		if nc, ok := s.cfg.Backend.(interface{ Nodes() int }); ok {
-			base = nc.Nodes()
-		}
+		base := na.Nodes()
 		for _, m := range recs {
 			if m.Node < base {
 				continue

@@ -151,18 +151,20 @@ type Metrics struct {
 	RebalanceBlocksRead, RebalanceBytesRead int64
 	// Hot-block cache (Config.CacheBytes; all zero when disabled): hits
 	// and misses on the foreground read path, entries evicted by the
-	// byte budget, entries dropped by staleness invalidation (version
-	// retire/delete and repair/rebalance relocation), and the bytes the
-	// resident payloads pin right now (their capacity, which is what the
-	// budget is charged). A hot object's steady state is all hits —
+	// byte budget, entries dropped because reclamation deleted their copy
+	// (a retired version's blocks, or the old copy of a relocated block,
+	// once no reader pins its version), and the bytes the resident
+	// payloads pin right now (their capacity, which is what the budget is
+	// charged). A hot object's steady state is all hits —
 	// ReadBlocks/ReadBytes stop growing while CacheHits climbs.
 	CacheHits, CacheMisses             int64
 	CacheEvictions, CacheInvalidations int64
 	CacheBytes                         int64
 	// ReclaimPendingBlocks is a gauge: block keys of retired versions and
 	// stale copies of relocated blocks waiting to be deleted. It
-	// normally stays below 256 (reclaimBatch); growth past that means
-	// deletes are failing against a member node.
+	// normally stays below 256 (reclaimBatch). It also grows while a
+	// streaming read pins the version a retired or moved copy belongs to;
+	// growth past that means deletes are failing against a member node.
 	ReclaimPendingBlocks int64
 	// Wire totals, present when the backend implements WireStats (the
 	// TCP netblock client): cumulative protocol bytes sent to and

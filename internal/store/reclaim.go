@@ -7,30 +7,34 @@ import (
 	"repro/internal/meta"
 )
 
-// Reclamation is the one way a block leaves a node. Retiring a version (an
-// overwrite, a Delete, a failed PUT's rollback) and relocating a block (a
-// repair or rebalance moving it) delete nothing on their own: the commit
-// that retires or splices stages a record naming what leaves (t/ or r/,
-// see meta.go), so a block is named durably before anything stops naming
-// it, at no extra fsync. A retired version then joins one pending list,
-// and the goroutine whose retire brings reclaimBatch fresh block keys into
-// it reclaims the whole list inline: the keys grouped by node, one
-// DeleteMany per node through fanOut, then one commit-no-sync clearing the
-// record of every entry wholly gone. A batch closes at a fixed count of
-// keys, never on a timer, so one client at a fixed seed makes the same
-// requests on every run. A relocation reclaims the copy it replaced the
-// same way, at once (see relocate).
+// Reclamation is the one way a block copy ends, on its node and in the
+// cache. Retiring a version (an overwrite, a Delete, a failed PUT's
+// rollback) and relocating a block (a repair or rebalance moving it)
+// delete nothing on their own: the commit that retires or splices stages
+// a record naming what leaves (t/ or r/, see meta.go), so a block is
+// named durably before anything stops naming it, at no extra fsync. A
+// retired version then joins one pending list, and the goroutine whose
+// retire brings reclaimBatch fresh block keys into it reclaims the whole
+// list inline: the keys grouped by node, one DeleteMany per node through
+// fanOut, each key's cache entry dropped, then one commit-no-sync
+// clearing the record of every entry wholly gone. A batch closes at a
+// fixed count of keys, never on a timer, so one client at a fixed seed
+// makes the same requests on every run. A relocation reclaims the copy
+// it replaced the same way, at once (see relocate).
 //
 // Every copy a PUT or a relocation writes gets a fresh generation in its
 // key, and recovery resumes past every generation a record still names,
 // so nothing is written under a key a pending delete names: a pending
 // delete never names a live copy, whatever node the block is on by then.
 //
-// A version a streaming read still pins waits in the list: a batch skips
-// it until its last unpin. An entry with a block on a node that refused
-// the delete waits in the list for the next batch, unless the node has
-// left the membership. Open queues every record it finds and does no I/O;
-// Close drains the list before it closes the plane.
+// An entry waits in the list while a streaming read pins the version its
+// blocks belong to, whether the version was retired or the block was
+// relocated out of it: a reader never finds a copy gone that its
+// snapshot names. A batch skips the entry until its last unpin. An entry
+// with a block on a node that refused the delete waits in the list for
+// the next batch, unless the node has left the membership. Open queues
+// every record it finds and does no I/O; Close drains the list before it
+// closes the plane.
 
 // reclaimBatch is how many freshly retired block keys close a batch: 16
 // overwrites of a one-stripe object on a 16-wide stripe, so every node
@@ -47,21 +51,18 @@ type blockRef struct {
 // stale copy of a relocated block.
 type retired struct {
 	rec string // the meta record naming the entry's blocks
-	// obj is the retired version; nil for a relocated copy, which no
-	// reader pins and no cache entry names (relocate dropped it).
-	obj *objectInfo
+	// ver is the version the blocks belong to, which a reader may pin;
+	// zero for a relocation recovered at open, as no reader survives a
+	// restart.
+	ver verKey
 	// left holds the entry's blocks not known to be deleted yet.
 	left []blockRef
-	// pinned records that a reader held the version when it was retired:
-	// its cache entries are then dropped when it is reclaimed, not at
-	// retire, so the reader keeps hitting its own generation.
-	pinned bool
 }
 
 // retiredOf lists every placed block of obj, dead nodes included
 // (backends outlive simulated node failures).
 func retiredOf(obj *objectInfo) *retired {
-	r := &retired{rec: tombKey(obj), obj: obj}
+	r := &retired{rec: tombKey(obj), ver: verKey{obj.Name, obj.Gen}}
 	for i := range obj.Stripes {
 		si := &obj.Stripes[i]
 		for pos, node := range si.Nodes {
@@ -75,19 +76,11 @@ func retiredOf(obj *objectInfo) *retired {
 
 // retire queues a replaced, deleted or rolled-back version whose
 // tombstone the caller has committed, and reclaims the whole list when
-// that closes a batch. An unpinned version's cache entries are dropped
-// here: no read can reach its generation any more.
+// that closes a batch.
 func (s *Store) retire(obj *objectInfo) {
-	r := retiredOf(obj)
-	s.pinMu.Lock()
-	r.pinned = s.pins[verKey{obj.Name, obj.Gen}] > 0
-	s.pinMu.Unlock()
-	if !r.pinned && s.cache != nil {
-		s.cache.invalidateObject(obj)
-	}
 	var batch []*retired
 	s.reclaimMu.Lock()
-	s.queue(r)
+	s.queue(retiredOf(obj))
 	if s.fresh >= reclaimBatch {
 		batch = s.takePending()
 	}
@@ -121,8 +114,8 @@ func (s *Store) deletesOn(node int) int {
 
 // Reclaim deletes now every block the pending list holds, instead of
 // waiting for the batch it would close with. It returns the first delete
-// that failed, in which case those blocks stay pending; a version a
-// reader still pins stays pending without an error.
+// that failed, in which case those blocks stay pending; an entry whose
+// version a reader still pins stays pending without an error.
 func (s *Store) Reclaim() error {
 	s.reclaimMu.Lock()
 	batch := s.takePending()
@@ -131,14 +124,15 @@ func (s *Store) Reclaim() error {
 }
 
 // reclaim deletes a batch taken off the pending list and queues again
-// what it could not delete. A node's keys go in one DeleteMany; when it
-// fails they all stay, unless the node is no longer a member. An entry
-// with nothing left has its record cleared.
+// what it could not delete. An entry whose version a reader pins waits
+// whole. A node's keys go in one DeleteMany; when it fails they all
+// stay, unless the node is no longer a member. Every key sent to delete
+// leaves the cache. An entry with nothing left has its record cleared.
 func (s *Store) reclaim(batch []*retired) error {
 	var work, wait []*retired
 	s.pinMu.Lock()
 	for _, r := range batch {
-		if r.obj != nil && s.pins[verKey{r.obj.Name, r.obj.Gen}] > 0 {
+		if s.pins[r.ver] > 0 {
 			wait = append(wait, r)
 		} else {
 			work = append(work, r)
@@ -148,12 +142,11 @@ func (s *Store) reclaim(batch []*retired) error {
 
 	byNode := make(map[int][]string)
 	for _, r := range work {
-		if r.pinned && s.cache != nil {
-			s.cache.invalidateObject(r.obj)
-		}
-		r.pinned = false
 		for _, b := range r.left {
 			byNode[b.node] = append(byNode[b.node], b.key)
+			if s.cache != nil {
+				s.cache.invalidate(b.key)
+			}
 		}
 	}
 	nodes := make([]int, 0, len(byNode))

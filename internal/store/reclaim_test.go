@@ -838,3 +838,93 @@ func TestReclaimNoCopyUnderInflightDelete(t *testing.T) {
 		t.Fatalf("Get: err %v, degraded %v", err, info.Degraded)
 	}
 }
+
+// parkWriter holds its first Write until release is closed, having
+// closed parked: a streaming reader stopped mid-object with its pin held.
+type parkWriter struct {
+	bytes.Buffer
+	parked, release chan struct{}
+	once            sync.Once
+}
+
+func (w *parkWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.parked)
+		<-w.release
+	})
+	return w.Buffer.Write(p)
+}
+
+// TestReclaimWaitsForReaderOfMovedCopy: a GET parks in its first Write
+// while the node holding a later stripe's block is drained. The drain
+// copies the block off, but the copy the GET's snapshot names stays on
+// the drained node until the reader unpins and a Reclaim runs, so the
+// GET reads it: byte-exact and not degraded, with k reads per stripe.
+func TestReclaimWaitsForReaderOfMovedCopy(t *testing.T) {
+	const bs, stripes = 64, 3
+	mb := NewMemBackend()
+	s := newTestStore(t, Config{Backend: mb, Nodes: 24, BlockSize: bs})
+	k := s.Codec().K()
+	want := randBytes(rand.New(rand.NewSource(36)), stripes*k*bs)
+	if err := s.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	victim, key, err := s.BlockLocation("obj", stripes-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := &parkWriter{parked: make(chan struct{}), release: make(chan struct{})}
+	type result struct {
+		info ReadInfo
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		info, err := s.GetWriter("obj", w)
+		done <- result{info, err}
+	}()
+	<-w.parked
+
+	if err := s.Decommission(victim); err != nil {
+		t.Fatal(err)
+	}
+	rm := NewRepairManager(s, 2)
+	rm.Start()
+	defer rm.Stop()
+	rb := NewRebalancer(s, rm, 0)
+	rb.RebalanceOnce()
+	rm.Drain()
+	rep := rb.RebalanceOnce()
+	if moved, _, _ := s.BlockLocation("obj", stripes-1, 0); moved == victim {
+		t.Fatal("the drain did not move the block")
+	}
+	if _, err := mb.Read(victim, key); err != nil {
+		t.Fatalf("the copy a pinned reader's snapshot names was deleted: %v", err)
+	}
+	if rep.Remaining == 0 || s.MemberState(victim) != NodeDraining {
+		t.Fatalf("drain retired the victim (%+v, %s) while a copy on it waits for a reader", rep, s.MemberState(victim))
+	}
+
+	close(w.release)
+	res := <-done
+	if res.err != nil || !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("GET across the drain: err %v, byte-exact %v", res.err, bytes.Equal(w.Bytes(), want))
+	}
+	if i := res.info; i.Degraded || i.LightRepairs != 0 || i.HeavyRepairs != 0 || i.BlocksRead != int64(stripes*k) {
+		t.Fatalf("GET across the drain: %+v, want %d plain block reads", i, stripes*k)
+	}
+	if _, err := mb.Read(victim, key); err != nil {
+		t.Fatalf("the moved copy went without a Reclaim: %v", err)
+	}
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mb.Read(victim, key); err == nil {
+		t.Fatal("Reclaim after the reader left kept the moved copy")
+	}
+	if rb.RebalanceOnce(); s.MemberState(victim) != NodeDead {
+		t.Fatalf("victim is %s after its last copy went, want dead", s.MemberState(victim))
+	}
+	checkPlacedExactly(t, s, mb)
+}

@@ -328,7 +328,8 @@ func TestSlabAllocationContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	be.drop = true
-	gen, _, _ := s.versionState("r")
+	v, _ := s.db.Get(objKey("r"))
+	gen := v.(*objectInfo).Gen
 	rm := NewRepairManager(s, 1)
 	var scratch repairScratch
 	repair := func() {

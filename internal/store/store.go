@@ -118,13 +118,6 @@ type objectInfo struct {
 	// never splice an old block key into the new manifest).
 	Gen     int64        `json:"gen"`
 	Stripes []stripeInfo `json:"stripes"`
-	// muts counts manifest mutations of this version (repair
-	// relocations). A failed read retries only if (Gen, muts) moved — an
-	// unchanged manifest means the failure is genuine, not a stale
-	// snapshot. Manifests in the metadata plane are copy-on-write, so a
-	// relocation bumps muts on the replacement, never in place. Runtime
-	// state, not persisted.
-	muts int64
 }
 
 // Store is a concurrent erasure-coded object store. All methods are safe
@@ -164,9 +157,10 @@ type Store struct {
 	epoch atomic.Int64
 
 	// Version pinning: a streaming read pins the (name, generation) it
-	// snapshotted so an overwrite or delete racing the read cannot
-	// reclaim that version's blocks mid-stream. A reclamation batch skips
-	// a pinned version until its last unpin.
+	// snapshotted, and reclamation skips every copy of a pinned version —
+	// retired by an overwrite or delete, or relocated by a repair or
+	// rebalance — until its last unpin, so no block the read's snapshot
+	// names is deleted mid-stream.
 	pinMu sync.Mutex
 	pins  map[verKey]int
 
@@ -186,9 +180,8 @@ type Store struct {
 	scrubLim  *Limiter
 
 	// cache is the hot-block read cache, nil unless Config.CacheBytes
-	// is set. Invalidation rides the same paths that make blocks stale:
-	// retire (overwrite/delete; for a version a reader pinned, its
-	// reclamation) and relocate (repair/rebalance write-backs).
+	// is set. A copy's entry is dropped where the copy itself ends: in
+	// reclaim, with its delete.
 	cache *blockCache
 
 	m counters
@@ -419,8 +412,8 @@ func (s *Store) Put(name string, data []byte) error {
 // the payload returned then aliases dst. A backend without ReadInto, or a
 // block that does not fit, is read as ever — it is always the returned
 // slice that is unframed, never dst. The accounting below sees the same
-// bytes on either path. A failed or retried read may leave garbage in
-// dst, which is harmless: only a CRC-clean frame is ever decoded.
+// bytes on either path. A failed read may leave garbage in dst, which is
+// harmless: only a CRC-clean frame is ever decoded.
 func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *Limiter, dst []byte) ([]byte, error) {
 	node := si.Nodes[pos]
 	if !s.Alive(node) {
@@ -628,9 +621,9 @@ func (s *Store) pin(name string, gen int64) {
 	s.pinMu.Unlock()
 }
 
-// unpin releases one reader of (name, gen). A version retired while
-// pinned stays on the pending list until the first batch after its last
-// unpin.
+// unpin releases one reader of (name, gen). A copy of the version that
+// was retired or relocated while pinned stays on the pending list until
+// the first batch after its last unpin.
 func (s *Store) unpin(name string, gen int64) {
 	k := verKey{name, gen}
 	s.pinMu.Lock()
@@ -809,7 +802,6 @@ func (o *objectInfo) withRelocation(idx, pos, node int, key string) *objectInfo 
 	si.Nodes = append([]int(nil), si.Nodes...)
 	si.Keys = append([]string(nil), si.Keys...)
 	si.Nodes[pos], si.Keys[pos] = node, key
-	n.muts = o.muts + 1
 	return &n
 }
 
@@ -823,7 +815,8 @@ func (o *objectInfo) withRelocation(idx, pos, node int, key string) *objectInfo 
 // same node included. A write that reports failure may still have landed
 // (a rename before a failed directory sync, a reply lost after the node
 // stored the block), and its key is never issued again, so its copy gets
-// the same record and delete.
+// the same record and delete. The delete waits while a reader pins the
+// version, as a retired version's does.
 func (s *Store) relocate(ref stripeRef, pos, node int, frame []byte) bool {
 	key := blockKey(ref.name, s.gen.Add(1), ref.idx, pos)
 	written := s.cfg.Backend.Write(node, key, frame) == nil
@@ -841,14 +834,9 @@ func (s *Store) relocate(ref stripeRef, pos, node int, frame []byte) bool {
 	if err != nil {
 		return false // the plane is down for good (meta's WAL errors are sticky)
 	}
-	if spliced && s.cache != nil {
-		// Repair and rebalance write-backs commit here; a cached copy of
-		// the pre-repair payload (or of a corrupt block rebuilt in place)
-		// must not serve past this point.
-		s.cache.invalidate(gone.key)
-	}
-	// Reclaimed at once, not batched; a refused delete stays pending.
+	// Reclaimed at once, not batched; a pinned or refused delete stays
+	// pending.
 	s.pendingBlocks.Add(1)
-	_ = s.reclaim([]*retired{{rec: relocKey(gone), left: []blockRef{gone}}})
+	_ = s.reclaim([]*retired{{rec: relocKey(gone), ver: verKey{ref.name, ref.gen}, left: []blockRef{gone}}})
 	return spliced
 }

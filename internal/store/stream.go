@@ -309,8 +309,8 @@ func (s *Store) commit(obj *objectInfo) error {
 // missing or corrupt blocks inline (light local decode first, so a
 // single-loss stripe still costs the r=5 read set), with memory bounded
 // by the two pipelined stripes. The ReadInfo reports what the read
-// actually cost. It is the whole-object case of GetRange, with the same
-// retry contract: once bytes are out, a failure is final.
+// actually cost. It is the whole-object case of GetRange: one pass over
+// the version current at entry, with no retry.
 func (s *Store) GetWriter(name string, w io.Writer) (ReadInfo, error) {
 	return s.GetRange(name, 0, -1, w)
 }
@@ -318,46 +318,14 @@ func (s *Store) GetWriter(name string, w io.Writer) (ReadInfo, error) {
 // Get reads an object back, reconstructing missing or corrupt blocks
 // inline (the degraded read path: rebuilt blocks are served, not written
 // back — §1.1). The ReadInfo reports what the read actually cost. It is
-// the streaming path over a buffer, which — unlike an external writer —
-// rewinds, so a stale-manifest retry stays possible mid-object.
+// GetRange into a buffer.
 func (s *Store) Get(name string) ([]byte, ReadInfo, error) {
 	var buf bytes.Buffer
-	info, err := s.readRetrying(name, 0, -1, &buf, func() bool { buf.Reset(); return true })
+	info, err := s.GetRange(name, 0, -1, &buf)
 	if err != nil {
 		return nil, info, err
 	}
-	info.BytesWritten = int64(buf.Len())
 	return buf.Bytes(), info, nil
-}
-
-// readRetrying runs read attempts of [off, off+length) against fresh
-// manifest snapshots until one succeeds or fails for good. A failed
-// attempt can mean the snapshot went stale under the read: repair
-// workers relocate blocks within a version, and an overwrite replaces
-// the version. A fresh snapshot sees the current block locations, so
-// retry — but only while w can still be rewound
-// (rewind reports whether it was) and the manifest is actually moving
-// (the muts counter): a failure with an unchanged manifest is genuinely
-// lost data, and retrying would just re-read every stripe to fail
-// again.
-func (s *Store) readRetrying(name string, off, length int64, w io.Writer, rewind func() bool) (ReadInfo, error) {
-	for attempt := 0; ; attempt++ {
-		gen0, muts0, _ := s.versionState(name)
-		info, gen, err := s.streamRangeVersion(name, off, length, w)
-		if err == nil || attempt >= 8 || !rewind() {
-			return info, err
-		}
-		curGen, curMuts, found := s.versionState(name)
-		if !found {
-			// Deleted mid-read: not-found is the truthful outcome.
-			return info, fmt.Errorf("%w: %q", ErrObjectNotFound, name)
-		}
-		if curGen == gen && curGen == gen0 && curMuts == muts0 {
-			// This object's manifest never moved around the attempt:
-			// the snapshot was current and the failure is genuine.
-			return info, err
-		}
-	}
 }
 
 // fetchResult is one stripe fetched (and if necessary reconstructed) by
@@ -447,11 +415,11 @@ func (s *Store) fetchPositions(si *stripeInfo, scratch [][]byte, want []int, ava
 // manifestSnapshot captures an object's stripe manifest and pins the
 // version. Both happen inside one db.View — the shard read lock — and a
 // racing commit takes that shard's write lock before it can replace the
-// manifest, so the pin is atomic with the lookup and the overwrite is
-// guaranteed to see it when it retires this version. No deep copy:
-// manifests in the plane are copy-on-write (a relocation commits a
-// replacement), so the captured slices are immutable. The caller owns
-// one unpin on ok=true.
+// manifest, so the pin is atomic with the lookup, and the reclaim that
+// follows an overwrite, delete or relocation commit is guaranteed to see
+// it. No deep copy: manifests in the plane are copy-on-write (a
+// relocation commits a replacement), so the captured slices are
+// immutable. The caller owns one unpin on ok=true.
 func (s *Store) manifestSnapshot(name string) ([]stripeInfo, int64, bool) {
 	var stripes []stripeInfo
 	var gen int64
@@ -465,31 +433,4 @@ func (s *Store) manifestSnapshot(name string) ([]stripeInfo, int64, bool) {
 		s.pin(name, obj.Gen)
 	})
 	return stripes, gen, ok
-}
-
-// versionState returns name's current generation and mutation count
-// (repair relocations), and whether the object exists. A read whose
-// attempt failed retries only when this pair has moved: gen changes on
-// overwrite, muts on relocation, and an unchanged pair means the failed
-// snapshot was current — genuine data loss, not staleness.
-func (s *Store) versionState(name string) (gen, muts int64, found bool) {
-	v, ok := s.db.Get(objKey(name))
-	if !ok {
-		return 0, 0, false
-	}
-	obj := v.(*objectInfo)
-	return obj.Gen, obj.muts, true
-}
-
-// countingWriter tracks how many bytes reached the underlying writer, so
-// GetRange knows whether a retry is still possible.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
