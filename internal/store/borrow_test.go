@@ -91,7 +91,8 @@ func TestBorrowedSourcesNeverEscape(t *testing.T) {
 			t.Fatalf("%s: the re-read hit no cached block", codec.Name())
 		}
 		for name, object := range objects {
-			stripes, gen, _ := s.manifestSnapshot(name)
+			obj, _ := s.manifestSnapshot(name)
+			stripes := obj.Stripes
 			for idx, want := range wantFrames(t, codec, bs, object) {
 				for pos := 0; pos < k; pos++ {
 					if payload := s.cache.get(stripes[idx].Keys[pos]); payload != nil && !bytes.Equal(payload, want[pos][4:]) {
@@ -99,15 +100,16 @@ func TestBorrowedSourcesNeverEscape(t *testing.T) {
 					}
 				}
 			}
-			s.unpin(name, gen)
+			s.unpin(obj)
 		}
 
 		// A fetched stripe: poison the pool while the result is still held.
 		for name, object := range objects {
-			stripes, gen, ok := s.manifestSnapshot(name)
+			obj, ok := s.manifestSnapshot(name)
 			if !ok {
 				t.Fatal("manifest gone")
 			}
+			stripes := obj.Stripes
 			for idx, want := range wantFrames(t, codec, bs, object) {
 				for _, key := range stripes[idx].Keys {
 					s.cache.invalidate(key) // or the GETs above answer for the backend
@@ -128,7 +130,7 @@ func TestBorrowedSourcesNeverEscape(t *testing.T) {
 					}
 				}
 			}
-			s.unpin(name, gen)
+			s.unpin(obj)
 		}
 		poison("degraded fetches")
 
@@ -136,7 +138,8 @@ func TestBorrowedSourcesNeverEscape(t *testing.T) {
 		rm := NewRepairManager(s, 1)
 		var scratch repairScratch
 		for name := range objects {
-			stripes, gen, _ := s.manifestSnapshot(name)
+			obj, _ := s.manifestSnapshot(name)
+			stripes, gen := obj.Stripes, obj.Gen
 			for idx := range stripes {
 				var damaged []int
 				for pos, node := range stripes[idx].Nodes {
@@ -154,7 +157,7 @@ func TestBorrowedSourcesNeverEscape(t *testing.T) {
 				be.poison()
 				write()
 			}
-			s.unpin(name, gen)
+			s.unpin(obj)
 		}
 		poison("repairs")
 

@@ -34,14 +34,15 @@ type rangeSeg struct {
 // that ping-pong for the whole read (the only per-stripe state), and
 // each fetch covers only the blocks its byte window needs.
 func (s *Store) GetRange(name string, off, length int64, w io.Writer) (ReadInfo, error) {
-	stripes, gen, ok := s.manifestSnapshot(name)
+	obj, ok := s.manifestSnapshot(name)
 	if !ok {
 		return ReadInfo{}, fmt.Errorf("%w: %q", ErrObjectNotFound, name)
 	}
-	// The snapshot pinned this version (see manifestSnapshot); hold the
+	// The snapshot pinned this manifest (see manifestSnapshot); hold the
 	// pin for the whole read so no block it names is reclaimed under us,
 	// and release it whichever way the read ends.
-	defer s.unpin(name, gen)
+	defer s.unpin(obj)
+	stripes := obj.Stripes
 	k := s.cfg.Codec.K()
 	var size int64
 	for i := range stripes {

@@ -237,9 +237,9 @@ func TestStragglerCostsTimeNotBytes(t *testing.T) {
 	if err := s.Put("obj", want); err != nil {
 		t.Fatal(err)
 	}
-	stripes, gen, _ := s.manifestSnapshot("obj")
-	slow := stripes[0].Nodes[0] // holds a data block, so every GET waits on it
-	s.unpin("obj", gen)
+	obj, _ := s.manifestSnapshot("obj")
+	slow := obj.Stripes[0].Nodes[0] // holds a data block, so every GET waits on it
+	s.unpin(obj)
 
 	const stall = 50 * time.Millisecond
 	fb.SetFault(slow, Fault{Latency: stall})
@@ -260,7 +260,7 @@ func TestStragglerCostsTimeNotBytes(t *testing.T) {
 		t.Fatalf("GET took %v, under the %v stall: the straggler was never read", elapsed, stall)
 	}
 	after := s.Metrics()
-	if grew, reads := after.ReadBlocks-before.ReadBlocks, int64(s.Codec().K()*len(stripes)); grew != reads {
+	if grew, reads := after.ReadBlocks-before.ReadBlocks, int64(s.Codec().K()*len(obj.Stripes)); grew != reads {
 		t.Fatalf("ReadBlocks grew by %d, want K × stripes = %d", grew, reads)
 	}
 	if after.DegradedReads != before.DegradedReads {

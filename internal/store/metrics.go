@@ -153,7 +153,7 @@ type Metrics struct {
 	// and misses on the foreground read path, entries evicted by the
 	// byte budget, entries dropped because reclamation deleted their copy
 	// (a retired version's blocks, or the old copy of a relocated block,
-	// once no reader pins its version), and the bytes the resident
+	// once no reader's snapshot names it), and the bytes the resident
 	// payloads pin right now (their capacity, which is what the budget is
 	// charged). A hot object's steady state is all hits —
 	// ReadBlocks/ReadBytes stop growing while CacheHits climbs.
@@ -163,8 +163,8 @@ type Metrics struct {
 	// ReclaimPendingBlocks is a gauge: block keys of retired versions and
 	// stale copies of relocated blocks waiting to be deleted. It
 	// normally stays below 256 (reclaimBatch). It also grows while a
-	// streaming read pins the version a retired or moved copy belongs to;
-	// growth past that means deletes are failing against a member node.
+	// streaming read's snapshot names a retired or moved copy; growth
+	// past that means deletes are failing against a member node.
 	ReclaimPendingBlocks int64
 	// Wire totals, present when the backend implements WireStats (the
 	// TCP netblock client): cumulative protocol bytes sent to and

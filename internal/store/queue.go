@@ -36,7 +36,7 @@ type repairQueue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	pending  repairHeap // one item per stripe
-	inFlight int        // popped but not yet Done: waitIdle's other half
+	inFlight int        // popped but not yet Done: WaitIdle's other half
 	closed   bool
 	seq      int64
 }
@@ -63,7 +63,7 @@ func (q *repairQueue) Push(it repairItem) (repairItem, bool) {
 	q.seq++
 	it.seq = q.seq
 	heap.Push(&q.pending, it)
-	// Broadcast, not Signal: the one woken waiter could be a waitIdle
+	// Broadcast, not Signal: the one woken waiter could be a WaitIdle
 	// caller rather than a Pop, stranding the item.
 	q.cond.Broadcast()
 	return it, true
@@ -92,8 +92,8 @@ func (q *repairQueue) Done() {
 	q.cond.Broadcast()
 }
 
-// waitIdle blocks until no items are pending or in flight.
-func (q *repairQueue) waitIdle() {
+// WaitIdle blocks until no items are pending or in flight.
+func (q *repairQueue) WaitIdle() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.pending.Len() > 0 || q.inFlight > 0 {

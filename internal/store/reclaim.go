@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/meta"
 )
@@ -27,13 +28,17 @@ import (
 // so nothing is written under a key a pending delete names: a pending
 // delete never names a live copy, whatever node the block is on by then.
 //
-// An entry waits in the list while a streaming read pins the version its
-// blocks belong to, whether the version was retired or the block was
-// relocated out of it: a reader never finds a copy gone that its
-// snapshot names. A batch skips the entry until its last unpin. An entry
-// with a block on a node that refused the delete waits in the list for
-// the next batch, unless the node has left the membership. Open queues
-// every record it finds and does no I/O; Close drains the list before it
+// A batch holds an entry back while a streaming read's pinned snapshot
+// names one of its blocks, whether the version was retired or the block
+// was relocated out of it: a reader never finds a copy gone that its
+// snapshot names. A reader of the manifest a relocation committed names
+// the new copy and holds nothing back, so a block read without pause
+// still moves. A held retired version goes with the first batch after
+// its reader leaves; a held relocated copy, deleted at once otherwise,
+// goes at the last unpin of the snapshots of its version. An entry with
+// a block on a node that refused the delete waits in the list for the
+// next batch, unless the node has left the membership. Open queues every
+// record it finds and does no I/O; Close drains the list before it
 // closes the plane.
 
 // reclaimBatch is how many freshly retired block keys close a batch: 16
@@ -51,9 +56,9 @@ type blockRef struct {
 // stale copy of a relocated block.
 type retired struct {
 	rec string // the meta record naming the entry's blocks
-	// ver is the version the blocks belong to, which a reader may pin;
-	// zero for a relocation recovered at open, as no reader survives a
-	// restart.
+	// ver is the version the blocks belong to, whose pinned snapshots
+	// may name them; zero when no snapshot can: a relocation recovered
+	// at open (no reader survives a restart), or a copy no manifest took.
 	ver verKey
 	// left holds the entry's blocks not known to be deleted yet.
 	left []blockRef
@@ -114,8 +119,8 @@ func (s *Store) deletesOn(node int) int {
 
 // Reclaim deletes now every block the pending list holds, instead of
 // waiting for the batch it would close with. It returns the first delete
-// that failed, in which case those blocks stay pending; an entry whose
-// version a reader still pins stays pending without an error.
+// that failed, in which case those blocks stay pending; an entry a
+// reader's snapshot still names waits without an error (see reclaim).
 func (s *Store) Reclaim() error {
 	s.reclaimMu.Lock()
 	batch := s.takePending()
@@ -123,19 +128,36 @@ func (s *Store) Reclaim() error {
 	return s.reclaim(batch)
 }
 
+// namedByReader reports whether a pinned snapshot of r's version names
+// one of r's blocks. Call with pinMu held.
+func (s *Store) namedByReader(r *retired) bool {
+	for m := range s.pins {
+		if m.Name == r.ver.name && m.Gen == r.ver.gen && m.names(r.left) {
+			return true
+		}
+	}
+	return false
+}
+
 // reclaim deletes a batch taken off the pending list and queues again
-// what it could not delete. An entry whose version a reader pins waits
-// whole. A node's keys go in one DeleteMany; when it fails they all
-// stay, unless the node is no longer a member. Every key sent to delete
-// leaves the cache. An entry with nothing left has its record cleared.
+// what it could not delete. An entry a pinned snapshot names waits whole
+// and then goes the way it would have gone without the reader: a retired
+// version with the next batch, a relocated copy at once, which for a
+// held copy is the snapshot's last unpin (the held list). A node's keys
+// go in one DeleteMany; when it fails they all stay, unless the node is
+// no longer a member. Every key sent to delete leaves the cache. An
+// entry with nothing left has its record cleared.
 func (s *Store) reclaim(batch []*retired) error {
 	var work, wait []*retired
 	s.pinMu.Lock()
 	for _, r := range batch {
-		if s.pins[r.ver] > 0 {
-			wait = append(wait, r)
-		} else {
+		switch {
+		case !s.namedByReader(r):
 			work = append(work, r)
+		case strings.HasPrefix(r.rec, relocPrefix):
+			s.held = append(s.held, r)
+		default:
+			wait = append(wait, r)
 		}
 	}
 	s.pinMu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // manyDeleter is a MemBackend that takes DeleteMany, counting both kinds
@@ -85,7 +86,7 @@ func TestReclaimBatchesByCount(t *testing.T) {
 	if _, _, err := s.Get("a0"); err != nil { // cache a0's data blocks
 		t.Fatal(err)
 	}
-	_, pinnedGen, ok := s.manifestSnapshot("a0")
+	pinned, ok := s.manifestSnapshot("a0")
 	if !ok {
 		t.Fatal("a0 not found")
 	}
@@ -124,7 +125,7 @@ func TestReclaimBatchesByCount(t *testing.T) {
 		t.Fatalf("the pinned version's cache entries were dropped before its reader finished (%d -> %d)", inv0, m.CacheInvalidations)
 	}
 
-	s.unpin("a0", pinnedGen)
+	s.unpin(pinned)
 	if b := md.batches.Load(); b != int64(n) {
 		t.Fatalf("unpin sent %d DeleteMany calls; reclamation waits for a batch", b-int64(n))
 	}
@@ -858,8 +859,10 @@ func (w *parkWriter) Write(p []byte) (int, error) {
 // TestReclaimWaitsForReaderOfMovedCopy: a GET parks in its first Write
 // while the node holding a later stripe's block is drained. The drain
 // copies the block off, but the copy the GET's snapshot names stays on
-// the drained node until the reader unpins and a Reclaim runs, so the
-// GET reads it: byte-exact and not degraded, with k reads per stripe.
+// the drained node until the reader unpins, so the GET reads it:
+// byte-exact and not degraded, with k reads per stripe. The unpin
+// deletes it, with no batch or Reclaim, and the next pass retires the
+// node.
 func TestReclaimWaitsForReaderOfMovedCopy(t *testing.T) {
 	const bs, stripes = 64, 3
 	mb := NewMemBackend()
@@ -914,17 +917,180 @@ func TestReclaimWaitsForReaderOfMovedCopy(t *testing.T) {
 	if i := res.info; i.Degraded || i.LightRepairs != 0 || i.HeavyRepairs != 0 || i.BlocksRead != int64(stripes*k) {
 		t.Fatalf("GET across the drain: %+v, want %d plain block reads", i, stripes*k)
 	}
-	if _, err := mb.Read(victim, key); err != nil {
-		t.Fatalf("the moved copy went without a Reclaim: %v", err)
-	}
-	if err := s.Reclaim(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := mb.Read(victim, key); err == nil {
-		t.Fatal("Reclaim after the reader left kept the moved copy")
+		t.Fatal("the reader's unpin kept the moved copy")
+	}
+	if got := s.Metrics().ReclaimPendingBlocks; got != 0 {
+		t.Fatalf("%d blocks pending after the reader left, want 0", got)
 	}
 	if rb.RebalanceOnce(); s.MemberState(victim) != NodeDead {
 		t.Fatalf("victim is %s after its last copy went, want dead", s.MemberState(victim))
+	}
+	checkPlacedExactly(t, s, mb)
+}
+
+// TestReclaimDrainUnderLoopingReaders: GETs of one object overlap without
+// pause while the node under one of its blocks drains. Each relocation
+// waits only for the readers whose snapshot names the old copy; readers
+// that began after it read the new copy and hold nothing back, so the
+// drain retires the node while the reads go on, every one byte-exact
+// and none degraded.
+func TestReclaimDrainUnderLoopingReaders(t *testing.T) {
+	const bs, stripes, readers = 64, 3, 4
+	mb := NewMemBackend()
+	s := newTestStore(t, Config{Backend: mb, Nodes: 24, BlockSize: bs})
+	want := randBytes(rand.New(rand.NewSource(37)), stripes*s.Codec().K()*bs)
+	if err := s.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	victim, _, err := s.BlockLocation("obj", stripes-1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, readers)
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w := &slowWriter{}
+				info, err := s.GetWriter("obj", w)
+				if err == nil && (!bytes.Equal(w.Bytes(), want) || info.Degraded) {
+					err = fmt.Errorf("byte-exact %v, degraded %v", bytes.Equal(w.Bytes(), want), info.Degraded)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	for reads.Load() < readers { // every reader is in its loop
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := s.Decommission(victim); err != nil {
+		t.Fatal(err)
+	}
+	rm := NewRepairManager(s, 2)
+	rm.Start()
+	defer rm.Stop()
+	rb := NewRebalancer(s, rm, 0)
+	passes := 0
+	for deadline := time.Now().Add(5 * time.Second); s.MemberState(victim) != NodeDead && time.Now().Before(deadline); passes++ {
+		rb.RebalanceOnce()
+		rm.Drain()
+		time.Sleep(time.Millisecond)
+	}
+	state, during := s.MemberState(victim), reads.Load()
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("GET during the drain: %v", err)
+	}
+	if state != NodeDead {
+		t.Fatalf("victim is %s after %d drain passes under looping readers, want dead", state, passes)
+	}
+	if during <= readers {
+		t.Fatalf("only %d GETs ran, the readers never overlapped the drain", during)
+	}
+	checkPlacedExactly(t, s, mb)
+}
+
+// slowWriter pauses on every Write, so a GET holds its pin a while.
+type slowWriter struct{ bytes.Buffer }
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(200 * time.Microsecond)
+	return w.Buffer.Write(p)
+}
+
+// TestReclaimHeldMoveGoesAtUnpin: a repair write-back moves a block a
+// pinned reader's snapshot names. The old copy and its cache entry stay
+// while the reader holds the snapshot, and its last unpin deletes both:
+// no overwrite, batch or Reclaim comes after. A write-back that no
+// manifest takes, because the version was overwritten meanwhile, is
+// deleted at once although a reader pins that version.
+func TestReclaimHeldMoveGoesAtUnpin(t *testing.T) {
+	const bs = 64
+	mb := NewMemBackend()
+	s := newTestStore(t, Config{Backend: mb, Nodes: 20, BlockSize: bs, CacheBytes: 1 << 20})
+	k := s.Codec().K()
+	rng := rand.New(rand.NewSource(38))
+	want := randBytes(rng, k*bs)
+	if err := s.Put("obj", want); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Get("obj"); err != nil { // cache the data blocks
+		t.Fatal(err)
+	}
+	node, key, err := s.BlockLocation("obj", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := s.manifestSnapshot("obj")
+	if !ok {
+		t.Fatal("obj not found")
+	}
+	rm := NewRepairManager(s, 1)
+	var scratch repairScratch
+	ref := stripeRef{name: "obj", gen: snap.Gen}
+	write := rm.repairFetch(repairItem{ref: ref, damaged: []int{0}, silent: true}, &scratch)
+	if write == nil {
+		t.Fatal("nothing to write back")
+	}
+	write()
+	if _, moved, _ := s.BlockLocation("obj", 0, 0); moved == key {
+		t.Fatal("the write-back kept the block's key")
+	}
+	if _, err := mb.Read(node, key); err != nil || s.cache.get(key) == nil {
+		t.Fatalf("the copy a pinned snapshot names went under its reader: read err %v, cached %v", err, s.cache.get(key) != nil)
+	}
+	if got := s.Metrics().ReclaimPendingBlocks; got != 1 {
+		t.Fatalf("%d blocks pending while the reader holds the old copy, want 1", got)
+	}
+
+	s.unpin(snap)
+	if _, err := mb.Read(node, key); err == nil || s.cache.get(key) != nil {
+		t.Fatalf("the last unpin kept the moved copy: read err %v, cached %v", err, s.cache.get(key) != nil)
+	}
+	if m := s.Metrics(); m.ReclaimPendingBlocks != 0 || s.db.Len(relocPrefix) != 0 {
+		t.Fatalf("after the unpin: %d blocks, %d relocation records pending, want none", m.ReclaimPendingBlocks, s.db.Len(relocPrefix))
+	}
+	if got, info, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
+		t.Fatalf("Get after the move: err %v, degraded %v", err, info.Degraded)
+	}
+
+	// A write-back the overwrite beat: its copy is named by no snapshot.
+	snap, _ = s.manifestSnapshot("obj")
+	ref.gen = snap.Gen
+	write = rm.repairFetch(repairItem{ref: ref, damaged: []int{0}, silent: true}, &scratch)
+	if write == nil {
+		t.Fatal("nothing to write back")
+	}
+	if err := s.Put("obj", randBytes(rng, k*bs)); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Metrics().ReclaimPendingBlocks
+	write()
+	if m := s.Metrics(); m.ReclaimPendingBlocks != before || s.db.Len(relocPrefix) != 0 {
+		t.Fatalf("the unspliced write-back waits for the old version's reader: %d -> %d blocks, %d relocation records pending",
+			before, m.ReclaimPendingBlocks, s.db.Len(relocPrefix))
+	}
+	s.unpin(snap)
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
 	}
 	checkPlacedExactly(t, s, mb)
 }

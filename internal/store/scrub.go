@@ -179,7 +179,7 @@ func (r *RepairManager) every(period time.Duration, run func()) {
 // Drain blocks until the queue is empty and every in-flight repair has
 // finished — the test and CLI barrier between "scrub found damage" and
 // "damage is gone".
-func (r *RepairManager) Drain() { r.q.waitIdle() }
+func (r *RepairManager) Drain() { r.q.WaitIdle() }
 
 // Pending returns the queued repair count.
 func (r *RepairManager) Pending() int { return r.q.Len() }

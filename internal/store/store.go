@@ -156,13 +156,18 @@ type Store struct {
 	// epoch counts membership changes; persisted in every n/ record.
 	epoch atomic.Int64
 
-	// Version pinning: a streaming read pins the (name, generation) it
-	// snapshotted, and reclamation skips every copy of a pinned version —
-	// retired by an overwrite or delete, or relocated by a repair or
-	// rebalance — until its last unpin, so no block the read's snapshot
-	// names is deleted mid-stream.
+	// Read pinning: a streaming read pins the manifest it snapshotted,
+	// and reclamation holds back every pending entry a pinned manifest
+	// names — a copy retired by an overwrite or delete, or relocated by a
+	// repair or rebalance — so no block the read's snapshot names is
+	// deleted mid-stream. A reader of a later manifest, which names the
+	// relocated copy instead, holds nothing back. held lists the
+	// relocated copies a pin holds; the last unpin of a manifest reclaims
+	// those of its version (a held retired version waits on the pending
+	// list for the next batch instead).
 	pinMu sync.Mutex
-	pins  map[verKey]int
+	pins  map[*objectInfo]int
+	held  []*retired
 
 	// Reclamation (reclaim.go): the pending list, the block keys queued
 	// since a batch last took it, and the gauge of keys still waiting.
@@ -218,7 +223,7 @@ func open(cfg Config, db *meta.DB) (*Store, error) {
 		cfg:       cfg,
 		db:        db,
 		placer:    newPlacer(cfg.Codec, cfg.Racks),
-		pins:      make(map[verKey]int),
+		pins:      make(map[*objectInfo]int),
 		repairLim: NewLimiter(cfg.RepairRateBytes),
 		scrubLim:  NewLimiter(cfg.ScrubRateBytes),
 	}
@@ -605,32 +610,61 @@ func (s *Store) fetchBlocks(si *stripeInfo, stripe [][]byte, positions []int, av
 	return failed
 }
 
-// verKey names one version of one object for the pin table.
+// verKey names one version of one object: the version a pending
+// entry's blocks belong to.
 type verKey struct {
 	name string
 	gen  int64
 }
 
-// pin marks one more in-flight reader of (name, gen). Callers must pin
-// inside a db.View of the version they just looked up, so the pin is
-// atomic with the lookup against a concurrent commit (which takes the
-// same shard's write lock).
-func (s *Store) pin(name string, gen int64) {
+// pin marks one more in-flight reader of manifest m. Callers must pin
+// inside the db.View that looked m up, so the pin is atomic with the
+// lookup against a concurrent commit (which takes the same shard's write
+// lock).
+func (s *Store) pin(m *objectInfo) {
 	s.pinMu.Lock()
-	s.pins[verKey{name, gen}]++
+	s.pins[m]++
 	s.pinMu.Unlock()
 }
 
-// unpin releases one reader of (name, gen). A copy of the version that
-// was retired or relocated while pinned stays on the pending list until
-// the first batch after its last unpin.
-func (s *Store) unpin(name string, gen int64) {
-	k := verKey{name, gen}
+// unpin releases one reader of manifest m. The last one reclaims the
+// held relocated copies of m's version: reclaim holds back again any
+// that another pinned manifest still names.
+func (s *Store) unpin(m *objectInfo) {
+	var batch []*retired
 	s.pinMu.Lock()
-	if s.pins[k]--; s.pins[k] <= 0 {
-		delete(s.pins, k)
+	if s.pins[m]--; s.pins[m] <= 0 {
+		delete(s.pins, m)
+		keep := s.held[:0]
+		for _, r := range s.held {
+			if r.ver == (verKey{m.Name, m.Gen}) {
+				batch = append(batch, r)
+			} else {
+				keep = append(keep, r)
+			}
+		}
+		clear(s.held[len(keep):])
+		s.held = keep
 	}
 	s.pinMu.Unlock()
+	if batch != nil {
+		_ = s.reclaim(batch) // a refused delete is queued for the next batch
+	}
+}
+
+// names reports whether manifest o names one of blocks (keys are never
+// reused, so the key alone tells).
+func (o *objectInfo) names(blocks []blockRef) bool {
+	for i := range o.Stripes {
+		for _, key := range o.Stripes[i].Keys {
+			for _, b := range blocks {
+				if key == b.key {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // Delete removes an object. The manifest goes and the version's
@@ -815,8 +849,10 @@ func (o *objectInfo) withRelocation(idx, pos, node int, key string) *objectInfo 
 // same node included. A write that reports failure may still have landed
 // (a rename before a failed directory sync, a reply lost after the node
 // stored the block), and its key is never issued again, so its copy gets
-// the same record and delete. The delete waits while a reader pins the
-// version, as a retired version's does.
+// the same record and delete. The copy that left the manifest stays
+// while a reader's pinned snapshot names it, as a retired version's
+// blocks do; the copy just written when nothing spliced it, which no
+// snapshot names, goes at once.
 func (s *Store) relocate(ref stripeRef, pos, node int, frame []byte) bool {
 	key := blockKey(ref.name, s.gen.Add(1), ref.idx, pos)
 	written := s.cfg.Backend.Write(node, key, frame) == nil
@@ -834,9 +870,13 @@ func (s *Store) relocate(ref stripeRef, pos, node int, frame []byte) bool {
 	if err != nil {
 		return false // the plane is down for good (meta's WAL errors are sticky)
 	}
-	// Reclaimed at once, not batched; a pinned or refused delete stays
+	// Reclaimed at once, not batched; a held or refused delete stays
 	// pending.
+	r := &retired{rec: relocKey(gone), left: []blockRef{gone}}
+	if spliced {
+		r.ver = verKey{ref.name, ref.gen}
+	}
 	s.pendingBlocks.Add(1)
-	_ = s.reclaim([]*retired{{rec: relocKey(gone), ver: verKey{ref.name, ref.gen}, left: []blockRef{gone}}})
+	_ = s.reclaim([]*retired{r})
 	return spliced
 }

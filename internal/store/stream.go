@@ -412,25 +412,21 @@ func (s *Store) fetchPositions(si *stripeInfo, scratch [][]byte, want []int, ava
 	}
 }
 
-// manifestSnapshot captures an object's stripe manifest and pins the
-// version. Both happen inside one db.View — the shard read lock — and a
-// racing commit takes that shard's write lock before it can replace the
-// manifest, so the pin is atomic with the lookup, and the reclaim that
-// follows an overwrite, delete or relocation commit is guaranteed to see
-// it. No deep copy: manifests in the plane are copy-on-write (a
-// relocation commits a replacement), so the captured slices are
-// immutable. The caller owns one unpin on ok=true.
-func (s *Store) manifestSnapshot(name string) ([]stripeInfo, int64, bool) {
-	var stripes []stripeInfo
-	var gen int64
-	ok := false
+// manifestSnapshot captures an object's manifest and pins it. Both
+// happen inside one db.View — the shard read lock — and a racing commit
+// takes that shard's write lock before it can replace the manifest, so
+// the pin is atomic with the lookup, and the reclaim that follows an
+// overwrite, delete or relocation commit is guaranteed to see it. No
+// deep copy: manifests in the plane are copy-on-write (a relocation
+// commits a replacement), so the captured manifest is immutable. The
+// caller owns one unpin on ok=true.
+func (s *Store) manifestSnapshot(name string) (*objectInfo, bool) {
+	var obj *objectInfo
 	s.db.View(objKey(name), func(v any, found bool) {
-		if !found {
-			return
+		if found {
+			obj = v.(*objectInfo)
+			s.pin(obj)
 		}
-		obj := v.(*objectInfo)
-		stripes, gen, ok = obj.Stripes, obj.Gen, true
-		s.pin(name, obj.Gen)
 	})
-	return stripes, gen, ok
+	return obj, obj != nil
 }
