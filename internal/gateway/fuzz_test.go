@@ -4,6 +4,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // rangeSpec is the only byte-range spec the gateway serves: one range,
@@ -45,6 +47,27 @@ func FuzzParseRange(f *testing.F) {
 		}
 		if satisfiable && (off < 0 || length < 1 || off+length > size) {
 			t.Fatalf("parseRange(%q, %d) = [%d, +%d), outside the object", h, size, off, length)
+		}
+	})
+}
+
+// FuzzValidateTenant throws arbitrary tenant path segments at the
+// gateway's check: it never panics, and a name it accepts is one
+// segment (no '/'), stays out of the reserved leading-dot namespace,
+// and is a valid store name.
+func FuzzValidateTenant(f *testing.F) {
+	for _, seed := range []string{"acme", "", ".mpu", "a/b", "a.b", "..", "a\x00b", "t-1_2", strings.Repeat("x", 300)} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, tenant string) {
+		if validateTenant(tenant) != nil {
+			return
+		}
+		if strings.Contains(tenant, "/") || strings.HasPrefix(tenant, ".") {
+			t.Fatalf("validateTenant accepted %q: not one segment outside the reserved namespace", tenant)
+		}
+		if err := store.ValidateName(tenant); err != nil {
+			t.Fatalf("validateTenant accepted %q, which the store refuses: %v", tenant, err)
 		}
 	})
 }

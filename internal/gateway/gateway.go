@@ -21,6 +21,7 @@
 package gateway
 
 import (
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -226,7 +227,7 @@ func (g *Gateway) authorized(r *http.Request, tenant string) bool {
 		return true
 	}
 	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	return ok && got == want
+	return ok && subtle.ConstantTimeCompare([]byte(got), []byte(want)) == 1
 }
 
 // admit runs the tenant's token bucket for n bytes; on refusal it writes

@@ -2,7 +2,9 @@ package gateway
 
 import (
 	"bytes"
+	crand "crypto/rand"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -404,6 +406,11 @@ func TestBearerAuth(t *testing.T) {
 	}
 	resp, body = do(t, "PUT", srv.URL+"/t/locked/x", obj, "Authorization", "Bearer wrong")
 	wantStatus(t, resp, body, 401)
+	// A prefix of the token and an empty token are refused like a wrong one.
+	for _, hdr := range []string{"Bearer s3cr3", "Bearer "} {
+		resp, body = do(t, "PUT", srv.URL+"/t/locked/x", obj, "Authorization", hdr)
+		wantStatus(t, resp, body, 401)
+	}
 	resp, body = do(t, "PUT", srv.URL+"/t/locked/x", obj, "Authorization", "Bearer s3cr3t")
 	wantStatus(t, resp, body, 200)
 	resp, body = do(t, "GET", srv.URL+"/t/locked/x", nil, "Authorization", "Bearer s3cr3t")
@@ -620,6 +627,30 @@ func TestMultipartErrors(t *testing.T) {
 	wantStatus(t, resp, body, 204)
 	resp, body = do(t, "GET", srv.URL+"/t/acme/obj?uploadId="+id, nil)
 	wantStatus(t, resp, body, 404)
+}
+
+// TestBeginUploadRandFailure: when the id source fails, begin-upload
+// answers 5xx and commits no upload record, not even under the id the
+// short read had filled in; the next begin, with the source back, works.
+func TestBeginUploadRandFailure(t *testing.T) {
+	g, srv := newTestGateway(t, Config{})
+	t.Cleanup(func() { randRead = crand.Read })
+	randRead = func(b []byte) (int, error) {
+		for i := range b {
+			b[i] = 0xab
+		}
+		return len(b) / 2, errors.New("entropy source failed")
+	}
+	resp, body := do(t, "POST", srv.URL+"/t/acme/obj?uploads", nil)
+	if resp.StatusCode < 500 {
+		t.Fatalf("begin with a failing id source: %d %s, want 5xx", resp.StatusCode, body)
+	}
+	if _, ok := g.st.GetUploadRecord(strings.Repeat("ab", 16)); ok {
+		t.Fatal("a failed begin left an upload record")
+	}
+	randRead = crand.Read
+	resp, body = do(t, "POST", srv.URL+"/t/acme/obj?uploads", nil)
+	wantStatus(t, resp, body, 200)
 }
 
 // wantNotBadName fails when a 400 body blames the object name: the

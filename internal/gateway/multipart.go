@@ -57,11 +57,14 @@ func partPrefix(id string) string { return ".mpu/" + id + "/" }
 
 func partName(id string, n int) string { return fmt.Sprintf("%sp%05d", partPrefix(id), n) }
 
+// randRead fills upload ids; tests replace it to make the source fail.
+var randRead = rand.Read
+
 // newUploadID returns a 128-bit random hex id — store-charset safe, so
 // it embeds in part object names and meta keys unescaped.
 func newUploadID() (string, error) {
 	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
+	if _, err := randRead(b[:]); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(b[:]), nil

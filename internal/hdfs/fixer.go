@@ -110,10 +110,9 @@ func (fs *FS) runRepairTask(ref blockRef, node int, finish func()) {
 			decode := fs.Cfg.DecodeCPUSecPerRead * float64(len(plan.Reads))
 			fs.Cl.AddCPU(decode, 1)
 			fs.Cl.Eng.Schedule(decode, func() {
-				dest := fs.pickNewHome(ref.s, node)
-				writeDone := func() {
+				land := func(at int) {
 					ref.s.Lost[ref.pos] = false
-					ref.s.Node[ref.pos] = dest
+					ref.s.Node[ref.pos] = at
 					fs.counters.BlocksRepaired++
 					if plan.Light {
 						fs.counters.LightRepairs++
@@ -122,17 +121,9 @@ func (fs *FS) runRepairTask(ref blockRef, node int, finish func()) {
 					}
 					endTask()
 				}
-				if err := fs.Cl.Transfer(node, dest, fs.Cfg.BlockSizeBytes, cluster.TagWrite, writeDone); err != nil {
-					// Destination died mid-repair: store locally.
-					ref.s.Lost[ref.pos] = false
-					ref.s.Node[ref.pos] = node
-					fs.counters.BlocksRepaired++
-					if plan.Light {
-						fs.counters.LightRepairs++
-					} else {
-						fs.counters.HeavyRepairs++
-					}
-					endTask()
+				dest := fs.pickNewHome(ref.s, node)
+				if err := fs.Cl.Transfer(node, dest, fs.Cfg.BlockSizeBytes, cluster.TagWrite, func() { land(dest) }); err != nil {
+					land(node) // destination died mid-repair: store locally
 				}
 			})
 		})

@@ -172,7 +172,7 @@ func TestCacheInvalidationOnOverwriteAndDelete(t *testing.T) {
 
 // TestCacheRepairCoherence is the kill → cache-warm → repair → read
 // sequence: cached entries serve reads while the node is down, the
-// repair write-back invalidates exactly the rewritten block, and the
+// reclaim of the copy the repair replaced invalidates its entry, and the
 // post-repair read is byte-exact with one backend re-read.
 func TestCacheRepairCoherence(t *testing.T) {
 	cb := &countingBackend{Backend: NewMemBackend()}
@@ -211,8 +211,11 @@ func TestCacheRepairCoherence(t *testing.T) {
 	}
 	rm.Drain()
 	rm.Stop()
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
 	if s.Metrics().CacheInvalidations == 0 {
-		t.Fatal("repair write-back invalidated no cache entries")
+		t.Fatal("reclaiming the copy the repair replaced invalidated no cache entries")
 	}
 
 	// Post-repair read: byte-exact, and only the rewritten block misses.

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/meta"
 )
@@ -13,35 +12,32 @@ import (
 // rollback) and relocating a block (a repair or rebalance moving it)
 // delete nothing on their own: the commit that retires or splices stages
 // a record naming what leaves (t/ or r/, see meta.go), so a block is
-// named durably before anything stops naming it, at no extra fsync. A
-// retired version then joins one pending list, and the goroutine whose
-// retire brings reclaimBatch fresh block keys into it reclaims the whole
-// list inline: the keys grouped by node, one DeleteMany per node through
-// fanOut, each key's cache entry dropped, then one commit-no-sync
-// clearing the record of every entry wholly gone. A batch closes at a
-// fixed count of keys, never on a timer, so one client at a fixed seed
-// makes the same requests on every run. A relocation reclaims the copy
-// it replaced the same way, at once (see relocate).
+// named durably before anything stops naming it, at no extra fsync.
+// Every copy that leaves then joins one pending list, and the goroutine
+// whose entry brings reclaimBatch fresh block keys into it reclaims the
+// whole list inline: the keys grouped by node, one DeleteMany per node
+// through fanOut, each key's cache entry dropped, then one
+// commit-no-sync clearing the record of every entry wholly gone. A batch
+// closes at a fixed count of keys, never on a timer, so one client at a
+// fixed seed makes the same requests on every run; Reclaim closes one
+// early (a rebalance pass and Close do).
 //
 // Every copy a PUT or a relocation writes gets a fresh generation in its
 // key, and recovery resumes past every generation a record still names,
 // so nothing is written under a key a pending delete names: a pending
 // delete never names a live copy, whatever node the block is on by then.
 //
-// A batch holds an entry back while a streaming read's pinned snapshot
-// names one of its blocks, whether the version was retired or the block
-// was relocated out of it: a reader never finds a copy gone that its
-// snapshot names. A reader of the manifest a relocation committed names
-// the new copy and holds nothing back, so a block read without pause
-// still moves. A held retired version goes with the first batch after
-// its reader leaves; a held relocated copy, deleted at once otherwise,
-// goes at the last unpin of the snapshots of its version. An entry with
-// a block on a node that refused the delete waits in the list for the
-// next batch, unless the node has left the membership. Open queues every
-// record it finds and does no I/O; Close drains the list before it
-// closes the plane.
+// A batch sorts its entries two ways: work, or wait while a streaming
+// read's pinned snapshot names one of the entry's blocks, so a reader
+// never finds a copy gone that its snapshot names. A reader of the
+// manifest a relocation committed names the new copy and holds nothing
+// back, so a block read without pause still moves. An entry that waited,
+// or has a block on a node that refused the delete, stays in the list
+// for the next batch, unless the node has left the membership. Open
+// queues every record it finds and does no I/O; Close drains the list
+// before it closes the plane.
 
-// reclaimBatch is how many freshly retired block keys close a batch: 16
+// reclaimBatch is how many freshly queued block keys close a batch: 16
 // overwrites of a one-stripe object on a 16-wide stripe, so every node
 // gets its 16 keys in one request instead of 16.
 const reclaimBatch = 256
@@ -79,13 +75,13 @@ func retiredOf(obj *objectInfo) *retired {
 	return r
 }
 
-// retire queues a replaced, deleted or rolled-back version whose
-// tombstone the caller has committed, and reclaims the whole list when
-// that closes a batch.
-func (s *Store) retire(obj *objectInfo) {
+// retire queues an entry whose record the caller has committed — a
+// replaced, deleted or rolled-back version, or the copy a relocation
+// replaced — and reclaims the whole list when that closes a batch.
+func (s *Store) retire(r *retired) {
 	var batch []*retired
 	s.reclaimMu.Lock()
-	s.queue(retiredOf(obj))
+	s.queue(r)
 	if s.fresh >= reclaimBatch {
 		batch = s.takePending()
 	}
@@ -141,23 +137,18 @@ func (s *Store) namedByReader(r *retired) bool {
 
 // reclaim deletes a batch taken off the pending list and queues again
 // what it could not delete. An entry a pinned snapshot names waits whole
-// and then goes the way it would have gone without the reader: a retired
-// version with the next batch, a relocated copy at once, which for a
-// held copy is the snapshot's last unpin (the held list). A node's keys
-// go in one DeleteMany; when it fails they all stay, unless the node is
-// no longer a member. Every key sent to delete leaves the cache. An
-// entry with nothing left has its record cleared.
+// for the next batch. A node's keys go in one DeleteMany; when it fails
+// they all stay, unless the node is no longer a member. Every key sent
+// to delete leaves the cache. An entry with nothing left has its record
+// cleared.
 func (s *Store) reclaim(batch []*retired) error {
 	var work, wait []*retired
 	s.pinMu.Lock()
 	for _, r := range batch {
-		switch {
-		case !s.namedByReader(r):
-			work = append(work, r)
-		case strings.HasPrefix(r.rec, relocPrefix):
-			s.held = append(s.held, r)
-		default:
+		if s.namedByReader(r) {
 			wait = append(wait, r)
+		} else {
+			work = append(work, r)
 		}
 	}
 	s.pinMu.Unlock()

@@ -715,7 +715,7 @@ func TestRelocationHammer(t *testing.T) {
 }
 
 // opTap is a MemBackend that runs tap once, after the first write (or,
-// with del, delete) of key.
+// with del, the first DeleteMany naming key).
 type opTap struct {
 	*MemBackend
 	del bool
@@ -736,10 +736,16 @@ func (o *opTap) Write(node int, key string, data []byte) error {
 	return err
 }
 
-func (o *opTap) Delete(node int, key string) error {
-	err := o.MemBackend.Delete(node, key)
-	o.run(true, key)
-	return err
+func (o *opTap) DeleteMany(node int, keys []string) error {
+	for _, key := range keys {
+		if err := o.MemBackend.Delete(node, key); err != nil {
+			return err
+		}
+	}
+	for _, key := range keys {
+		o.run(true, key)
+	}
+	return nil
 }
 
 // TestReclaimHoldsCopyBeingWritten: a repair rewrites a block in place on
@@ -797,24 +803,39 @@ func TestReclaimHoldsCopyBeingWritten(t *testing.T) {
 	}
 }
 
-// TestReclaimNoCopyUnderInflightDelete: a block moves off node A, and
-// while the move deletes A's stale copy a rebalance moves the block back.
-// The move back lands at once, under a key of its own, so the delete in
-// flight cannot take it.
+// TestReclaimNoCopyUnderInflightDelete: blocks of two objects move off
+// node A, and while the Reclaim's DeleteMany of A's two stale copies is
+// in flight a rebalance moves the first block back. The move back lands
+// at once, under a key of its own, so the delete in flight cannot take
+// it; the copy it replaced goes with the next Reclaim.
 func TestReclaimNoCopyUnderInflightDelete(t *testing.T) {
 	const bs = 64
 	tap := &opTap{MemBackend: NewMemBackend(), del: true}
 	s := newTestStore(t, Config{Backend: tap, Nodes: 20, BlockSize: bs})
 	want := randBytes(rand.New(rand.NewSource(37)), s.Codec().K()*bs)
-	if err := s.Put("obj", want); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"obj", "other"} {
+		if err := s.Put(name, want); err != nil {
+			t.Fatal(err)
+		}
 	}
-	v, _ := s.db.Get(objKey("obj"))
-	ref := stripeRef{name: "obj", gen: v.(*objectInfo).Gen}
-	snap := func() *stripeInfo { si, _ := s.stripeSnapshot(ref); return &si }
-	a, b := snap().Nodes[0], 0
-	for slices.Contains(snap().Nodes, b) {
-		b++
+	snapOf := func(name string) (stripeRef, func() *stripeInfo) {
+		v, _ := s.db.Get(objKey(name))
+		ref := stripeRef{name: name, gen: v.(*objectInfo).Gen}
+		return ref, func() *stripeInfo { si, _ := s.stripeSnapshot(ref); return &si }
+	}
+	spare := func(si *stripeInfo) int {
+		n := 0
+		for slices.Contains(si.Nodes, n) {
+			n++
+		}
+		return n
+	}
+	ref, snap := snapOf("obj")
+	a, b := snap().Nodes[0], spare(snap())
+	oref, osnap := snapOf("other")
+	opos := slices.Index(osnap().Nodes, a)
+	if opos < 0 {
+		t.Fatalf("no block of the second object on node %d", a)
 	}
 	rb := NewRebalancer(s, NewRepairManager(s, 0), 0)
 	tap.key, tap.tap = snap().Keys[0], func() {
@@ -825,8 +846,17 @@ func TestReclaimNoCopyUnderInflightDelete(t *testing.T) {
 	if rb.migrateTo(ref, snap(), 0, b) == 0 {
 		t.Fatalf("move %d -> %d failed", a, b)
 	}
+	if rb.migrateTo(oref, osnap(), opos, spare(osnap())) == 0 {
+		t.Fatalf("move of the second object's block off %d failed", a)
+	}
+	if tap.tap == nil {
+		t.Fatal("the move deleted its stale copy on its own path")
+	}
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
 	if tap.tap != nil {
-		t.Fatal("the move deleted no stale copy")
+		t.Fatal("the Reclaim deleted no stale copy")
 	}
 	if err := s.Reclaim(); err != nil {
 		t.Fatal(err)
@@ -835,8 +865,10 @@ func TestReclaimNoCopyUnderInflightDelete(t *testing.T) {
 	if node, _, _ := s.BlockLocation("obj", 0, 0); node != a {
 		t.Fatalf("block on node %d, want %d", node, a)
 	}
-	if got, info, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
-		t.Fatalf("Get: err %v, degraded %v", err, info.Degraded)
+	for _, name := range []string{"obj", "other"} {
+		if got, info, err := s.Get(name); err != nil || !bytes.Equal(got, want) || info.Degraded {
+			t.Fatalf("Get %s: err %v, degraded %v", name, err, info.Degraded)
+		}
 	}
 }
 
@@ -860,9 +892,9 @@ func (w *parkWriter) Write(p []byte) (int, error) {
 // while the node holding a later stripe's block is drained. The drain
 // copies the block off, but the copy the GET's snapshot names stays on
 // the drained node until the reader unpins, so the GET reads it:
-// byte-exact and not degraded, with k reads per stripe. The unpin
-// deletes it, with no batch or Reclaim, and the next pass retires the
-// node.
+// byte-exact and not degraded, with k reads per stripe. The unpin does
+// no I/O: the copy goes with the next pass's Reclaim, and that pass
+// retires the node.
 func TestReclaimWaitsForReaderOfMovedCopy(t *testing.T) {
 	const bs, stripes = 64, 3
 	mb := NewMemBackend()
@@ -917,14 +949,17 @@ func TestReclaimWaitsForReaderOfMovedCopy(t *testing.T) {
 	if i := res.info; i.Degraded || i.LightRepairs != 0 || i.HeavyRepairs != 0 || i.BlocksRead != int64(stripes*k) {
 		t.Fatalf("GET across the drain: %+v, want %d plain block reads", i, stripes*k)
 	}
-	if _, err := mb.Read(victim, key); err == nil {
-		t.Fatal("the reader's unpin kept the moved copy")
-	}
-	if got := s.Metrics().ReclaimPendingBlocks; got != 0 {
-		t.Fatalf("%d blocks pending after the reader left, want 0", got)
+	if _, err := mb.Read(victim, key); err != nil {
+		t.Fatalf("the reader's unpin deleted the moved copy: %v", err)
 	}
 	if rb.RebalanceOnce(); s.MemberState(victim) != NodeDead {
 		t.Fatalf("victim is %s after its last copy went, want dead", s.MemberState(victim))
+	}
+	if _, err := mb.Read(victim, key); err == nil {
+		t.Fatal("the pass after the reader left kept the moved copy")
+	}
+	if got := s.Metrics().ReclaimPendingBlocks; got != 0 {
+		t.Fatalf("%d blocks pending after the reader left, want 0", got)
 	}
 	checkPlacedExactly(t, s, mb)
 }
@@ -1016,13 +1051,14 @@ func (w *slowWriter) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestReclaimHeldMoveGoesAtUnpin: a repair write-back moves a block a
+// TestReclaimHeldMoveGoesAfterUnpin: a repair write-back moves a block a
 // pinned reader's snapshot names. The old copy and its cache entry stay
-// while the reader holds the snapshot, and its last unpin deletes both:
-// no overwrite, batch or Reclaim comes after. A write-back that no
-// manifest takes, because the version was overwritten meanwhile, is
-// deleted at once although a reader pins that version.
-func TestReclaimHeldMoveGoesAtUnpin(t *testing.T) {
+// while the reader holds the snapshot, a Reclaim included, and the
+// unpin leaves them too: it does no I/O. The first Reclaim after it
+// deletes both. A write-back that no manifest takes, because the version
+// was overwritten meanwhile, is named by no snapshot, so a Reclaim
+// deletes it although a reader pins that version.
+func TestReclaimHeldMoveGoesAfterUnpin(t *testing.T) {
 	const bs = 64
 	mb := NewMemBackend()
 	s := newTestStore(t, Config{Backend: mb, Nodes: 20, BlockSize: bs, CacheBytes: 1 << 20})
@@ -1054,19 +1090,31 @@ func TestReclaimHeldMoveGoesAtUnpin(t *testing.T) {
 	if _, moved, _ := s.BlockLocation("obj", 0, 0); moved == key {
 		t.Fatal("the write-back kept the block's key")
 	}
-	if _, err := mb.Read(node, key); err != nil || s.cache.get(key) == nil {
-		t.Fatalf("the copy a pinned snapshot names went under its reader: read err %v, cached %v", err, s.cache.get(key) != nil)
+	held := func(when string) {
+		t.Helper()
+		if _, err := mb.Read(node, key); err != nil || s.cache.get(key) == nil {
+			t.Fatalf("%s: the moved copy went: read err %v, cached %v", when, err, s.cache.get(key) != nil)
+		}
+		if got := s.Metrics().ReclaimPendingBlocks; got != 1 {
+			t.Fatalf("%s: %d blocks pending, want the moved copy's 1", when, got)
+		}
 	}
-	if got := s.Metrics().ReclaimPendingBlocks; got != 1 {
-		t.Fatalf("%d blocks pending while the reader holds the old copy, want 1", got)
+	held("after the write-back")
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
 	}
-
+	held("Reclaim while a pinned snapshot names the copy")
 	s.unpin(snap)
+	held("after the unpin")
+
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := mb.Read(node, key); err == nil || s.cache.get(key) != nil {
-		t.Fatalf("the last unpin kept the moved copy: read err %v, cached %v", err, s.cache.get(key) != nil)
+		t.Fatalf("the Reclaim after the unpin kept the moved copy: read err %v, cached %v", err, s.cache.get(key) != nil)
 	}
 	if m := s.Metrics(); m.ReclaimPendingBlocks != 0 || s.db.Len(relocPrefix) != 0 {
-		t.Fatalf("after the unpin: %d blocks, %d relocation records pending, want none", m.ReclaimPendingBlocks, s.db.Len(relocPrefix))
+		t.Fatalf("after the Reclaim: %d blocks, %d relocation records pending, want none", m.ReclaimPendingBlocks, s.db.Len(relocPrefix))
 	}
 	if got, info, err := s.Get("obj"); err != nil || !bytes.Equal(got, want) || info.Degraded {
 		t.Fatalf("Get after the move: err %v, degraded %v", err, info.Degraded)
@@ -1082,11 +1130,16 @@ func TestReclaimHeldMoveGoesAtUnpin(t *testing.T) {
 	if err := s.Put("obj", randBytes(rng, k*bs)); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Metrics().ReclaimPendingBlocks
 	write()
-	if m := s.Metrics(); m.ReclaimPendingBlocks != before || s.db.Len(relocPrefix) != 0 {
-		t.Fatalf("the unspliced write-back waits for the old version's reader: %d -> %d blocks, %d relocation records pending",
-			before, m.ReclaimPendingBlocks, s.db.Len(relocPrefix))
+	if n := s.db.Len(relocPrefix); n != 1 {
+		t.Fatalf("%d relocation records after the unspliced write-back, want its 1", n)
+	}
+	if err := s.Reclaim(); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.ReclaimPendingBlocks != int64(len(retiredOf(snap).left)) || s.db.Len(relocPrefix) != 0 {
+		t.Fatalf("the unspliced write-back waits for the old version's reader: %d blocks, %d relocation records pending",
+			m.ReclaimPendingBlocks, s.db.Len(relocPrefix))
 	}
 	s.unpin(snap)
 	if err := s.Reclaim(); err != nil {

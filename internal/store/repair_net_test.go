@@ -14,9 +14,10 @@ import (
 // node is lost, so each stripe with a block on it loses exactly that
 // block. Per repaired block the drain receives the frames of 5 source
 // blocks on LRC(10,6,5) and 10 on RS(10,4). Everything else it receives
-// is 5-byte response headers: one per source read, per write-back and
-// per delete of the replaced copy. The store only marks the node dead,
-// so its server stays up to answer that delete.
+// is 5-byte response headers: one per source read and per write-back,
+// and one for the DeleteMany of the Reclaim after the drain, which
+// deletes every replaced copy on the victim at once. The store only
+// marks the node dead, so its server stays up to answer that delete.
 func TestRepairWireBytesLRCvsRS(t *testing.T) {
 	const nodes, bs, stripes, hdr = 20, 4 << 10, 8, 5
 	for _, c := range []struct {
@@ -64,6 +65,9 @@ func TestRepairWireBytesLRCvsRS(t *testing.T) {
 		before := received()
 		store.NewScrubber(s, rm, 0).ScrubPresence()
 		rm.Drain()
+		if err := s.Reclaim(); err != nil {
+			t.Fatal(err)
+		}
 		got := received() - before
 		rm.Stop()
 		m := s.Metrics()
@@ -72,8 +76,8 @@ func TestRepairWireBytesLRCvsRS(t *testing.T) {
 				c.codec.Name(), m.RepairedBlocks, m.RepairBlocksRead, c.sources)
 		}
 		frame := int64(hdr + 4 + bs)
-		if want := m.RepairedBlocks * (c.sources*frame + 2*hdr); got != want {
-			t.Errorf("%s: the drain received %d wire bytes for %d repaired blocks, want %d (%d source frames and 2 headers each)",
+		if want := m.RepairedBlocks*(c.sources*frame+hdr) + hdr; got != want {
+			t.Errorf("%s: the drain received %d wire bytes for %d repaired blocks, want %d (%d source frames and a header each, one delete header)",
 				c.codec.Name(), got, m.RepairedBlocks, want, c.sources)
 		}
 		t.Logf("%s: %d bytes received per repaired %d-byte block", c.codec.Name(), got/m.RepairedBlocks, bs)

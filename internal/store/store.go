@@ -161,13 +161,10 @@ type Store struct {
 	// names — a copy retired by an overwrite or delete, or relocated by a
 	// repair or rebalance — so no block the read's snapshot names is
 	// deleted mid-stream. A reader of a later manifest, which names the
-	// relocated copy instead, holds nothing back. held lists the
-	// relocated copies a pin holds; the last unpin of a manifest reclaims
-	// those of its version (a held retired version waits on the pending
-	// list for the next batch instead).
+	// relocated copy instead, holds nothing back. A held copy goes with
+	// the first batch or Reclaim after its last reader leaves.
 	pinMu sync.Mutex
 	pins  map[*objectInfo]int
-	held  []*retired
 
 	// Reclamation (reclaim.go): the pending list, the block keys queued
 	// since a batch last took it, and the gauge of keys still waiting.
@@ -627,29 +624,14 @@ func (s *Store) pin(m *objectInfo) {
 	s.pinMu.Unlock()
 }
 
-// unpin releases one reader of manifest m. The last one reclaims the
-// held relocated copies of m's version: reclaim holds back again any
-// that another pinned manifest still names.
+// unpin releases one reader of manifest m. It does no I/O: a copy the
+// pin held back goes with the next batch or Reclaim.
 func (s *Store) unpin(m *objectInfo) {
-	var batch []*retired
 	s.pinMu.Lock()
 	if s.pins[m]--; s.pins[m] <= 0 {
 		delete(s.pins, m)
-		keep := s.held[:0]
-		for _, r := range s.held {
-			if r.ver == (verKey{m.Name, m.Gen}) {
-				batch = append(batch, r)
-			} else {
-				keep = append(keep, r)
-			}
-		}
-		clear(s.held[len(keep):])
-		s.held = keep
 	}
 	s.pinMu.Unlock()
-	if batch != nil {
-		_ = s.reclaim(batch) // a refused delete is queued for the next batch
-	}
 }
 
 // names reports whether manifest o names one of blocks (keys are never
@@ -689,7 +671,7 @@ func (s *Store) Delete(name string) error {
 	if obj == nil {
 		return fmt.Errorf("%w: %q", ErrObjectNotFound, name)
 	}
-	s.retire(obj)
+	s.retire(retiredOf(obj))
 	return nil
 }
 
@@ -849,10 +831,8 @@ func (o *objectInfo) withRelocation(idx, pos, node int, key string) *objectInfo 
 // same node included. A write that reports failure may still have landed
 // (a rename before a failed directory sync, a reply lost after the node
 // stored the block), and its key is never issued again, so its copy gets
-// the same record and delete. The copy that left the manifest stays
-// while a reader's pinned snapshot names it, as a retired version's
-// blocks do; the copy just written when nothing spliced it, which no
-// snapshot names, goes at once.
+// the same record and pending delete. The copy that leaves joins the
+// pending list as a retired version's blocks do (see reclaim.go).
 func (s *Store) relocate(ref stripeRef, pos, node int, frame []byte) bool {
 	key := blockKey(ref.name, s.gen.Add(1), ref.idx, pos)
 	written := s.cfg.Backend.Write(node, key, frame) == nil
@@ -870,13 +850,10 @@ func (s *Store) relocate(ref stripeRef, pos, node int, frame []byte) bool {
 	if err != nil {
 		return false // the plane is down for good (meta's WAL errors are sticky)
 	}
-	// Reclaimed at once, not batched; a held or refused delete stays
-	// pending.
 	r := &retired{rec: relocKey(gone), left: []blockRef{gone}}
 	if spliced {
 		r.ver = verKey{ref.name, ref.gen}
 	}
-	s.pendingBlocks.Add(1)
-	_ = s.reclaim([]*retired{r})
+	s.retire(r)
 	return spliced
 }

@@ -118,7 +118,7 @@ func (s *Store) PutReader(name string, r io.Reader) error {
 			// A plane that cannot log the tombstone is down; the blocks are
 			// still queued in memory, and err is the one to report.
 			_ = s.db.Put(tombKey(obj), obj)
-			s.retire(obj)
+			s.retire(retiredOf(obj))
 		}
 		return err
 	}
@@ -300,7 +300,7 @@ func (s *Store) commit(obj *objectInfo) error {
 		return err
 	}
 	if old != nil {
-		s.retire(old)
+		s.retire(retiredOf(old))
 	}
 	return nil
 }
