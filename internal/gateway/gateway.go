@@ -427,48 +427,52 @@ func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request, t *tenant, n
 }
 
 // handleGet serves an object, honoring a single `Range: bytes=...`
-// request with 206/416 semantics. A ranged read goes through
-// Store.GetRange, which fetches only the data blocks the range covers.
+// request with 206/416 semantics. Headers, admission and body all come
+// from one pinned version (Store.GetWindow): the response is sized from
+// the version whose bytes it streams, so an overwrite racing the GET
+// changes neither. A ranged read fetches only the data blocks the range
+// covers.
 func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, t *tenant, name string) {
-	st, err := g.st.Stat(name)
-	if err != nil {
-		g.writeError(w, err)
-		return
-	}
-	size := int64(st.Size)
-	w.Header().Set("Accept-Ranges", "bytes")
-	w.Header().Set("Content-Type", "application/octet-stream")
 	cw := &countingWriter{w: w, acc: &g.m.bytesOut}
-	if rng := r.Header.Get("Range"); rng != "" {
-		off, length, ok, satisfiable := parseRange(rng, size)
-		if ok && !satisfiable {
-			w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", size))
-			http.Error(w, "requested range not satisfiable", http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-		if ok {
-			if !g.admit(w, t, length) {
-				return
+	answered := false
+	_, err := g.st.GetWindow(name, func(size int64) (int64, int64, io.Writer) {
+		answered = true
+		w.Header().Set("Accept-Ranges", "bytes")
+		w.Header().Set("Content-Type", "application/octet-stream")
+		if rng := r.Header.Get("Range"); rng != "" {
+			off, length, ok, satisfiable := parseRange(rng, size)
+			if ok && !satisfiable {
+				w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", size))
+				http.Error(w, "requested range not satisfiable", http.StatusRequestedRangeNotSatisfiable)
+				return 0, 0, nil
 			}
-			w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
-			w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
-			w.WriteHeader(http.StatusPartialContent)
-			if _, err := g.st.GetRange(name, off, length, cw); err != nil {
-				// Status is out the door; all we can do is cut the body
-				// short so the client sees a truncated 206, not a clean one.
-				return
+			if ok {
+				// Admission answers 429 at once, never waits, so the
+				// version pin is held for no longer than a GET that fails.
+				if !g.admit(w, t, length) {
+					return 0, 0, nil
+				}
+				w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
+				w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+length-1, size))
+				w.WriteHeader(http.StatusPartialContent)
+				return off, length, cw
 			}
-			return
+			// An unparseable Range header is ignored per RFC 7233 — fall
+			// through to the full object.
 		}
-		// An unparseable Range header is ignored per RFC 7233 — fall
-		// through to the full object.
+		if !g.admit(w, t, size) {
+			return 0, 0, nil
+		}
+		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+		w.WriteHeader(http.StatusOK)
+		return 0, -1, cw
+	})
+	// After choose the status is out the door: all a failed read can do
+	// is cut the body short, so the client sees a truncated response, not
+	// a clean one.
+	if err != nil && !answered {
+		g.writeError(w, err)
 	}
-	if !g.admit(w, t, size) {
-		return
-	}
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	w.WriteHeader(http.StatusOK)
-	_, _ = g.st.GetWriter(name, cw)
 }
 
 // parseRange interprets a single-range `bytes=` header against an object

@@ -11,7 +11,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -824,5 +827,72 @@ func TestMetricsQuantileRounding(t *testing.T) {
 		if p50, p99 := quantileMs(&h, n, 0.50), quantileMs(&h, n, 0.99); p50 != c.p50 || p99 != c.p99 {
 			t.Fatalf("%s: p50 %v p99 %v ms, want %v %v", c.name, p50, p99, c.p50, c.p99)
 		}
+	}
+}
+
+// TestGetSnapshotUnderOverwrite: a GET's headers and body describe one
+// version. Two writers keep overwriting one key with bodies of two sizes
+// (one stripe and four, at 256-byte blocks) while readers GET it, and
+// every 200 must carry a Content-Length equal to its body's length and a
+// body that is one whole version. Sizing the response from one manifest
+// read and streaming from another let an overwrite land between the two:
+// the headers then named one size and the body came from the other
+// version, cut to the first's length or short of it. Run under -race
+// -count=20 in CI.
+func TestGetSnapshotUnderOverwrite(t *testing.T) {
+	g, _ := newTestGateway(t, Config{})
+	const name = "a/k"
+	versions := [][]byte{testBytes(1, 2560), testBytes(2, 9000)}
+	if err := g.Store().Put(name, versions[0]); err != nil {
+		t.Fatal(err)
+	}
+	const readers, gets = 4, 2000
+	stop := make(chan struct{})
+	var writers, wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := g.Store().Put(name, versions[i%2]); err != nil {
+					t.Errorf("overwrite: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	var served atomic.Int64
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < gets; i++ {
+				rec := httptest.NewRecorder()
+				g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/t/"+name, nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("GET: %d %s", rec.Code, strings.TrimSpace(rec.Body.String()))
+					return
+				}
+				body := rec.Body.Bytes()
+				cl := rec.Header().Get("Content-Length")
+				if cl != strconv.Itoa(len(body)) || !(bytes.Equal(body, versions[0]) || bytes.Equal(body, versions[1])) {
+					t.Errorf("GET %d: Content-Length %s with a %d-byte body (a whole version: %v)",
+						i, cl, len(body), bytes.Equal(body, versions[0]) || bytes.Equal(body, versions[1]))
+					return
+				}
+				served.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	writers.Wait()
+	if got := served.Load(); got != readers*gets {
+		t.Fatalf("%d of %d GETs answered with one version", got, readers*gets)
 	}
 }

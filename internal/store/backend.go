@@ -58,10 +58,11 @@ type OwnedWriter interface {
 // dst throughout (the backend keeps no reference past return), and must
 // not let the result outlive dst's next use. After an error dst may hold
 // part of a block. The store's one caller is readBlockPayload, which
-// lends pooled frames for the source blocks of a repair or degraded read
-// and for a joiner fill, and a repair's re-probe its slab slots; a
-// backend without ReadInto (MemBackend, DirBackend) is simply read
-// through Read.
+// lends pooled frames for the source blocks of a repair or degraded read,
+// for a joiner fill and for the blocks a GET wants but the cache declines
+// to keep (all of them when the store has no cache), and a repair's
+// re-probe its slab slots; a backend without ReadInto (MemBackend,
+// DirBackend) is simply read through Read.
 type IntoReader interface {
 	ReadInto(node int, key string, dst []byte) ([]byte, error)
 }

@@ -1,6 +1,8 @@
 package store_test
 
 import (
+	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"testing"
@@ -88,5 +90,76 @@ func TestRepairSteadyStateAllocation(t *testing.T) {
 	}
 	if rep := sc.ScrubOnce(); rep.Missing+rep.Corrupt+rep.Enqueued != 0 {
 		t.Fatalf("scrub after the repairs: %+v", rep)
+	}
+}
+
+// TestBorrowColdScanAllocation pins what borrowing a GET's declined
+// blocks buys: a store over a loopback netblock fleet, 64 KiB blocks, a
+// 4 MiB cache, and a GET scan cycling over three times that. After the
+// first pass has filled the cache and the second has warmed the frame
+// pool, a pass allocates, process-wide, less than one block per GET —
+// where each GET wants k blocks, and allocated every one of them while
+// the cache took each miss in case it came back.
+func TestBorrowColdScanAllocation(t *testing.T) {
+	if store.RaceEnabled {
+		t.Skip("allocation counts are inflated under the race detector, and its sync.Pool drops items at random")
+	}
+	if testing.Short() {
+		t.Skip("scans 40 MiB through a loopback fleet; skipped with -short")
+	}
+	const nodes, bs = 20, 64 << 10
+	const budget = 16 * 4 * bs
+	addrs := make([]string, nodes)
+	for i := range addrs {
+		srv, addr, err := netblock.StartLocal(store.NewMemBackend())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = addr
+	}
+	client, err := netblock.Dial(addrs, netblock.Options{DialTimeout: time.Second, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	s, err := store.New(store.Config{Backend: client, Nodes: nodes, BlockSize: bs, CacheBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(s.Codec().K() * bs)
+	objects := int(3*budget/size) + 1
+	for i := 0; i < objects; i++ {
+		if err := s.PutReader(fmt.Sprintf("cold%02d", i), pattern.NewReader(size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// pass reads every object once and returns the bytes the whole
+	// process allocated per GET meanwhile.
+	pass := func() int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < objects; i++ {
+			if info, err := s.GetWriter(fmt.Sprintf("cold%02d", i), io.Discard); err != nil || info.BytesWritten != size {
+				t.Fatalf("GET cold%02d: %d bytes, err %v", i, info.BytesWritten, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / int64(objects)
+	}
+	pass()
+	pass()
+	// The median of five passes, as a sync.Pool keeps frames per P.
+	const rounds = 5
+	perGet := make([]int64, rounds)
+	for i := range perGet {
+		perGet[i] = pass()
+	}
+	sort.Slice(perGet, func(i, j int) bool { return perGet[i] < perGet[j] })
+	if per := perGet[rounds/2]; per >= bs {
+		t.Errorf("a cold GET allocates %d bytes (per pass: %v), want under one %d-byte block", per, perGet, bs)
+	}
+	if m := s.Metrics(); m.CacheHits != 0 {
+		t.Errorf("the cold scan hit the cache %d times", m.CacheHits)
 	}
 }

@@ -8,11 +8,28 @@ import (
 // The hot-block cache: a buffer-pool-style, byte-budgeted LRU over
 // fetched data-block payloads, so a hot object under heavy read traffic
 // costs one backend read instead of one per reader. A payload is never
-// written again once cached (Backend.Read results are the reader's own,
-// and a frame lent to a decode never reaches the cache), so eviction
-// needs no pins: an evicted or invalidated payload stays valid for
-// whoever already holds the slice, and the garbage collector frees it
-// after the last one.
+// written again once cached (the cache keeps only blocks read through
+// Backend.Read, whose results are the reader's own, or rebuilt into
+// buffers of their own, and never a frame lent from Store.frames), so
+// eviction needs no pins: an evicted or invalidated payload stays valid
+// for whoever already holds the slice, and the garbage collector frees
+// it after the last one.
+//
+// Admission: the list holds keys, not only bytes. A miss is answered
+// before its block is read: the cache keeps the block's bytes when the
+// shard has room for them without evicting, or when the key is on the
+// list as a placeholder — it came back within one budget's reach.
+// Otherwise the key is listed as a placeholder: a key-only entry,
+// charged the block's length, that evicts LRU-first like a resident one.
+// A shard listing a placeholder has overflowed and offers a stranger no
+// room: a payload is charged its capacity, which can exceed a
+// placeholder's charge, so the room a placeholder's eviction leaves
+// would admit a block that then evicts. So a cache with room admits
+// everything, as a plain LRU would, while a scan larger than the budget
+// leaves placeholders instead of bytes, and its reader borrows pooled
+// frames for the blocks the cache declines. Placeholders hold no bytes
+// and count in no metric: CacheBytes, CacheEvictions and
+// CacheInvalidations are about resident payloads.
 //
 // Keying: entries are keyed by the backend block key, which already
 // embeds (object name, generation, stripe index, block position) and is
@@ -33,34 +50,40 @@ import (
 // default concurrency.
 const cacheShards = 16
 
-// cacheEntry is one resident block payload. The list links are guarded
-// by the owning shard's mutex; key and payload are immutable.
+// cacheEntry is one listed key: a resident block payload, or a
+// placeholder (payload nil) that remembers the key and is charged what
+// its block would cost. The list links are guarded by the owning shard's
+// mutex; key, payload and charge are immutable.
 type cacheEntry struct {
 	key     string
 	payload []byte
+	// charge is what the entry costs against the byte budget: a
+	// payload's capacity, not its length — holding the slice pins its
+	// whole backing array, so a backend that returns over-capacity slices
+	// fills the budget sooner instead of overrunning it unseen — and a
+	// placeholder's block length.
+	charge int64
 	// LRU list links; head side is most recently used.
 	prev, next *cacheEntry
 }
 
-// cost is what an entry is charged against the byte budget: the
-// payload's capacity, not its length. Holding the slice pins its whole
-// backing array, so a backend that returns over-capacity slices fills
-// the budget sooner instead of overrunning it unseen.
-func (e *cacheEntry) cost() int64 { return int64(cap(e.payload)) }
+func (e *cacheEntry) resident() bool { return e.payload != nil }
 
 // cacheShard is one lock's worth of the cache: a key table, an LRU list
 // threaded through the entries (root is the sentinel), and this shard's
-// slice of the byte budget.
+// slice of the byte budget, which resident entries and placeholders
+// share.
 type cacheShard struct {
-	mu     sync.Mutex
-	table  map[string]*cacheEntry
-	root   cacheEntry
-	bytes  int64
-	budget int64
+	mu           sync.Mutex
+	table        map[string]*cacheEntry
+	root         cacheEntry
+	bytes        int64
+	budget       int64
+	placeholders int // listed entries with no payload
 }
 
 // blockCache is the store-wide cache. Counters are atomics so Metrics
-// never takes the shard locks.
+// never takes the shard locks; all of them count resident payloads only.
 type blockCache struct {
 	shards        [cacheShards]cacheShard
 	hits          atomic.Int64
@@ -109,14 +132,38 @@ func (sh *cacheShard) unlink(e *cacheEntry) {
 	e.prev, e.next = nil, nil
 }
 
+// insert lists e at MRU and charges it, then evicts LRU-first back down
+// to the shard budget.
+func (sh *cacheShard) insert(c *blockCache, e *cacheEntry) {
+	sh.table[e.key] = e
+	sh.pushFront(e)
+	sh.bytes += e.charge
+	if e.resident() {
+		c.bytes.Add(e.charge)
+	} else {
+		sh.placeholders++
+	}
+	for sh.bytes > sh.budget {
+		victim := sh.root.prev
+		sh.drop(c, victim)
+		if victim.resident() {
+			c.evictions.Add(1)
+		}
+	}
+}
+
 // drop removes an entry from the table, the LRU list and the byte
 // accounting. A reader keeps its payload slice — dropping only ends the
 // entry's cache residency.
 func (sh *cacheShard) drop(c *blockCache, e *cacheEntry) {
 	sh.unlink(e)
 	delete(sh.table, e.key)
-	sh.bytes -= e.cost()
-	c.bytes.Add(-e.cost())
+	sh.bytes -= e.charge
+	if e.resident() {
+		c.bytes.Add(-e.charge)
+	} else {
+		sh.placeholders--
+	}
 }
 
 // get returns the cached payload for key, or nil on a miss.
@@ -124,7 +171,7 @@ func (c *blockCache) get(key string) []byte {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	e := sh.table[key]
-	if e == nil {
+	if e == nil || !e.resident() {
 		sh.mu.Unlock()
 		c.misses.Add(1)
 		return nil
@@ -136,39 +183,67 @@ func (c *blockCache) get(key string) []byte {
 	return e.payload
 }
 
-// add inserts (or refreshes) a payload at MRU, then evicts LRU-first
-// back down to the shard budget. Payloads larger than a whole shard
-// budget are not cached (admitting one would just flush the shard for a
-// single entry that can never stay).
+// admit answers a miss on key before its n-byte block is read: whether
+// the cache will store the block, which the caller then passes to add.
+// Yes when the key is listed as a placeholder (it came back within one
+// budget's reach; the placeholder moves to MRU), or when the shard lists
+// no placeholder and has room for n more bytes without evicting. Otherwise the key is listed as
+// a placeholder charged n bytes, evicting LRU-first, and the caller reads
+// the block into a buffer of its own choosing. A key a racing reader has
+// made resident since the miss is left as it is and not stored again; a
+// block larger than a whole shard budget is never stored and leaves no
+// placeholder (listing one would just flush the shard for a single entry
+// that can never stay).
+func (c *blockCache) admit(key string, n int64) bool {
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.table[key]
+	switch {
+	case e != nil && e.resident():
+		return false
+	case e != nil:
+		sh.unlink(e)
+		sh.pushFront(e)
+		return true
+	case n > sh.budget:
+		return false
+	case sh.placeholders == 0 && sh.bytes+n <= sh.budget:
+		return true
+	}
+	sh.insert(c, &cacheEntry{key: key, charge: n})
+	return false
+}
+
+// add stores a payload at MRU, in place of whatever entry its key has —
+// its placeholder, or the payload of a reader that raced this one to the
+// same block — then evicts LRU-first back down to the shard budget.
+// Payloads larger than a whole shard budget are not cached.
 func (c *blockCache) add(key string, payload []byte) {
 	sh := c.shardFor(key)
-	e := &cacheEntry{key: key, payload: payload}
-	if e.cost() > sh.budget {
+	e := &cacheEntry{key: key, payload: payload, charge: int64(cap(payload))}
+	if e.charge > sh.budget {
 		return
 	}
 	sh.mu.Lock()
 	if old := sh.table[key]; old != nil {
 		sh.drop(c, old)
 	}
-	sh.table[key] = e
-	sh.pushFront(e)
-	sh.bytes += e.cost()
-	c.bytes.Add(e.cost())
-	for sh.bytes > sh.budget {
-		sh.drop(c, sh.root.prev)
-		c.evictions.Add(1)
-	}
+	sh.insert(c, e)
 	sh.mu.Unlock()
 }
 
-// invalidate drops key if resident. reclaim calls it for every copy it
-// deletes, so a copy serves no hit once it is gone from its node.
+// invalidate drops key, resident or placeholder. reclaim calls it for
+// every copy it deletes, so a copy serves no hit once it is gone from its
+// node.
 func (c *blockCache) invalidate(key string) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	if e := sh.table[key]; e != nil {
 		sh.drop(c, e)
-		c.invalidations.Add(1)
+		if e.resident() {
+			c.invalidations.Add(1)
+		}
 	}
 	sh.mu.Unlock()
 }

@@ -319,3 +319,323 @@ func TestCacheChurnRace(t *testing.T) {
 		t.Fatal("40 overwrites invalidated nothing")
 	}
 }
+
+// shardKeys returns n keys that hash onto one shard of c, so a test can
+// fill that shard's budget exactly and overflow it.
+func shardKeys(c *blockCache, n int) []string {
+	target := c.shardFor("k0")
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		if k := fmt.Sprintf("k%d", i); c.shardFor(k) == target {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// listed reports whether key is on its shard's list, and whether as a
+// resident entry, without touching the LRU order or the hit counters.
+func listed(c *blockCache, key string) (onList, resident bool) {
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.table[key]
+	return e != nil, e != nil && e.resident()
+}
+
+// cacheMetric is the cache's three resident-only counters, for
+// comparing before and after.
+type cacheMetric struct{ bytes, evictions, invalidations int64 }
+
+func metricsOf(c *blockCache) cacheMetric {
+	return cacheMetric{c.bytes.Load(), c.evictions.Load(), c.invalidations.Load()}
+}
+
+// The admission tests run one shard at a 4-block budget with 100-byte
+// blocks.
+const admitBlock, admitSlots = 100, 4
+
+func newAdmitCache() *blockCache { return newBlockCache(cacheShards * admitSlots * admitBlock) }
+
+// TestCacheAdmitsWithRoomOrReturningKey: a miss is stored while its
+// shard has room without evicting, and when its key comes back while its
+// placeholder is still listed; any other miss is declined.
+func TestCacheAdmitsWithRoomOrReturningKey(t *testing.T) {
+	c := newAdmitCache()
+	keys := shardKeys(c, admitSlots+1)
+	for _, k := range keys[:admitSlots] {
+		if c.get(k) != nil || !c.admit(k, admitBlock) {
+			t.Fatalf("%s: a miss with room was declined", k)
+		}
+		c.add(k, make([]byte, admitBlock))
+	}
+	if m := metricsOf(c); m != (cacheMetric{bytes: admitSlots * admitBlock}) {
+		t.Fatalf("after the fill: %+v", m)
+	}
+	late := keys[admitSlots]
+	if c.admit(late, admitBlock) {
+		t.Fatal("a miss on a full shard was stored")
+	}
+	if on, res := listed(c, late); !on || res {
+		t.Fatalf("the declined key is listed %v, resident %v: want a placeholder", on, res)
+	}
+	if !c.admit(late, admitBlock) {
+		t.Fatal("a key that came back while its placeholder was listed was declined")
+	}
+	c.add(late, make([]byte, admitBlock))
+	if c.get(late) == nil {
+		t.Fatal("the returning key's payload is not resident")
+	}
+	// The placeholder already held the key's charge: storing the payload
+	// in its place evicted nothing more than the placeholder itself did.
+	if m := metricsOf(c); m != (cacheMetric{bytes: admitSlots * admitBlock, evictions: 1}) {
+		t.Fatalf("after the returning key: %+v, want the budget resident and the one eviction its placeholder made", m)
+	}
+}
+
+// TestCacheNoRoomWhileOverflowing: a shard that lists a placeholder
+// admits no stranger on room alone, even where the placeholder's charge
+// left room — a short block's placeholder evicting a full block, or a
+// payload charged its over-length capacity — since the block would then
+// evict in its turn. Once its placeholders are gone, room admits again.
+func TestCacheNoRoomWhileOverflowing(t *testing.T) {
+	c := newAdmitCache()
+	keys := shardKeys(c, admitSlots+2)
+	for _, k := range keys[:admitSlots] {
+		c.admit(k, admitBlock)
+		c.add(k, make([]byte, admitBlock))
+	}
+	short := keys[admitSlots]
+	if c.admit(short, admitBlock/10) {
+		t.Fatal("stored on a full shard")
+	}
+	if sh := c.shardFor(short); sh.bytes+admitBlock/2 > sh.budget {
+		t.Fatalf("shard charge %d of %d: the short placeholder left no room to test", sh.bytes, sh.budget)
+	}
+	stranger := keys[admitSlots+1]
+	if c.admit(stranger, admitBlock/2) {
+		t.Fatal("a stranger was stored on a shard that lists a placeholder")
+	}
+	c.invalidate(short)
+	c.invalidate(stranger)
+	if !c.admit(stranger, admitBlock/2) {
+		t.Fatal("with its placeholders gone, a shard with room declined")
+	}
+}
+
+// TestCachePlaceholderEvictsLRUFirst: a placeholder is charged its block
+// length against the shard budget and is evicted LRU-first like a
+// resident entry, and evicts like one.
+func TestCachePlaceholderEvictsLRUFirst(t *testing.T) {
+	c := newAdmitCache()
+	keys := shardKeys(c, 2*admitSlots+1)
+	resident, scan := keys[:admitSlots], keys[admitSlots:]
+	for _, k := range resident {
+		c.admit(k, admitBlock)
+		c.add(k, make([]byte, admitBlock))
+	}
+	// Each placeholder evicts the least recently used resident.
+	for i, k := range scan[:admitSlots] {
+		if c.admit(k, admitBlock) {
+			t.Fatalf("%s: stored on a full shard", k)
+		}
+		for j, r := range resident {
+			if _, res := listed(c, r); res != (j > i) {
+				t.Fatalf("after %d placeholders, resident %d listed %v", i+1, j, res)
+			}
+		}
+	}
+	sh := c.shardFor(keys[0])
+	if m := metricsOf(c); m != (cacheMetric{evictions: admitSlots}) || sh.bytes != admitSlots*admitBlock {
+		t.Fatalf("a shard of placeholders: %+v, shard charge %d, want %d", m, sh.bytes, admitSlots*admitBlock)
+	}
+	// A further placeholder evicts the oldest placeholder: scan[0].
+	if c.admit(scan[admitSlots], admitBlock) {
+		t.Fatal("stored on a shard full of placeholders")
+	}
+	if on, _ := listed(c, scan[0]); on {
+		t.Fatal("the least recently listed placeholder survived")
+	}
+	for _, k := range scan[1:] {
+		if on, _ := listed(c, k); !on {
+			t.Fatalf("%s: a newer placeholder went first", k)
+		}
+	}
+	// A returning key moves its placeholder to MRU, so the next eviction
+	// takes the one after it.
+	if !c.admit(scan[1], admitBlock) {
+		t.Fatal("a listed placeholder's key was declined")
+	}
+	c.admit(scan[0], admitBlock)
+	if on, _ := listed(c, scan[1]); !on {
+		t.Fatal("the placeholder its key refreshed was evicted")
+	}
+	if on, _ := listed(c, scan[2]); on {
+		t.Fatal("the least recently used placeholder survived")
+	}
+}
+
+// TestCachePlaceholderCountsInNoMetric: placeholders hold no bytes, and
+// listing, evicting or invalidating one moves none of CacheBytes,
+// CacheEvictions and CacheInvalidations.
+func TestCachePlaceholderCountsInNoMetric(t *testing.T) {
+	c := newAdmitCache()
+	keys := shardKeys(c, 4*admitSlots)
+	for _, k := range keys[:admitSlots] {
+		c.admit(k, admitBlock)
+		c.add(k, make([]byte, admitBlock))
+	}
+	for _, k := range keys[admitSlots : 2*admitSlots] {
+		c.admit(k, admitBlock) // evicts the residents: counted
+	}
+	before := metricsOf(c)
+	if before != (cacheMetric{evictions: admitSlots}) {
+		t.Fatalf("residents evicted by placeholders: %+v", before)
+	}
+	for _, k := range keys[2*admitSlots:] {
+		if c.admit(k, admitBlock) {
+			t.Fatalf("%s: stored on a shard full of placeholders", k)
+		}
+	}
+	for _, k := range keys {
+		c.invalidate(k)
+	}
+	if got := metricsOf(c); got != before {
+		t.Fatalf("placeholders moved the metrics: %+v -> %+v", before, got)
+	}
+	if h, m := c.hits.Load(), c.misses.Load(); h != 0 || m != 0 {
+		t.Fatalf("admit counted %d hits, %d misses: only get counts", h, m)
+	}
+}
+
+// TestCachePlaceholderNeverReplacesResident: two readers that miss on
+// the same block race to answer it. Whichever order they land in, a
+// resident payload stays resident, and a stored payload takes its
+// placeholder's place.
+func TestCachePlaceholderNeverReplacesResident(t *testing.T) {
+	// Resident first: A misses; B misses with room, is admitted and
+	// stores; the shard fills; A's admission finds the key resident.
+	c := newAdmitCache()
+	keys := shardKeys(c, admitSlots+1)
+	k := keys[0]
+	if c.get(k) != nil || c.get(k) != nil {
+		t.Fatal("hit on an empty cache")
+	}
+	if !c.admit(k, admitBlock) {
+		t.Fatal("B: a miss with room was declined")
+	}
+	payload := make([]byte, admitBlock)
+	c.add(k, payload)
+	for _, f := range keys[1:admitSlots] {
+		c.admit(f, admitBlock)
+		c.add(f, make([]byte, admitBlock))
+	}
+	before := metricsOf(c)
+	if c.admit(k, admitBlock) {
+		t.Fatal("A: told to store a block a racing reader already stored")
+	}
+	if got := c.get(k); got == nil || &got[0] != &payload[0] {
+		t.Fatal("A's admission replaced the resident payload")
+	}
+	if got := metricsOf(c); got != before {
+		t.Fatalf("A's admission moved the metrics: %+v -> %+v", before, got)
+	}
+
+	// Placeholder first: A misses on a full shard and lists a
+	// placeholder; B, missing on the same key, is told to store, and its
+	// payload takes the placeholder's place.
+	c = newAdmitCache()
+	for _, f := range keys[1:] {
+		c.admit(f, admitBlock)
+		c.add(f, make([]byte, admitBlock))
+	}
+	if c.admit(k, admitBlock) {
+		t.Fatal("A: stored on a full shard")
+	}
+	if !c.admit(k, admitBlock) {
+		t.Fatal("B: the key is listed, yet declined")
+	}
+	c.add(k, payload)
+	if got := c.get(k); got == nil || &got[0] != &payload[0] {
+		t.Fatal("B's payload is not resident in the placeholder's place")
+	}
+	if got := c.shardFor(k).bytes; got != admitSlots*admitBlock {
+		t.Fatalf("shard charge %d: the placeholder was not replaced", got)
+	}
+}
+
+// TestCacheInvalidateDropsEitherKind: invalidate takes a key off the
+// list whether it is resident or a placeholder; only the resident one
+// counts as an invalidation, and a key whose placeholder went is a
+// stranger again.
+func TestCacheInvalidateDropsEitherKind(t *testing.T) {
+	c := newAdmitCache()
+	keys := shardKeys(c, admitSlots+1)
+	for _, k := range keys[:admitSlots] {
+		c.admit(k, admitBlock)
+		c.add(k, make([]byte, admitBlock))
+	}
+	ph := keys[admitSlots]
+	c.admit(ph, admitBlock) // lists a placeholder, evicts keys[0]
+	c.invalidate(keys[1])
+	if on, _ := listed(c, keys[1]); on {
+		t.Fatal("an invalidated resident is still listed")
+	}
+	if m := metricsOf(c); m != (cacheMetric{bytes: 2 * admitBlock, evictions: 1, invalidations: 1}) {
+		t.Fatalf("after invalidating a resident: %+v", m)
+	}
+	c.invalidate(ph)
+	if on, _ := listed(c, ph); on {
+		t.Fatal("an invalidated placeholder is still listed")
+	}
+	if m := metricsOf(c); m.invalidations != 1 {
+		t.Fatalf("invalidating a placeholder counted: %+v", m)
+	}
+	// Two slots free now: fill them, and the old placeholder's key finds
+	// no room and no placeholder.
+	for _, k := range keys[:2] {
+		c.admit(k, admitBlock)
+		c.add(k, make([]byte, admitBlock))
+	}
+	if c.admit(ph, admitBlock) {
+		t.Fatal("a key whose placeholder was invalidated was still admitted as returning")
+	}
+}
+
+// TestCacheCyclicScanHoldsNoBytes: a GET scan cycling over three times
+// the cache budget never hits: every shard fills, and then each miss
+// lists a placeholder that evicts LRU-first, so no key comes back while
+// it is still listed and, after one pass beyond the fill, no bytes are
+// held at all. A plain LRU would have the same hit rate, holding the
+// budget in payloads that are never read again.
+func TestCacheCyclicScanHoldsNoBytes(t *testing.T) {
+	const bs = 256
+	const budget = cacheShards * 10 * bs
+	s := newTestStore(t, Config{BlockSize: bs, CacheBytes: budget})
+	k := s.Codec().K()
+	rng := rand.New(rand.NewSource(55))
+	objects := make([][]byte, 3*budget/(k*bs))
+	for i := range objects {
+		objects[i] = randBytes(rng, k*bs)
+		if err := s.Put(fmt.Sprintf("scan%02d", i), objects[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pass := 0; pass < 3; pass++ {
+		for i, want := range objects {
+			if got, _, err := s.Get(fmt.Sprintf("scan%02d", i)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("pass %d: Get scan%02d: err %v", pass, i, err)
+			}
+		}
+		m := s.Metrics()
+		if m.CacheHits != 0 {
+			t.Fatalf("pass %d: %d hits on a scan over 3x the budget", pass, m.CacheHits)
+		}
+		if pass == 0 && m.CacheEvictions == 0 {
+			t.Fatal("the first pass never filled the cache")
+		}
+		if pass > 0 && m.CacheBytes != 0 {
+			t.Fatalf("pass %d: %d bytes resident after the fill was scanned past", pass, m.CacheBytes)
+		}
+	}
+}

@@ -19,21 +19,36 @@ type rangeSeg struct {
 // are visited and, within each, only the data blocks the range covers
 // are read (reconstructed when missing or corrupt, exactly like a full
 // read) — a small range on a large object costs its covering blocks,
-// not the object. The serving tier's Range: requests ride on this.
+// not the object.
 //
 // off outside [0, size] returns ErrBadRange; length past the end is
-// clamped. The read is one pass over the version current at entry: its
-// pin keeps every block its snapshot names on its node until the read
-// ends, so a concurrent overwrite, delete, repair or rebalance never
-// takes a block from under it, and a failure — a stripe that cannot be
-// decoded, a writer that refuses bytes — is final. The ReadInfo counts
-// the bytes that reached w.
+// clamped. The read is one pass over the version current at entry (see
+// GetWindow), and a failure — a stripe that cannot be decoded, a writer
+// that refuses bytes — is final. The ReadInfo counts the bytes that
+// reached w.
+func (s *Store) GetRange(name string, off, length int64, w io.Writer) (ReadInfo, error) {
+	return s.GetWindow(name, func(int64) (int64, int64, io.Writer) { return off, length, w })
+}
+
+// GetWindow is GetRange with the window chosen after the version is
+// known. It snapshots and pins the object's current version, then calls
+// choose once with that version's size; choose returns the window and
+// writer, as GetRange takes them, or a nil writer to read nothing (a
+// zero ReadInfo and no error). Whatever choose decides — a response's
+// headers, its admission — and the bytes streamed to w all describe that
+// one version: the pin keeps every block the snapshot names on its node
+// until the read ends, so a concurrent overwrite, delete, repair or
+// rebalance never takes a block from under it. The serving tier's GET
+// rides on this. choose runs on the caller's goroutine, holding no lock.
 //
 // The stripe pipeline is one deep: while segment i drains to w, segment
 // i+1 is already being fetched into the other of two scratch slices
 // that ping-pong for the whole read (the only per-stripe state), and
-// each fetch covers only the blocks its byte window needs.
-func (s *Store) GetRange(name string, off, length int64, w io.Writer) (ReadInfo, error) {
+// each fetch covers only the blocks its byte window needs. The blocks
+// the cache declines are borrowed from the store's frame pool and go
+// back only after their segment has drained to w, or, on an early
+// return, once the prefetch has been joined.
+func (s *Store) GetWindow(name string, choose func(size int64) (off, length int64, w io.Writer)) (ReadInfo, error) {
 	obj, ok := s.manifestSnapshot(name)
 	if !ok {
 		return ReadInfo{}, fmt.Errorf("%w: %q", ErrObjectNotFound, name)
@@ -47,6 +62,10 @@ func (s *Store) GetRange(name string, off, length int64, w io.Writer) (ReadInfo,
 	var size int64
 	for i := range stripes {
 		size += int64(stripes[i].DataLen)
+	}
+	off, length, w := choose(size)
+	if w == nil {
+		return ReadInfo{}, nil
 	}
 	if off < 0 || off > size {
 		return ReadInfo{}, fmt.Errorf("%w: offset %d of %d-byte object %q", ErrBadRange, off, size, name)
@@ -135,6 +154,7 @@ func (s *Store) GetRange(name string, off, length int64, w io.Writer) (ReadInfo,
 		s.m.mergeRead(&res.acct)
 		acct.add(&res.acct)
 		if res.err != nil {
+			res.release(s)
 			return done(fmt.Errorf("store: degraded read of %q stripe %d: %w", name, segs[i].idx, res.err))
 		}
 		if i+1 < len(segs) {
@@ -161,14 +181,19 @@ func (s *Store) GetRange(name string, off, length int64, w io.Writer) (ReadInfo,
 			n, err := w.Write(part)
 			written += int64(n)
 			if err != nil {
+				res.release(s)
 				if pending != nil {
 					// Join the prefetch, so no fetch outlives the version
-					// pin; its reads are uncharged on this failure path.
-					<-pending
+					// pin and no frame goes back under a read into it; its
+					// reads are uncharged on this failure path.
+					next := <-pending
+					next.release(s)
 				}
 				return done(fmt.Errorf("store: write object %q: %w", name, err))
 			}
 		}
+		// w has taken the segment (io.Writer keeps no slice past Write).
+		res.release(s)
 	}
 	return done(nil)
 }

@@ -226,7 +226,7 @@ func (s *Store) placementSafe(si *stripeInfo, pos, t int) bool {
 func (rb *Rebalancer) migrateTo(ref stripeRef, si *stripeInfo, pos, target int) int64 {
 	s := rb.s
 	f := s.getFrame()
-	defer s.frames.Put(f)
+	defer s.putFrame(f)
 	var acct readAcct
 	payload, err := s.readBlockPayload(si, pos, &acct, s.repairLim, *f)
 	s.m.rebalanceBlocksRead.Add(acct.blocks)

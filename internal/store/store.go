@@ -130,10 +130,13 @@ type Store struct {
 	// an idle store's slabs go back to the garbage collector.
 	slabs sync.Pool
 	// frames pools the block-sized frames (*[]byte, 4+BlockSize) lent to
-	// an IntoReader backend for a decode's sources and a joiner fill.
-	// Block-granular on purpose: a light repair wants five frames, not a
-	// sixteen-frame slab.
-	frames sync.Pool
+	// an IntoReader backend for a decode's sources, a joiner fill and the
+	// blocks a GET wants but the cache declines, and that hold a declined
+	// block a degraded GET rebuilds. Block-granular on purpose: a light
+	// repair wants five frames, not a sixteen-frame slab. framesOut counts
+	// the frames drawn (getFrame) and not yet returned (putFrame).
+	frames    sync.Pool
+	framesOut atomic.Int64
 
 	// db is the metadata plane: every manifest, the repair queue and the
 	// membership records live there, sharded for concurrent access and —
@@ -409,7 +412,8 @@ func (s *Store) Put(name string, data []byte) error {
 // charged the actual bytes read: the background datapaths pass their
 // token bucket, foreground reads pass nil.
 //
-// dst, when non-nil, is a frame lent for the read (reconstructPositions):
+// dst, when non-nil, is a frame lent for the read (reconstructPositions,
+// or a GET's fetchPositions for a block the cache declined):
 // a backend that implements IntoReader may deliver the block in it, and
 // the payload returned then aliases dst. A backend without ReadInto, or a
 // block that does not fit, is read as ever — it is always the returned
@@ -470,10 +474,10 @@ func (s *Store) lightRepairable(damaged []int, avail []bool) bool {
 // return — each frame is back in the pool and its stripe entry is nil
 // again. What the caller finds in stripe afterwards is what it put there
 // plus the rebuilt targets, which are dstFor's buffers and never alias a
-// frame (ReconstructManyInto copies or computes into dst); nothing
-// borrowed can reach the cache, a writer or a write-back. Positions the
-// caller wants to keep (a GET's own blocks) it fetches itself, through
-// Read.
+// frame (ReconstructManyInto copies or computes into dst); no source
+// frame can reach the cache, a writer or a write-back. A GET fetches its
+// own blocks itself (fetchPositions), and lends frames for the ones the
+// cache declines under rules of its own.
 func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int, avail []bool, acct *readAcct, lim *Limiter, dstFor func(pos int) []byte) error {
 	var firstErr error
 	n := len(stripe)
@@ -487,7 +491,7 @@ func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int
 			for j, f := range frames {
 				if f != nil {
 					stripe[j] = nil
-					s.frames.Put(f)
+					s.putFrame(f)
 				}
 			}
 		}()
@@ -565,6 +569,7 @@ func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int
 // miss. A pooled frame holds an earlier block's bytes; a read overwrites
 // the part it returns.
 func (s *Store) getFrame() *[]byte {
+	s.framesOut.Add(1)
 	if f, ok := s.frames.Get().(*[]byte); ok {
 		return f
 	}
@@ -572,10 +577,17 @@ func (s *Store) getFrame() *[]byte {
 	return &f
 }
 
+// putFrame returns a frame to the pool. Its caller holds no slice of it
+// any more, and no read into it is in flight.
+func (s *Store) putFrame(f *[]byte) {
+	s.framesOut.Add(-1)
+	s.frames.Put(f)
+}
+
 // fetchBlocks reads the given stripe positions into stripe —
 // concurrently when the read pool allows — charging lim and downgrading
 // avail on failure. Reports whether any fetch failed (the caller then
-// re-plans). A non-nil frames lends position j's read the buffer
+// re-plans). A non-nil frames[j] lends position j's read the buffer
 // *frames[j] (see readBlockPayload); every read has finished by return.
 func (s *Store) fetchBlocks(si *stripeInfo, stripe [][]byte, positions []int, avail []bool, acct *readAcct, lim *Limiter, frames []*[]byte) bool {
 	if len(positions) == 0 {
@@ -586,7 +598,7 @@ func (s *Store) fetchBlocks(si *stripeInfo, stripe [][]byte, positions []int, av
 	fanOut(len(positions), func(idx int) {
 		j := positions[idx]
 		var dst []byte
-		if frames != nil {
+		if frames != nil && frames[j] != nil {
 			dst = *frames[j]
 		}
 		p, err := s.readBlockPayload(si, j, &accts[idx], lim, dst)

@@ -330,11 +330,40 @@ func (s *Store) Get(name string) ([]byte, ReadInfo, error) {
 
 // fetchResult is one stripe fetched (and if necessary reconstructed) by
 // the get pipeline, with its own accounting so concurrent fetches never
-// share counters; accts merge in stripe order.
+// share counters; accts merge in stripe order. frames[pos], when set, is
+// the pooled frame stripe[pos] may alias — a block the cache declined,
+// read into the frame or rebuilt in it — which the caller returns with
+// release once nothing reads the stripe any more.
 type fetchResult struct {
 	stripe [][]byte
+	frames []*[]byte
 	acct   readAcct
 	err    error
+}
+
+// frame returns position pos's frame, drawing it from the store's pool
+// the first time.
+func (r *fetchResult) frame(s *Store, pos int) *[]byte {
+	if r.frames == nil {
+		r.frames = make([]*[]byte, len(r.stripe))
+	}
+	if r.frames[pos] == nil {
+		r.frames[pos] = s.getFrame()
+	}
+	return r.frames[pos]
+}
+
+// release returns the result's frames to the store's pool. Its caller
+// must be done with every stripe entry: the GET pipeline releases a
+// segment's frames after the segment has drained to the writer, or on
+// an early return once the prefetch is joined.
+func (r *fetchResult) release(s *Store) {
+	for pos, f := range r.frames {
+		if f != nil {
+			s.putFrame(f)
+			r.frames[pos] = nil
+		}
+	}
 }
 
 // fetchStripe reads a stripe's data blocks at positions [pLo, pHi] —
@@ -347,25 +376,28 @@ type fetchResult struct {
 //
 // The hot-block cache is probed first: hits fill scratch straight from
 // memory, and only the misses go to the backend — a fully cached stripe
-// returns without touching the backend at all.
+// returns without touching the backend at all. Each miss is admitted or
+// declined before it is read (blockCache.admit); with no cache, every
+// miss is declined. A kept block arrives through Read in a buffer of its
+// own and goes to the cache; a declined one is borrowed, in a frame the
+// result carries until the caller releases it.
 func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetchResult {
 	for i := range scratch {
 		scratch[i] = nil
 	}
 	res := fetchResult{stripe: scratch}
+	c := s.cache
 	want := make([]int, 0, pHi-pLo+1)
-	if c := s.cache; c != nil {
-		for pos := pLo; pos <= pHi; pos++ {
+	keep := make([]bool, len(scratch))
+	for pos := pLo; pos <= pHi; pos++ {
+		if c != nil {
 			if payload := c.get(si.Keys[pos]); payload != nil {
 				scratch[pos] = payload
-			} else {
-				want = append(want, pos)
+				continue
 			}
+			keep[pos] = c.admit(si.Keys[pos], int64(si.BlockLen))
 		}
-	} else {
-		for pos := pLo; pos <= pHi; pos++ {
-			want = append(want, pos)
-		}
+		want = append(want, pos)
 	}
 	if len(want) == 0 {
 		return res
@@ -375,14 +407,14 @@ func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetc
 	for pos := 0; pos < n; pos++ {
 		avail[pos] = s.Alive(si.Nodes[pos])
 	}
-	s.fetchPositions(si, scratch, want, avail, &res)
-	if c := s.cache; c != nil && res.err == nil {
+	s.fetchPositions(si, scratch, want, keep, avail, &res)
+	if c != nil && res.err == nil {
 		// Cache what the backend (or the decode) just produced — but only
-		// the wanted positions: reconstruction sources outside the window
-		// were incidental, and admitting them would let one degraded
-		// stripe evict a window's worth of genuinely hot blocks.
+		// the wanted positions it admitted: reconstruction sources outside
+		// the window were incidental, and admitting them would let one
+		// degraded stripe evict a window's worth of genuinely hot blocks.
 		for _, pos := range want {
-			if scratch[pos] != nil {
+			if keep[pos] && scratch[pos] != nil {
 				c.add(si.Keys[pos], scratch[pos])
 			}
 		}
@@ -393,11 +425,24 @@ func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetc
 // fetchPositions reads the wanted stripe positions — concurrently when
 // the read pool allows — into scratch, reconstructing whatever is
 // missing or corrupt. avail marks positions believed readable and is
-// downgraded as fetches fail; accounting and errors land in res.
-func (s *Store) fetchPositions(si *stripeInfo, scratch [][]byte, want []int, avail []bool, res *fetchResult) {
-	// The wanted blocks may be cached and are handed to the writer: they
-	// arrive through Read, in buffers of their own, never in a lent frame.
-	if !s.fetchBlocks(si, scratch, want, avail, &res.acct, nil, nil) {
+// downgraded as fetches fail; accounting, errors and borrowed frames
+// land in res.
+//
+// keep marks the positions the cache will store: they arrive through
+// Read, or are rebuilt into a fresh block, in buffers of their own, never
+// in a lent frame. Every other wanted position is borrowed when the
+// backend is an IntoReader — read into a frame from s.frames — and so is
+// its rebuilt block on a degraded read, over any backend; res.frames
+// holds each frame drawn.
+func (s *Store) fetchPositions(si *stripeInfo, scratch [][]byte, want []int, keep []bool, avail []bool, res *fetchResult) {
+	if _, ok := s.cfg.Backend.(IntoReader); ok {
+		for _, pos := range want {
+			if !keep[pos] {
+				res.frame(s, pos)
+			}
+		}
+	}
+	if !s.fetchBlocks(si, scratch, want, avail, &res.acct, nil, res.frames) {
 		return
 	}
 	var missing []int
@@ -407,7 +452,13 @@ func (s *Store) fetchPositions(si *stripeInfo, scratch [][]byte, want []int, ava
 		}
 	}
 	res.acct.degraded = true
-	if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil, func(int) []byte { return make([]byte, si.BlockLen) }); err != nil {
+	dstFor := func(pos int) []byte {
+		if keep[pos] {
+			return make([]byte, si.BlockLen)
+		}
+		return (*res.frame(s, pos))[:si.BlockLen] // the frame a failed read was lent, if any
+	}
+	if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil, dstFor); err != nil {
 		res.err = err
 	}
 }
