@@ -361,6 +361,8 @@ func (c *Code) decoderFor(avail []int) (*decoder, error) {
 
 // Verify recomputes the stripe from its data shards and reports whether
 // every stored block is consistent. All NStored entries must be non-nil.
+// The parities are recomputed into a buffer from the code's scratch
+// pool, so a check allocates no block.
 func (c *Code) Verify(stripe [][]byte) (bool, error) {
 	if len(stripe) != c.nStored {
 		return false, fmt.Errorf("lrc: got %d stripe entries, want %d", len(stripe), c.nStored)
@@ -370,12 +372,22 @@ func (c *Code) Verify(stripe [][]byte) (bool, error) {
 			return false, fmt.Errorf("lrc: Verify requires all blocks, %d missing", i)
 		}
 	}
-	enc, err := c.Encode(stripe[:c.params.K])
-	if err != nil {
+	k, size := c.params.K, len(stripe[0])
+	buf, _ := c.scratch.Get().(*[]byte)
+	if buf == nil || cap(*buf) < (c.nStored-k)*size {
+		b := make([]byte, (c.nStored-k)*size)
+		buf = &b
+	}
+	defer c.scratch.Put(buf)
+	parity := make([][]byte, c.nStored-k)
+	for j := range parity {
+		parity[j] = (*buf)[j*size : (j+1)*size]
+	}
+	if err := c.EncodeInto(stripe[:k], parity); err != nil {
 		return false, err
 	}
-	for i := c.params.K; i < c.nStored; i++ {
-		if !bytes.Equal(enc[i], stripe[i]) {
+	for j, p := range parity {
+		if !bytes.Equal(p, stripe[k+j]) {
 			return false, nil
 		}
 	}

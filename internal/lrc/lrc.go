@@ -163,6 +163,9 @@ type Code struct {
 	// to concurrent encoders.
 	wideOnce sync.Once
 	wide     []*gf.WideTables
+	// scratch pools the buffers (*[]byte) Verify recomputes a stripe's
+	// parities into.
+	scratch sync.Pool
 }
 
 // decoder is the heavy solve for one availability pattern: data =

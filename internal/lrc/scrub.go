@@ -81,6 +81,12 @@ func (c *Code) LocateCorruption(stripe [][]byte) ([]int, error) {
 			return nil, fmt.Errorf("lrc: block %d missing; LocateCorruption needs a full stripe", i)
 		}
 	}
+	// A stripe that re-encodes to itself is clean, as nearly every
+	// stripe a scrub checks is. The re-encode goes first and computes
+	// into the code's scratch pool, so a clean stripe allocates no block.
+	if ok, err := c.Verify(stripe); err != nil || ok {
+		return nil, err
+	}
 	// Group-level triage: which groups fire?
 	var firing []int
 	for gi := range c.groups {
@@ -90,16 +96,6 @@ func (c *Code) LocateCorruption(stripe [][]byte) ([]int, error) {
 		}
 		if !zeroSyndrome(syn) {
 			firing = append(firing, gi)
-		}
-	}
-	if len(firing) == 0 {
-		// Local parities all consistent. A corruption confined to a
-		// coincidentally-consistent pattern is caught by the global
-		// re-encode below.
-		if ok, err := c.Verify(stripe); err != nil {
-			return nil, err
-		} else if ok {
-			return nil, nil
 		}
 	}
 	// Pin down blocks: recompute the full stripe from the data blocks

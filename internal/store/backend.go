@@ -49,27 +49,26 @@ type OwnedWriter interface {
 }
 
 // IntoReader is an optional Backend fast path for reads whose bytes are
-// needed only until a decode has consumed them: ReadInto is Read with the
-// caller supplying the buffer. A block that fits cap(dst) is delivered in
-// dst and returned as dst[:len]; otherwise — the block is larger, dst is
-// nil, or the implementation had the bytes elsewhere already — the result
-// is whatever Read would have returned and dst is not part of it. So the
-// caller must use the returned slice and never dst, stays the owner of
-// dst throughout (the backend keeps no reference past return), and must
-// not let the result outlive dst's next use. After an error dst may hold
-// part of a block. The store's one caller is readBlockPayload, which
-// lends pooled frames for the source blocks of a repair or degraded read,
-// for a joiner fill and for the blocks a GET wants but the cache declines
-// to keep (all of them when the store has no cache), and a repair's
-// re-probe its slab slots; a backend without ReadInto (MemBackend,
-// DirBackend) is simply read through Read.
+// needed only until a decode or a writer has consumed them: ReadInto is
+// Read with the caller supplying the buffer. A block that fits cap(dst)
+// is delivered in dst and returned as dst[:len]; otherwise — the block is
+// larger, dst is nil, or the implementation had the bytes elsewhere
+// already — the result is whatever Read would have returned and dst is
+// not part of it. So the caller must use the returned slice and never
+// dst, stays the owner of dst throughout (the backend keeps no reference
+// past return), and must not let the result outlive dst's next use.
+// After an error dst may hold part of a block. The store's one caller is
+// its one block reader, readStripe, which lends each position the buffer
+// its caller chose (see frameSet); a backend without ReadInto
+// (MemBackend, DirBackend) is read through Read.
 type IntoReader interface {
 	ReadInto(node int, key string, dst []byte) ([]byte, error)
 }
 
 // readInto reads a block with dst lent for it: through b's ReadInto when
-// b has one and there is a dst to lend, through Read otherwise. Either
-// way the caller uses the returned slice, never dst.
+// b has one and there is a dst to lend, through Read otherwise. It is the
+// one place the store decides whether a lent buffer is used; either way
+// the caller uses the returned slice, never dst.
 func readInto(b Backend, node int, key string, dst []byte) ([]byte, error) {
 	if ir, ok := b.(IntoReader); ok && dst != nil {
 		return ir.ReadInto(node, key, dst)
@@ -189,9 +188,13 @@ func NewMemBackend() *MemBackend {
 	return &MemBackend{nodes: make(map[int]map[string][]byte)}
 }
 
-// Write implements Backend.
+// Write implements Backend. The copy is exactly data's length, with no
+// spare capacity: Read hands out the stored slice, and a cache that keeps
+// it is charged its capacity.
 func (m *MemBackend) Write(node int, key string, data []byte) error {
-	return m.WriteOwned(node, key, append([]byte(nil), data...))
+	b := make([]byte, len(data))
+	copy(b, data)
+	return m.WriteOwned(node, key, b)
 }
 
 // WriteOwned implements OwnedWriter: the slice is stored directly, so a
@@ -241,7 +244,8 @@ func (m *MemBackend) Corrupt(node int, key string) error {
 	if !ok {
 		return fmt.Errorf("%w: node %d key %q", ErrBlockNotFound, node, key)
 	}
-	nb := append([]byte(nil), b...)
+	nb := make([]byte, len(b))
+	copy(nb, b)
 	nb[len(nb)-1] ^= 0xFF
 	m.nodes[node][key] = nb
 	return nil

@@ -352,7 +352,7 @@ func TestBorrowDeclinedBlocksInLentFrames(t *testing.T) {
 					_, resident = listed(s.cache, si.Keys[pos])
 				}
 				switch {
-				case inFrames(p, res.frames):
+				case inFrames(p, res.frames.frames):
 					declined++
 					if pos == corruptPos {
 						rebuilt++
@@ -363,7 +363,7 @@ func TestBorrowDeclinedBlocksInLentFrames(t *testing.T) {
 					t.Fatalf("cache %d: %s block %d is neither cached nor in a lent frame", cacheBytes, name, pos)
 				}
 			}
-			res.release(s)
+			res.frames.release()
 			s.unpin(obj)
 		}
 		if declined == 0 || rebuilt == 0 {
@@ -523,5 +523,123 @@ func TestBorrowConcurrentGets(t *testing.T) {
 	wg.Wait()
 	if got := s.framesOut.Load(); got != 0 {
 		t.Fatalf("%d frames not returned", got)
+	}
+}
+
+// wireLender is a lendingBackend whose Read returns a buffer of its own,
+// as the netblock client's does: a read that is lent no buffer allocates
+// the block.
+type wireLender struct{ *lendingBackend }
+
+func (b wireLender) Read(node int, key string) ([]byte, error) {
+	blk, err := b.MemBackend.Read(node, key)
+	return bytes.Clone(blk), err
+}
+
+// TestBorrowScrubAllocation: a full scrub reads every block of every
+// stripe into frames lent from the store's pool, so over a backend that
+// takes a caller's buffer it allocates no block buffers. A scrub of a
+// 64-stripe object allocates less than one block per stripe, where
+// reading each block into a buffer of its own costs sixteen.
+func TestBorrowScrubAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under the race detector, and its sync.Pool drops items at random")
+	}
+	const bs, stripes = 16 << 10, 64
+	be := wireLender{&lendingBackend{MemBackend: NewMemBackend()}}
+	s := newTestStore(t, Config{Backend: be, BlockSize: bs})
+	if err := s.Put("scan", randBytes(rand.New(rand.NewSource(58)), stripes*s.Codec().K()*bs)); err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScrubber(s, NewRepairManager(s, 1), 0)
+	sc.ScrubOnce() // fills the frame pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := sc.ScrubOnce()
+	runtime.ReadMemStats(&after)
+	if rep.Stripes != stripes || rep.Missing+rep.Corrupt+rep.Enqueued != 0 {
+		t.Fatalf("scrub: %+v, want %d clean stripes", rep, stripes)
+	}
+	if be.poison() == 0 {
+		t.Fatal("no scrub read landed in a lent frame")
+	}
+	if per := int64(after.TotalAlloc-before.TotalAlloc) / stripes; per >= bs {
+		t.Fatalf("a full scrub allocated %d bytes per stripe, want under one %d-byte block", per, bs)
+	}
+}
+
+// TestBorrowRepairProbeIntoSlabSlot: a repair's re-probe reads each
+// queued position into its slot of the worker's scratch slab. Of three
+// queued positions, one healed (its node is up and keeps it), one sits on
+// a draining node and one on a dead node: the two that read back land in
+// their slots, the healed block serves as a source and is not moved, the
+// drained one is copied off from its slot and the dead one is rebuilt in
+// its slot. Both written blocks are the encoder's frames byte for byte.
+func TestBorrowRepairProbeIntoSlabSlot(t *testing.T) {
+	const bs = 64
+	be := &lendingBackend{MemBackend: NewMemBackend()}
+	s := newTestStore(t, Config{Backend: be, Nodes: 24, BlockSize: bs})
+	codec := s.Codec()
+	object := randBytes(rand.New(rand.NewSource(59)), 2*codec.K()*bs)
+	if err := s.Put("probe", object); err != nil {
+		t.Fatal(err)
+	}
+	want := wantFrames(t, codec, bs, object)[0]
+	const healed, drained, dead = 1, 6, 12
+	node := func(pos int) int {
+		t.Helper()
+		n, _, err := s.BlockLocation("probe", 0, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	healedOn, drainedOn, deadOn := node(healed), node(drained), node(dead)
+	if err := s.Decommission(drainedOn); err != nil {
+		t.Fatal(err)
+	}
+	s.KillNode(deadOn)
+	obj, _ := s.manifestSnapshot("probe")
+	ref := stripeRef{name: "probe", gen: obj.Gen, idx: 0}
+	s.unpin(obj)
+
+	rm := NewRepairManager(s, 1)
+	var scratch repairScratch
+	write := rm.repairFetch(repairItem{ref: ref, damaged: []int{healed, drained, dead}, erasures: 1}, &scratch)
+	if write == nil {
+		t.Fatal("nothing to write back")
+	}
+	slab := scratch.slabs[0]
+	inSlab := 0
+	be.mu.Lock()
+	for _, f := range be.lent {
+		if overlaps(f, slab) {
+			inSlab++
+		}
+	}
+	be.mu.Unlock()
+	if inSlab != 2 {
+		t.Fatalf("%d reads landed in the scratch slab, want the 2 probes that read back", inSlab)
+	}
+	write()
+
+	if got := node(healed); got != healedOn {
+		t.Fatalf("healed block moved from node %d to %d", healedOn, got)
+	}
+	for _, pos := range []int{drained, dead} {
+		n, key, err := s.BlockLocation("probe", 0, pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == drainedOn || n == deadOn {
+			t.Fatalf("block %d still on node %d", pos, n)
+		}
+		got, err := be.MemBackend.Read(n, key)
+		if err != nil || !bytes.Equal(got, want[pos]) {
+			t.Fatalf("block %d written to node %d: err %v, exact %v", pos, n, err, bytes.Equal(got, want[pos]))
+		}
+	}
+	if m := s.Metrics(); m.RebalancedBlocks != 1 || m.RepairedBlocks != 1 {
+		t.Fatalf("%d blocks copied, %d rebuilt; want 1 each", m.RebalancedBlocks, m.RepairedBlocks)
 	}
 }

@@ -393,6 +393,44 @@ func TestCacheAdmitsWithRoomOrReturningKey(t *testing.T) {
 	}
 }
 
+// TestCacheHoldsBudgetOverMemBackend: a block read from a MemBackend
+// costs the cache its length and no more, so a shard holds exactly
+// budget/blockLen of them. The payload is charged its capacity, and a
+// backend whose copy rounds capacity up to a size class would leave the
+// last block no room.
+func TestCacheHoldsBudgetOverMemBackend(t *testing.T) {
+	be := NewMemBackend()
+	c := newAdmitCache()
+	keys := shardKeys(c, admitSlots)
+	for _, key := range keys {
+		if err := be.Write(0, key, FrameBlock(make([]byte, admitBlock))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, key := range keys {
+		raw, err := be.Read(0, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := UnframeBlock(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.admit(key, admitBlock) {
+			t.Fatalf("%s: declined with %d of %d bytes resident", key, c.bytes.Load(), admitSlots*admitBlock)
+		}
+		c.add(key, payload)
+	}
+	for _, key := range keys {
+		if _, resident := listed(c, key); !resident {
+			t.Fatalf("%s evicted: a shard of %d-byte budget holds fewer than %d %d-byte blocks", key, admitSlots*admitBlock, admitSlots, admitBlock)
+		}
+	}
+	if got := c.bytes.Load(); got != admitSlots*admitBlock {
+		t.Fatalf("%d blocks pin %d bytes, want %d", admitSlots, got, admitSlots*admitBlock)
+	}
+}
+
 // TestCacheNoRoomWhileOverflowing: a shard that lists a placeholder
 // admits no stranger on room alone, even where the placeholder's charge
 // left room — a short block's placeholder evicting a full block, or a

@@ -154,7 +154,7 @@ func (s *Store) GetWindow(name string, choose func(size int64) (off, length int6
 		s.m.mergeRead(&res.acct)
 		acct.add(&res.acct)
 		if res.err != nil {
-			res.release(s)
+			res.frames.release()
 			return done(fmt.Errorf("store: degraded read of %q stripe %d: %w", name, segs[i].idx, res.err))
 		}
 		if i+1 < len(segs) {
@@ -181,19 +181,19 @@ func (s *Store) GetWindow(name string, choose func(size int64) (off, length int6
 			n, err := w.Write(part)
 			written += int64(n)
 			if err != nil {
-				res.release(s)
+				res.frames.release()
 				if pending != nil {
 					// Join the prefetch, so no fetch outlives the version
 					// pin and no frame goes back under a read into it; its
 					// reads are uncharged on this failure path.
 					next := <-pending
-					next.release(s)
+					next.frames.release()
 				}
 				return done(fmt.Errorf("store: write object %q: %w", name, err))
 			}
 		}
 		// w has taken the segment (io.Writer keeps no slice past Write).
-		res.release(s)
+		res.frames.release()
 	}
 	return done(nil)
 }

@@ -225,17 +225,20 @@ func (s *Store) placementSafe(si *stripeInfo, pos, t int) bool {
 // returns the payload bytes moved, 0 when the read or the splice failed.
 func (rb *Rebalancer) migrateTo(ref stripeRef, si *stripeInfo, pos, target int) int64 {
 	s := rb.s
-	f := s.getFrame()
-	defer s.putFrame(f)
+	stripe := make([][]byte, len(si.Nodes))
+	frames := frameSet{s: s, stripe: stripe}
+	defer frames.release()
 	var acct readAcct
-	payload, err := s.readBlockPayload(si, pos, &acct, s.repairLim, *f)
+	failed := s.readStripe(si, stripe, []int{pos}, make([]bool, len(stripe)), &acct, s.repairLim, frames.frame)
 	s.m.rebalanceBlocksRead.Add(acct.blocks)
 	s.m.rebalanceBytesRead.Add(acct.bytes)
-	if err != nil {
+	if failed != nil {
 		return 0 // unreadable or corrupt replica: scrub's job, not a fill's
 	}
-	// Reframed in f, where an IntoReader backend already put these bytes.
-	if !s.relocate(ref, pos, target, AppendFrame((*f)[:0], payload)) {
+	// Reframed in its frame, where an IntoReader backend already put these
+	// bytes.
+	payload := stripe[pos]
+	if !s.relocate(ref, pos, target, AppendFrame(frames.frame(pos)[:0], payload)) {
 		return 0
 	}
 	s.m.rebalancedBlocks.Add(1)

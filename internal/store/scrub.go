@@ -224,11 +224,12 @@ func (rs *repairScratch) next(n, payloadLen int) [][]byte {
 // repairFetch re-probes a queued stripe and rebuilds what it lost — the
 // read/decode half of a repair, paced by the repair limiter — returning
 // the write-back step for the pipeline to overlap with the next fetch
-// (nil when nothing needs writing). Each queued position is re-probed
-// first, into its slot of the worker's scratch slab: the damage may have
-// healed (node revived) or grown since it was queued. A block that reads
-// back with its CRC intact is reused, and written back from its slot when
-// its node may not keep it (a drain); the rest are rebuilt into theirs.
+// (nil when nothing needs writing). Every queued position is re-probed
+// first, all at once, each into its slot of the worker's scratch slab:
+// the damage may have healed (node revived) or grown since it was
+// queued. A block that reads back with its CRC intact is reused, and
+// written back from its slot when its node may not keep it (a drain);
+// the rest are rebuilt into theirs.
 func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func() {
 	s := r.s
 	si, ok := s.stripeSnapshot(it.ref)
@@ -244,20 +245,19 @@ func (r *RepairManager) repairFetch(it repairItem, scratch *repairScratch) func(
 	bufs := scratch.next(len(it.damaged), si.BlockLen)
 	frameOf := func(pos int) []byte { return bufs[slices.Index(it.damaged, pos)] }
 	stripe := make([][]byte, n)
+	if !it.silent {
+		s.readStripe(&si, stripe, it.damaged, avail, acct, s.repairLim, frameOf)
+	}
 	var copied, damaged []int
-	for i, pos := range it.damaged {
-		if !it.silent {
-			if p, err := s.readBlockPayload(&si, pos, acct, s.repairLim, bufs[i]); err == nil {
-				stripe[pos] = p // healed under us; reuse the bytes
-				if !s.keeps(si.Nodes[pos]) {
-					copy(bufs[i][4:], p) // onto itself when the backend read into the slot
-					copied = append(copied, pos)
-				}
-				continue
-			}
+	for _, pos := range it.damaged {
+		switch {
+		case stripe[pos] == nil:
+			avail[pos] = false
+			damaged = append(damaged, pos)
+		case !s.keeps(si.Nodes[pos]): // healed under us; reuse the bytes
+			copy(frameOf(pos)[4:], stripe[pos]) // onto itself when the backend read into the slot
+			copied = append(copied, pos)
 		}
-		avail[pos] = false
-		damaged = append(damaged, pos)
 	}
 	var rebuilt []int
 	if len(damaged) > 0 {
@@ -446,22 +446,25 @@ func (sc *Scrubber) scrubStripe(ref stripeRef) (missing, corrupt int, enqueued b
 	n := s.cfg.Codec.NStored()
 	acct := &readAcct{}
 	stripe := make([][]byte, n)
+	frames := frameSet{s: s, stripe: stripe}
+	defer frames.release()
 	avail := make([]bool, n)
+	all := make([]int, n)
+	for pos := range all {
+		avail[pos], all[pos] = true, pos
+	}
 	var damaged []int
 	silent := false
-	for pos := 0; pos < n; pos++ {
-		p, err := s.readBlockPayload(&si, pos, acct, s.scrubLim, nil)
-		if err != nil {
-			if errors.Is(err, ErrCorrupt) {
-				corrupt++
-			} else {
-				missing++
-			}
-			damaged = append(damaged, pos)
+	for pos, err := range s.readStripe(&si, stripe, all, avail, acct, s.scrubLim, frames.frame) {
+		switch {
+		case err == nil:
 			continue
+		case errors.Is(err, ErrCorrupt):
+			corrupt++
+		default:
+			missing++
 		}
-		stripe[pos] = p
-		avail[pos] = true
+		damaged = append(damaged, pos)
 	}
 	if len(damaged) == 0 {
 		// Full stripe: group syndromes localize any block whose payload

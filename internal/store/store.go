@@ -129,12 +129,11 @@ type Store struct {
 	// writes from. Every slab has the one size geometry × BlockSize fixes;
 	// an idle store's slabs go back to the garbage collector.
 	slabs sync.Pool
-	// frames pools the block-sized frames (*[]byte, 4+BlockSize) lent to
-	// an IntoReader backend for a decode's sources, a joiner fill and the
-	// blocks a GET wants but the cache declines, and that hold a declined
-	// block a degraded GET rebuilds. Block-granular on purpose: a light
-	// repair wants five frames, not a sixteen-frame slab. framesOut counts
-	// the frames drawn (getFrame) and not yet returned (putFrame).
+	// frames pools the block frames (*[]byte, 4+BlockSize) that reads
+	// borrow through a frameSet, which states their rule.
+	// Block-granular on purpose: a light repair wants five frames, not a
+	// sixteen-frame slab. framesOut counts the frames drawn and not yet
+	// returned.
 	frames    sync.Pool
 	framesOut atomic.Int64
 
@@ -341,11 +340,11 @@ const (
 	// parallelThreshold is the stripe payload size at which encoding
 	// goes parallel.
 	parallelThreshold = 1 << 20
-	// ioWorkers bounds the pool that writes one stripe's framed blocks
-	// during a put, and the pool that fetches one stripe's data blocks —
-	// or a repair's planned sources — during a get. Disk and network
-	// backends overlap latency; a memory backend mostly overlaps lock
-	// hold times.
+	// ioWorkers bounds the pool (fanOut) that writes one stripe's framed
+	// blocks during a put, reads a set of one stripe's blocks
+	// (readStripe) and deletes a reclaim batch's keys node by node. Disk
+	// and network backends overlap latency; a memory backend mostly
+	// overlaps lock hold times.
 	ioWorkers = 4
 )
 
@@ -357,22 +356,13 @@ func encodeWorkers(stripeBytes int) int {
 	return 1
 }
 
-// poolSize is the backend I/O pool size for a stripe operation of the
-// given number of block jobs.
-func poolSize(jobs int) int {
-	if jobs < ioWorkers {
-		return jobs
-	}
-	return ioWorkers
-}
-
-// fanOut runs job(i) for every i in [0, n) on poolSize(n) goroutines and
-// returns once all of them have finished, so whatever the jobs read into
-// or wrote from is the caller's again. A single job runs inline. Jobs
-// report through their own slot of a caller-owned slice (errs[i],
-// accts[i]): no two share one, so nothing is locked.
+// fanOut runs job(i) for every i in [0, n) on min(n, ioWorkers)
+// goroutines and returns once all of them have finished, so whatever the
+// jobs read into or wrote from is the caller's again. A single job runs
+// inline. Jobs report through their own slot of a caller-owned slice
+// (errs[i], reads[i]): no two share one, so nothing is locked.
 func fanOut(n int, job func(i int)) {
-	workers := poolSize(n)
+	workers := min(n, ioWorkers)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			job(i)
@@ -405,41 +395,116 @@ func (s *Store) Put(name string, data []byte) error {
 	return s.PutReader(name, bytes.NewReader(data))
 }
 
-// readBlockPayload fetches and unframes one stripe position. Reads from
-// dead nodes fail without touching the backend; short, corrupt or missing
-// blocks fail after the read (and still count toward bytes read — the
-// scrubber pays for what it reads, good or bad). lim, when non-nil, is
-// charged the actual bytes read: the background datapaths pass their
-// token bucket, foreground reads pass nil.
-//
-// dst, when non-nil, is a frame lent for the read (reconstructPositions,
-// or a GET's fetchPositions for a block the cache declined):
-// a backend that implements IntoReader may deliver the block in it, and
-// the payload returned then aliases dst. A backend without ReadInto, or a
-// block that does not fit, is read as ever — it is always the returned
-// slice that is unframed, never dst. The accounting below sees the same
-// bytes on either path. A failed read may leave garbage in dst, which is
-// harmless: only a CRC-clean frame is ever decoded.
-func (s *Store) readBlockPayload(si *stripeInfo, pos int, acct *readAcct, lim *Limiter, dst []byte) ([]byte, error) {
-	node := si.Nodes[pos]
-	if !s.Alive(node) {
-		return nil, fmt.Errorf("store: node %d is dead", node)
+// readStripe is the store's one block reader: a GET, the sources of a
+// reconstruction, a repair's re-probe, the full scrub and a joiner fill
+// all read a stripe's blocks through it. It reads the given positions of
+// si concurrently through fanOut and returns with every read finished.
+// into(pos) says where position pos lands: the buffer it returns is lent
+// to the read (see readInto) — a frame of a frameSet, a repair worker's
+// slab slot, or nil for a buffer of the block's own, one the cache may
+// keep. Each CRC-clean payload goes to stripe[pos], aliasing the lent
+// buffer when the backend delivered it there; a failed read may leave
+// garbage in that buffer, which is harmless, as only a CRC-clean frame is
+// ever decoded. Reads from dead nodes fail without touching the backend;
+// short, corrupt or missing blocks fail after the read, and every block
+// read counts in acct and is charged to lim (when non-nil: a background
+// datapath's token bucket), good or bad. A position that fails is marked
+// unavailable in avail. readStripe returns nil when every read succeeded,
+// and otherwise each position's error, indexed by stripe position.
+func (s *Store) readStripe(si *stripeInfo, stripe [][]byte, positions []int, avail []bool, acct *readAcct, lim *Limiter, into func(pos int) []byte) []error {
+	type read struct {
+		dst  []byte
+		acct readAcct
+		err  error
 	}
-	raw, err := readInto(s.cfg.Backend, node, si.Keys[pos], dst)
-	if err != nil {
-		return nil, err
+	reads := make([]read, len(positions))
+	for i, pos := range positions {
+		reads[i].dst = into(pos) // before fanOut: a frameSet draws its frames here
 	}
-	acct.blocks++
-	acct.bytes += int64(len(raw))
-	lim.Take(int64(len(raw)))
-	payload, err := UnframeBlock(raw)
-	if err != nil {
-		return nil, err
+	fanOut(len(positions), func(i int) {
+		r, pos := &reads[i], positions[i]
+		node := si.Nodes[pos]
+		if !s.Alive(node) {
+			r.err = fmt.Errorf("store: node %d is dead", node)
+			return
+		}
+		raw, err := readInto(s.cfg.Backend, node, si.Keys[pos], r.dst)
+		if err != nil {
+			r.err = err
+			return
+		}
+		r.acct.blocks++
+		r.acct.bytes += int64(len(raw))
+		lim.Take(int64(len(raw)))
+		payload, err := UnframeBlock(raw)
+		if err == nil && len(payload) != si.BlockLen {
+			err = fmt.Errorf("%w: %d-byte payload, want %d", ErrCorrupt, len(payload), si.BlockLen)
+		}
+		if err != nil {
+			r.err = err
+			return
+		}
+		stripe[pos] = payload
+	})
+	var errs []error
+	for i, pos := range positions {
+		acct.add(&reads[i].acct)
+		if err := reads[i].err; err != nil {
+			if errs == nil {
+				errs = make([]error, len(stripe))
+			}
+			errs[pos] = err
+			avail[pos] = false
+		}
 	}
-	if len(payload) != si.BlockLen {
-		return nil, fmt.Errorf("%w: %d-byte payload, want %d", ErrCorrupt, len(payload), si.BlockLen)
+	return errs
+}
+
+// frameSet lends pooled block frames (Store.frames) to the reads of one
+// stripe, one frame per stripe position at most. This is the frame rule,
+// for every path that borrows: a frame drawn by frame goes back only
+// through release, which its owner calls once every read into the frame
+// has been joined (readStripe returns with its reads finished) and
+// nothing reads a payload in it any more. release also clears the stripe
+// entries of the positions it lent, so no payload in a returned frame
+// stays in the stripe. Nothing that outlives the set — the cache, a
+// write-back, a writer past its Write — may keep a slice of a frame.
+type frameSet struct {
+	s      *Store
+	stripe [][]byte
+	frames []*[]byte // by stripe position, allocated with the first frame
+}
+
+// frame returns position pos's frame, 4+BlockSize bytes, drawing it from
+// the store's pool (or allocating, on a miss) the first time. A pooled
+// frame holds an earlier block's bytes; a read overwrites the part it
+// returns.
+func (fs *frameSet) frame(pos int) []byte {
+	if fs.frames == nil {
+		fs.frames = make([]*[]byte, len(fs.stripe))
 	}
-	return payload, nil
+	if fs.frames[pos] == nil {
+		f, ok := fs.s.frames.Get().(*[]byte)
+		if !ok {
+			b := make([]byte, 4+fs.s.cfg.BlockSize)
+			f = &b
+		}
+		fs.s.framesOut.Add(1)
+		fs.frames[pos] = f
+	}
+	return *fs.frames[pos]
+}
+
+// release returns every frame of the set to the pool and clears its
+// position in the stripe.
+func (fs *frameSet) release() {
+	for pos, f := range fs.frames {
+		if f != nil {
+			fs.stripe[pos], fs.frames[pos] = nil, nil
+			fs.s.framesOut.Add(-1)
+			fs.s.frames.Put(f)
+		}
+	}
 }
 
 // lightRepairable reports whether every damaged position has a light
@@ -457,54 +522,31 @@ func (s *Store) lightRepairable(damaged []int, avail []bool) bool {
 
 // reconstructPositions rebuilds every nil position in need with one
 // batched decode: the union of the codec's repair plans (light local
-// sets first, heavy fallback) is fetched concurrently through the
-// bounded read pool, then a single ReconstructManyInto pass rebuilds all
-// targets through the field package's XOR and table kernels. stripe
-// holds payloads already in hand and is filled in place; avail marks
-// positions believed readable and is downgraded as fetches fail,
-// re-planning until every target is rebuilt or provably unrecoverable.
-// On an unrecoverable stripe the targets that can be rebuilt still are
-// (partial progress) and the first failure is returned. dstFor supplies
-// the decode buffer for each target position: the repair engine's
-// reusable framed slabs, or a fresh block for a degraded GET.
-//
-// The sources fetched here live for one decode, so over a backend that
-// can receive into a caller's buffer (IntoReader) they are borrowed, not
-// allocated: each lands in a frame from s.frames, and on return — every
-// return — each frame is back in the pool and its stripe entry is nil
-// again. What the caller finds in stripe afterwards is what it put there
-// plus the rebuilt targets, which are dstFor's buffers and never alias a
-// frame (ReconstructManyInto copies or computes into dst); no source
-// frame can reach the cache, a writer or a write-back. A GET fetches its
-// own blocks itself (fetchPositions), and lends frames for the ones the
-// cache declines under rules of its own.
+// sets first, heavy fallback) is read through readStripe, then a single
+// ReconstructManyInto pass rebuilds all targets through the field
+// package's XOR and table kernels. stripe holds payloads already in hand
+// and is filled in place; avail marks positions believed readable and is
+// downgraded as reads fail, re-planning until every target is rebuilt or
+// provably unrecoverable. On an unrecoverable stripe the targets that can
+// be rebuilt still are (partial progress) and the first failure is
+// returned. dstFor supplies the decode buffer for each target position:
+// a repair worker's slab slot, a GET's frame, or a fresh block the cache
+// may keep. The sources live for one decode, so they are read into
+// frames of a set of their own, released on return: what the caller
+// finds in stripe afterwards is what it put there plus the rebuilt
+// targets, and no source reaches the cache, a writer or a write-back.
 func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int, avail []bool, acct *readAcct, lim *Limiter, dstFor func(pos int) []byte) error {
 	var firstErr error
 	n := len(stripe)
-	var frames []*[]byte // by stripe position; nil: the backend takes no buffer
-	if _, ok := s.cfg.Backend.(IntoReader); ok {
-		frames = make([]*[]byte, n)
-		// A frame goes back only after every read into it has been joined:
-		// fetchBlocks returns with its workers finished, and nothing else
-		// reads into a frame.
-		defer func() {
-			for j, f := range frames {
-				if f != nil {
-					stripe[j] = nil
-					s.putFrame(f)
-				}
-			}
-		}()
-	}
+	sources := frameSet{s: s, stripe: stripe}
+	defer sources.release()
 	wanted := make([]int, 0, n)
 	seen := make([]bool, n)
 	for {
 		// Plan every target still nil; collect the union of source reads.
 		var targets []int
 		wanted = wanted[:0]
-		for i := range seen {
-			seen[i] = false
-		}
+		clear(seen)
 		for _, pos := range need {
 			if stripe[pos] != nil {
 				continue
@@ -527,14 +569,7 @@ func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int
 		if len(targets) == 0 {
 			return firstErr
 		}
-		if frames != nil {
-			for _, j := range wanted {
-				if frames[j] == nil {
-					frames[j] = s.getFrame()
-				}
-			}
-		}
-		if s.fetchBlocks(si, stripe, wanted, avail, acct, lim, frames) {
+		if s.readStripe(si, stripe, wanted, avail, acct, lim, sources.frame) != nil {
 			continue // a source failed; re-plan with the downgraded avail
 		}
 		payloads := make([][]byte, len(targets))
@@ -563,60 +598,6 @@ func (s *Store) reconstructPositions(si *stripeInfo, stripe [][]byte, need []int
 		// re-looping could not fetch anything new.
 		return firstErr
 	}
-}
-
-// getFrame draws a block frame from the store's pool, allocating on a
-// miss. A pooled frame holds an earlier block's bytes; a read overwrites
-// the part it returns.
-func (s *Store) getFrame() *[]byte {
-	s.framesOut.Add(1)
-	if f, ok := s.frames.Get().(*[]byte); ok {
-		return f
-	}
-	f := make([]byte, 4+s.cfg.BlockSize)
-	return &f
-}
-
-// putFrame returns a frame to the pool. Its caller holds no slice of it
-// any more, and no read into it is in flight.
-func (s *Store) putFrame(f *[]byte) {
-	s.framesOut.Add(-1)
-	s.frames.Put(f)
-}
-
-// fetchBlocks reads the given stripe positions into stripe —
-// concurrently when the read pool allows — charging lim and downgrading
-// avail on failure. Reports whether any fetch failed (the caller then
-// re-plans). A non-nil frames[j] lends position j's read the buffer
-// *frames[j] (see readBlockPayload); every read has finished by return.
-func (s *Store) fetchBlocks(si *stripeInfo, stripe [][]byte, positions []int, avail []bool, acct *readAcct, lim *Limiter, frames []*[]byte) bool {
-	if len(positions) == 0 {
-		return false
-	}
-	accts := make([]readAcct, len(positions))
-	errs := make([]error, len(positions))
-	fanOut(len(positions), func(idx int) {
-		j := positions[idx]
-		var dst []byte
-		if frames != nil && frames[j] != nil {
-			dst = *frames[j]
-		}
-		p, err := s.readBlockPayload(si, j, &accts[idx], lim, dst)
-		if err != nil {
-			errs[idx] = err
-			return
-		}
-		stripe[j] = p
-	})
-	failed := false
-	for idx, err := range errs {
-		acct.add(&accts[idx])
-		if err != nil {
-			avail[positions[idx]] = false
-			failed = true
-		}
-	}
-	return failed
 }
 
 // verKey names one version of one object: the version a pending

@@ -12,12 +12,25 @@ import (
 	"testing"
 )
 
+// newTestStore opens a store for a test and checks, when the test is
+// over, that every frame a read borrowed went back to the pool and every
+// manifest a read pinned was unpinned.
 func newTestStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if n := s.framesOut.Load(); n != 0 {
+			t.Errorf("%d borrowed frames never went back to the pool", n)
+		}
+		s.pinMu.Lock()
+		defer s.pinMu.Unlock()
+		if len(s.pins) != 0 {
+			t.Errorf("%d manifests still pinned", len(s.pins))
+		}
+	})
 	return s
 }
 

@@ -330,62 +330,33 @@ func (s *Store) Get(name string) ([]byte, ReadInfo, error) {
 
 // fetchResult is one stripe fetched (and if necessary reconstructed) by
 // the get pipeline, with its own accounting so concurrent fetches never
-// share counters; accts merge in stripe order. frames[pos], when set, is
-// the pooled frame stripe[pos] may alias — a block the cache declined,
-// read into the frame or rebuilt in it — which the caller returns with
-// release once nothing reads the stripe any more.
+// share counters; accts merge in stripe order. frames holds the blocks
+// the cache declined — read into a frame, or rebuilt in one — and the
+// caller releases it once nothing reads the stripe any more.
 type fetchResult struct {
 	stripe [][]byte
-	frames []*[]byte
+	frames frameSet
 	acct   readAcct
 	err    error
 }
 
-// frame returns position pos's frame, drawing it from the store's pool
-// the first time.
-func (r *fetchResult) frame(s *Store, pos int) *[]byte {
-	if r.frames == nil {
-		r.frames = make([]*[]byte, len(r.stripe))
-	}
-	if r.frames[pos] == nil {
-		r.frames[pos] = s.getFrame()
-	}
-	return r.frames[pos]
-}
-
-// release returns the result's frames to the store's pool. Its caller
-// must be done with every stripe entry: the GET pipeline releases a
-// segment's frames after the segment has drained to the writer, or on
-// an early return once the prefetch is joined.
-func (r *fetchResult) release(s *Store) {
-	for pos, f := range r.frames {
-		if f != nil {
-			s.putFrame(f)
-			r.frames[pos] = nil
-		}
-	}
-}
-
-// fetchStripe reads a stripe's data blocks at positions [pLo, pHi] —
-// concurrently when the read pool allows — into the reusable scratch
-// slice, reconstructing whatever is missing or corrupt. A full-object
-// read passes [0, k-1]; a ranged read passes just the covering window,
-// so bytes hit the backend only for blocks the range actually needs.
-// scratch entries are cleared first, so a recycled slice never leaks a
-// previous stripe's payloads.
+// fetchStripe reads a stripe's data blocks at positions [pLo, pHi] into
+// the reusable scratch slice, reconstructing whatever is missing or
+// corrupt. A full-object read passes [0, k-1]; a ranged read passes just
+// the covering window, so bytes hit the backend only for blocks the range
+// actually needs. scratch entries are cleared first, so a recycled slice
+// never leaks a previous stripe's payloads.
 //
 // The hot-block cache is probed first: hits fill scratch straight from
 // memory, and only the misses go to the backend — a fully cached stripe
 // returns without touching the backend at all. Each miss is admitted or
 // declined before it is read (blockCache.admit); with no cache, every
-// miss is declined. A kept block arrives through Read in a buffer of its
-// own and goes to the cache; a declined one is borrowed, in a frame the
-// result carries until the caller releases it.
+// miss is declined. A kept block is read, or rebuilt, into a buffer of
+// its own and goes to the cache; a declined one is borrowed, in a frame
+// of res.frames.
 func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetchResult {
-	for i := range scratch {
-		scratch[i] = nil
-	}
-	res := fetchResult{stripe: scratch}
+	clear(scratch)
+	res := fetchResult{stripe: scratch, frames: frameSet{s: s, stripe: scratch}}
 	c := s.cache
 	want := make([]int, 0, pHi-pLo+1)
 	keep := make([]bool, len(scratch))
@@ -402,12 +373,31 @@ func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetc
 	if len(want) == 0 {
 		return res
 	}
-	n := s.cfg.Codec.NStored()
-	avail := make([]bool, n)
-	for pos := 0; pos < n; pos++ {
+	avail := make([]bool, len(scratch))
+	for pos := range avail {
 		avail[pos] = s.Alive(si.Nodes[pos])
 	}
-	s.fetchPositions(si, scratch, want, keep, avail, &res)
+	lend := func(pos int) []byte {
+		if keep[pos] {
+			return nil
+		}
+		return res.frames.frame(pos)
+	}
+	if s.readStripe(si, scratch, want, avail, &res.acct, nil, lend) != nil {
+		var missing []int
+		for _, pos := range want {
+			if scratch[pos] == nil {
+				missing = append(missing, pos)
+			}
+		}
+		res.acct.degraded = true
+		res.err = s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil, func(pos int) []byte {
+			if keep[pos] {
+				return make([]byte, si.BlockLen)
+			}
+			return lend(pos)[:si.BlockLen] // the frame the failed read was lent
+		})
+	}
 	if c != nil && res.err == nil {
 		// Cache what the backend (or the decode) just produced — but only
 		// the wanted positions it admitted: reconstruction sources outside
@@ -420,47 +410,6 @@ func (s *Store) fetchStripe(si *stripeInfo, scratch [][]byte, pLo, pHi int) fetc
 		}
 	}
 	return res
-}
-
-// fetchPositions reads the wanted stripe positions — concurrently when
-// the read pool allows — into scratch, reconstructing whatever is
-// missing or corrupt. avail marks positions believed readable and is
-// downgraded as fetches fail; accounting, errors and borrowed frames
-// land in res.
-//
-// keep marks the positions the cache will store: they arrive through
-// Read, or are rebuilt into a fresh block, in buffers of their own, never
-// in a lent frame. Every other wanted position is borrowed when the
-// backend is an IntoReader — read into a frame from s.frames — and so is
-// its rebuilt block on a degraded read, over any backend; res.frames
-// holds each frame drawn.
-func (s *Store) fetchPositions(si *stripeInfo, scratch [][]byte, want []int, keep []bool, avail []bool, res *fetchResult) {
-	if _, ok := s.cfg.Backend.(IntoReader); ok {
-		for _, pos := range want {
-			if !keep[pos] {
-				res.frame(s, pos)
-			}
-		}
-	}
-	if !s.fetchBlocks(si, scratch, want, avail, &res.acct, nil, res.frames) {
-		return
-	}
-	var missing []int
-	for _, pos := range want {
-		if scratch[pos] == nil {
-			missing = append(missing, pos)
-		}
-	}
-	res.acct.degraded = true
-	dstFor := func(pos int) []byte {
-		if keep[pos] {
-			return make([]byte, si.BlockLen)
-		}
-		return (*res.frame(s, pos))[:si.BlockLen] // the frame a failed read was lent, if any
-	}
-	if err := s.reconstructPositions(si, scratch, missing, avail, &res.acct, nil, dstFor); err != nil {
-		res.err = err
-	}
 }
 
 // manifestSnapshot captures an object's manifest and pins it. Both
