@@ -1,6 +1,9 @@
 package gateway
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
@@ -68,6 +71,70 @@ func FuzzValidateTenant(f *testing.F) {
 		}
 		if err := store.ValidateName(tenant); err != nil {
 			t.Fatalf("validateTenant accepted %q, which the store refuses: %v", tenant, err)
+		}
+	})
+}
+
+// FuzzUploadRecord stores arbitrary bytes as a multipart upload record
+// and looks them up under a fuzzed id, tenant and key: getUpload never
+// panics, accepts a record only when it names the caller's tenant and
+// key, and a record beginUpload wrote round-trips for the tenant and key
+// it was begun with.
+func FuzzUploadRecord(f *testing.F) {
+	for _, seed := range []struct {
+		id, rec, tenant, key string
+	}{
+		{"0123abcd", `{"tenant":"acme","key":"k"}`, "acme", "k"},
+		{"0123abcd", `{"tenant":"acme","key":"k"}`, "other", "k"},
+		{"0123abcd", `{"tenant":"acme","key":"k","extra":[1]}`, "acme", "k"},
+		{"up", `{"Tenant":"acme","KEY":"a/b"}`, "acme", "a/b"},
+		{"up", `{"tenant":"acme"}`, "acme", ""},
+		{"up", `null`, "", ""},
+		{"up", `{"tenant":1}`, "acme", "k"},
+		{"up", "not json", "acme", "k"},
+		{"../up", `{"tenant":"acme","key":"k"}`, "acme", "k"},
+	} {
+		f.Add(seed.id, []byte(seed.rec), seed.tenant, seed.key)
+	}
+	st, err := store.New(store.Config{BlockSize: 256})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { st.Close() })
+	g, err := New(Config{Store: st})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, id string, raw []byte, tenant, key string) {
+		if st.PutUploadRecord(id, raw) == nil {
+			got, err := g.getUpload(id, tenant, key)
+			var want uploadRecord
+			if err == nil && (json.Unmarshal(raw, &want) != nil || want != (uploadRecord{Tenant: tenant, Key: key}) || got != want) {
+				t.Fatalf("getUpload(%q, %q, %q) accepted record %q as %+v", id, tenant, key, raw, got)
+			}
+			if err := st.DeleteUploadRecord(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// The router begins an upload only for a valid tenant and name.
+		if validateTenant(tenant) != nil || store.ValidateName(tenant+"/"+key) != nil {
+			return
+		}
+		w := httptest.NewRecorder()
+		g.beginUpload(w, tenant, key)
+		var resp struct {
+			UploadID string `json:"uploadId"`
+		}
+		if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &resp) != nil {
+			t.Fatalf("beginUpload(%q, %q): %d %s", tenant, key, w.Code, w.Body.Bytes())
+		}
+		got, err := g.getUpload(resp.UploadID, tenant, key)
+		if err != nil || got != (uploadRecord{Tenant: tenant, Key: key}) {
+			t.Fatalf("upload %q begun for %q/%q reads back %+v, %v", resp.UploadID, tenant, key, got, err)
+		}
+		if err := st.DeleteUploadRecord(resp.UploadID); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -415,7 +415,7 @@ func (w *failAfter) Write(p []byte) (int, error) {
 }
 
 // TestBorrowFramesReturnOnEveryExit: every frame a GET draws is back in
-// the pool when GetRange returns, whichever way it returns — a clean
+// the pool when getRange returns, whichever way it returns — a clean
 // read, a writer that fails mid-object while the next stripe is being
 // prefetched, and a stripe that cannot be rebuilt after earlier ones
 // drained. With no cache every block is borrowed, and a corrupt block in
@@ -441,14 +441,14 @@ func TestBorrowFramesReturnOnEveryExit(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	info, err := s.GetRange("obj", 0, -1, &buf)
+	info, err := getRange(s, "obj", 0, -1, &buf)
 	if err != nil || !bytes.Equal(buf.Bytes(), want) || !info.Degraded {
 		t.Fatalf("clean read: err %v, exact %v, degraded %v", err, bytes.Equal(buf.Bytes(), want), info.Degraded)
 	}
 	check("clean read")
 
 	w := &failAfter{n: k*bs + bs/2}
-	if _, err := s.GetRange("obj", 0, -1, w); !errors.Is(err, errRefused) {
+	if _, err := getRange(s, "obj", 0, -1, w); !errors.Is(err, errRefused) {
 		t.Fatalf("failing writer: err %v", err)
 	}
 	check("failing writer")
@@ -457,7 +457,7 @@ func TestBorrowFramesReturnOnEveryExit(t *testing.T) {
 		corruptBlock(t, s, be.MemBackend, "obj", 2, pos)
 	}
 	buf.Reset()
-	info, err = s.GetRange("obj", 0, -1, &buf)
+	info, err = getRange(s, "obj", 0, -1, &buf)
 	if !errors.Is(err, ErrUnrecoverable) || info.BytesWritten != 2*int64(k*bs) {
 		t.Fatalf("unrecoverable stripe 2: err %v after %d bytes", err, info.BytesWritten)
 	}
@@ -513,7 +513,7 @@ func TestBorrowConcurrentGets(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				w := &checkWriter{want: want[i]}
-				if _, err := s.GetRange(fmt.Sprintf("g%d", i), 0, -1, w); err != nil || w.bad || w.off != len(want[i]) {
+				if _, err := getRange(s, fmt.Sprintf("g%d", i), 0, -1, w); err != nil || w.bad || w.off != len(want[i]) {
 					t.Errorf("GET g%d: err %v, %d bytes, wrong bytes %v", i, err, w.off, w.bad)
 					return
 				}

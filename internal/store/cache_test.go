@@ -80,8 +80,8 @@ func TestBlockCacheChargesCapacity(t *testing.T) {
 // a warm object costs zero backend block reads, for full gets and
 // ranged gets alike.
 func TestCachedReadsSkipBackend(t *testing.T) {
-	cb := &countingBackend{Backend: NewMemBackend()}
-	s := newTestStore(t, Config{Backend: cb, BlockSize: 128, CacheBytes: 64 << 20})
+	rec := newIORecorder(NewMemBackend())
+	s := newTestStore(t, Config{Backend: rec, BlockSize: 128, CacheBytes: 64 << 20})
 	rng := rand.New(rand.NewSource(7))
 	k := s.Codec().K()
 	want := randBytes(rng, 3*128*k+57)
@@ -95,7 +95,7 @@ func TestCachedReadsSkipBackend(t *testing.T) {
 	if info.BlocksRead == 0 {
 		t.Fatal("warming Get read no blocks")
 	}
-	readsAfterWarm := cb.reads.Load()
+	readsAfterWarm := rec.reqs("Read", "ReadInto")
 
 	got, info, err = s.Get("hot")
 	if err != nil || !bytes.Equal(got, want) {
@@ -104,20 +104,20 @@ func TestCachedReadsSkipBackend(t *testing.T) {
 	if info.BlocksRead != 0 || info.BytesRead != 0 {
 		t.Fatalf("cached Get cost %d blocks / %d bytes, want 0", info.BlocksRead, info.BytesRead)
 	}
-	if got := cb.reads.Load(); got != readsAfterWarm {
+	if got := rec.reqs("Read", "ReadInto"); got != readsAfterWarm {
 		t.Fatalf("cached Get hit the backend: %d -> %d reads", readsAfterWarm, got)
 	}
 
 	var buf bytes.Buffer
-	info, err = s.GetRange("hot", 100, 500, &buf)
+	info, err = getRange(s, "hot", 100, 500, &buf)
 	if err != nil || !bytes.Equal(buf.Bytes(), want[100:600]) {
-		t.Fatalf("cached GetRange: err %v", err)
+		t.Fatalf("cached getRange: err %v", err)
 	}
 	if info.BlocksRead != 0 {
-		t.Fatalf("cached GetRange read %d blocks, want 0", info.BlocksRead)
+		t.Fatalf("cached getRange read %d blocks, want 0", info.BlocksRead)
 	}
-	if got := cb.reads.Load(); got != readsAfterWarm {
-		t.Fatalf("cached GetRange hit the backend: %d -> %d reads", readsAfterWarm, got)
+	if got := rec.reqs("Read", "ReadInto"); got != readsAfterWarm {
+		t.Fatalf("cached getRange hit the backend: %d -> %d reads", readsAfterWarm, got)
 	}
 
 	m := s.Metrics()
@@ -175,8 +175,7 @@ func TestCacheInvalidationOnOverwriteAndDelete(t *testing.T) {
 // reclaim of the copy the repair replaced invalidates its entry, and the
 // post-repair read is byte-exact with one backend re-read.
 func TestCacheRepairCoherence(t *testing.T) {
-	cb := &countingBackend{Backend: NewMemBackend()}
-	s := newTestStore(t, Config{Backend: cb, Nodes: 24, Racks: 8, BlockSize: 128, CacheBytes: 64 << 20})
+	s := newTestStore(t, Config{Nodes: 24, Racks: 8, BlockSize: 128, CacheBytes: 64 << 20})
 	rng := rand.New(rand.NewSource(9))
 	k := s.Codec().K()
 	want := randBytes(rng, 128*k) // one full stripe
@@ -228,7 +227,7 @@ func TestCacheRepairCoherence(t *testing.T) {
 	}
 }
 
-// TestCacheChurnRace hammers one hot key with parallel Get/GetRange
+// TestCacheChurnRace hammers one hot key with parallel Get/getRange
 // readers under overwrite churn. Every read must observe one internally
 // consistent version (the per-generation keying means a read can never
 // stitch two generations together), and the cache must still be earning
@@ -299,8 +298,8 @@ func TestCacheChurnRace(t *testing.T) {
 				} else {
 					off := 100 + (r+i)%200
 					var buf bytes.Buffer
-					if _, err := s.GetRange("hot", int64(off), 300, &buf); err != nil {
-						t.Errorf("GetRange under churn: %v", err)
+					if _, err := getRange(s, "hot", int64(off), 300, &buf); err != nil {
+						t.Errorf("getRange under churn: %v", err)
 						return
 					}
 					if !checkVersion(buf.Bytes(), off) {

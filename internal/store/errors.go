@@ -39,7 +39,7 @@ var ErrObjectNotFound error = &sentinelError{"store: object not found", ErrNotFo
 // (see ValidateName).
 var ErrBadKey = errors.New("store: invalid object name")
 
-// ErrBadRange reports a GetRange window that lies outside the object.
+// ErrBadRange reports a GetWindow offset that lies outside the object.
 var ErrBadRange = errors.New("store: invalid range")
 
 // ErrUnrecoverable reports a stripe with more damage than the codec can

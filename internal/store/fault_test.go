@@ -266,15 +266,16 @@ func TestFaultBackendDeleteMany(t *testing.T) {
 	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9", "k10", "k11", "k12", "k13", "k14", "k15"}
 	for _, tc := range []struct {
 		name  string
-		inner *manyDeleter
 		batch bool // inner takes DeleteMany
 	}{
-		{"inner takes a key list", &manyDeleter{MemBackend: NewMemBackend()}, true},
-		{"inner has only Delete", &manyDeleter{MemBackend: NewMemBackend()}, false},
+		{"inner takes a key list", true},
+		{"inner has only Delete", false},
 	} {
-		var inner Backend = tc.inner
+		mb := NewMemBackend()
+		rec := newIORecorder(mb)
+		var inner Backend = rec
 		if !tc.batch {
-			inner = struct{ Backend }{tc.inner} // hides DeleteMany
+			inner = struct{ Backend }{rec} // hides DeleteMany
 		}
 		fb := NewFaultBackend(inner, 42)
 		for _, k := range keys {
@@ -287,7 +288,7 @@ func TestFaultBackendDeleteMany(t *testing.T) {
 		if err := fb.DeleteMany(0, keys); !errors.Is(err, ErrInjected) {
 			t.Fatalf("%s: want ErrInjected, got %v", tc.name, err)
 		}
-		if got := tc.inner.BlockCount(0); got != len(keys) {
+		if got := mb.BlockCount(0); got != len(keys) {
 			t.Fatalf("%s: an injected failure deleted %d blocks", tc.name, len(keys)-got)
 		}
 
@@ -306,14 +307,14 @@ func TestFaultBackendDeleteMany(t *testing.T) {
 		if err := fb.DeleteMany(0, keys[8:]); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := tc.inner.BlockCount(0); got != 0 {
+		if got := mb.BlockCount(0); got != 0 {
 			t.Fatalf("%s: %d blocks survived", tc.name, got)
 		}
 		wantBatches, wantDeletes := int64(2), int64(0)
 		if !tc.batch {
 			wantBatches, wantDeletes = 0, int64(len(keys))
 		}
-		if b, d := tc.inner.batches.Load(), tc.inner.deletes.Load(); b != wantBatches || d != wantDeletes {
+		if b, d := rec.reqs("DeleteMany"), rec.reqs("Delete"); b != wantBatches || d != wantDeletes {
 			t.Fatalf("%s: inner saw %d DeleteMany and %d Delete calls, want %d and %d", tc.name, b, d, wantBatches, wantDeletes)
 		}
 	}

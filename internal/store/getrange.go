@@ -14,32 +14,25 @@ type rangeSeg struct {
 	pLo, pHi int
 }
 
-// GetRange streams bytes [off, off+length) of an object to w, with
-// length < 0 meaning "to the end". Only the stripes the range overlaps
-// are visited and, within each, only the data blocks the range covers
-// are read (reconstructed when missing or corrupt, exactly like a full
-// read) — a small range on a large object costs its covering blocks,
-// not the object.
+// GetWindow streams bytes [off, off+length) of an object's current
+// version to w, with the window chosen after that version is known. It
+// snapshots and pins the version, then calls choose once with its size;
+// choose returns off, length and w, or a nil writer to read nothing (a
+// zero ReadInfo and no error). length < 0 means "to the end"; off
+// outside [0, size] returns ErrBadRange; length past the end is clamped.
+// Whatever choose decides — a response's headers, its admission — and
+// the bytes streamed to w all describe that one version: the pin keeps
+// every block the snapshot names on its node until the read ends, so a
+// concurrent overwrite, delete, repair or rebalance never takes a block
+// from under it. The serving tier's GET rides on this. choose runs on
+// the caller's goroutine, holding no lock.
 //
-// off outside [0, size] returns ErrBadRange; length past the end is
-// clamped. The read is one pass over the version current at entry (see
-// GetWindow), and a failure — a stripe that cannot be decoded, a writer
-// that refuses bytes — is final. The ReadInfo counts the bytes that
-// reached w.
-func (s *Store) GetRange(name string, off, length int64, w io.Writer) (ReadInfo, error) {
-	return s.GetWindow(name, func(int64) (int64, int64, io.Writer) { return off, length, w })
-}
-
-// GetWindow is GetRange with the window chosen after the version is
-// known. It snapshots and pins the object's current version, then calls
-// choose once with that version's size; choose returns the window and
-// writer, as GetRange takes them, or a nil writer to read nothing (a
-// zero ReadInfo and no error). Whatever choose decides — a response's
-// headers, its admission — and the bytes streamed to w all describe that
-// one version: the pin keeps every block the snapshot names on its node
-// until the read ends, so a concurrent overwrite, delete, repair or
-// rebalance never takes a block from under it. The serving tier's GET
-// rides on this. choose runs on the caller's goroutine, holding no lock.
+// Only the stripes the window overlaps are visited and, within each,
+// only the data blocks it covers are read (reconstructed when missing or
+// corrupt, exactly like a full read) — a small range on a large object
+// costs its covering blocks, not the object. A failure — a stripe that
+// cannot be decoded, a writer that refuses bytes — is final. The
+// ReadInfo counts the bytes that reached w.
 //
 // The stripe pipeline is one deep: while segment i drains to w, segment
 // i+1 is already being fetched into the other of two scratch slices

@@ -4,9 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 )
+
+// getRange streams bytes [off, off+length) of name to w through
+// GetWindow, with length < 0 meaning "to the end".
+func getRange(s *Store, name string, off, length int64, w io.Writer) (ReadInfo, error) {
+	return s.GetWindow(name, func(int64) (int64, int64, io.Writer) { return off, length, w })
+}
 
 // TestGetRangeCorrectness slides windows across an object spanning
 // several stripes — block-aligned, block-straddling, stripe-straddling,
@@ -42,21 +49,21 @@ func TestGetRangeCorrectness(t *testing.T) {
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
-		if _, err := s.GetRange("obj", c.off, c.length, &buf); err != nil {
-			t.Fatalf("GetRange(%d, %d): %v", c.off, c.length, err)
+		if _, err := getRange(s, "obj", c.off, c.length, &buf); err != nil {
+			t.Fatalf("getRange(%d, %d): %v", c.off, c.length, err)
 		}
 		end := c.off + c.length
 		if c.length < 0 || end > size {
 			end = size
 		}
 		if !bytes.Equal(buf.Bytes(), want[c.off:end]) {
-			t.Fatalf("GetRange(%d, %d): payload mismatch (%d bytes, want %d)",
+			t.Fatalf("getRange(%d, %d): payload mismatch (%d bytes, want %d)",
 				c.off, c.length, buf.Len(), end-c.off)
 		}
 	}
 }
 
-// TestGetRangeReadsOnlyCoveringBlocks is the point of GetRange: a small
+// TestGetRangeReadsOnlyCoveringBlocks is the point of getRange: a small
 // range must not pay for a full-object read. A window inside a single
 // block of a multi-stripe object reads exactly one block.
 func TestGetRangeReadsOnlyCoveringBlocks(t *testing.T) {
@@ -74,7 +81,7 @@ func TestGetRangeReadsOnlyCoveringBlocks(t *testing.T) {
 	// Entirely inside data block 3 of stripe 1.
 	off := int64(stripe + 3*bl + 10)
 	var buf bytes.Buffer
-	info, err := s.GetRange("obj", off, 50, &buf)
+	info, err := getRange(s, "obj", off, 50, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +100,7 @@ func TestGetRangeReadsOnlyCoveringBlocks(t *testing.T) {
 	// A range over blocks 2..5 of one stripe reads exactly those four.
 	off = int64(2 * bl)
 	buf.Reset()
-	info, err = s.GetRange("obj", off, int64(4*bl), &buf)
+	info, err = getRange(s, "obj", off, int64(4*bl), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +115,7 @@ func TestGetRangeReadsOnlyCoveringBlocks(t *testing.T) {
 	off = int64(stripe - 1)
 	length := int64(stripe + 2)
 	buf.Reset()
-	info, err = s.GetRange("obj", off, length, &buf)
+	info, err = getRange(s, "obj", off, length, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +167,12 @@ func TestGetRangeDegraded(t *testing.T) {
 		{int64(len(want)) - 50, 50},
 	} {
 		var buf bytes.Buffer
-		info, err := s.GetRange("obj", c.off, c.length, &buf)
+		info, err := getRange(s, "obj", c.off, c.length, &buf)
 		if err != nil {
-			t.Fatalf("degraded GetRange(%d, %d): %v", c.off, c.length, err)
+			t.Fatalf("degraded getRange(%d, %d): %v", c.off, c.length, err)
 		}
 		if !bytes.Equal(buf.Bytes(), want[c.off:c.off+c.length]) {
-			t.Fatalf("degraded GetRange(%d, %d): payload mismatch", c.off, c.length)
+			t.Fatalf("degraded getRange(%d, %d): payload mismatch", c.off, c.length)
 		}
 		_ = info
 	}
@@ -180,19 +187,19 @@ func TestGetRangeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := s.GetRange("obj", -1, 4, &buf); !errors.Is(err, ErrBadRange) {
+	if _, err := getRange(s, "obj", -1, 4, &buf); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("negative offset: got %v, want ErrBadRange", err)
 	}
-	if _, err := s.GetRange("obj", 12, 1, &buf); !errors.Is(err, ErrBadRange) {
+	if _, err := getRange(s, "obj", 12, 1, &buf); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("offset past end: got %v, want ErrBadRange", err)
 	}
-	if _, err := s.GetRange("obj", 11, 0, &buf); err != nil {
+	if _, err := getRange(s, "obj", 11, 0, &buf); err != nil {
 		t.Fatalf("empty range at exact end: %v", err)
 	}
-	if _, err := s.GetRange("missing", 0, 4, &buf); !errors.Is(err, ErrNotFound) {
+	if _, err := getRange(s, "missing", 0, 4, &buf); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing object: got %v, want ErrNotFound", err)
 	}
-	if _, err := s.GetRange("missing", 0, 4, &buf); !errors.Is(err, ErrObjectNotFound) {
+	if _, err := getRange(s, "missing", 0, 4, &buf); !errors.Is(err, ErrObjectNotFound) {
 		t.Fatalf("missing object: got %v, want ErrObjectNotFound", err)
 	}
 }
@@ -205,18 +212,18 @@ func TestGetRangeZeroLengthObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := s.GetRange("empty", 0, 10, &buf); err != nil {
+	if _, err := getRange(s, "empty", 0, 10, &buf); err != nil {
 		t.Fatalf("range on empty object: %v", err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("empty object returned %d bytes", buf.Len())
 	}
-	if _, err := s.GetRange("empty", 1, 1, &buf); !errors.Is(err, ErrBadRange) {
+	if _, err := getRange(s, "empty", 1, 1, &buf); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("offset past empty object: got %v, want ErrBadRange", err)
 	}
 }
 
-// TestGetRangeMatchesGet cross-checks GetRange(0, size) against Get for
+// TestGetRangeMatchesGet cross-checks getRange(0, size) against Get for
 // a spread of object sizes, including sub-block and exactly-aligned.
 func TestGetRangeMatchesGet(t *testing.T) {
 	const bl = 64
@@ -231,11 +238,11 @@ func TestGetRangeMatchesGet(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := s.GetRange(name, 0, int64(n), &buf); err != nil {
-			t.Fatalf("GetRange(%q): %v", name, err)
+		if _, err := getRange(s, name, 0, int64(n), &buf); err != nil {
+			t.Fatalf("getRange(%q): %v", name, err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("GetRange(%q): mismatch", name)
+			t.Fatalf("getRange(%q): mismatch", name)
 		}
 	}
 }
@@ -245,8 +252,8 @@ func TestGetRangeMatchesGet(t *testing.T) {
 // length) — succeed with zero bytes written and zero backend reads.
 // Regression: an empty window must never cost a covering-stripe fetch.
 func TestGetRangeEmptyWindowNoBackendReads(t *testing.T) {
-	cb := &countingBackend{Backend: NewMemBackend()}
-	s := newTestStore(t, Config{Backend: cb, BlockSize: 128})
+	rec := newIORecorder(NewMemBackend())
+	s := newTestStore(t, Config{Backend: rec, BlockSize: 128})
 	defer s.Close()
 	k := s.Codec().K()
 	want := randBytes(rand.New(rand.NewSource(77)), 128*k+40)
@@ -254,7 +261,7 @@ func TestGetRangeEmptyWindowNoBackendReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := int64(len(want))
-	before := cb.reads.Load()
+	before := rec.reqs("Read", "ReadInto")
 	for _, c := range []struct{ off, length int64 }{
 		{0, 0},          // empty at start
 		{17, 0},         // empty mid-object
@@ -263,22 +270,22 @@ func TestGetRangeEmptyWindowNoBackendReads(t *testing.T) {
 		{size, 1 << 30}, // off == size, oversized length clamps to nothing
 	} {
 		var buf bytes.Buffer
-		info, err := s.GetRange("obj", c.off, c.length, &buf)
+		info, err := getRange(s, "obj", c.off, c.length, &buf)
 		if err != nil {
-			t.Fatalf("GetRange(%d, %d): %v", c.off, c.length, err)
+			t.Fatalf("getRange(%d, %d): %v", c.off, c.length, err)
 		}
 		if buf.Len() != 0 || info.BytesWritten != 0 {
-			t.Fatalf("GetRange(%d, %d) wrote %d bytes, want 0", c.off, c.length, buf.Len())
+			t.Fatalf("getRange(%d, %d) wrote %d bytes, want 0", c.off, c.length, buf.Len())
 		}
 		if info.BlocksRead != 0 || info.BytesRead != 0 {
-			t.Fatalf("GetRange(%d, %d) cost %d blocks / %d bytes, want free", c.off, c.length, info.BlocksRead, info.BytesRead)
+			t.Fatalf("getRange(%d, %d) cost %d blocks / %d bytes, want free", c.off, c.length, info.BlocksRead, info.BytesRead)
 		}
 	}
-	if got := cb.reads.Load(); got != before {
+	if got := rec.reqs("Read", "ReadInto"); got != before {
 		t.Fatalf("empty windows hit the backend: %d -> %d reads", before, got)
 	}
 	// One past the end stays an error, not an empty success.
-	if _, err := s.GetRange("obj", size+1, 0, &bytes.Buffer{}); !errors.Is(err, ErrBadRange) {
-		t.Fatalf("GetRange(size+1, 0) = %v, want ErrBadRange", err)
+	if _, err := getRange(s, "obj", size+1, 0, &bytes.Buffer{}); !errors.Is(err, ErrBadRange) {
+		t.Fatalf("getRange(size+1, 0) = %v, want ErrBadRange", err)
 	}
 }

@@ -98,7 +98,7 @@ func (s *Store) LiveNodes() int {
 // (503 + Retry-After) while reads keep serving degraded. Draining and
 // dead members don't count even when their processes answer probes.
 func (s *Store) WriteDegraded() bool {
-	return s.PlaceableNodes() < s.cfg.Codec.NStored()
+	return s.placeableNodes() < s.cfg.Codec.NStored()
 }
 
 // MonitorConfig tunes a HealthMonitor.

@@ -20,13 +20,13 @@ import (
 //	    dead ◀──────────────────────────────────────── draining
 //	           drain completes (no manifest blocks left)
 //
-// RemoveNode is the hard edge active→dead (the node is gone; its blocks
-// become repair work). A dead member is down. Records are persisted in
-// the metadata plane under n/ keys — a state change bumps the epoch, a
-// liveness flip does not — and recovered on restart like the repair
-// queue, so a kill -9 forgets nothing. Node ids are never reused: old
-// manifests keep resolving mid-migration, new stripes simply stop
-// landing on retired ids.
+// A node that is gone for good is decommissioned like any other: the
+// drain rebuilds its blocks from their groups. A dead member is down.
+// Records are persisted in the metadata plane under n/ keys — a state
+// change bumps the epoch, a liveness flip does not — and recovered on
+// restart like the repair queue, so a kill -9 forgets nothing. Node ids
+// are never reused: old manifests keep resolving mid-migration, new
+// stripes simply stop landing on retired ids.
 
 // NodeState is a node's place in the planned topology.
 type NodeState string
@@ -112,8 +112,8 @@ func (s *Store) keeps(n int) bool {
 	return n >= 0 && n < len(s.members) && !s.members[n].Down && s.members[n].State.placeable()
 }
 
-// PlaceableNodes counts nodes eligible for new placements.
-func (s *Store) PlaceableNodes() int {
+// placeableNodes counts nodes eligible for new placements.
+func (s *Store) placeableNodes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
@@ -167,67 +167,42 @@ func (s *Store) AddNode(addr string) (int, error) {
 // stays the health monitor's. When nothing remains the node retires to
 // dead.
 func (s *Store) Decommission(n int) error {
-	return s.transition(n, NodeDraining, func(cur NodeState) error {
-		if cur == NodeDead {
-			return fmt.Errorf("store: node %d is already dead", n)
+	for {
+		switch cur := s.MemberState(n); cur {
+		case NodeDead:
+			return fmt.Errorf("store: node %d is dead or unknown", n)
+		case NodeDraining:
+			return nil // idempotent
+		default:
+			// A rebalance pass may promote a joiner between the read and
+			// the swap; the next round sees it active.
+			if moved, err := s.transition(n, cur, NodeDraining); moved || err != nil {
+				return err
+			}
 		}
-		return nil
-	})
+	}
 }
 
-// RemoveNode retires a node immediately: dead in the topology, dead for
-// liveness. Its remaining blocks become repair work (ScrubPresence
-// enqueues them).
-func (s *Store) RemoveNode(n int) error {
-	return s.transition(n, NodeDead, func(cur NodeState) error { return nil })
-}
-
-// transition moves node n to state after check approves the current
-// state, persisting the record and bumping the epoch. A node moved to
-// NodeDead is down in the same record.
-func (s *Store) transition(n int, state NodeState, check func(cur NodeState) error) error {
+// transition is every membership state change, as a compare-and-set:
+// node n moves to state to only while its state is from, bumping the
+// epoch and persisting the record; a node moved to NodeDead is down in
+// the same record. It reports whether the state changed. Decommission
+// and the rebalancer (joining→active, draining→dead) are its callers.
+func (s *Store) transition(n int, from, to NodeState) (bool, error) {
 	s.memberMu.Lock()
 	defer s.memberMu.Unlock()
 	s.mu.Lock()
-	if n < 0 || n >= len(s.members) {
+	if n < 0 || n >= len(s.members) || s.members[n].State != from {
 		s.mu.Unlock()
-		return fmt.Errorf("store: no node %d", n)
+		return false, nil
 	}
-	cur := s.members[n].State
-	if err := check(cur); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	if cur == state {
-		s.mu.Unlock()
-		return nil // idempotent
-	}
-	epoch := s.epoch.Add(1)
-	s.members[n].State = state
-	s.members[n].Epoch = epoch
-	s.members[n].Down = s.members[n].Down || state == NodeDead
+	s.members[n].State = to
+	s.members[n].Epoch = s.epoch.Add(1)
+	s.members[n].Down = s.members[n].Down || to == NodeDead
 	rec := s.members[n]
 	s.mu.Unlock()
-	return s.db.Put(nodeKey(n), &rec)
+	return true, s.db.Put(nodeKey(n), &rec)
 }
-
-// promote is transition without the public error contract: used by the
-// rebalancer for joining→active and draining→dead. Reports whether the
-// state actually changed.
-func (s *Store) promote(n int, from, to NodeState) bool {
-	changed := false
-	err := s.transition(n, to, func(cur NodeState) error {
-		if cur != from {
-			return errAbortTransition
-		}
-		changed = true
-		return nil
-	})
-	return err == nil && changed
-}
-
-// errAbortTransition backs promote's compare-and-set semantics.
-var errAbortTransition = errors.New("store: membership state moved")
 
 // recoverMembers applies the n/ records found at open: the membership
 // table may be larger than cfg.Nodes (nodes added before a crash), and

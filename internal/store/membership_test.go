@@ -14,7 +14,8 @@ import (
 
 // TestMembershipStateMachine walks the planned-topology transitions:
 // seed nodes start active, AddNode issues a joining id, Decommission
-// drains, RemoveNode hard-kills, and the illegal edges error.
+// drains, a drainer with no blocks retires on the next rebalance pass,
+// and the illegal edges error.
 func TestMembershipStateMachine(t *testing.T) {
 	s := newTestStore(t, Config{Nodes: 20})
 	if got := s.Nodes(); got != 20 {
@@ -45,7 +46,7 @@ func TestMembershipStateMachine(t *testing.T) {
 	if e := s.Epoch(); e != 1 {
 		t.Fatalf("epoch after add = %d, want 1", e)
 	}
-	if n := s.PlaceableNodes(); n != 21 {
+	if n := s.placeableNodes(); n != 21 {
 		t.Fatalf("placeable = %d, want 21 (joining nodes take placements)", n)
 	}
 
@@ -58,7 +59,7 @@ func TestMembershipStateMachine(t *testing.T) {
 	if !s.Alive(3) {
 		t.Fatal("draining node must stay alive (it serves reads)")
 	}
-	if n := s.PlaceableNodes(); n != 20 {
+	if n := s.placeableNodes(); n != 20 {
 		t.Fatalf("placeable = %d, want 20 (drainer excluded)", n)
 	}
 	// Idempotent: re-decommissioning holds the state and the epoch.
@@ -70,14 +71,15 @@ func TestMembershipStateMachine(t *testing.T) {
 		t.Fatal("idempotent Decommission must not bump the epoch")
 	}
 
-	if err := s.RemoveNode(7); err != nil {
+	if err := s.Decommission(7); err != nil {
 		t.Fatal(err)
 	}
+	NewRebalancer(s, NewRepairManager(s, 0), 0).RebalanceOnce()
 	if st := s.MemberState(7); st != NodeDead {
-		t.Fatalf("removed node state = %s, want dead", st)
+		t.Fatalf("retired node state = %s, want dead", st)
 	}
 	if s.Alive(7) {
-		t.Fatal("removed node must be dead for liveness too")
+		t.Fatal("retired node must be dead for liveness too")
 	}
 	if s.ReviveNode(7); s.Alive(7) {
 		t.Fatal("a retired member must stay down: revival is for transient failures")
@@ -148,6 +150,11 @@ func TestMembershipSurvivesKill9(t *testing.T) {
 	dir := t.TempDir()
 	be := NewMemBackend()
 	s1 := newTestStore(t, Config{Nodes: 20, Backend: be, MetaDir: dir})
+	// Node 9 retires while it holds no blocks.
+	if err := s1.Decommission(9); err != nil {
+		t.Fatal(err)
+	}
+	NewRebalancer(s1, NewRepairManager(s1, 0), 0).RebalanceOnce()
 	if err := s1.Put("obj", []byte("survives the crash")); err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +163,6 @@ func TestMembershipSurvivesKill9(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s1.Decommission(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.RemoveNode(9); err != nil {
 		t.Fatal(err)
 	}
 	wantEpoch := s1.Epoch()
@@ -358,8 +362,8 @@ func TestMonitorKillsDeadDrainer(t *testing.T) {
 	// The drain protocol retires the node; a still-answering process
 	// must not be revived into the topology, and is not even probed.
 	s.KillNode(drainer)
-	if !s.promote(drainer, NodeDraining, NodeDead) {
-		t.Fatal("promote draining→dead failed")
+	if moved, err := s.transition(drainer, NodeDraining, NodeDead); !moved || err != nil {
+		t.Fatalf("transition draining→dead: moved %v, err %v", moved, err)
 	}
 	failing[drainer] = false
 	before := probes[drainer].Load()

@@ -181,22 +181,12 @@ type Metrics struct {
 	MetaIteratorScans   int64
 }
 
-// WireTraffic returns the backend's per-node wire counters, nil when
-// the backend is not networked — the per-node view behind the Metrics
-// totals (which node a repair actually pulled its source blocks from).
-func (s *Store) WireTraffic() (sent, recv []int64) {
-	ws, ok := s.cfg.Backend.(WireStats)
-	if !ok {
-		return nil, nil
-	}
-	return ws.WireTraffic()
-}
-
 // Metrics returns a snapshot of the store's counters.
 func (s *Store) Metrics() Metrics {
 	mm := s.db.Metrics()
 	var wireSent, wireRecv int64
-	if sent, recv := s.WireTraffic(); sent != nil {
+	if ws, ok := s.cfg.Backend.(WireStats); ok {
+		sent, recv := ws.WireTraffic()
 		for i := range sent {
 			wireSent += sent[i]
 			wireRecv += recv[i]

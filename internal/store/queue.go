@@ -30,13 +30,13 @@ type repairItem struct {
 
 // repairQueue is the §3 BlockFixer policy as a priority queue: stripes
 // closer to data loss first; at equal risk, light repairs before heavy
-// (they finish faster and free the queue); then FIFO. Pop blocks until an
+// (they finish faster and free the queue); then FIFO. pop blocks until an
 // item arrives or the queue closes. Safe for concurrent use.
 type repairQueue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	pending  repairHeap // one item per stripe
-	inFlight int        // popped but not yet Done: WaitIdle's other half
+	inFlight int        // popped but not yet done: waitIdle's other half
 	closed   bool
 	seq      int64
 }
@@ -47,11 +47,11 @@ func newRepairQueue() *repairQueue {
 	return q
 }
 
-// Push enqueues a damaged stripe. A stripe already pending absorbs the
+// push enqueues a damaged stripe. A stripe already pending absorbs the
 // item instead (absorb), so no damage found later is lost to the one
 // queued first. It returns the stripe's item as now queued, and false
 // when the queue is closed or the item brought nothing new.
-func (q *repairQueue) Push(it repairItem) (repairItem, bool) {
+func (q *repairQueue) push(it repairItem) (repairItem, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -63,14 +63,14 @@ func (q *repairQueue) Push(it repairItem) (repairItem, bool) {
 	q.seq++
 	it.seq = q.seq
 	heap.Push(&q.pending, it)
-	// Broadcast, not Signal: the one woken waiter could be a WaitIdle
-	// caller rather than a Pop, stranding the item.
+	// Broadcast, not Signal: the one woken waiter could be a waitIdle
+	// caller rather than a pop, stranding the item.
 	q.cond.Broadcast()
 	return it, true
 }
 
-// Pop blocks until an item is available or the queue closes (ok=false).
-func (q *repairQueue) Pop() (repairItem, bool) {
+// pop blocks until an item is available or the queue closes (ok=false).
+func (q *repairQueue) pop() (repairItem, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.pending.Len() == 0 && !q.closed {
@@ -84,16 +84,16 @@ func (q *repairQueue) Pop() (repairItem, bool) {
 	return it, true
 }
 
-// Done marks a popped item fully processed.
-func (q *repairQueue) Done() {
+// done marks a popped item fully processed.
+func (q *repairQueue) done() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.inFlight--
 	q.cond.Broadcast()
 }
 
-// WaitIdle blocks until no items are pending or in flight.
-func (q *repairQueue) WaitIdle() {
+// waitIdle blocks until no items are pending or in flight.
+func (q *repairQueue) waitIdle() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.pending.Len() > 0 || q.inFlight > 0 {
@@ -101,15 +101,15 @@ func (q *repairQueue) WaitIdle() {
 	}
 }
 
-// Len returns the number of pending items.
-func (q *repairQueue) Len() int {
+// len returns the number of pending items.
+func (q *repairQueue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.pending.Len()
 }
 
-// Close wakes all blocked Pops; subsequent Pushes are dropped.
-func (q *repairQueue) Close() {
+// close wakes all blocked pops; subsequent pushes are dropped.
+func (q *repairQueue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true

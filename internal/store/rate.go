@@ -81,10 +81,10 @@ func (l *Limiter) Charge(n int64) {
 	}
 }
 
-// Take charges n bytes against the bucket, sleeping off any debt — the
+// take charges n bytes against the bucket, sleeping off any debt — the
 // blocking discipline the background datapaths use. Safe for concurrent
 // use; concurrent workers share one budget.
-func (l *Limiter) Take(n int64) {
+func (l *Limiter) take(n int64) {
 	if l != nil && n > 0 {
 		time.Sleep(l.debit(n))
 	}

@@ -54,12 +54,12 @@ func NewRebalancer(s *Store, rm *RepairManager, period time.Duration) *Rebalance
 	return rb
 }
 
-// RebalanceOnce runs one synchronous pass: enqueue every stripe with a
-// block on a draining node for the repair pool, fill joining nodes
-// toward the cluster mean, then promote members whose transition
-// completed. A drain is asynchronous: its node retires on a later pass,
-// once the repair queue has moved its blocks. A no-op when the topology
-// has no drainers or joiners.
+// RebalanceOnce runs one synchronous pass: fill joining nodes toward
+// the cluster mean, reclaim what is pending, enqueue every stripe with a
+// block on a draining node for the repair pool, then promote members
+// whose transition completed. A drain is asynchronous: its node retires
+// on a later pass, once the repair queue has moved its blocks. A no-op
+// when the topology has no drainers or joiners.
 func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 	var rep RebalanceReport
 	s := rb.s
@@ -77,12 +77,17 @@ func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 		return rep
 	}
 
+	if len(joiners) > 0 {
+		rb.fillJoiners(joiners)
+	}
+	// Reclaim before the drain walk queues anything, so the deletes a
+	// pass sends never race the moves it queues (a started worker takes
+	// the first queued stripe at once): they are what was pending when
+	// the pass began, plus the fill's moved copies.
+	_ = s.Reclaim() // a refused delete stays pending and counts below
 	if len(drainers) > 0 {
 		walk := rb.rm.presence(drainingIn(members))
 		rep.Stripes, rep.Enqueued = walk.Stripes, walk.Enqueued
-	}
-	if len(joiners) > 0 {
-		rb.fillJoiners(joiners)
 	}
 
 	// Promotions close the pass. Joining nodes have received their fill
@@ -90,10 +95,11 @@ func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 	// active. A draining node retires to dead only when no manifest
 	// block references it and, unless it is down (the reclaimer stops
 	// asking a dead member), no copy moved off it awaits deletion —
-	// anything else is Remaining work for the next pass.
-	_ = s.Reclaim() // a refused delete stays pending and counts below
+	// anything else is Remaining work for the next pass. A promotion
+	// whose record fails to persist reverts at the next open, and a later
+	// pass makes it again.
 	for _, j := range joiners {
-		if s.promote(j, NodeJoining, NodeActive) {
+		if moved, _ := s.transition(j, NodeJoining, NodeActive); moved {
 			rep.Promoted++
 		}
 	}
@@ -105,7 +111,7 @@ func (rb *Rebalancer) RebalanceOnce() RebalanceReport {
 				left += s.deletesOn(d)
 			}
 			if left == 0 {
-				if s.promote(d, NodeDraining, NodeDead) {
+				if moved, _ := s.transition(d, NodeDraining, NodeDead); moved {
 					rep.Promoted++
 				}
 			} else {
@@ -129,7 +135,7 @@ func drainingIn(members []MemberInfo) func(node int) bool {
 func (rb *Rebalancer) fillJoiners(joiners []int) {
 	s := rb.s
 	counts := s.BlocksPerNode()
-	total, eligible := 0, s.PlaceableNodes()
+	total, eligible := 0, s.placeableNodes()
 	for _, c := range counts {
 		total += c
 	}

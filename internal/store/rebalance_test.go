@@ -248,8 +248,8 @@ func TestDrainWalkAfterJoin(t *testing.T) {
 		t.Fatalf("pre-join walk queued %d stripes, want the drainer's %d", rep.Enqueued, want)
 	}
 	rm = NewRepairManager(s, 0)
-	if rep := NewRebalancer(s, rm, 0).RebalanceOnce(); rep.Enqueued != want || rm.Pending() != want {
-		t.Fatalf("pass queued %d stripes (%d pending), want the drainer's %d", rep.Enqueued, rm.Pending(), want)
+	if rep := NewRebalancer(s, rm, 0).RebalanceOnce(); rep.Enqueued != want || rm.q.len() != want {
+		t.Fatalf("pass queued %d stripes (%d pending), want the drainer's %d", rep.Enqueued, rm.q.len(), want)
 	}
 }
 
@@ -458,8 +458,8 @@ func TestLossOutranksDrain(t *testing.T) {
 		s.KillNode(b)
 		NewScrubber(s, rm, 0).ScrubPresence()
 		losses, drains, both := 0, 0, 0
-		for rm.Pending() > 0 {
-			it, _ := rm.q.Pop()
+		for rm.q.len() > 0 {
+			it, _ := rm.q.pop()
 			si, _ := s.stripeSnapshot(it.ref)
 			pb := slices.Index(si.Nodes, b)
 			if pb < 0 {

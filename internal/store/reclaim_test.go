@@ -13,28 +13,6 @@ import (
 	"time"
 )
 
-// manyDeleter is a MemBackend that takes DeleteMany, counting both kinds
-// of delete call: what a netblock client would send as requests.
-type manyDeleter struct {
-	*MemBackend
-	deletes, batches atomic.Int64
-}
-
-func (m *manyDeleter) Delete(node int, key string) error {
-	m.deletes.Add(1)
-	return m.MemBackend.Delete(node, key)
-}
-
-func (m *manyDeleter) DeleteMany(node int, keys []string) error {
-	m.batches.Add(1)
-	for _, k := range keys {
-		if err := m.MemBackend.Delete(node, k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // checkPlacedExactly fails t unless mb holds exactly the blocks s's
 // manifests place, each on its node: no orphan, no loss.
 func checkPlacedExactly(t *testing.T, s *Store, mb *MemBackend) {
@@ -73,8 +51,9 @@ func checkPlacedExactly(t *testing.T, s *Store, mb *MemBackend) {
 // first reclamation after its last unpin.
 func TestReclaimBatchesByCount(t *testing.T) {
 	const bs = 64
-	md := &manyDeleter{MemBackend: NewMemBackend()}
-	s := newTestStore(t, Config{Backend: md, Nodes: 16, BlockSize: bs, CacheBytes: 1 << 20})
+	mb := NewMemBackend()
+	rec := newIORecorder(mb)
+	s := newTestStore(t, Config{Backend: rec, Nodes: 16, BlockSize: bs, CacheBytes: 1 << 20})
 	k, n := s.Codec().K(), s.Codec().NStored()
 	rng := rand.New(rand.NewSource(31))
 	names := []string{"a0", "a1", "a2", "a3"}
@@ -99,7 +78,7 @@ func TestReclaimBatchesByCount(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if d, b := md.deletes.Load(), md.batches.Load(); d != 0 || b != 0 {
+	if d, b := rec.reqs("Delete"), rec.reqs("DeleteMany"); d != 0 || b != 0 {
 		t.Fatalf("%d overwrites made %d deletes and %d batches, want none before the batch closes", perBatch-1, d, b)
 	}
 	if want := int64((perBatch - 1) * n); m.ReclaimPendingBlocks != want {
@@ -115,7 +94,7 @@ func TestReclaimBatchesByCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = s.Metrics()
-	if d, b := md.deletes.Load(), md.batches.Load(); d != 0 || b != int64(n) {
+	if d, b := rec.reqs("Delete"), rec.reqs("DeleteMany"); d != 0 || b != int64(n) {
 		t.Fatalf("the batch made %d deletes and %d DeleteMany calls, want 0 and %d (one per node)", d, b, n)
 	}
 	if m.ReclaimPendingBlocks != int64(n) || s.db.Len(tombPrefix) != 1 {
@@ -126,7 +105,7 @@ func TestReclaimBatchesByCount(t *testing.T) {
 	}
 
 	s.unpin(pinned)
-	if b := md.batches.Load(); b != int64(n) {
+	if b := rec.reqs("DeleteMany"); b != int64(n) {
 		t.Fatalf("unpin sent %d DeleteMany calls; reclamation waits for a batch", b-int64(n))
 	}
 	if err := s.Reclaim(); err != nil {
@@ -139,7 +118,7 @@ func TestReclaimBatchesByCount(t *testing.T) {
 	if got := m.CacheInvalidations - inv0; got != int64(k) {
 		t.Fatalf("reclaiming the pinned version dropped %d cache entries, want its %d data blocks", got, k)
 	}
-	checkPlacedExactly(t, s, md.MemBackend)
+	checkPlacedExactly(t, s, mb)
 }
 
 // writeHook runs after every write that reaches its backend.
@@ -387,11 +366,11 @@ func TestReclaimResumesAfterRestart(t *testing.T) {
 		}
 	}
 
-	cb := &countingBackend{Backend: fb}
-	s2 := newTestStore(t, Config{Backend: cb, MetaDir: dir})
+	rec := newIORecorder(fb)
+	s2 := newTestStore(t, Config{Backend: rec, MetaDir: dir})
 	defer s2.Close()
-	if r, w, d := cb.reads.Load(), cb.writes.Load(), cb.deletes.Load(); r+w+d != 0 {
-		t.Fatalf("open did backend I/O: %d reads, %d writes, %d deletes", r, w, d)
+	if lines, _, _ := rec.take(); lines != "" {
+		t.Fatalf("open did backend I/O:\n%s", lines)
 	}
 	if got := s2.Metrics().ReclaimPendingBlocks; got != int64(2*n) {
 		t.Fatalf("reopened with %d blocks pending, want both retired versions' %d", got, 2*n)

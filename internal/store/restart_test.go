@@ -6,32 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 )
-
-// countingBackend wraps a Backend and counts operations (atomically —
-// the store's pools call it concurrently) — the probe the restart tests
-// use to prove recovery never touched the block plane.
-type countingBackend struct {
-	Backend
-	reads, writes, deletes atomic.Int64
-}
-
-func (c *countingBackend) Read(node int, key string) ([]byte, error) {
-	c.reads.Add(1)
-	return c.Backend.Read(node, key)
-}
-
-func (c *countingBackend) Write(node int, key string, data []byte) error {
-	c.writes.Add(1)
-	return c.Backend.Write(node, key, data)
-}
-
-func (c *countingBackend) Delete(node int, key string) error {
-	c.deletes.Add(1)
-	return c.Backend.Delete(node, key)
-}
 
 // TestCleanRestartNoPresenceWalk is the clean-shutdown half of the
 // restart story: Close checkpoints the metadata plane, so the next open
@@ -67,14 +43,13 @@ func TestCleanRestartNoPresenceWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := &countingBackend{Backend: be2}
-	s2, err := New(Config{Backend: cb, BlockSize: 256, MetaDir: metaDir})
+	rec := newIORecorder(be2)
+	s2, err := New(Config{Backend: rec, BlockSize: 256, MetaDir: metaDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb.reads.Load() != 0 || cb.writes.Load() != 0 || cb.deletes.Load() != 0 {
-		t.Fatalf("clean restart touched the backend: %d reads, %d writes, %d deletes",
-			cb.reads.Load(), cb.writes.Load(), cb.deletes.Load())
+	if lines, _, _ := rec.take(); lines != "" {
+		t.Fatalf("clean restart touched the backend:\n%s", lines)
 	}
 	objects, replayed := s2.MetaRecovered()
 	if objects != len(want) {
@@ -147,14 +122,14 @@ func TestCrashRestartReplaysWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := &countingBackend{Backend: be2}
-	s2, err := New(Config{Backend: cb, BlockSize: 256, MetaDir: metaDir})
+	rec := newIORecorder(be2)
+	s2, err := New(Config{Backend: rec, BlockSize: 256, MetaDir: metaDir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if cb.reads.Load() != 0 {
-		t.Fatalf("recovery read %d blocks from the backend, want 0 (replay is metadata-only)", cb.reads.Load())
+	if n := rec.reqs("Read", "ReadInto"); n != 0 {
+		t.Fatalf("recovery read %d blocks from the backend, want 0 (replay is metadata-only)", n)
 	}
 	objects, replayed := s2.MetaRecovered()
 	if objects != 1 {
@@ -234,7 +209,7 @@ func TestRepairQueueSurvivesRestart(t *testing.T) {
 	}
 	defer s2.Close()
 	rm2 := NewRepairManager(s2, 2)
-	if rm2.Pending() == 0 {
+	if rm2.q.len() == 0 {
 		t.Fatal("restart lost the persisted repair queue")
 	}
 	rm2.Start()

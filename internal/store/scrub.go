@@ -54,7 +54,7 @@ func NewRepairManager(s *Store, workers int) *RepairManager {
 		if !ok {
 			break
 		}
-		r.q.Push(v.(*repairRecord).item())
+		r.q.push(v.(*repairRecord).item())
 	}
 	return r
 }
@@ -88,7 +88,7 @@ func (r *RepairManager) work() {
 	var scratch repairScratch
 	var join func() // pending write-back of the previous item
 	for {
-		it, ok := r.q.Pop()
+		it, ok := r.q.pop()
 		if !ok {
 			break
 		}
@@ -127,7 +127,7 @@ func (r *RepairManager) asyncWrite(it repairItem, write func()) func() {
 // drops.
 func (r *RepairManager) finish(it repairItem) {
 	_ = r.s.db.CommitNoSync(func(tx *meta.Tx) { tx.Delete(qKey(it.ref)) })
-	r.q.Done()
+	r.q.done()
 }
 
 // Stop halts every pass and waits for any in flight, then drains the
@@ -142,7 +142,7 @@ func (r *RepairManager) Stop() {
 	}
 	r.mu.Unlock()
 	r.passWG.Wait()
-	r.q.Close()
+	r.q.close()
 	r.wg.Wait()
 }
 
@@ -179,17 +179,14 @@ func (r *RepairManager) every(period time.Duration, run func()) {
 // Drain blocks until the queue is empty and every in-flight repair has
 // finished — the test and CLI barrier between "scrub found damage" and
 // "damage is gone".
-func (r *RepairManager) Drain() { r.q.WaitIdle() }
-
-// Pending returns the queued repair count.
-func (r *RepairManager) Pending() int { return r.q.Len() }
+func (r *RepairManager) Drain() { r.q.waitIdle() }
 
 // enqueue admits one damaged stripe (merged into its pending item, if
 // any) and persists the item as queued to the metadata plane. The record
 // is committed without a sync: losing it in a crash only costs a
 // rediscovery by the next scrub, which is not worth an fsync per enqueue.
 func (r *RepairManager) enqueue(it repairItem) bool {
-	it, ok := r.q.Push(it)
+	it, ok := r.q.push(it)
 	if ok {
 		_ = r.s.db.CommitNoSync(func(tx *meta.Tx) { tx.Put(qKey(it.ref), recordOf(it)) })
 	}

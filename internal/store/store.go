@@ -435,7 +435,7 @@ func (s *Store) readStripe(si *stripeInfo, stripe [][]byte, positions []int, ava
 		}
 		r.acct.blocks++
 		r.acct.bytes += int64(len(raw))
-		lim.Take(int64(len(raw)))
+		lim.take(int64(len(raw)))
 		payload, err := UnframeBlock(raw)
 		if err == nil && len(payload) != si.BlockLen {
 			err = fmt.Errorf("%w: %d-byte payload, want %d", ErrCorrupt, len(payload), si.BlockLen)

@@ -412,18 +412,18 @@ func TestQueuePriority(t *testing.T) {
 	mk := func(i, erasures int, light bool) repairItem {
 		return repairItem{ref: stripeRef{name: "o", idx: i}, erasures: erasures, light: light}
 	}
-	q.Push(mk(0, 1, false))
-	q.Push(mk(1, 3, false)) // most erasures: closest to data loss
-	q.Push(mk(2, 1, true))  // same risk as 0 but light goes first
-	q.Push(mk(3, 3, true))  // ties with 1 on risk, light wins
+	q.push(mk(0, 1, false))
+	q.push(mk(1, 3, false)) // most erasures: closest to data loss
+	q.push(mk(2, 1, true))  // same risk as 0 but light goes first
+	q.push(mk(3, 3, true))  // ties with 1 on risk, light wins
 	var order []int
 	for range 4 {
-		it, ok := q.Pop()
+		it, ok := q.pop()
 		if !ok {
 			t.Fatal("queue closed early")
 		}
 		order = append(order, it.ref.idx)
-		q.Done()
+		q.done()
 	}
 	want := []int{3, 1, 2, 0}
 	for i := range want {
@@ -436,30 +436,30 @@ func TestQueuePriority(t *testing.T) {
 	// the higher risk, light only when both were — and moves it up.
 	first := mk(5, 1, true)
 	first.damaged = []int{2}
-	if _, ok := q.Push(first); !ok {
+	if _, ok := q.push(first); !ok {
 		t.Fatal("first push refused")
 	}
-	if _, ok := q.Push(first); ok {
+	if _, ok := q.push(first); ok {
 		t.Fatal("a duplicate push was taken")
 	}
-	q.Push(mk(6, 2, true))
+	q.push(mk(6, 2, true))
 	more := mk(5, 3, false)
 	more.damaged = []int{2, 7}
-	if it, ok := q.Push(more); !ok || !slices.Equal(it.damaged, []int{2, 7}) || it.erasures != 3 || it.light {
+	if it, ok := q.push(more); !ok || !slices.Equal(it.damaged, []int{2, 7}) || it.erasures != 3 || it.light {
 		t.Fatalf("merged item %+v (ok %v), want damage [2 7], 3 erasures, heavy", it, ok)
 	}
-	if q.Len() != 2 {
-		t.Fatalf("%d items pending, want 2", q.Len())
+	if q.len() != 2 {
+		t.Fatalf("%d items pending, want 2", q.len())
 	}
-	q.Close()
-	for _, want := range []int{5, 6} { // pending items drain even after Close
-		it, ok := q.Pop()
+	q.close()
+	for _, want := range []int{5, 6} { // pending items drain even after close
+		it, ok := q.pop()
 		if !ok || it.ref.idx != want {
-			t.Fatalf("after Close popped %+v (ok %v), want stripe %d", it.ref, ok, want)
+			t.Fatalf("after close popped %+v (ok %v), want stripe %d", it.ref, ok, want)
 		}
-		q.Done()
+		q.done()
 	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop returned an item from a closed empty queue")
+	if _, ok := q.pop(); ok {
+		t.Fatal("pop returned an item from a closed empty queue")
 	}
 }

@@ -309,19 +309,19 @@ func (s *Store) commit(obj *objectInfo) error {
 // missing or corrupt blocks inline (light local decode first, so a
 // single-loss stripe still costs the r=5 read set), with memory bounded
 // by the two pipelined stripes. The ReadInfo reports what the read
-// actually cost. It is the whole-object case of GetRange: one pass over
+// actually cost. It is the whole-object case of GetWindow: one pass over
 // the version current at entry, with no retry.
 func (s *Store) GetWriter(name string, w io.Writer) (ReadInfo, error) {
-	return s.GetRange(name, 0, -1, w)
+	return s.GetWindow(name, func(int64) (int64, int64, io.Writer) { return 0, -1, w })
 }
 
 // Get reads an object back, reconstructing missing or corrupt blocks
 // inline (the degraded read path: rebuilt blocks are served, not written
 // back — §1.1). The ReadInfo reports what the read actually cost. It is
-// GetRange into a buffer.
+// GetWriter into a buffer.
 func (s *Store) Get(name string) ([]byte, ReadInfo, error) {
 	var buf bytes.Buffer
-	info, err := s.GetRange(name, 0, -1, &buf)
+	info, err := s.GetWriter(name, &buf)
 	if err != nil {
 		return nil, info, err
 	}

@@ -52,12 +52,12 @@ func TestStreamRoundTrip(t *testing.T) {
 // every entry point, against a backend that counts for itself: k data
 // blocks per stripe — the padding-only tail positions of a final stripe
 // too short to reach block k-1 included — and nothing else. The numbers
-// are the ones the read path produced before Get, GetWriter and GetRange
+// are the ones the read path produced before Get, GetWriter and getRange
 // shared one implementation.
 func TestWholeObjectReadCost(t *testing.T) {
 	const bs = 128
-	cb := &countingBackend{Backend: NewMemBackend()}
-	s := newTestStore(t, Config{Backend: cb, BlockSize: bs})
+	rec := newIORecorder(NewMemBackend())
+	s := newTestStore(t, Config{Backend: rec, BlockSize: bs})
 	defer s.Close()
 	k := s.Codec().K()
 	rng := rand.New(rand.NewSource(23))
@@ -86,14 +86,14 @@ func TestWholeObjectReadCost(t *testing.T) {
 				info, err := s.GetWriter(name, &buf)
 				return info, buf.Bytes(), err
 			},
-			"GetRange(0,-1)": func() (ReadInfo, []byte, error) {
+			"getRange(0,-1)": func() (ReadInfo, []byte, error) {
 				var buf bytes.Buffer
-				info, err := s.GetRange(name, 0, -1, &buf)
+				info, err := getRange(s, name, 0, -1, &buf)
 				return info, buf.Bytes(), err
 			},
 		}
 		for via, read := range reads {
-			before := cb.reads.Load()
+			before := rec.reqs("Read", "ReadInto")
 			info, got, err := read()
 			if err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s of %d bytes: err %v", via, c.size, err)
@@ -102,7 +102,7 @@ func TestWholeObjectReadCost(t *testing.T) {
 			if info != wantInfo {
 				t.Fatalf("%s of %d bytes: %+v, want %+v", via, c.size, info, wantInfo)
 			}
-			if n := cb.reads.Load() - before; n != c.blocks {
+			if n := rec.reqs("Read", "ReadInto") - before; n != c.blocks {
 				t.Fatalf("%s of %d bytes: backend saw %d reads, ReadInfo says %d", via, c.size, n, c.blocks)
 			}
 		}
@@ -111,9 +111,9 @@ func TestWholeObjectReadCost(t *testing.T) {
 	// even when it takes a stripe in full: the 13-byte final stripe is 7
 	// two-byte blocks, and its 3 padding-only positions stay unread.
 	var buf bytes.Buffer
-	info, err := s.GetRange(fmt.Sprintf("cost-%d", bs*k+13), int64(bs*k), -1, &buf)
+	info, err := getRange(s, fmt.Sprintf("cost-%d", bs*k+13), int64(bs*k), -1, &buf)
 	if want := (ReadInfo{BlocksRead: 7, BytesRead: 7 * (4 + 2), BytesWritten: 13}); err != nil || info != want {
-		t.Fatalf("tail-stripe GetRange: %+v, err %v, want %+v", info, err, want)
+		t.Fatalf("tail-stripe getRange: %+v, err %v, want %+v", info, err, want)
 	}
 }
 
